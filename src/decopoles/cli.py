@@ -499,8 +499,14 @@ def _run_extract(plan: dict, outdir: str):
         else:
             raise
 
-    # rates with no visible decay over the window are equilibrium content
     t_span = float(signal.times[-1] - signal.times[0])
+    growth = [z.real for z, _ in fitted if z.real * t_span > 1e-8]
+    if growth:
+        raise ConvergenceError(
+            f"{len(growth)} fitted mode(s) grow over the window (largest growth rate "
+            f"{max(growth):.3e}); a pole catalogue holds only decaying modes"
+        )
+    # rates with no visible decay over the window are equilibrium content
     modes = []
     for z, amp in fitted:
         gamma = -z.real * hbar

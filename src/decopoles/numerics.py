@@ -2,9 +2,9 @@
 
 Three self-contained tools used throughout the package:
 
-* ``eigh`` -- cyclic Jacobi eigensolver for Hermitian complex matrices,
-  with a deterministic eigenvector phase convention so bases computed at
-  nearby times can be compared directly.
+* ``eigh`` -- LAPACK eigensolver for Hermitian complex matrices, with a
+  deterministic eigenvector phase convention so bases computed at nearby
+  times can be compared directly.
 * ``principal_value_integral`` -- Cauchy principal value of
   f(w)/(w0 - w) by symmetric-pair quadrature around the singularity.
 * ``matrix_pencil_fit`` -- complex-exponential spectral estimation
@@ -16,7 +16,6 @@ concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,6 @@ import numpy as np
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 
 HERMITICITY_TOL = 1e-12
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -123,76 +120,28 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigh(a) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix with LAPACK (``np.linalg.eigh``).
 
-    Accepts a ``HermitianMatrix`` or anything convertible to one.  Sweeps
-    annihilate every off-diagonal pivot in turn; iteration stops when the
-    off-diagonal Frobenius mass drops below 1e-13 * ||A|| and fails with a
-    ``ConvergenceError`` after 100 sweeps.
-
-    Each pivot (p, q) is removed by the unitary that first rotates the
-    pivot phase away (diag(1, e^{-i phi}) with phi = arg A[p,q]) and then
-    applies the real Jacobi rotation with tan(2 theta) = 2|A[p,q]| /
-    (A[p,p] - A[q,q]).
+    Accepts a ``HermitianMatrix`` or anything convertible to one.  LAPACK's
+    ascending eigenvalues are reversed to descending order and the vectors
+    get the ``_phase_fix`` convention.  ``off_diagonal_residual`` is
+    ||offdiag(V^H A V)||_F / ||A||_F, and 0 for the zero matrix.  A LAPACK
+    failure to converge raises ``ConvergenceError``.
     """
     if not isinstance(a, HermitianMatrix):
         a = HermitianMatrix(a)
-    n = a.dim
-    work = np.array(a.entries, dtype=complex)
-    vecs = np.eye(n, dtype=complex)
-    norm_a = float(np.linalg.norm(work))
-
-    def off_norm(m):
-        total = float(np.sum(np.abs(m) ** 2))
-        diag = float(np.sum(np.abs(np.diag(m)) ** 2))
-        return math.sqrt(max(total - diag, 0.0))
-
+    try:
+        values, vecs = np.linalg.eigh(a.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+    vecs = _phase_fix(vecs[:, ::-1])
+    norm_a = float(np.linalg.norm(a.entries))
+    residual = 0.0
     if norm_a > 0.0:
-        converged = False
-        for _ in range(JACOBI_MAX_SWEEPS):
-            if off_norm(work) < JACOBI_OFF_TOL * norm_a:
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = work[p, q]
-                    if apq == 0.0:
-                        continue
-                    phi = np.angle(apq)
-                    theta = 0.5 * math.atan2(2.0 * abs(apq), work[p, p].real - work[q, q].real)
-                    c = math.cos(theta)
-                    s = math.sin(theta)
-                    ep = complex(math.cos(phi), math.sin(phi))
-                    em = ep.conjugate()
-                    rp = work[p, :].copy()
-                    rq = work[q, :].copy()
-                    work[p, :] = c * rp + (s * ep) * rq
-                    work[q, :] = -s * rp + (c * ep) * rq
-                    cp = work[:, p].copy()
-                    cq = work[:, q].copy()
-                    work[:, p] = c * cp + (s * em) * cq
-                    work[:, q] = -s * cp + (c * em) * cq
-                    work[p, q] = np.conj(work[q, p])
-                    vp = vecs[:, p].copy()
-                    vq = vecs[:, q].copy()
-                    vecs[:, p] = c * vp + (s * em) * vq
-                    vecs[:, q] = -s * vp + (c * em) * vq
-        else:
-            converged = off_norm(work) < JACOBI_OFF_TOL * norm_a
-        if not converged:
-            res = off_norm(work) / norm_a
-            raise ConvergenceError(
-                f"Jacobi sweep limit ({JACOBI_MAX_SWEEPS}) reached, "
-                f"relative off-diagonal residual {res:.3e}",
-                residual=res,
-            )
-
-    values = np.diag(work).real.copy()
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vecs = _phase_fix(vecs[:, order])
-    residual = off_norm(work) / norm_a if norm_a > 0.0 else 0.0
-    return EigenDecomposition(values, vecs, residual)
+        rotated = vecs.conj().T @ a.entries @ vecs
+        np.fill_diagonal(rotated, 0.0)
+        residual = float(np.linalg.norm(rotated)) / norm_a
+    return EigenDecomposition(values[::-1].copy(), vecs, residual)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, fa, fm, fb, depth: int):
@@ -258,15 +207,26 @@ def principal_value_integral(f, omega0: float, lo: float, hi: float, tol: float 
     return value
 
 
-def _check_uniform_grid(times: np.ndarray) -> float:
+def check_uniform_grid(times: np.ndarray) -> float:
+    """Return the step of a strictly increasing, uniform grid of >= 2 points.
+
+    Steps may deviate from the first by 1e-12 * max(dt, 1) plus 16 * eps
+    times the largest endpoint magnitude, which covers the roundoff that
+    ``np.linspace`` leaves on long grids far from zero.
+    """
     if times.size < 2:
         raise ValidationError("need at least two samples")
     steps = np.diff(times)
     if np.any(steps <= 0.0):
         raise ValidationError("times must be strictly increasing")
     dt = float(steps[0])
-    if np.max(np.abs(steps - dt)) > 1e-12 * max(abs(dt), 1.0):
-        raise ValidationError("time grid is not uniform (relative tolerance 1e-12)")
+    reach = max(abs(times[0]), abs(times[-1]))
+    tol = 1e-12 * max(dt, 1.0) + 16.0 * np.finfo(float).eps * reach
+    dev = float(np.max(np.abs(steps - dt)))
+    if dev > tol:
+        raise ValidationError(
+            f"time grid is not uniform: step deviation {dev:.3e} exceeds {tol:.3e}"
+        )
     return dt
 
 
@@ -295,7 +255,7 @@ def matrix_pencil_fit(times, values, order: int, rank_rtol: float = 1e-10):
         raise ValidationError("order must be >= 1")
     if t.size < 2 * order + 2:
         raise ValidationError(f"need at least {2 * order + 2} samples for order {order}")
-    dt = _check_uniform_grid(t)
+    dt = check_uniform_grid(t)
 
     n = y.size
     window = min(max(n // 2, order), n - order)

@@ -42,15 +42,18 @@ def _logsumexp(exponents: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(exponents - m))))
 
 
+def _log_factorials(N: int) -> np.ndarray:
+    """log(n!) for n = 0..N."""
+    return np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+
+
 def _log_fock_weights(alpha: float, N: int) -> np.ndarray:
     """log(alpha^n / sqrt(n!)) for n = 0..N; alpha = 0 gives only n = 0."""
-    n = np.arange(N + 1)
-    lg = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
     if alpha == 0.0:
         out = np.full(N + 1, -math.inf)
         out[0] = 0.0
         return out
-    return n * math.log(alpha) - 0.5 * lg
+    return np.arange(N + 1) * math.log(alpha) - 0.5 * _log_factorials(N)
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,7 @@ def fock_overlap(s1: QuasiCoherentState, s2: QuasiCoherentState) -> float:
         log_sum = 0.0  # only the n = 0 term survives
     else:
         n = np.arange(s1.N + 1)
-        lg = np.array([math.lgamma(k + 1.0) for k in range(s1.N + 1)])
-        log_sum = _logsumexp(n * math.log(s1.alpha * s2.alpha) - lg)
+        log_sum = _logsumexp(n * math.log(s1.alpha * s2.alpha) - _log_factorials(s1.N))
     return math.exp(s1.log_norm + s2.log_norm + log_sum)
 
 
@@ -400,10 +402,9 @@ def _truncated_w(cfg: OmnesConfig, z0: complex, t: float) -> complex:
     """<alpha2(0)|alpha2(t)> at finite N: N2^2 sum (Delta^2 e^{-i z0 t/hbar})^n / n!."""
     d2 = cfg.delta**2
     n = np.arange(cfg.N + 1)
-    lg = np.array([math.lgamma(k + 1.0) for k in range(cfg.N + 1)])
     log_n2_sq = 2.0 * cfg.state2().log_norm
     decay = -1j * complex(z0) * t / cfg.hbar
-    exponents = log_n2_sq + n * math.log(d2) + n * decay.real - lg
+    exponents = log_n2_sq + n * math.log(d2) + n * decay.real - _log_factorials(cfg.N)
     return complex(np.sum(np.exp(exponents) * np.exp(1j * n * decay.imag)))
 
 
@@ -462,9 +463,8 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     # w_N(t) = sum_k q_k x^k with q_k = N2^2 Delta^(2k) / k!
     d2 = cfg.delta**2
     k = np.arange(cfg.N + 1)
-    lg = np.array([math.lgamma(i + 1.0) for i in range(cfg.N + 1)])
     log_n2_sq = 2.0 * cfg.state2().log_norm
-    q = np.exp(log_n2_sq + k * math.log(d2) - lg)
+    q = np.exp(log_n2_sq + k * math.log(d2) - _log_factorials(cfg.N))
 
     f2 = cfg.b * q.astype(complex)
     f2[0] += cfg.a * s

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import HermitianMatrix
+from .numerics import HermitianMatrix, check_uniform_grid
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -187,12 +187,7 @@ class Signal:
         if v.shape != t.shape:
             raise ValidationError("values must match times in shape")
         if t.size > 1:
-            steps = np.diff(t)
-            if np.any(steps <= 0.0):
-                raise ValidationError("times must be strictly increasing")
-            dt = steps[0]
-            if np.max(np.abs(steps - dt)) > 1e-12 * max(abs(dt), 1.0):
-                raise ValidationError("time grid must be uniform to 1e-12 relative")
+            check_uniform_grid(t)
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v.view(float)))):
             raise ValidationError("signal contains NaN or Inf")
         t.setflags(write=False)

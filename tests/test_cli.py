@@ -362,6 +362,19 @@ class TestExtract:
         assert "numeric failure" in err
         assert "no decaying modes" in err
 
+    def test_growing_mode_fails(self, tmp_path, capsys):
+        t = np.linspace(0.0, 10.0, 401)
+        sig = Signal(t, np.exp(-0.5 * t) + 0.3 * np.exp(0.05 * t))
+        csv_path = tmp_path / "grow.csv"
+        csv_path.write_text(signal_to_csv(sig), encoding="utf-8")
+        cfg = self.extract_config(tmp_path, csv_path, 2)
+        out = tmp_path / "f"
+        assert main(["extract", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: 1 fitted mode(s) grow" in err
+        assert "largest growth rate 5.000e-02" in err
+        assert not (out / "catalogue.json").exists()
+
     def test_missing_input_csv(self, tmp_path, capsys):
         cfg = self.extract_config(tmp_path, tmp_path / "absent.csv", 1)
         assert main(["extract", "--config", cfg, "--out", str(tmp_path / "f")]) == 2

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from decopoles.numerics import (
     matrix_pencil_fit,
     principal_value_integral,
 )
+from decopoles.omnes import OmnesConfig, build_density_matrix
 
 
 def random_hermitian(rng, dim):
@@ -66,7 +68,7 @@ class TestEigh:
         assert dec.eigenvalues.tolist() == [3.0, 2.0, 1.0]
 
     def test_matches_library_solver(self):
-        # library eigvalsh is an independent oracle for the hand-rolled sweep
+        # both sides are LAPACK; test_matches_mpmath_oracle is the independent check
         rng = np.random.default_rng(42)
         for dim in (2, 3, 8, 64):
             mat = random_hermitian(rng, dim)
@@ -79,7 +81,7 @@ class TestEigh:
         rng = np.random.default_rng(7)
         mat = random_hermitian(rng, 12)
         dec = eigh(mat)
-        # rotation roundoff accumulates in the vectors over sweeps
+        # a loose bound: LAPACK reconstruction error is O(dim * eps * ||A||)
         assert np.max(np.abs(dec.reconstruct() - mat)) < 1e-9
 
     def test_eigenvectors_orthonormal(self):
@@ -116,6 +118,43 @@ class TestEigh:
         rng = np.random.default_rng(13)
         dec = eigh(random_hermitian(rng, 6))
         assert dec.off_diagonal_residual < 1e-13
+
+    def test_matches_mpmath_oracle(self):
+        # 30-digit mpmath eighe is independent of LAPACK
+        rng = np.random.default_rng(17)
+        for dim in (2, 3, 5, 8):
+            mat = random_hermitian(rng, dim)
+            dec = eigh(mat)
+            with mpmath.workdps(30):
+                vals, vecs = mpmath.eighe(mpmath.matrix(mat.tolist()))
+                expected = np.array([float(vals[k]) for k in range(dim)])[::-1]
+                ref = np.array(vecs.tolist(), dtype=complex)[:, ::-1]
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(dec.eigenvalues - expected)) < 1e-13 * scale
+            # random spectra are simple, so each vector matches up to a phase
+            overlaps = np.abs(np.sum(ref.conj() * dec.eigenvectors, axis=0))
+            assert np.max(np.abs(overlaps - 1.0)) < 1e-12
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigh(np.eye(3))
+
+    @pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
+    def test_rank_one_fock_density(self):
+        # a pure state: one unit eigenvalue and a 24-fold degenerate zero cluster
+        half = math.sqrt(0.5)
+        cfg = OmnesConfig(m=1.0, omega=2.0, hbar=1.0, gamma0=0.1, L0=2.0, a=half, b=half, N=24)
+        rho = build_density_matrix(cfg, cfg.z0(), 1.3)
+        dec = eigh(rho.entries)
+        v = dec.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(25))) < 1e-13
+        assert np.max(np.abs(dec.reconstruct() - rho.entries)) < 1e-12
+        assert dec.off_diagonal_residual < 1e-13
+        assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-13)
 
 
 class TestAdaptiveSimpson:

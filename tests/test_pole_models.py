@@ -135,6 +135,13 @@ class TestSynthesize:
         b = synthesize(shuffled, grid)
         assert np.array_equal(a.values, b.values)
 
+    def test_long_linspace_grid_accepted(self):
+        # linspace roundoff on this grid (~1.6e-12) grows with the endpoint
+        # magnitude and exceeds the 1e-12 step-relative tolerance alone
+        grid = np.linspace(0.0, 1e4, 1_000_001)
+        s = synthesize(figure_catalogue(), grid)
+        assert len(s) == grid.size
+
     def test_monotone_envelope(self):
         # positive amplitudes, no tail: strictly decreasing trajectory
         s = synthesize(figure_catalogue(), np.linspace(0.0, 10.0, 201))

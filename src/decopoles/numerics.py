@@ -25,15 +25,24 @@ from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 HERMITICITY_TOL = 1e-12
 
 
-def _as_square_complex(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValidationError("empty matrix")
-    if not np.all(np.isfinite(a.view(float))):
+def hermitian_average(a: np.ndarray) -> np.ndarray:
+    """(A + A^H) / 2 of each matrix over the last two axes, so downstream math sees A == A^H.
+
+    Every entry must be finite, and each matrix Hermitian relative to its
+    own scale: max |A - A^H| <= HERMITICITY_TOL * max(max|A|, 1).
+    """
+    if not np.all(np.isfinite(a)):
         raise ValidationError("matrix contains NaN or Inf entries")
-    return a
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    dev = np.max(np.abs(a - ah), axis=(-2, -1))
+    bad = np.flatnonzero(dev > HERMITICITY_TOL * np.maximum(scale, 1.0))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(
+            f"matrix is not Hermitian: max deviation {dev.flat[k]:.3e} at scale {scale.flat[k]:.3e}"
+        )
+    return (a + ah) / 2.0
 
 
 @dataclass(frozen=True)
@@ -46,15 +55,12 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _as_square_complex(self.entries)
-        scale = np.max(np.abs(a))
-        dev = np.max(np.abs(a - a.conj().T))
-        if dev > HERMITICITY_TOL * max(scale, 1.0):
-            raise ValidationError(
-                f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}"
-            )
-        # store the exactly-Hermitian average so downstream math sees A == A^H
-        object.__setattr__(self, "entries", (a + a.conj().T) / 2.0)
+        a = np.asarray(self.entries, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+        if a.shape[0] == 0:
+            raise ValidationError("empty matrix")
+        object.__setattr__(self, "entries", hermitian_average(a))
         self.entries.setflags(write=False)
 
     @property

@@ -21,6 +21,7 @@ N ~ 1e4 stay representable.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,9 +43,12 @@ def _logsumexp(exponents: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(exponents - m))))
 
 
+@functools.lru_cache(maxsize=32)
 def _log_factorials(N: int) -> np.ndarray:
-    """log(n!) for n = 0..N."""
-    return np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+    """log(n!) for n = 0..N, cached per N and shared read-only."""
+    out = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+    out.setflags(write=False)
+    return out
 
 
 def _log_fock_weights(alpha: float, N: int) -> np.ndarray:
@@ -472,11 +476,9 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
 
     top = f1 * f2.conj()
     equilibrium = np.array([[abs(f1) ** 2, top[0]], [top[0].conjugate(), c[0]]])
-    poles = []
-    amps = []
-    for kk in range(1, 2 * cfg.N + 1):
-        upper = top[kk] if kk <= cfg.N else 0.0
-        amp = np.array([[0.0, upper], [np.conj(upper), c[kk]]])
-        poles.append(Pole(0.0, kk * cfg.gamma0))
-        amps.append(amp)
+    amps = np.zeros((2 * cfg.N, 2, 2), dtype=complex)
+    amps[: cfg.N, 0, 1] = top[1:]
+    amps[: cfg.N, 1, 0] = top[1:].conj()
+    amps[:, 1, 1] = c[1:]
+    poles = [Pole(0.0, kk * cfg.gamma0) for kk in range(1, 2 * cfg.N + 1)]
     return CatalogueMatrix(poles, equilibrium, amps, cfg.hbar)

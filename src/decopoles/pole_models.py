@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import HermitianMatrix, check_uniform_grid
+from .numerics import HermitianMatrix, check_uniform_grid, hermitian_average
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -247,6 +247,11 @@ def synthesize(cat: PoleCatalogue, grid, rendering: str = "envelope") -> Signal:
     exp(-i omega_i t / hbar) and requires a pair-product catalogue, since
     only there do the stored frequencies mean beat frequencies.
     """
+    return _mode_sum(cat, grid, rendering, range(len(cat.modes)))
+
+
+def _mode_sum(cat: PoleCatalogue, grid, rendering: str, indices) -> Signal:
+    """Equilibrium + the ``indices`` modes + tail, on a checked grid and rendering."""
     t = np.asarray(grid, dtype=float)
     if t.size == 0:
         raise ValidationError("empty time grid")
@@ -257,11 +262,6 @@ def synthesize(cat: PoleCatalogue, grid, rendering: str = "envelope") -> Signal:
             "full rendering requires a pair-product catalogue; "
             "use PoleCatalogue.from_pole_pairs"
         )
-    values = _mode_sum(cat, t, rendering, range(len(cat.modes)))
-    return Signal(t, values)
-
-
-def _mode_sum(cat: PoleCatalogue, t: np.ndarray, rendering: str, indices) -> np.ndarray:
     values = np.full(t.shape, complex(cat.equilibrium), dtype=complex)
     for i in indices:
         mode = cat.modes[i]
@@ -271,7 +271,7 @@ def _mode_sum(cat: PoleCatalogue, t: np.ndarray, rendering: str, indices) -> np.
         values += term
     if cat.khalfin is not None:
         values += cat.khalfin(t)
-    return values
+    return Signal(t, values)
 
 
 def model1_times(gamma0: float, hbar: float = 1.0):
@@ -461,15 +461,7 @@ def preferred_signal(
     as the decohered trajectory only past the report's t_D.
     """
     check_report_matches(cat, report)
-    t = np.asarray(grid, dtype=float)
-    if t.size == 0:
-        raise ValidationError("empty time grid")
-    if rendering == "full" and not cat.pair_product:
-        raise ValidationError("full rendering requires a pair-product catalogue")
-    if rendering not in ("envelope", "full"):
-        raise ValidationError(f"unknown rendering {rendering!r}")
-    values = _mode_sum(cat, t, rendering, report.p_relevant)
-    return Signal(t, values)
+    return _mode_sum(cat, grid, rendering, report.p_relevant)
 
 
 @dataclass(frozen=True)
@@ -515,51 +507,50 @@ class CatalogueMatrix:
     matrices so the evaluated matrix is Hermitian at all times.  This is
     the per-mode tagging needed to drop poles entrywise when building a
     preferred state.  Only envelope (real damping) rendering is defined at
-    the matrix level.
+    the matrix level.  ``amplitudes`` is one read-only (K, d, d) stack,
+    sorted jointly with ``poles`` and ``gammas``.
     """
 
     def __init__(self, poles, equilibrium, amplitudes, hbar: float = 1.0):
         poles = tuple(poles)
         if not all(isinstance(p, Pole) for p in poles):
             raise ValidationError("poles must be Pole instances")
-        amplitudes = tuple(np.asarray(a, dtype=complex) for a in amplitudes)
-        if len(amplitudes) != len(poles):
-            raise ValidationError("need exactly one amplitude matrix per pole")
         eq = HermitianMatrix(equilibrium).entries
         dim = eq.shape[0]
-        fixed = []
-        for a in amplitudes:
-            h = HermitianMatrix(a)
-            if h.dim != dim:
-                raise ValidationError("amplitude matrices must share the equilibrium's dim")
-            fixed.append(h.entries)
-        order = sorted(range(len(poles)), key=lambda k: (poles[k].gamma, poles[k].omega))
+        try:
+            amps = np.asarray(amplitudes, dtype=complex)
+        except ValueError as exc:  # matrices of differing shapes
+            raise ValidationError(f"amplitude matrices must share one shape: {exc}") from exc
+        if amps.size == 0:
+            amps = amps.reshape(0, dim, dim)
+        if amps.shape != (len(poles), dim, dim):
+            raise ValidationError(
+                f"need one {dim}x{dim} amplitude matrix per pole ({len(poles)}), got shape {amps.shape}"
+            )
+        gammas = np.array([p.gamma for p in poles])
+        order = np.lexsort((np.array([p.omega for p in poles]), gammas))
         self.poles = tuple(poles[k] for k in order)
-        self.amplitudes = tuple(fixed[k] for k in order)
+        self.amplitudes = hermitian_average(amps[order])
+        self.amplitudes.setflags(write=False)
+        self._gammas = gammas[order]
+        self.gammas = tuple(self._gammas.tolist())
+        self._norms = np.linalg.norm(self.amplitudes, axis=(-2, -1))
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
 
-    @property
-    def gammas(self) -> tuple:
-        return tuple(p.gamma for p in self.poles)
-
     def evaluate(self, t: float, keep=None) -> np.ndarray:
         """Hermitian matrix at time t, optionally restricted to ``keep`` modes."""
-        indices = range(len(self.poles)) if keep is None else keep
-        out = np.array(self.equilibrium, dtype=complex)
-        for k in indices:
-            out += self.amplitudes[k] * math.exp(-self.poles[k].gamma * t / self.hbar)
-        return out
+        gammas, amps = self._gammas, self.amplitudes
+        if keep is not None:
+            idx = np.asarray(keep, dtype=np.intp)
+            gammas, amps = gammas[idx], amps[idx]
+        return self.equilibrium + np.tensordot(np.exp(-gammas * t / self.hbar), amps, 1)
 
     def dropped_envelope(self, t: float, dropped) -> float:
         """Frobenius ceiling on the modes removed at time t."""
-        total = 0.0
-        for k in dropped:
-            total += float(np.linalg.norm(self.amplitudes[k])) * math.exp(
-                -self.poles[k].gamma * t / self.hbar
-            )
-        return total
+        idx = np.asarray(dropped, dtype=np.intp)
+        return float(self._norms[idx] @ np.exp(-self._gammas[idx] * t / self.hbar))
 
 
 # --- serialization ---------------------------------------------------------

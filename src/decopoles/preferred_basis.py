@@ -140,9 +140,9 @@ def preferred_state(
 ) -> List[DensityMatrix]:
     """Evaluate the catalogue with p-irrelevant poles dropped, per time point.
 
-    The truncated matrix is Hermitian-symmetrized (truncation can leave
-    1e-16 dust) and renormalized to unit trace.  A vanishing trace means
-    the surviving modes cannot represent a state and is an error.
+    The truncated matrix is renormalized to unit trace (``DensityMatrix``
+    stores its exactly-Hermitian average).  A vanishing trace means the
+    surviving modes cannot represent a state and is an error.
     """
     check_report_matches(source, report)
     t = np.asarray(grid, dtype=float)
@@ -151,7 +151,6 @@ def preferred_state(
     out = []
     for tk in t:
         mat = source.evaluate(float(tk), keep=report.p_relevant)
-        mat = 0.5 * (mat + mat.conj().T)
         trace = float(np.trace(mat).real)
         if not math.isfinite(trace) or abs(trace) < 1e-200:
             raise ValidationError(f"truncated state has vanishing trace at t={tk}")

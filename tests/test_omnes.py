@@ -10,6 +10,7 @@ from decopoles.errors import ValidationError
 from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
+    _log_factorials,
     QuasiCoherentState,
     build_density_matrix,
     collective_rate,
@@ -141,6 +142,19 @@ class TestFockOverlap:
         s1 = QuasiCoherentState(0.0, 10)
         s2 = QuasiCoherentState(2.0, 10)
         assert abs(fock_overlap(s1, s2) - overlap_truncated(s1, s2)) > 1e-5
+
+
+class TestLogFactorials:
+    @pytest.mark.parametrize("N", [1, 40, 1000])
+    def test_values_bit_identical_to_lgamma(self, N):
+        want = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+        assert _log_factorials(N).tobytes() == want.tobytes()
+
+    def test_cached_and_read_only(self):
+        table = _log_factorials(57)
+        assert _log_factorials(57) is table
+        with pytest.raises(ValueError):
+            table[3] = 0.0
 
 
 class TestErrorBound:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from decopoles.errors import ValidationError
+from decopoles.omnes import OmnesConfig, frame_catalogue_matrix
 from decopoles.pole_models import (
     BOUNDARY_IRRELEVANT,
     BOUNDARY_RELEVANT,
@@ -509,6 +510,81 @@ class TestCatalogueMatrix:
     def test_rejects_bare_pole_tuples(self):
         with pytest.raises(ValidationError):
             CatalogueMatrix(((0.0, 1.0),), np.eye(2), (np.eye(2),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_amplitude(self, bad):
+        amp = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        amp[1, 1] = bad
+        with pytest.raises(ValidationError):
+            CatalogueMatrix((Pole(0.0, 1.0), Pole(0.0, 2.0)), np.eye(2), (np.eye(2), amp))
+
+    def test_amplitudes_read_only(self):
+        cm = self.build()
+        with pytest.raises(ValueError):
+            cm.amplitudes[0][0, 0] = 1.0
+
+
+def loop_evaluate(cm, t, keep=None):
+    """Reference: the per-mode loop, one scaled amplitude added at a time."""
+    indices = range(len(cm.poles)) if keep is None else keep
+    out = np.array(cm.equilibrium, dtype=complex)
+    for k in indices:
+        out += cm.amplitudes[k] * math.exp(-cm.poles[k].gamma * t / cm.hbar)
+    return out
+
+
+def loop_dropped_envelope(cm, t, dropped):
+    """Reference: per-mode Frobenius norm times its decay, summed in a loop."""
+    total = 0.0
+    for k in dropped:
+        total += float(np.linalg.norm(cm.amplitudes[k])) * math.exp(
+            -cm.poles[k].gamma * t / cm.hbar
+        )
+    return total
+
+
+class TestCatalogueMatrixAgainstLoop:
+    """The vectorized sums agree with the per-mode loop on a 400-mode frame catalogue."""
+
+    TOL = 1e-13
+    TIMES = (0.0, 0.05, 0.5, 3.0, 30.0)
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        # Delta = 6 with m omega / 2 = hbar = 1; 2N = 400 modes
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), 200)
+        cm = frame_catalogue_matrix(cfg)
+        rule = collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)
+        return cm, partition_report(cm.gammas, cm.hbar, rule=rule)
+
+    @pytest.mark.parametrize("t", TIMES)
+    @pytest.mark.parametrize("subset", ["all", "relevant"])
+    def test_evaluate(self, frame, t, subset):
+        cm, rep = frame
+        keep = None if subset == "all" else rep.p_relevant
+        want = loop_evaluate(cm, t, keep)
+        got = cm.evaluate(t, keep=keep)
+        assert np.max(np.abs(got - want)) <= self.TOL * np.max(np.abs(want))
+
+    def test_evaluate_nothing_kept_is_equilibrium(self, frame):
+        cm, _ = frame
+        assert np.array_equal(cm.evaluate(0.7, keep=()), cm.equilibrium)
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_dropped_envelope(self, frame, t):
+        cm, rep = frame
+        want = loop_dropped_envelope(cm, t, rep.p_irrelevant)
+        assert want > 0.0
+        assert cm.dropped_envelope(t, rep.p_irrelevant) == pytest.approx(want, rel=self.TOL)
+
+    def test_dropped_envelope_of_nothing_is_zero(self, frame):
+        cm, _ = frame
+        assert cm.dropped_envelope(0.7, ()) == 0.0
+
+    def test_partition_is_nontrivial(self, frame):
+        cm, rep = frame
+        assert len(cm.poles) == 400
+        assert len(rep.p_relevant) == 36 and len(rep.p_irrelevant) == 364
 
 
 class TestSerialization:

@@ -6,6 +6,14 @@ subcommands ``simulate`` (scenarios model1, model2, model3, bifriedrich),
 field-path diagnostics), 3 numeric failure (quadrature, rank, state
 construction).
 
+``model3`` reads a general pole catalogue (``modes``, ``equilibrium``,
+``hbar``, ``khalfin``) with a partition ``rule`` and ``boundary``.
+``model1`` and ``model2`` are presets of it (``_PRESETS``): a fixed-shape
+catalogue of one or two poles read from flat keys, with a fixed rule and
+boundary and the extra timescale rows of ``pole_models.model1_times`` /
+``model2_times``.  Each scenario belongs to one subcommand
+(``_SCENARIOS``).
+
 Configs are strictly validated before any computation: unknown keys are
 rejected and every diagnostic names the offending field path.  All float
 output uses 17 significant digits so CSVs parse back losslessly and
@@ -15,6 +23,8 @@ identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -28,7 +38,8 @@ from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 
 _REQUIRED = object()
 
-_SIMULATE_SCENARIOS = ("model1", "model2", "model3", "bifriedrich")
+# the keys a catalogue reads besides its modes
+_CATALOGUE_KEYS = ("equilibrium", "hbar", "khalfin")
 
 
 # --- schema helpers ----------------------------------------------------------
@@ -105,34 +116,42 @@ def _grid(doc: dict, path: str) -> np.ndarray:
     return np.linspace(0.0, t_max, n)
 
 
+def _mode(doc, path, omega, gamma_key, re_key, im_key) -> tuple:
+    """One (pole, amplitude) pair; the amplitude defaults to 1 + 0j."""
+    return (
+        pole_models.Pole(omega, _number(doc, path, gamma_key, positive=True)),
+        complex(_number(doc, path, re_key, 1.0), _number(doc, path, im_key, 0.0)),
+    )
+
+
+def _catalogue(doc, path, modes) -> pole_models.PoleCatalogue:
+    """``modes`` with the equilibrium, Khalfin tail and hbar read from ``doc``."""
+    return pole_models.PoleCatalogue(
+        _number(doc, path, "equilibrium", 0.0),
+        modes,
+        _khalfin(doc, path, "khalfin"),
+        _number(doc, path, "hbar", 1.0, positive=True),
+    )
+
+
 def _mode_list(doc, path, key) -> tuple:
     raw = _field(doc, path, key)
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{path}.{key}: expected a nonempty array of mode objects")
     modes = []
     for i, entry in enumerate(raw):
-        sub = _as_object(entry, f"{path}.{key}[{i}]")
-        _reject_unknown(sub, f"{path}.{key}[{i}]", ("omega", "gamma", "amp_re", "amp_im"))
         p = f"{path}.{key}[{i}]"
-        modes.append(
-            (
-                pole_models.Pole(_number(sub, p, "omega", 0.0), _number(sub, p, "gamma", positive=True)),
-                complex(_number(sub, p, "amp_re", 1.0), _number(sub, p, "amp_im", 0.0)),
-            )
-        )
+        sub = _as_object(entry, p)
+        _reject_unknown(sub, p, ("omega", "gamma", "amp_re", "amp_im"))
+        modes.append(_mode(sub, p, _number(sub, p, "omega", 0.0), "gamma", "amp_re", "amp_im"))
     return tuple(modes)
 
 
 def _inline_catalogue(doc, path, key) -> pole_models.PoleCatalogue:
-    sub = _as_object(_field(doc, path, key), f"{path}.{key}")
     p = f"{path}.{key}"
-    _reject_unknown(sub, p, ("modes", "equilibrium", "hbar", "khalfin"))
-    return pole_models.PoleCatalogue(
-        _number(sub, p, "equilibrium", 0.0),
-        _mode_list(sub, p, "modes"),
-        _khalfin(sub, p, "khalfin"),
-        _number(sub, p, "hbar", 1.0, positive=True),
-    )
+    sub = _as_object(_field(doc, path, key), p)
+    _reject_unknown(sub, p, ("modes",) + _CATALOGUE_KEYS)
+    return _catalogue(sub, p, _mode_list(sub, p, "modes"))
 
 
 def _optional_number(doc, path, key):
@@ -165,12 +184,17 @@ def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
         )
     _reject_unknown(sub, path, ("kind", "omega0", "path"))
     csv_path = _string(sub, path, "path")
-    try:
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"{path}.path: cannot read {csv_path!r}: {exc}") from exc
+    text = _read_text(csv_path, f"{path}.path: cannot read")
     return friedrich.SpectralDensity.from_csv(omega0, text)
+
+
+def _read_text(path: str, label: str) -> str:
+    """Contents of a UTF-8 file; an unreadable one is a config error ``label 'path': why``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"{label} {path!r}: {exc}") from exc
 
 
 # --- output helpers ----------------------------------------------------------
@@ -188,6 +212,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then each row's fields rendered by ``_fmt``."""
+    lines = [header]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()) -> str:
     rows = [
         ("t_R", report.t_R),
@@ -197,113 +228,58 @@ def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()) -> str:
         ("p_relevant", ";".join(str(i) for i in report.p_relevant)),
         ("p_irrelevant", ";".join(str(i) for i in report.p_irrelevant)),
     ]
-    rows.extend(extra_rows)
-    lines = ["name,value"]
-    lines.extend(f"{name},{_fmt(value)}" for name, value in rows)
-    return "\n".join(lines) + "\n"
+    return _csv("name,value", rows + list(extra_rows))
 
 
 # --- scenario runners --------------------------------------------------------
+
+_RULES = (pole_models.RULE_SECOND_SMALLEST, pole_models.RULE_SLOWEST, pole_models.RULE_BACKGROUND)
+_BOUNDARIES = (pole_models.BOUNDARY_RELEVANT, pole_models.BOUNDARY_IRRELEVANT)
+
+_MODEL1_ROWS = (
+    "pole_pair_time", "pole_background_time_1", "pole_background_time_2",
+    "background_background_time",
+)
+
+# model1 and model2 as fixed-shape model3 catalogues: the (gamma, amp_re,
+# amp_im) keys of each pole, the rule, the boundary, and the extra timescale
+# rows as a function of the widths in input order and hbar
+_PRESETS = {
+    "model1": (
+        (("gamma0", "amp_re", "amp_im"),),
+        pole_models.RULE_BACKGROUND,
+        pole_models.BOUNDARY_RELEVANT,
+        lambda gamma0, hbar: tuple(zip(_MODEL1_ROWS, pole_models.model1_times(gamma0, hbar))),
+    ),
+    "model2": (
+        (("gamma0", "amp0_re", "amp0_im"), ("gamma1", "amp1_re", "amp1_im")),
+        pole_models.RULE_SECOND_SMALLEST,
+        pole_models.BOUNDARY_IRRELEVANT,
+        lambda gamma0, gamma1, hbar: (
+            ("intermediate_time", pole_models.model2_times(gamma0, gamma1, hbar).intermediate),
+        ),
+    ),
+}
 
 
 def _parse_simulate(params: dict, scenario: str):
     """Validate scenario params and build catalogue, report and extra rows."""
     path = "params"
-    if scenario == "model1":
-        _reject_unknown(
-            params, path, ("gamma0", "amp_re", "amp_im", "equilibrium", "hbar", "khalfin")
-        )
-        gamma0 = _number(params, path, "gamma0", positive=True)
-        hbar = _number(params, path, "hbar", 1.0, positive=True)
-        cat = pole_models.PoleCatalogue(
-            _number(params, path, "equilibrium", 0.0),
-            (
-                (
-                    pole_models.Pole(0.0, gamma0),
-                    complex(
-                        _number(params, path, "amp_re", 1.0),
-                        _number(params, path, "amp_im", 0.0),
-                    ),
-                ),
-            ),
-            _khalfin(params, path, "khalfin"),
-            hbar,
-        )
-        report = pole_models.decoherence_time(cat, rule=pole_models.RULE_BACKGROUND)
-        times = pole_models.model1_times(gamma0, hbar)
-        extra = (
-            ("pole_pair_time", times[0]),
-            ("pole_background_time_1", times[1]),
-            ("pole_background_time_2", times[2]),
-            ("background_background_time", times[3]),
-        )
-    elif scenario == "model2":
-        _reject_unknown(
-            params,
-            path,
-            ("gamma0", "gamma1", "amp0_re", "amp0_im", "amp1_re", "amp1_im",
-             "equilibrium", "hbar", "khalfin"),
-        )
-        gamma0 = _number(params, path, "gamma0", positive=True)
-        gamma1 = _number(params, path, "gamma1", positive=True)
-        hbar = _number(params, path, "hbar", 1.0, positive=True)
-        cat = pole_models.PoleCatalogue(
-            _number(params, path, "equilibrium", 0.0),
-            (
-                (
-                    pole_models.Pole(0.0, gamma0),
-                    complex(
-                        _number(params, path, "amp0_re", 1.0),
-                        _number(params, path, "amp0_im", 0.0),
-                    ),
-                ),
-                (
-                    pole_models.Pole(0.0, gamma1),
-                    complex(
-                        _number(params, path, "amp1_re", 1.0),
-                        _number(params, path, "amp1_im", 0.0),
-                    ),
-                ),
-            ),
-            _khalfin(params, path, "khalfin"),
-            hbar,
-        )
-        two = pole_models.model2_times(gamma0, gamma1, hbar)
-        report = pole_models.decoherence_time(
-            cat, boundary=pole_models.BOUNDARY_IRRELEVANT
-        )
-        extra = (("intermediate_time", two.intermediate),)
+    if scenario in _PRESETS:
+        keys, rule, boundary, rows = _PRESETS[scenario]
+        _reject_unknown(params, path, sum(keys, _CATALOGUE_KEYS))
+        modes = tuple(_mode(params, path, 0.0, *triple) for triple in keys)
+        cat = _catalogue(params, path, modes)
+        extra = rows(*(pole.gamma for pole, _ in modes), cat.hbar)
     else:  # model3
-        _reject_unknown(
-            params, path, ("modes", "equilibrium", "hbar", "khalfin", "rule", "boundary")
-        )
-        cat = pole_models.PoleCatalogue(
-            _number(params, path, "equilibrium", 0.0),
-            _mode_list(params, path, "modes"),
-            _khalfin(params, path, "khalfin"),
-            _number(params, path, "hbar", 1.0, positive=True),
-        )
-        rule = _string(
-            params,
-            path,
-            "rule",
-            pole_models.RULE_SECOND_SMALLEST,
-            choices=(
-                pole_models.RULE_SECOND_SMALLEST,
-                pole_models.RULE_SLOWEST,
-                pole_models.RULE_BACKGROUND,
-            ),
-        )
+        _reject_unknown(params, path, ("modes", "rule", "boundary") + _CATALOGUE_KEYS)
+        cat = _catalogue(params, path, _mode_list(params, path, "modes"))
+        rule = _string(params, path, "rule", pole_models.RULE_SECOND_SMALLEST, choices=_RULES)
         boundary = _string(
-            params,
-            path,
-            "boundary",
-            pole_models.BOUNDARY_RELEVANT,
-            choices=(pole_models.BOUNDARY_RELEVANT, pole_models.BOUNDARY_IRRELEVANT),
+            params, path, "boundary", pole_models.BOUNDARY_RELEVANT, choices=_BOUNDARIES
         )
-        report = pole_models.decoherence_time(cat, rule=rule, boundary=boundary)
         extra = ()
-    return cat, report, extra
+    return cat, pole_models.decoherence_time(cat, rule, boundary), extra
 
 
 def _run_simulate(parsed, grid: np.ndarray, outdir: str):
@@ -327,9 +303,7 @@ def _run_bifriedrich(model: preferred_basis.BiFriedrichModel, grid: np.ndarray, 
     result = preferred_basis.bifriedrich_run(model, grid)
     _write(outdir, "signal1.csv", pole_models.signal_to_csv(result.signal1))
     _write(outdir, "signal2.csv", pole_models.signal_to_csv(result.signal2))
-    lines = ["t,part1_state,part2_state"]
-    lines.extend(f"{t:.17g},{s1},{s2}" for t, s1, s2 in result.verdicts)
-    _write(outdir, "verdicts.csv", "\n".join(lines) + "\n")
+    _write(outdir, "verdicts.csv", _csv("t,part1_state,part2_state", result.verdicts))
 
 
 def _parse_omnes(params: dict) -> dict:
@@ -347,7 +321,7 @@ def _parse_omnes(params: dict) -> dict:
             "params: spectral_density is mutually exclusive with gamma0 / omega_prime"
         )
 
-    plan = {
+    config = {  # the OmnesConfig fields but gamma0, which a density resolves at run time
         "m": _number(params, path, "m", 1.0, positive=True),
         "omega": _number(params, path, "omega", 2.0, positive=True),
         "hbar": _number(params, path, "hbar", 1.0, positive=True),
@@ -361,15 +335,13 @@ def _parse_omnes(params: dict) -> dict:
             _number(params, path, "b_im", 0.0),
         ),
         "N": _integer(params, path, "N", 6000, minimum=1),
-        "density": None,
-        "gamma0": None,
-        "omega_prime": 0.0,
     }
-    ssq = abs(plan["a"]) ** 2 + abs(plan["b"]) ** 2
+    ssq = abs(config["a"]) ** 2 + abs(config["b"]) ** 2
     if abs(ssq - 1.0) > 1e-12:
         raise ValidationError(
             f"params.a_re/a_im/b_re/b_im: |a|^2 + |b|^2 = {ssq!r}, must be 1 within 1e-12"
         )
+    plan = {"config": config, "density": None, "gamma0": None, "omega_prime": 0.0}
     if "spectral_density" in params:
         plan["density"] = _spectral_density(
             _as_object(params["spectral_density"], "params.spectral_density"),
@@ -404,36 +376,16 @@ def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
         gamma0 = plan["gamma0"]
         omega_prime = plan["omega_prime"]
 
-    cfg = omnes.OmnesConfig(
-        m=plan["m"],
-        omega=plan["omega"],
-        hbar=plan["hbar"],
-        gamma0=gamma0,
-        L0=plan["L0"],
-        a=plan["a"],
-        b=plan["b"],
-        N=plan["N"],
-    )
+    cfg = omnes.OmnesConfig(gamma0=gamma0, **plan["config"])
     z0 = cfg.z0(omega_prime)
-    sweep = plan["L0_sweep"]
 
     report = omnes.macroscopicity_check(cfg)
-    status = "PASS" if report.passed else "FAIL"
-    _write(
-        outdir,
-        "macroscopicity.txt",
-        "\n".join(
-            [
-                f"status: {status}",
-                f"delta: {report.delta:.17g}",
-                f"lower_margin: {report.lower_margin:.17g}",
-                f"upper_margin: {report.upper_margin:.17g}",
-                f"min_delta: {report.min_delta:.17g}",
-                f"truncation_factor: {report.truncation_factor:.17g}",
-            ]
-        )
-        + "\n",
+    lines = [f"status: {'PASS' if report.passed else 'FAIL'}"]
+    lines.extend(
+        f"{name}: {_fmt(getattr(report, name))}"
+        for name in ("delta", "lower_margin", "upper_margin", "min_delta", "truncation_factor")
     )
+    _write(outdir, "macroscopicity.txt", "\n".join(lines) + "\n")
     if not report.passed:
         print(
             f"warning: macroscopicity FAIL (delta={report.delta:.3g}); proceeding",
@@ -442,21 +394,13 @@ def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # macroscopicity already reported above
-        lines = ["t,abs_rho12"]
-        for t in grid:
-            block = omnes.nd_block(cfg, z0, float(t))
-            lines.append(f"{t:.17g},{abs(block.rho12):.17g}")
-        _write(outdir, "nd_decay.csv", "\n".join(lines) + "\n")
-
-        lines = ["L0,t_D,gamma_tilde"]
-        for L0 in sweep:
-            swept = omnes.OmnesConfig(
-                m=cfg.m, omega=cfg.omega, hbar=cfg.hbar, gamma0=cfg.gamma0,
-                L0=L0, a=cfg.a, b=cfg.b, N=cfg.N,
-            )
-            rate = omnes.collective_rate(swept)
-            lines.append(f"{L0:.17g},{rate.t_D:.17g},{rate.gamma_tilde:.17g}")
-        _write(outdir, "td_vs_L0.csv", "\n".join(lines) + "\n")
+        # rows stream into the CSV text, so no per-point objects are held
+        decay = ((t, abs(omnes.nd_block(cfg, z0, t).rho12)) for t in map(float, grid))
+        _write(outdir, "nd_decay.csv", _csv("t,abs_rho12", decay))
+        sweep = plan["L0_sweep"]
+        rates = [omnes.collective_rate(dataclasses.replace(cfg, L0=L0)) for L0 in sweep]
+        rows = [(L0, rate.t_D, rate.gamma_tilde) for L0, rate in zip(sweep, rates)]
+        _write(outdir, "td_vs_L0.csv", _csv("L0,t_D,gamma_tilde", rows))
 
 
 def _parse_extract(params: dict) -> dict:
@@ -466,11 +410,7 @@ def _parse_extract(params: dict) -> dict:
     order = _integer(params, path, "model_order", minimum=1)
     equilibrium = _number(params, path, "equilibrium", 0.0)
     hbar = _number(params, path, "hbar", 1.0, positive=True)
-    try:
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"params.input_csv: cannot read {csv_path!r}: {exc}") from exc
+    text = _read_text(csv_path, "params.input_csv: cannot read")
     try:
         signal = pole_models.signal_from_csv(text)
     except ValidationError as exc:
@@ -478,7 +418,7 @@ def _parse_extract(params: dict) -> dict:
     return {"signal": signal, "order": order, "equilibrium": equilibrium, "hbar": hbar}
 
 
-def _run_extract(plan: dict, outdir: str):
+def _run_extract(plan: dict, grid: None, outdir: str):  # extract has no config grid
     from .numerics import fit_residual, matrix_pencil_fit
 
     signal = plan["signal"]
@@ -522,18 +462,14 @@ def _run_extract(plan: dict, outdir: str):
     cat = pole_models.PoleCatalogue(equilibrium, tuple(modes), None, hbar)
     _write(outdir, "catalogue.json", pole_models.catalogue_to_json(cat) + "\n")
     residual = fit_residual(signal.times, values, fitted)
-    print(f"residual: {residual:.17g}")
+    print(f"residual: {_fmt(residual)}")
 
 
 # --- entry point -------------------------------------------------------------
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
+    text = _read_text(path, "cannot read config")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -543,39 +479,37 @@ def _load_config(path: str) -> dict:
     return _as_object(doc, "config")
 
 
+# scenario -> (subcommand, parse(params) -> plan, run(plan, grid, outdir))
+_SCENARIOS = {
+    **{
+        name: ("simulate", functools.partial(_parse_simulate, scenario=name), _run_simulate)
+        for name in ("model1", "model2", "model3")
+    },
+    "bifriedrich": ("simulate", _parse_bifriedrich, _run_bifriedrich),
+    "omnes": ("omnes", _parse_omnes, _run_omnes),
+    "extract": ("extract", _parse_extract, _run_extract),
+}
+
+
 def _dispatch(subcommand: str, doc: dict, outdir: str):
     _reject_unknown(doc, "config", ("scenario", "grid", "params", "output_dir"))
-    scenario = _string(
-        doc,
-        "config",
-        "scenario",
-        choices=_SIMULATE_SCENARIOS + ("omnes", "extract"),
-    )
-    expected = {
-        "simulate": _SIMULATE_SCENARIOS,
-        "omnes": ("omnes",),
-        "extract": ("extract",),
-    }[subcommand]
-    if scenario not in expected:
+    scenario = _string(doc, "config", "scenario", choices=_SCENARIOS)
+    owner, parse, run = _SCENARIOS[scenario]
+    if owner != subcommand:
+        expected = sorted(name for name, entry in _SCENARIOS.items() if entry[0] == subcommand)
         raise ValidationError(
             f"config.scenario: {scenario!r} does not belong to subcommand "
-            f"{subcommand!r} (expected one of {sorted(expected)})"
+            f"{subcommand!r} (expected one of {expected})"
         )
     params = _as_object(_field(doc, "config", "params", {}), "config.params")
     if scenario == "extract":
         if "grid" in doc:
             raise ValidationError("config.grid: extract reads its grid from the input CSV")
-        plan = _parse_extract(params)
-        return lambda: _run_extract(plan, outdir)
-    grid = _grid(doc, "config")
-    if scenario == "bifriedrich":
-        model = _parse_bifriedrich(params)
-        return lambda: _run_bifriedrich(model, grid, outdir)
-    if scenario == "omnes":
-        plan = _parse_omnes(params)
-        return lambda: _run_omnes(plan, grid, outdir)
-    parsed = _parse_simulate(params, scenario)
-    return lambda: _run_simulate(parsed, grid, outdir)
+        grid = None
+    else:
+        grid = _grid(doc, "config")
+    plan = parse(params)
+    return lambda: run(plan, grid, outdir)
 
 
 def main(argv=None) -> int:

@@ -259,6 +259,11 @@ def _pole_width(z0: complex) -> float:
     return -z0.imag
 
 
+def _self_overlap(d2: float, z0: complex, t: float, hbar: float) -> complex:
+    """Closed-form <alpha2(0)|alpha2(t)> = exp(-d2 (1 - exp(-i z0 t / hbar))), d2 = Delta^2."""
+    return complex(np.exp(-d2 * (1.0 - np.exp(-1j * complex(z0) * t / hbar))))
+
+
 def evolved_overlaps(cfg: OmnesConfig, z0: complex, t: float):
     """The four frame inner products at time t, closed form.
 
@@ -271,8 +276,8 @@ def evolved_overlaps(cfg: OmnesConfig, z0: complex, t: float):
     _warn_if_not_macroscopic(cfg)
     d2 = cfg.delta**2
     s = math.exp(-0.5 * d2)
-    w = np.exp(-d2 * (1.0 - np.exp(-1j * complex(z0) * t / cfg.hbar)))
-    return (complex(1.0), complex(s), complex(s), complex(w))
+    w = _self_overlap(d2, z0, t, cfg.hbar)
+    return (complex(1.0), complex(s), complex(s), w)
 
 
 @dataclass(frozen=True)
@@ -305,7 +310,7 @@ def nd_block(cfg: OmnesConfig, z0: complex, t: float) -> NDComponents:
     _warn_if_not_macroscopic(cfg)
     d2 = cfg.delta**2
     s = math.exp(-0.5 * d2)
-    w = complex(np.exp(-d2 * (1.0 - np.exp(-1j * complex(z0) * t / cfg.hbar))))
+    w = _self_overlap(d2, z0, t, cfg.hbar)
     cross = cfg.a.conjugate() * cfg.b
     rho21 = cross * w
     return NDComponents(
@@ -402,11 +407,14 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
 # --- two-dimensional frame picture -------------------------------------------
 
 
-def _truncated_w(cfg: OmnesConfig, z0: complex, t: float) -> complex:
-    """<alpha2(0)|alpha2(t)> at finite N: N2^2 sum (Delta^2 e^{-i z0 t/hbar})^n / n!."""
+def _truncated_w(cfg: OmnesConfig, z0: complex, t: float, log_norm: float) -> complex:
+    """<alpha2(0)|alpha2(t)> at finite N: N2^2 sum (Delta^2 e^{-i z0 t/hbar})^n / n!.
+
+    ``log_norm`` is ``cfg.state2().log_norm``, log N2, computed once by the caller.
+    """
     d2 = cfg.delta**2
     n = np.arange(cfg.N + 1)
-    log_n2_sq = 2.0 * cfg.state2().log_norm
+    log_n2_sq = 2.0 * log_norm
     decay = -1j * complex(z0) * t / cfg.hbar
     exponents = log_n2_sq + n * math.log(d2) + n * decay.real - _log_factorials(cfg.N)
     return complex(np.sum(np.exp(exponents) * np.exp(1j * n * decay.imag)))
@@ -423,10 +431,11 @@ def frame_amplitudes(cfg: OmnesConfig, z0: complex, t: float, closed_form: bool 
     if closed_form:
         d2 = cfg.delta**2
         s = math.exp(-0.5 * d2)
-        w = complex(np.exp(-d2 * (1.0 - np.exp(-1j * complex(z0) * t / cfg.hbar))))
+        w = _self_overlap(d2, z0, t, cfg.hbar)
     else:
-        s = math.exp(cfg.state2().log_norm)
-        w = _truncated_w(cfg, z0, t)
+        log_norm = cfg.state2().log_norm
+        s = math.exp(log_norm)
+        w = _truncated_w(cfg, z0, t, log_norm)
     f1 = cfg.a + cfg.b * s
     f2 = cfg.a * s + cfg.b * w
     return f1, f2
@@ -461,13 +470,14 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     matrix; powers k >= 1 become poles at k gamma0.  Feed the result to a
     partition rule to drop the fast collective cluster.
     """
-    s = math.exp(cfg.state2().log_norm)
+    log_norm = cfg.state2().log_norm
+    s = math.exp(log_norm)
     f1 = cfg.a + cfg.b * s
 
     # w_N(t) = sum_k q_k x^k with q_k = N2^2 Delta^(2k) / k!
     d2 = cfg.delta**2
     k = np.arange(cfg.N + 1)
-    log_n2_sq = 2.0 * cfg.state2().log_norm
+    log_n2_sq = 2.0 * log_norm
     q = np.exp(log_n2_sq + k * math.log(d2) - _log_factorials(cfg.N))
 
     f2 = cfg.b * q.astype(complex)

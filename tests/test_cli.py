@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -608,3 +609,121 @@ class TestDeterminism:
         )
         assert main(["simulate", "--config", cfg]) == 0
         assert (configured / "signal.csv").is_file()
+
+
+def run_simulate(tmp_path, doc, name):
+    """Run one simulate config quietly; return its output directory."""
+    out = tmp_path / name
+    cfg = write_config(tmp_path, doc, name=f"{name}.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # model2's weak-separation warning
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+class TestPresetsAreModel3:
+    """model1 and model2 give the bytes of the equivalent model3 catalogue."""
+
+    GRID = {"t_max": 12.0, "n_points": 97}
+    COMMON = {
+        "equilibrium": 0.125,
+        "hbar": 1.5,
+        "khalfin": {"amplitude": 0.2, "tau": 0.5, "p": 2.5},
+    }
+
+    def assert_same(self, tmp_path, preset_doc, model3_params):
+        doc3 = {"scenario": "model3", "grid": self.GRID, "params": model3_params}
+        a = run_simulate(tmp_path, preset_doc, "preset")
+        b = run_simulate(tmp_path, doc3, "model3")
+        for name in ("signal.csv", "preferred.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        rows_a = (a / "timescales.csv").read_text(encoding="utf-8").splitlines()
+        rows_b = (b / "timescales.csv").read_text(encoding="utf-8").splitlines()
+        assert rows_a[:7] == rows_b  # header and the six report rows
+        return rows_a[7:]
+
+    def test_model1(self, tmp_path):
+        params = {"gamma0": 0.4, "amp_re": 1.75, "amp_im": -0.5, **self.COMMON}
+        extra = self.assert_same(
+            tmp_path,
+            {"scenario": "model1", "grid": self.GRID, "params": params},
+            {
+                "modes": [{"gamma": 0.4, "amp_re": 1.75, "amp_im": -0.5}],
+                "rule": "background-only",
+                **self.COMMON,
+            },
+        )
+        assert [row.split(",")[0] for row in extra] == [
+            "pole_pair_time",
+            "pole_background_time_1",
+            "pole_background_time_2",
+            "background_background_time",
+        ]
+
+    @pytest.mark.parametrize("gamma0, gamma1", [(0.05, 1.2), (1.2, 0.05)])
+    def test_model2(self, tmp_path, gamma0, gamma1):
+        params = {
+            "gamma0": gamma0,
+            "gamma1": gamma1,
+            "amp0_re": 2.0,
+            "amp0_im": 0.25,
+            "amp1_re": -0.75,
+            "amp1_im": 1.0,
+            **self.COMMON,
+        }
+        extra = self.assert_same(
+            tmp_path,
+            {"scenario": "model2", "grid": self.GRID, "params": params},
+            {
+                "modes": [
+                    {"gamma": gamma0, "amp_re": 2.0, "amp_im": 0.25},
+                    {"gamma": gamma1, "amp_re": -0.75, "amp_im": 1.0},
+                ],
+                "rule": "second-smallest-gamma",
+                "boundary": "irrelevant",
+                **self.COMMON,
+            },
+        )
+        assert extra == [f"intermediate_time,{1.5 / (gamma0 + gamma1):.17g}"]
+
+
+class TestSingleBadFieldDiagnostics:
+    """A config with exactly one bad field names that field, word for word."""
+
+    GRID = {"t_max": 1.0, "n_points": 5}
+
+    @pytest.mark.parametrize(
+        "scenario, params, line",
+        [
+            (
+                "model2",
+                {"gamma0": 0.1, "gamma1": 0.0},
+                "params.gamma1: must be > 0, got 0.0",
+            ),
+            (
+                "model2",
+                {"gamma0": 0.1, "gamma1": 1.0, "amp1_im": "0.5"},
+                "params.amp1_im: expected a number, got '0.5'",
+            ),
+            (
+                "model2",
+                {"gamma0": 0.1, "gamma1": 1.0, "rule": "slowest-only"},
+                "params: unknown keys ['rule']; allowed keys are ['amp0_im', 'amp0_re', "
+                "'amp1_im', 'amp1_re', 'equilibrium', 'gamma0', 'gamma1', 'hbar', 'khalfin']",
+            ),
+            (
+                "model3",
+                {"modes": [{"gamma": 1.0}, {"gamma": -1.0}]},
+                "params.modes[1].gamma: must be > 0, got -1.0",
+            ),
+            (
+                "bifriedrich",
+                {"part1": {"modes": [{"gamma": 1.0}]}, "part2": {"modes": [{"gamma": "slow"}]}},
+                "params.part2.modes[0].gamma: expected a number, got 'slow'",
+            ),
+        ],
+    )
+    def test_exact_line(self, tmp_path, capsys, scenario, params, line):
+        cfg = write_config(tmp_path, {"scenario": scenario, "grid": self.GRID, "params": params})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"

@@ -432,3 +432,41 @@ class TestFrameCatalogue:
         rep = partition_report(cm.gammas, cm.hbar, rule=rule)
         assert rep.t_D == pytest.approx(1.0 / 3.6, rel=1e-12)
         assert len(rep.p_relevant) == 36  # poles at k gamma0 with k <= Delta^2
+
+
+class TestFrameWorkOnce:
+    """The time-independent pieces of the frame picture are computed once per call."""
+
+    @pytest.fixture
+    def log_norm_calls(self, monkeypatch):
+        calls = []
+        original = QuasiCoherentState.log_norm
+
+        def counted(state):
+            calls.append(state)
+            return original.fget(state)
+
+        monkeypatch.setattr(QuasiCoherentState, "log_norm", property(counted))
+        return calls
+
+    @IGNORE_MACRO
+    def test_frame_amplitudes_truncated(self, log_norm_calls):
+        cfg = config(L0=6.0, N=255)
+        frame_amplitudes(cfg, cfg.z0(), 0.7, closed_form=False)
+        assert len(log_norm_calls) == 1
+
+    @IGNORE_MACRO
+    def test_frame_catalogue_matrix(self, log_norm_calls):
+        frame_catalogue_matrix(config(L0=6.0, N=255))
+        assert len(log_norm_calls) == 1
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 40.0])
+    def test_closed_form_self_overlap_bits(self, t):
+        # every closed-form user evaluates exactly exp(-D^2 (1 - exp(-i z0 t / hbar)))
+        cfg = config(L0=6.0, N=255, a=0.6, b=0.8)
+        z0 = cfg.z0(0.3)
+        want = complex(np.exp(-cfg.delta**2 * (1.0 - np.exp(-1j * z0 * t / cfg.hbar))))
+        assert evolved_overlaps(cfg, z0, t)[3] == want
+        assert nd_block(cfg, z0, t).rho21 == cfg.a.conjugate() * cfg.b * want
+        assert frame_amplitudes(cfg, z0, t)[1] == cfg.a * math.exp(-0.5 * cfg.delta**2) + cfg.b * want

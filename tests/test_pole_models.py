@@ -452,6 +452,30 @@ class TestCoincidence:
             coincidence_check(synthesize(cat, grid), preferred_signal(cat, rep, grid), cat, rep)
 
 
+    def tight_catalogue(self):
+        # the one dropped mode (gamma 27) is the fastest; t_D = 1/2
+        return PoleCatalogue(0.2, ((Pole(0, 1), 1), (Pole(0, 2), 1), (Pole(0, 27), 1)))
+
+    def test_tight_bound_is_not_a_false_fail(self):
+        # the dropped mode's ceiling is attained at t_D itself, so deviation
+        # and bound agree to rounding of the size-1 trajectories
+        cat = self.tight_catalogue()
+        rep = decoherence_time(cat)
+        assert rep.t_D == 0.5
+        grid = np.linspace(0.0, 2.5, 201)
+        result = coincidence_check(synthesize(cat, grid), preferred_signal(cat, rep, grid), cat, rep)
+        assert result.max_deviation == pytest.approx(result.bound, rel=1e-9)
+        assert result.passed
+
+    def test_wrong_kept_amplitude_fails(self):
+        cat = self.tight_catalogue()
+        off = PoleCatalogue(0.2, ((Pole(0, 1), 1 + 1e-3), (Pole(0, 2), 1), (Pole(0, 27), 1)))
+        rep = decoherence_time(cat)
+        grid = np.linspace(0.0, 2.5, 201)
+        result = coincidence_check(synthesize(cat, grid), preferred_signal(off, rep, grid), cat, rep)
+        assert not result.passed
+
+
 class TestCatalogueMatrix:
     def build(self):
         eq = np.diag([0.75, 0.25])
@@ -522,6 +546,20 @@ class TestCatalogueMatrix:
         cm = self.build()
         with pytest.raises(ValueError):
             cm.amplitudes[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize("method", ["evaluate", "dropped_envelope"])
+    @pytest.mark.parametrize("indices", [(1.5,), (0.9,), (-1,), (2,), (True,), (False,), ((0, 1),)])
+    def test_rejects_bad_mode_indices(self, method, indices):
+        cm = self.build()
+        call = getattr(cm, method)
+        with pytest.raises(ValidationError):
+            call(0.3, indices) if method == "dropped_envelope" else call(0.3, keep=indices)
+
+    def test_empty_and_integer_indices(self):
+        cm = self.build()
+        assert np.array_equal(cm.evaluate(0.3, keep=()), cm.equilibrium)
+        assert cm.dropped_envelope(0.3, ()) == 0.0
+        assert np.array_equal(cm.evaluate(0.3, keep=np.array([0, 1])), cm.evaluate(0.3))
 
 
 def loop_evaluate(cm, t, keep=None):

@@ -1,11 +1,33 @@
 """Property tests of the paper's invariants over generated inputs."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from decopoles.pole_models import CatalogueMatrix, Pole
+from decopoles.omnes import OmnesConfig, collective_rate
+from decopoles.pole_models import (
+    BOUNDARY_IRRELEVANT,
+    BOUNDARY_RELEVANT,
+    RULE_BACKGROUND,
+    RULE_SECOND_SMALLEST,
+    RULE_SLOWEST,
+    CatalogueMatrix,
+    KhalfinTail,
+    Pole,
+    PoleCatalogue,
+    coincidence_check,
+    decoherence_time,
+    partition_report,
+    preferred_signal,
+    synthesize,
+)
+
+_RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
+_BOUNDARIES = st.sampled_from((BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT))
+_WIDTHS = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8, unique=True).map(sorted)
 
 _ENTRY = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -38,3 +60,49 @@ class TestCatalogueMatrixPermutationInvariance:
         assert cm.poles == ref.poles
         assert np.array_equal(cm.amplitudes, ref.amplitudes)
         assert np.max(np.abs(cm.evaluate(t) - ref.evaluate(t))) <= 1e-15
+
+
+class TestPartitionInvariants:
+    @settings(deadline=None, max_examples=100)
+    @given(_WIDTHS, st.floats(0.1, 10.0), _RULES, _BOUNDARIES)
+    def test_t_d_within_t_r_and_every_index_once(self, gammas, hbar, rule, boundary):
+        rep = partition_report(gammas, hbar, rule, boundary)
+        assert rep.t_D <= rep.t_R
+        assert sorted(rep.p_relevant + rep.p_irrelevant) == list(range(len(gammas)))
+
+
+@st.composite
+def scalar_catalogues(draw):
+    """Scalar catalogues with distinct widths, complex amplitudes and an optional tail."""
+    gammas = draw(_WIDTHS)
+    amps = draw(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=len(gammas),
+                         max_size=len(gammas)))
+    tail = draw(st.none() | st.builds(KhalfinTail, _ENTRY, st.floats(0.1, 10.0), st.floats(0.5, 5.0)))
+    return PoleCatalogue(
+        draw(_ENTRY),
+        tuple((Pole(0.0, g), a) for g, a in zip(gammas, amps)),
+        tail,
+        draw(st.floats(0.1, 10.0)),
+    )
+
+
+class TestCoincidenceInvariant:
+    @settings(deadline=None, max_examples=100)
+    @given(scalar_catalogues(), _RULES, _BOUNDARIES, st.integers(1, 80))
+    def test_preferred_signal_coincides_past_t_d(self, cat, rule, boundary, k):
+        rep = decoherence_time(cat, rule, boundary)
+        grid = np.linspace(0.0, 5.0 * rep.t_D, 5 * k + 1)  # a sample at t_D, where the bound is tight
+        result = coincidence_check(synthesize(cat, grid), preferred_signal(cat, rep, grid), cat, rep)
+        assert result.passed, result
+
+
+class TestCollectiveRateInvariant:
+    @settings(deadline=None, max_examples=100)
+    @given(*(st.floats(1e-2, 1e2) for _ in range(5)))
+    def test_t_d_times_l0_squared_is_separation_free(self, m, omega, hbar, gamma0, L0):
+        cfg = OmnesConfig(m, omega, hbar, gamma0, L0, np.sqrt(0.5), np.sqrt(0.5), 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # most generated configs are not macroscopic
+            t_d = collective_rate(cfg).t_D
+        want = 2.0 * hbar**3 / (m * omega * gamma0)
+        assert abs(t_d * L0 * L0 - want) <= 1e-12 * want

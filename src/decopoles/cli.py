@@ -200,10 +200,14 @@ def _read_text(path: str, label: str) -> str:
 # --- output helpers ----------------------------------------------------------
 
 
-def _write(outdir: str, name: str, text: str):
+def _write(outdir: str, name: str, text):
+    """Write ``text``, a string or an iterable of strings written in turn."""
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
 
 
 def _fmt(x) -> str:
@@ -286,8 +290,8 @@ def _run_simulate(parsed, grid: np.ndarray, outdir: str):
     cat, report, extra = parsed
     signal = pole_models.synthesize(cat, grid)
     preferred = pole_models.preferred_signal(cat, report, grid)
-    _write(outdir, "signal.csv", pole_models.signal_to_csv(signal))
-    _write(outdir, "preferred.csv", pole_models.signal_to_csv(preferred))
+    _write(outdir, "signal.csv", pole_models.signal_csv_chunks(signal))
+    _write(outdir, "preferred.csv", pole_models.signal_csv_chunks(preferred))
     _write(outdir, "timescales.csv", _timescales_csv(report, extra))
 
 
@@ -301,8 +305,8 @@ def _parse_bifriedrich(params: dict) -> preferred_basis.BiFriedrichModel:
 
 def _run_bifriedrich(model: preferred_basis.BiFriedrichModel, grid: np.ndarray, outdir: str):
     result = preferred_basis.bifriedrich_run(model, grid)
-    _write(outdir, "signal1.csv", pole_models.signal_to_csv(result.signal1))
-    _write(outdir, "signal2.csv", pole_models.signal_to_csv(result.signal2))
+    _write(outdir, "signal1.csv", pole_models.signal_csv_chunks(result.signal1))
+    _write(outdir, "signal2.csv", pole_models.signal_csv_chunks(result.signal2))
     _write(outdir, "verdicts.csv", _csv("t,part1_state,part2_state", result.verdicts))
 
 
@@ -394,9 +398,8 @@ def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # macroscopicity already reported above
-        # rows stream into the CSV text, so no per-point objects are held
-        decay = ((t, abs(omnes.nd_block(cfg, z0, t).rho12)) for t in map(float, grid))
-        _write(outdir, "nd_decay.csv", _csv("t,abs_rho12", decay))
+        decay = omnes.nd_decay(cfg, z0, grid)
+        _write(outdir, "nd_decay.csv", pole_models.csv_chunks("t,abs_rho12", (grid, decay)))
         sweep = plan["L0_sweep"]
         rates = [omnes.collective_rate(dataclasses.replace(cfg, L0=L0)) for L0 in sweep]
         rows = [(L0, rate.t_D, rate.gamma_tilde) for L0, rate in zip(sweep, rates)]

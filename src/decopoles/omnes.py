@@ -194,9 +194,9 @@ def overlap_error_bound(delta: float, N: int) -> float:
     N = int(N)
     if N < 0:
         raise ValidationError("N must be >= 0")
-    if delta == 0.0:
-        return 0.0
     x = 0.5 * delta * delta
+    if x == 0.0:  # delta == 0, or so small that its square underflows
+        return 0.0
     return math.exp((N + 1) * math.log(x) - math.lgamma(N + 2.0))
 
 
@@ -259,9 +259,20 @@ def _pole_width(z0: complex) -> float:
     return -z0.imag
 
 
-def _self_overlap(d2: float, z0: complex, t: float, hbar: float) -> complex:
-    """Closed-form <alpha2(0)|alpha2(t)> = exp(-d2 (1 - exp(-i z0 t / hbar))), d2 = Delta^2."""
-    return complex(np.exp(-d2 * (1.0 - np.exp(-1j * complex(z0) * t / hbar))))
+def _self_overlap(d2: float, z0: complex, t, hbar: float):
+    """Closed-form <alpha2(0)|alpha2(t)> = exp(-d2 (1 - exp(-i z0 t / hbar))), d2 = Delta^2.
+
+    ``t`` is a time (the result is a complex) or an array of times (a
+    complex array).  The arithmetic around the two exponentials runs on real
+    and imaginary parts in the order the scalar complex operators use, since
+    numpy's complex multiply and divide round differently; ``x + 1j * y``
+    only assembles the parts, which is exact.  Each array entry has the
+    bits of its time evaluated alone.
+    """
+    arg = -1j * complex(z0)
+    inner = np.exp(arg.real * t / hbar + 1j * (arg.imag * t / hbar))
+    w = np.exp(-d2 * (1.0 - inner.real) + 1j * (-d2 * (0.0 - inner.imag)))
+    return w if isinstance(w, np.ndarray) else complex(w)
 
 
 def evolved_overlaps(cfg: OmnesConfig, z0: complex, t: float):
@@ -320,6 +331,23 @@ def nd_block(cfg: OmnesConfig, z0: complex, t: float) -> NDComponents:
         rho21=rho21,
         rho22=complex(2.0 * s * (cross * w).real),
         envelope=math.exp(-d2 * (1.0 - math.exp(-gamma * t / cfg.hbar))),
+    )
+
+
+def nd_decay(cfg: OmnesConfig, z0: complex, times) -> np.ndarray:
+    """|rho12| at every time of ``times``, in one numpy pass.
+
+    Each entry equals abs(nd_block(cfg, z0, t).rho12) bit for bit: the
+    product conj(a) b w(t) is formed on real and imaginary parts as CPython
+    forms it, and its magnitude is np.hypot, as abs(complex) is.
+    """
+    _pole_width(z0)
+    _warn_if_not_macroscopic(cfg)
+    w = _self_overlap(cfg.delta**2, z0, np.asarray(times, dtype=float), cfg.hbar)
+    cross = cfg.a.conjugate() * cfg.b
+    return np.hypot(
+        cross.real * w.real - cross.imag * w.imag,
+        cross.real * w.imag + cross.imag * w.real,
     )
 
 

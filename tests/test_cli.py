@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from decopoles.cli import main
+from decopoles.omnes import OmnesConfig, nd_block
 from decopoles.pole_models import (
     PoleCatalogue,
     Mode,
@@ -241,6 +242,23 @@ class TestOmnes:
         assert float(t0) == 0.0
         a = math.sqrt(0.5)
         assert float(v0) == abs(a * a)  # |conj(a) b| at t = 0, printed losslessly
+
+    def test_nd_decay_matches_per_point_nd_block(self, tmp_path):
+        # the one-pass column is abs(nd_block(...).rho12) at every point, at 17 digits
+        b_im = math.sqrt(0.14)
+        doc = self.base_doc(L0=17.0, hbar=1.7, omega_prime=0.7, b_re=0.6, b_im=b_im)
+        doc["grid"] = {"t_max": 340.0, "n_points": 401}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["omnes", "--config", cfg, "--out", str(out)]) == 0
+        ref = OmnesConfig(m=1.0, omega=2.0, hbar=1.7, gamma0=0.1, L0=17.0,
+                          a=math.sqrt(0.5), b=complex(0.6, b_im), N=6000)
+        z0 = ref.z0(0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = [f"{t:.17g},{abs(nd_block(ref, z0, t).rho12):.17g}\n"
+                    for t in np.linspace(0.0, 340.0, 401).tolist()]
+        assert (out / "nd_decay.csv").read_bytes() == ("t,abs_rho12\n" + "".join(rows)).encode()
 
     def test_separation_sweep_invariant(self, tmp_path):
         cfg = write_config(tmp_path, self.base_doc())

@@ -161,6 +161,10 @@ class TestErrorBound:
     def test_zero_delta(self):
         assert overlap_error_bound(0.0, 10) == 0.0
 
+    def test_delta_whose_square_underflows(self):
+        # 0.5 * 1e-200**2 is 0.0; the ceiling is 0, not a math domain error
+        assert overlap_error_bound(1e-200, 3) == 0.0
+
     def test_closed_form(self):
         assert overlap_error_bound(2.0, 9) == pytest.approx(1024.0 / 3628800.0, rel=1e-12)
 

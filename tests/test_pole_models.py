@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from decopoles import pole_models
 from decopoles.errors import ValidationError
 from decopoles.omnes import OmnesConfig, frame_catalogue_matrix
 from decopoles.pole_models import (
@@ -28,11 +29,13 @@ from decopoles.pole_models import (
     check_report_matches,
     coincidence_check,
     collective_rate_rule,
+    csv_chunks,
     decoherence_time,
     model1_times,
     model2_times,
     partition_report,
     preferred_signal,
+    signal_csv_chunks,
     signal_from_csv,
     signal_to_csv,
     synthesize,
@@ -674,6 +677,24 @@ class TestSerialization:
         again = signal_from_csv(signal_to_csv(s))
         assert np.array_equal(again.times, s.times)
         assert np.array_equal(again.values, s.values)
+
+    def test_csv_rows_match_one_format_per_row(self, monkeypatch):
+        # the chunked renderer writes the bytes one f-string per row wrote, chunk edges included
+        special = [-1.5, 0.0, -0.0, 5e-324, -1e-310, 1e-300, -1e300, 1e300, 3.0, -7.0, 2.0**53, 0.1]
+        re = np.resize(special, 3 * len(special))
+        im = np.resize(special[::-1], re.size)
+        values = np.empty(re.size, dtype=complex)
+        values.real = re
+        values.imag = im
+        times = np.arange(re.size, dtype=float)
+        monkeypatch.setattr(pole_models, "_CSV_CHUNK_ROWS", 5)
+        want = "t,re,im\n" + "".join(
+            f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n" for t, v in zip(times, values)
+        )
+        assert signal_to_csv(Signal(times, values)) == want
+        assert len(list(signal_csv_chunks(Signal(times, values)))) == 1 + math.ceil(re.size / 5)
+        want = "a,b\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(re, im))
+        assert "".join(csv_chunks("a,b", (re, im))) == want
 
     def test_csv_header_enforced(self):
         with pytest.raises(ValidationError):

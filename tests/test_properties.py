@@ -1,5 +1,7 @@
 """Property tests of the paper's invariants over generated inputs."""
 
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from decopoles.omnes import OmnesConfig, collective_rate
+from decopoles.omnes import (
+    OmnesConfig,
+    QuasiCoherentState,
+    collective_rate,
+    nd_block,
+    nd_decay,
+    overlap_error_bound,
+    overlap_truncated,
+)
 from decopoles.pole_models import (
     BOUNDARY_IRRELEVANT,
     BOUNDARY_RELEVANT,
@@ -22,6 +32,8 @@ from decopoles.pole_models import (
     decoherence_time,
     partition_report,
     preferred_signal,
+    signal_from_csv,
+    signal_to_csv,
     synthesize,
 )
 
@@ -106,3 +118,56 @@ class TestCollectiveRateInvariant:
             t_d = collective_rate(cfg).t_D
         want = 2.0 * hbar**3 / (m * omega * gamma0)
         assert abs(t_d * L0 * L0 - want) <= 1e-12 * want
+
+
+class TestSignalCsvRoundTrip:
+    @settings(deadline=None, max_examples=100)
+    @given(scalar_catalogues(), st.floats(1e-3, 1e3), st.integers(2, 200))
+    def test_times_and_values_come_back_bit_identical(self, cat, t_max, n):
+        s = synthesize(cat, np.linspace(0.0, t_max, n))
+        again = signal_from_csv(signal_to_csv(s))
+        assert again.times.tobytes() == s.times.tobytes()
+        assert again.values.tobytes() == s.values.tobytes()
+
+
+class TestOverlapRemainderBound:
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(0.0, 12.0), st.integers(1, 400))
+    def test_truncated_overlap_within_remainder_and_rounding(self, delta, N):
+        # exact remainder ceiling plus rounding of a few ulps of the largest alternating term
+        x = 0.5 * delta * delta
+        n = min(N, math.floor(x))  # the terms x^n / n! peak at n = floor(x)
+        largest = x**n / math.factorial(n)
+        got = overlap_truncated(QuasiCoherentState(0.0, N), QuasiCoherentState(delta, N))
+        slack = overlap_error_bound(delta, N) + 4.0 * sys.float_info.epsilon * largest
+        assert abs(got - math.exp(-x)) <= slack
+
+
+@st.composite
+def coherence_setups(draw):
+    """(config, pole, grid) with hbar != 1, omega' != 0, complex a and b, Delta in [6, 12]."""
+    hbar = draw(st.floats(0.1, 10.0).filter(lambda h: h != 1.0))
+    m, omega, gamma0 = (draw(st.floats(0.1, 10.0)) for _ in range(3))
+    delta = draw(st.floats(6.0, 12.0))
+    weight = draw(st.floats(0.05, 0.95))
+    phase_a, phase_b = (draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(2))
+    a = math.sqrt(weight) * complex(math.cos(phase_a), math.sin(phase_a))
+    b = math.sqrt(1.0 - weight) * complex(math.cos(phase_b), math.sin(phase_b))
+    L0 = delta * hbar / math.sqrt(m * omega / 2.0)
+    cfg = OmnesConfig(m, omega, hbar, gamma0, L0, a, b, 64)
+    omega_prime = draw(st.floats(-5.0, 5.0).filter(lambda w: w != 0.0))
+    span = draw(st.floats(0.0, 50.0))  # t_max gamma0 / hbar
+    grid = np.linspace(0.0, span * hbar / gamma0, draw(st.integers(2, 64)))
+    return cfg, cfg.z0(omega_prime), grid
+
+
+class TestNdDecayBits:
+    @settings(deadline=None, max_examples=200)
+    @given(coherence_setups())
+    def test_one_pass_equals_nd_block_at_every_point(self, setup):
+        cfg, z0, grid = setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # N = 64 is not macroscopic
+            got = nd_decay(cfg, z0, grid).tolist()
+            want = [abs(nd_block(cfg, z0, t).rho12) for t in grid.tolist()]
+        assert got == want

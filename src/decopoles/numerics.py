@@ -2,9 +2,9 @@
 
 Three self-contained tools used throughout the package:
 
-* ``eigh`` -- LAPACK eigensolver for Hermitian complex matrices, with a
-  deterministic eigenvector phase convention so bases computed at nearby
-  times can be compared directly.
+* ``eigh`` -- LAPACK eigensolver for one Hermitian complex matrix or a
+  (T, d, d) stack of them, with a deterministic eigenvector phase
+  convention so bases computed at nearby times can be compared directly.
 * ``principal_value_integral`` -- Cauchy principal value of
   f(w)/(w0 - w) by symmetric-pair quadrature around the singularity.
 * ``matrix_pencil_fit`` -- complex-exponential spectral estimation
@@ -98,11 +98,12 @@ class DensityMatrix:
 class EigenDecomposition:
     """Eigenvalues sorted descending plus orthonormal, phase-fixed vectors.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``.  Phase fix: the
-    largest-magnitude component of each vector is real and nonnegative.
-    Within a degenerate cluster (eigenvalue spacing < 1e-9 * ||A||) the
-    vectors are an arbitrary orthonormal basis of the cluster subspace, so
-    comparisons across decompositions must use subspace metrics there.
+    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; for a (T, d, d)
+    stack both carry a leading time axis.  Phase fix: the largest-magnitude
+    component of each vector is real and nonnegative.  Within a degenerate
+    cluster (eigenvalue spacing < 1e-9 * ||A||) the vectors are an
+    arbitrary orthonormal basis of the cluster subspace, so comparisons
+    across decompositions must use subspace metrics there.
     """
 
     eigenvalues: np.ndarray
@@ -111,43 +112,63 @@ class EigenDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude entry is real and >= 0.
+
+    Works on the last two axes, so one call fixes a whole stack; a zero
+    column is left alone.
+    """
     out = np.array(vectors, dtype=complex)
-    for k in range(out.shape[1]):
-        j = int(np.argmax(np.abs(out[:, k])))
-        piv = out[j, k]
-        if abs(piv) > 0.0:
-            out[:, k] *= np.conj(piv) / abs(piv)
-            out[j, k] = abs(piv)  # kill the residual imaginary dust
+    row = np.argmax(np.abs(out), axis=-2)[..., None, :]
+    piv = np.take_along_axis(out, row, axis=-2)
+    size = np.hypot(piv.real, piv.imag)  # the rounding of abs() on one complex
+    nonzero = size > 0.0
+    out *= np.where(nonzero, np.conj(piv) / np.where(nonzero, size, 1.0), 1.0)
+    # kill the residual imaginary dust
+    np.put_along_axis(out, row, np.where(nonzero, size, piv), axis=-2)
     return out
 
 
-def eigh(a) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with LAPACK (``np.linalg.eigh``).
+def _hermitian_entries(a) -> np.ndarray:
+    """One Hermitian matrix, or a nonempty (T, d, d) stack, checked and averaged."""
+    if isinstance(a, HermitianMatrix):
+        return a.entries
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3:
+        return HermitianMatrix(a).entries
+    if a.shape[1] != a.shape[2] or a.size == 0:
+        raise ValidationError(f"expected a stack of square matrices, got shape {a.shape}")
+    return hermitian_average(a)
 
-    Accepts a ``HermitianMatrix`` or anything convertible to one.  LAPACK's
-    ascending eigenvalues are reversed to descending order and the vectors
-    get the ``_phase_fix`` convention.  ``off_diagonal_residual`` is
-    ||offdiag(V^H A V)||_F / ||A||_F, and 0 for the zero matrix.  A LAPACK
-    failure to converge raises ``ConvergenceError``.
+
+def eigh(a) -> EigenDecomposition:
+    """Diagonalize a Hermitian matrix, or a (T, d, d) stack, with LAPACK.
+
+    Accepts a ``HermitianMatrix``, anything convertible to one, or a stack
+    that passes the same check matrix by matrix; a stack goes to LAPACK in
+    one ``np.linalg.eigh`` call, with the same values as one call per
+    matrix.  LAPACK's ascending eigenvalues are reversed to descending
+    order and the vectors get the ``_phase_fix`` convention.
+    ``off_diagonal_residual`` is ||offdiag(V^H A V)||_F / ||A||_F (0 for
+    the zero matrix), and the largest one over a stack.  A LAPACK failure
+    to converge raises ``ConvergenceError``.
     """
-    if not isinstance(a, HermitianMatrix):
-        a = HermitianMatrix(a)
+    entries = _hermitian_entries(a)
     try:
-        values, vecs = np.linalg.eigh(a.entries)
+        values, vecs = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
-    vecs = _phase_fix(vecs[:, ::-1])
-    norm_a = float(np.linalg.norm(a.entries))
-    residual = 0.0
-    if norm_a > 0.0:
-        rotated = vecs.conj().T @ a.entries @ vecs
-        np.fill_diagonal(rotated, 0.0)
-        residual = float(np.linalg.norm(rotated)) / norm_a
-    return EigenDecomposition(values[::-1].copy(), vecs, residual)
+    vecs = _phase_fix(vecs[..., ::-1])
+    rotated = np.swapaxes(vecs.conj(), -1, -2) @ entries @ vecs
+    diag = np.arange(rotated.shape[-1])
+    rotated[..., diag, diag] = 0.0
+    norm_a = np.linalg.norm(entries, axis=(-2, -1))
+    norm_off = np.linalg.norm(rotated, axis=(-2, -1))
+    ratio = np.divide(norm_off, norm_a, out=np.zeros_like(norm_a), where=norm_a > 0.0)
+    return EigenDecomposition(values[..., ::-1].copy(), vecs, float(np.max(ratio)))
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, fa, fm, fb, depth: int):

@@ -60,6 +60,12 @@ def _log_fock_weights(alpha: float, N: int) -> np.ndarray:
     return np.arange(N + 1) * math.log(alpha) - 0.5 * _log_factorials(N)
 
 
+@functools.lru_cache(maxsize=32)
+def _log_norm(alpha: float, N: int) -> float:
+    """-1/2 log(sum_n alpha^2n / n!) for n = 0..N, cached per (alpha, N)."""
+    return -0.5 * _logsumexp(2.0 * _log_fock_weights(alpha, N))
+
+
 @dataclass(frozen=True)
 class QuasiCoherentState:
     """Coherent state truncated at Fock level N, renormalized to unit norm.
@@ -85,7 +91,7 @@ class QuasiCoherentState:
     @property
     def log_norm(self) -> float:
         """log of the normalization constant (sum alpha^2k / k!)^(-1/2)."""
-        return -0.5 * _logsumexp(2.0 * _log_fock_weights(self.alpha, self.N))
+        return _log_norm(self.alpha, self.N)
 
     def fock_vector(self) -> np.ndarray:
         """Unit-norm component vector in the Fock basis, length N+1."""

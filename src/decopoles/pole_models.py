@@ -17,6 +17,7 @@ frequency omega_j - omega_i; see ``PoleCatalogue.from_pole_pairs``.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import warnings
@@ -38,6 +39,8 @@ BOUNDARY_RELEVANT = "relevant"
 BOUNDARY_IRRELEVANT = "irrelevant"
 
 _REL_SLACK = 1e-12
+# converted index tuples a CatalogueMatrix keeps; a partition report needs two
+_INDEX_CACHE_SIZE = 8
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -383,18 +386,18 @@ def partition_report(
         raise ValidationError(f"unknown rule {rule!r}")
 
     t_d = hbar / threshold
+    # the widths are sorted, so the relevant modes are a prefix
     if boundary == BOUNDARY_RELEVANT:
-        relevant = tuple(i for i, g in enumerate(gammas) if g <= threshold)
+        cut = bisect.bisect_right(gammas, threshold)
     elif boundary == BOUNDARY_IRRELEVANT:
-        relevant = tuple(i for i, g in enumerate(gammas) if g < threshold)
+        cut = bisect.bisect_left(gammas, threshold)
     else:
         raise ValidationError(f"unknown boundary mode {boundary!r}")
-    irrelevant = tuple(i for i in range(len(gammas)) if i not in set(relevant))
     return TimescaleReport(
         t_R=t_r,
         t_D=t_d,
-        p_relevant=relevant,
-        p_irrelevant=irrelevant,
+        p_relevant=tuple(range(cut)),
+        p_irrelevant=tuple(range(cut, len(gammas))),
         rule=rule_name,
         boundary=boundary,
         hbar=hbar,
@@ -435,12 +438,26 @@ def check_report_matches(cat, report: TimescaleReport):
         if report.p_relevant:
             raise ValidationError("background-only report must drop every pole")
         return
-    threshold = cat.hbar / report.t_D
-    tol = _REL_SLACK * threshold
-    if report.boundary == BOUNDARY_RELEVANT:
-        expected = tuple(i for i, g in enumerate(cat.gammas) if g <= threshold + tol)
+    gammas = cat.gammas
+    if report.rule == RULE_CUSTOM or not gammas:
+        # a custom rate is known only through t_D, so up to its rounding
+        threshold = cat.hbar / report.t_D
+        tol = _REL_SLACK * threshold
     else:
-        expected = tuple(i for i, g in enumerate(cat.gammas) if g < threshold - tol)
+        # a named rule's threshold is a width itself, so the split is exact
+        second = report.rule == RULE_SECOND_SMALLEST and len(gammas) > 1
+        threshold = gammas[1] if second else gammas[0]
+        tol = 0.0
+        # the catalogue's hbar may differ from the report's by the slack too
+        if abs(cat.hbar / threshold - report.t_D) > 2.0 * _REL_SLACK * report.t_D:
+            raise ValidationError(
+                f"report t_D = {report.t_D!r} does not follow from the {report.rule} "
+                f"threshold width {threshold!r}"
+            )
+    if report.boundary == BOUNDARY_RELEVANT:
+        expected = tuple(range(bisect.bisect_right(gammas, threshold + tol)))
+    else:
+        expected = tuple(range(bisect.bisect_left(gammas, threshold - tol)))
     if expected != report.p_relevant:
         raise ValidationError(
             f"report partition {report.p_relevant} does not match the catalogue's "
@@ -516,7 +533,8 @@ class CatalogueMatrix:
     the per-mode tagging needed to drop poles entrywise when building a
     preferred state.  Only envelope (real damping) rendering is defined at
     the matrix level.  ``amplitudes`` is one read-only (K, d, d) stack,
-    sorted jointly with ``poles`` and ``gammas``.
+    sorted jointly with ``poles`` and ``gammas``; ``evaluate`` takes one
+    time or an array of T times, for which it returns a (T, d, d) stack.
     """
 
     def __init__(self, poles, equilibrium, amplitudes, hbar: float = 1.0):
@@ -546,27 +564,52 @@ class CatalogueMatrix:
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
+        self._index_cache = {}  # id(tuple) -> (tuple, index array)
 
     def _mode_index(self, indices) -> np.ndarray:
-        """``indices`` as an index array; non-integer or out-of-range entries raise."""
+        """``indices`` as a read-only index array; non-integer or out-of-range entries raise.
+
+        A tuple is converted once and then found by identity: the cache
+        holds the tuple itself, so its id cannot pass to another object.
+        """
+        hit = self._index_cache.get(id(indices))
+        if hit is not None:
+            return hit[1]
         idx = np.asarray(indices)
         if idx.size == 0:
-            return np.zeros(0, dtype=np.intp)
-        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            idx = np.zeros(0, dtype=np.intp)
+        elif (
+            idx.ndim != 1
+            or idx.dtype.kind not in "iu"
+            or (
+                not isinstance(indices, np.ndarray)
+                and any(isinstance(i, (bool, np.bool_)) for i in indices)
+            )
+        ):
             raise ValidationError(f"mode indices must be a sequence of integers, got {indices!r}")
-        if idx.min() < 0 or idx.max() >= len(self.poles):
+        elif idx.min() < 0 or idx.max() >= len(self.poles):
             raise ValidationError(
                 f"mode indices must lie in [0, {len(self.poles)}), got {indices!r}"
             )
+        if isinstance(indices, tuple):  # np.asarray made a new array
+            idx.setflags(write=False)
+            if len(self._index_cache) >= _INDEX_CACHE_SIZE:
+                self._index_cache.clear()
+            self._index_cache[id(indices)] = (indices, idx)
         return idx
 
-    def evaluate(self, t: float, keep=None) -> np.ndarray:
-        """Hermitian matrix at time t, optionally restricted to ``keep`` modes."""
+    def evaluate(self, t, keep=None) -> np.ndarray:
+        """Hermitian matrix at time t, optionally restricted to ``keep`` modes.
+
+        For an array of times the result is a (T, d, d) stack, built from
+        one (T, K) matrix of decay factors and one ``tensordot``.
+        """
         gammas, amps = self._gammas, self.amplitudes
         if keep is not None:
             idx = self._mode_index(keep)
             gammas, amps = gammas[idx], amps[idx]
-        return self.equilibrium + np.tensordot(np.exp(-gammas * t / self.hbar), amps, 1)
+        decay = np.exp(np.multiply.outer(t, -gammas) / self.hbar)
+        return self.equilibrium + np.tensordot(decay, amps, 1)
 
     def dropped_envelope(self, t: float, dropped) -> float:
         """Frobenius ceiling on the modes removed at time t."""

@@ -8,6 +8,11 @@ tracks, measures their separation as the largest principal angle over
 matched pairs, and bounds that angle by first-order perturbation theory:
 angle <= (dropped-mode envelope) / (eigenvalue gap of rho_P).
 
+Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
+over the grid, one stacked ``eigh`` per family, one batched product for
+the overlaps of consecutive steps, and the row-wise argmax as the match
+wherever it is a permutation (the greedy match then picks the same).
+
 The bi-partite scenario at the end runs two commuting subsystems whose
 observables each see only their own pole content, so one part can look
 classical while the other is still relaxing.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -43,15 +48,23 @@ def _as_matrix(entry) -> np.ndarray:
     return np.asarray(entry, dtype=complex)
 
 
-def _materialize(rho_of_t, grid: np.ndarray) -> List[np.ndarray]:
+def _materialize(rho_of_t, grid: np.ndarray) -> np.ndarray:
+    """The family on the grid as one (T, d, d) stack."""
     if callable(rho_of_t):
-        return [_as_matrix(rho_of_t(float(t))) for t in grid]
-    mats = [_as_matrix(m) for m in rho_of_t]
-    if len(mats) != grid.size:
-        raise ValidationError(
-            f"{len(mats)} matrices supplied for a grid of {grid.size} points"
-        )
-    return mats
+        mats = [_as_matrix(rho_of_t(float(t))) for t in grid]
+    else:
+        mats = [_as_matrix(m) for m in rho_of_t]
+        if len(mats) != grid.size:
+            raise ValidationError(
+                f"{len(mats)} matrices supplied for a grid of {grid.size} points"
+            )
+    try:
+        stack = np.stack(mats)
+    except ValueError as exc:
+        raise ValidationError(f"matrices must share one shape: {exc}") from exc
+    if stack.ndim != 3:
+        raise ValidationError(f"expected square matrices, got a stack of shape {stack.shape}")
+    return stack
 
 
 def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
@@ -65,6 +78,19 @@ def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
         scores[i, :] = -1.0
         scores[:, j] = -1.0
     return perm
+
+
+def _argmax_match(overlaps: np.ndarray):
+    """Row-wise argmax of each overlap matrix, and whether it is a permutation.
+
+    Where the row argmaxes of a matrix are distinct they are exactly what
+    ``_greedy_match`` returns: the first largest entry is its row's first
+    argmax, and striking that row and column leaves every other row's
+    first argmax in place.
+    """
+    best = np.argmax(overlaps, axis=-1)
+    ordered = np.sort(best, axis=-1)
+    return best, np.all(ordered[..., 1:] != ordered[..., :-1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -93,45 +119,45 @@ def moving_eigenbasis(rho_of_t, grid, gap_tol: float = _GAP_TOL) -> MovingBasis:
     """Diagonalize a time-indexed family with eigenvector continuity.
 
     ``rho_of_t`` is a callable t -> matrix (DensityMatrix, HermitianMatrix
-    or plain Hermitian array) or a sequence aligned with ``grid``.  After
+    or plain Hermitian array) or a sequence aligned with ``grid``.  The
+    whole family is diagonalized in one stacked ``eigh`` call.  After
     matching, each eigenvector's phase is fixed so its overlap with the
     previous time step is real and nonnegative, keeping the angle between
-    consecutive matched vectors below pi/2.
+    consecutive matched vectors below pi/2; a vector whose overlap with
+    its predecessor vanishes keeps the phase it had.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
-    mats = _materialize(rho_of_t, t)
+    dec = eigh(_materialize(rho_of_t, t))
+    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    steps = np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]  # <v_i(t_k-1)|v_j(t_k)>
+    overlaps = np.abs(steps)
+    best, distinct = _argmax_match(overlaps)
 
-    vals_out = []
-    vecs_out = []
-    degenerate = []
-    prev_vecs: Optional[np.ndarray] = None
-    for tk, mat in zip(t, mats):
-        dec = eigh(mat)
-        vals = np.array(dec.eigenvalues)
-        vecs = np.array(dec.eigenvectors)
-        if prev_vecs is not None:
-            overlaps = np.abs(prev_vecs.conj().T @ vecs)
-            perm = _greedy_match(overlaps)
-            vals = vals[perm]
-            vecs = vecs[:, perm]
-            for i in range(vecs.shape[1]):
-                inner = complex(np.vdot(prev_vecs[:, i], vecs[:, i]))
-                if abs(inner) > 0.0:
-                    vecs[:, i] *= inner.conjugate() / abs(inner)
-        if vals.size > 1:
-            gaps = np.abs(np.diff(np.sort(vals)))
-            if float(np.min(gaps)) < gap_tol:
-                degenerate.append(float(tk))
-        vals_out.append(vals)
-        vecs_out.append(vecs)
-        prev_vecs = vecs
+    # track[k, i]: the column of the decomposition at t_k that track i follows
+    track = np.empty(vals.shape, dtype=np.intp)
+    track[0] = np.arange(vals.shape[1])
+    for k in range(t.size - 1):
+        prev = track[k]
+        track[k + 1] = best[k][prev] if distinct[k] else _greedy_match(overlaps[k][prev])
+
+    # each step turns a track by conj(overlap) / |overlap|, rounded as one
+    # Python complex divided by its abs(): a real overlap turns it by exactly +-1
+    inner = steps[np.arange(t.size - 1)[:, None], track[:-1], track[1:]]
+    size = np.hypot(inner.real, inner.imag)
+    moved = size > 0.0
+    turn = np.where(moved, inner.conj(), 1.0)
+    np.divide(turn.real, size, out=turn.real, where=moved)
+    np.divide(turn.imag, size, out=turn.imag, where=moved)
+    phase = np.cumprod(np.concatenate([np.ones((1, vals.shape[1])), turn]), axis=0)
+    gaps = np.diff(np.sort(vals, axis=1), axis=1)
+    degenerate = t[np.min(gaps, axis=1, initial=math.inf) < gap_tol]
     return MovingBasis(
         times=t,
-        eigenvalues=np.array(vals_out),
-        eigenvectors=np.array(vecs_out),
-        degenerate_times=tuple(degenerate),
+        eigenvalues=np.take_along_axis(vals, track, axis=1),
+        eigenvectors=np.take_along_axis(vecs, track[:, None, :], axis=2) * phase[:, None, :],
+        degenerate_times=tuple(degenerate.tolist()),
     )
 
 
@@ -140,7 +166,8 @@ def preferred_state(
 ) -> List[DensityMatrix]:
     """Evaluate the catalogue with p-irrelevant poles dropped, per time point.
 
-    The truncated matrix is renormalized to unit trace (``DensityMatrix``
+    The whole grid is one ``CatalogueMatrix.evaluate`` call.  Each
+    truncated matrix is renormalized to unit trace (``DensityMatrix``
     stores its exactly-Hermitian average).  A vanishing trace means the
     surviving modes cannot represent a state and is an error.
     """
@@ -148,14 +175,14 @@ def preferred_state(
     t = np.asarray(grid, dtype=float)
     if t.size == 0:
         raise ValidationError("empty time grid")
-    out = []
-    for tk in t:
-        mat = source.evaluate(float(tk), keep=report.p_relevant)
-        trace = float(np.trace(mat).real)
-        if not math.isfinite(trace) or abs(trace) < 1e-200:
-            raise ValidationError(f"truncated state has vanishing trace at t={tk}")
-        out.append(DensityMatrix(mat / trace))
-    return out
+    mats = source.evaluate(t, keep=report.p_relevant)
+    traces = np.trace(mats, axis1=-2, axis2=-1).real
+    vanishing = ~np.isfinite(traces) | (np.abs(traces) < 1e-200)
+    if np.any(vanishing):
+        raise ValidationError(
+            f"truncated state has vanishing trace at t={t[np.argmax(vanishing)]}"
+        )
+    return [DensityMatrix(m / tr) for m, tr in zip(mats, traces)]
 
 
 @dataclass(frozen=True)
@@ -210,33 +237,31 @@ def convergence_profile(
     if basis_r.dim != basis_p.dim:
         raise ValidationError("the two families have different dimensions")
 
+    vr, vp = basis_r.eigenvectors, basis_p.eigenvectors
+    overlaps = np.abs(np.swapaxes(vp.conj(), -1, -2) @ vr)
+    perm, distinct = _argmax_match(overlaps)
+    for k in np.flatnonzero(~distinct):
+        perm[k] = _greedy_match(overlaps[k])
+    matched = np.minimum(1.0, np.take_along_axis(overlaps, perm[..., None], axis=-1)[..., 0])
+    angles = np.max(np.arccos(matched), axis=1)
+    val_err = np.max(
+        np.abs(basis_p.eigenvalues - np.take_along_axis(basis_r.eigenvalues, perm, axis=1)),
+        axis=1,
+    )
+    gaps = np.min(np.diff(np.sort(basis_p.eigenvalues, axis=1), axis=1), axis=1, initial=math.inf)
+
     out = []
-    for k, tk in enumerate(t):
-        vr = basis_r.eigenvectors[k]
-        vp = basis_p.eigenvectors[k]
-        overlaps = np.abs(vp.conj().T @ vr)
-        perm = _greedy_match(overlaps)
-        angle = 0.0
-        val_err = 0.0
-        for i in range(basis_p.dim):
-            c = min(1.0, float(overlaps[i, perm[i]]))
-            angle = max(angle, math.acos(c))
-            val_err = max(
-                val_err,
-                abs(float(basis_p.eigenvalues[k][i] - basis_r.eigenvalues[k][perm[i]])),
-            )
-        pvals = np.sort(basis_p.eigenvalues[k])
-        gap = float(np.min(np.diff(pvals))) if pvals.size > 1 else math.inf
+    for tk, angle, gap, err in zip(t.tolist(), angles.tolist(), gaps.tolist(), val_err.tolist()):
         bound = None
         if envelope is not None:
-            bound = float(envelope(float(tk))) / gap if gap > 0.0 else math.inf
+            bound = float(envelope(tk)) / gap if gap > 0.0 else math.inf
         out.append(
             BasisDistance(
-                t=float(tk),
+                t=tk,
                 subspace_angle=angle,
                 eigenvalue_gap=gap,
                 bound=bound,
-                max_eigenvalue_discrepancy=val_err,
+                max_eigenvalue_discrepancy=err,
                 reliable=gap >= gap_tol,
             )
         )

@@ -10,6 +10,7 @@ from decopoles.errors import ConvergenceError, RankDeficiencyError, ValidationEr
 from decopoles.numerics import (
     DensityMatrix,
     HermitianMatrix,
+    _phase_fix,
     adaptive_simpson,
     eigh,
     fit_residual,
@@ -155,6 +156,70 @@ class TestEigh:
         assert np.max(np.abs(dec.reconstruct() - rho.entries)) < 1e-12
         assert dec.off_diagonal_residual < 1e-13
         assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-13)
+
+
+def loop_phase_fix(vectors):
+    """Reference: one column at a time, pivot rotated onto the positive real axis."""
+    out = np.array(vectors, dtype=complex)
+    for k in range(out.shape[1]):
+        j = int(np.argmax(np.abs(out[:, k])))
+        piv = out[j, k]
+        if abs(piv) > 0.0:
+            out[:, k] *= np.conj(piv) / abs(piv)
+            out[j, k] = abs(piv)
+    return out
+
+
+class TestStackedEigh:
+    def stack(self, seed=23, count=7, dim=5):
+        rng = np.random.default_rng(seed)
+        return np.array([random_hermitian(rng, dim) for _ in range(count)])
+
+    def test_phase_fix_equals_column_loop(self):
+        rng = np.random.default_rng(29)
+        for dim in (1, 2, 5, 12):
+            vecs = np.linalg.eigh(random_hermitian(rng, dim))[1]
+            got, want = _phase_fix(vecs), loop_phase_fix(vecs)
+            assert np.max(np.abs(got - want)) <= np.finfo(float).eps
+            # same pivots, each exactly real and nonnegative
+            assert np.array_equal(got.imag == 0.0, want.imag == 0.0)
+
+    def test_phase_fix_leaves_zero_column(self):
+        vecs = np.array([[0.0, 1j], [0.0, 0.0]])
+        assert np.array_equal(_phase_fix(vecs), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_residual_is_the_largest(self):
+        mats = self.stack()
+        got = eigh(mats)
+        assert isinstance(got.off_diagonal_residual, float)
+        want = max(eigh(mat).off_diagonal_residual for mat in mats)
+        assert got.off_diagonal_residual == pytest.approx(want, rel=1e-6)
+        assert got.off_diagonal_residual < 1e-13
+
+    def test_stack_reconstructs(self):
+        mats = self.stack()
+        assert np.max(np.abs(eigh(mats).reconstruct() - mats)) < 1e-12
+
+    def test_zero_matrix_in_stack(self):
+        mats = np.array([np.zeros((2, 2)), np.diag([0.7, 0.3])])
+        got = eigh(mats)
+        assert got.off_diagonal_residual == 0.0
+        assert got.eigenvalues.tolist() == [[0.0, 0.0], [0.7, 0.3]]
+
+    def test_one_bad_matrix_rejects_the_stack(self):
+        mats = self.stack()
+        mats[4, 0, 1] += 1.0
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            eigh(mats)
+        mats = self.stack()
+        mats[2, 1, 1] = np.nan
+        with pytest.raises(ValidationError):
+            eigh(mats)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (0, 2, 2), (3, 0, 0)])
+    def test_rejects_bad_stack_shape(self, shape):
+        with pytest.raises(ValidationError):
+            eigh(np.zeros(shape))
 
 
 class TestAdaptiveSimpson:

@@ -11,6 +11,9 @@ from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
     _log_factorials,
+    _log_fock_weights,
+    _log_norm,
+    _logsumexp,
     QuasiCoherentState,
     build_density_matrix,
     collective_rate,
@@ -64,6 +67,14 @@ class TestQuasiCoherentState:
     def test_truncation_floor(self):
         with pytest.raises(ValidationError):
             QuasiCoherentState(1.0, 0)
+
+    @pytest.mark.parametrize("alpha,N", [(0.0, 3), (6.0, 200), (30.0, 1481)])
+    def test_log_norm_cached_with_unchanged_bits(self, alpha, N):
+        want = -0.5 * _logsumexp(2.0 * _log_fock_weights(alpha, N))
+        assert QuasiCoherentState(alpha, N).log_norm == want
+        hits = _log_norm.cache_info().hits
+        assert QuasiCoherentState(alpha, N).log_norm == want
+        assert _log_norm.cache_info().hits == hits + 1
 
 
 class TestOmnesConfig:

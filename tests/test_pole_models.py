@@ -292,6 +292,23 @@ class TestPartition:
         assert rep.t_D == rep.t_R == 10.0
         assert rep.rule == RULE_BACKGROUND
 
+    @pytest.mark.parametrize("boundary", [BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT])
+    def test_wide_partition_equals_per_index_split(self, boundary):
+        # a frame-catalogue-shaped tower k gamma0 whose collective-rate
+        # threshold 36 gamma0 sits exactly on a width
+        gammas = tuple(k * 0.1 for k in range(1, 2001))
+        rule = collective_rate_rule(1.0, 2.0, 6.0)
+        threshold = rule(gammas)
+        assert threshold in gammas
+        if boundary == BOUNDARY_RELEVANT:
+            relevant = tuple(i for i, g in enumerate(gammas) if g <= threshold)
+        else:
+            relevant = tuple(i for i, g in enumerate(gammas) if g < threshold)
+        irrelevant = tuple(i for i in range(len(gammas)) if i not in set(relevant))
+        want = TimescaleReport(10.0, 1.0 / threshold, relevant, irrelevant, RULE_CUSTOM, boundary)
+        assert partition_report(gammas, rule=rule, boundary=boundary) == want
+        assert len(relevant) == (36 if boundary == BOUNDARY_RELEVANT else 35)
+
     def test_custom_rule(self):
         rate = collective_rate_rule(1.0, 2.0, 10.0)  # threshold scale 100
         rep = partition_report((0.1, 1.0), rule=rate)
@@ -375,6 +392,26 @@ class TestReportValidation:
             rep.t_R, rep.t_D, (0,), (1, 2), rep.rule, rep.boundary, rep.hbar
         )
         with pytest.raises(ValidationError):
+            check_report_matches(cat, forged)
+
+    @pytest.mark.parametrize("rule", [RULE_SECOND_SMALLEST, RULE_SLOWEST])
+    @pytest.mark.parametrize("boundary", [BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT])
+    def test_check_accepts_width_one_ulp_from_threshold(self, rule, boundary):
+        # the threshold width and its neighbour differ by one ulp, less than
+        # the rounding t_D = hbar / threshold leaves to recover the threshold from
+        low, high = (0.001, 0.0010000000000000002)
+        cat = PoleCatalogue(0.0, tuple((Pole(0.0, g), 0j) for g in (low, high, 1.0)))
+        rep = decoherence_time(cat, rule, boundary)
+        check_report_matches(cat, rep)
+        preferred_signal(cat, rep, np.linspace(0.0, 5.0 * rep.t_D, 6))
+
+    def test_check_rejects_named_rule_with_foreign_t_d(self):
+        cat = figure_catalogue()
+        rep = decoherence_time(cat)
+        forged = TimescaleReport(
+            rep.t_R, 0.9 * rep.t_D, rep.p_relevant, rep.p_irrelevant, rep.rule, rep.boundary
+        )
+        with pytest.raises(ValidationError, match="does not follow"):
             check_report_matches(cat, forged)
 
     def test_check_rejects_hbar_mismatch(self):
@@ -551,12 +588,47 @@ class TestCatalogueMatrix:
             cm.amplitudes[0][0, 0] = 1.0
 
     @pytest.mark.parametrize("method", ["evaluate", "dropped_envelope"])
-    @pytest.mark.parametrize("indices", [(1.5,), (0.9,), (-1,), (2,), (True,), (False,), ((0, 1),)])
+    @pytest.mark.parametrize(
+        "indices",
+        [(1.5,), (0.9,), (-1,), (2,), (True,), (False,), ((0, 1),),
+         (0, True), (False, 1), [1, np.True_], np.array([True, False])],
+    )
     def test_rejects_bad_mode_indices(self, method, indices):
         cm = self.build()
         call = getattr(cm, method)
         with pytest.raises(ValidationError):
             call(0.3, indices) if method == "dropped_envelope" else call(0.3, keep=indices)
+
+    def test_bool_mixed_with_ints_rejected_on_every_call(self):
+        # np.asarray((0, True)) is an int array, so the dtype alone lets it through
+        cm = self.build()
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="integers"):
+                cm.evaluate(0.3, keep=(0, True))
+            with pytest.raises(ValidationError, match="integers"):
+                cm.dropped_envelope(0.3, (False, 1))
+
+    def test_tuple_index_converted_once(self):
+        cm = self.build()
+        keep = (0, 1)
+        idx = cm._mode_index(keep)
+        assert cm._mode_index(keep) is idx
+        assert idx.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            idx[0] = 1
+        # a full cache starts over and still converts every tuple correctly
+        for k in range(3 * pole_models._INDEX_CACHE_SIZE):
+            assert cm._mode_index(tuple([k % 2])).tolist() == [k % 2]
+        assert len(cm._index_cache) <= pole_models._INDEX_CACHE_SIZE
+
+    def test_array_of_times(self):
+        cm = self.build()
+        grid = np.array([0.0, 0.37, 2.5])
+        for keep in (None, (0,), ()):
+            stack = cm.evaluate(grid, keep=keep)
+            assert stack.shape == (3, 2, 2)
+            for mat, t in zip(stack, grid):
+                assert np.max(np.abs(mat - cm.evaluate(float(t), keep=keep))) <= 1e-16
 
     def test_empty_and_integer_indices(self):
         cm = self.build()
@@ -606,6 +678,15 @@ class TestCatalogueMatrixAgainstLoop:
         want = loop_evaluate(cm, t, keep)
         got = cm.evaluate(t, keep=keep)
         assert np.max(np.abs(got - want)) <= self.TOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("subset", ["all", "relevant"])
+    def test_evaluate_grid(self, frame, subset):
+        cm, rep = frame
+        keep = None if subset == "all" else rep.p_relevant
+        stack = cm.evaluate(np.array(self.TIMES), keep=keep)
+        for got, t in zip(stack, self.TIMES):
+            want = loop_evaluate(cm, t, keep)
+            assert np.max(np.abs(got - want)) <= self.TOL * np.max(np.abs(want))
 
     def test_evaluate_nothing_kept_is_equilibrium(self, frame):
         cm, _ = frame

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from decopoles.errors import ValidationError
-from decopoles.numerics import DensityMatrix
-from decopoles.omnes import OmnesConfig, frame_catalogue_matrix, frame_projection
+from decopoles.numerics import DensityMatrix, eigh
+from decopoles.omnes import (
+    OmnesConfig,
+    build_density_matrix,
+    frame_catalogue_matrix,
+    frame_projection,
+)
 from decopoles.pole_models import (
     BOUNDARY_IRRELEVANT,
     RULE_BACKGROUND,
@@ -24,6 +29,7 @@ from decopoles.pole_models import (
 from decopoles.preferred_basis import (
     BasisDistance,
     BiFriedrichModel,
+    _argmax_match,
     bifriedrich_run,
     convergence_profile,
     moving_eigenbasis,
@@ -264,6 +270,164 @@ class TestConvergenceProfile:
     def test_angle_range_enforced(self):
         with pytest.raises(ValidationError):
             BasisDistance(0.0, 2.0, 1.0, None, 0.0, True)
+
+
+def reference_greedy_match(overlaps):
+    """Reference: largest remaining overlap first, one row and column at a time."""
+    d = overlaps.shape[0]
+    perm = np.full(d, -1, dtype=int)
+    scores = np.array(overlaps, dtype=float)
+    for _ in range(d):
+        i, j = np.unravel_index(np.argmax(scores), scores.shape)
+        perm[i] = j
+        scores[i, :] = -1.0
+        scores[:, j] = -1.0
+    return perm
+
+
+def loop_moving_eigenbasis(mats, grid, gap_tol=1e-10):
+    """Reference: one eigh and one greedy match per time point.
+
+    Returns eigenvalues, eigenvectors, degenerate times, and the column of
+    each point's decomposition that every track follows.
+    """
+    vals_out, vecs_out, tracks, degenerate = [], [], [], []
+    prev_vecs = None
+    for tk, mat in zip(grid, mats):
+        dec = eigh(mat)
+        vals = np.array(dec.eigenvalues)
+        vecs = np.array(dec.eigenvectors)
+        perm = np.arange(vals.size)
+        if prev_vecs is not None:
+            overlaps = np.abs(prev_vecs.conj().T @ vecs)
+            perm = reference_greedy_match(overlaps)
+            vals = vals[perm]
+            vecs = vecs[:, perm]
+            for i in range(vecs.shape[1]):
+                inner = complex(np.vdot(prev_vecs[:, i], vecs[:, i]))
+                if abs(inner) > 0.0:
+                    vecs[:, i] *= inner.conjugate() / abs(inner)
+        if vals.size > 1:
+            gaps = np.abs(np.diff(np.sort(vals)))
+            if float(np.min(gaps)) < gap_tol:
+                degenerate.append(float(tk))
+        vals_out.append(vals)
+        vecs_out.append(vecs)
+        tracks.append(perm)
+        prev_vecs = vecs
+    return np.array(vals_out), np.array(vecs_out), tuple(degenerate), np.array(tracks)
+
+
+def loop_convergence_profile(mats_r, mats_p, grid, envelope=None, gap_tol=1e-10):
+    """Reference: the per-time pairing, angle, gap and bound of two loop bases."""
+    vals_r, vecs_r, _, _ = loop_moving_eigenbasis(mats_r, grid, gap_tol)
+    vals_p, vecs_p, _, _ = loop_moving_eigenbasis(mats_p, grid, gap_tol)
+    out = []
+    for k, tk in enumerate(grid):
+        overlaps = np.abs(vecs_p[k].conj().T @ vecs_r[k])
+        perm = reference_greedy_match(overlaps)
+        angle = 0.0
+        val_err = 0.0
+        for i in range(vals_p.shape[1]):
+            c = min(1.0, float(overlaps[i, perm[i]]))
+            angle = max(angle, math.acos(c))
+            val_err = max(val_err, abs(float(vals_p[k][i] - vals_r[k][perm[i]])))
+        pvals = np.sort(vals_p[k])
+        gap = float(np.min(np.diff(pvals))) if pvals.size > 1 else math.inf
+        bound = None
+        if envelope is not None:
+            bound = float(envelope(float(tk))) / gap if gap > 0.0 else math.inf
+        out.append(BasisDistance(float(tk), angle, gap, bound, val_err, gap >= gap_tol))
+    return out
+
+
+def frame_stack(N=200, n_grid=81):
+    """Exact frame projections and preferred states of the collective-rate partition."""
+    cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), N)
+    cm = frame_catalogue_matrix(cfg)
+    rep = partition_report(
+        cm.gammas, cm.hbar, rule=collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)
+    )
+    grid = np.linspace(0.0, 60.0, n_grid)
+    rho_r = [frame_projection(cfg, cfg.z0(), t, closed_form=False).entries for t in grid]
+    rho_p = [rho.entries for rho in preferred_state(cm, rep, grid)]
+    env = lambda t: 5.0 * cm.dropped_envelope(t, rep.p_irrelevant)
+    return grid, rho_r, rho_p, rep.t_D, env
+
+
+def fock_stack(N=24, n_grid=41):
+    """Rank-one Fock density matrices: an N-fold degenerate null space at every point."""
+    half = math.sqrt(0.5)
+    cfg = OmnesConfig(m=1.0, omega=2.0, hbar=1.0, gamma0=0.1, L0=2.0, a=half, b=half, N=N)
+    grid = np.linspace(0.0, 40.0, n_grid)
+    return grid, [build_density_matrix(cfg, cfg.z0(0.3), t).entries for t in grid]
+
+
+def crossing_stack():
+    grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    return grid, [np.diag([0.5 + 0.1 * (t - 1.0), 0.5 - 0.1 * (t - 1.0)]) for t in grid]
+
+
+@pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
+class TestBatchedAgainstLoop:
+    """The one-pass moving basis and profile against the per-point loop they replaced."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return frame_stack()
+
+    @pytest.fixture(scope="class")
+    def fock(self):
+        return fock_stack()
+
+    def assert_same_basis(self, mats, grid):
+        want_vals, want_vecs, want_degenerate, want_tracks = loop_moving_eigenbasis(mats, grid)
+        got = moving_eigenbasis(mats, grid)
+        assert np.array_equal(got.eigenvalues, want_vals)
+        assert got.degenerate_times == want_degenerate
+        assert np.max(np.abs(got.eigenvectors - want_vecs)) <= 1e-14
+        # the column of each point's own decomposition that a track follows
+        raw = eigh(np.stack(mats)).eigenvectors
+        tracks = np.argmax(np.abs(np.swapaxes(raw.conj(), -1, -2) @ got.eigenvectors), axis=-2)
+        assert np.array_equal(tracks, want_tracks)
+
+    def test_frame_stacks(self, frame):
+        grid, rho_r, rho_p, _, _ = frame
+        self.assert_same_basis(rho_r, grid)
+        self.assert_same_basis(rho_p, grid)
+
+    def test_rank_one_fock_stack_takes_the_greedy_fallback(self, fock):
+        grid, mats = fock
+        vecs = eigh(np.stack(mats)).eigenvectors
+        _, distinct = _argmax_match(np.abs(np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]))
+        assert not np.all(distinct)
+        self.assert_same_basis(mats, grid)
+
+    def test_crossing_family(self):
+        grid, mats = crossing_stack()
+        self.assert_same_basis(mats, grid)
+
+    def assert_same_profile(self, got, want):
+        assert [d.t for d in got] == [d.t for d in want]
+        for g, w in zip(got, want):
+            assert (g.eigenvalue_gap, g.bound, g.reliable, g.max_eigenvalue_discrepancy) == (
+                w.eigenvalue_gap, w.bound, w.reliable, w.max_eigenvalue_discrepancy
+            )
+            assert abs(g.subspace_angle - w.subspace_angle) <= 2e-8  # acos at cos = 1
+
+    def test_frame_profile(self, frame):
+        grid, rho_r, rho_p, t_d, env = frame
+        got = convergence_profile(rho_r, rho_p, grid, t_D=t_d, envelope=env)
+        self.assert_same_profile(got, loop_convergence_profile(rho_r, rho_p, grid, env))
+
+    def test_two_pole_profile(self):
+        cm = two_pole_matrix_catalogue()
+        rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
+        grid = np.linspace(0.0, 0.5, 51)
+        rho_p = [rho.entries for rho in preferred_state(cm, rep, grid)]
+        rho_r = [cm.evaluate(t) for t in grid]
+        got = convergence_profile(rho_r, rho_p, grid, t_D=0.1)
+        self.assert_same_profile(got, loop_convergence_profile(rho_r, rho_p, grid))
 
 
 @pytest.mark.filterwarnings("ignore:configuration is not macroscopic")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from decopoles.numerics import eigh
 from decopoles.omnes import (
     OmnesConfig,
     QuasiCoherentState,
@@ -36,6 +37,7 @@ from decopoles.pole_models import (
     signal_to_csv,
     synthesize,
 )
+from decopoles.preferred_basis import _argmax_match, _greedy_match
 
 _RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
 _BOUNDARIES = st.sampled_from((BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT))
@@ -171,3 +173,53 @@ class TestNdDecayBits:
             got = nd_decay(cfg, z0, grid).tolist()
             want = [abs(nd_block(cfg, z0, t).rho12) for t in grid.tolist()]
         assert got == want
+
+
+@st.composite
+def overlap_stacks(draw):
+    """(T, d, d) nonnegative matrices on a coarse lattice, so entries tie often.
+
+    Some matrices get a boosted permutation, which makes their row argmaxes
+    distinct while ties remain everywhere else.
+    """
+    d = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 6))
+    stack = draw(hnp.arrays(float, (count, d, d), elements=st.integers(0, 4).map(float))) / 4.0
+    for k in range(count):
+        if draw(st.booleans()):
+            perm = draw(st.permutations(range(d)))
+            stack[k, np.arange(d), perm] += 1.0
+    return stack
+
+
+class TestArgmaxMatch:
+    @settings(deadline=None, max_examples=300)
+    @given(overlap_stacks())
+    def test_distinct_row_argmaxes_are_the_greedy_match(self, stack):
+        best, distinct = _argmax_match(stack)
+        for k in range(stack.shape[0]):
+            rows = best[k].tolist()
+            assert distinct[k] == (len(set(rows)) == len(rows))
+            if distinct[k]:
+                assert rows == _greedy_match(stack[k]).tolist()
+
+
+@st.composite
+def hermitian_families(draw):
+    """(T, d, d) Hermitian stacks with d = 2..5 and T <= 30."""
+    d = draw(st.integers(2, 5))
+    count = draw(st.integers(1, 30))
+    raw = draw(hnp.arrays(float, (count, 2, d, d), elements=_ENTRY))
+    mats = raw[:, 0] + 1j * raw[:, 1]
+    return (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2.0
+
+
+class TestStackedEigh:
+    @settings(deadline=None, max_examples=100)
+    @given(hermitian_families())
+    def test_stack_equals_one_call_per_matrix(self, mats):
+        got = eigh(mats)
+        for k, mat in enumerate(mats):
+            one = eigh(mat)
+            assert np.array_equal(got.eigenvalues[k], one.eigenvalues)
+            assert np.max(np.abs(got.eigenvectors[k] - one.eigenvectors)) <= 1e-14

@@ -8,7 +8,8 @@ sits at z0 = (omega0 + delta_omega) - i gamma0 with
 
 where g(w) >= 0 collects the mode density times the squared coupling.  A
 ladder of excitations then decays through the equally spaced complex
-spectrum z_n = n z0, which is what the amplitude evolution here uses.
+spectrum z_n = n z0: every truncated Fock sum of the package, here and in
+``omnes``, is a weighted sum of one set of ladder phases exp(-i z_n t / hbar).
 
 Sign convention: widths are stored positive and enter as -i gamma0, so
 amplitudes damp as exp(-n gamma0 t / hbar).  A printed variant with the
@@ -225,6 +226,11 @@ class EffectiveHamiltonian:
         object.__setattr__(self, "levels", tuple(n * z0 for n in range(n_max + 1)))
 
 
+def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
+    """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t."""
+    return np.exp(-1j * np.arange(size) * complex(z0) * t / hbar)
+
+
 def lee_friedrich_spectrum(pole: PerturbativePole, N_max: int) -> EffectiveHamiltonian:
     """Equally spaced tower n * z0 built from the perturbative pole."""
     return EffectiveHamiltonian(N_max, pole.z0)
@@ -246,6 +252,4 @@ def evolve_amplitude(a_coeffs, b_coeffs, ham: EffectiveHamiltonian, t: float, hb
         )
     if hbar <= 0.0:
         raise ValidationError("hbar must be positive")
-    n = np.arange(a.size)
-    phases = np.exp(-1j * n * ham.z0 * t / hbar)
-    return complex(np.sum(b * np.conj(a) * phases))
+    return complex(np.sum(b * np.conj(a) * _ladder_phases(a.size, ham.z0, t, hbar)))

@@ -286,9 +286,7 @@ def matrix_pencil_fit(times, values, order: int, rank_rtol: float = 1e-10):
 
     n = y.size
     window = min(max(n // 2, order), n - order)
-    hankel = np.empty((n - window, window + 1), dtype=complex)
-    for i in range(n - window):
-        hankel[i, :] = y[i : i + window + 1]
+    hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)  # (n - window, window + 1)
     y0 = hankel[:, :-1]
     y1 = hankel[:, 1:]
 

@@ -15,8 +15,8 @@ of dimension N+1:
   giving the separation-dependent decoherence time t_D = hbar/gamma_tilde
   with t_D L0^2 independent of L0.
 
-All Fock amplitudes are evaluated in the log domain so truncations up to
-N ~ 1e4 stay representable.
+All Fock weights come from one log-domain helper, so truncations up to
+N ~ 1e4 stay representable; sums over them run on friedrich's ladder phases.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
+from .friedrich import _ladder_phases
 from .numerics import DensityMatrix
 from .pole_models import CatalogueMatrix, Pole
 
@@ -64,6 +65,14 @@ def _log_fock_weights(alpha: float, N: int) -> np.ndarray:
 def _log_norm(alpha: float, N: int) -> float:
     """-1/2 log(sum_n alpha^2n / n!) for n = 0..N, cached per (alpha, N)."""
     return -0.5 * _logsumexp(2.0 * _log_fock_weights(alpha, N))
+
+
+@functools.lru_cache(maxsize=32)
+def _fock_probabilities(alpha: float, N: int) -> np.ndarray:
+    """q_n = |<n|alpha>|^2 for n = 0..N, cached per (alpha, N) and shared read-only."""
+    out = np.exp(2.0 * (_log_fock_weights(alpha, N) + _log_norm(alpha, N)))
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,11 +193,7 @@ def fock_overlap(s1: QuasiCoherentState, s2: QuasiCoherentState) -> float:
     """
     if s1.N != s2.N:
         raise ValidationError(f"truncations differ: {s1.N} != {s2.N}")
-    if s1.alpha == 0.0 or s2.alpha == 0.0:
-        log_sum = 0.0  # only the n = 0 term survives
-    else:
-        n = np.arange(s1.N + 1)
-        log_sum = _logsumexp(n * math.log(s1.alpha * s2.alpha) - _log_factorials(s1.N))
+    log_sum = _logsumexp(_log_fock_weights(s1.alpha, s1.N) + _log_fock_weights(s2.alpha, s2.N))
     return math.exp(s1.log_norm + s2.log_norm + log_sum)
 
 
@@ -401,9 +406,7 @@ class FockDensityParts:
 
 def density_components(cfg: OmnesConfig, z0: complex, t: float) -> FockDensityParts:
     _pole_width(z0)
-    v2 = cfg.state2().fock_vector().astype(complex)
-    phases = np.exp(-1j * np.arange(cfg.N + 1) * complex(z0) * t / cfg.hbar)
-    v2t = v2 * phases
+    v2t = cfg.state2().fock_vector() * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
     e0 = np.zeros(cfg.N + 1, dtype=complex)
     e0[0] = 1.0
 
@@ -441,19 +444,6 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
 # --- two-dimensional frame picture -------------------------------------------
 
 
-def _truncated_w(cfg: OmnesConfig, z0: complex, t: float, log_norm: float) -> complex:
-    """<alpha2(0)|alpha2(t)> at finite N: N2^2 sum (Delta^2 e^{-i z0 t/hbar})^n / n!.
-
-    ``log_norm`` is ``cfg.state2().log_norm``, log N2, computed once by the caller.
-    """
-    d2 = cfg.delta**2
-    n = np.arange(cfg.N + 1)
-    log_n2_sq = 2.0 * log_norm
-    decay = -1j * complex(z0) * t / cfg.hbar
-    exponents = log_n2_sq + n * math.log(d2) + n * decay.real - _log_factorials(cfg.N)
-    return complex(np.sum(np.exp(exponents) * np.exp(1j * n * decay.imag)))
-
-
 def frame_amplitudes(cfg: OmnesConfig, z0: complex, t: float, closed_form: bool = True):
     """Projections (f1, f2) of the evolved state on the initial branch pair.
 
@@ -467,9 +457,9 @@ def frame_amplitudes(cfg: OmnesConfig, z0: complex, t: float, closed_form: bool 
         s = math.exp(-0.5 * d2)
         w = _self_overlap(d2, z0, t, cfg.hbar)
     else:
-        log_norm = cfg.state2().log_norm
-        s = math.exp(log_norm)
-        w = _truncated_w(cfg, z0, t, log_norm)
+        s = math.exp(cfg.state2().log_norm)
+        q = _fock_probabilities(cfg.alpha2, cfg.N)
+        w = complex(q @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
     f1 = cfg.a + cfg.b * s
     f2 = cfg.a * s + cfg.b * w
     return f1, f2
@@ -504,17 +494,11 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     matrix; powers k >= 1 become poles at k gamma0.  Feed the result to a
     partition rule to drop the fast collective cluster.
     """
-    log_norm = cfg.state2().log_norm
-    s = math.exp(log_norm)
+    s = math.exp(cfg.state2().log_norm)
     f1 = cfg.a + cfg.b * s
 
     # w_N(t) = sum_k q_k x^k with q_k = N2^2 Delta^(2k) / k!
-    d2 = cfg.delta**2
-    k = np.arange(cfg.N + 1)
-    log_n2_sq = 2.0 * log_norm
-    q = np.exp(log_n2_sq + k * math.log(d2) - _log_factorials(cfg.N))
-
-    f2 = cfg.b * q.astype(complex)
+    f2 = cfg.b * _fock_probabilities(cfg.alpha2, cfg.N).astype(complex)
     f2[0] += cfg.a * s
     c = np.convolve(f2, f2.conj()).real  # imaginary parts cancel pairwise
 

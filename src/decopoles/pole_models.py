@@ -454,14 +454,15 @@ def check_report_matches(cat, report: TimescaleReport):
                 f"report t_D = {report.t_D!r} does not follow from the {report.rule} "
                 f"threshold width {threshold!r}"
             )
-    if report.boundary == BOUNDARY_RELEVANT:
-        expected = tuple(range(bisect.bisect_right(gammas, threshold + tol)))
-    else:
-        expected = tuple(range(bisect.bisect_left(gammas, threshold - tol)))
-    if expected != report.p_relevant:
+    # any rate in [threshold - tol, threshold + tol] could have made the cut
+    side = bisect.bisect_right if report.boundary == BOUNDARY_RELEVANT else bisect.bisect_left
+    lo, hi = side(gammas, threshold - tol), side(gammas, threshold + tol)
+    cut = len(report.p_relevant)
+    if report.p_relevant != tuple(range(cut)) or not lo <= cut <= hi:
+        want = tuple(range(lo)) if lo == hi else f"{tuple(range(lo))} to {tuple(range(hi))}"
         raise ValidationError(
             f"report partition {report.p_relevant} does not match the catalogue's "
-            f"threshold split {expected}"
+            f"threshold split {want}"
         )
 
 

@@ -1,12 +1,15 @@
 """Truncated coherent overlaps, coherence decay, collective rate, frame picture."""
 
+import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from decopoles.errors import ValidationError
+from decopoles.friedrich import EffectiveHamiltonian, evolve_amplitude
 from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
@@ -417,6 +420,85 @@ class TestFramePicture:
         eigs = np.linalg.eigvalsh(rho.entries)
         assert eigs[0] >= -1e-12
         assert eigs[1] == pytest.approx(1.0, abs=1e-12)  # rank one by construction
+
+
+class TestTowerOracle:
+    """The truncated ladder sum against a 40-digit oracle.
+
+    f2 = a N2 + b N2^2 sum_n Delta^2n / n! x^n with x = exp(-i z0 t / hbar),
+    over N <= 400, Delta <= 23, hbar in [0.5, 2], gamma0 in [0.05, 2],
+    |omega'| in [0.1, 5] and t <= 40 hbar / gamma0.  The tolerance is 1e-12
+    of |a| N2 + |b| sum |q_n x^n|, the size of what is summed: exp(log N2)
+    alone carries a relative error of about |log N2| ulps.
+    """
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            hbar = float(rng.uniform(0.5, 2.0))
+            gamma0 = float(rng.uniform(0.05, 2.0))
+            weight = float(rng.uniform(0.05, 0.95))
+            phase_a, phase_b = rng.uniform(0.0, 2.0 * math.pi, 2)
+            cfg = config(
+                L0=float(rng.uniform(0.0, 23.0)) * hbar,  # Delta = L0 / hbar here
+                gamma0=gamma0,
+                N=int(rng.integers(1, 401)),
+                a=cmath.rect(math.sqrt(weight), phase_a),
+                b=cmath.rect(math.sqrt(1.0 - weight), phase_b),
+                hbar=hbar,
+            )
+            omega_prime = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 5.0))
+            yield cfg, cfg.z0(omega_prime), float(rng.uniform(0.0, 40.0 * hbar / gamma0))
+
+    @staticmethod
+    def oracle(cfg, z0, t):
+        """(w, sum |q_n x^n|, N2) at 40 digits."""
+        with mpmath.workdps(40):
+            d2 = mpmath.mpf(cfg.delta) ** 2
+            terms = [d2**n / mpmath.factorial(n) for n in range(cfg.N + 1)]
+            n2 = 1 / mpmath.sqrt(mpmath.fsum(terms))
+            x = mpmath.exp(-1j * mpmath.mpc(z0) * t / cfg.hbar)
+            qx = [n2**2 * c * x**n for n, c in enumerate(terms)]
+            return mpmath.fsum(qx), mpmath.fsum(abs(v) for v in qx), n2
+
+    def test_truncated_f2(self):
+        for cfg, z0, t in self.cases():
+            w, size, n2 = self.oracle(cfg, z0, t)
+            _, f2 = frame_amplitudes(cfg, z0, t, closed_form=False)
+            want = complex(cfg.a * n2 + cfg.b * w)
+            tol = 1e-12 * float(abs(cfg.a) * n2 + abs(cfg.b) * size)
+            assert abs(f2 - want) <= tol, (cfg, z0, t)
+
+    def test_evolve_amplitude(self):
+        for cfg, z0, t in self.cases():
+            w, size, _ = self.oracle(cfg, z0, t)
+            v2 = cfg.state2().fock_vector()
+            got = evolve_amplitude(v2, v2, EffectiveHamiltonian(cfg.N, z0), t, cfg.hbar)
+            assert abs(got - complex(w)) <= 1e-12 * float(size), (cfg, z0, t)
+
+
+class TestUnderflowingDisplacement:
+    """L0 = 1e-200 is valid, but Delta^2 underflows to 0: the tower is the vacuum."""
+
+    cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 1e-200, 0.6, 0.8, 40)
+
+    def test_truncated_frame_equals_closed_form(self):
+        z0 = self.cfg.z0()
+        assert frame_amplitudes(self.cfg, z0, 1.0, closed_form=False) == frame_amplitudes(
+            self.cfg, z0, 1.0
+        )
+        exact = frame_projection(self.cfg, z0, 1.0, closed_form=False).entries
+        assert np.array_equal(exact, frame_projection(self.cfg, z0, 1.0).entries)
+
+    def test_frame_catalogue_matrix(self):
+        cm = frame_catalogue_matrix(self.cfg)
+        assert np.all(cm.amplitudes == 0.0)
+        assert np.array_equal(cm.evaluate(1.0), np.full((2, 2), 1.4**2))
+
+    def test_fock_overlap(self):
+        s = QuasiCoherentState(1e-200, 10)
+        assert fock_overlap(s, s) == 1.0
 
 
 class TestFrameCatalogue:

@@ -405,6 +405,18 @@ class TestReportValidation:
         check_report_matches(cat, rep)
         preferred_signal(cat, rep, np.linspace(0.0, 5.0 * rep.t_D, 6))
 
+    @pytest.mark.parametrize("rate", [1.0 - 1e-14, 1.0 + 1e-14])
+    @pytest.mark.parametrize("boundary", [BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT])
+    def test_check_accepts_custom_rate_within_rounding_of_a_width(self, rate, boundary):
+        # t_D = hbar / rate gives the rate back only to rounding, so a width
+        # that close to it may fall on either side of the cut
+        cat = PoleCatalogue(0.0, tuple((Pole(0.0, g), 0j) for g in (0.5, 1.0)))
+        rep = partition_report(cat.gammas, cat.hbar, rule=lambda g: rate, boundary=boundary)
+        check_report_matches(cat, rep)
+        far = TimescaleReport(rep.t_R, 1.0 / 0.9, (0, 1), (), RULE_CUSTOM, boundary)
+        with pytest.raises(ValidationError, match="does not match"):
+            check_report_matches(cat, far)
+
     def test_check_rejects_named_rule_with_foreign_t_d(self):
         cat = figure_catalogue()
         rep = decoherence_time(cat)

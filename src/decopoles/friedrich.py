@@ -19,8 +19,9 @@ module always decays.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -207,12 +208,11 @@ class EffectiveHamiltonian:
     The damping enters only through Im z0 <= 0.  Levels are linear in n by
     construction; the additivity z_m + z_n = z_{m+n} is exact whenever the
     products n * z0 are representable (dyadic z0) and otherwise holds to
-    one rounding of the last place.
+    one rounding of the last place.  ``levels`` is built on first read.
     """
 
     N_max: int
     z0: complex
-    levels: tuple = field(init=False)
 
     def __post_init__(self):
         n_max = int(self.N_max)
@@ -223,7 +223,10 @@ class EffectiveHamiltonian:
             raise ValidationError("Im z0 must be <= 0 (decaying resonance)")
         object.__setattr__(self, "N_max", n_max)
         object.__setattr__(self, "z0", z0)
-        object.__setattr__(self, "levels", tuple(n * z0 for n in range(n_max + 1)))
+
+    @functools.cached_property
+    def levels(self) -> tuple:
+        return tuple(n * self.z0 for n in range(self.N_max + 1))
 
 
 def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:

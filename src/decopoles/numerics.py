@@ -31,18 +31,40 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
     Every entry must be finite, and each matrix Hermitian relative to its
     own scale: max |A - A^H| <= HERMITICITY_TOL * max(max|A|, 1).
     """
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix contains NaN or Inf entries")
-    ah = np.conj(np.swapaxes(a, -1, -2))
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    dev = np.max(np.abs(a - ah), axis=(-2, -1))
-    bad = np.flatnonzero(dev > HERMITICITY_TOL * np.maximum(scale, 1.0))
-    if bad.size:
-        k = bad[0]
+    ah = a.swapaxes(-1, -2).conj()
+    scale = abs(a).max(axis=(-2, -1))
+    dev = abs(a - ah).max(axis=(-2, -1))
+    bad = dev > HERMITICITY_TOL * np.maximum(scale, 1.0)
+    if bad.any():
+        k = bad.argmax()  # the first failing matrix
         raise ValidationError(
             f"matrix is not Hermitian: max deviation {dev.flat[k]:.3e} at scale {scale.flat[k]:.3e}"
         )
     return (a + ah) / 2.0
+
+
+def _checked_entries(entries, ndim: int = 2, unit_trace: bool = False) -> np.ndarray:
+    """Read-only Hermitian average of a square matrix (ndim 2) or a nonempty (T, d, d) stack.
+
+    Finiteness, Hermiticity, then (``unit_trace``) traces within 1e-12, each once per stack.
+    """
+    a = np.asarray(entries, dtype=complex)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or (ndim == 3 and a.size == 0):
+        what = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise ValidationError(f"expected {what}, got shape {a.shape}")
+    if a.size == 0:
+        raise ValidationError("empty matrix")
+    h = hermitian_average(a)
+    if unit_trace:
+        tr = np.trace(h, axis1=-2, axis2=-1).real
+        bad = abs(tr - 1.0) > 1e-12
+        if bad.any():
+            tr = float(tr.flat[bad.argmax()])  # a numpy scalar's repr varies across numpy
+            raise ValidationError(f"trace is {tr!r}, expected 1 within 1e-12")
+    h.setflags(write=False)
+    return h
 
 
 @dataclass(frozen=True)
@@ -55,13 +77,7 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise ValidationError("empty matrix")
-        object.__setattr__(self, "entries", hermitian_average(a))
-        self.entries.setflags(write=False)
+        object.__setattr__(self, "entries", _checked_entries(self.entries))
 
     @property
     def dim(self) -> int:
@@ -69,7 +85,7 @@ class HermitianMatrix:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(HermitianMatrix):
     """Hermitian, trace-one complex matrix (positivity is the caller's task).
 
     Construction enforces Hermiticity and unit trace to 1e-12; positive
@@ -77,21 +93,21 @@ class DensityMatrix:
     normalized outer product) and can be audited with ``min_eigenvalue``.
     """
 
-    entries: np.ndarray
-
     def __post_init__(self):
-        h = HermitianMatrix(self.entries)
-        tr = np.trace(h.entries).real
-        if abs(tr - 1.0) > 1e-12:
-            raise ValidationError(f"trace is {tr!r}, expected 1 within 1e-12")
-        object.__setattr__(self, "entries", h.entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        object.__setattr__(self, "entries", _checked_entries(self.entries, unit_trace=True))
 
     def min_eigenvalue(self) -> float:
-        return float(eigh(self.entries).eigenvalues[-1])
+        return float(eigh(self).eigenvalues[-1])
+
+
+def _density_stack(mats) -> list:
+    """``[DensityMatrix(m) for m in mats]``, checked once as one stack; entries are its views."""
+    out = []
+    for m in _checked_entries(mats, 3, unit_trace=True):
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "entries", m)
+        out.append(rho)
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,18 +148,6 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_entries(a) -> np.ndarray:
-    """One Hermitian matrix, or a nonempty (T, d, d) stack, checked and averaged."""
-    if isinstance(a, HermitianMatrix):
-        return a.entries
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 3:
-        return HermitianMatrix(a).entries
-    if a.shape[1] != a.shape[2] or a.size == 0:
-        raise ValidationError(f"expected a stack of square matrices, got shape {a.shape}")
-    return hermitian_average(a)
-
-
 def eigh(a) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix, or a (T, d, d) stack, with LAPACK.
 
@@ -156,7 +160,11 @@ def eigh(a) -> EigenDecomposition:
     the zero matrix), and the largest one over a stack.  A LAPACK failure
     to converge raises ``ConvergenceError``.
     """
-    entries = _hermitian_entries(a)
+    if isinstance(a, HermitianMatrix):
+        entries = a.entries
+    else:
+        a = np.asarray(a, dtype=complex)
+        entries = _checked_entries(a, 3 if a.ndim == 3 else 2)
     try:
         values, vecs = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 from .friedrich import _ladder_phases
 from .numerics import DensityMatrix
-from .pole_models import CatalogueMatrix, Pole
+from .pole_models import CatalogueMatrix
 
 _NORM_TOL = 1e-12
 
@@ -508,5 +508,5 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     amps[: cfg.N, 0, 1] = top[1:]
     amps[: cfg.N, 1, 0] = top[1:].conj()
     amps[:, 1, 1] = c[1:]
-    poles = [Pole(0.0, kk * cfg.gamma0) for kk in range(1, 2 * cfg.N + 1)]
-    return CatalogueMatrix(poles, equilibrium, amps, cfg.hbar)
+    gammas = np.arange(1, 2 * cfg.N + 1) * cfg.gamma0  # bit for bit Python's k * gamma0
+    return CatalogueMatrix._from_widths(np.zeros(2 * cfg.N), gammas, equilibrium, amps, cfg.hbar)

@@ -18,6 +18,7 @@ frequency omega_j - omega_i; see ``PoleCatalogue.from_pole_pairs``.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import warnings
@@ -112,13 +113,10 @@ class Mode:
 def _canonical_modes(modes) -> tuple:
     out = []
     for entry in modes:
-        if isinstance(entry, Mode):
-            out.append(entry)
-        else:
+        if not isinstance(entry, Mode):
             pole, amp = entry
-            if not isinstance(pole, Pole):
-                pole = Pole(*pole)
-            out.append(Mode(pole, amp))
+            entry = Mode(pole if isinstance(pole, Pole) else Pole(*pole), amp)
+        out.append(entry)
     out.sort(
         key=lambda m: (m.pole.gamma, m.pole.omega, m.amplitude.real, m.amplitude.imag)
     )
@@ -358,34 +356,18 @@ def partition_report(
     if list(gammas) != sorted(gammas):
         raise ValidationError("widths must be sorted ascending")
     hbar = _require_positive("hbar", hbar)
-    gamma0 = gammas[0]
-    t_r = hbar / gamma0
 
     if callable(rule):
         threshold = float(rule(gammas))
         if not math.isfinite(threshold) or threshold <= 0.0:
             raise ValidationError(f"custom rule returned a nonpositive rate: {threshold!r}")
-        rule_name = RULE_CUSTOM
     elif rule == RULE_SECOND_SMALLEST:
         threshold = gammas[1] if len(gammas) > 1 else gammas[0]
-        rule_name = RULE_SECOND_SMALLEST
-    elif rule == RULE_SLOWEST:
-        threshold = gammas[0]
-        rule_name = RULE_SLOWEST
-    elif rule == RULE_BACKGROUND:
-        return TimescaleReport(
-            t_R=t_r,
-            t_D=t_r,
-            p_relevant=(),
-            p_irrelevant=tuple(range(len(gammas))),
-            rule=RULE_BACKGROUND,
-            boundary=boundary,
-            hbar=hbar,
-        )
+    elif rule in (RULE_SLOWEST, RULE_BACKGROUND):
+        threshold = gammas[0]  # t_D = t_R
     else:
         raise ValidationError(f"unknown rule {rule!r}")
 
-    t_d = hbar / threshold
     # the widths are sorted, so the relevant modes are a prefix
     if boundary == BOUNDARY_RELEVANT:
         cut = bisect.bisect_right(gammas, threshold)
@@ -393,12 +375,14 @@ def partition_report(
         cut = bisect.bisect_left(gammas, threshold)
     else:
         raise ValidationError(f"unknown boundary mode {boundary!r}")
+    if rule == RULE_BACKGROUND:
+        cut = 0
     return TimescaleReport(
-        t_R=t_r,
-        t_D=t_d,
+        t_R=hbar / gammas[0],
+        t_D=hbar / threshold,
         p_relevant=tuple(range(cut)),
         p_irrelevant=tuple(range(cut, len(gammas))),
-        rule=rule_name,
+        rule=RULE_CUSTOM if callable(rule) else rule,
         boundary=boundary,
         hbar=hbar,
     )
@@ -533,15 +517,29 @@ class CatalogueMatrix:
     matrices so the evaluated matrix is Hermitian at all times.  This is
     the per-mode tagging needed to drop poles entrywise when building a
     preferred state.  Only envelope (real damping) rendering is defined at
-    the matrix level.  ``amplitudes`` is one read-only (K, d, d) stack,
-    sorted jointly with ``poles`` and ``gammas``; ``evaluate`` takes one
-    time or an array of T times, for which it returns a (T, d, d) stack.
+    the matrix level.  Widths, frequencies and the read-only (K, d, d)
+    ``amplitudes`` stack are sorted jointly; ``poles`` is built on first read.
+    ``evaluate`` takes one time or an array of T times (a (T, d, d) stack).
     """
 
     def __init__(self, poles, equilibrium, amplitudes, hbar: float = 1.0):
         poles = tuple(poles)
         if not all(isinstance(p, Pole) for p in poles):
             raise ValidationError("poles must be Pole instances")
+        self._build([p.omega for p in poles], [p.gamma for p in poles], equilibrium, amplitudes, hbar)
+
+    @classmethod
+    def _from_widths(cls, omegas, gammas, equilibrium, amplitudes, hbar: float = 1.0):
+        """Catalogue of poles (omegas[k], gammas[k]), checked in one pass as ``Pole`` does."""
+        cm = cls.__new__(cls)
+        cm._build(omegas, gammas, equilibrium, amplitudes, hbar)
+        return cm
+
+    def _build(self, omegas, gammas, equilibrium, amplitudes, hbar):
+        omegas, gammas = np.asarray(omegas, dtype=float), np.asarray(gammas, dtype=float)
+        bad = ~((gammas > 0.0) & (gammas < math.inf) & np.isfinite(omegas))
+        if bad.any():  # the first bad pole raises what its Pole raises
+            Pole(omegas[bad.argmax()], gammas[bad.argmax()])
         eq = HermitianMatrix(equilibrium).entries
         dim = eq.shape[0]
         try:
@@ -550,22 +548,25 @@ class CatalogueMatrix:
             raise ValidationError(f"amplitude matrices must share one shape: {exc}") from exc
         if amps.size == 0:
             amps = amps.reshape(0, dim, dim)
-        if amps.shape != (len(poles), dim, dim):
+        if amps.shape != (gammas.size, dim, dim):
             raise ValidationError(
-                f"need one {dim}x{dim} amplitude matrix per pole ({len(poles)}), got shape {amps.shape}"
+                f"need one {dim}x{dim} amplitude matrix per pole ({gammas.size}), got shape {amps.shape}"
             )
-        gammas = np.array([p.gamma for p in poles])
-        order = np.lexsort((np.array([p.omega for p in poles]), gammas))
-        self.poles = tuple(poles[k] for k in order)
-        self.amplitudes = hermitian_average(amps[order])
-        self.amplitudes.setflags(write=False)
+        order = np.lexsort((omegas, gammas))
+        self._omegas = omegas[order]
         self._gammas = gammas[order]
         self.gammas = tuple(self._gammas.tolist())
+        self.amplitudes = hermitian_average(amps[order])
+        self.amplitudes.setflags(write=False)
         self._norms = np.linalg.norm(self.amplitudes, axis=(-2, -1))
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
         self._index_cache = {}  # id(tuple) -> (tuple, index array)
+
+    @functools.cached_property
+    def poles(self) -> tuple:
+        return tuple(map(Pole, self._omegas.tolist(), self.gammas))
 
     def _mode_index(self, indices) -> np.ndarray:
         """``indices`` as a read-only index array; non-integer or out-of-range entries raise.
@@ -588,9 +589,9 @@ class CatalogueMatrix:
             )
         ):
             raise ValidationError(f"mode indices must be a sequence of integers, got {indices!r}")
-        elif idx.min() < 0 or idx.max() >= len(self.poles):
+        elif idx.min() < 0 or idx.max() >= self._gammas.size:
             raise ValidationError(
-                f"mode indices must lie in [0, {len(self.poles)}), got {indices!r}"
+                f"mode indices must lie in [0, {self._gammas.size}), got {indices!r}"
             )
         if isinstance(indices, tuple):  # np.asarray made a new array
             idx.setflags(write=False)

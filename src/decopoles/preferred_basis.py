@@ -27,7 +27,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix, HermitianMatrix, eigh
+from .numerics import DensityMatrix, HermitianMatrix, _density_stack, eigh
 from .pole_models import (
     CatalogueMatrix,
     PoleCatalogue,
@@ -41,9 +41,7 @@ _GAP_TOL = 1e-10
 
 
 def _as_matrix(entry) -> np.ndarray:
-    if isinstance(entry, DensityMatrix):
-        return entry.entries
-    if isinstance(entry, HermitianMatrix):
+    if isinstance(entry, HermitianMatrix):  # a DensityMatrix too
         return entry.entries
     return np.asarray(entry, dtype=complex)
 
@@ -167,9 +165,9 @@ def preferred_state(
     """Evaluate the catalogue with p-irrelevant poles dropped, per time point.
 
     The whole grid is one ``CatalogueMatrix.evaluate`` call.  Each
-    truncated matrix is renormalized to unit trace (``DensityMatrix``
-    stores its exactly-Hermitian average).  A vanishing trace means the
-    surviving modes cannot represent a state and is an error.
+    truncated matrix is renormalized to unit trace and the stack is checked
+    once, giving the entries ``DensityMatrix(m / tr)`` would store.  A
+    vanishing trace means the surviving modes cannot represent a state.
     """
     check_report_matches(source, report)
     t = np.asarray(grid, dtype=float)
@@ -182,7 +180,7 @@ def preferred_state(
         raise ValidationError(
             f"truncated state has vanishing trace at t={t[np.argmax(vanishing)]}"
         )
-    return [DensityMatrix(m / tr) for m, tr in zip(mats, traces)]
+    return _density_stack(mats / traces[:, None, None])
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,15 @@ class TestEffectiveHamiltonian:
         with pytest.raises(ValidationError):
             EffectiveHamiltonian(0, 1.0 - 0.1j)
 
+    def test_levels_built_on_first_read(self):
+        ham = EffectiveHamiltonian(1000, 0.7 - 0.03j)
+        assert "levels" not in vars(ham)
+        assert ham == EffectiveHamiltonian(1000, 0.7 - 0.03j)
+        assert ham.levels == tuple(n * (0.7 - 0.03j) for n in range(1001))
+        assert ham.levels is ham.levels
+        assert ham == EffectiveHamiltonian(1000, 0.7 - 0.03j)
+        assert ham != EffectiveHamiltonian(999, 0.7 - 0.03j)
+
     def test_growth_rejected(self):
         with pytest.raises(ValidationError):
             EffectiveHamiltonian(3, 1.0 + 0.1j)

@@ -10,6 +10,7 @@ from decopoles.errors import ConvergenceError, RankDeficiencyError, ValidationEr
 from decopoles.numerics import (
     DensityMatrix,
     HermitianMatrix,
+    _density_stack,
     _phase_fix,
     adaptive_simpson,
     eigh,
@@ -61,6 +62,72 @@ class TestDensityMatrix:
     def test_valid_density(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         assert rho.min_eigenvalue() == pytest.approx(0.3, abs=1e-14)
+
+    def test_is_a_hermitian_matrix(self):
+        rho = DensityMatrix(np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
+        assert isinstance(rho, HermitianMatrix) and rho.dim == 2
+        got, want = eigh(rho), eigh(rho.entries)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+    def test_trace_message_names_a_plain_float(self):
+        # numpy 2 spells a numpy scalar's repr np.float64(0.8); numpy 1 spells it 0.8
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(0.4 * np.eye(2))
+        assert str(err.value) == "trace is 0.8, expected 1 within 1e-12"
+
+
+def density_stack(rng, count, dim):
+    """``count`` random unit-trace Hermitian matrices, as one (T, d, d) stack."""
+    mats = np.stack([random_hermitian(rng, dim) for _ in range(count)])
+    return mats / np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def message(build, *args):
+    with pytest.raises(ValidationError) as err:
+        build(*args)
+    return str(err.value)
+
+
+class TestDensityStack:
+    """The stacked constructor against one ``DensityMatrix`` per matrix."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_equals_one_density_matrix_per_matrix(self, dim):
+        mats = density_stack(np.random.default_rng(dim), 9, dim)
+        mats[:, 0, -1] += 1e-15j  # Hermitian within the tolerance, not exactly
+        got = _density_stack(mats)
+        assert all(type(rho) is DensityMatrix for rho in got)
+        for rho, mat in zip(got, mats):
+            want = DensityMatrix(mat).entries
+            assert rho.entries.tobytes() == want.tobytes()
+            assert not rho.entries.flags.writeable
+
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_non_hermitian_member_raises_its_own_message(self, k):
+        mats = density_stack(np.random.default_rng(k), 9, 3)
+        mats[k, 0, 2] += 0.25 * (k + 1)
+        want = message(DensityMatrix, mats[k])
+        assert want.startswith("matrix is not Hermitian")
+        assert message(_density_stack, mats) == want
+
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_bad_trace_member_raises_its_own_message(self, k):
+        mats = density_stack(np.random.default_rng(k), 9, 3)
+        mats[k] *= 1.0 + 1e-3 * (k + 1)
+        want = message(DensityMatrix, mats[k])
+        assert want.startswith("trace is ")
+        assert message(_density_stack, mats) == want
+
+    def test_non_finite_member_rejected(self):
+        mats = density_stack(np.random.default_rng(3), 4, 2)
+        mats[2, 1, 1] = np.inf
+        assert message(_density_stack, mats) == message(DensityMatrix, mats[2])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (0, 2, 2), (3, 0, 0)])
+    def test_rejects_bad_stack_shape(self, shape):
+        with pytest.raises(ValidationError):
+            _density_stack(np.zeros(shape))
 
 
 class TestEigh:

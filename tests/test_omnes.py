@@ -13,6 +13,7 @@ from decopoles.friedrich import EffectiveHamiltonian, evolve_amplitude
 from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
+    _fock_probabilities,
     _log_factorials,
     _log_fock_weights,
     _log_norm,
@@ -31,7 +32,7 @@ from decopoles.omnes import (
     overlap_error_bound,
     overlap_truncated,
 )
-from decopoles.pole_models import partition_report, collective_rate_rule
+from decopoles.pole_models import CatalogueMatrix, Pole, partition_report, collective_rate_rule
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -529,6 +530,38 @@ class TestFrameCatalogue:
         rep = partition_report(cm.gammas, cm.hbar, rule=rule)
         assert rep.t_D == pytest.approx(1.0 / 3.6, rel=1e-12)
         assert len(rep.p_relevant) == 36  # poles at k gamma0 with k <= Delta^2
+
+
+def pole_list_frame_catalogue(cfg):
+    """Reference: the frame catalogue built through 2N ``Pole`` objects, as before."""
+    s = math.exp(cfg.state2().log_norm)
+    f1 = cfg.a + cfg.b * s
+    f2 = cfg.b * _fock_probabilities(cfg.alpha2, cfg.N).astype(complex)
+    f2[0] += cfg.a * s
+    c = np.convolve(f2, f2.conj()).real
+    top = f1 * f2.conj()
+    equilibrium = np.array([[abs(f1) ** 2, top[0]], [top[0].conjugate(), c[0]]])
+    amps = np.zeros((2 * cfg.N, 2, 2), dtype=complex)
+    amps[: cfg.N, 0, 1] = top[1:]
+    amps[: cfg.N, 1, 0] = top[1:].conj()
+    amps[:, 1, 1] = c[1:]
+    poles = [Pole(0.0, kk * cfg.gamma0) for kk in range(1, 2 * cfg.N + 1)]
+    return CatalogueMatrix(poles, equilibrium, amps, cfg.hbar)
+
+
+class TestFrameCatalogueAgainstPoleList:
+    """The width-array frame catalogue equals the one built from ``Pole`` objects."""
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("gamma0, N, hbar", [(0.1, 200, 1.0), (0.37, 255, 1.3), (0.0123, 1000, 0.7)])
+    def test_same_catalogue(self, gamma0, N, hbar):
+        cfg = config(L0=6.0, gamma0=gamma0, N=N, hbar=hbar)
+        got, want = frame_catalogue_matrix(cfg), pole_list_frame_catalogue(cfg)
+        assert got.gammas == want.gammas
+        assert got.poles == want.poles
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert got.equilibrium.tobytes() == want.equilibrium.tobytes()
+        assert got.hbar == want.hbar
 
 
 class TestFrameWorkOnce:

@@ -649,6 +649,59 @@ class TestCatalogueMatrix:
         assert np.array_equal(cm.evaluate(0.3, keep=np.array([0, 1])), cm.evaluate(0.3))
 
 
+def pole_message(omega, gamma):
+    with pytest.raises(ValidationError) as err:
+        Pole(omega, gamma)
+    return str(err.value)
+
+
+class TestCatalogueMatrixFromWidths:
+    """The width-array path checks as ``Pole`` does, and builds the same catalogue."""
+
+    EQ = np.diag([0.75, 0.25])
+    AMPS = np.array([[[0.0, 0.3], [0.3, 0.0]], np.eye(2), [[-0.25, 0.1j], [-0.1j, 0.25]]])
+
+    def test_same_catalogue_as_pole_list(self):
+        omegas, gammas = [0.5, -2.0, 0.25], [10.0, 1.0, 1.0]  # a width tie, broken by omega
+        got = CatalogueMatrix._from_widths(np.array(omegas), np.array(gammas), self.EQ, self.AMPS, 1.3)
+        want = CatalogueMatrix([Pole(w, g) for w, g in zip(omegas, gammas)], self.EQ, self.AMPS, 1.3)
+        assert got.gammas == want.gammas == (1.0, 1.0, 10.0)
+        assert got.poles == want.poles
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert got.evaluate(0.4).tobytes() == want.evaluate(0.4).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])
+    def test_rejects_bad_width_with_the_pole_message(self, bad):
+        gammas = np.array([1.0, bad, 3.0])
+        with pytest.raises(ValidationError) as err:
+            CatalogueMatrix._from_widths(np.zeros(3), gammas, self.EQ, self.AMPS)
+        assert str(err.value) == pole_message(0.0, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_omega_with_the_pole_message(self, bad):
+        omegas = np.array([0.0, 0.0, bad])
+        with pytest.raises(ValidationError) as err:
+            CatalogueMatrix._from_widths(omegas, np.array([1.0, 2.0, 3.0]), self.EQ, self.AMPS)
+        assert str(err.value) == pole_message(bad, 3.0) == "omega must be finite"
+
+    def test_first_bad_pole_reports_as_pole_does(self):
+        # pole 0 has a bad omega and pole 1 a bad width: one Pole at a time fails on pole 0
+        with pytest.raises(ValidationError, match="omega must be finite"):
+            CatalogueMatrix._from_widths(
+                np.array([math.nan, 0.0, 0.0]), np.array([1.0, -1.0, 3.0]), self.EQ, self.AMPS
+            )
+
+    def test_poles_built_on_first_read(self):
+        cm = CatalogueMatrix._from_widths(np.zeros(3), np.array([3.0, 1.0, 2.0]), self.EQ, self.AMPS)
+        assert "poles" not in vars(cm)
+        assert cm.poles == (Pole(0.0, 1.0), Pole(0.0, 2.0), Pole(0.0, 3.0))
+        assert cm.poles is cm.poles
+
+    def test_pole_list_still_type_checked(self):
+        with pytest.raises(ValidationError, match="Pole instances"):
+            CatalogueMatrix([(0.0, 1.0)], self.EQ[:1, :1], np.ones((1, 1, 1)))
+
+
 def loop_evaluate(cm, t, keep=None):
     """Reference: the per-mode loop, one scaled amplitude added at a time."""
     indices = range(len(cm.poles)) if keep is None else keep

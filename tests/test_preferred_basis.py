@@ -185,6 +185,28 @@ class TestPreferredState:
         with pytest.raises(ValidationError):
             preferred_state(cm, partition_report((0.5, 2.0, 8.0)), [0.0, 1.0])
 
+    @pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
+    @pytest.mark.parametrize("source", ["frame", "two-pole"])
+    def test_equals_one_density_matrix_per_point(self, source):
+        if source == "frame":
+            cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), 200)
+            cm = frame_catalogue_matrix(cfg)
+            rule = collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)
+            rep = partition_report(cm.gammas, cm.hbar, rule=rule)
+            grid = np.linspace(0.0, 60.0, 81)
+        else:
+            cm = two_pole_matrix_catalogue()
+            rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
+            grid = np.linspace(0.0, 0.5, 51)
+        # the per-point path the stacked check replaced
+        mats = cm.evaluate(grid, keep=rep.p_relevant)
+        traces = np.trace(mats, axis1=-2, axis2=-1).real
+        want = [DensityMatrix(m / tr) for m, tr in zip(mats, traces)]
+        got = preferred_state(cm, rep, grid)
+        assert len(got) == grid.size
+        assert all(type(rho) is DensityMatrix for rho in got)
+        assert [rho.entries.tobytes() for rho in got] == [rho.entries.tobytes() for rho in want]
+
 
 class TestConvergenceProfile:
     def grid(self):

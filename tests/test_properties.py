@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from decopoles.numerics import eigh, matrix_pencil_fit
+from decopoles.errors import ValidationError
+from decopoles.numerics import (
+    HERMITICITY_TOL,
+    DensityMatrix,
+    _density_stack,
+    eigh,
+    hermitian_average,
+    matrix_pencil_fit,
+)
 from decopoles.omnes import (
     OmnesConfig,
     QuasiCoherentState,
@@ -261,3 +269,94 @@ class TestStackedEigh:
             one = eigh(mat)
             assert np.array_equal(got.eigenvalues[k], one.eigenvalues)
             assert np.max(np.abs(got.eigenvectors[k] - one.eigenvectors)) <= 1e-14
+
+
+def reference_hermitian_average(a):
+    """Reference: the Hermitian check and average as first written, through numpy wrappers."""
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix contains NaN or Inf entries")
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    dev = np.max(np.abs(a - ah), axis=(-2, -1))
+    bad = np.flatnonzero(dev > HERMITICITY_TOL * np.maximum(scale, 1.0))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(
+            f"matrix is not Hermitian: max deviation {dev.flat[k]:.3e} at scale {scale.flat[k]:.3e}"
+        )
+    return (a + ah) / 2.0
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0))
+
+
+@st.composite
+def spoilt_stacks(draw, unit_trace=False):
+    """(T, d, d) Hermitian stacks, d = 1..5, some members spoilt.
+
+    Members carry scales from 1e-3 to 1e6, or with ``unit_trace`` are
+    normalized to trace one.  A spoilt member gets a NaN or
+    Inf entry, a deviation from Hermiticity just inside or outside the
+    tolerance at its own scale, or (with ``unit_trace``) a trace off by
+    about the trace tolerance.
+    """
+    d = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 6))
+    raw = draw(hnp.arrays(float, (count, 2, d, d), elements=_ENTRY))
+    mats = raw[:, 0] + 1j * raw[:, 1]
+    mats = (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2.0
+    diag = np.arange(d)
+    mats[:, diag, diag] = np.abs(mats[:, diag, diag]) + 0.5
+    if unit_trace:
+        mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    else:
+        mats *= draw(hnp.arrays(float, (count, 1, 1), elements=st.sampled_from((1e-3, 1.0, 1e6))))
+    kinds = ("none", "none", "deviation", "non-finite") + (("trace",) if unit_trace else ())
+    for k in range(count):
+        kind = draw(st.sampled_from(kinds))
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if kind == "deviation":
+            size = draw(st.sampled_from((0.3, 0.9, 1.1, 3.0))) * HERMITICITY_TOL
+            size *= max(float(np.max(np.abs(mats[k]))), 1.0)
+            mats[k, i, j] += size * draw(st.sampled_from((1.0, -1.0, 1j, -1j)))
+        elif kind == "non-finite":
+            mats[k, i, j] = draw(st.sampled_from(_NON_FINITE))
+        elif kind == "trace":
+            mats[k] *= 1.0 + draw(st.sampled_from((-3e-12, -5e-13, 5e-13, 3e-12)))
+    return mats
+
+
+def outcome(check, a):
+    """("ok", result) or (the ValidationError message, None)."""
+    try:
+        return "ok", check(a)
+    except ValidationError as exc:
+        return str(exc), None
+
+
+class TestHermitianCheck:
+    @settings(deadline=None, max_examples=300)
+    @given(spoilt_stacks(), st.booleans())
+    def test_same_decision_message_and_bits_as_the_loop_body(self, mats, one):
+        a = mats[0] if one else mats
+        got, got_out = outcome(hermitian_average, a)
+        want, want_out = outcome(reference_hermitian_average, a)
+        assert got == want
+        if want_out is not None:
+            assert got_out.shape == want_out.shape
+            assert got_out.tobytes() == want_out.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(spoilt_stacks(unit_trace=True))
+    def test_density_stack_decides_as_one_density_matrix_each(self, mats):
+        got, stack = outcome(_density_stack, mats)
+        each = [outcome(DensityMatrix, m) for m in mats]
+        failures = [msg for msg, _ in each if msg != "ok"]
+        if not failures:
+            assert got == "ok"
+            for rho, (_, want) in zip(stack, each):
+                assert rho.entries.tobytes() == want.entries.tobytes()
+        else:
+            assert got in failures
+            if len(failures) == 1:
+                assert got == failures[0]

@@ -7,8 +7,9 @@ field-path diagnostics), 3 numeric failure (quadrature, rank, state
 construction).
 
 ``model3`` reads a general pole catalogue (``modes``, ``equilibrium``,
-``hbar``, ``khalfin``) with a partition ``rule`` and ``boundary``.
-``model1`` and ``model2`` are presets of it (``_PRESETS``): a fixed-shape
+``hbar``, ``khalfin``) with a partition ``rule`` and ``boundary``; the
+catalogue schema's one reader, shared with ``catalogue_from_json``, lives
+in ``pole_models``.  ``model1`` and ``model2`` are presets of it (``_PRESETS``): a fixed-shape
 catalogue of one or two poles read from flat keys, with a fixed rule and
 boundary and the extra timescale rows of ``pole_models.model1_times`` /
 ``model2_times``.  Each scenario belongs to one subcommand
@@ -35,46 +36,13 @@ import numpy as np
 
 from . import friedrich, omnes, pole_models, preferred_basis
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
-
-_REQUIRED = object()
-
-# the keys a catalogue reads besides its modes
-_CATALOGUE_KEYS = ("equilibrium", "hbar", "khalfin")
+from .pole_models import (  # the catalogue schema's reader and field validators
+    _CATALOGUE_KEYS, _REQUIRED, _as_object, _catalogue, _field, _finite, _mode, _number,
+    _read_catalogue, _reject_unknown,
+)
 
 
 # --- schema helpers ----------------------------------------------------------
-
-
-def _as_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(doc: dict, path: str, allowed):
-    extra = sorted(set(doc) - set(allowed))
-    if extra:
-        raise ValidationError(f"{path}: unknown keys {extra}; allowed keys are {sorted(allowed)}")
-
-
-def _field(doc: dict, path: str, key: str, default=_REQUIRED):
-    if key in doc:
-        return doc[key]
-    if default is _REQUIRED:
-        raise ValidationError(f"{path}.{key}: required field is missing")
-    return default
-
-
-def _number(doc, path, key, default=_REQUIRED, positive=False) -> float:
-    raw = _field(doc, path, key, default)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValidationError(f"{path}.{key}: expected a number, got {raw!r}")
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}.{key}: must be finite, got {value!r}")
-    if positive and value <= 0.0:
-        raise ValidationError(f"{path}.{key}: must be > 0, got {value!r}")
-    return value
 
 
 def _integer(doc, path, key, default=_REQUIRED, minimum=None) -> int:
@@ -95,63 +63,12 @@ def _string(doc, path, key, default=_REQUIRED, choices=None) -> str:
     return raw
 
 
-def _khalfin(doc, path, key) -> pole_models.KhalfinTail | None:
-    raw = _field(doc, path, key, None)
-    if raw is None:
-        return None
-    sub = _as_object(raw, f"{path}.{key}")
-    _reject_unknown(sub, f"{path}.{key}", ("amplitude", "tau", "p"))
-    return pole_models.KhalfinTail(
-        _number(sub, f"{path}.{key}", "amplitude"),
-        _number(sub, f"{path}.{key}", "tau", 1.0, positive=True),
-        _number(sub, f"{path}.{key}", "p", 3.0, positive=True),
-    )
-
-
 def _grid(doc: dict, path: str) -> np.ndarray:
     sub = _as_object(_field(doc, path, "grid"), f"{path}.grid")
     _reject_unknown(sub, f"{path}.grid", ("t_max", "n_points"))
     t_max = _number(sub, f"{path}.grid", "t_max", positive=True)
     n = _integer(sub, f"{path}.grid", "n_points", minimum=2)
     return np.linspace(0.0, t_max, n)
-
-
-def _mode(doc, path, omega, gamma_key, re_key, im_key) -> tuple:
-    """One (pole, amplitude) pair; the amplitude defaults to 1 + 0j."""
-    return (
-        pole_models.Pole(omega, _number(doc, path, gamma_key, positive=True)),
-        complex(_number(doc, path, re_key, 1.0), _number(doc, path, im_key, 0.0)),
-    )
-
-
-def _catalogue(doc, path, modes) -> pole_models.PoleCatalogue:
-    """``modes`` with the equilibrium, Khalfin tail and hbar read from ``doc``."""
-    return pole_models.PoleCatalogue(
-        _number(doc, path, "equilibrium", 0.0),
-        modes,
-        _khalfin(doc, path, "khalfin"),
-        _number(doc, path, "hbar", 1.0, positive=True),
-    )
-
-
-def _mode_list(doc, path, key) -> tuple:
-    raw = _field(doc, path, key)
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{path}.{key}: expected a nonempty array of mode objects")
-    modes = []
-    for i, entry in enumerate(raw):
-        p = f"{path}.{key}[{i}]"
-        sub = _as_object(entry, p)
-        _reject_unknown(sub, p, ("omega", "gamma", "amp_re", "amp_im"))
-        modes.append(_mode(sub, p, _number(sub, p, "omega", 0.0), "gamma", "amp_re", "amp_im"))
-    return tuple(modes)
-
-
-def _inline_catalogue(doc, path, key) -> pole_models.PoleCatalogue:
-    p = f"{path}.{key}"
-    sub = _as_object(_field(doc, path, key), p)
-    _reject_unknown(sub, p, ("modes",) + _CATALOGUE_KEYS)
-    return _catalogue(sub, p, _mode_list(sub, p, "modes"))
 
 
 def _optional_number(doc, path, key):
@@ -183,9 +100,8 @@ def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
             _optional_number(sub, path, "hi"),
         )
     _reject_unknown(sub, path, ("kind", "omega0", "path"))
-    csv_path = _string(sub, path, "path")
-    text = _read_text(csv_path, f"{path}.path: cannot read")
-    return friedrich.SpectralDensity.from_csv(omega0, text)
+    parse = functools.partial(friedrich.SpectralDensity.from_csv, omega0)
+    return _read_table(_string(sub, path, "path"), f"{path}.path", parse)
 
 
 def _read_text(path: str, label: str) -> str:
@@ -195,6 +111,15 @@ def _read_text(path: str, label: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ValidationError(f"{label} {path!r}: {exc}") from exc
+
+
+def _read_table(csv_path: str, path: str, parse):
+    """``parse`` of a UTF-8 file's text; its errors are config errors ``path: 'csv_path': why``."""
+    text = _read_text(csv_path, f"{path}: cannot read")
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {csv_path!r}: {exc}") from exc
 
 
 # --- output helpers ----------------------------------------------------------
@@ -272,12 +197,11 @@ def _parse_simulate(params: dict, scenario: str):
     if scenario in _PRESETS:
         keys, rule, boundary, rows = _PRESETS[scenario]
         _reject_unknown(params, path, sum(keys, _CATALOGUE_KEYS))
-        modes = tuple(_mode(params, path, 0.0, *triple) for triple in keys)
+        modes = tuple(_mode(params, path, *triple) for triple in keys)
         cat = _catalogue(params, path, modes)
-        extra = rows(*(pole.gamma for pole, _ in modes), cat.hbar)
+        extra = rows(*(m.pole.gamma for m in modes), cat.hbar)
     else:  # model3
-        _reject_unknown(params, path, ("modes", "rule", "boundary") + _CATALOGUE_KEYS)
-        cat = _catalogue(params, path, _mode_list(params, path, "modes"))
+        cat = _read_catalogue(params, path, ("rule", "boundary"), tail_only_ok=False)
         rule = _string(params, path, "rule", pole_models.RULE_SECOND_SMALLEST, choices=_RULES)
         boundary = _string(
             params, path, "boundary", pole_models.BOUNDARY_RELEVANT, choices=_BOUNDARIES
@@ -297,10 +221,11 @@ def _run_simulate(parsed, grid: np.ndarray, outdir: str):
 
 def _parse_bifriedrich(params: dict) -> preferred_basis.BiFriedrichModel:
     _reject_unknown(params, "params", ("part1", "part2"))
-    return preferred_basis.BiFriedrichModel(
-        _inline_catalogue(params, "params", "part1"),
-        _inline_catalogue(params, "params", "part2"),
-    )
+    parts = []
+    for key in ("part1", "part2"):
+        path = f"params.{key}"
+        parts.append(_read_catalogue(_as_object(_field(params, "params", key), path), path))
+    return preferred_basis.BiFriedrichModel(*parts)
 
 
 def _run_bifriedrich(model: preferred_basis.BiFriedrichModel, grid: np.ndarray, outdir: str):
@@ -358,12 +283,9 @@ def _parse_omnes(params: dict) -> dict:
     sweep_raw = _field(params, path, "L0_sweep", [10.0, 20.0, 40.0])
     if not isinstance(sweep_raw, list) or not sweep_raw:
         raise ValidationError("params.L0_sweep: expected a nonempty array of lengths")
-    sweep = []
-    for i, v in enumerate(sweep_raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or float(v) <= 0.0:
-            raise ValidationError(f"params.L0_sweep[{i}]: expected a positive number, got {v!r}")
-        sweep.append(float(v))
-    plan["L0_sweep"] = sweep
+    plan["L0_sweep"] = [
+        _finite(v, f"params.L0_sweep[{i}]", positive=True) for i, v in enumerate(sweep_raw)
+    ]
     return plan
 
 
@@ -413,11 +335,7 @@ def _parse_extract(params: dict) -> dict:
     order = _integer(params, path, "model_order", minimum=1)
     equilibrium = _number(params, path, "equilibrium", 0.0)
     hbar = _number(params, path, "hbar", 1.0, positive=True)
-    text = _read_text(csv_path, "params.input_csv: cannot read")
-    try:
-        signal = pole_models.signal_from_csv(text)
-    except ValidationError as exc:
-        raise ValidationError(f"params.input_csv: {csv_path!r}: {exc}") from exc
+    signal = _read_table(csv_path, "params.input_csv", pole_models.signal_from_csv)
     return {"signal": signal, "order": order, "equilibrium": equilibrium, "hbar": hbar}
 
 

@@ -78,7 +78,7 @@ class SpectralDensity:
         g = np.asarray(values, dtype=float)
         if w.ndim != 1 or w.size < 2 or g.shape != w.shape:
             raise ValidationError("need at least two (omega, g) sample pairs")
-        if np.any(np.diff(w) <= 0.0):
+        if not np.all(np.diff(w) > 0.0):  # NaN nodes fail too
             raise ValidationError("sample frequencies must be strictly increasing")
         if np.any(g < 0.0) or not np.all(np.isfinite(g)):
             raise ValidationError("sampled density must be finite and nonnegative")
@@ -89,20 +89,18 @@ class SpectralDensity:
         """Parse 'omega,g' rows (optional header) into an interpolated density."""
         omegas = []
         values = []
-        for ln in text.strip().splitlines():
-            ln = ln.strip()
-            if not ln:
-                continue
+        for i, ln in enumerate(ln.strip() for ln in text.splitlines() if ln.strip()):
             parts = ln.split(",")
             if len(parts) != 2:
                 raise ValidationError(f"bad density row: {ln!r}")
             try:
-                omegas.append(float(parts[0]))
-                values.append(float(parts[1]))
+                w, g = float(parts[0]), float(parts[1])
             except ValueError:
-                if not omegas:  # tolerate a single header line
+                if i == 0:  # tolerate a single header line
                     continue
                 raise ValidationError(f"bad density row: {ln!r}")
+            omegas.append(w)
+            values.append(g)
         return cls.from_samples(omega0, omegas, values)
 
     @classmethod

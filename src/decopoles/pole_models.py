@@ -619,7 +619,94 @@ class CatalogueMatrix:
         return float(self._norms[idx] @ np.exp(-self._gammas[idx] * t / self.hbar))
 
 
-# --- serialization ---------------------------------------------------------
+# --- the catalogue schema --------------------------------------------------
+# Its one reader and the field validators it shares with the command line;
+# every diagnostic names the offending field path.
+
+_REQUIRED = object()
+
+# the keys a catalogue reads besides its modes
+_CATALOGUE_KEYS = ("equilibrium", "hbar", "khalfin")
+
+
+def _as_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _reject_unknown(doc: dict, path: str, allowed):
+    extra = sorted(set(doc) - set(allowed))
+    if extra:
+        raise ValidationError(f"{path}: unknown keys {extra}; allowed keys are {sorted(allowed)}")
+
+
+def _field(doc: dict, path: str, key: str, default=_REQUIRED):
+    if key in doc:
+        return doc[key]
+    if default is _REQUIRED:
+        raise ValidationError(f"{path}.{key}: required field is missing")
+    return default
+
+
+def _number(doc, path, key, default=_REQUIRED, positive=False) -> float:
+    return _finite(_field(doc, path, key, default), f"{path}.{key}", positive)
+
+
+def _finite(raw, path: str, positive=False) -> float:
+    """``raw`` as a finite float (> 0 if ``positive``); bools are not numbers."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValidationError(f"{path}: expected a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer past the float range
+        value = math.inf if raw > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}: must be finite, got {value!r}")
+    if positive and value <= 0.0:
+        raise ValidationError(f"{path}: must be > 0, got {value!r}")
+    return value
+
+
+def _mode(doc, path, gamma_key, re_key, im_key, omega_key=None) -> Mode:
+    """One mode; omega defaults to 0 (always, without an ``omega_key``), the amplitude to 1 + 0j."""
+    omega = 0.0 if omega_key is None else _number(doc, path, omega_key, 0.0)
+    return Mode(
+        Pole(omega, _number(doc, path, gamma_key, positive=True)),
+        complex(_number(doc, path, re_key, 1.0), _number(doc, path, im_key, 0.0)),
+    )
+
+
+def _catalogue(doc, path, modes) -> PoleCatalogue:
+    """``modes`` with the equilibrium, Khalfin tail and hbar read from ``doc``."""
+    equilibrium = _number(doc, path, "equilibrium", 0.0)
+    tail = _field(doc, path, "khalfin", None)
+    if tail is not None:
+        p = f"{path}.khalfin"
+        _reject_unknown(_as_object(tail, p), p, ("amplitude", "tau", "p"))
+        tail = KhalfinTail(
+            _number(tail, p, "amplitude"),
+            _number(tail, p, "tau", 1.0, positive=True),
+            _number(tail, p, "p", 3.0, positive=True),
+        )
+    return PoleCatalogue(equilibrium, modes, tail, _number(doc, path, "hbar", 1.0, positive=True))
+
+
+def _read_catalogue(doc: dict, path: str, other_keys=(), tail_only_ok=True) -> PoleCatalogue:
+    """The catalogue object ``doc``, which may also hold ``other_keys``.
+
+    With ``tail_only_ok`` its ``modes`` may be empty if it gives a Khalfin tail.
+    """
+    _reject_unknown(doc, path, ("modes",) + _CATALOGUE_KEYS + other_keys)
+    raw = _field(doc, path, "modes")
+    if not isinstance(raw, list) or not (raw or (tail_only_ok and doc.get("khalfin") is not None)):
+        raise ValidationError(f"{path}.modes: expected a nonempty array of mode objects")
+    modes = []
+    for i, entry in enumerate(raw):
+        p = f"{path}.modes[{i}]"
+        _reject_unknown(_as_object(entry, p), p, ("omega", "gamma", "amp_re", "amp_im"))
+        modes.append(_mode(entry, p, "gamma", "amp_re", "amp_im", "omega"))
+    return _catalogue(doc, path, tuple(modes))
 
 
 def catalogue_to_json(cat: PoleCatalogue) -> str:
@@ -648,28 +735,18 @@ def catalogue_to_json(cat: PoleCatalogue) -> str:
 
 
 def catalogue_from_json(text: str) -> PoleCatalogue:
+    """Read ``catalogue_to_json`` text; all four top-level keys must be present.
+
+    Errors name the field path from ``catalogue``, e.g. ``catalogue.modes[0].gamma``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"catalogue JSON is malformed: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("catalogue JSON must be an object")
-    required = {"hbar", "equilibrium", "modes", "khalfin"}
-    missing = required - doc.keys()
-    if missing:
-        raise ValidationError(f"catalogue JSON lacks keys {sorted(missing)}")
-    extra = doc.keys() - required
-    if extra:
-        raise ValidationError(f"catalogue JSON has unknown keys {sorted(extra)}")
-    modes = []
-    for i, m in enumerate(doc["modes"]):
-        try:
-            modes.append(Mode(Pole(m["omega"], m["gamma"]), complex(m["amp_re"], m["amp_im"])))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"mode {i} is malformed: {exc}") from exc
-    tail = doc["khalfin"]
-    khalfin = None if tail is None else KhalfinTail(tail["amplitude"], tail["tau"], tail["p"])
-    return PoleCatalogue(doc["equilibrium"], tuple(modes), khalfin, doc["hbar"])
+        raise ValidationError(f"catalogue: malformed JSON: {exc}") from exc
+    _as_object(doc, "catalogue")
+    for key in ("modes",) + _CATALOGUE_KEYS:  # inline catalogues may omit all but modes
+        _field(doc, "catalogue", key)
+    return _read_catalogue(doc, "catalogue")
 
 
 # rows per piece of streamed CSV text: it bounds the text held at once (~0.25 MB

@@ -7,14 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
+from decopoles import pole_models, preferred_basis
 from decopoles.cli import main
 from decopoles.omnes import OmnesConfig, nd_block
 from decopoles.pole_models import (
+    KhalfinTail,
     PoleCatalogue,
     Mode,
     Pole,
     Signal,
     catalogue_from_json,
+    catalogue_to_json,
     coincidence_check,
     decoherence_time,
     partition_report,
@@ -556,17 +559,21 @@ class TestConfigErrors:
         )
 
     def test_bad_sweep_entry(self, tmp_path, capsys):
-        self.check(
-            tmp_path,
-            capsys,
-            {
-                "scenario": "omnes",
-                "grid": {"t_max": 1.0, "n_points": 5},
-                "params": {"L0_sweep": [10.0, -3.0]},
-            },
-            "params.L0_sweep[1]",
-            subcommand="omnes",
-        )
+        for i, entry in enumerate((-3.0, math.nan, 1e999)):
+            case = tmp_path / str(i)
+            case.mkdir()
+            self.check(
+                case,
+                capsys,
+                {
+                    "scenario": "omnes",
+                    "grid": {"t_max": 1.0, "n_points": 5},
+                    "params": {"L0_sweep": [10.0, entry]},
+                },
+                "params.L0_sweep[1]",
+                subcommand="omnes",
+            )
+            assert not (case / "r").exists()  # rejected before any file is written
 
     def test_bad_mode_entry(self, tmp_path, capsys):
         self.check(
@@ -739,9 +746,102 @@ class TestSingleBadFieldDiagnostics:
                 {"part1": {"modes": [{"gamma": 1.0}]}, "part2": {"modes": [{"gamma": "slow"}]}},
                 "params.part2.modes[0].gamma: expected a number, got 'slow'",
             ),
+            (
+                "bifriedrich",
+                {"part1": {"modes": [], "khalfin": None}, "part2": {"modes": [{"gamma": 1.0}]}},
+                "params.part1.modes: expected a nonempty array of mode objects",
+            ),
+            (
+                "model3",
+                {"modes": [], "khalfin": {"amplitude": 0.3}},
+                "params.modes: expected a nonempty array of mode objects",
+            ),
         ],
     )
     def test_exact_line(self, tmp_path, capsys, scenario, params, line):
         cfg = write_config(tmp_path, {"scenario": scenario, "grid": self.GRID, "params": params})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
+
+    def test_density_csv_names_the_path(self, tmp_path, capsys):
+        csv_path = tmp_path / "density.csv"
+        csv_path.write_text("omega,g\n0.0,0.05\n3.0,0.05\n2.0,0.05\n", encoding="utf-8")
+        sd = {"kind": "csv", "omega0": 1.0, "path": str(csv_path)}
+        params = {"N": 50, "L0": 1.0, "spectral_density": sd}
+        cfg = write_config(tmp_path, {"scenario": "omnes", "grid": self.GRID, "params": params})
+        assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: params.spectral_density.path: {str(csv_path)!r}: "
+            "sample frequencies must be strictly increasing\n"
+        )
+
+
+class TestCatalogueJsonIsAnInlineCatalogue:
+    """``catalogue.json`` pastes verbatim into model3 params and bifriedrich parts."""
+
+    GRID = {"t_max": 6.0, "n_points": 61}
+
+    def extracted(self, tmp_path):
+        """The text of a ``catalogue.json`` written by ``extract`` from the figure signal."""
+        sim = write_config(
+            tmp_path,
+            {"scenario": "model3", "grid": {"t_max": 20.0, "n_points": 801},
+             "params": {"modes": FIGURE_MODES, "equilibrium": 0.25}},
+            name="sim.json",
+        )
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+        fit = write_config(
+            tmp_path,
+            {"scenario": "extract",
+             "params": {"input_csv": str(tmp_path / "sim" / "signal.csv"), "model_order": 3}},
+            name="fit.json",
+        )
+        assert main(["extract", "--config", fit, "--out", str(tmp_path / "fit")]) == 0
+        return (tmp_path / "fit" / "catalogue.json").read_text(encoding="utf-8")
+
+    def built(self, tmp_path, monkeypatch, scenario, params):
+        """The catalogues the CLI builds from ``params``: (model3,) or (part1, part2)."""
+        seen = []
+        real_time, real_run = pole_models.decoherence_time, preferred_basis.bifriedrich_run
+
+        def spy_time(cat, *args):
+            seen.append(cat)
+            return real_time(cat, *args)
+
+        def spy_run(model, grid):
+            seen.extend((model.part1, model.part2))
+            return real_run(model, grid)
+
+        monkeypatch.setattr(pole_models, "decoherence_time", spy_time)
+        monkeypatch.setattr(preferred_basis, "bifriedrich_run", spy_run)
+        cfg = write_config(tmp_path, {"scenario": scenario, "grid": self.GRID, "params": params},
+                           name=f"{scenario}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / scenario)]) == 0
+        return seen
+
+    @pytest.mark.parametrize("source", ["extract", "tail"])
+    def test_same_catalogue_as_catalogue_from_json(self, tmp_path, monkeypatch, source):
+        if source == "extract":
+            text = self.extracted(tmp_path)
+        else:  # a tail, frequencies and complex amplitudes the extracted one lacks
+            text = catalogue_to_json(PoleCatalogue(
+                -0.5,
+                (Mode(Pole(0.75, 0.2), 1.5 - 0.25j), Mode(Pole(-2.0, 3.0), -0.5 + 1j)),
+                KhalfinTail(0.125, 2.5, 1.75),
+                1.25,
+            ))
+        cat = catalogue_from_json(text)
+        doc = json.loads(text)
+        assert self.built(tmp_path, monkeypatch, "model3", doc) == [cat]
+        parts = self.built(tmp_path, monkeypatch, "bifriedrich", {"part1": doc, "part2": doc})
+        assert parts == [cat, cat]
+
+    def test_tail_only_part_runs(self, tmp_path, monkeypatch):
+        part1 = {"modes": [], "khalfin": {"amplitude": 0.3}}
+        params = {"part1": part1, "part2": {"modes": [{"gamma": 1.0}]}}
+        built = self.built(tmp_path, monkeypatch, "bifriedrich", params)
+        tail_only = PoleCatalogue(0.0, (), KhalfinTail(0.3, 1.0, 3.0))
+        assert built[0] == tail_only
+        assert built[0] == catalogue_from_json(json.dumps(dict(part1, equilibrium=0.0, hbar=1.0)))
+        want = signal_to_csv(synthesize(tail_only, np.linspace(0.0, 6.0, 61)))
+        assert (tmp_path / "bifriedrich" / "signal1.csv").read_text(encoding="utf-8") == want

@@ -57,6 +57,8 @@ class TestSpectralDensity:
             SpectralDensity.from_samples(1.0, [0.0, 1.0], [1.0, -1.0])
         with pytest.raises(ValidationError):
             SpectralDensity.from_samples(1.0, [0.0], [1.0])
+        with pytest.raises(ValidationError, match="strictly increasing"):  # a NaN node
+            SpectralDensity.from_samples(1.0, [0.0, math.nan, 3.0], [0.05, 0.05, 0.05])
 
     def test_from_csv(self):
         sd = SpectralDensity.from_csv(1.0, "omega,g\n0.0,0.0\n1.0,2.0\n2.0,0.0\n")
@@ -70,6 +72,10 @@ class TestSpectralDensity:
     def test_from_csv_bad_row(self):
         with pytest.raises(ValidationError):
             SpectralDensity.from_csv(0.5, "0.0,1.0\n1.0\n")
+
+    def test_from_csv_one_header_line(self):
+        with pytest.raises(ValidationError, match="bad density row: 'foo,bar'"):
+            SpectralDensity.from_csv(1.0, "omega,g\nfoo,bar\nbaz,qux\n0,0.05\n3,0.05\n")
 
     def test_lorentzian_peak(self):
         sd = SpectralDensity.lorentzian(1.0, center=1.0, width=0.5, weight=2.0)

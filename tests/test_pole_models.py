@@ -800,7 +800,7 @@ class TestSerialization:
     def test_json_missing_key(self):
         doc = json.loads(catalogue_to_json(figure_catalogue()))
         del doc["equilibrium"]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^catalogue\.equilibrium: required field is missing"):
             catalogue_from_json(json.dumps(doc))
 
     def test_json_malformed(self):
@@ -816,6 +816,50 @@ class TestSerialization:
     def test_json_non_object(self):
         with pytest.raises(ValidationError):
             catalogue_from_json("[1, 2]")
+
+    @pytest.mark.parametrize(
+        "change, line",
+        [
+            ({"khalfin": [1]}, "catalogue.khalfin: expected an object, got list"),
+            ({"modes": 5}, "catalogue.modes: expected a nonempty array of mode objects"),
+            ({"hbar": None}, "catalogue.hbar: expected a number, got None"),
+            ({"hbar": "2"}, "catalogue.hbar: expected a number, got '2'"),
+            ({"equilibrium": True}, "catalogue.equilibrium: expected a number, got True"),
+            ({"modes": [{"gamma": True}]}, "catalogue.modes[0].gamma: expected a number, got True"),
+            (
+                {"modes": [{"gamma": 1.0, "width": 2.0}]},
+                "catalogue.modes[0]: unknown keys ['width']; "
+                "allowed keys are ['amp_im', 'amp_re', 'gamma', 'omega']",
+            ),
+            ({"modes": [{"omega": 1.0}]}, "catalogue.modes[0].gamma: required field is missing"),
+            ({"modes": []}, "catalogue.modes: expected a nonempty array of mode objects"),
+            (
+                {"khalfin": {"amplitude": 1.0, "tau": 0}},
+                "catalogue.khalfin.tau: must be > 0, got 0.0",
+            ),
+            ({"equilibrium": 10**400}, "catalogue.equilibrium: must be finite, got inf"),
+        ],
+    )
+    def test_json_bad_field_is_named(self, change, line):
+        doc = json.loads(catalogue_to_json(figure_catalogue()))
+        doc.update(change)
+        with pytest.raises(ValidationError) as info:
+            catalogue_from_json(json.dumps(doc))
+        assert str(info.value) == line
+
+    def test_json_mode_and_tail_defaults(self):
+        doc = {
+            "modes": [{"gamma": 0.5}, {"gamma": 2.0, "omega": 1.5, "amp_im": 0.25}],
+            "khalfin": {"amplitude": 1},
+            "equilibrium": 0.0,
+            "hbar": 1.0,
+        }
+        want = PoleCatalogue(
+            0.0,
+            (Mode(Pole(0.0, 0.5), 1.0), Mode(Pole(1.5, 2.0), 1.0 + 0.25j)),
+            KhalfinTail(1.0, 1.0, 3.0),
+        )
+        assert catalogue_from_json(json.dumps(doc)) == want
 
     def test_csv_roundtrip_lossless(self):
         cat = figure_catalogue(equilibrium=1.0 / 3.0)

@@ -1,6 +1,7 @@
 """Property tests of the paper's invariants over generated inputs."""
 
 import cmath
+import json
 import math
 import sys
 import warnings
@@ -36,8 +37,11 @@ from decopoles.pole_models import (
     RULE_SLOWEST,
     CatalogueMatrix,
     KhalfinTail,
+    Mode,
     Pole,
     PoleCatalogue,
+    catalogue_from_json,
+    catalogue_to_json,
     coincidence_check,
     decoherence_time,
     partition_report,
@@ -94,19 +98,56 @@ class TestPartitionInvariants:
         assert sorted(rep.p_relevant + rep.p_irrelevant) == list(range(len(gammas)))
 
 
+_TAILS = st.builds(KhalfinTail, _ENTRY, st.floats(0.1, 10.0), st.floats(0.5, 5.0))
+
+
 @st.composite
 def scalar_catalogues(draw):
     """Scalar catalogues with distinct widths, complex amplitudes and an optional tail."""
     gammas = draw(_WIDTHS)
     amps = draw(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=len(gammas),
                          max_size=len(gammas)))
-    tail = draw(st.none() | st.builds(KhalfinTail, _ENTRY, st.floats(0.1, 10.0), st.floats(0.5, 5.0)))
+    tail = draw(st.none() | _TAILS)
     return PoleCatalogue(
         draw(_ENTRY),
         tuple((Pole(0.0, g), a) for g, a in zip(gammas, amps)),
         tail,
         draw(st.floats(0.1, 10.0)),
     )
+
+
+@st.composite
+def schema_catalogues(draw):
+    """Catalogues of 0-6 modes (none only with a tail), frequencies free and widths often tied."""
+    n = draw(st.integers(0, 6))
+    modes = draw(st.lists(
+        st.builds(
+            Mode,
+            st.builds(Pole, _ENTRY, st.floats(1e-3, 1e3) | st.sampled_from((0.5, 2.0))),
+            st.complex_numbers(max_magnitude=10.0),
+        ),
+        min_size=n,
+        max_size=n,
+    ))
+    tail = draw(_TAILS if n == 0 else st.none() | _TAILS)
+    return PoleCatalogue(draw(_ENTRY), tuple(modes), tail, draw(st.floats(0.1, 10.0)))
+
+
+class TestCatalogueJsonRoundTrip:
+    @settings(deadline=None, max_examples=200)
+    @given(schema_catalogues())
+    def test_reads_back_equal(self, cat):
+        assert catalogue_from_json(catalogue_to_json(cat)) == cat
+
+    @settings(deadline=None, max_examples=200)
+    @given(schema_catalogues(), st.data())
+    def test_permuted_modes_read_back_sorted(self, cat, data):
+        # the scalar catalogue's permutation invariance, through its JSON schema
+        doc = json.loads(catalogue_to_json(cat))
+        doc["modes"] = data.draw(st.permutations(doc["modes"]))
+        again = catalogue_from_json(json.dumps(doc))
+        assert again == cat
+        assert catalogue_to_json(again) == catalogue_to_json(cat)
 
 
 class TestCoincidenceInvariant:

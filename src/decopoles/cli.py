@@ -78,30 +78,37 @@ def _optional_number(doc, path, key):
 
 
 def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
+    """The density block; it must be positive at omega0, strictly inside its support."""
     kind = _string(sub, path, "kind", choices=("lorentzian", "ohmic", "csv"))
     omega0 = _number(sub, path, "omega0")
-    if kind == "lorentzian":
-        _reject_unknown(sub, path, ("kind", "omega0", "center", "width", "weight", "lo", "hi"))
-        return friedrich.SpectralDensity.lorentzian(
-            omega0,
-            _number(sub, path, "center"),
-            _number(sub, path, "width", positive=True),
-            _number(sub, path, "weight", 1.0),
-            _optional_number(sub, path, "lo"),
-            _optional_number(sub, path, "hi"),
+    if kind == "csv":
+        _reject_unknown(sub, path, ("kind", "omega0", "path"))
+        parse = functools.partial(friedrich.SpectralDensity.from_csv, omega0)
+        density = _read_table(_string(sub, path, "path"), f"{path}.path", parse)
+    else:
+        if kind == "lorentzian":
+            _reject_unknown(sub, path, ("kind", "omega0", "center", "width", "weight", "lo", "hi"))
+            make = friedrich.SpectralDensity.lorentzian
+            shape = (_number(sub, path, "center"), _number(sub, path, "width", positive=True))
+        else:
+            _reject_unknown(sub, path, ("kind", "omega0", "cutoff", "weight", "lo", "hi"))
+            make = friedrich.SpectralDensity.ohmic
+            shape = (_number(sub, path, "cutoff", positive=True),)
+        weight = _number(sub, path, "weight", 1.0, positive=True)
+        lo = _number(sub, path, "lo", 0.0) if kind == "ohmic" else _optional_number(sub, path, "lo")
+        hi = _optional_number(sub, path, "hi")
+        if lo is not None and hi is not None and not lo < hi:
+            raise ValidationError(f"{path}.hi: must be > lo = {lo!r}, got {hi!r}")
+        density = make(omega0, *shape, weight, lo, hi)
+    # pi * g(omega0) is the decay rate of the pole the density must drive
+    if not density.lo < omega0 < density.hi:
+        raise ValidationError(
+            f"{path}.omega0: must lie strictly inside the support "
+            f"({density.lo!r}, {density.hi!r}), got {omega0!r}"
         )
-    if kind == "ohmic":
-        _reject_unknown(sub, path, ("kind", "omega0", "cutoff", "weight", "lo", "hi"))
-        return friedrich.SpectralDensity.ohmic(
-            omega0,
-            _number(sub, path, "cutoff", positive=True),
-            _number(sub, path, "weight", 1.0),
-            _number(sub, path, "lo", 0.0),
-            _optional_number(sub, path, "hi"),
-        )
-    _reject_unknown(sub, path, ("kind", "omega0", "path"))
-    parse = functools.partial(friedrich.SpectralDensity.from_csv, omega0)
-    return _read_table(_string(sub, path, "path"), f"{path}.path", parse)
+    if density(omega0) == 0.0:
+        raise ValidationError(f"{path}.omega0: the density vanishes at omega0 = {omega0!r}")
+    return density
 
 
 def _read_text(path: str, label: str) -> str:
@@ -292,15 +299,9 @@ def _parse_omnes(params: dict) -> dict:
 def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
     if plan["density"] is not None:
         pole = friedrich.perturbative_pole(plan["density"])
-        if pole.gamma0 <= 0.0:
-            raise ValidationError(
-                "spectral density vanishes at omega0: no decay pole to drive the model"
-            )
-        gamma0 = pole.gamma0
-        omega_prime = pole.omega_prime
+        gamma0, omega_prime = pole.gamma0, pole.omega_prime
     else:
-        gamma0 = plan["gamma0"]
-        omega_prime = plan["omega_prime"]
+        gamma0, omega_prime = plan["gamma0"], plan["omega_prime"]
 
     cfg = omnes.OmnesConfig(gamma0=gamma0, **plan["config"])
     z0 = cfg.z0(omega_prime)

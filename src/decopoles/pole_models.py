@@ -38,10 +38,11 @@ _NAMED_RULES = (RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND)
 
 BOUNDARY_RELEVANT = "relevant"
 BOUNDARY_IRRELEVANT = "irrelevant"
+# the prefix of sorted widths each boundary keeps: a width at the threshold
+# is relevant under 'relevant' (gamma <= threshold) and not under 'irrelevant'
+_BOUNDARY_CUT = {BOUNDARY_RELEVANT: bisect.bisect_right, BOUNDARY_IRRELEVANT: bisect.bisect_left}
 
 _REL_SLACK = 1e-12
-# converted index tuples a CatalogueMatrix keeps; a partition report needs two
-_INDEX_CACHE_SIZE = 8
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -226,7 +227,7 @@ class TimescaleReport:
         object.__setattr__(self, "p_irrelevant", tuple(sorted(self.p_irrelevant)))
         if self.rule not in _NAMED_RULES + (RULE_CUSTOM,):
             raise ValidationError(f"unknown rule {self.rule!r}")
-        if self.boundary not in (BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT):
+        if self.boundary not in _BOUNDARY_CUT:
             raise ValidationError(f"unknown boundary mode {self.boundary!r}")
         if not (self.t_D > 0.0 and self.t_R > 0.0):
             raise ValidationError("characteristic times must be positive")
@@ -323,6 +324,11 @@ def collective_rate_rule(m: float, omega: float, L0: float, hbar: float = 1.0) -
     return rate
 
 
+def _rule_width(rule: str, gammas) -> float:
+    """The width a named rule splits the sorted ``gammas`` at."""
+    return gammas[1] if rule == RULE_SECOND_SMALLEST and len(gammas) > 1 else gammas[0]
+
+
 def partition_report(
     gammas: Sequence[float],
     hbar: float = 1.0,
@@ -361,22 +367,13 @@ def partition_report(
         threshold = float(rule(gammas))
         if not math.isfinite(threshold) or threshold <= 0.0:
             raise ValidationError(f"custom rule returned a nonpositive rate: {threshold!r}")
-    elif rule == RULE_SECOND_SMALLEST:
-        threshold = gammas[1] if len(gammas) > 1 else gammas[0]
-    elif rule in (RULE_SLOWEST, RULE_BACKGROUND):
-        threshold = gammas[0]  # t_D = t_R
+    elif rule in _NAMED_RULES:
+        threshold = _rule_width(rule, gammas)
     else:
         raise ValidationError(f"unknown rule {rule!r}")
-
-    # the widths are sorted, so the relevant modes are a prefix
-    if boundary == BOUNDARY_RELEVANT:
-        cut = bisect.bisect_right(gammas, threshold)
-    elif boundary == BOUNDARY_IRRELEVANT:
-        cut = bisect.bisect_left(gammas, threshold)
-    else:
+    if boundary not in _BOUNDARY_CUT:
         raise ValidationError(f"unknown boundary mode {boundary!r}")
-    if rule == RULE_BACKGROUND:
-        cut = 0
+    cut = 0 if rule == RULE_BACKGROUND else _BOUNDARY_CUT[boundary](gammas, threshold)
     return TimescaleReport(
         t_R=hbar / gammas[0],
         t_D=hbar / threshold,
@@ -429,8 +426,7 @@ def check_report_matches(cat, report: TimescaleReport):
         tol = _REL_SLACK * threshold
     else:
         # a named rule's threshold is a width itself, so the split is exact
-        second = report.rule == RULE_SECOND_SMALLEST and len(gammas) > 1
-        threshold = gammas[1] if second else gammas[0]
+        threshold = _rule_width(report.rule, gammas)
         tol = 0.0
         # the catalogue's hbar may differ from the report's by the slack too
         if abs(cat.hbar / threshold - report.t_D) > 2.0 * _REL_SLACK * report.t_D:
@@ -439,7 +435,7 @@ def check_report_matches(cat, report: TimescaleReport):
                 f"threshold width {threshold!r}"
             )
     # any rate in [threshold - tol, threshold + tol] could have made the cut
-    side = bisect.bisect_right if report.boundary == BOUNDARY_RELEVANT else bisect.bisect_left
+    side = _BOUNDARY_CUT[report.boundary]
     lo, hi = side(gammas, threshold - tol), side(gammas, threshold + tol)
     cut = len(report.p_relevant)
     if report.p_relevant != tuple(range(cut)) or not lo <= cut <= hi:
@@ -519,7 +515,8 @@ class CatalogueMatrix:
     preferred state.  Only envelope (real damping) rendering is defined at
     the matrix level.  Widths, frequencies and the read-only (K, d, d)
     ``amplitudes`` stack are sorted jointly; ``poles`` is built on first read.
-    ``evaluate`` takes one time or an array of T times (a (T, d, d) stack).
+    ``evaluate`` and ``dropped_envelope`` take one time or an array of T
+    times (a (T, d, d) stack, a (T,) array).
     """
 
     def __init__(self, poles, equilibrium, amplitudes, hbar: float = 1.0):
@@ -562,25 +559,17 @@ class CatalogueMatrix:
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
-        self._index_cache = {}  # id(tuple) -> (tuple, index array)
 
     @functools.cached_property
     def poles(self) -> tuple:
         return tuple(map(Pole, self._omegas.tolist(), self.gammas))
 
     def _mode_index(self, indices) -> np.ndarray:
-        """``indices`` as a read-only index array; non-integer or out-of-range entries raise.
-
-        A tuple is converted once and then found by identity: the cache
-        holds the tuple itself, so its id cannot pass to another object.
-        """
-        hit = self._index_cache.get(id(indices))
-        if hit is not None:
-            return hit[1]
+        """``indices`` as an index array; non-integer or out-of-range entries raise."""
         idx = np.asarray(indices)
         if idx.size == 0:
-            idx = np.zeros(0, dtype=np.intp)
-        elif (
+            return np.zeros(0, dtype=np.intp)
+        if (
             idx.ndim != 1
             or idx.dtype.kind not in "iu"
             or (
@@ -589,16 +578,17 @@ class CatalogueMatrix:
             )
         ):
             raise ValidationError(f"mode indices must be a sequence of integers, got {indices!r}")
-        elif idx.min() < 0 or idx.max() >= self._gammas.size:
+        if idx.min() < 0 or idx.max() >= self._gammas.size:
             raise ValidationError(
                 f"mode indices must lie in [0, {self._gammas.size}), got {indices!r}"
             )
-        if isinstance(indices, tuple):  # np.asarray made a new array
-            idx.setflags(write=False)
-            if len(self._index_cache) >= _INDEX_CACHE_SIZE:
-                self._index_cache.clear()
-            self._index_cache[id(indices)] = (indices, idx)
         return idx
+
+    def _decay(self, t, idx) -> np.ndarray:
+        """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array."""
+        decay = np.multiply.outer(t, -self._gammas[idx])
+        decay /= self.hbar
+        return np.exp(decay, out=decay)
 
     def evaluate(self, t, keep=None) -> np.ndarray:
         """Hermitian matrix at time t, optionally restricted to ``keep`` modes.
@@ -606,17 +596,20 @@ class CatalogueMatrix:
         For an array of times the result is a (T, d, d) stack, built from
         one (T, K) matrix of decay factors and one ``tensordot``.
         """
-        gammas, amps = self._gammas, self.amplitudes
-        if keep is not None:
-            idx = self._mode_index(keep)
-            gammas, amps = gammas[idx], amps[idx]
-        decay = np.exp(np.multiply.outer(t, -gammas) / self.hbar)
-        return self.equilibrium + np.tensordot(decay, amps, 1)
+        idx = slice(None) if keep is None else self._mode_index(keep)
+        return self.equilibrium + np.tensordot(self._decay(t, idx), self.amplitudes[idx], 1)
 
-    def dropped_envelope(self, t: float, dropped) -> float:
-        """Frobenius ceiling on the modes removed at time t."""
+    def dropped_envelope(self, t, dropped):
+        """Frobenius ceiling on the ``dropped`` modes: sum_k ||A_k|| exp(-gamma_k t / hbar).
+
+        One time gives a float; an array of T times gives a (T,) array whose
+        entry k equals the call at ``t[k]`` bit for bit, since both reduce
+        the same products with one row-wise sum.
+        """
         idx = self._mode_index(dropped)
-        return float(self._norms[idx] @ np.exp(-self._gammas[idx] * t / self.hbar))
+        decay = self._decay(t, idx)
+        total = np.multiply(decay, self._norms[idx], out=decay).sum(axis=-1)
+        return float(total) if total.ndim == 0 else total
 
 
 # --- the catalogue schema --------------------------------------------------

@@ -10,8 +10,9 @@ angle <= (dropped-mode envelope) / (eigenvalue gap of rho_P).
 
 Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
 over the grid, one stacked ``eigh`` per family, one batched product for
-the overlaps of consecutive steps, and the row-wise argmax as the match
-wherever it is a permutation (the greedy match then picks the same).
+the overlaps of consecutive steps, the row-wise argmax as the match
+wherever it is a permutation (the greedy match then picks the same), and
+one envelope call for the bound.
 
 The bi-partite scenario at the end runs two commuting subsystems whose
 observables each see only their own pole content, so one part can look
@@ -211,15 +212,17 @@ def convergence_profile(
     rho_P,
     grid,
     t_D: float,
-    envelope: Optional[Callable[[float], float]] = None,
+    envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gap_tol: float = _GAP_TOL,
 ) -> List[BasisDistance]:
     """Per-time angle between the eigenbases of the full and preferred states.
 
     Both sources are diagonalized with continuity matching, then paired
     greedily at each time.  The grid must reach at least 3 t_D so the
-    post-decoherence regime is actually sampled.  ``envelope`` (t -> total
-    weight of the dropped modes) turns on the perturbative bound column.
+    post-decoherence regime is actually sampled.  ``envelope`` turns on the
+    bound column envelope / gap (inf where the gap vanishes): called once
+    with the whole grid, it returns the total weight of the dropped modes
+    at each point as a (T,) array, or one number for every point.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -248,22 +251,20 @@ def convergence_profile(
     )
     gaps = np.min(np.diff(np.sort(basis_p.eigenvalues, axis=1), axis=1), axis=1, initial=math.inf)
 
-    out = []
-    for tk, angle, gap, err in zip(t.tolist(), angles.tolist(), gaps.tolist(), val_err.tolist()):
-        bound = None
-        if envelope is not None:
-            bound = float(envelope(tk)) / gap if gap > 0.0 else math.inf
-        out.append(
-            BasisDistance(
-                t=tk,
-                subspace_angle=angle,
-                eigenvalue_gap=gap,
-                bound=bound,
-                max_eigenvalue_discrepancy=err,
-                reliable=gap >= gap_tol,
+    bounds = [None] * t.size
+    if envelope is not None:
+        env = np.asarray(envelope(t), dtype=float)
+        if env.shape not in ((), t.shape):
+            raise ValidationError(
+                f"envelope must return one value or one per grid point, got shape {env.shape}"
             )
+        bounds = np.divide(env, gaps, out=np.full(t.shape, math.inf), where=gaps > 0.0).tolist()
+    return [
+        BasisDistance(tk, angle, gap, bound, err, reliable=gap >= gap_tol)
+        for tk, angle, gap, bound, err in zip(
+            t.tolist(), angles.tolist(), gaps.tolist(), bounds, val_err.tolist()
         )
-    return out
+    ]
 
 
 # --- two commuting parts -----------------------------------------------------

@@ -307,8 +307,13 @@ class TestOmnes:
         del doc["params"]["gamma0"]
         doc["params"]["spectral_density"] = {"kind": "ohmic", "omega0": -0.5, "cutoff": 1.0}
         cfg = write_config(tmp_path, doc)
-        assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
-        assert "numeric failure" in capsys.readouterr().err
+        # omega0 outside the support is a config error, found before any file is written
+        assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: params.spectral_density.omega0: must lie strictly inside "
+            "the support (0.0, 40.0), got -0.5\n"
+        )
+        assert not (tmp_path / "r").exists()
 
     def test_density_and_rate_are_exclusive(self, tmp_path, capsys):
         doc = self.base_doc()
@@ -762,6 +767,56 @@ class TestSingleBadFieldDiagnostics:
         cfg = write_config(tmp_path, {"scenario": scenario, "grid": self.GRID, "params": params})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
+
+    @pytest.mark.parametrize(
+        "density, line",
+        [
+            (
+                {"kind": "lorentzian", "omega0": 5.0, "center": 1.0, "width": 0.5,
+                 "lo": 0.0, "hi": 2.0},
+                "params.spectral_density.omega0: must lie strictly inside the support "
+                "(0.0, 2.0), got 5.0",
+            ),
+            (
+                {"kind": "lorentzian", "omega0": 5.0, "center": 1.0, "width": 0.5,
+                 "lo": 0.0, "hi": 2.0, "weight": 0.0},
+                "params.spectral_density.weight: must be > 0, got 0.0",
+            ),
+            (
+                {"kind": "ohmic", "omega0": 0.0, "cutoff": 1.0},
+                "params.spectral_density.omega0: must lie strictly inside the support "
+                "(0.0, 40.0), got 0.0",
+            ),
+            (
+                {"kind": "lorentzian", "omega0": 1.0, "center": 1.0, "width": 0.5,
+                 "lo": 2.0, "hi": 1.0},
+                "params.spectral_density.hi: must be > lo = 2.0, got 1.0",
+            ),
+            (
+                {"kind": "lorentzian", "omega0": 1.0, "center": 1.0, "width": 0.5,
+                 "weight": -1.0},
+                "params.spectral_density.weight: must be > 0, got -1.0",
+            ),
+        ],
+        ids=["omega0-outside", "zero-weight", "omega0-on-edge", "empty-support", "negative-weight"],
+    )
+    def test_density_exact_line(self, tmp_path, capsys, density, line):
+        params = {"N": 50, "L0": 1.0, "spectral_density": density}
+        cfg = write_config(tmp_path, {"scenario": "omnes", "grid": self.GRID, "params": params})
+        assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_density_vanishing_at_omega0_names_it(self, tmp_path, capsys):
+        csv_path = tmp_path / "density.csv"
+        csv_path.write_text("omega,g\n0.0,0.05\n1.0,0.0\n2.0,0.05\n", encoding="utf-8")
+        sd = {"kind": "csv", "omega0": 1.0, "path": str(csv_path)}
+        params = {"N": 50, "L0": 1.0, "spectral_density": sd}
+        cfg = write_config(tmp_path, {"scenario": "omnes", "grid": self.GRID, "params": params})
+        assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: params.spectral_density.omega0: the density vanishes at omega0 = 1.0\n"
+        )
 
     def test_density_csv_names_the_path(self, tmp_path, capsys):
         csv_path = tmp_path / "density.csv"

@@ -528,6 +528,13 @@ class TestCoincidence:
         assert not result.passed
 
 
+# mode index lists both CatalogueMatrix methods must reject
+BAD_INDICES = [
+    (1.5,), (0.9,), (-1,), (2,), (True,), (False,), ((0, 1),),
+    (0, True), (False, 1), [1, np.True_], np.array([True, False]),
+]
+
+
 class TestCatalogueMatrix:
     def build(self):
         eq = np.diag([0.75, 0.25])
@@ -600,16 +607,21 @@ class TestCatalogueMatrix:
             cm.amplitudes[0][0, 0] = 1.0
 
     @pytest.mark.parametrize("method", ["evaluate", "dropped_envelope"])
-    @pytest.mark.parametrize(
-        "indices",
-        [(1.5,), (0.9,), (-1,), (2,), (True,), (False,), ((0, 1),),
-         (0, True), (False, 1), [1, np.True_], np.array([True, False])],
-    )
+    @pytest.mark.parametrize("indices", BAD_INDICES)
     def test_rejects_bad_mode_indices(self, method, indices):
         cm = self.build()
         call = getattr(cm, method)
         with pytest.raises(ValidationError):
             call(0.3, indices) if method == "dropped_envelope" else call(0.3, keep=indices)
+
+    @pytest.mark.parametrize("method", ["evaluate", "dropped_envelope"])
+    @pytest.mark.parametrize("indices", BAD_INDICES)
+    def test_rejects_bad_mode_indices_on_a_grid(self, method, indices):
+        cm = self.build()
+        call = getattr(cm, method)
+        grid = np.array([0.0, 0.3, 2.5])
+        with pytest.raises(ValidationError):
+            call(grid, indices) if method == "dropped_envelope" else call(grid, keep=indices)
 
     def test_bool_mixed_with_ints_rejected_on_every_call(self):
         # np.asarray((0, True)) is an int array, so the dtype alone lets it through
@@ -620,19 +632,6 @@ class TestCatalogueMatrix:
             with pytest.raises(ValidationError, match="integers"):
                 cm.dropped_envelope(0.3, (False, 1))
 
-    def test_tuple_index_converted_once(self):
-        cm = self.build()
-        keep = (0, 1)
-        idx = cm._mode_index(keep)
-        assert cm._mode_index(keep) is idx
-        assert idx.tolist() == [0, 1]
-        with pytest.raises(ValueError):
-            idx[0] = 1
-        # a full cache starts over and still converts every tuple correctly
-        for k in range(3 * pole_models._INDEX_CACHE_SIZE):
-            assert cm._mode_index(tuple([k % 2])).tolist() == [k % 2]
-        assert len(cm._index_cache) <= pole_models._INDEX_CACHE_SIZE
-
     def test_array_of_times(self):
         cm = self.build()
         grid = np.array([0.0, 0.37, 2.5])
@@ -641,6 +640,11 @@ class TestCatalogueMatrix:
             assert stack.shape == (3, 2, 2)
             for mat, t in zip(stack, grid):
                 assert np.max(np.abs(mat - cm.evaluate(float(t), keep=keep))) <= 1e-16
+        for dropped in ((0, 1), (1,), ()):
+            env = cm.dropped_envelope(grid, dropped)
+            assert env.shape == (3,)
+            assert env.tolist() == [cm.dropped_envelope(float(t), dropped) for t in grid]
+        assert type(cm.dropped_envelope(0.37, (1,))) is float
 
     def test_empty_and_integer_indices(self):
         cm = self.build()
@@ -763,6 +767,15 @@ class TestCatalogueMatrixAgainstLoop:
         want = loop_dropped_envelope(cm, t, rep.p_irrelevant)
         assert want > 0.0
         assert cm.dropped_envelope(t, rep.p_irrelevant) == pytest.approx(want, rel=self.TOL)
+
+    def test_dropped_envelope_grid(self, frame):
+        cm, rep = frame
+        grid = np.linspace(0.0, 30.0, 81)
+        env = cm.dropped_envelope(grid, rep.p_irrelevant)
+        assert env.tolist() == [cm.dropped_envelope(t, rep.p_irrelevant) for t in grid.tolist()]
+        for got, t in zip(env[::20], grid[::20]):
+            want = loop_dropped_envelope(cm, t, rep.p_irrelevant)
+            assert got == pytest.approx(want, rel=self.TOL)
 
     def test_dropped_envelope_of_nothing_is_zero(self, frame):
         cm, _ = frame

@@ -289,6 +289,35 @@ class TestConvergenceProfile:
             assert dist.eigenvalue_gap == 0.0
             assert dist.bound == math.inf
 
+    def test_envelope_called_once_with_the_grid(self):
+        cm = two_pole_matrix_catalogue()
+        calls = []
+
+        def envelope(t):
+            calls.append(np.array(t, copy=True))
+            return cm.dropped_envelope(t, (1,))
+
+        grid = self.grid()
+        rho = [DensityMatrix(cm.evaluate(t)) for t in grid]
+        profile = convergence_profile(rho, rho, grid, t_D=0.1, envelope=envelope)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], grid)
+        assert [d.bound for d in profile] == [
+            cm.dropped_envelope(t, (1,)) / d.eigenvalue_gap for t, d in zip(grid.tolist(), profile)
+        ]
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [lambda t: np.ones(t.size - 1), lambda t: np.ones((t.size, 1)), lambda t: [1.0, 2.0]],
+        ids=["short", "column", "list"],
+    )
+    def test_wrong_shape_envelope_rejected(self, envelope):
+        cm = two_pole_matrix_catalogue()
+        grid = self.grid()
+        rho = [DensityMatrix(cm.evaluate(t)) for t in grid]
+        with pytest.raises(ValidationError, match="envelope"):
+            convergence_profile(rho, rho, grid, t_D=0.1, envelope=envelope)
+
     def test_angle_range_enforced(self):
         with pytest.raises(ValidationError):
             BasisDistance(0.0, 2.0, 1.0, None, 0.0, True)

@@ -99,7 +99,15 @@ def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
         hi = _optional_number(sub, path, "hi")
         if lo is not None and hi is not None and not lo < hi:
             raise ValidationError(f"{path}.hi: must be > lo = {lo!r}, got {hi!r}")
-        density = make(omega0, *shape, weight, lo, hi)
+        try:
+            density = make(omega0, *shape, weight, lo, hi)
+        except ValidationError:  # one given bound crossed the kind's default for the other
+            band = make(omega0, *shape, weight)
+            if hi is None and not lo < band.hi:
+                raise ValidationError(f"{path}.lo: must be < the default hi = {band.hi!r}, got {lo!r}")
+            if lo is None and not band.lo < hi:
+                raise ValidationError(f"{path}.hi: must be > the default lo = {band.lo!r}, got {hi!r}")
+            raise
     # pi * g(omega0) is the decay rate of the pole the density must drive
     if not density.lo < omega0 < density.hi:
         raise ValidationError(

@@ -118,9 +118,8 @@ def _canonical_modes(modes) -> tuple:
             pole, amp = entry
             entry = Mode(pole if isinstance(pole, Pole) else Pole(*pole), amp)
         out.append(entry)
-    out.sort(
-        key=lambda m: (m.pole.gamma, m.pole.omega, m.amplitude.real, m.amplitude.imag)
-    )
+    parts = lambda m: (m.pole.gamma, m.pole.omega, m.amplitude.real, m.amplitude.imag)
+    out.sort(key=lambda m: [(x, math.copysign(1.0, x)) for x in parts(m)])  # -0.0 before 0.0
     return tuple(out)
 
 
@@ -588,7 +587,10 @@ class CatalogueMatrix:
         """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array."""
         decay = np.multiply.outer(t, -self._gammas[idx])
         decay /= self.hbar
-        return np.exp(decay, out=decay)
+        dead = decay <= -746.0  # exp rounds to exactly 0.0 below log(2**-1075) = -745.13
+        np.exp(decay, out=decay, where=~dead)
+        decay[dead] = 0.0
+        return decay
 
     def evaluate(self, t, keep=None) -> np.ndarray:
         """Hermitian matrix at time t, optionally restricted to ``keep`` modes.

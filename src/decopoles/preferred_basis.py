@@ -3,16 +3,14 @@
 The decohered ("preferred") state rho_P(t) keeps only the persistent
 poles of a matrix-valued catalogue; its moving eigenbasis is the basis
 the full state's eigenbasis approaches once the dropped modes have died.
-This module extracts both bases with continuity-matched eigenvector
-tracks, measures their separation as the largest principal angle over
-matched pairs, and bounds that angle by first-order perturbation theory:
+This module tracks a family's eigenvectors along a grid, measures the
+separation of the two bases as the largest principal angle over matched
+pairs, and bounds that angle by first-order perturbation theory:
 angle <= (dropped-mode envelope) / (eigenvalue gap of rho_P).
 
 Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
 over the grid, one stacked ``eigh`` per family, one batched product for
-the overlaps of consecutive steps, the row-wise argmax as the match
-wherever it is a permutation (the greedy match then picks the same), and
-one envelope call for the bound.
+the overlaps, one greedy match over that stack, and one envelope call.
 
 The bi-partite scenario at the end runs two commuting subsystems whose
 observables each see only their own pole content, so one part can look
@@ -67,29 +65,21 @@ def _materialize(rho_of_t, grid: np.ndarray) -> np.ndarray:
 
 
 def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
-    """perm[i] = column assigned to row i, taking largest overlaps first."""
-    d = overlaps.shape[0]
-    perm = np.full(d, -1, dtype=int)
-    scores = np.array(overlaps, dtype=float)
-    for _ in range(d):
-        i, j = np.unravel_index(np.argmax(scores), scores.shape)
-        perm[i] = j
-        scores[i, :] = -1.0
-        scores[:, j] = -1.0
-    return perm
+    """perm[..., i] = column assigned to row i, taking largest overlaps first.
 
-
-def _argmax_match(overlaps: np.ndarray):
-    """Row-wise argmax of each overlap matrix, and whether it is a permutation.
-
-    Where the row argmaxes of a matrix are distinct they are exactly what
-    ``_greedy_match`` returns: the first largest entry is its row's first
-    argmax, and striking that row and column leaves every other row's
-    first argmax in place.
+    Each (d, d) matrix of the stack strikes the row and column of its first
+    largest remaining entry (row-major order) in each of d rounds.
     """
-    best = np.argmax(overlaps, axis=-1)
-    ordered = np.sort(best, axis=-1)
-    return best, np.all(ordered[..., 1:] != ordered[..., :-1], axis=-1)
+    *lead, d, _ = np.shape(overlaps)
+    flat = np.array(overlaps, dtype=float).reshape(math.prod(lead), d, d)
+    perm = np.empty(flat.shape[:-1], dtype=np.intp)
+    every = np.arange(flat.shape[0])
+    for _ in range(d):
+        i, j = np.divmod(np.argmax(flat.reshape(every.size, d * d), axis=1), d)
+        perm[every, i] = j
+        flat[every, i, :] = -1.0
+        flat[every, :, j] = -1.0
+    return perm.reshape(*lead, d)
 
 
 @dataclass(frozen=True)
@@ -114,16 +104,18 @@ class MovingBasis:
         return self.eigenvalues.shape[1]
 
 
-def moving_eigenbasis(rho_of_t, grid, gap_tol: float = _GAP_TOL) -> MovingBasis:
+def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     """Diagonalize a time-indexed family with eigenvector continuity.
 
     ``rho_of_t`` is a callable t -> matrix (DensityMatrix, HermitianMatrix
     or plain Hermitian array) or a sequence aligned with ``grid``.  The
-    whole family is diagonalized in one stacked ``eigh`` call.  After
-    matching, each eigenvector's phase is fixed so its overlap with the
-    previous time step is real and nonnegative, keeping the angle between
-    consecutive matched vectors below pi/2; a vector whose overlap with
-    its predecessor vanishes keeps the phase it had.
+    whole family is diagonalized in one stacked ``eigh`` call and each step
+    is matched by ``_greedy_match``; an exact tie between rows goes to the
+    earlier column in the previous ``eigh`` order, not in track order.
+    After matching, each eigenvector's phase is fixed so its overlap with
+    the previous time step is real and nonnegative, keeping the angle
+    between consecutive matched vectors below pi/2; a vector whose overlap
+    with its predecessor vanishes keeps the phase it had.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -131,15 +123,13 @@ def moving_eigenbasis(rho_of_t, grid, gap_tol: float = _GAP_TOL) -> MovingBasis:
     dec = eigh(_materialize(rho_of_t, t))
     vals, vecs = dec.eigenvalues, dec.eigenvectors
     steps = np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]  # <v_i(t_k-1)|v_j(t_k)>
-    overlaps = np.abs(steps)
-    best, distinct = _argmax_match(overlaps)
+    match = _greedy_match(np.abs(steps))
 
     # track[k, i]: the column of the decomposition at t_k that track i follows
     track = np.empty(vals.shape, dtype=np.intp)
     track[0] = np.arange(vals.shape[1])
     for k in range(t.size - 1):
-        prev = track[k]
-        track[k + 1] = best[k][prev] if distinct[k] else _greedy_match(overlaps[k][prev])
+        track[k + 1] = match[k][track[k]]
 
     # each step turns a track by conj(overlap) / |overlap|, rounded as one
     # Python complex divided by its abs(): a real overlap turns it by exactly +-1
@@ -151,7 +141,7 @@ def moving_eigenbasis(rho_of_t, grid, gap_tol: float = _GAP_TOL) -> MovingBasis:
     np.divide(turn.imag, size, out=turn.imag, where=moved)
     phase = np.cumprod(np.concatenate([np.ones((1, vals.shape[1])), turn]), axis=0)
     gaps = np.diff(np.sort(vals, axis=1), axis=1)
-    degenerate = t[np.min(gaps, axis=1, initial=math.inf) < gap_tol]
+    degenerate = t[np.min(gaps, axis=1, initial=math.inf) < _GAP_TOL]
     return MovingBasis(
         times=t,
         eigenvalues=np.take_along_axis(vals, track, axis=1),
@@ -213,16 +203,18 @@ def convergence_profile(
     grid,
     t_D: float,
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    gap_tol: float = _GAP_TOL,
 ) -> List[BasisDistance]:
     """Per-time angle between the eigenbases of the full and preferred states.
 
-    Both sources are diagonalized with continuity matching, then paired
-    greedily at each time.  The grid must reach at least 3 t_D so the
-    post-decoherence regime is actually sampled.  ``envelope`` turns on the
-    bound column envelope / gap (inf where the gap vanishes): called once
-    with the whole grid, it returns the total weight of the dropped modes
-    at each point as a (T,) array, or one number for every point.
+    Each family is one stacked ``eigh``; its decompositions are paired at
+    each time by ``_greedy_match``, untracked: relabeling columns permutes
+    the overlap matrix (same pairs, up to exact ties), phases drop out of
+    the moduli, and the gap is taken from sorted eigenvalues.  The grid
+    must reach at least 3 t_D so the post-decoherence regime is actually
+    sampled.  ``envelope`` turns on the bound column envelope / gap (inf
+    where the gap vanishes): called once with the whole grid, it returns
+    the total weight of the dropped modes at each point as a (T,) array,
+    or one number for every point.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -233,23 +225,19 @@ def convergence_profile(
         raise ValidationError(
             f"grid [{t[0]}, {t[-1]}] must lie in t >= 0 and span at least 3 t_D = {3.0 * t_D}"
         )
-    basis_r = moving_eigenbasis(rho_R, t, gap_tol)
-    basis_p = moving_eigenbasis(rho_P, t, gap_tol)
-    if basis_r.dim != basis_p.dim:
+    dec_r = eigh(_materialize(rho_R, t))
+    dec_p = eigh(_materialize(rho_P, t))
+    if dec_r.eigenvalues.shape[1] != dec_p.eigenvalues.shape[1]:
         raise ValidationError("the two families have different dimensions")
 
-    vr, vp = basis_r.eigenvectors, basis_p.eigenvectors
-    overlaps = np.abs(np.swapaxes(vp.conj(), -1, -2) @ vr)
-    perm, distinct = _argmax_match(overlaps)
-    for k in np.flatnonzero(~distinct):
-        perm[k] = _greedy_match(overlaps[k])
+    overlaps = np.abs(np.swapaxes(dec_p.eigenvectors.conj(), -1, -2) @ dec_r.eigenvectors)
+    perm = _greedy_match(overlaps)
     matched = np.minimum(1.0, np.take_along_axis(overlaps, perm[..., None], axis=-1)[..., 0])
     angles = np.max(np.arccos(matched), axis=1)
     val_err = np.max(
-        np.abs(basis_p.eigenvalues - np.take_along_axis(basis_r.eigenvalues, perm, axis=1)),
-        axis=1,
+        np.abs(dec_p.eigenvalues - np.take_along_axis(dec_r.eigenvalues, perm, axis=1)), axis=1
     )
-    gaps = np.min(np.diff(np.sort(basis_p.eigenvalues, axis=1), axis=1), axis=1, initial=math.inf)
+    gaps = np.min(np.diff(np.sort(dec_p.eigenvalues, axis=1), axis=1), axis=1, initial=math.inf)
 
     bounds = [None] * t.size
     if envelope is not None:
@@ -260,7 +248,7 @@ def convergence_profile(
             )
         bounds = np.divide(env, gaps, out=np.full(t.shape, math.inf), where=gaps > 0.0).tolist()
     return [
-        BasisDistance(tk, angle, gap, bound, err, reliable=gap >= gap_tol)
+        BasisDistance(tk, angle, gap, bound, err, reliable=gap >= _GAP_TOL)
         for tk, angle, gap, bound, err in zip(
             t.tolist(), angles.tolist(), gaps.tolist(), bounds, val_err.tolist()
         )

@@ -797,8 +797,24 @@ class TestSingleBadFieldDiagnostics:
                  "weight": -1.0},
                 "params.spectral_density.weight: must be > 0, got -1.0",
             ),
+            (
+                {"kind": "lorentzian", "omega0": 2000.0, "center": 1.0, "width": 0.5, "lo": 1600.0},
+                "params.spectral_density.lo: must be < the default hi = 1501.0, got 1600.0",
+            ),
+            (
+                {"kind": "lorentzian", "omega0": -2000.0, "center": 1.0, "width": 0.5,
+                 "hi": -1600.0},
+                "params.spectral_density.hi: must be > the default lo = -1499.0, got -1600.0",
+            ),
+            (
+                {"kind": "ohmic", "omega0": 45.0, "cutoff": 1.0, "lo": 50.0},
+                "params.spectral_density.lo: must be < the default hi = 40.0, got 50.0",
+            ),
         ],
-        ids=["omega0-outside", "zero-weight", "omega0-on-edge", "empty-support", "negative-weight"],
+        ids=[
+            "omega0-outside", "zero-weight", "omega0-on-edge", "empty-support", "negative-weight",
+            "lo-above-default-hi", "hi-below-default-lo", "ohmic-lo-above-default-hi",
+        ],
     )
     def test_density_exact_line(self, tmp_path, capsys, density, line):
         params = {"N": 50, "L0": 1.0, "spectral_density": density}

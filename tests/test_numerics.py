@@ -391,3 +391,29 @@ class TestMatrixPencil:
         values = np.exp(-0.5 * t)
         modes = matrix_pencil_fit(t, values, 1)
         assert fit_residual(t, values, modes) < 1e-13
+
+
+class TestNoisyPencil:
+    """Widths 0.1, 0.7, 2.0 (amplitudes 1, 0.5, 0.3), 451 samples on [0, 30].
+
+    Complex Gaussian noise at a given SNR, 20 seeded draws: the median over
+    draws of the worst relative width error stays within the tolerance.  A
+    probe over three other sets of 20 draws gave medians 4.4e-3 to 5.7e-3
+    at 60 dB and 5.8e-2 to 9.1e-2 at 40 dB.
+    """
+
+    WIDTHS = np.array([0.1, 0.7, 2.0])
+    AMPS = np.array([1.0, 0.5, 0.3])
+
+    @pytest.mark.parametrize("snr_db, tol", [(60.0, 1.5e-2), (40.0, 0.2)])
+    def test_median_worst_width_error(self, snr_db, tol):
+        t = np.linspace(0.0, 30.0, 451)
+        clean = np.exp(np.multiply.outer(t, -self.WIDTHS)) @ self.AMPS
+        sigma = math.sqrt(np.mean(clean**2) / 10.0 ** (snr_db / 10.0) / 2.0)  # per quadrature
+        errors = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            noisy = clean + sigma * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
+            got = np.sort([-z.real for z, _ in matrix_pencil_fit(t, noisy, 3)])
+            errors.append(np.max(np.abs(got - self.WIDTHS) / self.WIDTHS))
+        assert np.median(errors) <= tol

@@ -572,6 +572,18 @@ class TestCatalogueMatrix:
         want = math.sqrt(2 * 0.3**2) * math.exp(-10 * 0.2)
         assert cm.dropped_envelope(0.2, (1,)) == pytest.approx(want, rel=1e-15)
 
+    def test_decay_across_the_underflow_edge_is_plain_exp(self):
+        # exponents -gamma t on [-760, -740] in steps of 0.001: exp underflows to
+        # 0.0 below -745.13, and the subnormals above it must survive
+        gammas = np.linspace(740.0, 760.0, 20001)
+        cm = CatalogueMatrix._from_widths(
+            np.zeros(gammas.size), gammas, np.eye(1), np.ones((gammas.size, 1, 1))
+        )
+        for t in (1.0, np.array([1.0, 0.999, 1.001])):
+            want = np.exp(np.multiply.outer(t, -gammas))
+            assert np.any((want > 0.0) & (want < np.finfo(float).tiny))
+            assert cm._decay(t, slice(None)).tobytes() == want.tobytes()
+
     def test_partition_integration(self):
         cm = self.build()
         rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
@@ -799,6 +811,12 @@ class TestSerialization:
         assert text == catalogue_to_json(catalogue_from_json(text))
         doc = json.loads(text)
         assert list(doc) == sorted(doc)
+
+    def test_signed_zero_ties_write_one_order(self):
+        # modes equal up to the sign of a zero must not keep their input order
+        modes = [Mode(Pole(-0.0, 1.0), complex(0.0, -0.0)), Mode(Pole(0.0, 1.0), -0.0j)]
+        texts = {catalogue_to_json(PoleCatalogue(0.0, tuple(m))) for m in (modes, modes[::-1])}
+        assert len(texts) == 1
 
     def test_json_null_tail(self):
         cat = figure_catalogue()

@@ -29,7 +29,6 @@ from decopoles.pole_models import (
 from decopoles.preferred_basis import (
     BasisDistance,
     BiFriedrichModel,
-    _argmax_match,
     bifriedrich_run,
     convergence_profile,
     moving_eigenbasis,
@@ -450,8 +449,9 @@ class TestBatchedAgainstLoop:
     def test_rank_one_fock_stack_takes_the_greedy_fallback(self, fock):
         grid, mats = fock
         vecs = eigh(np.stack(mats)).eigenvectors
-        _, distinct = _argmax_match(np.abs(np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]))
-        assert not np.all(distinct)
+        best = np.argmax(np.abs(np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]), axis=-1)
+        # some step's row argmaxes collide, so the match there is no row-wise argmax
+        assert any(len(set(rows)) < len(rows) for rows in best.tolist())
         self.assert_same_basis(mats, grid)
 
     def test_crossing_family(self):

@@ -50,7 +50,8 @@ from decopoles.pole_models import (
     signal_to_csv,
     synthesize,
 )
-from decopoles.preferred_basis import _argmax_match, _greedy_match
+from decopoles.preferred_basis import _greedy_match
+from test_preferred_basis import reference_greedy_match
 
 _RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
 _BOUNDARIES = st.sampled_from((BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT))
@@ -279,16 +280,14 @@ def overlap_stacks(draw):
     return stack
 
 
-class TestArgmaxMatch:
+class TestStackedGreedyMatch:
     @settings(deadline=None, max_examples=300)
     @given(overlap_stacks())
-    def test_distinct_row_argmaxes_are_the_greedy_match(self, stack):
-        best, distinct = _argmax_match(stack)
+    def test_each_matrix_matches_as_the_one_matrix_greedy(self, stack):
+        got = _greedy_match(stack)
+        assert got.shape == stack.shape[:-1]
         for k in range(stack.shape[0]):
-            rows = best[k].tolist()
-            assert distinct[k] == (len(set(rows)) == len(rows))
-            if distinct[k]:
-                assert rows == _greedy_match(stack[k]).tolist()
+            assert got[k].tolist() == reference_greedy_match(stack[k]).tolist()
 
 
 @st.composite

@@ -95,7 +95,7 @@ def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
             make = friedrich.SpectralDensity.ohmic
             shape = (_number(sub, path, "cutoff", positive=True),)
         weight = _number(sub, path, "weight", 1.0, positive=True)
-        lo = _number(sub, path, "lo", 0.0) if kind == "ohmic" else _optional_number(sub, path, "lo")
+        lo = _optional_number(sub, path, "lo")
         hi = _optional_number(sub, path, "hi")
         if lo is not None and hi is not None and not lo < hi:
             raise ValidationError(f"{path}.hi: must be > lo = {lo!r}, got {hi!r}")

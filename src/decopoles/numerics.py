@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 
 HERMITICITY_TOL = 1e-12
+EXP_UNDERFLOW = -746.0  # exp rounds to exactly 0.0 at or below it: log(2**-1075) = -745.13
 
 
 def hermitian_average(a: np.ndarray) -> np.ndarray:
@@ -90,14 +91,18 @@ class DensityMatrix(HermitianMatrix):
 
     Construction enforces Hermiticity and unit trace to 1e-12; positive
     semidefiniteness is a property of how the matrix was built (e.g. as a
-    normalized outer product) and can be audited with ``min_eigenvalue``.
+    normalized outer product) and can be audited with ``min_eigenvalue``,
+    one values-only LAPACK call (no eigenvectors, phases or residual).
     """
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _checked_entries(self.entries, unit_trace=True))
 
     def min_eigenvalue(self) -> float:
-        return float(eigh(self).eigenvalues[-1])
+        try:
+            return float(np.linalg.eigvalsh(self.entries)[0])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK eigvalsh did not converge: {exc}") from exc
 
 
 def _density_stack(mats) -> list:

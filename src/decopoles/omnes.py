@@ -404,7 +404,8 @@ class FockDensityParts:
     rho_nd: np.ndarray
 
 
-def density_components(cfg: OmnesConfig, z0: complex, t: float) -> FockDensityParts:
+def _evolved_density(cfg: OmnesConfig, z0: complex, t: float):
+    """(|0>, evolved branch v2(t), unnormalized state, its norm, rho) of the superposition."""
     _pole_width(z0)
     v2t = cfg.state2().fock_vector() * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
     e0 = np.zeros(cfg.N + 1, dtype=complex)
@@ -415,8 +416,11 @@ def density_components(cfg: OmnesConfig, z0: complex, t: float) -> FockDensityPa
     if norm <= 0.0:
         raise ValidationError("evolved state has zero norm")
     unit = state / norm
-    rho = DensityMatrix(np.outer(unit, unit.conj()))
+    return e0, v2t, state, norm, DensityMatrix(np.outer(unit, unit.conj()))
 
+
+def density_components(cfg: OmnesConfig, z0: complex, t: float) -> FockDensityParts:
+    e0, v2t, state, norm, rho = _evolved_density(cfg, z0, t)
     rho_d = (abs(cfg.a) ** 2) * np.outer(e0, e0.conj()) + (abs(cfg.b) ** 2) * np.outer(
         v2t, v2t.conj()
     )
@@ -435,10 +439,11 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
     """Trace-1 density matrix of the evolved superposition in Fock space.
 
     Componentwise evolution by exp(-i n z0 t / hbar) followed by
-    renormalization; see FockDensityParts for the unnormalized pieces and
-    the D/ND projections.
+    renormalization; it forms only rho, with the same operations as
+    ``density_components``, whose FockDensityParts add the unnormalized
+    pieces and the D/ND projections.
     """
-    return density_components(cfg, z0, t).rho
+    return _evolved_density(cfg, z0, t)[-1]
 
 
 # --- two-dimensional frame picture -------------------------------------------

@@ -810,10 +810,15 @@ class TestSingleBadFieldDiagnostics:
                 {"kind": "ohmic", "omega0": 45.0, "cutoff": 1.0, "lo": 50.0},
                 "params.spectral_density.lo: must be < the default hi = 40.0, got 50.0",
             ),
+            (
+                {"kind": "ohmic", "omega0": -2.0, "cutoff": 1.0, "hi": -1.0},
+                "params.spectral_density.hi: must be > the default lo = 0.0, got -1.0",
+            ),
         ],
         ids=[
             "omega0-outside", "zero-weight", "omega0-on-edge", "empty-support", "negative-weight",
             "lo-above-default-hi", "hi-below-default-lo", "ohmic-lo-above-default-hi",
+            "ohmic-hi-below-default-lo",
         ],
     )
     def test_density_exact_line(self, tmp_path, capsys, density, line):

@@ -211,6 +211,14 @@ class TestEigh:
         with pytest.raises(ConvergenceError, match="did not converge"):
             eigh(np.eye(3))
 
+    def test_min_eigenvalue_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            DensityMatrix(np.eye(3) / 3.0).min_eigenvalue()
+
     @pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
     def test_rank_one_fock_density(self):
         # a pure state: one unit eigenvalue and a 24-fold degenerate zero cluster

@@ -23,7 +23,10 @@ from decopoles.numerics import (
 from decopoles.omnes import (
     OmnesConfig,
     QuasiCoherentState,
+    build_density_matrix,
     collective_rate,
+    density_components,
+    frame_catalogue_matrix,
     nd_block,
     nd_decay,
     overlap_error_bound,
@@ -43,6 +46,7 @@ from decopoles.pole_models import (
     catalogue_from_json,
     catalogue_to_json,
     coincidence_check,
+    collective_rate_rule,
     decoherence_time,
     partition_report,
     preferred_signal,
@@ -50,7 +54,7 @@ from decopoles.pole_models import (
     signal_to_csv,
     synthesize,
 )
-from decopoles.preferred_basis import _greedy_match
+from decopoles.preferred_basis import _greedy_match, preferred_state
 from test_preferred_basis import reference_greedy_match
 
 _RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
@@ -218,6 +222,22 @@ def separated_catalogues(draw):
     return cat, np.linspace(0.0, t_max, draw(st.integers(64, 256)))
 
 
+@st.composite
+def oscillating_catalogues(draw):
+    """``separated_catalogues`` with each mode rotating at a nonzero frequency.
+
+    omega_k / hbar is +-[0.05, 0.9] of the Nyquist limit pi / dt, so every
+    per-step ratio exp(z_k dt) keeps off the branch cut of its logarithm.
+    """
+    cat, grid = draw(separated_catalogues())
+    nyquist = math.pi * cat.hbar / float(grid[1] - grid[0])
+    fractions = [draw(st.floats(0.05, 0.9)) * draw(st.sampled_from((-1.0, 1.0))) for _ in cat.modes]
+    modes = tuple(
+        Mode(Pole(f * nyquist, m.pole.gamma), m.amplitude) for f, m in zip(fractions, cat.modes)
+    )
+    return PoleCatalogue(cat.equilibrium, modes, None, cat.hbar, pair_product=True), grid
+
+
 class TestExtractionRoundTrip:
     @settings(deadline=None, max_examples=100)
     @given(separated_catalogues())
@@ -231,6 +251,26 @@ class TestExtractionRoundTrip:
         got = sorted(-z.real * cat.hbar for z, _ in fitted)
         for g, want in zip(got, (m.pole.gamma for m in cat.modes)):
             assert abs(g - want) <= 1e-6 * want
+
+    @settings(deadline=None, max_examples=100)
+    @given(oscillating_catalogues())
+    def test_pencil_recovers_every_exponent_and_amplitude_from_the_csv(self, setup):
+        """Modes rotating at nonzero frequencies inside the Nyquist band.
+
+        Paired by width, each fitted mode has its width within 1e-6 gamma_k
+        (as at zero frequency), its frequency within 1e-6 |omega_k - i gamma_k|
+        of omega_k, and its complex amplitude within 1e-5 |a_k| of a_k.
+        """
+        cat, grid = setup
+        signal = signal_from_csv(signal_to_csv(synthesize(cat, grid, rendering="full")))
+        fitted = matrix_pencil_fit(signal.times, signal.values - cat.equilibrium, len(cat.modes))
+        assert all(z.real * float(grid[-1]) <= 1e-8 for z, _ in fitted)
+        fitted.sort(key=lambda mode: -mode[0].real)
+        for (z, amp), mode in zip(fitted, sorted(cat.modes, key=lambda m: m.pole.gamma)):
+            gamma, omega = mode.pole.gamma, mode.pole.omega
+            assert abs(-z.real * cat.hbar - gamma) <= 1e-6 * gamma
+            assert abs(-z.imag * cat.hbar - omega) <= 1e-6 * abs(complex(omega, gamma))
+            assert abs(amp - mode.amplitude) <= 1e-5 * abs(mode.amplitude)
 
 
 @st.composite
@@ -261,6 +301,18 @@ class TestNdDecayBits:
             got = nd_decay(cfg, z0, grid).tolist()
             want = [abs(nd_block(cfg, z0, t).rho12) for t in grid.tolist()]
         assert got == want
+
+
+class TestFockDensityBits:
+    @settings(deadline=None, max_examples=50)
+    @given(coherence_setups())
+    def test_rho_alone_equals_the_full_split(self, setup):
+        cfg, z0, grid = setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # N = 64 is not macroscopic
+            for t in grid.tolist():
+                got = build_density_matrix(cfg, z0, t).entries
+                assert np.array_equal(got, density_components(cfg, z0, t).rho.entries)
 
 
 @st.composite
@@ -298,6 +350,44 @@ def hermitian_families(draw):
     raw = draw(hnp.arrays(float, (count, 2, d, d), elements=_ENTRY))
     mats = raw[:, 0] + 1j * raw[:, 1]
     return (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2.0
+
+
+class TestMinEigenvalue:
+    """``min_eigenvalue`` is eigh's smallest eigenvalue within 1e-14 max(1, ||rho||_2)."""
+
+    @staticmethod
+    def assert_spectrum_minimum(rho):
+        want = eigh(rho.entries).eigenvalues[-1]
+        scale = max(1.0, float(np.linalg.norm(rho.entries, 2)))
+        assert abs(rho.min_eigenvalue() - want) <= 1e-14 * scale
+
+    @settings(deadline=None, max_examples=100)
+    @given(hermitian_families())
+    def test_unit_trace_hermitian(self, mats):
+        # each member, shifted along the identity to unit trace; most are indefinite
+        d = mats.shape[-1]
+        shift = (1.0 - np.trace(mats, axis1=-2, axis2=-1).real) / d
+        for mat, s in zip(mats, shift):
+            self.assert_spectrum_minimum(DensityMatrix(mat + s * np.eye(d)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(coherence_setups())
+    def test_rank_one_fock_states(self, setup):
+        cfg, z0, grid = setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # N = 64 is not macroscopic
+            for t in grid.tolist()[:8]:
+                self.assert_spectrum_minimum(build_density_matrix(cfg, z0, t))
+
+    def test_preferred_state_before_t_D_is_indefinite(self):
+        # the truncated catalogue is no state before t_D: rho_P has a negative eigenvalue
+        cm = frame_catalogue_matrix(
+            OmnesConfig(1.0, 2.0, 1.0, 0.5, 2.0, math.sqrt(0.3), math.sqrt(0.7), 30)
+        )
+        report = partition_report(cm.gammas, cm.hbar, rule=collective_rate_rule(1.0, 2.0, 2.0, 1.0))
+        for rho in preferred_state(cm, report, np.linspace(0.0, report.t_D, 5)):
+            assert rho.min_eigenvalue() < -0.05
+            self.assert_spectrum_minimum(rho)
 
 
 class TestStackedEigh:

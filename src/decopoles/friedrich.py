@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import EXP_UNDERFLOW, adaptive_simpson, principal_value_integral
+from .numerics import adaptive_simpson, principal_value_integral
 
 _PROBE_POINTS = 33
 
@@ -228,24 +228,8 @@ class EffectiveHamiltonian:
 
 
 def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
-    """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t.
-
-    Terms whose real exponent n Im(z0) t / hbar is at or below ``EXP_UNDERFLOW``
-    are a suffix; they are written as 0.0, the plain exp's value, without an exp.
-    """
-    z0 = complex(z0)
-    rate = z0.imag * t / hbar  # the n = 1 real exponent, up to rounding
-    if not rate * (size + 1) < EXP_UNDERFLOW:  # no term underflows
-        return np.exp(-1j * np.arange(size) * z0 * t / hbar)
-    # whatever the rounding, terms before int(EXP_UNDERFLOW / rate) are live and
-    # those past it + 1 underflow, so at most the last two computed here are dead
-    exponent = -1j * np.arange(min(size, int(EXP_UNDERFLOW / rate) + 2)) * z0 * t / hbar
-    live = exponent.size
-    while live and exponent[live - 1].real <= EXP_UNDERFLOW:
-        live -= 1
-    out = np.zeros(size, dtype=complex)
-    np.exp(exponent[:live], out=out[:live])
-    return out
+    """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t."""
+    return np.exp(-1j * np.arange(size) * complex(z0) * t / hbar)
 
 
 def lee_friedrich_spectrum(pole: PerturbativePole, N_max: int) -> EffectiveHamiltonian:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 
 HERMITICITY_TOL = 1e-12
-EXP_UNDERFLOW = -746.0  # exp rounds to exactly 0.0 at or below it: log(2**-1075) = -745.13
 
 
 def hermitian_average(a: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import EXP_UNDERFLOW, HermitianMatrix, check_uniform_grid, hermitian_average
+from .numerics import HermitianMatrix, check_uniform_grid, hermitian_average
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -587,7 +587,7 @@ class CatalogueMatrix:
         """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array."""
         decay = np.multiply.outer(t, -self._gammas[idx])
         decay /= self.hbar
-        dead = decay <= EXP_UNDERFLOW
+        dead = decay <= -746.0  # exp rounds to exactly 0.0 below log(2**-1075) = -745.13
         np.exp(decay, out=decay, where=~dead)
         decay[dead] = 0.0
         return decay

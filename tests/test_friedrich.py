@@ -10,7 +10,6 @@ from decopoles.friedrich import (
     EffectiveHamiltonian,
     PerturbativePole,
     SpectralDensity,
-    _ladder_phases,
     evolve_amplitude,
     lee_friedrich_spectrum,
     perturbative_pole,
@@ -218,48 +217,6 @@ class TestEffectiveHamiltonian:
     def test_growth_rejected(self):
         with pytest.raises(ValidationError):
             EffectiveHamiltonian(3, 1.0 + 0.1j)
-
-
-def reference_ladder_phases(size, z0, t, hbar):
-    """Reference: the ladder phases as first written, one exp over every term."""
-    return np.exp(-1j * np.arange(size) * complex(z0) * t / hbar)
-
-
-class TestLadderPhases:
-    """Skipping the underflowing suffix leaves every entry == to the plain exp."""
-
-    @pytest.mark.parametrize(
-        "z0", [-0.5j, 1.3 - 0.5j, -2.0 - 0.5j], ids=["real", "complex", "negative-re"]
-    )
-    @pytest.mark.parametrize("hbar", [1.0, 0.7])
-    def test_times_straddling_the_underflow_edge(self, z0, hbar):
-        # the top term's real exponent -0.5 * 1000 t / hbar sweeps [-747, -744] in
-        # steps of 1e-3; the terms below it are ~0.75 apart, so every position of
-        # the underflow edge between two terms is met, subnormal survivors included
-        subnormal = 0
-        for t in np.arange(744.0, 747.0, 1e-3) * hbar / 500.0:
-            got = _ladder_phases(1001, z0, float(t), hbar)
-            want = reference_ladder_phases(1001, z0, float(t), hbar)
-            assert got.tolist() == want.tolist()
-            subnormal += abs(want[want != 0.0][-1]) < np.finfo(float).tiny
-        assert subnormal > 0
-
-    @pytest.mark.parametrize(
-        "size, z0, t",
-        [
-            (1001, -0.5j, 0.0),  # t = 0: every term is 1
-            (1001, 1.3 - 0.5j, 0.0),
-            (1001, 1.3 + 0.0j, 50.0),  # undamped: pure phases
-            (200, 0.2 + 0.01j, 300.0),  # growing: no term underflows
-            (200, -0.5j, -3.0),  # backward in time: growing terms
-            (1001, -0.5j, 24.0),  # all but the first 63 terms underflow
-            (1, -0.5j, 1e6),  # the vacuum alone never decays
-            (2, -0.5j, 1e300),
-        ],
-    )
-    def test_edge_cases_equal_the_plain_exp(self, size, z0, t):
-        got = _ladder_phases(size, z0, t, 1.0)
-        assert got.tolist() == reference_ladder_phases(size, z0, t, 1.0).tolist()
 
 
 class TestEvolveAmplitude:

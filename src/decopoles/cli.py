@@ -34,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from . import friedrich, omnes, pole_models, preferred_basis
+from . import friedrich, numerics, omnes, pole_models, preferred_basis
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 from .pole_models import (  # the catalogue schema's reader and field validators
     _CATALOGUE_KEYS, _REQUIRED, _as_object, _catalogue, _field, _finite, _mode, _number,
@@ -179,6 +179,7 @@ def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()) -> str:
 
 _RULES = (pole_models.RULE_SECOND_SMALLEST, pole_models.RULE_SLOWEST, pole_models.RULE_BACKGROUND)
 _BOUNDARIES = (pole_models.BOUNDARY_RELEVANT, pole_models.BOUNDARY_IRRELEVANT)
+_VISIBLE_CHANGE = 1e-8  # extract: a rate r changes a window of span T visibly when |r| T exceeds it
 
 _MODEL1_ROWS = (
     "pole_pair_time", "pole_background_time_1", "pole_background_time_2",
@@ -281,9 +282,9 @@ def _parse_omnes(params: dict) -> dict:
         "N": _integer(params, path, "N", 6000, minimum=1),
     }
     ssq = abs(config["a"]) ** 2 + abs(config["b"]) ** 2
-    if abs(ssq - 1.0) > 1e-12:
+    if abs(ssq - 1.0) > omnes._NORM_TOL:
         raise ValidationError(
-            f"params.a_re/a_im/b_re/b_im: |a|^2 + |b|^2 = {ssq!r}, must be 1 within 1e-12"
+            f"params.a_re/a_im/b_re/b_im: |a|^2 + |b|^2 = {ssq!r}, must be 1 within {omnes._NORM_TOL}"
         )
     plan = {"config": config, "density": None, "gamma0": None, "omega_prime": 0.0}
     if "spectral_density" in params:
@@ -345,19 +346,23 @@ def _parse_extract(params: dict) -> dict:
     equilibrium = _number(params, path, "equilibrium", 0.0)
     hbar = _number(params, path, "hbar", 1.0, positive=True)
     signal = _read_table(csv_path, "params.input_csv", pole_models.signal_from_csv)
+    need = numerics.pencil_min_samples(order)
+    if len(signal) < need:
+        raise ValidationError(
+            f"{path}.model_order: needs at least {need} samples for order {order}, "
+            f"{path}.input_csv has {len(signal)}"
+        )
     return {"signal": signal, "order": order, "equilibrium": equilibrium, "hbar": hbar}
 
 
 def _run_extract(plan: dict, grid: None, outdir: str):  # extract has no config grid
-    from .numerics import fit_residual, matrix_pencil_fit
-
     signal = plan["signal"]
     order = plan["order"]
     equilibrium = plan["equilibrium"]
     hbar = plan["hbar"]
     values = signal.values - equilibrium
     try:
-        fitted = matrix_pencil_fit(signal.times, values, order)
+        fitted = numerics.matrix_pencil_fit(signal.times, values, order)
     except RankDeficiencyError as exc:
         if exc.effective_rank and exc.effective_rank >= 1:
             print(
@@ -365,12 +370,12 @@ def _run_extract(plan: dict, grid: None, outdir: str):  # extract has no config 
                 f"{exc.effective_rank}; refitting at the effective rank",
                 file=sys.stderr,
             )
-            fitted = matrix_pencil_fit(signal.times, values, exc.effective_rank)
+            fitted = numerics.matrix_pencil_fit(signal.times, values, exc.effective_rank)
         else:
             raise
 
     t_span = float(signal.times[-1] - signal.times[0])
-    growth = [z.real for z, _ in fitted if z.real * t_span > 1e-8]
+    growth = [z.real for z, _ in fitted if z.real * t_span > _VISIBLE_CHANGE]
     if growth:
         raise ConvergenceError(
             f"{len(growth)} fitted mode(s) grow over the window (largest growth rate "
@@ -380,7 +385,7 @@ def _run_extract(plan: dict, grid: None, outdir: str):  # extract has no config 
     modes = []
     for z, amp in fitted:
         gamma = -z.real * hbar
-        if gamma * t_span / hbar < 1e-8:
+        if gamma * t_span / hbar < _VISIBLE_CHANGE:
             equilibrium += amp.real
             continue
         modes.append((pole_models.Pole(-z.imag * hbar + 0.0, gamma), amp))
@@ -391,7 +396,7 @@ def _run_extract(plan: dict, grid: None, outdir: str):  # extract has no config 
         )
     cat = pole_models.PoleCatalogue(equilibrium, tuple(modes), None, hbar)
     _write(outdir, "catalogue.json", pole_models.catalogue_to_json(cat) + "\n")
-    residual = fit_residual(signal.times, values, fitted)
+    residual = numerics.fit_residual(signal.times, values, fitted)
     print(f"residual: {_fmt(residual)}")
 
 

@@ -175,7 +175,7 @@ def pole_from_rate(omega: float, gamma0: float) -> PerturbativePole:
     return PerturbativePole(omega, 0.0, gamma0)
 
 
-def perturbative_pole(sd: SpectralDensity, tol: float = 1e-9) -> PerturbativePole:
+def perturbative_pole(sd: SpectralDensity) -> PerturbativePole:
     """Second-order pole of the coupled oscillator.
 
     The shift is the principal-value integral of g(w)/(omega0 - w) over the
@@ -183,7 +183,8 @@ def perturbative_pole(sd: SpectralDensity, tol: float = 1e-9) -> PerturbativePol
     band the integrand is singular and handled by symmetric cancellation;
     outside the band the integral is regular and the width vanishes (the
     excitation is stable to this order).  omega0 exactly on a band edge is
-    rejected since neither treatment applies.
+    rejected since neither treatment applies.  Both integrals run to an
+    absolute tolerance of 1e-9, adaptive Simpson's default.
     """
     w0 = sd.omega0
     if w0 == sd.lo or w0 == sd.hi:
@@ -191,10 +192,10 @@ def perturbative_pole(sd: SpectralDensity, tol: float = 1e-9) -> PerturbativePol
             f"omega0 = {w0} sits exactly on the support edge [{sd.lo}, {sd.hi}]"
         )
     if sd.lo < w0 < sd.hi:
-        shift = principal_value_integral(sd, w0, sd.lo, sd.hi, tol=tol)
+        shift = principal_value_integral(sd, w0, sd.lo, sd.hi)
         gamma0 = math.pi * sd(w0)
     else:
-        shift = adaptive_simpson(lambda w: sd(w) / (w0 - w), sd.lo, sd.hi, tol=tol)
+        shift = adaptive_simpson(lambda w: sd(w) / (w0 - w), sd.lo, sd.hi)
         gamma0 = 0.0
     return PerturbativePole(w0, shift, gamma0)
 

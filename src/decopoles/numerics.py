@@ -23,26 +23,32 @@ import numpy as np
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 
 HERMITICITY_TOL = 1e-12
+_RANK_RTOL = 1e-10  # the pencil counts singular values above this share of the largest
 
 
 def hermitian_average(a: np.ndarray) -> np.ndarray:
     """(A + A^H) / 2 of each matrix over the last two axes, so downstream math sees A == A^H.
 
     Every entry must be finite, and each matrix Hermitian relative to its
-    own scale: max |A - A^H| <= HERMITICITY_TOL * max(max|A|, 1).
+    own scale: max |A - A^H| <= HERMITICITY_TOL * max(max|A|, 1).  Input
+    with an entry past 2^1021 is halved first, exactly for normal floats,
+    so no finite input overflows; other input keeps the bits of (A + A^H) / 2.
     """
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix contains NaN or Inf entries")
-    ah = a.swapaxes(-1, -2).conj()
     scale = abs(a).max(axis=(-2, -1))
+    unit = 1.0  # what one unit of ``a`` stands for
+    if not (scale <= 2.0**1021).all():  # NaN, Inf, or entries whose sum could overflow
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix contains NaN or Inf entries")
+        a, unit = a / 2.0, 2.0
+        scale = abs(a).max(axis=(-2, -1))
+    ah = a.swapaxes(-1, -2).conj()
     dev = abs(a - ah).max(axis=(-2, -1))
-    bad = dev > HERMITICITY_TOL * np.maximum(scale, 1.0)
+    bad = dev > HERMITICITY_TOL * np.maximum(scale, 1.0 / unit)
     if bad.any():
         k = bad.argmax()  # the first failing matrix
-        raise ValidationError(
-            f"matrix is not Hermitian: max deviation {dev.flat[k]:.3e} at scale {scale.flat[k]:.3e}"
-        )
-    return (a + ah) / 2.0
+        dev, scale = unit * float(dev.flat[k]), unit * float(scale.flat[k])  # Python floats reach inf silently
+        raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
+    return a + ah if unit == 2.0 else (a + ah) / 2.0
 
 
 def _checked_entries(entries, ndim: int = 2, unit_trace: bool = False) -> np.ndarray:
@@ -213,7 +219,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9, max_depth: int = 
     return _adaptive_simpson(f, a, b, tol, fa, fm, fb, max_depth)
 
 
-def principal_value_integral(f, omega0: float, lo: float, hi: float, tol: float = 1e-9) -> float:
+def principal_value_integral(f, omega0: float, lo: float, hi: float) -> float:
     """Cauchy principal value of integral f(w) / (omega0 - w) dw over [lo, hi].
 
     The singularity must lie strictly inside the domain and f must be
@@ -223,7 +229,7 @@ def principal_value_integral(f, omega0: float, lo: float, hi: float, tol: float 
         P.V. = integral_0^r [f(omega0 - u) - f(omega0 + u)] / u du  +  remainder
 
     with r = min(omega0 - lo, hi - omega0).  The symmetric part is done by
-    adaptive Simpson (tolerance ``tol``, default 1e-9 absolute); the value
+    adaptive Simpson at its default tolerance (1e-9 absolute); the value
     at u = 0 is the limit -2 f'(omega0), estimated by a central difference
     with step r * 1e-7.  The leftover one-sided strip is regular and is
     integrated by plain adaptive Simpson.
@@ -238,11 +244,11 @@ def principal_value_integral(f, omega0: float, lo: float, hi: float, tol: float 
             u = h
         return (f(omega0 - u) - f(omega0 + u)) / u
 
-    value = adaptive_simpson(paired, 0.0, r, tol)
+    value = adaptive_simpson(paired, 0.0, r)
     if omega0 - lo > r:
-        value += adaptive_simpson(lambda w: f(w) / (omega0 - w), lo, omega0 - r, tol)
+        value += adaptive_simpson(lambda w: f(w) / (omega0 - w), lo, omega0 - r)
     elif hi - omega0 > r:
-        value += adaptive_simpson(lambda w: f(w) / (omega0 - w), omega0 + r, hi, tol)
+        value += adaptive_simpson(lambda w: f(w) / (omega0 - w), omega0 + r, hi)
     return value
 
 
@@ -269,7 +275,12 @@ def check_uniform_grid(times: np.ndarray) -> float:
     return dt
 
 
-def matrix_pencil_fit(times, values, order: int, rank_rtol: float = 1e-10):
+def pencil_min_samples(order: int) -> int:
+    """Fewest samples ``matrix_pencil_fit`` accepts for ``order`` modes."""
+    return 2 * order + 2
+
+
+def matrix_pencil_fit(times, values, order: int):
     """Fit s(t) ~ sum_k a_k exp(z_k t) by the matrix-pencil method.
 
     Needs a uniform time grid with at least 2 * order + 2 samples.  A
@@ -283,8 +294,8 @@ def matrix_pencil_fit(times, values, order: int, rank_rtol: float = 1e-10):
 
     Returns a list of (z_k, a_k) pairs sorted by |Im z_k| ascending, ties
     broken toward slower decay.  Raises ``RankDeficiencyError`` when the
-    data's numerical rank (singular values above ``rank_rtol`` times the
-    largest) is below ``order``.
+    data's numerical rank (singular values above 1e-10 times the largest)
+    is below ``order``.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=complex)
@@ -292,8 +303,8 @@ def matrix_pencil_fit(times, values, order: int, rank_rtol: float = 1e-10):
         raise ValidationError("times and values must be 1-D arrays of equal length")
     if order < 1:
         raise ValidationError("order must be >= 1")
-    if t.size < 2 * order + 2:
-        raise ValidationError(f"need at least {2 * order + 2} samples for order {order}")
+    if t.size < pencil_min_samples(order):
+        raise ValidationError(f"need at least {pencil_min_samples(order)} samples for order {order}")
     dt = check_uniform_grid(t)
 
     n = y.size
@@ -305,7 +316,7 @@ def matrix_pencil_fit(times, values, order: int, rank_rtol: float = 1e-10):
     u, sig, vh = np.linalg.svd(y0, full_matrices=False)
     if sig[0] == 0.0:
         raise RankDeficiencyError("signal is identically zero", effective_rank=0)
-    effective = int(np.sum(sig > rank_rtol * sig[0]))
+    effective = int(np.sum(sig > _RANK_RTOL * sig[0]))
     if effective < order:
         raise RankDeficiencyError(
             f"numerical rank {effective} is below the requested order {order}; "

@@ -35,6 +35,8 @@ from .numerics import DensityMatrix
 from .pole_models import CatalogueMatrix
 
 _NORM_TOL = 1e-12
+_MIN_DELTA = 10.0
+_TRUNCATION_FACTOR = 0.1
 
 
 def _logsumexp(exponents: np.ndarray) -> float:
@@ -228,27 +230,22 @@ class MacroscopicityReport:
     truncation_factor: float
 
 
-def macroscopicity_check(
-    cfg: OmnesConfig,
-    min_delta: float = 10.0,
-    truncation_factor: float = 0.1,
-) -> MacroscopicityReport:
+def macroscopicity_check(cfg: OmnesConfig) -> MacroscopicityReport:
     """Check Delta >> 1 and Delta << sqrt(2(N+1)) with factor-of-10 margins.
 
-    The asymptotic conditions are read quantitatively as
-    Delta >= min_delta and Delta <= truncation_factor * sqrt(2(N+1));
-    the defaults demand an order of magnitude on each side.
+    The asymptotic conditions are read quantitatively as Delta >= 10 and
+    Delta <= 0.1 sqrt(2(N+1)): an order of magnitude on each side.
     """
     delta = cfg.delta
-    lower = delta / float(min_delta)
-    upper = float(truncation_factor) * math.sqrt(2.0 * (cfg.N + 1)) / delta
+    lower = delta / _MIN_DELTA
+    upper = _TRUNCATION_FACTOR * math.sqrt(2.0 * (cfg.N + 1)) / delta
     return MacroscopicityReport(
         passed=(lower >= 1.0 and upper >= 1.0),
         delta=delta,
         lower_margin=lower,
         upper_margin=upper,
-        min_delta=float(min_delta),
-        truncation_factor=float(truncation_factor),
+        min_delta=_MIN_DELTA,
+        truncation_factor=_TRUNCATION_FACTOR,
     )
 
 
@@ -270,20 +267,24 @@ def _pole_width(z0: complex) -> float:
     return -z0.imag
 
 
-def _self_overlap(d2: float, z0: complex, t, hbar: float):
-    """Closed-form <alpha2(0)|alpha2(t)> = exp(-d2 (1 - exp(-i z0 t / hbar))), d2 = Delta^2.
+def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
+    """(s, w): static branch overlap and <alpha2(0)|alpha2(t)>; rejects a growing pole.
 
-    ``t`` is a time (the result is a complex) or an array of times (a
-    complex array).  The arithmetic around the two exponentials runs on real
-    and imaginary parts in the order the scalar complex operators use, since
-    numpy's complex multiply and divide round differently; ``x + 1j * y``
-    only assembles the parts, which is exact.  Each array entry has the
-    bits of its time evaluated alone.
+    ``closed_form``: s = exp(-Delta^2/2), w = exp(-Delta^2 (1 - exp(-i z0 t / hbar)))
+    at a time or an array of times, each entry with the bits of its time
+    alone.  The arithmetic runs on real and imaginary parts in the order
+    the scalar complex operators use, since numpy's complex multiply and
+    divide round differently.  Otherwise the exact truncated sums at one time.
     """
+    _pole_width(z0)
+    if not closed_form:
+        q = _fock_probabilities(cfg.alpha2, cfg.N)
+        return math.exp(cfg.state2().log_norm), complex(q @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
+    d2 = cfg.delta**2
     arg = -1j * complex(z0)
-    inner = np.exp(arg.real * t / hbar + 1j * (arg.imag * t / hbar))
+    inner = np.exp(arg.real * t / cfg.hbar + 1j * (arg.imag * t / cfg.hbar))
     w = np.exp(-d2 * (1.0 - inner.real) + 1j * (-d2 * (0.0 - inner.imag)))
-    return w if isinstance(w, np.ndarray) else complex(w)
+    return math.exp(-0.5 * d2), (w if isinstance(w, np.ndarray) else complex(w))
 
 
 def evolved_overlaps(cfg: OmnesConfig, z0: complex, t: float):
@@ -294,11 +295,8 @@ def evolved_overlaps(cfg: OmnesConfig, z0: complex, t: float):
     the static residual exp(-Delta^2/2), and the last decays through
     exp(-Delta^2 (1 - exp(-i z0 t / hbar))).
     """
-    _pole_width(z0)
+    s, w = _frame_overlaps(cfg, z0, t, closed_form=True)
     _warn_if_not_macroscopic(cfg)
-    d2 = cfg.delta**2
-    s = math.exp(-0.5 * d2)
-    w = _self_overlap(d2, z0, t, cfg.hbar)
     return (complex(1.0), complex(s), complex(s), w)
 
 
@@ -328,11 +326,8 @@ class NDComponents:
 
 def nd_block(cfg: OmnesConfig, z0: complex, t: float) -> NDComponents:
     """Evaluate the four frame components of the coherence block at time t."""
-    gamma = _pole_width(z0)
+    s, w = _frame_overlaps(cfg, z0, t, closed_form=True)
     _warn_if_not_macroscopic(cfg)
-    d2 = cfg.delta**2
-    s = math.exp(-0.5 * d2)
-    w = _self_overlap(d2, z0, t, cfg.hbar)
     cross = cfg.a.conjugate() * cfg.b
     rho21 = cross * w
     return NDComponents(
@@ -341,7 +336,7 @@ def nd_block(cfg: OmnesConfig, z0: complex, t: float) -> NDComponents:
         rho12=rho21.conjugate(),
         rho21=rho21,
         rho22=complex(2.0 * s * (cross * w).real),
-        envelope=math.exp(-d2 * (1.0 - math.exp(-gamma * t / cfg.hbar))),
+        envelope=math.exp(-cfg.delta**2 * (1.0 - math.exp(-_pole_width(z0) * t / cfg.hbar))),
     )
 
 
@@ -352,9 +347,8 @@ def nd_decay(cfg: OmnesConfig, z0: complex, times) -> np.ndarray:
     product conj(a) b w(t) is formed on real and imaginary parts as CPython
     forms it, and its magnitude is np.hypot, as abs(complex) is.
     """
-    _pole_width(z0)
+    _, w = _frame_overlaps(cfg, z0, np.asarray(times, dtype=float), closed_form=True)
     _warn_if_not_macroscopic(cfg)
-    w = _self_overlap(cfg.delta**2, z0, np.asarray(times, dtype=float), cfg.hbar)
     cross = cfg.a.conjugate() * cfg.b
     return np.hypot(
         cross.real * w.real - cross.imag * w.imag,
@@ -455,16 +449,10 @@ def frame_amplitudes(cfg: OmnesConfig, z0: complex, t: float, closed_form: bool 
     f1 = a + b s and f2 = a s + b w(t), with s the static branch overlap
     and w the self-overlap of the displaced branch.  ``closed_form`` picks
     the infinite-N expressions; otherwise both use the exact truncated
-    sums, matching density_components to machine precision.
+    sums, matching density_components to machine precision.  A growing
+    pole (Im z0 > 0) raises ValidationError.
     """
-    if closed_form:
-        d2 = cfg.delta**2
-        s = math.exp(-0.5 * d2)
-        w = _self_overlap(d2, z0, t, cfg.hbar)
-    else:
-        s = math.exp(cfg.state2().log_norm)
-        q = _fock_probabilities(cfg.alpha2, cfg.N)
-        w = complex(q @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
+    s, w = _frame_overlaps(cfg, z0, t, closed_form)
     f1 = cfg.a + cfg.b * s
     f2 = cfg.a * s + cfg.b * w
     return f1, f2
@@ -479,7 +467,6 @@ def frame_projection(
     treated as orthonormal, which the macroscopic regime justifies up to
     the exp(-Delta^2/2) cross-overlap.
     """
-    _pole_width(z0)
     f1, f2 = frame_amplitudes(cfg, z0, t, closed_form)
     f = np.array([f1, f2], dtype=complex)
     mat = np.outer(f, f.conj())

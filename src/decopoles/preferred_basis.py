@@ -219,7 +219,7 @@ def convergence_profile(
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
-    if t_D <= 0.0:
+    if not t_D > 0.0:  # NaN fails too
         raise ValidationError("t_D must be positive")
     if t[0] < 0.0 or t[-1] < 3.0 * t_D:
         raise ValidationError(
@@ -263,22 +263,18 @@ class BiFriedrichModel:
     """Two independent pole catalogues observed through separate observables.
 
     The parts commute, so the observable of part 1 sees only part-1 poles
-    and vice versa; ``observables`` names the two selectors.  A part with
-    no poles (tail-only catalogue) has already relaxed at t = 0.
+    and vice versa; ``part`` selects a part by observable name ("O1",
+    "O2") or index (0, 1).  A part with no poles (tail-only catalogue)
+    has already relaxed at t = 0.
     """
 
     part1: PoleCatalogue
     part2: PoleCatalogue
-    observables: tuple = ("O1", "O2")
-
-    def __post_init__(self):
-        if len(self.observables) != 2 or len(set(self.observables)) != 2:
-            raise ValidationError("observables must be two distinct selector names")
 
     def part(self, which) -> PoleCatalogue:
-        if which == self.observables[0] or which == 0:
+        if which == "O1" or which == 0:
             return self.part1
-        if which == self.observables[1] or which == 1:
+        if which == "O2" or which == 1:
             return self.part2
         raise ValidationError(f"unknown observable selector {which!r}")
 

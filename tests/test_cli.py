@@ -402,6 +402,27 @@ class TestExtract:
         assert "largest growth rate 5.000e-02" in err
         assert not (out / "catalogue.json").exists()
 
+    def decay_csv(self, tmp_path, rows):
+        t = np.arange(rows, dtype=float)
+        csv_path = tmp_path / "short.csv"
+        csv_path.write_text(signal_to_csv(Signal(t, np.exp(-0.5 * t) + 0j)), encoding="utf-8")
+        return csv_path
+
+    @pytest.mark.parametrize("rows, order", [(3, 2), (1, 1), (5, 2)])
+    def test_too_few_samples_for_the_order(self, tmp_path, capsys, rows, order):
+        cfg = self.extract_config(tmp_path, self.decay_csv(tmp_path, rows), order)
+        out = tmp_path / "f"
+        assert main(["extract", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: params.model_order: needs at least {2 * order + 2} samples for "
+            f"order {order}, params.input_csv has {rows}\n"
+        )
+        assert not out.exists()
+
+    def test_fewest_samples_for_the_order_fit(self, tmp_path):
+        cfg = self.extract_config(tmp_path, self.decay_csv(tmp_path, 6), 2)
+        assert main(["extract", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
+
     def test_missing_input_csv(self, tmp_path, capsys):
         cfg = self.extract_config(tmp_path, tmp_path / "absent.csv", 1)
         assert main(["extract", "--config", cfg, "--out", str(tmp_path / "f")]) == 2

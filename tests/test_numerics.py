@@ -10,11 +10,13 @@ from decopoles.errors import ConvergenceError, RankDeficiencyError, ValidationEr
 from decopoles.numerics import (
     DensityMatrix,
     HermitianMatrix,
+    _checked_entries,
     _density_stack,
     _phase_fix,
     adaptive_simpson,
     eigh,
     fit_residual,
+    hermitian_average,
     matrix_pencil_fit,
     principal_value_integral,
 )
@@ -52,6 +54,57 @@ class TestHermitianMatrix:
         a = np.array([[1.0, 0.5 + 1e-14j], [0.5, 2.0]])
         m = HermitianMatrix(a)
         assert np.allclose(m.entries, m.entries.conj().T, rtol=0, atol=0)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.diag([1.7e308, 1.7e308]),
+            [[1.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1.0]],
+            [[-1.7e308, 1e-300 - 3e-300j], [1e-300 + 3e-300j, np.finfo(float).max]],
+        ],
+        ids=["real-diagonal", "complex-off-diagonal", "with-tiny-entries"],
+    )
+    def test_huge_hermitian_kept_finite_and_exact(self, entries):
+        # halving is exact for normal floats, so an exactly Hermitian input comes back unchanged
+        a = np.asarray(entries, dtype=complex)
+        m = HermitianMatrix(a)
+        assert np.isfinite(m.entries).all()
+        assert m.entries.tolist() == a.tolist()
+
+    @pytest.mark.parametrize(
+        "entries, line",
+        [
+            (
+                [[1.0, 1.7e308], [0.0, 1.0]],
+                "matrix is not Hermitian: max deviation 1.700e+308 at scale 1.700e+308",
+            ),
+            (
+                [[1.0, 1e308], [-1e308, 1.0]],
+                "matrix is not Hermitian: max deviation inf at scale 1.000e+308",
+            ),
+            (
+                [[1.0, 1.5e308 + 1.5e308j], [1.5e308 + 1.5e308j, 1.0]],
+                "matrix is not Hermitian: max deviation inf at scale inf",
+            ),
+        ],
+        ids=["one-sided", "antisymmetric", "complex-symmetric"],
+    )
+    def test_huge_non_hermitian_is_a_validation_error(self, entries, line):
+        # pyproject turns numpy's overflow RuntimeWarning into a test failure
+        with pytest.raises(ValidationError) as info:
+            HermitianMatrix(np.asarray(entries, dtype=complex))
+        assert str(info.value) == line
+
+    def test_empty_stack(self):
+        # a catalogue matrix with no poles averages a (0, d, d) amplitude stack
+        assert hermitian_average(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
+
+    def test_huge_member_of_a_stack(self):
+        small = np.array([[2.0, 1j], [-1j, 3.0]])
+        huge = np.diag([1e308, 1.7e308]).astype(complex)
+        got = _checked_entries(np.stack([small, huge]), ndim=3)
+        assert got[0].tolist() == small.tolist()
+        assert got[1].tolist() == huge.tolist()
 
 
 class TestDensityMatrix:

@@ -29,6 +29,7 @@ from decopoles.omnes import (
     frame_projection,
     macroscopicity_check,
     nd_block,
+    nd_decay,
     overlap_error_bound,
     overlap_truncated,
 )
@@ -387,6 +388,23 @@ class TestFockDensity:
 
 
 class TestFramePicture:
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda cfg, z0: frame_amplitudes(cfg, z0, 1.0, closed_form=True),
+            lambda cfg, z0: frame_amplitudes(cfg, z0, 1.0, closed_form=False),
+            lambda cfg, z0: frame_projection(cfg, z0, 1.0, closed_form=False),
+            lambda cfg, z0: nd_block(cfg, z0, 1.0),
+            lambda cfg, z0: nd_decay(cfg, z0, [0.0, 1.0]),
+        ],
+        ids=["frame_amplitudes-closed", "frame_amplitudes-truncated", "frame_projection",
+             "nd_block", "nd_decay"],
+    )
+    def test_growth_pole_rejected(self, reader):
+        with pytest.raises(ValidationError) as info:
+            reader(config(), 0.1j)
+        assert str(info.value) == "Im z0 = 0.1 must be <= 0 (decaying pole)"
+
     @IGNORE_MACRO
     def test_f1_static(self):
         cfg = config(L0=6.0, N=255)

@@ -270,8 +270,9 @@ class TestConvergenceProfile:
     def test_bad_t_d(self):
         grid = self.grid()
         rho = [np.eye(2) / 2] * grid.size
-        with pytest.raises(ValidationError):
-            convergence_profile(rho, rho, grid, t_D=0.0)
+        for t_D in (0.0, math.nan):
+            with pytest.raises(ValidationError, match="t_D must be positive"):
+                convergence_profile(rho, rho, grid, t_D=t_D)
 
     def test_dimension_mismatch(self):
         grid = self.grid()
@@ -527,10 +528,6 @@ class TestBiFriedrich:
         assert m.part(1) is m.part2
         with pytest.raises(ValidationError):
             m.part("O3")
-
-    def test_observables_must_differ(self):
-        with pytest.raises(ValidationError):
-            BiFriedrichModel(self.model().part1, self.model().part2, observables=("O", "O"))
 
     def test_relaxation_times(self):
         m = self.model()

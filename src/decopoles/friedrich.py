@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -218,8 +219,7 @@ class EffectiveHamiltonian:
         if n_max < 1:
             raise ValidationError("N_max must be at least 1")
         z0 = complex(self.z0)
-        if z0.imag > 0.0:
-            raise ValidationError("Im z0 must be <= 0 (decaying resonance)")
+        _pole_width(z0)
         object.__setattr__(self, "N_max", n_max)
         object.__setattr__(self, "z0", z0)
 
@@ -228,9 +228,25 @@ class EffectiveHamiltonian:
         return tuple(n * self.z0 for n in range(self.N_max + 1))
 
 
+def _pole_width(z0: complex) -> float:
+    """gamma = -Im z0 of a decaying pole; a growing one (Im z0 > 0) raises ValidationError."""
+    z0 = complex(z0)
+    if z0.imag > 0.0:
+        raise ValidationError(f"Im z0 = {z0.imag} must be <= 0 (decaying pole)")
+    return -z0.imag
+
+
+@functools.lru_cache(maxsize=32)
+def _ladder_exponents(size: int, z0_bits: bytes) -> np.ndarray:
+    """-i n z0 for n = 0..size-1, shared read-only; keyed by z0's bits, as == merges +-0.0."""
+    out = -1j * np.arange(size) * complex(*struct.unpack("dd", z0_bits))
+    out.setflags(write=False)
+    return out
+
+
 def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
     """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t."""
-    return np.exp(-1j * np.arange(size) * complex(z0) * t / hbar)
+    return np.exp(_ladder_exponents(size, struct.pack("dd", z0.real, z0.imag)) * t / hbar)
 
 
 def lee_friedrich_spectrum(pole: PerturbativePole, N_max: int) -> EffectiveHamiltonian:

@@ -16,6 +16,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,17 @@ class DensityMatrix(HermitianMatrix):
             raise ConvergenceError(f"LAPACK eigvalsh did not converge: {exc}") from exc
 
 
+def _stacked(mats) -> np.ndarray:
+    """One (T, d, d) array of the square matrices ``mats``, which must share one shape."""
+    try:
+        stack = np.stack(mats)
+    except ValueError as exc:
+        raise ValidationError(f"matrices must share one shape: {exc}") from exc
+    if stack.ndim != 3:
+        raise ValidationError(f"expected square matrices, got a stack of shape {stack.shape}")
+    return stack
+
+
 def _density_stack(mats) -> list:
     """``[DensityMatrix(m) for m in mats]``, checked once as one stack; entries are its views."""
     out = []
@@ -125,16 +137,30 @@ class EigenDecomposition:
     """Eigenvalues sorted descending plus orthonormal, phase-fixed vectors.
 
     ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; for a (T, d, d)
-    stack both carry a leading time axis.  Phase fix: the largest-magnitude
-    component of each vector is real and nonnegative.  Within a degenerate
-    cluster (eigenvalue spacing < 1e-9 * ||A||) the vectors are an
-    arbitrary orthonormal basis of the cluster subspace, so comparisons
-    across decompositions must use subspace metrics there.
+    stack both carry a leading time axis, as does ``entries``, the matrix
+    diagonalized.  Phase fix: the largest-magnitude component of each
+    vector is real and nonnegative.  Within a degenerate cluster (eigenvalue
+    spacing < 1e-9 * ||A||) the vectors are an arbitrary orthonormal basis
+    of the cluster subspace, so comparisons across decompositions must use
+    subspace metrics there.  ``off_diagonal_residual``, computed on first
+    read, is ||offdiag(V^H A V)||_F / ||A||_F (0 for the zero matrix), the
+    largest one over a stack.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    off_diagonal_residual: float = field(default=0.0)
+    entries: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def off_diagonal_residual(self) -> float:
+        vecs, entries = self.eigenvectors, self.entries
+        rotated = np.swapaxes(vecs.conj(), -1, -2) @ entries @ vecs
+        diag = np.arange(rotated.shape[-1])
+        rotated[..., diag, diag] = 0.0
+        norm_a = np.linalg.norm(entries, axis=(-2, -1))
+        norm_off = np.linalg.norm(rotated, axis=(-2, -1))
+        ratio = np.divide(norm_off, norm_a, out=np.zeros_like(norm_a), where=norm_a > 0.0)
+        return float(np.max(ratio))
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -161,17 +187,18 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 def eigh(a) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix, or a (T, d, d) stack, with LAPACK.
 
-    Accepts a ``HermitianMatrix``, anything convertible to one, or a stack
-    that passes the same check matrix by matrix; a stack goes to LAPACK in
-    one ``np.linalg.eigh`` call, with the same values as one call per
-    matrix.  LAPACK's ascending eigenvalues are reversed to descending
-    order and the vectors get the ``_phase_fix`` convention.
-    ``off_diagonal_residual`` is ||offdiag(V^H A V)||_F / ||A||_F (0 for
-    the zero matrix), and the largest one over a stack.  A LAPACK failure
-    to converge raises ``ConvergenceError``.
+    Accepts a ``HermitianMatrix``, anything convertible to one, a stack
+    that passes the same check matrix by matrix, or a list of equally shaped
+    ``HermitianMatrix`` members, stacked without a second check.  A stack
+    goes to LAPACK in one ``np.linalg.eigh`` call, with the same values as
+    one call per matrix.  LAPACK's ascending eigenvalues are reversed to
+    descending order and the vectors get the ``_phase_fix`` convention.
+    A LAPACK failure to converge raises ``ConvergenceError``.
     """
     if isinstance(a, HermitianMatrix):
         entries = a.entries
+    elif isinstance(a, list) and a and all(isinstance(m, HermitianMatrix) for m in a):
+        entries = _stacked([m.entries for m in a])
     else:
         a = np.asarray(a, dtype=complex)
         entries = _checked_entries(a, 3 if a.ndim == 3 else 2)
@@ -179,14 +206,7 @@ def eigh(a) -> EigenDecomposition:
         values, vecs = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
-    vecs = _phase_fix(vecs[..., ::-1])
-    rotated = np.swapaxes(vecs.conj(), -1, -2) @ entries @ vecs
-    diag = np.arange(rotated.shape[-1])
-    rotated[..., diag, diag] = 0.0
-    norm_a = np.linalg.norm(entries, axis=(-2, -1))
-    norm_off = np.linalg.norm(rotated, axis=(-2, -1))
-    ratio = np.divide(norm_off, norm_a, out=np.zeros_like(norm_a), where=norm_a > 0.0)
-    return EigenDecomposition(values[..., ::-1].copy(), vecs, float(np.max(ratio)))
+    return EigenDecomposition(values[..., ::-1].copy(), _phase_fix(vecs[..., ::-1]), entries)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, fa, fm, fb, depth: int):

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .friedrich import _ladder_phases
+from .friedrich import _ladder_phases, _pole_width
 from .numerics import DensityMatrix
 from .pole_models import CatalogueMatrix
 
@@ -77,6 +77,17 @@ def _fock_probabilities(alpha: float, N: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _fock_vector(alpha: float, N: int) -> np.ndarray:
+    """<n|alpha> for n = 0..N, unit norm within 1e-12, cached per (alpha, N) and shared read-only."""
+    v = np.exp(_log_fock_weights(alpha, N) + _log_norm(alpha, N))
+    nrm = float(np.linalg.norm(v))
+    if abs(nrm - 1.0) > _NORM_TOL:
+        raise ValidationError(f"truncated state norm {nrm} deviates from 1")
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class QuasiCoherentState:
     """Coherent state truncated at Fock level N, renormalized to unit norm.
@@ -106,11 +117,7 @@ class QuasiCoherentState:
 
     def fock_vector(self) -> np.ndarray:
         """Unit-norm component vector in the Fock basis, length N+1."""
-        v = np.exp(_log_fock_weights(self.alpha, self.N) + self.log_norm)
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > _NORM_TOL:
-            raise ValidationError(f"truncated state norm {nrm} deviates from 1")
-        return v
+        return _fock_vector(self.alpha, self.N).copy()
 
 
 @dataclass(frozen=True)
@@ -260,13 +267,6 @@ def _warn_if_not_macroscopic(cfg: OmnesConfig):
         )
 
 
-def _pole_width(z0: complex) -> float:
-    z0 = complex(z0)
-    if z0.imag > 0.0:
-        raise ValidationError(f"Im z0 = {z0.imag} must be <= 0 (decaying pole)")
-    return -z0.imag
-
-
 def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     """(s, w): static branch overlap and <alpha2(0)|alpha2(t)>; rejects a growing pole.
 
@@ -401,7 +401,8 @@ class FockDensityParts:
 def _evolved_density(cfg: OmnesConfig, z0: complex, t: float):
     """(|0>, evolved branch v2(t), unnormalized state, its norm, rho) of the superposition."""
     _pole_width(z0)
-    v2t = cfg.state2().fock_vector() * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
+    state2 = cfg.state2()
+    v2t = _fock_vector(state2.alpha, state2.N) * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
     e0 = np.zeros(cfg.N + 1, dtype=complex)
     e0[0] = 1.0
 

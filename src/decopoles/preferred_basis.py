@@ -26,7 +26,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix, HermitianMatrix, _density_stack, eigh
+from .numerics import DensityMatrix, HermitianMatrix, _density_stack, _stacked, eigh
 from .pole_models import (
     CatalogueMatrix,
     PoleCatalogue,
@@ -39,47 +39,45 @@ from .pole_models import (
 _GAP_TOL = 1e-10
 
 
-def _as_matrix(entry) -> np.ndarray:
-    if isinstance(entry, HermitianMatrix):  # a DensityMatrix too
-        return entry.entries
-    return np.asarray(entry, dtype=complex)
-
-
-def _materialize(rho_of_t, grid: np.ndarray) -> np.ndarray:
-    """The family on the grid as one (T, d, d) stack."""
-    if callable(rho_of_t):
-        mats = [_as_matrix(rho_of_t(float(t))) for t in grid]
-    else:
-        mats = [_as_matrix(m) for m in rho_of_t]
-        if len(mats) != grid.size:
-            raise ValidationError(
-                f"{len(mats)} matrices supplied for a grid of {grid.size} points"
-            )
-    try:
-        stack = np.stack(mats)
-    except ValueError as exc:
-        raise ValidationError(f"matrices must share one shape: {exc}") from exc
-    if stack.ndim != 3:
-        raise ValidationError(f"expected square matrices, got a stack of shape {stack.shape}")
-    return stack
+def _materialize(rho_of_t, grid: np.ndarray):
+    """The family on the grid: its members if all are checked, else one plain (T, d, d) stack."""
+    mats = [rho_of_t(float(t)) for t in grid] if callable(rho_of_t) else list(rho_of_t)
+    if len(mats) != grid.size:
+        raise ValidationError(f"{len(mats)} matrices supplied for a grid of {grid.size} points")
+    if all(isinstance(m, HermitianMatrix) for m in mats):
+        return mats
+    return _stacked([m.entries if isinstance(m, HermitianMatrix) else m for m in mats])
 
 
 def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
     """perm[..., i] = column assigned to row i, taking largest overlaps first.
 
-    Each (d, d) matrix of the stack strikes the row and column of its first
-    largest remaining entry (row-major order) in each of d rounds.
+    The rule, per (d, d) matrix: take the first largest open entry in
+    row-major order, strike its row and column, repeat.  Each round takes,
+    in every matrix at once, all locally dominant pairs (Preis, STACS 1999):
+    (i, j) with j the first argmax of open row i and i that of open column j.
+    Under the strict order "larger, then earlier in row-major order" these
+    are the pairs largest in their row and column, and the rule takes them
+    all: such a pair stays open until the rule takes an entry of its row or
+    column, which as the open maximum can only be the pair itself, and
+    striking it leaves the rule's other choices and the other dominant pairs
+    as they were.  The open maximum is always dominant, so rounds end.
     """
     *lead, d, _ = np.shape(overlaps)
     flat = np.array(overlaps, dtype=float).reshape(math.prod(lead), d, d)
-    perm = np.empty(flat.shape[:-1], dtype=np.intp)
-    every = np.arange(flat.shape[0])
-    for _ in range(d):
-        i, j = np.divmod(np.argmax(flat.reshape(every.size, d * d), axis=1), d)
-        perm[every, i] = j
-        flat[every, i, :] = -1.0
-        flat[every, :, j] = -1.0
-    return perm.reshape(*lead, d)
+    perm = np.full(flat.shape[:-1], -1, dtype=np.intp)
+    while True:
+        open_rows = perm < 0
+        if not open_rows.any():
+            return perm.reshape(*lead, d)
+        best_col = np.argmax(flat, axis=2)  # per row; struck entries hold -1 < every overlap
+        best_row = np.argmax(flat, axis=1)  # per column
+        dominant = open_rows & (np.take_along_axis(best_row, best_col, axis=1) == np.arange(d))
+        k, i = np.nonzero(dominant)
+        j = best_col[k, i]
+        perm[k, i] = j
+        flat[k, i, :] = -1.0
+        flat[k, :, j] = -1.0
 
 
 @dataclass(frozen=True)

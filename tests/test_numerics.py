@@ -350,6 +350,66 @@ class TestStackedEigh:
             eigh(np.zeros(shape))
 
 
+def eager_residual(dec, entries):
+    """Oracle: ||offdiag(V^H A V)||_F / ||A||_F as eigh once formed it on every call."""
+    vecs = dec.eigenvectors
+    rotated = np.swapaxes(vecs.conj(), -1, -2) @ entries @ vecs
+    diag = np.arange(rotated.shape[-1])
+    rotated[..., diag, diag] = 0.0
+    norm_a = np.linalg.norm(entries, axis=(-2, -1))
+    norm_off = np.linalg.norm(rotated, axis=(-2, -1))
+    ratio = np.divide(norm_off, norm_a, out=np.zeros_like(norm_a), where=norm_a > 0.0)
+    return float(np.max(ratio))
+
+
+class TestResidualOnDemand:
+    def test_one_matrix(self):
+        mat = random_hermitian(np.random.default_rng(31), 9)
+        dec = eigh(mat)
+        assert "off_diagonal_residual" not in vars(dec)
+        assert dec.off_diagonal_residual == eager_residual(dec, hermitian_average(mat))
+        assert "off_diagonal_residual" in vars(dec)
+
+    def test_stack(self):
+        mats = density_stack(np.random.default_rng(37), 6, 7)
+        dec = eigh(mats)
+        assert dec.off_diagonal_residual == eager_residual(dec, hermitian_average(mats))
+
+    def test_zero_matrix(self):
+        dec = eigh(np.zeros((3, 3)))
+        assert dec.off_diagonal_residual == eager_residual(dec, np.zeros((3, 3))) == 0.0
+
+
+class TestCheckedMembers:
+    """A list of checked matrices is stacked as it is; plain input is checked once."""
+
+    def test_density_members_equal_the_raw_stack(self):
+        mats = density_stack(np.random.default_rng(41), 5, 6)
+        got = eigh([DensityMatrix(m) for m in mats])
+        want = eigh(mats)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert got.off_diagonal_residual == want.off_diagonal_residual
+
+    def test_members_are_not_checked_again(self, monkeypatch):
+        members = [DensityMatrix(np.eye(3) / 3.0)] * 2
+        calls = []
+        monkeypatch.setattr("decopoles.numerics.hermitian_average", calls.append)
+        assert eigh(members).eigenvalues.shape == (2, 3)
+        assert calls == []
+
+    def test_members_of_two_shapes_rejected(self):
+        with pytest.raises(ValidationError, match="share one shape"):
+            eigh([DensityMatrix(np.eye(2) / 2.0), DensityMatrix(np.eye(3) / 3.0)])
+
+    def test_plain_stack_still_checked(self):
+        mats = density_stack(np.random.default_rng(43), 3, 4)
+        mats[1, 0, 2] += 1e-6
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            eigh(mats)
+
+
 class TestAdaptiveSimpson:
     def test_polynomial_exact(self):
         # Simpson integrates cubics exactly

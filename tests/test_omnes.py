@@ -14,6 +14,7 @@ from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
     _fock_probabilities,
+    _fock_vector,
     _log_factorials,
     _log_fock_weights,
     _log_norm,
@@ -64,6 +65,15 @@ class TestQuasiCoherentState:
     def test_unit_norm(self, alpha, N):
         v = QuasiCoherentState(alpha, N).fock_vector()
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_fock_vector_is_a_copy_of_the_shared_cache(self):
+        state = QuasiCoherentState(3.0, 40)
+        v = state.fock_vector()
+        want = np.exp(_log_fock_weights(3.0, 40) + _log_norm(3.0, 40))
+        assert v.tobytes() == want.tobytes()
+        v[:] = 0.0  # the caller's copy; the cache is read-only
+        assert state.fock_vector().tobytes() == want.tobytes()
+        assert not _fock_vector(3.0, 40).flags.writeable
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValidationError):
@@ -404,6 +414,13 @@ class TestFramePicture:
         with pytest.raises(ValidationError) as info:
             reader(config(), 0.1j)
         assert str(info.value) == "Im z0 = 0.1 must be <= 0 (decaying pole)"
+
+    def test_spectrum_rejects_growth_with_the_frame_message(self):
+        with pytest.raises(ValidationError) as spectrum:
+            EffectiveHamiltonian(2, 0.1j)
+        with pytest.raises(ValidationError) as frame:
+            frame_amplitudes(config(), 0.1j, 1.0)
+        assert str(spectrum.value) == str(frame.value) == "Im z0 = 0.1 must be <= 0 (decaying pole)"
 
     @IGNORE_MACRO
     def test_f1_static(self):

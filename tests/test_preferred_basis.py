@@ -120,6 +120,14 @@ class TestMovingBasis:
         basis = moving_eigenbasis(crossing, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
         assert basis.degenerate_times == (1.0,)
 
+    def test_density_members_give_the_raw_stack_bits(self):
+        grid = np.linspace(0.0, 2.0, 9)
+        mats = [rotating_family(t) for t in grid]
+        members = moving_eigenbasis([DensityMatrix(m) for m in mats], grid)
+        raw = moving_eigenbasis(mats, grid)
+        assert members.eigenvalues.tobytes() == raw.eigenvalues.tobytes()
+        assert members.eigenvectors.tobytes() == raw.eigenvectors.tobytes()
+
     def test_reversed_traversal_same_spectra(self):
         grid = np.linspace(0.0, 2.0, 21)
         fwd = moving_eigenbasis(rotating_family, grid)
@@ -321,6 +329,33 @@ class TestConvergenceProfile:
     def test_angle_range_enforced(self):
         with pytest.raises(ValidationError):
             BasisDistance(0.0, 2.0, 1.0, None, 0.0, True)
+
+
+def skewed(t):
+    return np.array([[0.5, 0.2], [0.0, 0.5]]) if t == 1.0 else np.diag([0.6, 0.4])
+
+
+class TestPlainFamiliesChecked:
+    """Plain arrays, and callables returning them, are still checked for Hermiticity."""
+
+    GRID = np.array([0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("family", [skewed, [skewed(t) for t in GRID]], ids=["callable", "list"])
+    def test_moving_eigenbasis_rejects(self, family):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            moving_eigenbasis(family, self.GRID)
+
+    @pytest.mark.parametrize("family", [skewed, [skewed(t) for t in GRID]], ids=["callable", "list"])
+    def test_convergence_profile_rejects(self, family):
+        good = [DensityMatrix(np.diag([0.6, 0.4]))] * self.GRID.size
+        for rho_r, rho_p in ((family, good), (good, family)):
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                convergence_profile(rho_r, rho_p, self.GRID, t_D=1.0)
+
+    def test_one_plain_member_among_checked_ones(self):
+        family = [DensityMatrix(np.diag([0.6, 0.4]))] * 3 + [skewed(1.0)]
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            moving_eigenbasis(family, self.GRID)
 
 
 def reference_greedy_match(overlaps):

@@ -343,6 +343,51 @@ class TestStackedGreedyMatch:
 
 
 @st.composite
+def fock_scale_overlaps(draw):
+    """(T, d, d) overlap moduli with d up to 50, shaped as the moving basis meets them.
+
+    * near_permutation: a permuted near-identity under off-diagonal noise, as
+      consecutive grid points give;
+    * rank_one: |u_i v_j| of two Poisson-shaped Fock profiles, rounded to a
+      few digits on request, as a pure state's degenerate cluster gives;
+    * lattice: entries in {0, 1/4, ..., 1}, some with a boosted permutation,
+      so exact ties are everywhere.
+    """
+    kind = draw(st.sampled_from(("near_permutation", "rank_one", "lattice")))
+    d = draw(st.integers(1, 50))
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "near_permutation":
+        stack = rng.uniform(0.0, draw(st.sampled_from((1e-3, 0.1, 0.7))), (count, d, d))
+        for k in range(count):
+            stack[k, np.arange(d), rng.permutation(d)] += rng.uniform(0.5, 1.0, d)
+    elif kind == "rank_one":
+        n = np.arange(d)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(d)])
+        mean = rng.uniform(0.5, max(d, 1), (count, 2, 1))
+        profiles = np.exp(0.5 * (n * np.log(mean) - mean - log_fact))
+        stack = profiles[:, 0, :, None] * profiles[:, 1, None, :]
+        digits = draw(st.sampled_from((None, 2, 4)))
+        if digits is not None:
+            stack = np.round(stack, digits)
+    else:
+        stack = rng.integers(0, 5, (count, d, d)) / 4.0
+        for k in range(count):
+            if rng.random() < 0.5:
+                stack[k, np.arange(d), rng.permutation(d)] += 1.0
+    return stack
+
+
+class TestGreedyMatchAtFockScale:
+    @settings(deadline=None, max_examples=150)
+    @given(fock_scale_overlaps())
+    def test_rounds_equal_the_sequential_rule(self, stack):
+        got = _greedy_match(stack)
+        for k in range(stack.shape[0]):
+            assert got[k].tolist() == reference_greedy_match(stack[k]).tolist()
+
+
+@st.composite
 def hermitian_families(draw):
     """(T, d, d) Hermitian stacks with d = 2..5 and T <= 30."""
     d = draw(st.integers(2, 5))

@@ -248,7 +248,9 @@ def _run_bifriedrich(model: preferred_basis.BiFriedrichModel, grid: np.ndarray, 
     result = preferred_basis.bifriedrich_run(model, grid)
     _write(outdir, "signal1.csv", pole_models.signal_csv_chunks(result.signal1))
     _write(outdir, "signal2.csv", pole_models.signal_csv_chunks(result.signal2))
-    _write(outdir, "verdicts.csv", _csv("t,part1_state,part2_state", result.verdicts))
+    v = result.verdicts  # states iterated, not listed: tolist() makes 2T strings, raising peak RSS
+    rows = zip(v.t.tolist(), v.part1_state, v.part2_state)
+    _write(outdir, "verdicts.csv", _csv("t,part1_state,part2_state", rows))
 
 
 def _parse_omnes(params: dict) -> dict:

@@ -162,10 +162,6 @@ class EigenDecomposition:
         ratio = np.divide(norm_off, norm_a, out=np.zeros_like(norm_a), where=norm_a > 0.0)
         return float(np.max(ratio))
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real and >= 0.
@@ -321,6 +317,8 @@ def matrix_pencil_fit(times, values, order: int):
     y = np.asarray(values, dtype=complex)
     if t.shape != y.shape or t.ndim != 1:
         raise ValidationError("times and values must be 1-D arrays of equal length")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValidationError("times and values must be finite")
     if order < 1:
         raise ValidationError("order must be >= 1")
     if t.size < pencil_min_samples(order):

@@ -146,7 +146,7 @@ class OmnesConfig:
         a = complex(self.a)
         b = complex(self.b)
         ssq = abs(a) ** 2 + abs(b) ** 2
-        if abs(ssq - 1.0) > _NORM_TOL:
+        if not abs(ssq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValidationError(f"|a|^2 + |b|^2 = {ssq} must be 1 within {_NORM_TOL}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

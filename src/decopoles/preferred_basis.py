@@ -11,6 +11,7 @@ angle <= (dropped-mode envelope) / (eigenvalue gap of rho_P).
 Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
 over the grid, one stacked ``eigh`` per family, one batched product for
 the overlaps, one greedy match over that stack, and one envelope call.
+Per-time results are record arrays of those (T,) columns.
 
 The bi-partite scenario at the end runs two commuting subsystems whose
 observables each see only their own pole content, so one part can look
@@ -172,56 +173,39 @@ def preferred_state(
     return _density_stack(mats / traces[:, None, None])
 
 
-@dataclass(frozen=True)
-class BasisDistance:
-    """Separation of two eigenbases at one time.
-
-    ``subspace_angle`` is the largest principal angle over matched
-    eigenvector pairs, in [0, pi/2].  ``bound`` is the first-order ceiling
-    envelope/gap when an envelope was supplied (None otherwise);
-    ``reliable`` is False where the gap is too small for eigenvectors to
-    be well conditioned.
-    """
-
-    t: float
-    subspace_angle: float
-    eigenvalue_gap: float
-    bound: Optional[float]
-    max_eigenvalue_discrepancy: float
-    reliable: bool
-
-    def __post_init__(self):
-        if not (0.0 <= self.subspace_angle <= 0.5 * math.pi + 1e-12):
-            raise ValidationError(f"angle {self.subspace_angle} outside [0, pi/2]")
-
-
 def convergence_profile(
     rho_R,
     rho_P,
     grid,
     t_D: float,
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> List[BasisDistance]:
+) -> np.recarray:
     """Per-time angle between the eigenbases of the full and preferred states.
 
-    Each family is one stacked ``eigh``; its decompositions are paired at
-    each time by ``_greedy_match``, untracked: relabeling columns permutes
-    the overlap matrix (same pairs, up to exact ties), phases drop out of
-    the moduli, and the gap is taken from sorted eigenvalues.  The grid
-    must reach at least 3 t_D so the post-decoherence regime is actually
-    sampled.  ``envelope`` turns on the bound column envelope / gap (inf
-    where the gap vanishes): called once with the whole grid, it returns
-    the total weight of the dropped modes at each point as a (T,) array,
-    or one number for every point.
+    Returns a (T,) record array with fields ``t``, ``subspace_angle`` (the
+    largest principal angle over matched pairs, in [0, pi/2]),
+    ``eigenvalue_gap`` (of rho_P), ``bound``, ``max_eigenvalue_discrepancy``
+    and ``reliable`` (gap >= 1e-10): ``profile.subspace_angle`` is a column,
+    ``profile[k]`` the row at the k-th grid point.  Each family is one
+    stacked ``eigh``; its decompositions are paired at each time by
+    ``_greedy_match``, untracked: relabeling columns permutes the overlap
+    matrix (same pairs, up to exact ties), phases drop out of the moduli,
+    and the gap is taken from sorted eigenvalues.  The grid must lie in
+    t >= 0 and reach at least 3 t_D so the post-decoherence regime is
+    actually sampled.  ``envelope`` turns on the bound column envelope / gap
+    (inf where the gap vanishes; NaN everywhere without an envelope): called
+    once with the whole grid, it returns the total weight of the dropped
+    modes at each point as a (T,) array, or one number for every point.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
     if not t_D > 0.0:  # NaN fails too
         raise ValidationError("t_D must be positive")
-    if t[0] < 0.0 or t[-1] < 3.0 * t_D:
+    lo, hi = t.min(), t.max()
+    if not (lo >= 0.0 and hi >= 3.0 * t_D):
         raise ValidationError(
-            f"grid [{t[0]}, {t[-1]}] must lie in t >= 0 and span at least 3 t_D = {3.0 * t_D}"
+            f"grid [{lo}, {hi}] must lie in t >= 0 and span at least 3 t_D = {3.0 * t_D}"
         )
     dec_r = eigh(_materialize(rho_R, t))
     dec_p = eigh(_materialize(rho_P, t))
@@ -237,20 +221,18 @@ def convergence_profile(
     )
     gaps = np.min(np.diff(np.sort(dec_p.eigenvalues, axis=1), axis=1), axis=1, initial=math.inf)
 
-    bounds = [None] * t.size
+    bounds = np.full(t.shape, math.nan)
     if envelope is not None:
         env = np.asarray(envelope(t), dtype=float)
         if env.shape not in ((), t.shape):
             raise ValidationError(
                 f"envelope must return one value or one per grid point, got shape {env.shape}"
             )
-        bounds = np.divide(env, gaps, out=np.full(t.shape, math.inf), where=gaps > 0.0).tolist()
-    return [
-        BasisDistance(tk, angle, gap, bound, err, reliable=gap >= _GAP_TOL)
-        for tk, angle, gap, bound, err in zip(
-            t.tolist(), angles.tolist(), gaps.tolist(), bounds, val_err.tolist()
-        )
-    ]
+        bounds = np.divide(env, gaps, out=np.full(t.shape, math.inf), where=gaps > 0.0)
+    return np.rec.fromarrays(
+        [t, angles, gaps, bounds, val_err, gaps >= _GAP_TOL],
+        names="t,subspace_angle,eigenvalue_gap,bound,max_eigenvalue_discrepancy,reliable",
+    )
 
 
 # --- two commuting parts -----------------------------------------------------
@@ -290,11 +272,14 @@ def observable_signal(model: BiFriedrichModel, which, grid) -> Signal:
 
 @dataclass(frozen=True)
 class BiFriedrichResult:
+    """Both signals, both t_R, and ``verdicts``: a (T,) record array with fields
+    ``t``, ``part1_state`` and ``part2_state``, each 'classical' or 'quantum'."""
+
     signal1: Signal
     signal2: Signal
     t_R1: float
     t_R2: float
-    verdicts: tuple  # (t, state1, state2) with states 'classical' | 'quantum'
+    verdicts: np.recarray
 
 
 def bifriedrich_run(model: BiFriedrichModel, grid) -> BiFriedrichResult:
@@ -310,12 +295,7 @@ def bifriedrich_run(model: BiFriedrichModel, grid) -> BiFriedrichResult:
     s2 = observable_signal(model, 1, grid)
     t_r1 = model.relaxation_time(0)
     t_r2 = model.relaxation_time(1)
-    verdicts = tuple(
-        (
-            float(t),
-            "classical" if t > t_r1 else "quantum",
-            "classical" if t > t_r2 else "quantum",
-        )
-        for t in s1.times
-    )
+    t = s1.times
+    states = [np.where(t > t_r, "classical", "quantum") for t_r in (t_r1, t_r2)]
+    verdicts = np.rec.fromarrays([t, *states], names="t,part1_state,part2_state")
     return BiFriedrichResult(s1, s2, t_r1, t_r2, verdicts)

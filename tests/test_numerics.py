@@ -23,6 +23,12 @@ from decopoles.numerics import (
 from decopoles.omnes import OmnesConfig, build_density_matrix
 
 
+def reconstruct(dec):
+    """V diag(lambda) V^H of a decomposition or a stack of them."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (a + a.conj().T)
@@ -203,7 +209,7 @@ class TestEigh:
         mat = random_hermitian(rng, 12)
         dec = eigh(mat)
         # a loose bound: LAPACK reconstruction error is O(dim * eps * ||A||)
-        assert np.max(np.abs(dec.reconstruct() - mat)) < 1e-9
+        assert np.max(np.abs(reconstruct(dec) - mat)) < 1e-9
 
     def test_eigenvectors_orthonormal(self):
         rng = np.random.default_rng(3)
@@ -281,7 +287,7 @@ class TestEigh:
         dec = eigh(rho.entries)
         v = dec.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(25))) < 1e-13
-        assert np.max(np.abs(dec.reconstruct() - rho.entries)) < 1e-12
+        assert np.max(np.abs(reconstruct(dec) - rho.entries)) < 1e-12
         assert dec.off_diagonal_residual < 1e-13
         assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-13)
 
@@ -326,7 +332,7 @@ class TestStackedEigh:
 
     def test_stack_reconstructs(self):
         mats = self.stack()
-        assert np.max(np.abs(eigh(mats).reconstruct() - mats)) < 1e-12
+        assert np.max(np.abs(reconstruct(eigh(mats)) - mats)) < 1e-12
 
     def test_zero_matrix_in_stack(self):
         mats = np.array([np.zeros((2, 2)), np.diag([0.7, 0.3])])
@@ -501,6 +507,22 @@ class TestMatrixPencil:
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
             matrix_pencil_fit(np.linspace(0, 1, 5), np.ones(5), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_values_rejected(self, bad):
+        t = np.linspace(0.0, 5.0, 101)
+        values = np.exp(-0.5 * t).astype(complex)
+        values[40] = bad
+        with pytest.raises(ValidationError, match="values must be finite"):
+            matrix_pencil_fit(t, values, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        t = np.linspace(0.0, 5.0, 101)
+        values = np.exp(-0.5 * t)
+        t[-1] = bad  # the uniform-grid check lets a NaN or inf last time through
+        with pytest.raises(ValidationError, match="times and values must be finite"):
+            matrix_pencil_fit(t, values, 1)
 
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 1.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0])

@@ -101,6 +101,14 @@ class TestOmnesConfig:
         with pytest.raises(ValidationError):
             config(a=0.9, b=0.6)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(complex("nan"), 1.0), (1.0, math.nan), (complex("inf"), 1.0), (0.0, complex(0.0, -math.inf))],
+    )
+    def test_non_finite_amplitude_rejected(self, a, b):
+        with pytest.raises(ValidationError, match=r"must be 1 within"):
+            config(a=a, b=b)
+
     def test_positive_scales(self):
         with pytest.raises(ValidationError):
             config(gamma0=0.0)

@@ -27,13 +27,17 @@ from decopoles.pole_models import (
     synthesize,
 )
 from decopoles.preferred_basis import (
-    BasisDistance,
+    _GAP_TOL,
     BiFriedrichModel,
     bifriedrich_run,
     convergence_profile,
     moving_eigenbasis,
     observable_signal,
     preferred_state,
+)
+
+PROFILE_FIELDS = (
+    "t", "subspace_angle", "eigenvalue_gap", "bound", "max_eigenvalue_discrepancy", "reliable",
 )
 
 
@@ -235,8 +239,35 @@ class TestConvergenceProfile:
         for dist in convergence_profile(rho, rho, grid, t_D=0.1):
             assert dist.subspace_angle <= 1e-7
             assert dist.max_eigenvalue_discrepancy == 0.0
-            assert dist.bound is None
+            assert math.isnan(dist.bound)
             assert dist.reliable
+
+    def test_profile_is_a_record_array_of_columns(self):
+        profile = self.profile()
+        assert isinstance(profile, np.recarray)
+        assert profile.dtype.names == PROFILE_FIELDS
+        assert profile.shape == self.grid().shape
+        assert np.array_equal(profile.t, self.grid())
+        assert profile.reliable.dtype == bool
+        for k in range(profile.size):
+            for name in PROFILE_FIELDS:
+                assert profile[k][name] == getattr(profile, name)[k]
+                assert getattr(profile[k], name) == profile[name][k]
+
+    def test_bound_is_nan_without_envelope(self):
+        profile = self.profile(envelope=False)
+        assert np.isnan(profile.bound).all()
+        assert np.isfinite(self.profile().bound).all()
+
+    def test_reliable_at_exactly_the_gap_tolerance(self):
+        # LAPACK returns a diagonal matrix's entries exactly, so the gaps are
+        # _GAP_TOL itself, just below it, and just above it
+        below = np.nextafter(_GAP_TOL, 0.0)
+        grid = np.array([0.0, 1.0, 2.0])
+        rho = [np.diag([0.0, gap]) for gap in (_GAP_TOL, below, 2.0 * _GAP_TOL)]
+        profile = convergence_profile(rho, rho, grid, t_D=0.5)
+        assert profile.eigenvalue_gap.tolist() == [_GAP_TOL, below, 2.0 * _GAP_TOL]
+        assert profile.reliable.tolist() == [True, False, True]
 
     def test_angle_matches_closed_form(self):
         profile = self.profile()
@@ -270,10 +301,20 @@ class TestConvergenceProfile:
 
     def test_negative_grid_rejected(self):
         cm = two_pole_matrix_catalogue()
-        grid = np.linspace(-0.1, 0.5, 11)
+        for grid in (np.linspace(-0.1, 0.5, 11), np.array([0.0, -1.0, 5.0])):
+            rho = [DensityMatrix(cm.evaluate(t)) for t in grid]
+            with pytest.raises(ValidationError, match="must lie in t >= 0"):
+                convergence_profile(rho, rho, grid, t_D=0.1)
+
+    def test_reversed_grid_accepted(self):
+        cm = two_pole_matrix_catalogue()
+        grid = np.linspace(0.0, 3.0, 7)[::-1]  # spans exactly 3 t_D = 3
         rho = [DensityMatrix(cm.evaluate(t)) for t in grid]
-        with pytest.raises(ValidationError):
-            convergence_profile(rho, rho, grid, t_D=0.1)
+        assert moving_eigenbasis(rho, grid).times.size == 7
+        profile = convergence_profile(rho, rho, grid, t_D=1.0)
+        forward = convergence_profile(rho[::-1], rho[::-1], grid[::-1], t_D=1.0)
+        for name in PROFILE_FIELDS:
+            assert np.array_equal(profile[name], forward[name][::-1], equal_nan=True)
 
     def test_bad_t_d(self):
         grid = self.grid()
@@ -325,10 +366,6 @@ class TestConvergenceProfile:
         rho = [DensityMatrix(cm.evaluate(t)) for t in grid]
         with pytest.raises(ValidationError, match="envelope"):
             convergence_profile(rho, rho, grid, t_D=0.1, envelope=envelope)
-
-    def test_angle_range_enforced(self):
-        with pytest.raises(ValidationError):
-            BasisDistance(0.0, 2.0, 1.0, None, 0.0, True)
 
 
 def skewed(t):
@@ -405,7 +442,7 @@ def loop_moving_eigenbasis(mats, grid, gap_tol=1e-10):
 
 
 def loop_convergence_profile(mats_r, mats_p, grid, envelope=None, gap_tol=1e-10):
-    """Reference: the per-time pairing, angle, gap and bound of two loop bases."""
+    """Reference: the per-time pairing, angle, gap and bound of two loop bases, as columns."""
     vals_r, vecs_r, _, _ = loop_moving_eigenbasis(mats_r, grid, gap_tol)
     vals_p, vecs_p, _, _ = loop_moving_eigenbasis(mats_p, grid, gap_tol)
     out = []
@@ -420,11 +457,11 @@ def loop_convergence_profile(mats_r, mats_p, grid, envelope=None, gap_tol=1e-10)
             val_err = max(val_err, abs(float(vals_p[k][i] - vals_r[k][perm[i]])))
         pvals = np.sort(vals_p[k])
         gap = float(np.min(np.diff(pvals))) if pvals.size > 1 else math.inf
-        bound = None
+        bound = math.nan
         if envelope is not None:
             bound = float(envelope(float(tk))) / gap if gap > 0.0 else math.inf
-        out.append(BasisDistance(float(tk), angle, gap, bound, val_err, gap >= gap_tol))
-    return out
+        out.append((float(tk), angle, gap, bound, val_err, gap >= gap_tol))
+    return dict(zip(PROFILE_FIELDS, map(np.array, zip(*out))))
 
 
 def frame_stack(N=200, n_grid=81):
@@ -495,12 +532,9 @@ class TestBatchedAgainstLoop:
         self.assert_same_basis(mats, grid)
 
     def assert_same_profile(self, got, want):
-        assert [d.t for d in got] == [d.t for d in want]
-        for g, w in zip(got, want):
-            assert (g.eigenvalue_gap, g.bound, g.reliable, g.max_eigenvalue_discrepancy) == (
-                w.eigenvalue_gap, w.bound, w.reliable, w.max_eigenvalue_discrepancy
-            )
-            assert abs(g.subspace_angle - w.subspace_angle) <= 2e-8  # acos at cos = 1
+        for name in ("t", "eigenvalue_gap", "bound", "reliable", "max_eigenvalue_discrepancy"):
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+        assert np.max(np.abs(got.subspace_angle - want["subspace_angle"])) <= 2e-8  # acos at cos = 1
 
     def test_frame_profile(self, frame):
         grid, rho_r, rho_p, t_d, env = frame
@@ -599,6 +633,18 @@ class TestBiFriedrich:
         result = bifriedrich_run(m, np.array([0.0, 1.0, 2.0]))
         assert result.verdicts[1][1] == "quantum"  # t == t_R1 not yet past it
         assert result.verdicts[2][1] == "classical"
+
+    def test_verdicts_are_columns_split_at_t_r(self):
+        grid = 0.5 * np.arange(401)  # holds t_R1 = 1 and t_R2 = 100 exactly
+        verdicts = bifriedrich_run(self.model(), grid).verdicts
+        assert isinstance(verdicts, np.recarray)
+        assert verdicts.dtype.names == ("t", "part1_state", "part2_state")
+        assert np.array_equal(verdicts.t, grid)
+        q, c = "quantum", "classical"
+        assert verdicts.part1_state.tolist() == [q] * 3 + [c] * 398
+        assert verdicts.part2_state.tolist() == [q] * 201 + [c] * 200
+        assert verdicts.tolist()[3] == (1.5, c, q)
+        assert all(type(v) is str for row in verdicts.tolist() for v in row[1:])
 
     def test_signal1_blind_to_part2(self):
         grid = np.linspace(0.0, 20.0, 101)

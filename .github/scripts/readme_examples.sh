@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Run the README's model3, extract, omnes and bifriedrich examples through the
+# `decopoles` console script and check what they write.
+#
+#     readme_examples.sh README.md WORKDIR
+#
+# Each ```json block of the README is written to WORKDIR as <scenario>.json;
+# the runs write their output directories there too.  Any failing command,
+# check included, fails the script.
+set -euo pipefail
+
+readme=$(realpath "$1")
+cd "$2"
+python - "$readme" <<'PY'
+import json, re, sys
+readme = open(sys.argv[1], encoding="utf-8").read()
+for block in re.findall(r"```json\n(.*?)```", readme, re.S):
+    with open(json.loads(block)["scenario"] + ".json", "w", encoding="utf-8") as fh:
+        fh.write(block)
+PY
+decopoles simulate --config model3.json --out out
+decopoles extract --config extract.json --out fit
+decopoles omnes --config omnes.json --out omnes_out
+decopoles simulate --config bifriedrich.json --out bi
+grep -qx "1,quantum,quantum" bi/verdicts.csv
+grep -qx "1.5,classical,quantum" bi/verdicts.csv
+test -f omnes_out/macroscopicity.txt
+test -f omnes_out/nd_decay.csv
+test -f omnes_out/td_vs_L0.csv
+python -c "import decopoles; print(decopoles.catalogue_from_json(open('fit/catalogue.json').read()))"

@@ -48,14 +48,9 @@ class SpectralDensity:
     hi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega0", float(self.omega0))
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not (
-            math.isfinite(self.omega0)
-            and math.isfinite(self.lo)
-            and math.isfinite(self.hi)
-        ):
+        for name in ("omega0", "lo", "hi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(map(math.isfinite, (self.omega0, self.lo, self.hi))):
             raise ValidationError("omega0, lo, hi must be finite")
         if not self.lo < self.hi:
             raise ValidationError(f"empty support [{self.lo}, {self.hi}]")

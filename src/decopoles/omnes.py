@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .friedrich import _ladder_phases, _pole_width
+from .friedrich import _ladder_exponents, _ladder_phases, _pole_width
 from .numerics import DensityMatrix
 from .pole_models import CatalogueMatrix
 
@@ -73,6 +74,15 @@ def _log_norm(alpha: float, N: int) -> float:
 def _fock_probabilities(alpha: float, N: int) -> np.ndarray:
     """q_n = |<n|alpha>|^2 for n = 0..N, cached per (alpha, N) and shared read-only."""
     out = np.exp(2.0 * (_log_fock_weights(alpha, N) + _log_norm(alpha, N)))
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _live_fock_probabilities(alpha: float, N: int) -> np.ndarray:
+    """q_0..q_hi as complex, q_hi the last nonzero q_n (leading zeros keep their places); cached read-only."""
+    q = _fock_probabilities(alpha, N)
+    out = q[: np.flatnonzero(q)[-1] + 1].astype(complex)
     out.setflags(write=False)
     return out
 
@@ -274,12 +284,14 @@ def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     at a time or an array of times, each entry with the bits of its time
     alone.  The arithmetic runs on real and imaginary parts in the order
     the scalar complex operators use, since numpy's complex multiply and
-    divide round differently.  Otherwise the exact truncated sums at one time.
+    divide round differently.  Otherwise the exact truncated sums at one time,
+    over the Fock weights up to the last nonzero one (t < 0 overflows no phase).
     """
     _pole_width(z0)
     if not closed_form:
-        q = _fock_probabilities(cfg.alpha2, cfg.N)
-        return math.exp(cfg.state2().log_norm), complex(q @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
+        q = _live_fock_probabilities(cfg.alpha2, cfg.N)
+        exponents = _ladder_exponents(cfg.N + 1, struct.pack("dd", z0.real, z0.imag))[: q.size]
+        return math.exp(cfg.state2().log_norm), complex(q @ np.exp(exponents * t / cfg.hbar))
     d2 = cfg.delta**2
     arg = -1j * complex(z0)
     inner = np.exp(arg.real * t / cfg.hbar + 1j * (arg.imag * t / cfg.hbar))

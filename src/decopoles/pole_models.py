@@ -353,13 +353,14 @@ def partition_report(
     uses strict <.  Both readings appear in two-pole treatments, where the
     threshold pole itself is the one being dropped.
     """
-    gammas = tuple(float(g) for g in gammas)
-    if not gammas:
+    widths = np.fromiter(gammas, dtype=float)
+    if not widths.size:
         raise ValidationError("no poles to partition")
-    if any(g <= 0.0 or not math.isfinite(g) for g in gammas):
+    if not np.all((widths > 0.0) & (widths < math.inf)):
         raise ValidationError("widths must be positive and finite")
-    if list(gammas) != sorted(gammas):
+    if np.any(widths[1:] < widths[:-1]):
         raise ValidationError("widths must be sorted ascending")
+    gammas = tuple(widths.tolist())
     hbar = _require_positive("hbar", hbar)
 
     if callable(rule):
@@ -407,10 +408,11 @@ def check_report_matches(cat, report: TimescaleReport):
     derived from these widths under the report's rule and boundary.
     """
     n = len(cat.gammas)
-    indices = set(report.p_relevant) | set(report.p_irrelevant)
-    if indices != set(range(n)):
+    indices = np.sort(np.array(report.p_relevant + report.p_irrelevant))
+    indices = indices[np.diff(indices, prepend=math.nan) != 0]  # each once, as in a set
+    if not np.array_equal(indices, np.arange(n)):
         raise ValidationError(
-            f"report partitions indices {sorted(indices)} but the catalogue has {n} modes"
+            f"report partitions indices {indices.tolist()} but the catalogue has {n} modes"
         )
     if abs(report.hbar - cat.hbar) > _REL_SLACK * cat.hbar:
         raise ValidationError("report and catalogue disagree on hbar")
@@ -481,10 +483,10 @@ def coincidence_check(
     analytic ceiling sum_{dropped} |a_i| exp(-gamma_i t_D / hbar); the
     check passes when the deviation stays within the ceiling plus the
     rounding of the compared values: 1e-12 relative to the ceiling, and
-    one ulp of the largest compared value per term of the two sums.  A
-    dropped mode that peaks exactly at t_D makes the ceiling tight, and
-    the difference of two trajectories of size ~1 is then only known to
-    about their own ulp.
+    per term of the two sums one ulp of the largest compared value or of
+    the terms' total size.  A dropped mode that peaks exactly at t_D makes
+    the ceiling tight, and the difference of two trajectories of size ~1
+    is then only known to about their own ulp (or to the terms' ulp).
     """
     if not np.array_equal(signal.times, preferred.times):
         raise ValidationError("signals live on different grids")
@@ -499,7 +501,9 @@ def coincidence_check(
         mode = cat.modes[i]
         bound += abs(mode.amplitude) * math.exp(-mode.pole.gamma * report.t_D / cat.hbar)
     # each trajectory is a sum of equilibrium, modes and tail, rounded once per term
-    scale = max(float(np.max(np.abs(full))), float(np.max(np.abs(kept))))
+    # to an ulp of a partial sum, which the terms' sizes at t >= 0 bound
+    terms = [cat.equilibrium, cat.khalfin.amplitude if cat.khalfin else 0.0] + [m.amplitude for m in cat.modes]
+    scale = max(float(np.max(np.abs(full))), float(np.max(np.abs(kept))), sum(map(abs, terms)))
     rounding = (len(cat.modes) + 2) * float(np.spacing(scale))
     passed = deviation <= bound * (1.0 + _REL_SLACK) + rounding or deviation == 0.0
     return CoincidenceResult(deviation, bound, passed, report.t_D)
@@ -515,7 +519,8 @@ class CatalogueMatrix:
     the matrix level.  Widths, frequencies and the read-only (K, d, d)
     ``amplitudes`` stack are sorted jointly; ``poles`` is built on first read.
     ``evaluate`` and ``dropped_envelope`` take one time or an array of T
-    times (a (T, d, d) stack, a (T,) array).
+    times (a (T, d, d) stack, a (T,) array).  A dead mode (amplitude exactly
+    0) costs them no exp, and ``dropped_envelope`` leaves it out of its sum.
     """
 
     def __init__(self, poles, equilibrium, amplitudes, hbar: float = 1.0):
@@ -555,6 +560,8 @@ class CatalogueMatrix:
         self.amplitudes = hermitian_average(amps[order])
         self.amplitudes.setflags(write=False)
         self._norms = np.linalg.norm(self.amplitudes, axis=(-2, -1))
+        # live modes have a nonzero entry; a norm underflows to 0 below about 1e-162
+        self._live = np.any(self.amplitudes != 0, axis=(-2, -1))
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
@@ -568,14 +575,8 @@ class CatalogueMatrix:
         idx = np.asarray(indices)
         if idx.size == 0:
             return np.zeros(0, dtype=np.intp)
-        if (
-            idx.ndim != 1
-            or idx.dtype.kind not in "iu"
-            or (
-                not isinstance(indices, np.ndarray)
-                and any(isinstance(i, (bool, np.bool_)) for i in indices)
-            )
-        ):
+        no_bools = isinstance(indices, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, indices))
+        if not (idx.ndim == 1 and idx.dtype.kind in "iu" and no_bools):
             raise ValidationError(f"mode indices must be a sequence of integers, got {indices!r}")
         if idx.min() < 0 or idx.max() >= self._gammas.size:
             raise ValidationError(
@@ -584,10 +585,10 @@ class CatalogueMatrix:
         return idx
 
     def _decay(self, t, idx) -> np.ndarray:
-        """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array."""
+        """exp(-gamma t / hbar) of the ``idx`` modes, 0 for dead ones, (K,) or (T, K), built in one array."""
         decay = np.multiply.outer(t, -self._gammas[idx])
         decay /= self.hbar
-        dead = decay <= -746.0  # exp rounds to exactly 0.0 below log(2**-1075) = -745.13
+        dead = (decay <= -746.0) | ~self._live[idx]  # exp is exactly 0.0 below log(2**-1075) = -745.13
         np.exp(decay, out=decay, where=~dead)
         decay[dead] = 0.0
         return decay
@@ -609,6 +610,7 @@ class CatalogueMatrix:
         the same products with one row-wise sum.
         """
         idx = self._mode_index(dropped)
+        idx = idx[self._live[idx]]
         decay = self._decay(t, idx)
         total = np.multiply(decay, self._norms[idx], out=decay).sum(axis=-1)
         return float(total) if total.ndim == 0 else total

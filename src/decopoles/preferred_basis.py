@@ -5,8 +5,8 @@ poles of a matrix-valued catalogue; its moving eigenbasis is the basis
 the full state's eigenbasis approaches once the dropped modes have died.
 This module tracks a family's eigenvectors along a grid, measures the
 separation of the two bases as the largest principal angle over matched
-pairs, and bounds that angle by first-order perturbation theory:
-angle <= (dropped-mode envelope) / (eigenvalue gap of rho_P).
+pairs, and sets beside it the first-order estimate (dropped-mode
+envelope) / (eigenvalue gap of rho_P), which is not a bound.
 
 Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
 over the grid, one stacked ``eigh`` per family, one batched product for
@@ -192,10 +192,12 @@ def convergence_profile(
     matrix (same pairs, up to exact ties), phases drop out of the moduli,
     and the gap is taken from sorted eigenvalues.  The grid must lie in
     t >= 0 and reach at least 3 t_D so the post-decoherence regime is
-    actually sampled.  ``envelope`` turns on the bound column envelope / gap
-    (inf where the gap vanishes; NaN everywhere without an envelope): called
-    once with the whole grid, it returns the total weight of the dropped
-    modes at each point as a (T,) array, or one number for every point.
+    actually sampled.  ``envelope`` turns on the ``bound`` column, the
+    first-order estimate envelope / gap (inf where the gap vanishes; NaN
+    without an envelope), which is no bound: the frame catalogue N = 5048,
+    L0 = 10.04, gamma0 = 0.937, |a|^2 = 0.13, arg b = 2 has an angle 5.4
+    times it at 7.56 t_D.  Called once with the whole grid, ``envelope``
+    returns the dropped modes' weight per point, (T,) or one number.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:

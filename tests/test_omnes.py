@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from decopoles.errors import ValidationError
-from decopoles.friedrich import EffectiveHamiltonian, evolve_amplitude
+from decopoles.friedrich import EffectiveHamiltonian, _ladder_phases, evolve_amplitude
 from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
     _fock_probabilities,
     _fock_vector,
+    _live_fock_probabilities,
     _log_factorials,
     _log_fock_weights,
     _log_norm,
@@ -34,6 +35,7 @@ from decopoles.omnes import (
     overlap_error_bound,
     overlap_truncated,
 )
+from decopoles.numerics import DensityMatrix
 from decopoles.pole_models import CatalogueMatrix, Pole, partition_report, collective_rate_rule
 
 ROOT_HALF = math.sqrt(0.5)
@@ -520,6 +522,60 @@ class TestTowerOracle:
             v2 = cfg.state2().fock_vector()
             got = evolve_amplitude(v2, v2, EffectiveHamiltonian(cfg.N, z0), t, cfg.hbar)
             assert abs(got - complex(w)) <= 1e-12 * float(size), (cfg, z0, t)
+
+
+def full_sum_projection(cfg, z0, t):
+    """Reference: the truncated frame projection with w summed over all N + 1 Fock weights."""
+    s = math.exp(cfg.state2().log_norm)
+    w = complex(_fock_probabilities(cfg.alpha2, cfg.N) @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
+    f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
+    mat = np.outer(f, f.conj())
+    return DensityMatrix(mat / float(mat[0, 0].real + mat[1, 1].real)).entries
+
+
+class TestLiveFrameSum:
+    """The truncated frame sum skips only the trailing Fock weights that underflow to 0."""
+
+    # (L0, gamma0, N): the N = 675 and N = 1000 frame_convergence rungs of benchmark seed 1,
+    # whose weights past n = 376 and n = 508 are 0, and Delta^2 = 900, whose leading weights are 0 too
+    CONFIGS = [(4.523577032591694, 0.2687303789149563, 675),
+               (6.909361516294221, 0.10149755922438554, 1000), (30.0, 0.01, 3000)]
+
+    @pytest.mark.parametrize("L0, gamma0, N", CONFIGS + [(6.0, 0.1, 255), (1e-200, 0.1, 40)])
+    def test_live_weights_are_the_prefix_to_the_last_nonzero_weight(self, L0, gamma0, N):
+        cfg = config(L0=L0, gamma0=gamma0, N=N)
+        q = _fock_probabilities(cfg.alpha2, cfg.N)
+        live = _live_fock_probabilities(cfg.alpha2, cfg.N)
+        assert live.dtype == complex and not live.flags.writeable
+        assert live[-1] != 0.0 and not np.any(q[live.size :])
+        assert live.tobytes() == q[: live.size].astype(complex).tobytes()
+        if L0 == 30.0:
+            assert q[0] == 0.0  # the leading zeros stay in place
+        if (L0, gamma0, N) in self.CONFIGS:
+            assert live.size < q.size  # a dead tail to cut
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("L0, gamma0, N", CONFIGS)
+    def test_projection_equals_the_full_sum(self, L0, gamma0, N):
+        cfg = config(L0=L0, gamma0=gamma0, N=N)
+        for z0 in (cfg.z0(), cfg.z0(0.7)):
+            for t in np.linspace(0.0, 6.0 / gamma0, 81).tolist():
+                got = frame_projection(cfg, z0, t, closed_form=False).entries
+                assert got.tobytes() == full_sum_projection(cfg, z0, t).tobytes(), (z0, t)
+
+    @IGNORE_MACRO
+    def test_negative_time_matches_the_closed_form(self):
+        # the full sum overflows exp in its zero-weight terms here and fails on 0 * inf
+        cfg = config(L0=6.9, gamma0=0.2, N=1000)
+        z0, t = cfg.z0(), -5.0
+        f1, f2 = frame_amplitudes(cfg, z0, t, closed_form=False)
+        g1, g2 = frame_amplitudes(cfg, z0, t)
+        assert f1 == pytest.approx(g1, rel=1e-12) and f2 == pytest.approx(g2, rel=1e-12)
+        exact = frame_projection(cfg, z0, t, closed_form=False).entries
+        closed = frame_projection(cfg, z0, t).entries
+        assert np.max(np.abs(exact - closed)) < 1e-12
+        assert np.allclose(exact, closed, rtol=1e-12, atol=0.0)
+        assert exact[0, 0].real == pytest.approx(8.769948988642378e-72, rel=1e-12)
 
 
 class TestUnderflowingDisplacement:

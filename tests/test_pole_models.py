@@ -350,6 +350,35 @@ class TestPartition:
         with pytest.raises(ValidationError):
             partition_report((0.1, 1.0), boundary="inclusive")
 
+    @pytest.mark.parametrize(
+        "gammas, message",
+        [
+            ((0.1, math.nan, 5.0), "widths must be positive and finite"),
+            ((0.1, 1.0, math.inf), "widths must be positive and finite"),
+            ((0.0, 1.0), "widths must be positive and finite"),
+            ((-0.0, 1.0), "widths must be positive and finite"),
+            ((0.1, -1.0, 5.0), "widths must be positive and finite"),
+            ((0.1, 5.0, 1.0), "widths must be sorted ascending"),
+            ((), "no poles to partition"),
+        ],
+        ids=["nan", "inf", "zero", "negative-zero", "negative", "unsorted", "none"],
+    )
+    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    def test_rejected_widths_name_the_fault(self, gammas, message, kind):
+        with pytest.raises(ValidationError) as err:
+            partition_report(kind(gammas))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rule", [RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND,
+                                      collective_rate_rule(1.0, 2.0, 6.0)])
+    @pytest.mark.parametrize("boundary", [BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT])
+    def test_tuple_list_and_array_give_one_report(self, rule, boundary):
+        gammas = tuple(k * 0.1 for k in range(1, 2001))
+        reports = [partition_report(kind(gammas), 1.3, rule, boundary) for kind in (tuple, list, np.array)]
+        for rep in reports[1:]:
+            assert (rep.t_R.hex(), rep.t_D.hex()) == (reports[0].t_R.hex(), reports[0].t_D.hex())
+            assert rep == reports[0]  # the index tuples too
+
     def test_decoherence_time_uses_catalogue(self):
         rep = decoherence_time(figure_catalogue(hbar=2.0))
         assert rep.t_R == 20.0
@@ -416,6 +445,24 @@ class TestReportValidation:
         far = TimescaleReport(rep.t_R, 1.0 / 0.9, (0, 1), (), RULE_CUSTOM, boundary)
         with pytest.raises(ValidationError, match="does not match"):
             check_report_matches(cat, far)
+
+    @pytest.mark.parametrize(
+        "relevant, irrelevant, indices",
+        [((0, 1), (), "[0, 1]"), ((0,), (2,), "[0, 2]"), ((0, 1), (2, 3), "[0, 1, 2, 3]"),
+         ((-1, 0, 1), (2,), "[-1, 0, 1, 2]"), ((), (), "[]")],
+        ids=["misses-last", "misses-middle", "out-of-range", "negative", "empty"],
+    )
+    def test_check_names_the_partitioned_indices(self, relevant, irrelevant, indices):
+        cat = figure_catalogue()
+        forged = TimescaleReport(10.0, 1.0, relevant, irrelevant, RULE_SECOND_SMALLEST)
+        with pytest.raises(ValidationError) as err:
+            check_report_matches(cat, forged)
+        assert str(err.value) == f"report partitions indices {indices} but the catalogue has 3 modes"
+
+    def test_check_reads_the_partition_as_a_set(self):
+        # an index listed twice still covers the catalogue once
+        cat = figure_catalogue()
+        check_report_matches(cat, TimescaleReport(10.0, 1.0, (0, 1), (2, 2), RULE_SECOND_SMALLEST))
 
     def test_check_rejects_named_rule_with_foreign_t_d(self):
         cat = figure_catalogue()
@@ -517,6 +564,18 @@ class TestCoincidence:
         grid = np.linspace(0.0, 2.5, 201)
         result = coincidence_check(synthesize(cat, grid), preferred_signal(cat, rep, grid), cat, rep)
         assert result.max_deviation == pytest.approx(result.bound, rel=1e-9)
+        assert result.passed
+
+    def test_cancelling_equilibrium_and_tail_is_not_a_false_fail(self):
+        # the trajectories are ~0.1 where equilibrium 4 and the tail nearly cancel,
+        # so the sums carry ulps of 4, not of 0.1
+        cat = PoleCatalogue(
+            4.0, ((Pole(0, 36), 1e-10), (Pole(0, 37), 0), (Pole(0, 38), 0)), KhalfinTail(-4.0, 1.0, 1.0)
+        )
+        rep = decoherence_time(cat, RULE_SLOWEST, BOUNDARY_IRRELEVANT)
+        grid = np.linspace(0.0, 5.0 * rep.t_D, 6)
+        result = coincidence_check(synthesize(cat, grid), preferred_signal(cat, rep, grid), cat, rep)
+        assert result.max_deviation > result.bound * (1.0 + 1e-12)  # by rounding alone
         assert result.passed
 
     def test_wrong_kept_amplitude_fails(self):
@@ -643,6 +702,21 @@ class TestCatalogueMatrix:
                 cm.evaluate(0.3, keep=(0, True))
             with pytest.raises(ValidationError, match="integers"):
                 cm.dropped_envelope(0.3, (False, 1))
+
+    @pytest.mark.parametrize("method", ["evaluate", "dropped_envelope"])
+    @pytest.mark.parametrize(
+        "indices",
+        [[0, np.True_], [np.bool_(False), 1], tuple(range(1999)) + (True,)],
+        ids=["np-bool-in-list", "np-bool-first", "true-after-1999-ints"],
+    )
+    def test_bool_anywhere_in_a_sequence_is_named(self, method, indices):
+        cm = CatalogueMatrix._from_widths(
+            np.zeros(2000), np.arange(1.0, 2001.0), np.eye(2), np.ones((2000, 2, 2))
+        )
+        call = getattr(cm, method)
+        with pytest.raises(ValidationError) as err:
+            call(0.3, indices) if method == "dropped_envelope" else call(0.3, keep=indices)
+        assert str(err.value) == f"mode indices must be a sequence of integers, got {indices!r}"
 
     def test_array_of_times(self):
         cm = self.build()

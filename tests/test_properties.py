@@ -94,6 +94,77 @@ class TestCatalogueMatrixPermutationInvariance:
         assert np.max(np.abs(cm.evaluate(t) - ref.evaluate(t))) <= 1e-15
 
 
+# entry sizes of a catalogue with dead modes: exact zeros, entries whose Frobenius
+# norm underflows (|a|^2 < 1e-323), entries below 1e-300, and unit-sized entries
+_SMALL_SIZES = (0.0, 1e-200, 1e-305)
+
+
+@st.composite
+def sparse_matrix_catalogues(draw):
+    """(poles, equilibrium, Hermitian amplitudes, hbar) with planted zero and tiny modes.
+
+    Half the catalogues hold no unit-sized entry, so a tiny mode's share of
+    a sum is not lost to rounding against the rest.
+    """
+    dim = draw(st.sampled_from((1, 2, 3)))
+    gammas = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=64, unique=True))
+    k = len(gammas)
+    sizes = _SMALL_SIZES + draw(st.sampled_from(((), (1.0,))))
+    scale = draw(hnp.arrays(float, (k, dim, dim), elements=st.sampled_from(sizes)))
+    raw = draw(hnp.arrays(float, (k, 2, dim, dim), elements=st.floats(-1.0, 1.0)))
+    amps = np.triu((raw[:, 0] + 1j * raw[:, 1]) * scale, 1)
+    amps = amps + np.conj(np.swapaxes(amps, -1, -2))
+    amps += np.eye(dim) * (raw[:, 0] * scale).diagonal(axis1=-2, axis2=-1)[:, None, :]
+    amps[draw(hnp.arrays(bool, (k,)))] = 0.0  # whole modes planted dead
+    eq = np.diag(draw(hnp.arrays(float, (dim,), elements=st.sampled_from((0.0, 0.25, 1.0)))))
+    return [Pole(0.0, g) for g in gammas], eq, amps, draw(st.floats(0.1, 10.0))
+
+
+def unmasked_decay(cm, t, idx):
+    """exp(-gamma t / hbar) of every ``idx`` mode, dead ones included."""
+    decay = np.multiply.outer(t, -np.array(cm.gammas)[idx])
+    decay /= cm.hbar
+    return np.exp(decay)
+
+
+def unmasked_evaluate(cm, t, keep=None):
+    """Reference: the evaluate body before dead modes were skipped."""
+    idx = slice(None) if keep is None else np.asarray(keep, dtype=np.intp)
+    return cm.equilibrium + np.tensordot(unmasked_decay(cm, t, idx), cm.amplitudes[idx], 1)
+
+
+def unmasked_envelope(cm, t, dropped):
+    """Reference: norm times decay summed over every dropped mode, dead ones included."""
+    idx = np.asarray(dropped, dtype=np.intp)
+    return (unmasked_decay(cm, t, idx) * np.linalg.norm(cm.amplitudes[idx], axis=(-2, -1))).sum(axis=-1)
+
+
+class TestLiveModes:
+    """Skipping the modes whose amplitude is exactly 0 changes no bit of a sum."""
+
+    # stated before measuring: dropped_envelope regroups a pairwise sum of
+    # at most 64 nonnegative terms, a few ulps of the total
+    ENVELOPE_REL = 1e-14
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        sparse_matrix_catalogues(), _RULES, _BOUNDARIES,
+        st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        st.lists(st.floats(0.0, 20.0), max_size=6).map(lambda ts: np.array([0.0] + ts)),
+    )
+    def test_same_bits_as_the_unmasked_sum(self, catalogue, rule, boundary, t, grid):
+        cm = CatalogueMatrix(*catalogue)
+        rep = partition_report(cm.gammas, cm.hbar, rule, boundary)
+        for keep in (None, rep.p_relevant, rep.p_irrelevant):
+            for when in (t, grid):
+                got, want = cm.evaluate(when, keep=keep), unmasked_evaluate(cm, when, keep)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (keep, when)
+        for when in (t, grid):
+            got = np.asarray(cm.dropped_envelope(when, rep.p_irrelevant))
+            want = unmasked_envelope(cm, when, rep.p_irrelevant)
+            assert np.all(np.abs(got - want) <= self.ENVELOPE_REL * want), when
+
+
 class TestPartitionInvariants:
     @settings(deadline=None, max_examples=100)
     @given(_WIDTHS, st.floats(0.1, 10.0), _RULES, _BOUNDARIES)

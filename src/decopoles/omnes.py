@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .friedrich import _ladder_exponents, _ladder_phases, _pole_width
+from .friedrich import _ladder_phases, _pole_width
 from .numerics import DensityMatrix
 from .pole_models import CatalogueMatrix
 
@@ -290,8 +289,7 @@ def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     _pole_width(z0)
     if not closed_form:
         q = _live_fock_probabilities(cfg.alpha2, cfg.N)
-        exponents = _ladder_exponents(cfg.N + 1, struct.pack("dd", z0.real, z0.imag))[: q.size]
-        return math.exp(cfg.state2().log_norm), complex(q @ np.exp(exponents * t / cfg.hbar))
+        return math.exp(cfg.state2().log_norm), complex(q @ _ladder_phases(q.size, z0, t, cfg.hbar))
     d2 = cfg.delta**2
     arg = -1j * complex(z0)
     inner = np.exp(arg.real * t / cfg.hbar + 1j * (arg.imag * t / cfg.hbar))

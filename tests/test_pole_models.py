@@ -590,7 +590,7 @@ class TestCoincidence:
 # mode index lists both CatalogueMatrix methods must reject
 BAD_INDICES = [
     (1.5,), (0.9,), (-1,), (2,), (True,), (False,), ((0, 1),),
-    (0, True), (False, 1), [1, np.True_], np.array([True, False]),
+    (0, True), (False, 1), [1, np.True_], np.array([True, False]), 1, np.int64(1), True,
 ]
 
 
@@ -706,10 +706,10 @@ class TestCatalogueMatrix:
     @pytest.mark.parametrize("method", ["evaluate", "dropped_envelope"])
     @pytest.mark.parametrize(
         "indices",
-        [[0, np.True_], [np.bool_(False), 1], tuple(range(1999)) + (True,)],
-        ids=["np-bool-in-list", "np-bool-first", "true-after-1999-ints"],
+        [[0, np.True_], [np.bool_(False), 1], tuple(range(1999)) + (True,), 1, np.int64(1), True, 0.5],
+        ids=["np-bool-in-list", "np-bool-first", "true-after-1999-ints", "int", "np-int64", "bool", "float"],
     )
-    def test_bool_anywhere_in_a_sequence_is_named(self, method, indices):
+    def test_bool_in_a_sequence_or_a_scalar_is_named(self, method, indices):
         cm = CatalogueMatrix._from_widths(
             np.zeros(2000), np.arange(1.0, 2001.0), np.eye(2), np.ones((2000, 2, 2))
         )

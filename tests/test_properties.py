@@ -128,19 +128,21 @@ def unmasked_decay(cm, t, idx):
 
 
 def unmasked_evaluate(cm, t, keep=None):
-    """Reference: the evaluate body before dead modes were skipped."""
+    """Reference: the sum over every kept mode, dead ones included."""
     idx = slice(None) if keep is None else np.asarray(keep, dtype=np.intp)
     return cm.equilibrium + np.tensordot(unmasked_decay(cm, t, idx), cm.amplitudes[idx], 1)
 
 
 def unmasked_envelope(cm, t, dropped):
-    """Reference: norm times decay summed over every dropped mode, dead ones included."""
+    """Reference: norm times decay summed over every ``dropped`` mode, dead ones included."""
     idx = np.asarray(dropped, dtype=np.intp)
-    return (unmasked_decay(cm, t, idx) * np.linalg.norm(cm.amplitudes[idx], axis=(-2, -1))).sum(axis=-1)
+    norms = np.linalg.norm(cm.amplitudes, axis=(-2, -1))[idx]
+    return (unmasked_decay(cm, t, idx) * norms).sum(axis=-1)
 
 
 class TestLiveModes:
-    """Skipping the modes whose amplitude is exactly 0 changes no bit of a sum."""
+    """A mode whose amplitude is exactly 0 moves no bit of ``evaluate``, and
+    ``dropped_envelope`` sums over the other modes only."""
 
     # stated before measuring: dropped_envelope regroups a pairwise sum of
     # at most 64 nonnegative terms, a few ulps of the total
@@ -159,10 +161,24 @@ class TestLiveModes:
             for when in (t, grid):
                 got, want = cm.evaluate(when, keep=keep), unmasked_evaluate(cm, when, keep)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (keep, when)
+        # live: a nonzero entry, however small its (underflowing) norm
+        live = [i for i in rep.p_irrelevant if np.any(cm.amplitudes[i] != 0)]
         for when in (t, grid):
             got = np.asarray(cm.dropped_envelope(when, rep.p_irrelevant))
             want = unmasked_envelope(cm, when, rep.p_irrelevant)
             assert np.all(np.abs(got - want) <= self.ENVELOPE_REL * want), when
+            assert got.tobytes() == np.asarray(unmasked_envelope(cm, when, live)).tobytes(), when
+
+    def test_modes_below_norm_underflow_keep_their_slots_in_the_envelope(self):
+        # every other mode has entries of 1e-200 or 1e-305, so its norm is 0; leaving
+        # those modes out of the sum would regroup numpy's pairwise sum of the others
+        sizes = np.tile([1.0, 1e-200, 1.0, 1e-305], 6) * np.random.default_rng(10).uniform(0.5, 1.5, 24)
+        cm = CatalogueMatrix([Pole(0.0, g) for g in range(1, 25)], np.eye(1), sizes[:, None, None])
+        grid = np.array([0.0, 0.01, 0.1])
+        got = cm.dropped_envelope(grid, range(24))
+        assert got.tobytes() == unmasked_envelope(cm, grid, range(24)).tobytes()
+        for cut in (1e-100, 1e-300):  # the test can tell either set of modes missing
+            assert got.tobytes() != unmasked_envelope(cm, grid, np.flatnonzero(sizes > cut)).tobytes()
 
 
 class TestPartitionInvariants:

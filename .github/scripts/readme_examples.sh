@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Run the README's model3, extract, omnes and bifriedrich examples through the
-# `decopoles` console script and check what they write.
+# Run the README's model3, extract (as written and over-asked), omnes and
+# bifriedrich examples through the `decopoles` console script and check what
+# they write.
 #
 #     readme_examples.sh README.md WORKDIR
 #
@@ -20,6 +21,17 @@ for block in re.findall(r"```json\n(.*?)```", readme, re.S):
 PY
 decopoles simulate --config model3.json --out out
 decopoles extract --config extract.json --out fit
+# over-asked: the README's signal has 3 modes; the retry at the effective rank
+# reuses the first fit's SVD and must write the catalogue a 3-mode run writes
+python - <<'PY'
+import json
+doc = json.load(open("extract.json", encoding="utf-8"))
+doc["params"]["model_order"] = 5
+json.dump(doc, open("extract_overasked.json", "w", encoding="utf-8"))
+PY
+decopoles extract --config extract_overasked.json --out fit_overasked 2> overasked.err
+grep -q "requested 5 modes but the signal supports only 3; refitting at the effective rank" overasked.err
+cmp fit/catalogue.json fit_overasked/catalogue.json
 decopoles omnes --config omnes.json --out omnes_out
 decopoles simulate --config bifriedrich.json --out bi
 grep -qx "1,quantum,quantum" bi/verdicts.csv

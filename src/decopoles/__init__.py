@@ -8,148 +8,59 @@ timescale partitioning (pole_models), perturbative resonance poles
 (friedrich), truncated coherent-state superpositions and their collective
 decay (omnes), eigenbasis tracking and convergence (preferred_basis), and
 the numerical kernels behind them (numerics).
+
+Importing the package loads no submodule: each public name, and each
+submodule, is imported on first access (PEP 562), so a caller pays only
+for the modules it uses.
 """
 
-from .errors import ConvergenceError, RankDeficiencyError, ValidationError
-from .friedrich import (
-    EffectiveHamiltonian,
-    PerturbativePole,
-    SpectralDensity,
-    evolve_amplitude,
-    lee_friedrich_spectrum,
-    perturbative_pole,
-    pole_from_rate,
-)
-from .numerics import (
-    DensityMatrix,
-    EigenDecomposition,
-    HermitianMatrix,
-    adaptive_simpson,
-    eigh,
-    fit_residual,
-    matrix_pencil_fit,
-    principal_value_integral,
-)
-from .omnes import (
-    CollectiveRate,
-    FockDensityParts,
-    MacroscopicityReport,
-    NDComponents,
-    OmnesConfig,
-    QuasiCoherentState,
-    build_density_matrix,
-    collective_rate,
-    density_components,
-    evolved_overlaps,
-    fock_overlap,
-    frame_amplitudes,
-    frame_catalogue_matrix,
-    frame_projection,
-    macroscopicity_check,
-    nd_block,
-    nd_decay,
-    overlap_error_bound,
-    overlap_truncated,
-)
-from .pole_models import (
-    CatalogueMatrix,
-    CoincidenceResult,
-    KhalfinTail,
-    Mode,
-    Model2Times,
-    Pole,
-    PoleCatalogue,
-    Signal,
-    TimescaleReport,
-    catalogue_from_json,
-    catalogue_to_json,
-    coincidence_check,
-    collective_rate_rule,
-    decoherence_time,
-    model1_times,
-    model2_times,
-    partition_report,
-    preferred_signal,
-    signal_from_csv,
-    signal_to_csv,
-    synthesize,
-)
-from .preferred_basis import (
-    BiFriedrichModel,
-    BiFriedrichResult,
-    MovingBasis,
-    bifriedrich_run,
-    convergence_profile,
-    moving_eigenbasis,
-    observable_signal,
-    preferred_state,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiFriedrichModel",
-    "BiFriedrichResult",
-    "CatalogueMatrix",
-    "CoincidenceResult",
-    "CollectiveRate",
-    "ConvergenceError",
-    "DensityMatrix",
-    "EffectiveHamiltonian",
-    "EigenDecomposition",
-    "FockDensityParts",
-    "HermitianMatrix",
-    "KhalfinTail",
-    "MacroscopicityReport",
-    "Mode",
-    "Model2Times",
-    "MovingBasis",
-    "NDComponents",
-    "OmnesConfig",
-    "PerturbativePole",
-    "Pole",
-    "PoleCatalogue",
-    "QuasiCoherentState",
-    "RankDeficiencyError",
-    "Signal",
-    "SpectralDensity",
-    "TimescaleReport",
-    "ValidationError",
-    "adaptive_simpson",
-    "bifriedrich_run",
-    "build_density_matrix",
-    "catalogue_from_json",
-    "catalogue_to_json",
-    "coincidence_check",
-    "collective_rate",
-    "collective_rate_rule",
-    "convergence_profile",
-    "decoherence_time",
-    "density_components",
-    "eigh",
-    "evolve_amplitude",
-    "evolved_overlaps",
-    "fit_residual",
-    "fock_overlap",
-    "frame_amplitudes",
-    "frame_catalogue_matrix",
-    "frame_projection",
-    "lee_friedrich_spectrum",
-    "macroscopicity_check",
-    "matrix_pencil_fit",
-    "model1_times",
-    "model2_times",
-    "moving_eigenbasis",
-    "nd_block",
-    "nd_decay",
-    "observable_signal",
-    "overlap_error_bound",
-    "overlap_truncated",
-    "partition_report",
-    "perturbative_pole",
-    "pole_from_rate",
-    "preferred_signal",
-    "preferred_state",
-    "principal_value_integral",
-    "synthesize",
-]
+# owner module -> the public names it exports through the package
+_EXPORTS = {
+    "errors": ("ConvergenceError", "RankDeficiencyError", "ValidationError"),
+    "friedrich": (
+        "EffectiveHamiltonian", "PerturbativePole", "SpectralDensity", "evolve_amplitude",
+        "lee_friedrich_spectrum", "perturbative_pole", "pole_from_rate",
+    ),
+    "numerics": (
+        "DensityMatrix", "EigenDecomposition", "HermitianMatrix", "adaptive_simpson", "eigh",
+        "fit_residual", "matrix_pencil_fit", "principal_value_integral",
+    ),
+    "omnes": (
+        "CollectiveRate", "FockDensityParts", "MacroscopicityReport", "NDComponents",
+        "OmnesConfig", "QuasiCoherentState", "build_density_matrix", "collective_rate",
+        "density_components", "evolved_overlaps", "fock_overlap", "frame_amplitudes",
+        "frame_catalogue_matrix", "frame_projection", "macroscopicity_check", "nd_block",
+        "nd_decay", "overlap_error_bound", "overlap_truncated",
+    ),
+    "pole_models": (
+        "CatalogueMatrix", "CoincidenceResult", "KhalfinTail", "Mode", "Model2Times", "Pole",
+        "PoleCatalogue", "Signal", "TimescaleReport", "catalogue_from_json", "catalogue_to_json",
+        "coincidence_check", "collective_rate_rule", "decoherence_time", "model1_times",
+        "model2_times", "partition_report", "preferred_signal", "synthesize",
+    ),
+    "preferred_basis": (
+        "BiFriedrichModel", "BiFriedrichResult", "MovingBasis", "bifriedrich_run",
+        "convergence_profile", "moving_eigenbasis", "observable_signal", "preferred_state",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

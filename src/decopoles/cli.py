@@ -15,6 +15,12 @@ boundary and the extra timescale rows of ``pole_models.model1_times`` /
 ``model2_times``.  Each scenario belongs to one subcommand
 (``_SCENARIOS``).
 
+A run imports only what its scenario needs: ``numerics`` and
+``pole_models`` always, ``preferred_basis`` for ``bifriedrich`` and
+``friedrich`` with ``omnes`` for ``omnes``, each inside the scenario
+functions that use it.  ``extract`` refits an over-asked order at the
+effective rank from the pencil's one SVD.
+
 Configs are strictly validated before any computation: unknown keys are
 rejected and every diagnostic names the offending field path.  All float
 output uses 17 significant digits so CSVs parse back losslessly and
@@ -34,7 +40,7 @@ import warnings
 
 import numpy as np
 
-from . import friedrich, numerics, omnes, pole_models, preferred_basis
+from . import numerics, pole_models
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 from .pole_models import (  # the catalogue schema's reader and field validators
     _CATALOGUE_KEYS, _REQUIRED, _as_object, _catalogue, _field, _finite, _mode, _number,
@@ -79,6 +85,8 @@ def _optional_number(doc, path, key):
 
 def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
     """The density block; it must be positive at omega0, strictly inside its support."""
+    from . import friedrich
+
     kind = _string(sub, path, "kind", choices=("lorentzian", "ohmic", "csv"))
     omega0 = _number(sub, path, "omega0")
     if kind == "csv":
@@ -236,6 +244,8 @@ def _run_simulate(parsed, grid: np.ndarray, outdir: str):
 
 
 def _parse_bifriedrich(params: dict) -> preferred_basis.BiFriedrichModel:
+    from . import preferred_basis
+
     _reject_unknown(params, "params", ("part1", "part2"))
     parts = []
     for key in ("part1", "part2"):
@@ -245,6 +255,8 @@ def _parse_bifriedrich(params: dict) -> preferred_basis.BiFriedrichModel:
 
 
 def _run_bifriedrich(model: preferred_basis.BiFriedrichModel, grid: np.ndarray, outdir: str):
+    from . import preferred_basis
+
     result = preferred_basis.bifriedrich_run(model, grid)
     _write(outdir, "signal1.csv", pole_models.signal_csv_chunks(result.signal1))
     _write(outdir, "signal2.csv", pole_models.signal_csv_chunks(result.signal2))
@@ -255,6 +267,8 @@ def _run_bifriedrich(model: preferred_basis.BiFriedrichModel, grid: np.ndarray, 
 
 def _parse_omnes(params: dict) -> dict:
     """Validate omnes params; pole resolution from a density stays deferred."""
+    from . import omnes
+
     path = "params"
     allowed = (
         "m", "omega", "hbar", "gamma0", "L0", "a_re", "a_im", "b_re", "b_im",
@@ -283,7 +297,7 @@ def _parse_omnes(params: dict) -> dict:
         ),
         "N": _integer(params, path, "N", 6000, minimum=1),
     }
-    ssq = abs(config["a"]) ** 2 + abs(config["b"]) ** 2
+    ssq = omnes._weight_sum(config["a"], config["b"])
     if abs(ssq - 1.0) > omnes._NORM_TOL:
         raise ValidationError(
             f"params.a_re/a_im/b_re/b_im: |a|^2 + |b|^2 = {ssq!r}, must be 1 within {omnes._NORM_TOL}"
@@ -301,13 +315,20 @@ def _parse_omnes(params: dict) -> dict:
     sweep_raw = _field(params, path, "L0_sweep", [10.0, 20.0, 40.0])
     if not isinstance(sweep_raw, list) or not sweep_raw:
         raise ValidationError("params.L0_sweep: expected a nonempty array of lengths")
-    plan["L0_sweep"] = [
-        _finite(v, f"params.L0_sweep[{i}]", positive=True) for i, v in enumerate(sweep_raw)
-    ]
+    sweep = [_finite(v, f"params.L0_sweep[{i}]", positive=True) for i, v in enumerate(sweep_raw)]
+    # every config the run builds, with a stand-in width: only the Delta check is left to fail
+    for key, L0 in (("L0", config["L0"]), *((f"L0_sweep[{i}]", v) for i, v in enumerate(sweep))):
+        try:
+            omnes.OmnesConfig(gamma0=1.0, **dict(config, L0=L0))
+        except ValidationError as exc:
+            raise ValidationError(f"params.{key}: {exc}") from None
+    plan["L0_sweep"] = sweep
     return plan
 
 
 def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
+    from . import friedrich, omnes
+
     if plan["density"] is not None:
         pole = friedrich.perturbative_pole(plan["density"])
         gamma0, omega_prime = pole.gamma0, pole.omega_prime
@@ -372,7 +393,7 @@ def _run_extract(plan: dict, grid: None, outdir: str):  # extract has no config 
                 f"{exc.effective_rank}; refitting at the effective rank",
                 file=sys.stderr,
             )
-            fitted = numerics.matrix_pencil_fit(signal.times, values, exc.effective_rank)
+            fitted = exc.pencil.fit(exc.effective_rank)  # the same SVD, not a second one
         else:
             raise
 

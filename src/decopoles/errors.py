@@ -25,9 +25,11 @@ class RankDeficiencyError(ValidationError):
     """Requested model order exceeds the numerical rank of the data.
 
     ``effective_rank`` holds the rank actually found, so callers can retry
-    with a smaller order.
+    with a smaller order; ``pencil``, when the matrix pencil raised it, is
+    its factorisation, whose ``fit`` retries without a second SVD.
     """
 
-    def __init__(self, message, effective_rank):
+    def __init__(self, message, effective_rank, pencil=None):
         super().__init__(message)
         self.effective_rank = effective_rank
+        self.pencil = pencil

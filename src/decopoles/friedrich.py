@@ -203,7 +203,7 @@ class EffectiveHamiltonian:
     The damping enters only through Im z0 <= 0.  Levels are linear in n by
     construction; the additivity z_m + z_n = z_{m+n} is exact whenever the
     products n * z0 are representable (dyadic z0) and otherwise holds to
-    one rounding of the last place.  ``levels`` is built on first read.
+    one rounding of the last place.
     """
 
     N_max: int
@@ -217,10 +217,6 @@ class EffectiveHamiltonian:
         _pole_width(z0)
         object.__setattr__(self, "N_max", n_max)
         object.__setattr__(self, "z0", z0)
-
-    @functools.cached_property
-    def levels(self) -> tuple:
-        return tuple(n * self.z0 for n in range(self.N_max + 1))
 
 
 def _pole_width(z0: complex) -> float:

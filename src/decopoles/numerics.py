@@ -7,8 +7,10 @@ Three self-contained tools used throughout the package:
   convention so bases computed at nearby times can be compared directly.
 * ``principal_value_integral`` -- Cauchy principal value of
   f(w)/(w0 - w) by symmetric-pair quadrature around the singularity.
-* ``matrix_pencil_fit`` -- complex-exponential spectral estimation
-  (Hankel shift pair + rank-revealing SVD + least-squares amplitudes).
+* ``matrix_pencil_fit`` -- complex-exponential spectral estimation, in two
+  steps: ``PencilFactorisation`` (Hankel shift pair + rank-revealing thin
+  SVD, independent of the order) and its ``fit(order)`` (pencil roots +
+  least-squares amplitudes), so a refit at a lower order reuses the SVD.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -296,14 +298,89 @@ def pencil_min_samples(order: int) -> int:
     return 2 * order + 2
 
 
+class PencilFactorisation:
+    """The order-free half of the matrix pencil: sample checks, Hankel view and thin SVD.
+
+    ``PencilFactorisation(times, values, order)`` checks the samples as
+    ``matrix_pencil_fit(times, values, order)`` does (``order`` is only
+    checked here), splits the Hankel matrix of the samples into the shifted
+    pair (Y0, Y1) and takes the thin SVD of Y0 once.  ``fit(k)`` then gives
+    the modes at any order k up to ``effective_rank`` from that one SVD.
+
+    The window, n // 2 for n samples, does not depend on the order.  The
+    pencil uses min(max(n // 2, k), n - k) at order k, and every order
+    the sample minimum allows has n >= 2k + 2.  Then n // 2 >= k + 1 > k,
+    so the max is n // 2; and n - k >= n - (n - 2) / 2 = n / 2 + 1 > n // 2,
+    so the min is n // 2 as well.
+
+    Attributes: ``t``, ``y`` (the samples as float and complex arrays),
+    ``dt`` (the grid step), ``window``, ``y1`` (the shifted Hankel view of
+    ``y``), ``u``, ``singular_values``, ``vh`` (the thin SVD of Y0) and
+    ``effective_rank`` (singular values above 1e-10 times the largest).
+    An identically zero signal raises ``RankDeficiencyError`` with rank 0.
+    """
+
+    def __init__(self, times, values, order: int = 1):
+        t = np.asarray(times, dtype=float)
+        y = np.asarray(values, dtype=complex)
+        if t.shape != y.shape or t.ndim != 1:
+            raise ValidationError("times and values must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+            raise ValidationError("times and values must be finite")
+        _check_order(order, t.size)
+        self.t, self.y, self.dt = t, y, check_uniform_grid(t)
+        self.window = y.size // 2
+        hankel = np.lib.stride_tricks.sliding_window_view(y, self.window + 1)  # (n - window, window + 1)
+        self.y1 = hankel[:, 1:]
+        self.u, self.singular_values, self.vh = np.linalg.svd(hankel[:, :-1], full_matrices=False)
+        sig = self.singular_values
+        if sig[0] == 0.0:
+            raise RankDeficiencyError("signal is identically zero", effective_rank=0)
+        self.effective_rank = int(np.sum(sig > _RANK_RTOL * sig[0]))
+
+    def fit(self, order: int):
+        """The modes at ``order``, as ``matrix_pencil_fit`` returns them.
+
+        The pencil eigenvalues of (Y1, Y0), through the rank-``order``
+        truncated SVD, give the per-step ratios exp(z_k dt); amplitudes come
+        from one dense least-squares solve on the full series.  An order
+        above ``effective_rank`` raises ``RankDeficiencyError`` carrying
+        this factorisation in ``pencil``, so a retry needs no second SVD.
+        """
+        _check_order(order, self.t.size)
+        if self.effective_rank < order:
+            raise RankDeficiencyError(
+                f"numerical rank {self.effective_rank} is below the requested order {order}; "
+                f"retry with order <= {self.effective_rank}",
+                effective_rank=self.effective_rank,
+                pencil=self,
+            )
+        u, sig, vh = self.u, self.singular_values, self.vh
+        pencil = np.diag(1.0 / sig[:order]) @ (u[:, :order].conj().T @ self.y1 @ vh[:order, :].conj().T)
+        ratios = np.linalg.eigvals(pencil)
+        if np.any(np.abs(ratios) == 0.0):
+            raise ConvergenceError("pencil produced a zero ratio; data is not exponential")
+        z = np.log(ratios) / self.dt
+
+        basis = np.exp(np.outer(self.t, z))
+        amps, *_ = np.linalg.lstsq(basis, self.y, rcond=None)
+        idx = sorted(range(order), key=lambda k: (abs(z[k].imag), -z[k].real))
+        return [(complex(z[k]), complex(amps[k])) for k in idx]
+
+
+def _check_order(order: int, samples: int):
+    if order < 1:
+        raise ValidationError("order must be >= 1")
+    if samples < pencil_min_samples(order):
+        raise ValidationError(f"need at least {pencil_min_samples(order)} samples for order {order}")
+
+
 def matrix_pencil_fit(times, values, order: int):
     """Fit s(t) ~ sum_k a_k exp(z_k t) by the matrix-pencil method.
 
-    Needs a uniform time grid with at least 2 * order + 2 samples.  A
-    Hankel matrix of the samples is split into a shifted pair (Y0, Y1);
-    the pencil eigenvalues of (Y1, Y0), computed through a rank-``order``
-    truncated SVD of Y0, give the per-step ratios exp(z_k dt).  Amplitudes
-    come from one dense least-squares solve on the full series.
+    Needs a uniform time grid with at least 2 * order + 2 samples.  This is
+    ``PencilFactorisation(times, values, order).fit(order)``: the Hankel
+    shift pair and its thin SVD, then the roots and amplitudes at ``order``.
 
     Imaginary parts of the recovered exponents are only defined modulo the
     sampling Nyquist band (-pi/dt, pi/dt].
@@ -311,47 +388,10 @@ def matrix_pencil_fit(times, values, order: int):
     Returns a list of (z_k, a_k) pairs sorted by |Im z_k| ascending, ties
     broken toward slower decay.  Raises ``RankDeficiencyError`` when the
     data's numerical rank (singular values above 1e-10 times the largest)
-    is below ``order``.
+    is below ``order``; its ``pencil`` is the factorisation, whose
+    ``fit(effective_rank)`` refits without a second SVD.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=complex)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ValidationError("times and values must be 1-D arrays of equal length")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise ValidationError("times and values must be finite")
-    if order < 1:
-        raise ValidationError("order must be >= 1")
-    if t.size < pencil_min_samples(order):
-        raise ValidationError(f"need at least {pencil_min_samples(order)} samples for order {order}")
-    dt = check_uniform_grid(t)
-
-    n = y.size
-    window = min(max(n // 2, order), n - order)
-    hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)  # (n - window, window + 1)
-    y0 = hankel[:, :-1]
-    y1 = hankel[:, 1:]
-
-    u, sig, vh = np.linalg.svd(y0, full_matrices=False)
-    if sig[0] == 0.0:
-        raise RankDeficiencyError("signal is identically zero", effective_rank=0)
-    effective = int(np.sum(sig > _RANK_RTOL * sig[0]))
-    if effective < order:
-        raise RankDeficiencyError(
-            f"numerical rank {effective} is below the requested order {order}; "
-            f"retry with order <= {effective}",
-            effective_rank=effective,
-        )
-
-    pencil = np.diag(1.0 / sig[:order]) @ (u[:, :order].conj().T @ y1 @ vh[:order, :].conj().T)
-    ratios = np.linalg.eigvals(pencil)
-    if np.any(np.abs(ratios) == 0.0):
-        raise ConvergenceError("pencil produced a zero ratio; data is not exponential")
-    z = np.log(ratios) / dt
-
-    basis = np.exp(np.outer(t, z))
-    amps, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    idx = sorted(range(order), key=lambda k: (abs(z[k].imag), -z[k].real))
-    return [(complex(z[k]), complex(amps[k])) for k in idx]
+    return PencilFactorisation(times, values, order).fit(order)
 
 
 def fit_residual(times, values, modes) -> float:

@@ -129,12 +129,21 @@ class QuasiCoherentState:
         return _fock_vector(self.alpha, self.N).copy()
 
 
+def _weight_sum(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2, or inf where a square overflows (float ** raises there)."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class OmnesConfig:
     """Physical scales and superposition coefficients of the two-branch setup.
 
     The displacement maps to alpha2 = L0 sqrt(m omega / 2) / hbar with
-    alpha1 = 0 by choice of origin, so Delta = alpha2.
+    alpha1 = 0 by choice of origin, so Delta = alpha2, whose square must
+    be finite.
     """
 
     m: float
@@ -154,7 +163,7 @@ class OmnesConfig:
             object.__setattr__(self, name, v)
         a = complex(self.a)
         b = complex(self.b)
-        ssq = abs(a) ** 2 + abs(b) ** 2
+        ssq = _weight_sum(a, b)
         if not abs(ssq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValidationError(f"|a|^2 + |b|^2 = {ssq} must be 1 within {_NORM_TOL}")
         object.__setattr__(self, "a", a)
@@ -163,6 +172,10 @@ class OmnesConfig:
         if n < 1:
             raise ValidationError("truncation N must be at least 1")
         object.__setattr__(self, "N", n)
+        if not math.isfinite(self.delta * self.delta):  # the frame overlaps need Delta^2
+            raise ValidationError(
+                f"Delta = L0 sqrt(m omega / 2) / hbar = {self.delta!r} is too large: Delta^2 overflows"
+            )
 
     @property
     def alpha2(self) -> float:

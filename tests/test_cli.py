@@ -379,6 +379,52 @@ class TestExtract:
         cat = catalogue_from_json((out / "catalogue.json").read_text(encoding="utf-8"))
         assert len(cat.modes) == 3
 
+    def test_overasked_order_runs_one_svd(self, tmp_path, capsys, monkeypatch):
+        csv_path = self.simulate_figure(tmp_path)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        cfg = self.extract_config(tmp_path, csv_path, 5)
+        out = tmp_path / "fit"
+        assert main(["extract", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == [(121, 120)]
+        refit = tmp_path / "refit"
+        assert main(["extract", "--config", self.extract_config(tmp_path, csv_path, 3), "--out", str(refit)]) == 0
+        assert (out / "catalogue.json").read_bytes() == (refit / "catalogue.json").read_bytes()
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: requested 5 modes but the signal supports only 3; "
+            "refitting at the effective rank\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value, order, line",
+        [
+            (0.0, 1, "numeric failure: signal is identically zero (effective rank 0)\n"),
+            (
+                0.7,
+                2,
+                "warning: requested 2 modes but the signal supports only 1; refitting at the "
+                "effective rank\nnumeric failure: signal contains no decaying modes (constant or "
+                "equilibrium-only content) (effective rank 0)\n",
+            ),
+        ],
+        ids=["zero", "constant"],
+    )
+    def test_rank_zero_exact_lines(self, tmp_path, capsys, value, order, line):
+        sig = Signal(np.linspace(0.0, 5.0, 41), np.full(41, value, dtype=complex))
+        csv_path = tmp_path / "flat.csv"
+        csv_path.write_text(signal_to_csv(sig), encoding="utf-8")
+        cfg = self.extract_config(tmp_path, csv_path, order)
+        assert main(["extract", "--config", cfg, "--out", str(tmp_path / "f")]) == 3
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "f").exists()
+
     def test_constant_signal_fails(self, tmp_path, capsys):
         sig = Signal(np.linspace(0.0, 5.0, 41), np.full(41, 0.7, dtype=complex))
         csv_path = tmp_path / "flat.csv"
@@ -848,6 +894,34 @@ class TestSingleBadFieldDiagnostics:
         assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "params, line",
+        [
+            (
+                {"a_re": 1e200},
+                "params.a_re/a_im/b_re/b_im: |a|^2 + |b|^2 = inf, must be 1 within 1e-12",
+            ),
+            (
+                {"L0": 1e200},
+                "params.L0: Delta = L0 sqrt(m omega / 2) / hbar = 1e+200 is too large: "
+                "Delta^2 overflows",
+            ),
+            (
+                {"L0_sweep": [10.0, 1e200]},
+                "params.L0_sweep[1]: Delta = L0 sqrt(m omega / 2) / hbar = 1e+200 is too large: "
+                "Delta^2 overflows",
+            ),
+        ],
+        ids=["a-overflows", "L0-overflows", "sweep-L0-overflows"],
+    )
+    def test_overflowing_omnes_config_exact_line(self, tmp_path, capsys, params, line):
+        cfg = write_config(
+            tmp_path, {"scenario": "omnes", "grid": self.GRID, "params": dict(params, N=50)}
+        )
+        assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "r").exists()  # rejected before any file is written
 
     def test_density_vanishing_at_omega0_names_it(self, tmp_path, capsys):
         csv_path = tmp_path / "density.csv"

@@ -8,16 +8,20 @@ import pytest
 
 from decopoles.errors import ConvergenceError, RankDeficiencyError, ValidationError
 from decopoles.numerics import (
+    _RANK_RTOL,
     DensityMatrix,
     HermitianMatrix,
+    PencilFactorisation,
     _checked_entries,
     _density_stack,
     _phase_fix,
     adaptive_simpson,
+    check_uniform_grid,
     eigh,
     fit_residual,
     hermitian_average,
     matrix_pencil_fit,
+    pencil_min_samples,
     principal_value_integral,
 )
 from decopoles.omnes import OmnesConfig, build_density_matrix
@@ -560,3 +564,118 @@ class TestNoisyPencil:
             got = np.sort([-z.real for z, _ in matrix_pencil_fit(t, noisy, 3)])
             errors.append(np.max(np.abs(got - self.WIDTHS) / self.WIDTHS))
         assert np.median(errors) <= tol
+
+
+def presplit_matrix_pencil_fit(times, values, order):
+    """``matrix_pencil_fit`` as one function, before it was split into factorisation and fit."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=complex)
+    if t.shape != y.shape or t.ndim != 1:
+        raise ValidationError("times and values must be 1-D arrays of equal length")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValidationError("times and values must be finite")
+    if order < 1:
+        raise ValidationError("order must be >= 1")
+    if t.size < pencil_min_samples(order):
+        raise ValidationError(f"need at least {pencil_min_samples(order)} samples for order {order}")
+    dt = check_uniform_grid(t)
+
+    n = y.size
+    window = min(max(n // 2, order), n - order)
+    hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)
+    y0 = hankel[:, :-1]
+    y1 = hankel[:, 1:]
+
+    u, sig, vh = np.linalg.svd(y0, full_matrices=False)
+    if sig[0] == 0.0:
+        raise RankDeficiencyError("signal is identically zero", effective_rank=0)
+    effective = int(np.sum(sig > _RANK_RTOL * sig[0]))
+    if effective < order:
+        raise RankDeficiencyError(
+            f"numerical rank {effective} is below the requested order {order}; "
+            f"retry with order <= {effective}",
+            effective_rank=effective,
+        )
+
+    pencil = np.diag(1.0 / sig[:order]) @ (u[:, :order].conj().T @ y1 @ vh[:order, :].conj().T)
+    ratios = np.linalg.eigvals(pencil)
+    if np.any(np.abs(ratios) == 0.0):
+        raise ConvergenceError("pencil produced a zero ratio; data is not exponential")
+    z = np.log(ratios) / dt
+
+    basis = np.exp(np.outer(t, z))
+    amps, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    idx = sorted(range(order), key=lambda k: (abs(z[k].imag), -z[k].real))
+    return [(complex(z[k]), complex(amps[k])) for k in idx]
+
+
+def outcome(fit, *args):
+    """The fitted modes, or the error's type, message and rank."""
+    try:
+        return fit(*args)
+    except (ValidationError, ConvergenceError) as exc:
+        return type(exc), str(exc), getattr(exc, "effective_rank", None)
+
+
+def generated_signal(seed):
+    """1-4 damped (sometimes oscillating) modes, sometimes noisy, on a uniform grid of 4-400 samples."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 401))
+    t = np.linspace(rng.uniform(-1.0, 1.0), rng.uniform(2.0, 30.0), n)
+    m = int(rng.integers(1, 5))
+    z = -np.exp(rng.uniform(np.log(0.01), np.log(3.0), m)) + 1j * rng.uniform(-2.0, 2.0, m) * (rng.random(m) < 0.5)
+    amps = rng.uniform(0.2, 3.0, m) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, m))
+    y = np.exp(np.outer(t, z)) @ amps
+    if rng.random() < 0.3:
+        y = y + 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return t, y, m
+
+
+class TestPencilSplit:
+    """The factorisation-plus-fit pencil against the one-function pencil it replaced."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equal_to_presplit_pencil(self, seed):
+        t, y, m = generated_signal(seed)
+        for order in range(1, m + 3):
+            assert outcome(matrix_pencil_fit, t, y, order) == outcome(presplit_matrix_pencil_fit, t, y, order)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_one_factorisation_fits_every_order(self, seed):
+        t, y, m = generated_signal(seed)
+        pencil = PencilFactorisation(t, y)
+        top = min(pencil.effective_rank, (t.size - 2) // 2, m + 2)  # noise lifts the rank to ~n/2
+        for order in range(1, top + 1):
+            assert pencil.fit(order) == matrix_pencil_fit(t, y, order)
+
+    def test_window_is_half_the_samples_for_every_order(self):
+        for n in range(4, 200):
+            for order in range(1, (n - 2) // 2 + 1):
+                assert n >= pencil_min_samples(order)
+                assert min(max(n // 2, order), n - order) == n // 2
+            assert PencilFactorisation(np.arange(n, dtype=float), np.exp(-0.1 * np.arange(n))).window == n // 2
+
+    def test_rank_error_carries_the_factorisation(self):
+        t = np.linspace(0.0, 6.0, 241)
+        values = 3 * np.exp(-0.1 * t) + 2 * np.exp(-1.0 * t) + np.exp(-5.0 * t)
+        with pytest.raises(RankDeficiencyError) as exc_info:
+            matrix_pencil_fit(t, values, 5)
+        exc = exc_info.value
+        assert exc.effective_rank == exc.pencil.effective_rank == 3
+        assert exc.pencil.fit(3) == matrix_pencil_fit(t, values, 3)
+        with pytest.raises(RankDeficiencyError, match="numerical rank 3 is below the requested order 4"):
+            exc.pencil.fit(4)
+
+    def test_zero_signal_has_rank_zero_and_no_factorisation(self):
+        t = np.linspace(0.0, 5.0, 41)
+        with pytest.raises(RankDeficiencyError, match="^signal is identically zero$") as exc_info:
+            matrix_pencil_fit(t, np.zeros(41), 1)
+        assert exc_info.value.effective_rank == 0
+        assert exc_info.value.pencil is None
+
+    def test_fit_checks_the_order(self):
+        pencil = PencilFactorisation(np.linspace(0.0, 1.0, 7), np.exp(-np.linspace(0.0, 1.0, 7)))
+        with pytest.raises(ValidationError, match="order must be >= 1"):
+            pencil.fit(0)
+        with pytest.raises(ValidationError, match="need at least 8 samples for order 3"):
+            pencil.fit(3)

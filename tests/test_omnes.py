@@ -111,6 +111,15 @@ class TestOmnesConfig:
         with pytest.raises(ValidationError, match=r"must be 1 within"):
             config(a=a, b=b)
 
+    def test_overflowing_amplitude_rejected(self):
+        with pytest.raises(ValidationError, match=r"\|a\|\^2 \+ \|b\|\^2 = inf must be 1 within"):
+            OmnesConfig(1, 2, 1, 0.1, 1.0, 1e200, 0, 10)
+
+    @pytest.mark.parametrize("scales", [{"L0": 1e200}, {"m": 1e300, "omega": 1e300}, {"hbar": 1e-300}])
+    def test_overflowing_delta_squared_rejected(self, scales):
+        with pytest.raises(ValidationError, match=r"Delta\^2 overflows"):
+            config(**scales)
+
     def test_positive_scales(self):
         with pytest.raises(ValidationError):
             config(gamma0=0.0)

@@ -30,7 +30,6 @@ identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -316,14 +315,26 @@ def _parse_omnes(params: dict) -> dict:
     if not isinstance(sweep_raw, list) or not sweep_raw:
         raise ValidationError("params.L0_sweep: expected a nonempty array of lengths")
     sweep = [_finite(v, f"params.L0_sweep[{i}]", positive=True) for i, v in enumerate(sweep_raw)]
-    # every config the run builds, with a stand-in width: only the Delta check is left to fail
-    for key, L0 in (("L0", config["L0"]), *((f"L0_sweep[{i}]", v) for i, v in enumerate(sweep))):
-        try:
-            omnes.OmnesConfig(gamma0=1.0, **dict(config, L0=L0))
-        except ValidationError as exc:
-            raise ValidationError(f"params.{key}: {exc}") from None
+    _omnes_sweep(config, plan["gamma0"], sweep)
     plan["L0_sweep"] = sweep
     return plan
+
+
+def _omnes_sweep(config: dict, gamma0, sweep: list) -> list:
+    """Every config the run builds, a failing field named, and the sweep's rates once gamma0 is known."""
+    from . import omnes
+
+    rates = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the run reports macroscopicity once, at L0
+        for key, L0 in (("L0", config["L0"]), *((f"L0_sweep[{i}]", v) for i, v in enumerate(sweep))):
+            try:
+                cfg = omnes.OmnesConfig(gamma0=1.0 if gamma0 is None else gamma0, **dict(config, L0=L0))
+                if gamma0 is not None and key != "L0":
+                    rates.append(omnes.collective_rate(cfg))
+            except ValidationError as exc:
+                raise ValidationError(f"params.{key}: {exc}") from None
+    return rates
 
 
 def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
@@ -337,6 +348,7 @@ def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
 
     cfg = omnes.OmnesConfig(gamma0=gamma0, **plan["config"])
     z0 = cfg.z0(omega_prime)
+    rates = _omnes_sweep(plan["config"], gamma0, plan["L0_sweep"])  # before any file is written
 
     report = omnes.macroscopicity_check(cfg)
     lines = [f"status: {'PASS' if report.passed else 'FAIL'}"]
@@ -355,9 +367,7 @@ def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
         warnings.simplefilter("ignore")  # macroscopicity already reported above
         decay = omnes.nd_decay(cfg, z0, grid)
         _write(outdir, "nd_decay.csv", pole_models.csv_chunks("t,abs_rho12", (grid, decay)))
-        sweep = plan["L0_sweep"]
-        rates = [omnes.collective_rate(dataclasses.replace(cfg, L0=L0)) for L0 in sweep]
-        rows = [(L0, rate.t_D, rate.gamma_tilde) for L0, rate in zip(sweep, rates)]
+        rows = [(L0, rate.t_D, rate.gamma_tilde) for L0, rate in zip(plan["L0_sweep"], rates)]
         _write(outdir, "td_vs_L0.csv", _csv("L0,t_D,gamma_tilde", rows))
 
 

@@ -237,7 +237,8 @@ def _ladder_exponents(size: int, z0_bits: bytes) -> np.ndarray:
 
 def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
     """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t."""
-    return np.exp(_ladder_exponents(size, struct.pack("dd", z0.real, z0.imag)) * t / hbar)
+    out = _ladder_exponents(size, struct.pack("dd", z0.real, z0.imag)) * t
+    return np.exp(np.divide(out, hbar, out=out), out=out)  # exponents * t / hbar, then exp, in one buffer
 
 
 def lee_friedrich_spectrum(pole: PerturbativePole, N_max: int) -> EffectiveHamiltonian:

@@ -37,6 +37,12 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
     with an entry past 2^1021 is halved first, exactly for normal floats,
     so no finite input overflows; other input keeps the bits of (A + A^H) / 2.
     """
+    if a.ndim == 2 and (scale := float(abs(a).max())) <= 2.0**1021:  # one matrix: compare Python floats
+        ah = a.T.conj()
+        dev = float(abs(a - ah).max())
+        if dev > HERMITICITY_TOL * max(scale, 1.0):
+            raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
+        return (a + ah) / 2.0
     scale = abs(a).max(axis=(-2, -1))
     unit = 1.0  # what one unit of ``a`` stands for
     if not (scale <= 2.0**1021).all():  # NaN, Inf, or entries whose sum could overflow
@@ -66,7 +72,7 @@ def _checked_entries(entries, ndim: int = 2, unit_trace: bool = False) -> np.nda
     if a.size == 0:
         raise ValidationError("empty matrix")
     h = hermitian_average(a)
-    if unit_trace:
+    if unit_trace and (ndim == 3 or abs(float(h.trace().real) - 1.0) > 1e-12):  # one matrix: compare a float
         tr = np.trace(h, axis1=-2, axis2=-1).real
         bad = abs(tr - 1.0) > 1e-12
         if bad.any():

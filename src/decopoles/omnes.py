@@ -302,7 +302,7 @@ def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     _pole_width(z0)
     if not closed_form:
         q = _live_fock_probabilities(cfg.alpha2, cfg.N)
-        return math.exp(cfg.state2().log_norm), complex(q @ _ladder_phases(q.size, z0, t, cfg.hbar))
+        return math.exp(_log_norm(cfg.alpha2, cfg.N)), complex(q @ _ladder_phases(q.size, z0, t, cfg.hbar))
     d2 = cfg.delta**2
     arg = -1j * complex(z0)
     inner = np.exp(arg.real * t / cfg.hbar + 1j * (arg.imag * t / cfg.hbar))
@@ -392,11 +392,14 @@ def collective_rate(cfg: OmnesConfig) -> CollectiveRate:
     t_D = hbar / gamma_tilde shrinks as 1/L0^2 while t_R = hbar / gamma0
     is separation-independent, so t_D * L0^2 = 2 hbar^3 / (m omega gamma0)
     exactly.  In the macroscopic regime gamma_tilde / gamma0 = Delta^2 >> 1
-    guarantees t_D << t_R.
+    guarantees t_D << t_R.  A t_D that leaves the float range raises ValidationError.
     """
     _warn_if_not_macroscopic(cfg)
     gamma_tilde = (cfg.m * cfg.omega / (2.0 * cfg.hbar * cfg.hbar)) * cfg.L0 * cfg.L0 * cfg.gamma0
-    return CollectiveRate(gamma_tilde, cfg.hbar / gamma_tilde, cfg.hbar / cfg.gamma0)
+    t_D = cfg.hbar / gamma_tilde if gamma_tilde > 0.0 else math.inf  # gamma_tilde = inf gives 0
+    if not 0.0 < t_D < math.inf:
+        raise ValidationError(f"gamma_tilde = {gamma_tilde!r} gives t_D = {t_D!r}, outside the float range")
+    return CollectiveRate(gamma_tilde, t_D, cfg.hbar / cfg.gamma0)
 
 
 # --- full Fock-space construction -------------------------------------------
@@ -493,8 +496,8 @@ def frame_projection(
     """
     f1, f2 = frame_amplitudes(cfg, z0, t, closed_form)
     f = np.array([f1, f2], dtype=complex)
-    mat = np.outer(f, f.conj())
-    tr = float(mat[0, 0].real + mat[1, 1].real)
+    mat = f[:, None] * f.conj()  # np.outer's one multiply
+    tr = float(mat.trace().real)
     if tr <= 0.0:
         raise ValidationError("frame projection has zero weight")
     return DensityMatrix(mat / tr)

@@ -912,8 +912,17 @@ class TestSingleBadFieldDiagnostics:
                 "params.L0_sweep[1]: Delta = L0 sqrt(m omega / 2) / hbar = 1e+200 is too large: "
                 "Delta^2 overflows",
             ),
+            (
+                {"gamma0": 1e306, "L0": 2.0, "L0_sweep": [10.0, 400.0]},
+                "params.L0_sweep[1]: gamma_tilde = inf gives t_D = 0.0, outside the float range",
+            ),
+            (
+                {"gamma0": 1e-300, "L0": 2.0, "L0_sweep": [1e-200]},
+                "params.L0_sweep[0]: gamma_tilde = 0.0 gives t_D = inf, outside the float range",
+            ),
         ],
-        ids=["a-overflows", "L0-overflows", "sweep-L0-overflows"],
+        ids=["a-overflows", "L0-overflows", "sweep-L0-overflows", "sweep-rate-overflows",
+             "sweep-rate-underflows"],
     )
     def test_overflowing_omnes_config_exact_line(self, tmp_path, capsys, params, line):
         cfg = write_config(
@@ -922,6 +931,19 @@ class TestSingleBadFieldDiagnostics:
         assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
         assert not (tmp_path / "r").exists()  # rejected before any file is written
+
+    def test_density_rate_outside_the_float_range_names_the_entry(self, tmp_path, capsys):
+        # gamma0 = pi g(omega0) = 105/37 is known only at run time; Delta^2 gamma0 overflows
+        sd = {"kind": "lorentzian", "omega0": 1.1, "center": 0.6, "width": 0.7,
+              "lo": -9.0, "hi": 11.0, "weight": 3.0}
+        params = {"N": 50, "L0": 2.0, "L0_sweep": [10.0, 1e154], "spectral_density": sd}
+        cfg = write_config(tmp_path, {"scenario": "omnes", "grid": self.GRID, "params": params})
+        assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: params.L0_sweep[1]: gamma_tilde = inf gives t_D = 0.0, "
+            "outside the float range\n"
+        )
+        assert not (tmp_path / "r").exists()  # the rates come before any file
 
     def test_density_vanishing_at_omega0_names_it(self, tmp_path, capsys):
         csv_path = tmp_path / "density.csv"

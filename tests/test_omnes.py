@@ -35,7 +35,7 @@ from decopoles.omnes import (
     overlap_error_bound,
     overlap_truncated,
 )
-from decopoles.numerics import DensityMatrix
+from decopoles.numerics import DensityMatrix, _checked_entries
 from decopoles.pole_models import CatalogueMatrix, Pole, partition_report, collective_rate_rule
 
 ROOT_HALF = math.sqrt(0.5)
@@ -361,6 +361,24 @@ class TestCollectiveRate:
         with pytest.warns(UserWarning, match="macroscopic"):
             collective_rate(config(L0=2.0, N=50))
 
+    @IGNORE_MACRO
+    @pytest.mark.parametrize(
+        "cfg, line",
+        [
+            # gamma_tilde = Delta^2 gamma0 overflows, so t_D = hbar / inf would read 0
+            (config(L0=400.0, gamma0=1e306), "gamma_tilde = inf gives t_D = 0.0"),
+            # gamma_tilde underflows to 0, where hbar / gamma_tilde raised ZeroDivisionError
+            (config(L0=1e-200, gamma0=1e-300), "gamma_tilde = 0.0 gives t_D = inf"),
+            # hbar / gamma_tilde underflows
+            (config(L0=1.0, gamma0=1.0, hbar=1e-150), "gamma_tilde = 9.999999999999999e+299 gives t_D = 0.0"),
+        ],
+        ids=["rate-overflows", "rate-underflows", "t_D-underflows"],
+    )
+    def test_rate_outside_the_float_range_is_rejected(self, cfg, line):
+        with pytest.raises(ValidationError) as info:
+            collective_rate(cfg)
+        assert str(info.value) == f"{line}, outside the float range"
+
 
 class TestFockDensity:
     def test_pure_branch_is_projector(self):
@@ -587,6 +605,36 @@ class TestLiveFrameSum:
         assert exact[0, 0].real == pytest.approx(8.769948988642378e-72, rel=1e-12)
 
 
+def plain_formula_projection(cfg, z0, t):
+    """Reference: frame_projection(closed_form=False) by its plain formula, sharing no fast path.
+
+    One-line ladder phases, the log norm through a QuasiCoherentState, np.outer, the trace from
+    two indexed entries and the (T, d, d) stack check.
+    """
+    q = _live_fock_probabilities(cfg.alpha2, cfg.N)
+    w = complex(q @ np.exp(-1j * np.arange(q.size) * complex(z0) * t / cfg.hbar))
+    s = math.exp(cfg.state2().log_norm)
+    f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
+    mat = np.outer(f, f.conj())
+    return _checked_entries((mat / float(mat[0, 0].real + mat[1, 1].real))[None], 3, unit_trace=True)[0]
+
+
+class TestFrameProjectionBits:
+    """frame_projection keeps its bits on the five frame_convergence rungs of benchmark seed 101."""
+
+    RUNGS = [(4.786104290810715, 0.1959739668531147, 200), (6.480614473176781, 0.269246163824954, 300),
+             (5.280865732464273, 0.21487770849824317, 450), (7.5308890050360935, 0.08219132052424301, 675),
+             (6.989853241381825, 0.1854404473928758, 1000)]
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("L0, gamma0, N", RUNGS)
+    def test_grid_bits(self, L0, gamma0, N):
+        cfg = config(L0=L0, gamma0=gamma0, N=N)
+        for t in np.linspace(0.0, 6.0 * cfg.hbar / gamma0, 81).tolist():
+            got = frame_projection(cfg, cfg.z0(), t, closed_form=False).entries
+            assert got.tobytes() == plain_formula_projection(cfg, cfg.z0(), t).tobytes(), t
+
+
 class TestUnderflowingDisplacement:
     """L0 = 1e-200 is valid, but Delta^2 underflows to 0: the tower is the vacuum."""
 
@@ -688,10 +736,18 @@ class TestFrameWorkOnce:
         return calls
 
     @IGNORE_MACRO
-    def test_frame_amplitudes_truncated(self, log_norm_calls):
+    def test_frame_amplitudes_truncated(self, monkeypatch):
         cfg = config(L0=6.0, N=255)
+        frame_amplitudes(cfg, cfg.z0(), 0.7, closed_form=False)  # fills the weight caches, which read _log_norm
+        calls = []
+
+        def counted(alpha, N):
+            calls.append((alpha, N))
+            return _log_norm(alpha, N)
+
+        monkeypatch.setattr("decopoles.omnes._log_norm", counted)
         frame_amplitudes(cfg, cfg.z0(), 0.7, closed_form=False)
-        assert len(log_norm_calls) == 1
+        assert calls == [(cfg.alpha2, cfg.N)]
 
     @IGNORE_MACRO
     def test_frame_catalogue_matrix(self, log_norm_calls):

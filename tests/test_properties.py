@@ -7,7 +7,7 @@ import sys
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +15,7 @@ from decopoles.errors import ValidationError
 from decopoles.numerics import (
     HERMITICITY_TOL,
     DensityMatrix,
+    _checked_entries,
     _density_stack,
     eigh,
     hermitian_average,
@@ -622,3 +623,87 @@ class TestHermitianCheck:
             assert got in failures
             if len(failures) == 1:
                 assert got == failures[0]
+
+
+_KINDS = ("hermitian", "non-hermitian", "non-finite", "huge", "signed-zero", "at-tolerance", "off-trace")
+
+
+@st.composite
+def single_matrices(draw):
+    """(m, unit_trace): one d x d complex matrix, d = 1..49, of one of ``_KINDS``.
+
+    Entries come from a drawn numpy seed, so large matrices cost no more to
+    draw than small ones.  "hermitian" is exactly Hermitian at a scale from
+    1e-300 to 1e300 (trace one with ``unit_trace``); "non-hermitian" adds a
+    deviation of 0.3 to 1e6 tolerances; "non-finite" plants NaN or Inf;
+    "huge" reaches past 2^1021, where the check halves; "signed-zero" holds
+    +-0.0 parts off a positive diagonal; "at-tolerance" deviates by exactly
+    HERMITICITY_TOL * max(max|A|, 1); "off-trace" moves one diagonal entry of
+    a density matrix, often a pure state |k><k|, by about the trace tolerance.
+    """
+    kind = draw(st.sampled_from(_KINDS))
+    d = draw(st.integers(2 if kind == "at-tolerance" else 1, 49))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit_trace = kind == "off-trace" or draw(st.booleans())
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = (m + m.conj().T) / 2.0  # exactly Hermitian
+    diag = np.arange(d)
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    if kind == "signed-zero":
+        signs = rng.choice((-1.0, 1.0), size=(2, d, d))
+        m = np.copysign(0.0, signs[0]) + 1j * np.copysign(0.0, signs[1])
+        m[diag, diag] += 1.0
+    if kind == "off-trace" and draw(st.booleans()):
+        m = np.zeros((d, d), dtype=complex)
+        m[i, i] = 1.0  # a pure state: one diagonal entry holds the whole trace
+    elif unit_trace or kind == "off-trace":
+        m[diag, diag] = np.abs(m[diag, diag]) + 0.5
+        m /= np.trace(m).real
+    else:
+        m *= draw(st.sampled_from((1e-300, 1e-3, 1.0, 1e6, 1e300)))
+    unit = draw(st.sampled_from((1.0, -1.0, 1j, -1j)))
+    if kind == "non-hermitian":
+        size = draw(st.sampled_from((0.3, 0.9, 1.1, 3.0, 1e6))) * HERMITICITY_TOL
+        m[i, j] += size * max(float(np.max(np.abs(m))), 1.0) * unit
+    elif kind == "non-finite":
+        m[i, j] = draw(st.sampled_from(_NON_FINITE))
+    elif kind == "huge":
+        m = m / float(np.max(np.abs(m))) * draw(st.sampled_from((2.0**1021 * 1.5, 1e308, 1.7e308)))
+        if draw(st.booleans()):
+            m[i, j] *= 1.0 + draw(st.sampled_from((1e-13, 1e-9)))
+    elif kind == "at-tolerance":
+        j = (i + 1 + j % (d - 1)) % d  # off the diagonal
+        m[i, j] = m[j, i] = 0.0
+        m[i, j] = HERMITICITY_TOL * max(float(np.max(np.abs(m))), 1.0) * unit
+    elif kind == "off-trace":
+        k = draw(st.integers(0, d - 1))
+        k = (i + 1 + k % (d - 1)) % d if d > 1 and m[i, i] == 1.0 else k  # beside a pure state's entry
+        m[k, k] += draw(st.sampled_from((-3e-12, -1.5e-12, 1.5e-12, 3e-12, 5e-13)))
+    return m, unit_trace
+
+
+def raised(check, *args, **kwargs):
+    """(result, None), or (None, (class, message)) of any exception, numpy warnings included."""
+    try:
+        return check(*args, **kwargs), None
+    except Exception as exc:  # the failure itself is what the caller compares
+        return None, (type(exc), str(exc))
+
+
+class TestSingleMatrixCheck:
+    """One (d, d) matrix is checked as the one-member stack is: same bits, same failure."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(single_matrices())
+    @example((np.array([[1.0, 1e-12], [0.0, 1.0]], dtype=complex), False))  # at the tolerance
+    @example((np.diag([1.5e308, 1.0]).astype(complex), False))  # past 2^1021: halved
+    @example((np.diag([1.0, 3e-12]).astype(complex), True))  # off-trace beside a pure state
+    def test_one_matrix_equals_the_one_member_stack(self, drawn):
+        m, unit_trace = drawn
+        # a huge matrix's trace overflows with a RuntimeWarning (an error under pytest) on both
+        # paths, so failures of any class are compared, not only ValidationError as in outcome()
+        got, got_exc = raised(_checked_entries, m, unit_trace=unit_trace)
+        want, want_exc = raised(_checked_entries, m[None], 3, unit_trace=unit_trace)
+        assert got_exc == want_exc
+        if want_exc is None:
+            assert got.shape == want[0].shape and got.tobytes() == want[0].tobytes()

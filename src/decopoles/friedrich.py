@@ -236,9 +236,16 @@ def _ladder_exponents(size: int, z0_bits: bytes) -> np.ndarray:
 
 
 def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
-    """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t."""
-    out = _ladder_exponents(size, struct.pack("dd", z0.real, z0.imag)) * t
-    return np.exp(np.divide(out, hbar, out=out), out=out)  # exponents * t / hbar, then exp, in one buffer
+    """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t.
+
+    On a purely damped ladder (Re z0 = 0, in range) the phases past exponent -746 stay exp's exact (+0, +0).
+    """
+    damped = z0.real == 0.0 and t > 0.0 and 0.0 < -z0.imag * size * max(t, 1.0) < 1e300 and 1e-300 < hbar < 1e300
+    live = int(min(size, 746.0 * hbar / -z0.imag / t + 2.0)) if damped else size  # + 2: past 4 roundings
+    out = np.zeros(size, dtype=complex)
+    head, exps = out[:live], _ladder_exponents(size, struct.pack("dd", z0.real, z0.imag))[:live]
+    np.exp(np.divide(np.multiply(exps, t, out=head), hbar, out=head), out=head)  # in one buffer
+    return out
 
 
 def lee_friedrich_spectrum(pole: PerturbativePole, N_max: int) -> EffectiveHamiltonian:

@@ -29,6 +29,13 @@ HERMITICITY_TOL = 1e-12
 _RANK_RTOL = 1e-10  # the pencil counts singular values above this share of the largest
 
 
+def _matrix_reduce(reduce, x: np.ndarray) -> np.ndarray:
+    """Exact ``reduce(x, axis=(-2, -1))`` (max, any); T > d^2 matrices reduce one (d^2, T) copy along T."""
+    if x.ndim == 3 and x.shape[0] > x.shape[1] * x.shape[2]:
+        return reduce(np.ascontiguousarray(x.reshape(x.shape[0], -1).T), axis=0)
+    return reduce(x, axis=(-2, -1))
+
+
 def hermitian_average(a: np.ndarray) -> np.ndarray:
     """(A + A^H) / 2 of each matrix over the last two axes, so downstream math sees A == A^H.
 
@@ -37,21 +44,30 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
     with an entry past 2^1021 is halved first, exactly for normal floats,
     so no finite input overflows; other input keeps the bits of (A + A^H) / 2.
     """
+    if a.shape == (2, 2) and a.dtype == complex:  # read once; Python's abs rounds apart from numpy's
+        (p, q), (r, s) = a.tolist()
+        try:
+            scale = max(abs(p), abs(q), abs(r), abs(s))  # a NaN or Inf entry makes dev NaN or inf
+            dev = abs(p - p.conjugate()) + abs(q - r.conjugate()) + abs(s - s.conjugate())
+            if scale <= 2.0**1020 and dev <= 0.5 * HERMITICITY_TOL * max(scale, 1.0):  # room for an ulp
+                return (a + a.T.conj()) / 2.0
+        except OverflowError:  # Python's abs raises where numpy's reads inf
+            pass
     if a.ndim == 2 and (scale := float(abs(a).max())) <= 2.0**1021:  # one matrix: compare Python floats
         ah = a.T.conj()
         dev = float(abs(a - ah).max())
         if dev > HERMITICITY_TOL * max(scale, 1.0):
             raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
         return (a + ah) / 2.0
-    scale = abs(a).max(axis=(-2, -1))
+    scale = _matrix_reduce(np.ndarray.max, abs(a))
     unit = 1.0  # what one unit of ``a`` stands for
     if not (scale <= 2.0**1021).all():  # NaN, Inf, or entries whose sum could overflow
         if not np.isfinite(a).all():
             raise ValidationError("matrix contains NaN or Inf entries")
         a, unit = a / 2.0, 2.0
-        scale = abs(a).max(axis=(-2, -1))
+        scale = _matrix_reduce(np.ndarray.max, abs(a))
     ah = a.swapaxes(-1, -2).conj()
-    dev = abs(a - ah).max(axis=(-2, -1))
+    dev = _matrix_reduce(np.ndarray.max, abs(a - ah))
     bad = dev > HERMITICITY_TOL * np.maximum(scale, 1.0 / unit)
     if bad.any():
         k = bad.argmax()  # the first failing matrix
@@ -72,10 +88,11 @@ def _checked_entries(entries, ndim: int = 2, unit_trace: bool = False) -> np.nda
     if a.size == 0:
         raise ValidationError("empty matrix")
     h = hermitian_average(a)
-    if unit_trace and (ndim == 3 or abs(float(h.trace().real) - 1.0) > 1e-12):  # one matrix: compare a float
-        tr = np.trace(h, axis1=-2, axis2=-1).real
+    if unit_trace and (a.shape != (2, 2) or abs(h.item(0).real + h.item(3).real - 1.0) > 1e-12):
+        with np.errstate(over="ignore"):  # a trace past the float range reads inf
+            tr = h.trace(axis1=-2, axis2=-1).real
         bad = abs(tr - 1.0) > 1e-12
-        if bad.any():
+        if bad.any() if bad.ndim else bad:  # one matrix: a numpy bool, whose any() is a whole reduction
             tr = float(tr.flat[bad.argmax()])  # a numpy scalar's repr varies across numpy
             raise ValidationError(f"trace is {tr!r}, expected 1 within 1e-12")
     h.setflags(write=False)

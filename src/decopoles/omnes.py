@@ -395,7 +395,9 @@ def collective_rate(cfg: OmnesConfig) -> CollectiveRate:
     guarantees t_D << t_R.  A t_D that leaves the float range raises ValidationError.
     """
     _warn_if_not_macroscopic(cfg)
-    gamma_tilde = (cfg.m * cfg.omega / (2.0 * cfg.hbar * cfg.hbar)) * cfg.L0 * cfg.L0 * cfg.gamma0
+    h2 = 2.0 * cfg.hbar * cfg.hbar  # below the normal range, Delta^2 gamma0: the same rate, in range
+    gamma_tilde = (cfg.m * cfg.omega / h2) * cfg.L0 * cfg.L0 if h2 >= 2.0**-1022 else cfg.delta * cfg.delta
+    gamma_tilde *= cfg.gamma0
     t_D = cfg.hbar / gamma_tilde if gamma_tilde > 0.0 else math.inf  # gamma_tilde = inf gives 0
     if not 0.0 < t_D < math.inf:
         raise ValidationError(f"gamma_tilde = {gamma_tilde!r} gives t_D = {t_D!r}, outside the float range")
@@ -497,7 +499,7 @@ def frame_projection(
     f1, f2 = frame_amplitudes(cfg, z0, t, closed_form)
     f = np.array([f1, f2], dtype=complex)
     mat = f[:, None] * f.conj()  # np.outer's one multiply
-    tr = float(mat.trace().real)
+    tr = mat.item(0).real + mat.item(3).real  # the bits of mat.trace().real, as Python floats
     if tr <= 0.0:
         raise ValidationError("frame projection has zero weight")
     return DensityMatrix(mat / tr)

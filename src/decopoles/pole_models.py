@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import HermitianMatrix, check_uniform_grid, hermitian_average
+from .numerics import HermitianMatrix, _matrix_reduce, check_uniform_grid, hermitian_average
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -561,8 +561,7 @@ class CatalogueMatrix:
         self.amplitudes = hermitian_average(amps[order])
         self.amplitudes.setflags(write=False)
         self._norms = np.linalg.norm(self.amplitudes, axis=(-2, -1))
-        # live modes have a nonzero entry; a norm underflows to 0 below about 1e-162
-        self._live = np.any(self.amplitudes != 0, axis=(-2, -1))
+        self._live = _matrix_reduce(np.ndarray.any, self.amplitudes)  # a nonzero entry; norms underflow
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim

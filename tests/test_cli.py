@@ -276,6 +276,16 @@ class TestOmnes:
         assert len(products) == 3
         assert max(products) - min(products) <= 1e-12 * products[0]
 
+    def test_rate_where_2_hbar_squared_underflows(self, tmp_path):
+        # 2 hbar^2 = 2e-340 reads 0.0; with Delta = 1 the rate is Delta^2 gamma0 = gamma0
+        doc = self.base_doc(hbar=1e-170, L0=1e-170, L0_sweep=[1e-170], N=50)
+        doc["grid"] = {"t_max": 1e-168, "n_points": 5}
+        out = tmp_path / "run"
+        assert main(["omnes", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert (out / "td_vs_L0.csv").read_text(encoding="utf-8") == (
+            "L0,t_D,gamma_tilde\n9.9999999999999998e-171,9.9999999999999987e-170,0.10000000000000001\n"
+        )
+
     def test_macroscopicity_fail_warns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.base_doc(L0=2.0, N=50))
         out = tmp_path / "run"

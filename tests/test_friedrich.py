@@ -237,12 +237,23 @@ class TestLadderPhases:
     @pytest.mark.parametrize("size, hbar", [(1, 1.0), (201, 1.0), (1001, 0.9)])
     def test_bits_across_the_underflow_edge(self, size, hbar):
         # n gamma t / hbar passes 746 inside the grid for every size above 1,
-        # so late points mix live, subnormal and underflowed terms
-        for z0 in (0.7 - 0.03j, 2.5 - 1.0j, -0.4 - 0.2j, 0.3 + 0.0j):
+        # so late points mix live, subnormal and underflowed terms; a purely
+        # damped ladder (Re z0 = +-0) writes its underflowed phases as zeros
+        for z0 in (0.7 - 0.03j, 2.5 - 1.0j, -0.4 - 0.2j, 0.3 + 0.0j, -0.2j, complex(-0.0, -1.0)):
             edge = 746.0 * hbar / (max(size - 1, 1) * max(-z0.imag, 0.03))
-            for t in np.linspace(0.0, 3.0 * edge, 61).tolist() + [-0.0]:
+            for t in np.linspace(0.0, 3.0 * edge, 61).tolist() + [-0.0, -0.5 * edge]:
                 got = _ladder_phases(size, z0, t, hbar)
                 assert got.tobytes() == one_line_ladder_phases(size, z0, t, hbar).tobytes()
+
+    @pytest.mark.parametrize("z0", [-1.0j, complex(-0.0, -0.37)])
+    def test_bits_at_the_dead_phase_cut(self, z0):
+        # exponent steps of about 0.01 put a dozen phases between -745 and -745.13,
+        # below which exp reads exactly 0, and the last grid time lands one on -746
+        size, gamma = 80_000, -z0.imag
+        step = 0.01 / gamma
+        for t in (step, np.nextafter(step, 0.0), np.nextafter(step, 1.0), 746.0 / (size - 1) / gamma):
+            got = _ladder_phases(size, z0, float(t), 1.0)
+            assert got.tobytes() == one_line_ladder_phases(size, z0, float(t), 1.0).tobytes()
 
     def test_signed_zeros_are_cached_apart(self):
         # at t = 0 the sign of Re z0 = +-0.0 reaches the phases' bits

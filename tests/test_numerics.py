@@ -139,6 +139,22 @@ class TestDensityMatrix:
             DensityMatrix(0.4 * np.eye(2))
         assert str(err.value) == "trace is 0.8, expected 1 within 1e-12"
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.diag([1.5e308, 1.5e308]),  # past 2^1021: the stack path, halved
+            np.diag([2e307] * 49),  # every entry in range, the trace past it
+            np.stack([0.5 * np.eye(2), np.diag([1.5e308, 1.5e308])]),
+        ],
+        ids=["2x2", "49x49", "stack"],
+    )
+    def test_trace_past_the_float_range_reads_inf(self, entries):
+        # pyproject turns numpy's overflow RuntimeWarning into a test failure
+        check = DensityMatrix if entries.ndim == 2 else _density_stack
+        with pytest.raises(ValidationError) as err:
+            check(entries.astype(complex))
+        assert str(err.value) == "trace is inf, expected 1 within 1e-12"
+
 
 def density_stack(rng, count, dim):
     """``count`` random unit-trace Hermitian matrices, as one (T, d, d) stack."""

@@ -357,6 +357,22 @@ class TestCollectiveRate:
         rate = collective_rate(config())
         assert rate.t_D < rate.t_R / 10.0
 
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("hbar", [1e-170, 1e-155], ids=["2hbar2-is-zero", "2hbar2-is-subnormal"])
+    def test_rate_where_2_hbar_squared_leaves_the_normal_range(self, hbar):
+        # 2 hbar^2 underflows; Delta = L0 / hbar = 1 keeps gamma_tilde = Delta^2 gamma0 = gamma0
+        rate = collective_rate(config(hbar=hbar, L0=hbar, N=50))
+        assert rate.gamma_tilde == 0.1
+        assert rate.t_D == hbar / 0.1 and rate.t_R == hbar / 0.1
+
+    @IGNORE_MACRO
+    def test_ordinary_rate_keeps_its_order_of_operations(self):
+        # (m omega / 2 hbar^2) L0^2 gamma0, which td_vs_L0.csv has always printed
+        cfg = config(L0=17.3, gamma0=0.37, m=1.3, omega=2.9, hbar=1.7)
+        want = (1.3 * 2.9 / (2.0 * 1.7 * 1.7)) * 17.3 * 17.3 * 0.37
+        assert want != cfg.delta * cfg.delta * 0.37  # the two orders differ in the last bit here
+        assert collective_rate(cfg).gamma_tilde == want
+
     def test_warns_when_not_macroscopic(self):
         with pytest.warns(UserWarning, match="macroscopic"):
             collective_rate(config(L0=2.0, N=50))

@@ -555,8 +555,9 @@ _NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(ma
 
 @st.composite
 def spoilt_stacks(draw, unit_trace=False):
-    """(T, d, d) Hermitian stacks, d = 1..5, some members spoilt.
+    """(T, d, d) Hermitian stacks, d = 1..5, T = 0..30 (1..30 with ``unit_trace``), some members spoilt.
 
+    T runs on both sides of d^2, where the stack's reductions change axis.
     Members carry scales from 1e-3 to 1e6, or with ``unit_trace`` are
     normalized to trace one.  A spoilt member gets a NaN or
     Inf entry, a deviation from Hermiticity just inside or outside the
@@ -564,7 +565,7 @@ def spoilt_stacks(draw, unit_trace=False):
     about the trace tolerance.
     """
     d = draw(st.integers(1, 5))
-    count = draw(st.integers(1, 6))
+    count = draw(st.integers(1 if unit_trace else 0, 30))
     raw = draw(hnp.arrays(float, (count, 2, d, d), elements=_ENTRY))
     mats = raw[:, 0] + 1j * raw[:, 1]
     mats = (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2.0
@@ -601,7 +602,7 @@ class TestHermitianCheck:
     @settings(deadline=None, max_examples=300)
     @given(spoilt_stacks(), st.booleans())
     def test_same_decision_message_and_bits_as_the_loop_body(self, mats, one):
-        a = mats[0] if one else mats
+        a = mats[0] if one and len(mats) else mats  # one 2x2 member is checked on Python floats
         got, got_out = outcome(hermitian_average, a)
         want, want_out = outcome(reference_hermitian_average, a)
         assert got == want
@@ -630,19 +631,20 @@ _KINDS = ("hermitian", "non-hermitian", "non-finite", "huge", "signed-zero", "at
 
 @st.composite
 def single_matrices(draw):
-    """(m, unit_trace): one d x d complex matrix, d = 1..49, of one of ``_KINDS``.
+    """(m, unit_trace): one d x d complex matrix, d = 1..49 (2 half the time), of one of ``_KINDS``.
 
     Entries come from a drawn numpy seed, so large matrices cost no more to
     draw than small ones.  "hermitian" is exactly Hermitian at a scale from
     1e-300 to 1e300 (trace one with ``unit_trace``); "non-hermitian" adds a
     deviation of 0.3 to 1e6 tolerances; "non-finite" plants NaN or Inf;
-    "huge" reaches past 2^1021, where the check halves; "signed-zero" holds
+    "huge" reaches past 2^1021, where the check halves, or holds an entry
+    near 1.5e308 (1 +- 1j), whose abs overflows; "signed-zero" holds
     +-0.0 parts off a positive diagonal; "at-tolerance" deviates by exactly
     HERMITICITY_TOL * max(max|A|, 1); "off-trace" moves one diagonal entry of
     a density matrix, often a pure state |k><k|, by about the trace tolerance.
     """
     kind = draw(st.sampled_from(_KINDS))
-    d = draw(st.integers(2 if kind == "at-tolerance" else 1, 49))
+    d = draw(st.just(2) | st.integers(2 if kind == "at-tolerance" else 1, 49))  # 2x2: Python floats
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     unit_trace = kind == "off-trace" or draw(st.booleans())
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -669,6 +671,9 @@ def single_matrices(draw):
         m[i, j] = draw(st.sampled_from(_NON_FINITE))
     elif kind == "huge":
         m = m / float(np.max(np.abs(m))) * draw(st.sampled_from((2.0**1021 * 1.5, 1e308, 1.7e308)))
+        if draw(st.booleans()):  # |entry| = 2.1e308 overflows; numpy's abs reads inf, Python's raises
+            m[i, j] = 1.5e308 * complex(1.0, draw(st.sampled_from((1.0, -1.0))))
+            m[j, i] = np.conj(m[i, j])
         if draw(st.booleans()):
             m[i, j] *= 1.0 + draw(st.sampled_from((1e-13, 1e-9)))
     elif kind == "at-tolerance":
@@ -698,10 +703,11 @@ class TestSingleMatrixCheck:
     @example((np.array([[1.0, 1e-12], [0.0, 1.0]], dtype=complex), False))  # at the tolerance
     @example((np.diag([1.5e308, 1.0]).astype(complex), False))  # past 2^1021: halved
     @example((np.diag([1.0, 3e-12]).astype(complex), True))  # off-trace beside a pure state
+    @example((np.array([[-0.0, 0.5], [0.5, -0.0]], dtype=complex), True))  # trace +0.0, not -0.0
     def test_one_matrix_equals_the_one_member_stack(self, drawn):
         m, unit_trace = drawn
-        # a huge matrix's trace overflows with a RuntimeWarning (an error under pytest) on both
-        # paths, so failures of any class are compared, not only ValidationError as in outcome()
+        # failures of any class are compared, not only ValidationError as in outcome(), so a
+        # numpy RuntimeWarning (an error under pytest) on either path shows, as a huge trace's did
         got, got_exc = raised(_checked_entries, m, unit_trace=unit_trace)
         want, want_exc = raised(_checked_entries, m[None], 3, unit_trace=unit_trace)
         assert got_exc == want_exc

@@ -170,6 +170,26 @@ class TestSimulateModel3:
         assert float(rows["t_D"]) == 10.0
         assert rows["p_relevant"] == "0"
 
+    @pytest.mark.parametrize("boundary", ["relevant", "irrelevant"])
+    def test_partition_rows_of_a_wide_catalogue(self, tmp_path, boundary):
+        # 44 modes, 19 of them at the threshold width 0.5 (the second smallest),
+        # written in reverse so the catalogue sorts them back
+        widths = [0.05] + [0.5] * 19 + [0.5 + 0.125 * k for k in range(1, 25)]
+        modes = [{"gamma": g, "amp_re": 1.0 / (i + 1)} for i, g in enumerate(widths)][::-1]
+        cfg = write_config(
+            tmp_path,
+            {"scenario": "model3", "grid": {"t_max": 6.0, "n_points": 11},
+             "params": {"modes": modes, "boundary": boundary}},
+        )
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_rows(out / "timescales.csv")
+        kept = [g <= 0.5 if boundary == "relevant" else g < 0.5 for g in widths]
+        assert rows["p_relevant"] == ";".join(str(i) for i, k in enumerate(kept) if k)
+        assert rows["p_irrelevant"] == ";".join(str(i) for i, k in enumerate(kept) if not k)
+        assert rows["p_relevant"] == ("0;1;2;3;4;5;6;7;8;9;10;11;12;13;14;15;16;17;18;19"
+                                      if boundary == "relevant" else "0")
+
 
 class TestBifriedrich:
     def config(self, tmp_path, part2_extra=0.0, name="config.json"):

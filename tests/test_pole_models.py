@@ -262,33 +262,33 @@ class TestPartition:
         rep = partition_report((0.1, 1.0, 5.0))
         assert rep.t_R == 10.0
         assert rep.t_D == 1.0
-        assert rep.p_relevant == (0, 1)
-        assert rep.p_irrelevant == (2,)
+        assert rep.p_relevant == range(2)
+        assert rep.p_irrelevant == range(2, 3)
         assert rep.rule == RULE_SECOND_SMALLEST
         assert rep.boundary == BOUNDARY_RELEVANT
 
     def test_strict_boundary(self):
         rep = partition_report((0.1, 1.0, 5.0), boundary=BOUNDARY_IRRELEVANT)
         assert rep.t_D == 1.0
-        assert rep.p_relevant == (0,)
-        assert rep.p_irrelevant == (1, 2)
+        assert rep.p_relevant == range(1)
+        assert rep.p_irrelevant == range(1, 3)
 
     def test_single_pole(self):
         rep = partition_report((0.25,))
         assert rep.t_R == rep.t_D == 4.0
-        assert rep.p_relevant == (0,)
-        assert rep.p_irrelevant == ()
+        assert rep.p_relevant == range(1)
+        assert rep.p_irrelevant == range(1, 1)
 
     def test_slowest_only(self):
         rep = partition_report((0.1, 0.1, 5.0), rule=RULE_SLOWEST)
         assert rep.t_D == rep.t_R == 10.0
-        assert rep.p_relevant == (0, 1)
-        assert rep.p_irrelevant == (2,)
+        assert rep.p_relevant == range(2)
+        assert rep.p_irrelevant == range(2, 3)
 
     def test_background_only(self):
         rep = partition_report((0.1, 1.0), rule=RULE_BACKGROUND)
-        assert rep.p_relevant == ()
-        assert rep.p_irrelevant == (0, 1)
+        assert rep.p_relevant == range(0)
+        assert rep.p_irrelevant == range(2)
         assert rep.t_D == rep.t_R == 10.0
         assert rep.rule == RULE_BACKGROUND
 
@@ -305,8 +305,9 @@ class TestPartition:
         else:
             relevant = tuple(i for i, g in enumerate(gammas) if g < threshold)
         irrelevant = tuple(i for i in range(len(gammas)) if i not in set(relevant))
-        want = TimescaleReport(10.0, 1.0 / threshold, relevant, irrelevant, RULE_CUSTOM, boundary)
-        assert partition_report(gammas, rule=rule, boundary=boundary) == want
+        rep = partition_report(gammas, rule=rule, boundary=boundary)
+        assert rep == TimescaleReport(10.0, 1.0 / threshold, len(relevant), len(gammas), RULE_CUSTOM, boundary)
+        assert (tuple(rep.p_relevant), tuple(rep.p_irrelevant)) == (relevant, irrelevant)
         assert len(relevant) == (36 if boundary == BOUNDARY_RELEVANT else 35)
 
     def test_custom_rule(self):
@@ -314,7 +315,7 @@ class TestPartition:
         rep = partition_report((0.1, 1.0), rule=rate)
         assert rep.rule == RULE_CUSTOM
         assert rep.t_D == pytest.approx(0.1, rel=1e-15)
-        assert rep.p_relevant == (0, 1)  # threshold far above both widths
+        assert rep.p_relevant == range(2)  # threshold far above both widths
 
     def test_custom_rule_nonpositive(self):
         with pytest.raises(ValidationError):
@@ -377,7 +378,7 @@ class TestPartition:
         reports = [partition_report(kind(gammas), 1.3, rule, boundary) for kind in (tuple, list, np.array)]
         for rep in reports[1:]:
             assert (rep.t_R.hex(), rep.t_D.hex()) == (reports[0].t_R.hex(), reports[0].t_D.hex())
-            assert rep == reports[0]  # the index tuples too
+            assert rep == reports[0]  # the cut and mode count too
 
     def test_decoherence_time_uses_catalogue(self):
         rep = decoherence_time(figure_catalogue(hbar=2.0))
@@ -394,15 +395,11 @@ class TestPartition:
 class TestReportValidation:
     def test_t_d_cannot_exceed_t_r(self):
         with pytest.raises(ValidationError):
-            TimescaleReport(1.0, 2.0, (0,), (), RULE_SECOND_SMALLEST)
+            TimescaleReport(1.0, 2.0, 1, 1, RULE_SECOND_SMALLEST)
 
     def test_t_d_slack(self):
-        rep = TimescaleReport(1.0, 1.0 * (1 + 5e-13), (0,), (), RULE_SECOND_SMALLEST)
+        rep = TimescaleReport(1.0, 1.0 * (1 + 5e-13), 1, 1, RULE_SECOND_SMALLEST)
         assert rep.t_D >= rep.t_R
-
-    def test_overlapping_partition(self):
-        with pytest.raises(ValidationError):
-            TimescaleReport(10.0, 1.0, (0, 1), (1, 2), RULE_SECOND_SMALLEST)
 
     def test_check_matches_roundtrip(self):
         cat = figure_catalogue()
@@ -417,9 +414,7 @@ class TestReportValidation:
     def test_check_rejects_tampered_partition(self):
         cat = figure_catalogue()
         rep = decoherence_time(cat)
-        forged = TimescaleReport(
-            rep.t_R, rep.t_D, (0,), (1, 2), rep.rule, rep.boundary, rep.hbar
-        )
+        forged = TimescaleReport(rep.t_R, rep.t_D, 1, 3, rep.rule, rep.boundary, rep.hbar)
         with pytest.raises(ValidationError):
             check_report_matches(cat, forged)
 
@@ -442,34 +437,43 @@ class TestReportValidation:
         cat = PoleCatalogue(0.0, tuple((Pole(0.0, g), 0j) for g in (0.5, 1.0)))
         rep = partition_report(cat.gammas, cat.hbar, rule=lambda g: rate, boundary=boundary)
         check_report_matches(cat, rep)
-        far = TimescaleReport(rep.t_R, 1.0 / 0.9, (0, 1), (), RULE_CUSTOM, boundary)
+        far = TimescaleReport(rep.t_R, 1.0 / 0.9, 2, 2, RULE_CUSTOM, boundary)
         with pytest.raises(ValidationError, match="does not match"):
             check_report_matches(cat, far)
 
     @pytest.mark.parametrize(
-        "relevant, irrelevant, indices",
-        [((0, 1), (), "[0, 1]"), ((0,), (2,), "[0, 2]"), ((0, 1), (2, 3), "[0, 1, 2, 3]"),
-         ((-1, 0, 1), (2,), "[-1, 0, 1, 2]"), ((), (), "[]")],
-        ids=["misses-last", "misses-middle", "out-of-range", "negative", "empty"],
+        "cut, n_modes, message",
+        [(2, 2, "report partitions 2 modes but the catalogue has 3 modes"),
+         (2, 4, "report partitions 4 modes but the catalogue has 3 modes"),
+         (0, 0, "report partitions 0 modes but the catalogue has 3 modes"),
+         # a partition that cannot be built is named where it is built
+         (-1, 3, "cut must be a nonnegative integer, got -1"),
+         (0, -3, "n_modes must be a nonnegative integer, got -3"),
+         (True, 3, "cut must be a nonnegative integer, got True"),
+         (1, False, "n_modes must be a nonnegative integer, got False"),
+         (np.True_, 3, f"cut must be a nonnegative integer, got {np.True_!r}"),
+         (1.0, 3, "cut must be a nonnegative integer, got 1.0"),
+         (1, 3.0, "n_modes must be a nonnegative integer, got 3.0"),
+         (4, 3, "cut = 4 exceeds n_modes = 3")],
+        ids=["misses-last", "out-of-range", "empty", "negative", "negative-modes", "bool-cut",
+             "bool-modes", "numpy-bool-cut", "float-cut", "float-modes", "cut-past-modes"],
     )
-    def test_check_names_the_partitioned_indices(self, relevant, irrelevant, indices):
+    def test_check_names_the_partitioned_indices(self, cut, n_modes, message):
         cat = figure_catalogue()
-        forged = TimescaleReport(10.0, 1.0, relevant, irrelevant, RULE_SECOND_SMALLEST)
         with pytest.raises(ValidationError) as err:
-            check_report_matches(cat, forged)
-        assert str(err.value) == f"report partitions indices {indices} but the catalogue has 3 modes"
+            check_report_matches(cat, TimescaleReport(10.0, 1.0, cut, n_modes, RULE_SECOND_SMALLEST))
+        assert str(err.value) == message
 
-    def test_check_reads_the_partition_as_a_set(self):
-        # an index listed twice still covers the catalogue once
-        cat = figure_catalogue()
-        check_report_matches(cat, TimescaleReport(10.0, 1.0, (0, 1), (2, 2), RULE_SECOND_SMALLEST))
+    def test_integer_cut_of_any_kind_is_kept_as_an_int(self):
+        rep = TimescaleReport(10.0, 1.0, np.int64(2), np.uint8(3), RULE_SECOND_SMALLEST)
+        assert (type(rep.cut), type(rep.n_modes)) == (int, int)
+        assert rep == TimescaleReport(10.0, 1.0, 2, 3, RULE_SECOND_SMALLEST)
+        check_report_matches(figure_catalogue(), rep)
 
     def test_check_rejects_named_rule_with_foreign_t_d(self):
         cat = figure_catalogue()
         rep = decoherence_time(cat)
-        forged = TimescaleReport(
-            rep.t_R, 0.9 * rep.t_D, rep.p_relevant, rep.p_irrelevant, rep.rule, rep.boundary
-        )
+        forged = TimescaleReport(rep.t_R, 0.9 * rep.t_D, rep.cut, rep.n_modes, rep.rule, rep.boundary)
         with pytest.raises(ValidationError, match="does not follow"):
             check_report_matches(cat, forged)
 
@@ -493,7 +497,7 @@ class TestPreferredSignal:
         cat = figure_catalogue()
         rate = collective_rate_rule(1.0, 2.0, 100.0)
         rep = decoherence_time(cat, rule=rate)
-        assert rep.p_irrelevant == ()
+        assert rep.p_irrelevant == range(3, 3)
         grid = np.linspace(0.0, 5.0, 41)
         assert np.array_equal(preferred_signal(cat, rep, grid).values, synthesize(cat, grid).values)
 
@@ -591,6 +595,7 @@ class TestCoincidence:
 BAD_INDICES = [
     (1.5,), (0.9,), (-1,), (2,), (True,), (False,), ((0, 1),),
     (0, True), (False, 1), [1, np.True_], np.array([True, False]), 1, np.int64(1), True,
+    range(-1, 1), range(1, 3), range(2, -1, -1), range(0, 4, 3),  # a range past [0, 2) at one end
 ]
 
 
@@ -647,7 +652,7 @@ class TestCatalogueMatrix:
         cm = self.build()
         rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
         check_report_matches(cm, rep)
-        assert rep.p_relevant == (0,)
+        assert rep.p_relevant == range(1)
 
     def test_rejects_non_hermitian_amplitude(self):
         with pytest.raises(ValidationError):
@@ -682,8 +687,10 @@ class TestCatalogueMatrix:
     def test_rejects_bad_mode_indices(self, method, indices):
         cm = self.build()
         call = getattr(cm, method)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             call(0.3, indices) if method == "dropped_envelope" else call(0.3, keep=indices)
+        if isinstance(indices, range):
+            assert str(err.value) == f"mode indices must lie in [0, 2), got {indices!r}"
 
     @pytest.mark.parametrize("method", ["evaluate", "dropped_envelope"])
     @pytest.mark.parametrize("indices", BAD_INDICES)
@@ -734,9 +741,12 @@ class TestCatalogueMatrix:
 
     def test_empty_and_integer_indices(self):
         cm = self.build()
-        assert np.array_equal(cm.evaluate(0.3, keep=()), cm.equilibrium)
-        assert cm.dropped_envelope(0.3, ()) == 0.0
+        for empty in ((), range(0), range(2, 2), range(5, 1)):
+            assert np.array_equal(cm.evaluate(0.3, keep=empty), cm.equilibrium)
+            assert cm.dropped_envelope(0.3, empty) == 0.0
         assert np.array_equal(cm.evaluate(0.3, keep=np.array([0, 1])), cm.evaluate(0.3))
+        assert cm.evaluate(0.3, keep=range(2)).tobytes() == cm.evaluate(0.3, keep=(0, 1)).tobytes()
+        assert cm.dropped_envelope(0.3, range(1, 2)) == cm.dropped_envelope(0.3, (1,))
 
 
 def pole_message(omega, gamma):

@@ -182,13 +182,38 @@ class TestLiveModes:
             assert got.tobytes() != unmasked_envelope(cm, grid, np.flatnonzero(sizes > cut)).tobytes()
 
 
+@st.composite
+def tied_widths(draw):
+    """Sorted widths in which each drawn width repeats 1-4 times, so ties sit at any threshold."""
+    runs = draw(st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(1, 4)), min_size=1, max_size=8))
+    return sorted(g for g, count in runs for _ in range(count))
+
+
 class TestPartitionInvariants:
     @settings(deadline=None, max_examples=100)
     @given(_WIDTHS, st.floats(0.1, 10.0), _RULES, _BOUNDARIES)
     def test_t_d_within_t_r_and_every_index_once(self, gammas, hbar, rule, boundary):
         rep = partition_report(gammas, hbar, rule, boundary)
         assert rep.t_D <= rep.t_R
-        assert sorted(rep.p_relevant + rep.p_irrelevant) == list(range(len(gammas)))
+        assert sorted(list(rep.p_relevant) + list(rep.p_irrelevant)) == list(range(len(gammas)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(tied_widths(), st.floats(0.1, 10.0), _RULES | st.just("custom"), _BOUNDARIES, st.data())
+    @example([0.5], 1.0, RULE_SECOND_SMALLEST, BOUNDARY_RELEVANT, None)
+    @example([0.25, 0.5, 0.5, 2.0], 1.0, RULE_SECOND_SMALLEST, BOUNDARY_IRRELEVANT, None)
+    def test_cut_gives_the_per_index_split(self, gammas, hbar, rule, boundary, data):
+        # the reference: the rule's threshold, then t_R, t_D and the split one index at a time
+        if rule == "custom":  # a rate at a width, or above one (never below the slowest)
+            threshold = data.draw(st.sampled_from(gammas)) * data.draw(st.just(1.0) | st.floats(1.0, 4.0))
+            rule = lambda g: threshold
+        else:
+            threshold = gammas[1] if rule == RULE_SECOND_SMALLEST and len(gammas) > 1 else gammas[0]
+        rep = partition_report(gammas, hbar, rule, boundary)
+        keep = (lambda g: g <= threshold) if boundary == BOUNDARY_RELEVANT else (lambda g: g < threshold)
+        relevant = () if rule == RULE_BACKGROUND else tuple(i for i, g in enumerate(gammas) if keep(g))
+        irrelevant = tuple(i for i in range(len(gammas)) if i not in set(relevant))
+        assert (rep.t_R.hex(), rep.t_D.hex()) == ((hbar / gammas[0]).hex(), (hbar / threshold).hex())
+        assert (tuple(rep.p_relevant), tuple(rep.p_irrelevant)) == (relevant, irrelevant)
 
 
 _TAILS = st.builds(KhalfinTail, _ENTRY, st.floats(0.1, 10.0), st.floats(0.5, 5.0))

@@ -38,5 +38,13 @@ grep -qx "1,quantum,quantum" bi/verdicts.csv
 grep -qx "1.5,classical,quantum" bi/verdicts.csv
 test -f omnes_out/macroscopicity.txt
 test -f omnes_out/nd_decay.csv
-test -f omnes_out/td_vs_L0.csv
+# the separation-free invariant through the console script: t_D L0^2 is one number
+# over the README's three sweep lengths
+python - <<'PY'
+import csv
+rows = list(csv.DictReader(open("omnes_out/td_vs_L0.csv", encoding="utf-8")))
+assert len(rows) == 3, rows
+products = [float(r["t_D"]) * float(r["L0"]) ** 2 for r in rows]
+assert max(products) - min(products) <= 1e-12 * products[0], products
+PY
 python -c "import decopoles; print(decopoles.catalogue_from_json(open('fit/catalogue.json').read()))"

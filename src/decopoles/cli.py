@@ -510,16 +510,9 @@ def main(argv=None) -> int:
 
     try:
         runner()
-    except RankDeficiencyError as exc:
-        rank = exc.effective_rank
-        print(
-            f"numeric failure: {exc}"
-            + (f" (effective rank {rank})" if rank is not None else ""),
-            file=sys.stderr,
-        )
-        return 3
-    except (ConvergenceError, ValidationError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (ConvergenceError, ValidationError) as exc:  # a RankDeficiencyError carries its rank
+        rank = getattr(exc, "effective_rank", None)
+        print(f"numeric failure: {exc}{'' if rank is None else f' (effective rank {rank})'}", file=sys.stderr)
         return 3
     return 0
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 from .friedrich import _ladder_phases, _pole_width
 from .numerics import DensityMatrix
-from .pole_models import CatalogueMatrix
+from .pole_models import CatalogueMatrix, _collective_scale
 
 _NORM_TOL = 1e-12
 _MIN_DELTA = 10.0
@@ -196,22 +196,25 @@ class OmnesConfig:
 def overlap_truncated(s1: QuasiCoherentState, s2: QuasiCoherentState) -> float:
     """Truncated alternating overlap sum_{n<=N} (-(a1-a2)^2/2)^n / n!.
 
-    Terms are accumulated in descending magnitude with exact (compensated)
-    summation.  The result tracks exp(-Delta^2/2) within
-    overlap_error_bound(Delta, N); its own floating-point accuracy is
-    limited by cancellation to roughly one ulp of the largest term, which
-    for Delta around 5 means absolute errors near 1e-11.
+    Terms are accumulated in descending magnitude with exact (compensated) summation.
+    The result tracks exp(-Delta^2/2) within overlap_error_bound(Delta, N); its own
+    floating-point accuracy is limited by cancellation to roughly one ulp of the largest
+    term, which for Delta around 5 means absolute errors near 1e-11.  Past the float
+    range it raises ValidationError.
     """
     if s1.N != s2.N:
         raise ValidationError(f"truncations differ: {s1.N} != {s2.N}")
-    x = 0.5 * (s1.alpha - s2.alpha) ** 2
-    terms = []
-    term = 1.0
-    for n in range(s1.N + 1):
-        terms.append(term)
-        term *= -x / (n + 1.0)
-    terms.sort(key=abs, reverse=True)
-    return math.fsum(terms)
+    try:  # float ** raises past the float range, fsum on -inf + inf
+        x = 0.5 * (s1.alpha - s2.alpha) ** 2
+        terms = [1.0]
+        for n in range(s1.N):
+            terms.append(terms[-1] * (-x / (n + 1.0)))
+        total = math.fsum(sorted(terms, key=abs, reverse=True))
+    except (OverflowError, ValueError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError(f"Delta = {abs(s1.alpha - s2.alpha)!r}, N = {s1.N}: terms past the float range")
+    return total
 
 
 def fock_overlap(s1: QuasiCoherentState, s2: QuasiCoherentState) -> float:
@@ -229,17 +232,19 @@ def fock_overlap(s1: QuasiCoherentState, s2: QuasiCoherentState) -> float:
 
 
 def overlap_error_bound(delta: float, N: int) -> float:
-    """Remainder ceiling (Delta^2/2)^(N+1) / (N+1)! for the truncated overlap."""
+    """Remainder ceiling (Delta^2/2)^(N+1) / (N+1)! for the truncated overlap; inf past the float range."""
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
         raise ValidationError("delta must be finite and >= 0")
     N = int(N)
     if N < 0:
         raise ValidationError("N must be >= 0")
-    x = 0.5 * delta * delta
-    if x == 0.0:  # delta == 0, or so small that its square underflows
+    try:
+        return math.exp((N + 1) * math.log(0.5 * delta * delta) - math.lgamma(N + 2.0))
+    except ValueError:  # log(0): delta == 0, or so small that its square underflows
         return 0.0
-    return math.exp((N + 1) * math.log(x) - math.lgamma(N + 2.0))
+    except OverflowError:  # the ceiling exceeds the float range
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,7 @@ def macroscopicity_check(cfg: OmnesConfig) -> MacroscopicityReport:
     """
     delta = cfg.delta
     lower = delta / _MIN_DELTA
-    upper = _TRUNCATION_FACTOR * math.sqrt(2.0 * (cfg.N + 1)) / delta
+    upper = _TRUNCATION_FACTOR * math.sqrt(2.0 * (cfg.N + 1)) / delta if delta > 0.0 else math.inf
     return MacroscopicityReport(
         passed=(lower >= 1.0 and upper >= 1.0),
         delta=delta,
@@ -395,9 +400,7 @@ def collective_rate(cfg: OmnesConfig) -> CollectiveRate:
     guarantees t_D << t_R.  A t_D that leaves the float range raises ValidationError.
     """
     _warn_if_not_macroscopic(cfg)
-    h2 = 2.0 * cfg.hbar * cfg.hbar  # below the normal range, Delta^2 gamma0: the same rate, in range
-    gamma_tilde = (cfg.m * cfg.omega / h2) * cfg.L0 * cfg.L0 if h2 >= 2.0**-1022 else cfg.delta * cfg.delta
-    gamma_tilde *= cfg.gamma0
+    gamma_tilde = _collective_scale(cfg.m, cfg.omega, cfg.L0, cfg.hbar) * cfg.gamma0
     t_D = cfg.hbar / gamma_tilde if gamma_tilde > 0.0 else math.inf  # gamma_tilde = inf gives 0
     if not 0.0 < t_D < math.inf:
         raise ValidationError(f"gamma_tilde = {gamma_tilde!r} gives t_D = {t_D!r}, outside the float range")

@@ -316,9 +316,19 @@ def model2_times(gamma0: float, gamma1: float, hbar: float = 1.0) -> Model2Times
     return Model2Times(hbar / gamma0, hbar / gamma1, hbar / (gamma1 + gamma0))
 
 
+def _collective_scale(m: float, omega: float, L0: float, hbar: float) -> float:
+    """(m omega / 2 hbar^2) L0^2 while each step of that order is a normal float, else Delta * Delta."""
+    h2 = 2.0 * hbar * hbar
+    q = m * omega / h2 if h2 >= 2.0**-1022 else 0.0
+    if abs(q) >= 2.0**-1022 and 2.0**-1022 <= abs(scale := q * L0 * L0) < math.inf:
+        return scale
+    delta = L0 * math.sqrt(m * omega / 2.0) / hbar if m * omega >= 0.0 else math.nan  # as OmnesConfig.alpha2
+    return delta * delta
+
+
 def collective_rate_rule(m: float, omega: float, L0: float, hbar: float = 1.0) -> Callable:
     """Threshold rule set by the collective rate (m omega / 2 hbar^2) L0^2 gamma0."""
-    scale = _require_positive("m*omega*L0^2/(2 hbar^2)", m * omega * L0 * L0 / (2.0 * hbar * hbar))
+    scale = _require_positive("m*omega*L0^2/(2 hbar^2)", _collective_scale(m, omega, L0, hbar))
 
     def rate(gammas: Sequence[float]) -> float:
         return scale * min(gammas)

@@ -296,15 +296,19 @@ class TestOmnes:
         assert len(products) == 3
         assert max(products) - min(products) <= 1e-12 * products[0]
 
-    def test_rate_where_2_hbar_squared_underflows(self, tmp_path):
-        # 2 hbar^2 = 2e-340 reads 0.0; with Delta = 1 the rate is Delta^2 gamma0 = gamma0
-        doc = self.base_doc(hbar=1e-170, L0=1e-170, L0_sweep=[1e-170], N=50)
-        doc["grid"] = {"t_max": 1e-168, "n_points": 5}
+    @pytest.mark.parametrize("hbar", [1e-170, 1e160], ids=["2hbar2-underflows", "2hbar2-overflows"])
+    def test_rate_where_2_hbar_squared_underflows(self, tmp_path, hbar):
+        # 2 hbar^2 reads 0.0 or inf; the rate is Delta^2 gamma0 with Delta = L0 sqrt(m omega / 2) / hbar
+        doc = self.base_doc(hbar=hbar, L0=hbar, L0_sweep=[hbar, 2.0 * hbar], N=50)
+        doc["grid"] = {"t_max": 100.0 * hbar, "n_points": 5}
         out = tmp_path / "run"
         assert main(["omnes", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-        assert (out / "td_vs_L0.csv").read_text(encoding="utf-8") == (
-            "L0,t_D,gamma_tilde\n9.9999999999999998e-171,9.9999999999999987e-170,0.10000000000000001\n"
-        )
+        rows = ["L0,t_D,gamma_tilde\n"]
+        for L0 in (hbar, 2.0 * hbar):
+            delta = L0 * math.sqrt(1.0 * 2.0 / 2.0) / hbar
+            gamma_tilde = delta * delta * 0.1  # base_doc's gamma0
+            rows.append(f"{L0:.17g},{hbar / gamma_tilde:.17g},{gamma_tilde:.17g}\n")
+        assert (out / "td_vs_L0.csv").read_text(encoding="utf-8") == "".join(rows)
 
     def test_macroscopicity_fail_warns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.base_doc(L0=2.0, N=50))

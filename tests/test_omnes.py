@@ -155,6 +155,21 @@ class TestTruncatedOverlap:
         got = overlap_truncated(QuasiCoherentState(0.0, 20), QuasiCoherentState(1.0, 20))
         assert got == pytest.approx(math.exp(-0.5), abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "delta, N, line",
+        [
+            # the terms (Delta^2/2)^n / n! peak near e^800 and overflow; fsum met -inf + inf
+            (40.0, 2000, "Delta = 40.0, N = 2000: terms past the float range"),
+            # (Delta^2)/2 itself overflows: float ** raised OverflowError
+            (1e200, 5, "Delta = 1e+200, N = 5: terms past the float range"),
+        ],
+        ids=["term-overflows", "delta-squared-overflows"],
+    )
+    def test_terms_past_the_float_range_are_rejected(self, delta, N, line):
+        with pytest.raises(ValidationError) as info:
+            overlap_truncated(QuasiCoherentState(0.0, N), QuasiCoherentState(delta, N))
+        assert str(info.value) == line
+
     def test_remainder_bound(self):
         s1 = QuasiCoherentState(0.0, 12)
         s2 = QuasiCoherentState(3.0, 12)
@@ -210,6 +225,11 @@ class TestErrorBound:
         # 0.5 * 1e-200**2 is 0.0; the ceiling is 0, not a math domain error
         assert overlap_error_bound(1e-200, 3) == 0.0
 
+    @pytest.mark.parametrize("delta, N", [(1000.0, 1000), (1e150, 10)], ids=["large-N", "large-delta"])
+    def test_ceiling_past_the_float_range_is_inf(self, delta, N):
+        # exp of (N + 1) log(Delta^2 / 2) - log((N + 1)!) > 709.8 overflowed with a bare OverflowError
+        assert overlap_error_bound(delta, N) == math.inf
+
     def test_closed_form(self):
         assert overlap_error_bound(2.0, 9) == pytest.approx(1024.0 / 3628800.0, rel=1e-12)
 
@@ -241,6 +261,11 @@ class TestMacroscopicity:
         assert not report.passed
         assert report.lower_margin >= 1.0
         assert report.upper_margin < 1.0
+
+    def test_delta_that_underflows_to_zero(self):
+        # Delta = L0 / hbar = 1e-170 / 1e154 reads 0.0, which the upper margin once divided by
+        report = macroscopicity_check(config(L0=1e-170, hbar=1e154, N=8))
+        assert report.delta == 0.0 and report.upper_margin == math.inf and not report.passed
 
     def test_default_reference_config(self):
         report = macroscopicity_check(config())  # Delta 10, N 6000
@@ -358,12 +383,17 @@ class TestCollectiveRate:
         assert rate.t_D < rate.t_R / 10.0
 
     @IGNORE_MACRO
-    @pytest.mark.parametrize("hbar", [1e-170, 1e-155], ids=["2hbar2-is-zero", "2hbar2-is-subnormal"])
+    @pytest.mark.parametrize(
+        "hbar", [1e-170, 1e-155, 1e160], ids=["2hbar2-is-zero", "2hbar2-is-subnormal", "2hbar2-overflows"]
+    )
     def test_rate_where_2_hbar_squared_leaves_the_normal_range(self, hbar):
-        # 2 hbar^2 underflows; Delta = L0 / hbar = 1 keeps gamma_tilde = Delta^2 gamma0 = gamma0
-        rate = collective_rate(config(hbar=hbar, L0=hbar, N=50))
+        # 2 hbar^2 underflows or overflows; Delta = L0 / hbar = 1 keeps gamma_tilde = Delta^2 gamma0 = gamma0
+        cfg = config(hbar=hbar, L0=hbar, N=50)
+        rate = collective_rate(cfg)
         assert rate.gamma_tilde == 0.1
         assert rate.t_D == hbar / 0.1 and rate.t_R == hbar / 0.1
+        # the partition threshold is the same number
+        assert collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)((cfg.gamma0,)) == rate.gamma_tilde
 
     @IGNORE_MACRO
     def test_ordinary_rate_keeps_its_order_of_operations(self):

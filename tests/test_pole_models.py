@@ -8,7 +8,7 @@ import pytest
 
 from decopoles import pole_models
 from decopoles.errors import ValidationError
-from decopoles.omnes import OmnesConfig, frame_catalogue_matrix
+from decopoles.omnes import OmnesConfig, collective_rate, frame_catalogue_matrix
 from decopoles.pole_models import (
     BOUNDARY_IRRELEVANT,
     BOUNDARY_RELEVANT,
@@ -316,6 +316,20 @@ class TestPartition:
         assert rep.rule == RULE_CUSTOM
         assert rep.t_D == pytest.approx(0.1, rel=1e-15)
         assert rep.p_relevant == range(2)  # threshold far above both widths
+
+    @pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
+    def test_collective_rule_has_the_bits_of_collective_rate(self):
+        # the threshold at gamma0 is collective_rate's gamma_tilde; the rule's own
+        # m omega L0^2 / (2 hbar^2) gave 0.39603543273910835, one ulp above it
+        cfg = OmnesConfig(m=0.299, omega=1.226, hbar=0.549, gamma0=0.25, L0=1.614, a=1.0, b=0.0, N=8)
+        threshold = collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)((cfg.gamma0,))
+        assert threshold == collective_rate(cfg).gamma_tilde == 0.3960354327391083
+
+    @pytest.mark.parametrize("hbar", [1.0, 1e160], ids=["product-order", "delta-order"])
+    def test_collective_rule_rejects_a_negative_scale(self, hbar):
+        # m omega < 0 has no Delta: the rule names its scale on either path, not a math domain error
+        with pytest.raises(ValidationError, match=r"^m\*omega\*L0\^2/\(2 hbar\^2\) must be a positive finite"):
+            collective_rate_rule(-1.0, 2.0, 6.0, hbar)
 
     def test_custom_rule_nonpositive(self):
         with pytest.raises(ValidationError):

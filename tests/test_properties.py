@@ -6,8 +6,9 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -278,16 +279,53 @@ class TestCoincidenceInvariant:
         assert result.passed, result
 
 
+def scales():
+    """A mantissa in [1, 10) times 10^k, k in [-170, 170]: 2 hbar^2 under- and overflows."""
+    return st.builds(lambda mant, k: mant * 10.0**k, st.floats(1.0, 10.0, exclude_max=True), st.integers(-170, 170))
+
+
+# the normal floats, less a factor 2 at each end, so no rounding below carries a value across
+_NORMAL = (mpmath.mpf(2) ** -1021, mpmath.mpf(2) ** 1023)
+# relative roundings, to first order in 2^-53: (m omega / 2 hbar^2) L0^2 gamma0 takes 6 (m omega,
+# hbar^2, the quotient, two L0s, gamma0); Delta = L0 sqrt(m omega / 2) / hbar carries 3.5 (the sqrt
+# halves m omega's), doubled by Delta * Delta, plus that product and gamma0: 9; hbar / gamma_tilde
+# adds one to either; the factor 1 + 1e-9 covers the second-order terms
+_RATE_REL = 10 * 2.0**-53 * (1 + 1e-9)
+
+
 class TestCollectiveRateInvariant:
     @settings(deadline=None, max_examples=100)
-    @given(*(st.floats(1e-2, 1e2) for _ in range(5)))
+    @given(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2), scales(), st.floats(1e-2, 1e2), scales())
+    @example(1.0, 2.0, 1e160, 1.0, 1e160)  # 2 hbar^2 overflows
+    @example(1.0, 2.0, 1e-170, 1.0, 1e-150)  # 2 hbar^2 underflows to 0
+    @example(0.01, 0.01, 9e153, 1.0, 1e160)  # m omega / 2 hbar^2 is subnormal, Delta^2 is not
+    @example(0.299, 1.226, 0.549, 0.25, 1.614)  # two orders of m omega L0^2 / 2 hbar^2 differ here
     def test_t_d_times_l0_squared_is_separation_free(self, m, omega, hbar, gamma0, L0):
-        cfg = OmnesConfig(m, omega, hbar, gamma0, L0, np.sqrt(0.5), np.sqrt(0.5), 8)
+        try:
+            cfg = OmnesConfig(m, omega, hbar, gamma0, L0, np.sqrt(0.5), np.sqrt(0.5), 8)
+        except ValidationError:
+            reject()  # Delta^2 overflows
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # most generated configs are not macroscopic
-            t_d = collective_rate(cfg).t_D
-        want = 2.0 * hbar**3 / (m * omega * gamma0)
-        assert abs(t_d * L0 * L0 - want) <= 1e-12 * want
+            try:
+                rate = collective_rate(cfg)
+            except ValidationError:
+                rate = None
+        with mpmath.workprec(256):
+            delta2 = mpmath.mpf(m) * omega * mpmath.mpf(L0) ** 2 / (2 * mpmath.mpf(hbar) ** 2)
+            gamma_tilde = delta2 * gamma0
+            t_d = hbar / gamma_tilde
+            if all(_NORMAL[0] <= x <= _NORMAL[1] for x in (delta2, gamma_tilde, t_d)):
+                assert rate is not None
+                assert abs(rate.gamma_tilde - gamma_tilde) <= _RATE_REL * gamma_tilde
+                assert abs(rate.t_D - t_d) <= _RATE_REL * t_d
+            if rate is None:
+                return
+            # the partition threshold at gamma0 is the same number
+            assert collective_rate_rule(m, omega, L0, hbar)((gamma0,)) == rate.gamma_tilde
+            if min(rate.gamma_tilde, rate.t_D) >= 2.0**-1022:  # a subnormal keeps too few digits
+                want = 2 * mpmath.mpf(hbar) ** 3 / (mpmath.mpf(m) * omega * gamma0)  # hbar^3 overflows
+                assert abs(mpmath.mpf(rate.t_D) * mpmath.mpf(L0) ** 2 - want) <= 1e-12 * want
 
 
 class TestSignalCsvRoundTrip:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Run the README's model3, extract (as written and over-asked), omnes and
-# bifriedrich examples through the `decopoles` console script and check what
-# they write.
+# Run the README's model3, extract (as written and over-asked), omnes (as
+# written and at m = omega = hbar = 1e-200) and bifriedrich examples through
+# the `decopoles` console script and check what they write.
 #
 #     readme_examples.sh README.md WORKDIR
 #
@@ -33,18 +33,28 @@ decopoles extract --config extract_overasked.json --out fit_overasked 2> overask
 grep -q "requested 5 modes but the signal supports only 3; refitting at the effective rank" overasked.err
 cmp fit/catalogue.json fit_overasked/catalogue.json
 decopoles omnes --config omnes.json --out omnes_out
+# the same run with m = omega = hbar = 1e-200: m omega underflows to 0, yet
+# Delta = L0 sqrt(m omega / 2) / hbar is L0 sqrt(1/2), so every sweep length runs
+python - <<'PY'
+import json
+doc = json.load(open("omnes.json", encoding="utf-8"))
+doc["params"].update(m=1e-200, omega=1e-200, hbar=1e-200)
+json.dump(doc, open("omnes_tiny_scales.json", "w", encoding="utf-8"))
+PY
+decopoles omnes --config omnes_tiny_scales.json --out omnes_tiny_scales_out
 decopoles simulate --config bifriedrich.json --out bi
 grep -qx "1,quantum,quantum" bi/verdicts.csv
 grep -qx "1.5,classical,quantum" bi/verdicts.csv
 test -f omnes_out/macroscopicity.txt
 test -f omnes_out/nd_decay.csv
 # the separation-free invariant through the console script: t_D L0^2 is one number
-# over the README's three sweep lengths
+# over the README's three sweep lengths, at the README's scales and at 1e-200
 python - <<'PY'
 import csv
-rows = list(csv.DictReader(open("omnes_out/td_vs_L0.csv", encoding="utf-8")))
-assert len(rows) == 3, rows
-products = [float(r["t_D"]) * float(r["L0"]) ** 2 for r in rows]
-assert max(products) - min(products) <= 1e-12 * products[0], products
+for out in ("omnes_out", "omnes_tiny_scales_out"):
+    rows = list(csv.DictReader(open(f"{out}/td_vs_L0.csv", encoding="utf-8")))
+    assert len(rows) == 3, (out, rows)
+    products = [float(r["t_D"]) * float(r["L0"]) ** 2 for r in rows]
+    assert max(products) - min(products) <= 1e-12 * products[0], (out, products)
 PY
 python -c "import decopoles; print(decopoles.catalogue_from_json(open('fit/catalogue.json').read()))"

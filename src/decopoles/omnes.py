@@ -25,14 +25,14 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .friedrich import _ladder_phases, _pole_width
 from .numerics import DensityMatrix
-from .pole_models import CatalogueMatrix, _collective_scale
+from .pole_models import CatalogueMatrix, _collective_scale, _delta, _ldexp
 
 _NORM_TOL = 1e-12
 _MIN_DELTA = 10.0
@@ -40,61 +40,43 @@ _TRUNCATION_FACTOR = 0.1
 
 
 def _logsumexp(exponents: np.ndarray) -> float:
+    """log sum exp; every caller's exponents hold the n = 0 weight's 0, so their max is finite."""
     m = float(np.max(exponents))
-    if m == -math.inf:
-        return -math.inf
     return m + math.log(float(np.sum(np.exp(exponents - m))))
 
 
+class _FockTable(NamedTuple):
+    log_weights: np.ndarray  # log(alpha^n / sqrt(n!)), n = 0..N; alpha = 0 gives only n = 0
+    log_norm: float  # -1/2 log(sum_n alpha^2n / n!)
+    q: np.ndarray  # |<n|alpha>|^2
+    q_live: np.ndarray  # q_0..q_hi as complex, q_hi the last nonzero q_n (leading zeros keep their places)
+    v: np.ndarray  # <n|alpha>
+    v_norm: float  # its length, 1 within 1e-12 unless the truncation fails
+
+
 @functools.lru_cache(maxsize=32)
-def _log_factorials(N: int) -> np.ndarray:
-    """log(n!) for n = 0..N, cached per N and shared read-only."""
-    out = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
-    out.setflags(write=False)
-    return out
-
-
-def _log_fock_weights(alpha: float, N: int) -> np.ndarray:
-    """log(alpha^n / sqrt(n!)) for n = 0..N; alpha = 0 gives only n = 0."""
+def _fock_table(alpha: float, N: int) -> _FockTable:
+    """Every Fock-weight quantity of the truncated |alpha>, cached per (alpha, N) with read-only arrays."""
     if alpha == 0.0:
-        out = np.full(N + 1, -math.inf)
-        out[0] = 0.0
-        return out
-    return np.arange(N + 1) * math.log(alpha) - 0.5 * _log_factorials(N)
+        log_weights = np.full(N + 1, -math.inf)
+        log_weights[0] = 0.0
+    else:
+        log_weights = np.arange(N + 1) * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+    log_norm = -0.5 * _logsumexp(2.0 * log_weights)
+    q = np.exp(2.0 * (log_weights + log_norm))
+    q_live = q[: np.flatnonzero(q)[-1] + 1].astype(complex)
+    v = np.exp(log_weights + log_norm)
+    for arr in (log_weights, q, q_live, v):
+        arr.setflags(write=False)
+    return _FockTable(log_weights, log_norm, q, q_live, v, float(np.linalg.norm(v)))
 
 
-@functools.lru_cache(maxsize=32)
-def _log_norm(alpha: float, N: int) -> float:
-    """-1/2 log(sum_n alpha^2n / n!) for n = 0..N, cached per (alpha, N)."""
-    return -0.5 * _logsumexp(2.0 * _log_fock_weights(alpha, N))
-
-
-@functools.lru_cache(maxsize=32)
-def _fock_probabilities(alpha: float, N: int) -> np.ndarray:
-    """q_n = |<n|alpha>|^2 for n = 0..N, cached per (alpha, N) and shared read-only."""
-    out = np.exp(2.0 * (_log_fock_weights(alpha, N) + _log_norm(alpha, N)))
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=32)
-def _live_fock_probabilities(alpha: float, N: int) -> np.ndarray:
-    """q_0..q_hi as complex, q_hi the last nonzero q_n (leading zeros keep their places); cached read-only."""
-    q = _fock_probabilities(alpha, N)
-    out = q[: np.flatnonzero(q)[-1] + 1].astype(complex)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=32)
 def _fock_vector(alpha: float, N: int) -> np.ndarray:
-    """<n|alpha> for n = 0..N, unit norm within 1e-12, cached per (alpha, N) and shared read-only."""
-    v = np.exp(_log_fock_weights(alpha, N) + _log_norm(alpha, N))
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > _NORM_TOL:
-        raise ValidationError(f"truncated state norm {nrm} deviates from 1")
-    v.setflags(write=False)
-    return v
+    """The table's <n|alpha>, shared read-only; a norm off 1 by more than 1e-12 raises."""
+    table = _fock_table(alpha, N)
+    if abs(table.v_norm - 1.0) > _NORM_TOL:
+        raise ValidationError(f"truncated state norm {table.v_norm} deviates from 1")
+    return table.v
 
 
 @dataclass(frozen=True)
@@ -122,7 +104,7 @@ class QuasiCoherentState:
     @property
     def log_norm(self) -> float:
         """log of the normalization constant (sum alpha^2k / k!)^(-1/2)."""
-        return _log_norm(self.alpha, self.N)
+        return _fock_table(self.alpha, self.N).log_norm
 
     def fock_vector(self) -> np.ndarray:
         """Unit-norm component vector in the Fock basis, length N+1."""
@@ -179,11 +161,9 @@ class OmnesConfig:
 
     @property
     def alpha2(self) -> float:
-        return self.L0 * math.sqrt(self.m * self.omega / 2.0) / self.hbar
+        return _delta(self.m, self.omega, self.L0, self.hbar)
 
-    @property
-    def delta(self) -> float:
-        return self.alpha2
+    delta = alpha2
 
     def z0(self, omega_prime: float = 0.0) -> complex:
         """Resonance pole omega' - i gamma0 with the config's width."""
@@ -227,8 +207,8 @@ def fock_overlap(s1: QuasiCoherentState, s2: QuasiCoherentState) -> float:
     """
     if s1.N != s2.N:
         raise ValidationError(f"truncations differ: {s1.N} != {s2.N}")
-    log_sum = _logsumexp(_log_fock_weights(s1.alpha, s1.N) + _log_fock_weights(s2.alpha, s2.N))
-    return math.exp(s1.log_norm + s2.log_norm + log_sum)
+    t1, t2 = _fock_table(s1.alpha, s1.N), _fock_table(s2.alpha, s2.N)
+    return math.exp(t1.log_norm + t2.log_norm + _logsumexp(t1.log_weights + t2.log_weights))
 
 
 def overlap_error_bound(delta: float, N: int) -> float:
@@ -306,8 +286,8 @@ def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     """
     _pole_width(z0)
     if not closed_form:
-        q = _live_fock_probabilities(cfg.alpha2, cfg.N)
-        return math.exp(_log_norm(cfg.alpha2, cfg.N)), complex(q @ _ladder_phases(q.size, z0, t, cfg.hbar))
+        table = _fock_table(cfg.alpha2, cfg.N)
+        return math.exp(table.log_norm), complex(table.q_live @ _ladder_phases(table.q_live.size, z0, t, cfg.hbar))
     d2 = cfg.delta**2
     arg = -1j * complex(z0)
     inner = np.exp(arg.real * t / cfg.hbar + 1j * (arg.imag * t / cfg.hbar))
@@ -400,8 +380,11 @@ def collective_rate(cfg: OmnesConfig) -> CollectiveRate:
     guarantees t_D << t_R.  A t_D that leaves the float range raises ValidationError.
     """
     _warn_if_not_macroscopic(cfg)
-    gamma_tilde = _collective_scale(cfg.m, cfg.omega, cfg.L0, cfg.hbar) * cfg.gamma0
+    gamma_tilde = (scale := _collective_scale(cfg.m, cfg.omega, cfg.L0, cfg.hbar)) * cfg.gamma0
     t_D = cfg.hbar / gamma_tilde if gamma_tilde > 0.0 else math.inf  # gamma_tilde = inf gives 0
+    if gamma_tilde > 0.0 and min(scale, gamma_tilde) < 2.0**-1022:  # subnormal: hbar / (Delta^2 gamma0) on mantissas
+        (h, eh), (d, ed), (g, eg) = map(math.frexp, (cfg.hbar, cfg.delta, cfg.gamma0))
+        t_D = _ldexp(h / (d * d * g), eh - 2 * ed - eg)
     if not 0.0 < t_D < math.inf:
         raise ValidationError(f"gamma_tilde = {gamma_tilde!r} gives t_D = {t_D!r}, outside the float range")
     return CollectiveRate(gamma_tilde, t_D, cfg.hbar / cfg.gamma0)
@@ -432,8 +415,7 @@ class FockDensityParts:
 def _evolved_density(cfg: OmnesConfig, z0: complex, t: float):
     """(|0>, evolved branch v2(t), unnormalized state, its norm, rho) of the superposition."""
     _pole_width(z0)
-    state2 = cfg.state2()
-    v2t = _fock_vector(state2.alpha, state2.N) * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
+    v2t = _fock_vector(cfg.alpha2, cfg.N) * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
     e0 = np.zeros(cfg.N + 1, dtype=complex)
     e0[0] = 1.0
 
@@ -518,11 +500,12 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     matrix; powers k >= 1 become poles at k gamma0.  Feed the result to a
     partition rule to drop the fast collective cluster.
     """
-    s = math.exp(cfg.state2().log_norm)
+    table = _fock_table(cfg.alpha2, cfg.N)
+    s = math.exp(table.log_norm)
     f1 = cfg.a + cfg.b * s
 
     # w_N(t) = sum_k q_k x^k with q_k = N2^2 Delta^(2k) / k!
-    f2 = cfg.b * _fock_probabilities(cfg.alpha2, cfg.N).astype(complex)
+    f2 = cfg.b * table.q.astype(complex)
     f2[0] += cfg.a * s
     c = np.convolve(f2, f2.conj()).real  # imaginary parts cancel pairwise
 

@@ -316,18 +316,34 @@ def model2_times(gamma0: float, gamma1: float, hbar: float = 1.0) -> Model2Times
     return Model2Times(hbar / gamma0, hbar / gamma1, hbar / (gamma1 + gamma0))
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, rounded once; +-inf past the float range, where math.ldexp raises."""
+    return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.copysign(math.inf, x)
+
+
+def _delta(m: float, omega: float, L0: float, hbar: float) -> float:
+    """Delta = L0 sqrt(m omega / 2) / hbar, NaN where m omega < 0, in that order on frexp mantissas
+    scaled by a power of two once: the bits of the order on the scales themselves wherever its
+    steps are normal floats, and no step under- or overflows where they are not."""
+    (mm, em), (wm, ew), (lm, el), (hm, eh) = map(math.frexp, (m, omega, L0, hbar))
+    e = em + ew - 1  # m omega / 2 = mm wm 2^e
+    p = mm * wm * 2.0 ** (e & 1)  # so that e - (e & 1), the exponent left, is even
+    return _ldexp(lm * math.sqrt(p) / hm, el - eh + (e >> 1)) if p >= 0.0 else math.nan
+
+
 def _collective_scale(m: float, omega: float, L0: float, hbar: float) -> float:
     """(m omega / 2 hbar^2) L0^2 while each step of that order is a normal float, else Delta * Delta."""
     h2 = 2.0 * hbar * hbar
-    q = m * omega / h2 if h2 >= 2.0**-1022 else 0.0
+    q = m * omega / h2 if h2 >= 2.0**-1022 and abs(m * omega) >= 2.0**-1022 else 0.0
     if abs(q) >= 2.0**-1022 and 2.0**-1022 <= abs(scale := q * L0 * L0) < math.inf:
         return scale
-    delta = L0 * math.sqrt(m * omega / 2.0) / hbar if m * omega >= 0.0 else math.nan  # as OmnesConfig.alpha2
+    delta = _delta(m, omega, L0, hbar)
     return delta * delta
 
 
 def collective_rate_rule(m: float, omega: float, L0: float, hbar: float = 1.0) -> Callable:
     """Threshold rule set by the collective rate (m omega / 2 hbar^2) L0^2 gamma0."""
+    _require_positive("hbar", hbar)
     scale = _require_positive("m*omega*L0^2/(2 hbar^2)", _collective_scale(m, omega, L0, hbar))
 
     def rate(gammas: Sequence[float]) -> float:

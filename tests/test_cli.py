@@ -310,6 +310,20 @@ class TestOmnes:
             rows.append(f"{L0:.17g},{hbar / gamma_tilde:.17g},{gamma_tilde:.17g}\n")
         assert (out / "td_vs_L0.csv").read_text(encoding="utf-8") == "".join(rows)
 
+    def test_rate_where_m_omega_underflows(self, tmp_path):
+        # m omega = 1e-400 reads 0.0, yet Delta = L0 sqrt(m omega / 2) / hbar = L0 sqrt(1/2)
+        s = 1e-200
+        doc = self.base_doc(m=s, omega=s, hbar=s, L0=1.0, gamma0=1.0, L0_sweep=[1.0, 2.0], N=50)
+        doc["grid"] = {"t_max": 100.0 * s, "n_points": 5}
+        out = tmp_path / "run"
+        assert main(["omnes", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        lines = (out / "td_vs_L0.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "L0,t_D,gamma_tilde" and len(lines) == 3
+        for line in lines[1:]:
+            l0, t_d, gamma_tilde = map(float, line.split(","))
+            assert gamma_tilde == pytest.approx(0.5 * l0 * l0, rel=1e-15)
+            assert t_d * l0 * l0 == pytest.approx(2.0 * s, rel=1e-15)
+
     def test_macroscopicity_fail_warns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.base_doc(L0=2.0, N=50))
         out = tmp_path / "run"

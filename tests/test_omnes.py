@@ -13,12 +13,8 @@ from decopoles.friedrich import EffectiveHamiltonian, _ladder_phases, evolve_amp
 from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
-    _fock_probabilities,
+    _fock_table,
     _fock_vector,
-    _live_fock_probabilities,
-    _log_factorials,
-    _log_fock_weights,
-    _log_norm,
     _logsumexp,
     QuasiCoherentState,
     build_density_matrix,
@@ -71,11 +67,12 @@ class TestQuasiCoherentState:
     def test_fock_vector_is_a_copy_of_the_shared_cache(self):
         state = QuasiCoherentState(3.0, 40)
         v = state.fock_vector()
-        want = np.exp(_log_fock_weights(3.0, 40) + _log_norm(3.0, 40))
+        table = _fock_table(3.0, 40)
+        want = np.exp(table.log_weights + table.log_norm)
         assert v.tobytes() == want.tobytes()
-        v[:] = 0.0  # the caller's copy; the cache is read-only
+        v[:] = 0.0  # the caller's copy; the table is read-only
         assert state.fock_vector().tobytes() == want.tobytes()
-        assert not _fock_vector(3.0, 40).flags.writeable
+        assert _fock_vector(3.0, 40) is table.v and not table.v.flags.writeable
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValidationError):
@@ -87,11 +84,11 @@ class TestQuasiCoherentState:
 
     @pytest.mark.parametrize("alpha,N", [(0.0, 3), (6.0, 200), (30.0, 1481)])
     def test_log_norm_cached_with_unchanged_bits(self, alpha, N):
-        want = -0.5 * _logsumexp(2.0 * _log_fock_weights(alpha, N))
+        want = -0.5 * _logsumexp(2.0 * _fock_table(alpha, N).log_weights)
         assert QuasiCoherentState(alpha, N).log_norm == want
-        hits = _log_norm.cache_info().hits
+        hits = _fock_table.cache_info().hits
         assert QuasiCoherentState(alpha, N).log_norm == want
-        assert _log_norm.cache_info().hits == hits + 1
+        assert _fock_table.cache_info().hits == hits + 1
 
 
 class TestOmnesConfig:
@@ -119,6 +116,14 @@ class TestOmnesConfig:
     def test_overflowing_delta_squared_rejected(self, scales):
         with pytest.raises(ValidationError, match=r"Delta\^2 overflows"):
             config(**scales)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200], ids=["m-omega-underflows", "m-omega-overflows"])
+    def test_delta_where_m_omega_leaves_the_float_range(self, s):
+        # m omega = 1e-400 reads 0.0 and 1e400 inf, yet Delta = L0 sqrt(m omega / 2) / hbar = sqrt(1/2)
+        cfg = config(m=s, omega=s, hbar=s, L0=1.0)
+        with mpmath.workprec(256):
+            exact = mpmath.sqrt(mpmath.mpf(s) * mpmath.mpf(s) / 2) / mpmath.mpf(s)
+        assert abs(cfg.delta - exact) <= 2 * math.ulp(0.7071067811865476)
 
     def test_positive_scales(self):
         with pytest.raises(ValidationError):
@@ -205,16 +210,19 @@ class TestFockOverlap:
 
 
 class TestLogFactorials:
+    """The Fock table's log weights at alpha = 1 are -log(n!) / 2, from lgamma."""
+
     @pytest.mark.parametrize("N", [1, 40, 1000])
     def test_values_bit_identical_to_lgamma(self, N):
-        want = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
-        assert _log_factorials(N).tobytes() == want.tobytes()
+        want = 0.0 - 0.5 * np.array([math.lgamma(k + 1.0) for k in range(N + 1)])  # +0.0 at n = 0
+        assert _fock_table(1.0, N).log_weights.tobytes() == want.tobytes()
 
     def test_cached_and_read_only(self):
-        table = _log_factorials(57)
-        assert _log_factorials(57) is table
-        with pytest.raises(ValueError):
-            table[3] = 0.0
+        table = _fock_table(2.0, 57)
+        assert _fock_table(2.0, 57) is table
+        for arr in (table.log_weights, table.q, table.q_live, table.v):
+            with pytest.raises(ValueError):
+                arr[3] = 0.0
 
 
 class TestErrorBound:
@@ -402,6 +410,25 @@ class TestCollectiveRate:
         want = (1.3 * 2.9 / (2.0 * 1.7 * 1.7)) * 17.3 * 17.3 * 0.37
         assert want != cfg.delta * cfg.delta * 0.37  # the two orders differ in the last bit here
         assert collective_rate(cfg).gamma_tilde == want
+
+    @IGNORE_MACRO
+    def test_rate_where_m_omega_underflows(self):
+        # Delta = sqrt(1/2), so gamma_tilde = gamma0 / 2 and t_D = 2 hbar / gamma0; m omega reads 0.0
+        rate = collective_rate(config(m=1e-200, omega=1e-200, hbar=1e-200, L0=1.0, gamma0=1.0, N=50))
+        assert rate.gamma_tilde == pytest.approx(0.5, rel=1e-15)
+        assert rate.t_D == pytest.approx(2e-200, rel=1e-15)
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("hbar, L0, gamma0", [(1e-10, 1e-168, 1.0), (1.0, 1.7e-155, 100.0)],
+                             ids=["gamma_tilde-subnormal", "Delta2-subnormal"])
+    def test_t_d_keeps_its_digits_where_a_factor_is_subnormal(self, hbar, L0, gamma0):
+        # Delta = L0 / hbar; hbar / gamma_tilde would carry the subnormal's lost digits into t_D
+        rate = collective_rate(config(L0=L0, gamma0=gamma0, hbar=hbar, N=50))
+        delta = L0 * math.sqrt(1.0) / hbar
+        assert rate.gamma_tilde == delta * delta * gamma0  # its bits do not move
+        with mpmath.workprec(256):
+            exact = mpmath.mpf(hbar) / ((mpmath.mpf(L0) / mpmath.mpf(hbar)) ** 2 * gamma0)
+            assert abs(rate.t_D - exact) <= 10 * 2.0**-53 * exact
 
     def test_warns_when_not_macroscopic(self):
         with pytest.warns(UserWarning, match="macroscopic"):
@@ -600,7 +627,7 @@ class TestTowerOracle:
 def full_sum_projection(cfg, z0, t):
     """Reference: the truncated frame projection with w summed over all N + 1 Fock weights."""
     s = math.exp(cfg.state2().log_norm)
-    w = complex(_fock_probabilities(cfg.alpha2, cfg.N) @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
+    w = complex(_fock_table(cfg.alpha2, cfg.N).q @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
     mat = np.outer(f, f.conj())
     return DensityMatrix(mat / float(mat[0, 0].real + mat[1, 1].real)).entries
@@ -617,8 +644,8 @@ class TestLiveFrameSum:
     @pytest.mark.parametrize("L0, gamma0, N", CONFIGS + [(6.0, 0.1, 255), (1e-200, 0.1, 40)])
     def test_live_weights_are_the_prefix_to_the_last_nonzero_weight(self, L0, gamma0, N):
         cfg = config(L0=L0, gamma0=gamma0, N=N)
-        q = _fock_probabilities(cfg.alpha2, cfg.N)
-        live = _live_fock_probabilities(cfg.alpha2, cfg.N)
+        table = _fock_table(cfg.alpha2, cfg.N)
+        q, live = table.q, table.q_live
         assert live.dtype == complex and not live.flags.writeable
         assert live[-1] != 0.0 and not np.any(q[live.size :])
         assert live.tobytes() == q[: live.size].astype(complex).tobytes()
@@ -657,7 +684,7 @@ def plain_formula_projection(cfg, z0, t):
     One-line ladder phases, the log norm through a QuasiCoherentState, np.outer, the trace from
     two indexed entries and the (T, d, d) stack check.
     """
-    q = _live_fock_probabilities(cfg.alpha2, cfg.N)
+    q = _fock_table(cfg.alpha2, cfg.N).q_live
     w = complex(q @ np.exp(-1j * np.arange(q.size) * complex(z0) * t / cfg.hbar))
     s = math.exp(cfg.state2().log_norm)
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
@@ -738,7 +765,7 @@ def pole_list_frame_catalogue(cfg):
     """Reference: the frame catalogue built through 2N ``Pole`` objects, as before."""
     s = math.exp(cfg.state2().log_norm)
     f1 = cfg.a + cfg.b * s
-    f2 = cfg.b * _fock_probabilities(cfg.alpha2, cfg.N).astype(complex)
+    f2 = cfg.b * _fock_table(cfg.alpha2, cfg.N).q.astype(complex)
     f2[0] += cfg.a * s
     c = np.convolve(f2, f2.conj()).real
     top = f1 * f2.conj()
@@ -770,35 +797,27 @@ class TestFrameWorkOnce:
     """The time-independent pieces of the frame picture are computed once per call."""
 
     @pytest.fixture
-    def log_norm_calls(self, monkeypatch):
-        calls = []
-        original = QuasiCoherentState.log_norm
-
-        def counted(state):
-            calls.append(state)
-            return original.fget(state)
-
-        monkeypatch.setattr(QuasiCoherentState, "log_norm", property(counted))
-        return calls
-
-    @IGNORE_MACRO
-    def test_frame_amplitudes_truncated(self, monkeypatch):
-        cfg = config(L0=6.0, N=255)
-        frame_amplitudes(cfg, cfg.z0(), 0.7, closed_form=False)  # fills the weight caches, which read _log_norm
+    def table_calls(self, monkeypatch):
         calls = []
 
         def counted(alpha, N):
             calls.append((alpha, N))
-            return _log_norm(alpha, N)
+            return _fock_table(alpha, N)
 
-        monkeypatch.setattr("decopoles.omnes._log_norm", counted)
-        frame_amplitudes(cfg, cfg.z0(), 0.7, closed_form=False)
-        assert calls == [(cfg.alpha2, cfg.N)]
+        monkeypatch.setattr("decopoles.omnes._fock_table", counted)
+        return calls
 
     @IGNORE_MACRO
-    def test_frame_catalogue_matrix(self, log_norm_calls):
-        frame_catalogue_matrix(config(L0=6.0, N=255))
-        assert len(log_norm_calls) == 1
+    def test_frame_amplitudes_truncated(self, table_calls):
+        cfg = config(L0=6.0, N=255)
+        frame_amplitudes(cfg, cfg.z0(), 0.7, closed_form=False)
+        assert table_calls == [(cfg.alpha2, cfg.N)]  # one read of the table per point
+
+    @IGNORE_MACRO
+    def test_frame_catalogue_matrix(self, table_calls):
+        cfg = config(L0=6.0, N=255)
+        frame_catalogue_matrix(cfg)
+        assert table_calls == [(cfg.alpha2, cfg.N)]
 
     @IGNORE_MACRO
     @pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 40.0])

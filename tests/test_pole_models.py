@@ -331,6 +331,12 @@ class TestPartition:
         with pytest.raises(ValidationError, match=r"^m\*omega\*L0\^2/\(2 hbar\^2\) must be a positive finite"):
             collective_rate_rule(-1.0, 2.0, 6.0, hbar)
 
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_collective_rule_names_a_bad_hbar(self, hbar):
+        # hbar = 0 divided by zero on the Delta path before the rule checked its scale
+        with pytest.raises(ValidationError, match=r"^hbar must be a positive finite number"):
+            collective_rate_rule(1.0, 2.0, 6.0, hbar)
+
     def test_custom_rule_nonpositive(self):
         with pytest.raises(ValidationError):
             partition_report((0.1, 1.0), rule=lambda gammas: 0.0)

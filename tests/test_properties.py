@@ -24,6 +24,7 @@ from decopoles.numerics import (
 )
 from decopoles.omnes import (
     OmnesConfig,
+    _fock_table,
     QuasiCoherentState,
     build_density_matrix,
     collective_rate,
@@ -287,45 +288,89 @@ def scales():
 # the normal floats, less a factor 2 at each end, so no rounding below carries a value across
 _NORMAL = (mpmath.mpf(2) ** -1021, mpmath.mpf(2) ** 1023)
 # relative roundings, to first order in 2^-53: (m omega / 2 hbar^2) L0^2 gamma0 takes 6 (m omega,
-# hbar^2, the quotient, two L0s, gamma0); Delta = L0 sqrt(m omega / 2) / hbar carries 3.5 (the sqrt
-# halves m omega's), doubled by Delta * Delta, plus that product and gamma0: 9; hbar / gamma_tilde
-# adds one to either; the factor 1 + 1e-9 covers the second-order terms
+# hbar^2, the quotient, two L0s, gamma0); Delta = L0 sqrt(m omega / 2) / hbar carries 3.5 on either
+# of its paths (m omega or the product of the frexp mantissas, the sqrt that halves it, the product
+# with L0 and the quotient; the power-of-two scaling is exact), doubled by Delta * Delta, plus that
+# product and gamma0: 9; hbar / gamma_tilde adds one to either, and so does t_D's mantissa path,
+# h / (d d g), which takes Delta's 3.5 twice and three roundings of its own; the factor 1 + 1e-9
+# covers the second-order terms
 _RATE_REL = 10 * 2.0**-53 * (1 + 1e-9)
+
+
+def _is_normal(x) -> bool:
+    return _NORMAL[0] <= x <= _NORMAL[1]
 
 
 class TestCollectiveRateInvariant:
     @settings(deadline=None, max_examples=100)
-    @given(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2), scales(), st.floats(1e-2, 1e2), scales())
+    @given(scales(), scales(), scales(), st.floats(1e-2, 1e2), scales())
     @example(1.0, 2.0, 1e160, 1.0, 1e160)  # 2 hbar^2 overflows
     @example(1.0, 2.0, 1e-170, 1.0, 1e-150)  # 2 hbar^2 underflows to 0
     @example(0.01, 0.01, 9e153, 1.0, 1e160)  # m omega / 2 hbar^2 is subnormal, Delta^2 is not
     @example(0.299, 1.226, 0.549, 0.25, 1.614)  # two orders of m omega L0^2 / 2 hbar^2 differ here
+    @example(1e-160, 1e-160, 1e-160, 1.0, 1.0)  # m omega underflows to 0; Delta = sqrt(1/2)
+    @example(1e160, 1e160, 1e160, 1.0, 1.0)  # m omega overflows; Delta = sqrt(1/2)
+    @example(1e-160, 1e-150, 1e-150, 1.0, 1.0)  # m omega is subnormal, m omega / 2 hbar^2 is not
+    @example(1.0, 2.0, 1e-10, 1.0, 1e-168)  # gamma_tilde = Delta^2 = 1e-316 is subnormal, t_D is not
+    @example(1.0, 2.0, 1.0, 100.0, 1.7e-155)  # Delta^2 is subnormal, gamma_tilde is not
     def test_t_d_times_l0_squared_is_separation_free(self, m, omega, hbar, gamma0, L0):
+        with mpmath.workprec(256):
+            delta2 = mpmath.mpf(m) * omega * mpmath.mpf(L0) ** 2 / (2 * mpmath.mpf(hbar) ** 2)
+            gamma_tilde = delta2 * gamma0
+            t_d = hbar / gamma_tilde
         try:
             cfg = OmnesConfig(m, omega, hbar, gamma0, L0, np.sqrt(0.5), np.sqrt(0.5), 8)
         except ValidationError:
-            reject()  # Delta^2 overflows
+            assert delta2 > _NORMAL[1]  # only a Delta^2 past the float range is rejected
+            reject()
+        p = m * omega / 2.0
+        if all(2.0**-1022 <= x < math.inf for x in (m * omega, p, L0 * math.sqrt(p), L0 * math.sqrt(p) / hbar)):
+            assert cfg.delta == L0 * math.sqrt(p) / hbar  # the bits of that order where its steps are normal
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # most generated configs are not macroscopic
             try:
                 rate = collective_rate(cfg)
             except ValidationError:
                 rate = None
-        with mpmath.workprec(256):
-            delta2 = mpmath.mpf(m) * omega * mpmath.mpf(L0) ** 2 / (2 * mpmath.mpf(hbar) ** 2)
-            gamma_tilde = delta2 * gamma0
-            t_d = hbar / gamma_tilde
-            if all(_NORMAL[0] <= x <= _NORMAL[1] for x in (delta2, gamma_tilde, t_d)):
-                assert rate is not None
-                assert abs(rate.gamma_tilde - gamma_tilde) <= _RATE_REL * gamma_tilde
-                assert abs(rate.t_D - t_d) <= _RATE_REL * t_d
-            if rate is None:
-                return
-            # the partition threshold at gamma0 is the same number
-            assert collective_rate_rule(m, omega, L0, hbar)((gamma0,)) == rate.gamma_tilde
-            if min(rate.gamma_tilde, rate.t_D) >= 2.0**-1022:  # a subnormal keeps too few digits
-                want = 2 * mpmath.mpf(hbar) ** 3 / (mpmath.mpf(m) * omega * gamma0)  # hbar^3 overflows
-                assert abs(mpmath.mpf(rate.t_D) * mpmath.mpf(L0) ** 2 - want) <= 1e-12 * want
+        if all(_is_normal(x) for x in (delta2, gamma_tilde, t_d)):
+            assert rate is not None
+            assert abs(rate.gamma_tilde - gamma_tilde) <= _RATE_REL * gamma_tilde
+        if _is_normal(t_d) and 2.0**-1072 <= min(delta2, gamma_tilde) and gamma_tilde <= _NORMAL[1]:
+            assert rate is not None  # Delta^2 and gamma_tilde neither round to 0 nor overflow
+            assert abs(rate.t_D - t_d) <= _RATE_REL * t_d  # a subnormal Delta^2 or gamma_tilde too
+        if rate is None:
+            return
+        # the partition threshold at gamma0 is the same number
+        assert collective_rate_rule(m, omega, L0, hbar)((gamma0,)) == rate.gamma_tilde
+        if _is_normal(t_d):
+            want = 2 * mpmath.mpf(hbar) ** 3 / (mpmath.mpf(m) * omega * gamma0)  # hbar^3 overflows
+            assert abs(mpmath.mpf(rate.t_D) * mpmath.mpf(L0) ** 2 - want) <= 1e-12 * want
+
+
+def _formula_fock_table(alpha, N):
+    """Reference: every Fock-table field by its own plain formula, sharing no code with the table."""
+    if alpha == 0.0:
+        log_weights = np.full(N + 1, -math.inf)
+        log_weights[0] = 0.0
+    else:
+        log_weights = np.arange(N + 1) * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+    top = float(np.max(2.0 * log_weights))
+    log_norm = -0.5 * (top + math.log(float(np.sum(np.exp(2.0 * log_weights - top)))))
+    q = np.exp(2.0 * (log_weights + log_norm))
+    v = np.exp(log_weights + log_norm)
+    return log_weights, log_norm, q, q[: np.flatnonzero(q)[-1] + 1].astype(complex), v, float(np.linalg.norm(v))
+
+
+class TestFockTableBits:
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(st.just(0.0), st.floats(0.0, 40.0)), st.integers(1, 2000))
+    @example(0.0, 1)
+    @example(30.0, 3000)  # Delta^2 = 900: q_0 = exp(-900) underflows, so the live weights have leading zeros
+    def test_every_field_has_the_bits_of_its_formula(self, alpha, N):
+        table = _fock_table(alpha, N)
+        for name, got, want in zip(table._fields, table, _formula_fock_table(alpha, N)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+            assert not isinstance(got, np.ndarray) or not got.flags.writeable, name
 
 
 class TestSignalCsvRoundTrip:

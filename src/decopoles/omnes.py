@@ -48,10 +48,8 @@ def _logsumexp(exponents: np.ndarray) -> float:
 class _FockTable(NamedTuple):
     log_weights: np.ndarray  # log(alpha^n / sqrt(n!)), n = 0..N; alpha = 0 gives only n = 0
     log_norm: float  # -1/2 log(sum_n alpha^2n / n!)
-    q: np.ndarray  # |<n|alpha>|^2
-    q_live: np.ndarray  # q_0..q_hi as complex, q_hi the last nonzero q_n (leading zeros keep their places)
+    q_live: np.ndarray  # |<n|alpha>|^2 for n = 0..hi as complex, q_hi the last nonzero one (leading zeros stay)
     v: np.ndarray  # <n|alpha>
-    v_norm: float  # its length, 1 within 1e-12 unless the truncation fails
 
 
 @functools.lru_cache(maxsize=32)
@@ -65,18 +63,10 @@ def _fock_table(alpha: float, N: int) -> _FockTable:
     log_norm = -0.5 * _logsumexp(2.0 * log_weights)
     q = np.exp(2.0 * (log_weights + log_norm))
     q_live = q[: np.flatnonzero(q)[-1] + 1].astype(complex)
-    v = np.exp(log_weights + log_norm)
-    for arr in (log_weights, q, q_live, v):
+    v = np.exp(log_weights + log_norm)  # unit norm by construction, up to rounding in |log_norm| and N
+    for arr in (log_weights, q_live, v):
         arr.setflags(write=False)
-    return _FockTable(log_weights, log_norm, q, q_live, v, float(np.linalg.norm(v)))
-
-
-def _fock_vector(alpha: float, N: int) -> np.ndarray:
-    """The table's <n|alpha>, shared read-only; a norm off 1 by more than 1e-12 raises."""
-    table = _fock_table(alpha, N)
-    if abs(table.v_norm - 1.0) > _NORM_TOL:
-        raise ValidationError(f"truncated state norm {table.v_norm} deviates from 1")
-    return table.v
+    return _FockTable(log_weights, log_norm, q_live, v)
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,7 @@ class QuasiCoherentState:
 
     def fock_vector(self) -> np.ndarray:
         """Unit-norm component vector in the Fock basis, length N+1."""
-        return _fock_vector(self.alpha, self.N).copy()
+        return _fock_table(self.alpha, self.N).v.copy()
 
 
 def _weight_sum(a: complex, b: complex) -> float:
@@ -415,7 +405,7 @@ class FockDensityParts:
 def _evolved_density(cfg: OmnesConfig, z0: complex, t: float):
     """(|0>, evolved branch v2(t), unnormalized state, its norm, rho) of the superposition."""
     _pole_width(z0)
-    v2t = _fock_vector(cfg.alpha2, cfg.N) * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
+    v2t = _fock_table(cfg.alpha2, cfg.N).v * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
     e0 = np.zeros(cfg.N + 1, dtype=complex)
     e0[0] = 1.0
 
@@ -495,25 +485,32 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
 
     Requires a real damping pole z0 = -i gamma0 (no oscillation), so every
     frame entry is a polynomial in x = exp(-gamma0 t / hbar): f2 carries
-    powers 0..N from the truncated self-overlap and |f2|^2 powers 0..2N
-    via the Cauchy product.  The constant (x^0) part forms the equilibrium
-    matrix; powers k >= 1 become poles at k gamma0.  Feed the result to a
-    partition rule to drop the fast collective cluster.
+    powers 0..hi from the live Fock weights and |f2|^2 powers 0..2 hi via
+    the Cauchy product.  The constant (x^0) part forms the equilibrium
+    matrix; powers k = 1..n become poles at k gamma0, n the last power with
+    a nonzero amplitude entry (every later power is exactly 0).  Feed the
+    result to a partition rule to drop the fast collective cluster.
+
+    Precision is the dot-product bound, not fixed bits: power k of |f2|^2
+    sums m products and lies within gamma_(m+1) sum_j |f2_j| |f2_(k-j)| +
+    (m + 1) 2^-1074 of its exact value over the stored f2, with
+    gamma_k = k u / (1 - k u), u = 2^-53 (Higham 2002, ch. 3).
     """
     table = _fock_table(cfg.alpha2, cfg.N)
     s = math.exp(table.log_norm)
     f1 = cfg.a + cfg.b * s
 
     # w_N(t) = sum_k q_k x^k with q_k = N2^2 Delta^(2k) / k!
-    f2 = cfg.b * table.q.astype(complex)
+    f2 = cfg.b * table.q_live
     f2[0] += cfg.a * s
     c = np.convolve(f2, f2.conj()).real  # imaginary parts cancel pairwise
 
     top = f1 * f2.conj()
     equilibrium = np.array([[abs(f1) ** 2, top[0]], [top[0].conjugate(), c[0]]])
-    amps = np.zeros((2 * cfg.N, 2, 2), dtype=complex)
-    amps[: cfg.N, 0, 1] = top[1:]
-    amps[: cfg.N, 1, 0] = top[1:].conj()
+    amps = np.zeros((c.size - 1, 2, 2), dtype=complex)
+    amps[: top.size - 1, 0, 1] = top[1:]
+    amps[: top.size - 1, 1, 0] = top[1:].conj()
     amps[:, 1, 1] = c[1:]
-    gammas = np.arange(1, 2 * cfg.N + 1) * cfg.gamma0  # bit for bit Python's k * gamma0
-    return CatalogueMatrix._from_widths(np.zeros(2 * cfg.N), gammas, equilibrium, amps, cfg.hbar)
+    n = np.flatnonzero(amps.any(axis=(1, 2))).max(initial=-1) + 1
+    gammas = np.arange(1, n + 1) * cfg.gamma0  # bit for bit Python's k * gamma0
+    return CatalogueMatrix._from_widths(np.zeros(n), gammas, equilibrium, amps[:n], cfg.hbar)

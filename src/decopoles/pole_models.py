@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import HermitianMatrix, _matrix_reduce, check_uniform_grid, hermitian_average
+from .numerics import HermitianMatrix, check_uniform_grid, hermitian_average
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -347,7 +347,7 @@ def collective_rate_rule(m: float, omega: float, L0: float, hbar: float = 1.0) -
     scale = _require_positive("m*omega*L0^2/(2 hbar^2)", _collective_scale(m, omega, L0, hbar))
 
     def rate(gammas: Sequence[float]) -> float:
-        return scale * min(gammas)
+        return scale * float(np.min(gammas))
 
     return rate
 
@@ -374,7 +374,8 @@ def partition_report(
       slowest cluster; t_D = t_R.
     * ``'background-only'``: every pole is declared irrelevant and the
       preferred signal keeps just equilibrium plus tail; t_D = t_R.
-    * a callable ``f(gammas) -> rate``: t_D = hbar / f(...).  The shipped
+    * a callable ``f(gammas) -> rate``: t_D = hbar / f(...), where f
+      receives the checked widths as a sorted float array.  The shipped
       example is :func:`collective_rate_rule`.
 
     ``boundary`` decides the fate of poles sitting exactly at the
@@ -389,24 +390,23 @@ def partition_report(
         raise ValidationError("widths must be positive and finite")
     if np.any(widths[1:] < widths[:-1]):
         raise ValidationError("widths must be sorted ascending")
-    gammas = tuple(widths.tolist())
     hbar = _require_positive("hbar", hbar)
 
     if callable(rule):
-        threshold = float(rule(gammas))
+        threshold = float(rule(widths))
         if not math.isfinite(threshold) or threshold <= 0.0:
             raise ValidationError(f"custom rule returned a nonpositive rate: {threshold!r}")
     elif rule in _NAMED_RULES:
-        threshold = _rule_width(rule, gammas)
+        threshold = _rule_width(rule, widths)
     else:
         raise ValidationError(f"unknown rule {rule!r}")
     if boundary not in _BOUNDARY_CUT:
         raise ValidationError(f"unknown boundary mode {boundary!r}")
     return TimescaleReport(
-        t_R=hbar / gammas[0],
+        t_R=hbar / widths[0],
         t_D=hbar / threshold,
-        cut=0 if rule == RULE_BACKGROUND else _BOUNDARY_CUT[boundary](gammas, threshold),
-        n_modes=len(gammas),
+        cut=0 if rule == RULE_BACKGROUND else _BOUNDARY_CUT[boundary](widths, threshold),
+        n_modes=widths.size,
         rule=RULE_CUSTOM if callable(rule) else rule,
         boundary=boundary,
         hbar=hbar,
@@ -542,8 +542,7 @@ class CatalogueMatrix:
     the matrix level.  Widths, frequencies and the read-only (K, d, d)
     ``amplitudes`` stack are sorted jointly; ``poles`` is built on first read.
     ``evaluate`` and ``dropped_envelope`` take one time or an array of T
-    times (a (T, d, d) stack, a (T,) array).  ``dropped_envelope`` leaves a
-    dead mode (amplitude exactly 0) out of its sum.
+    times (a (T, d, d) stack, a (T,) array).
     """
 
     def __init__(self, poles, equilibrium, amplitudes, hbar: float = 1.0):
@@ -583,7 +582,6 @@ class CatalogueMatrix:
         self.amplitudes = hermitian_average(amps[order])
         self.amplitudes.setflags(write=False)
         self._norms = np.linalg.norm(self.amplitudes, axis=(-2, -1))
-        self._live = _matrix_reduce(np.ndarray.any, self.amplitudes)  # a nonzero entry; norms underflow
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
@@ -592,8 +590,8 @@ class CatalogueMatrix:
     def poles(self) -> tuple:
         return tuple(map(Pole, self._omegas.tolist(), self.gammas))
 
-    def _mode_index(self, indices) -> np.ndarray:
-        """``indices`` as an index array; non-integer or out-of-range entries raise."""
+    def _mode_index(self, indices):
+        """``indices`` as an index array, or a range as a slice; non-integer or out-of-range entries raise."""
         ranged = isinstance(indices, range)  # a report's partition: its two ends bound it
         idx = np.asarray(([indices[0], indices[-1]] if indices else []) if ranged else indices)
         if idx.size == 0:
@@ -606,7 +604,9 @@ class CatalogueMatrix:
             raise ValidationError(
                 f"mode indices must lie in [0, {self._gammas.size}), got {indices!r}"
             )
-        return np.arange(indices.start, indices.stop, indices.step) if ranged else idx
+        if ranged:  # its entries lie in [0, K), so a negative stop means "through index 0"
+            return slice(indices.start, indices.stop if indices.stop >= 0 else None, indices.step)
+        return idx
 
     def _decay(self, t, idx) -> np.ndarray:
         """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array."""
@@ -634,7 +634,6 @@ class CatalogueMatrix:
         the same products with one row-wise sum.
         """
         idx = self._mode_index(dropped)
-        idx = idx[self._live[idx]]
         decay = self._decay(t, idx)
         total = np.multiply(decay, self._norms[idx], out=decay).sum(axis=-1)
         return float(total) if total.ndim == 0 else total

@@ -14,7 +14,6 @@ from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
     _fock_table,
-    _fock_vector,
     _logsumexp,
     QuasiCoherentState,
     build_density_matrix,
@@ -72,7 +71,12 @@ class TestQuasiCoherentState:
         assert v.tobytes() == want.tobytes()
         v[:] = 0.0  # the caller's copy; the table is read-only
         assert state.fock_vector().tobytes() == want.tobytes()
-        assert _fock_vector(3.0, 40) is table.v and not table.v.flags.writeable
+        assert not table.v.flags.writeable
+
+    def test_large_alpha_state_is_accepted(self):
+        # a valid state whose ||v|| - 1 = 1.55e-12 is all rounding in a log norm near -8e4
+        v = QuasiCoherentState(400.0, 250_000).fock_vector()
+        assert v.shape == (250_001,) and abs(np.linalg.norm(v) - 1.0) < 1e-11
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValidationError):
@@ -220,7 +224,7 @@ class TestLogFactorials:
     def test_cached_and_read_only(self):
         table = _fock_table(2.0, 57)
         assert _fock_table(2.0, 57) is table
-        for arr in (table.log_weights, table.q, table.q_live, table.v):
+        for arr in (table.log_weights, table.q_live, table.v):
             with pytest.raises(ValueError):
                 arr[3] = 0.0
 
@@ -624,10 +628,16 @@ class TestTowerOracle:
             assert abs(got - complex(w)) <= 1e-12 * float(size), (cfg, z0, t)
 
 
+def all_fock_weights(cfg):
+    """Reference: q_n = |<n|alpha2>|^2 for all N + 1 weights, by the table's own formula."""
+    table = _fock_table(cfg.alpha2, cfg.N)
+    return np.exp(2.0 * (table.log_weights + table.log_norm))
+
+
 def full_sum_projection(cfg, z0, t):
     """Reference: the truncated frame projection with w summed over all N + 1 Fock weights."""
     s = math.exp(cfg.state2().log_norm)
-    w = complex(_fock_table(cfg.alpha2, cfg.N).q @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
+    w = complex(all_fock_weights(cfg) @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
     mat = np.outer(f, f.conj())
     return DensityMatrix(mat / float(mat[0, 0].real + mat[1, 1].real)).entries
@@ -644,8 +654,7 @@ class TestLiveFrameSum:
     @pytest.mark.parametrize("L0, gamma0, N", CONFIGS + [(6.0, 0.1, 255), (1e-200, 0.1, 40)])
     def test_live_weights_are_the_prefix_to_the_last_nonzero_weight(self, L0, gamma0, N):
         cfg = config(L0=L0, gamma0=gamma0, N=N)
-        table = _fock_table(cfg.alpha2, cfg.N)
-        q, live = table.q, table.q_live
+        q, live = all_fock_weights(cfg), _fock_table(cfg.alpha2, cfg.N).q_live
         assert live.dtype == complex and not live.flags.writeable
         assert live[-1] != 0.0 and not np.any(q[live.size :])
         assert live.tobytes() == q[: live.size].astype(complex).tobytes()
@@ -722,9 +731,20 @@ class TestUnderflowingDisplacement:
         assert np.array_equal(exact, frame_projection(self.cfg, z0, 1.0).entries)
 
     def test_frame_catalogue_matrix(self):
+        # only q_0 is nonzero (hi = 0), so every power k >= 1 is 0: a constant matrix, no mode
         cm = frame_catalogue_matrix(self.cfg)
-        assert np.all(cm.amplitudes == 0.0)
+        assert cm.gammas == () and cm.amplitudes.shape == (0, 2, 2)
         assert np.array_equal(cm.evaluate(1.0), np.full((2, 2), 1.4**2))
+        assert cm.dropped_envelope(np.array([0.0, 1.0]), range(0)).tobytes() == np.zeros(2).tobytes()
+        with pytest.raises(ValidationError, match="no poles to partition"):
+            partition_report(cm.gammas, cm.hbar)
+
+    def test_frame_catalogue_of_a_vanishing_f2(self):
+        # a = -b: f2 = a s + b q_0 is exactly 0, so top and c hold no nonzero entry at all
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 1e-200, ROOT_HALF, -ROOT_HALF, 40)
+        cm = frame_catalogue_matrix(cfg)
+        assert cm.gammas == () and not np.any(cm.equilibrium)
+        assert not np.any(cm.evaluate(np.array([0.0, 2.0])))
 
     def test_fock_overlap(self):
         s = QuasiCoherentState(1e-200, 10)
@@ -734,13 +754,18 @@ class TestUnderflowingDisplacement:
 class TestFrameCatalogue:
     @IGNORE_MACRO
     def test_tower_structure(self):
-        cfg = config(L0=6.0, N=255)
-        cm = frame_catalogue_matrix(cfg)
-        assert len(cm.poles) == 2 * cfg.N
-        assert cm.gammas[0] == pytest.approx(cfg.gamma0, rel=1e-15)
-        assert cm.gammas[-1] == pytest.approx(2 * cfg.N * cfg.gamma0, rel=1e-15)
-        # cross entries exist only up to the truncation order
-        assert cm.amplitudes[cfg.N][0, 1] == 0.0
+        # N = 255: no Fock weight underflows, so the tower runs to 2N; N = 1000: the weights
+        # past hi = 457 and the powers of |f2|^2 past 596 underflow, a dead tail the tower ends before
+        for N, hi, n in [(255, 255, 510), (1000, 457, 596)]:
+            cfg = config(L0=6.0, N=N)
+            cm = frame_catalogue_matrix(cfg)
+            assert _fock_table(cfg.alpha2, N).q_live.size == hi + 1
+            assert len(cm.poles) == n
+            assert cm.gammas[0] == pytest.approx(cfg.gamma0, rel=1e-15)
+            assert cm.gammas[-1] == pytest.approx(n * cfg.gamma0, rel=1e-15)
+            assert np.any(cm.amplitudes[-1])  # the last mode is live
+            # cross entries exist only up to the last live Fock weight
+            assert np.any(cm.amplitudes[hi - 1][0, 1]) and not np.any(cm.amplitudes[hi:, 0, 1])
 
     @IGNORE_MACRO
     def test_reproduces_unnormalized_frame_matrix(self):
@@ -761,21 +786,29 @@ class TestFrameCatalogue:
         assert len(rep.p_relevant) == 36  # poles at k gamma0 with k <= Delta^2
 
 
-def pole_list_frame_catalogue(cfg):
-    """Reference: the frame catalogue built through 2N ``Pole`` objects, as before."""
+def frame_tower(cfg, weights):
+    """Reference: (equilibrium, amplitude per power k >= 1) of the frame matrix from the Fock ``weights``."""
     s = math.exp(cfg.state2().log_norm)
     f1 = cfg.a + cfg.b * s
-    f2 = cfg.b * _fock_table(cfg.alpha2, cfg.N).q.astype(complex)
+    f2 = cfg.b * weights.astype(complex)
     f2[0] += cfg.a * s
     c = np.convolve(f2, f2.conj()).real
     top = f1 * f2.conj()
     equilibrium = np.array([[abs(f1) ** 2, top[0]], [top[0].conjugate(), c[0]]])
-    amps = np.zeros((2 * cfg.N, 2, 2), dtype=complex)
-    amps[: cfg.N, 0, 1] = top[1:]
-    amps[: cfg.N, 1, 0] = top[1:].conj()
+    amps = np.zeros((c.size - 1, 2, 2), dtype=complex)
+    amps[: top.size - 1, 0, 1] = top[1:]
+    amps[: top.size - 1, 1, 0] = top[1:].conj()
     amps[:, 1, 1] = c[1:]
-    poles = [Pole(0.0, kk * cfg.gamma0) for kk in range(1, 2 * cfg.N + 1)]
-    return CatalogueMatrix(poles, equilibrium, amps, cfg.hbar)
+    return equilibrium, amps
+
+
+def pole_list_frame_catalogue(cfg):
+    """Reference: the frame catalogue built through ``Pole`` objects, over the live Fock weights
+    and up to the last power with a nonzero amplitude entry."""
+    equilibrium, amps = frame_tower(cfg, _fock_table(cfg.alpha2, cfg.N).q_live)
+    n = max([0] + [k + 1 for k in range(len(amps)) if np.any(amps[k])])
+    poles = [Pole(0.0, kk * cfg.gamma0) for kk in range(1, n + 1)]
+    return CatalogueMatrix(poles, equilibrium, amps[:n], cfg.hbar)
 
 
 class TestFrameCatalogueAgainstPoleList:
@@ -791,6 +824,13 @@ class TestFrameCatalogueAgainstPoleList:
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert got.equilibrium.tobytes() == want.equilibrium.tobytes()
         assert got.hbar == want.hbar
+        # the 2N powers over all N + 1 weights: those past the last live mode are exactly 0, and
+        # the kept ones differ only by the convolution's grouping, far below the largest amplitude
+        equilibrium, full = frame_tower(cfg, all_fock_weights(cfg))
+        n = len(got.gammas)
+        assert full.shape[0] == 2 * N and not np.any(full[n:])
+        assert equilibrium.tobytes() == want.equilibrium.tobytes()
+        assert np.max(np.abs(full[:n] - got.amplitudes)) <= 1e-15 * np.max(np.abs(full))
 
 
 class TestFrameWorkOnce:

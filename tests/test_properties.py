@@ -143,13 +143,16 @@ def unmasked_envelope(cm, t, dropped):
     return (unmasked_decay(cm, t, idx) * norms).sum(axis=-1)
 
 
-class TestLiveModes:
-    """A mode whose amplitude is exactly 0 moves no bit of ``evaluate``, and
-    ``dropped_envelope`` sums over the other modes only."""
+def _interior_dead_catalogue():
+    """24 scalar modes of assorted sizes, every fourth exactly 0: leaving the dead ones out
+    of the envelope regroups numpy's pairwise sum of the rest, which moves its bits."""
+    sizes = np.tile([1.0, 1.0, 0.0, 1.0], 6) * np.random.default_rng(10).uniform(0.5, 1.5, 24)
+    return [Pole(0.0, g) for g in range(1, 25)], np.eye(1), sizes[:, None, None].astype(complex), 1.0
 
-    # stated before measuring: dropped_envelope regroups a pairwise sum of
-    # at most 64 nonnegative terms, a few ulps of the total
-    ENVELOPE_REL = 1e-14
+
+class TestLiveModes:
+    """``evaluate`` and ``dropped_envelope`` sum every mode they are given,
+    dead ones (amplitude exactly 0) included, with the bits of that plain sum."""
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -157,6 +160,7 @@ class TestLiveModes:
         st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
         st.lists(st.floats(0.0, 20.0), max_size=6).map(lambda ts: np.array([0.0] + ts)),
     )
+    @example(_interior_dead_catalogue(), RULE_BACKGROUND, BOUNDARY_RELEVANT, 0.0, np.array([0.0, 0.01, 0.1]))
     def test_same_bits_as_the_unmasked_sum(self, catalogue, rule, boundary, t, grid):
         cm = CatalogueMatrix(*catalogue)
         rep = partition_report(cm.gammas, cm.hbar, rule, boundary)
@@ -164,13 +168,9 @@ class TestLiveModes:
             for when in (t, grid):
                 got, want = cm.evaluate(when, keep=keep), unmasked_evaluate(cm, when, keep)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (keep, when)
-        # live: a nonzero entry, however small its (underflowing) norm
-        live = [i for i in rep.p_irrelevant if np.any(cm.amplitudes[i] != 0)]
         for when in (t, grid):
             got = np.asarray(cm.dropped_envelope(when, rep.p_irrelevant))
-            want = unmasked_envelope(cm, when, rep.p_irrelevant)
-            assert np.all(np.abs(got - want) <= self.ENVELOPE_REL * want), when
-            assert got.tobytes() == np.asarray(unmasked_envelope(cm, when, live)).tobytes(), when
+            assert got.tobytes() == np.asarray(unmasked_envelope(cm, when, rep.p_irrelevant)).tobytes(), when
 
     def test_modes_below_norm_underflow_keep_their_slots_in_the_envelope(self):
         # every other mode has entries of 1e-200 or 1e-305, so its norm is 0; leaving
@@ -182,6 +182,32 @@ class TestLiveModes:
         assert got.tobytes() == unmasked_envelope(cm, grid, range(24)).tobytes()
         for cut in (1e-100, 1e-300):  # the test can tell either set of modes missing
             assert got.tobytes() != unmasked_envelope(cm, grid, np.flatnonzero(sizes > cut)).tobytes()
+
+
+def mode_ranges(k):
+    """Nonempty ranges of mode indices in [0, k), of any step and either direction."""
+    ends = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, 3))
+    return ends.map(lambda e: range(e[0], e[1] + 1, e[2]) if e[1] >= e[0] else range(e[0], e[1] - 1, -e[2]))
+
+
+class TestRangeIndex:
+    """A range picks its modes through a slice, with the bits of its index array."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        sparse_matrix_catalogues().flatmap(lambda c: st.tuples(st.just(c), mode_ranges(len(c[0])))),
+        st.floats(0.0, 20.0),
+        st.lists(st.floats(0.0, 20.0), max_size=6).map(lambda ts: np.array([0.0] + ts)),
+    )
+    @example((_interior_dead_catalogue(), range(23, -1, -2)), 0.0, np.array([0.0, 0.5]))  # stop -1: through 0
+    @example((_interior_dead_catalogue(), range(2, 24)), 0.0, np.array([0.0, 0.5]))
+    def test_range_and_index_array_give_the_same_bits(self, picked, t, grid):
+        catalogue, r = picked
+        cm = CatalogueMatrix(*catalogue)
+        for when in (t, grid):
+            for method in (cm.evaluate, cm.dropped_envelope):
+                got, want = np.asarray(method(when, r)), np.asarray(method(when, np.array(r, dtype=np.intp)))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (method.__name__, r, when)
 
 
 @st.composite
@@ -357,8 +383,7 @@ def _formula_fock_table(alpha, N):
     top = float(np.max(2.0 * log_weights))
     log_norm = -0.5 * (top + math.log(float(np.sum(np.exp(2.0 * log_weights - top)))))
     q = np.exp(2.0 * (log_weights + log_norm))
-    v = np.exp(log_weights + log_norm)
-    return log_weights, log_norm, q, q[: np.flatnonzero(q)[-1] + 1].astype(complex), v, float(np.linalg.norm(v))
+    return log_weights, log_norm, q[: np.flatnonzero(q)[-1] + 1].astype(complex), np.exp(log_weights + log_norm)
 
 
 class TestFockTableBits:
@@ -371,6 +396,88 @@ class TestFockTableBits:
         for name, got, want in zip(table._fields, table, _formula_fock_table(alpha, N)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
             assert not isinstance(got, np.ndarray) or not got.flags.writeable, name
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(st.just(0.0), st.floats(0.0, 400.0)), st.integers(1, 3000))
+    @example(400.0, 250_000)  # ||v|| - 1 = 1.55e-12 here: more than 1e-12, and all of it rounding
+    @example(30.0, 3000)
+    def test_v_has_unit_norm_up_to_rounding(self, alpha, N):
+        """v = exp(log weights + log norm) has unit norm by construction, whatever N truncates.
+
+        Bound stated before measuring, u = 2^-53, the stored log weights taken as exact:
+        each exp(2 lw_n - max) turns its argument's rounding into a factor e^(u|x|), at most
+        u/e absolute on a term <= 1, plus one ulp of its own; their sum S >= 1 of N + 1 terms
+        adds gamma_N; log S and max + log S add u log(N + 1) and 2u|log_norm|.  So log_norm
+        is off by at most u |log_norm| + (0.7 (N + 1) + 2) u.  Each v_n adds u/e on its square
+        and one ulp, and the fsum of squares and its sqrt 2u: | ||v|| - 1 | <= u (|log_norm| + 2(N + 1) + 8).
+        """
+        table = _fock_table(alpha, N)
+        norm = math.sqrt(math.fsum((table.v * table.v).tolist()))
+        assert abs(norm - 1.0) <= 2.0**-53 * (abs(table.log_norm) + 2.0 * (N + 1) + 8.0), norm - 1.0
+
+
+def _units(x: float) -> int:
+    """x as an exact integer count of 2^-1074, the spacing of the subnormal floats."""
+    num, den = x.as_integer_ratio()
+    return num * (2**1074 // den)
+
+
+def _within_dot_bound(got: float, exact: int, size: int, m: int) -> bool:
+    """|got - exact| <= gamma_(m+1) size + (m + 1) 2^-1074, in exact integers; ``exact`` and
+    ``size`` count 2^-2148, gamma_k = k u / (1 - k u) with u = 2^-53."""
+    slack = 2**53 - (m + 1)
+    return abs((_units(got) << 1074) - exact) * slack <= (m + 1) * size + (m + 1) * 2**1074 * slack
+
+
+_UNIT_PAIRS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)).map(
+    lambda p: (cmath.rect(math.sqrt(p[0]), p[1]), cmath.rect(math.sqrt(1.0 - p[0]), p[2]))
+)
+
+
+class TestFrameCatalogueRounding:
+    """Every frame-catalogue amplitude is its exact sum over the stored f2, up to the dot-product bound.
+
+    Stated before measuring (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    ch. 3): in the real or imaginary part of a sum of m complex products x_j conj(y_j), each term
+    takes two roundings (its two real products, then their sum) and the m - 1 additions at most
+    m - 1 more, so it lies within gamma_(m+1) times the sum of its real product sizes
+    (|Re x_j Re y_j| + |Im x_j Im y_j| for the real part, at most |x_j| |y_j|) of the exact value,
+    gamma_k = k u / (1 - k u), u = 2^-53, in any order of summation; products that underflow add
+    (m + 1) 2^-1074.  A |f2|^2 power k is such a sum with m = min(k, 2 hi - k) + 1
+    terms, a cross power one product.  The exact sums run on Python integers, in units of 2^-2148,
+    so the reference rounds nowhere.
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 100), st.floats(-3.0, 0.9).map(lambda e: 10.0**e), _UNIT_PAIRS, st.floats(0.01, 1.0))
+    @example(40, 1e-200, (0.6 + 0j, 0.8j), 0.1)  # hi = 0: no power past 0 is live
+    @example(100, 0.1, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.2)  # weights past hi = 91 underflow; n = 98
+    def test_amplitudes_within_the_dot_product_bound(self, N, L0, ab, gamma0):
+        cfg = OmnesConfig(1.0, 2.0, 1.0, gamma0, L0, ab[0], ab[1], N)
+        cm = frame_catalogue_matrix(cfg)
+        table = _fock_table(cfg.alpha2, N)
+        s = math.exp(table.log_norm)
+        f1 = cfg.a + cfg.b * s
+        f2 = cfg.b * table.q_live  # the convolution's inputs
+        f2[0] += cfg.a * s
+        hi, n = f2.size - 1, len(cm.gammas)
+        x, y = [_units(v) for v in f2.real.tolist()], [_units(v) for v in f2.imag.tolist()]
+        ar, ai = _units(f1.real), _units(f1.imag)
+        assert cm.gammas == tuple((np.arange(1, n + 1) * gamma0).tolist())
+        assert n == 0 or np.any(cm.amplitudes[-1])  # the tower ends at its last live mode
+        amps = np.concatenate([cm.equilibrium[None], cm.amplitudes])  # power k at row k
+        assert not np.any(amps[1:, 0, 0]) and not np.any(amps[:, 1, 1].imag)
+        assert np.array_equal(amps[:, 1, 0], amps[:, 0, 1].conj()) and not np.any(amps[hi + 1 :, 0, 1])
+        for k in range(2 * hi + 1):
+            pairs = [(x[j] * x[k - j], y[j] * y[k - j]) for j in range(max(0, k - hi), min(k, hi) + 1)]
+            got = amps[k, 1, 1].real if k <= n else 0.0
+            exact, size = sum(p + q for p, q in pairs), sum(abs(p) + abs(q) for p, q in pairs)
+            assert _within_dot_bound(got, exact, size, len(pairs)), ("c", k)
+            if k <= hi:  # f1 conj(f2_k)
+                got = complex(amps[k, 0, 1]) if k <= n else 0j
+                re, im = (ar * x[k], ai * y[k]), (ai * x[k], -ar * y[k])
+                assert _within_dot_bound(got.real, sum(re), sum(map(abs, re)), 1), ("top", k)
+                assert _within_dot_bound(got.imag, sum(im), sum(map(abs, im)), 1), ("top", k)
 
 
 class TestSignalCsvRoundTrip:

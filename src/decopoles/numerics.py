@@ -43,6 +43,12 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
     own scale: max |A - A^H| <= HERMITICITY_TOL * max(max|A|, 1).  Input
     with an entry past 2^1021 is halved first, exactly for normal floats,
     so no finite input overflows; other input keeps the bits of (A + A^H) / 2.
+
+    Precision: each part of each entry takes one rounded addition, and its
+    halving is exact but for subnormals, so it lies within
+    u |exact| + 2^-1074 of the exact (a_ij + conj(a_ji)) / 2, u = 2^-53.
+    A matrix Hermitian to the bit (diagonals with imaginary part +0.0)
+    comes back with its own bits.
     """
     if a.shape == (2, 2) and a.dtype == complex:  # read once; Python's abs rounds apart from numpy's
         (p, q), (r, s) = a.tolist()

@@ -144,14 +144,16 @@ class OmnesConfig:
         if n < 1:
             raise ValidationError("truncation N must be at least 1")
         object.__setattr__(self, "N", n)
-        if not math.isfinite(self.delta * self.delta):  # the frame overlaps need Delta^2
+        delta = _delta(self.m, self.omega, self.L0, self.hbar)
+        if not math.isfinite(delta * delta):  # the frame overlaps need Delta^2
             raise ValidationError(
-                f"Delta = L0 sqrt(m omega / 2) / hbar = {self.delta!r} is too large: Delta^2 overflows"
+                f"Delta = L0 sqrt(m omega / 2) / hbar = {delta!r} is too large: Delta^2 overflows"
             )
+        object.__setattr__(self, "_alpha2", delta)  # not a field: formed once, from the fields
 
     @property
     def alpha2(self) -> float:
-        return _delta(self.m, self.omega, self.L0, self.hbar)
+        return self._alpha2
 
     delta = alpha2
 
@@ -492,9 +494,15 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     result to a partition rule to drop the fast collective cluster.
 
     Precision is the dot-product bound, not fixed bits: power k of |f2|^2
-    sums m products and lies within gamma_(m+1) sum_j |f2_j| |f2_(k-j)| +
+    is conv(Re f2, Re f2) + conv(Im f2, Im f2), two real sums of m products
+    each and one addition, so it lies within gamma_(m+1) sum_j (|Re f2_j Re f2_(k-j)|
+    + |Im f2_j Im f2_(k-j)|) <= gamma_(m+1) sum_j |f2_j| |f2_(k-j)| plus
     (m + 1) 2^-1074 of its exact value over the stored f2, with
-    gamma_k = k u / (1 - k u), u = 2^-53 (Higham 2002, ch. 3).
+    gamma_k = k u / (1 - k u), u = 2^-53 (Higham 2002, ch. 3).  A cross
+    power f1 conj(f2_k) is one complex product, each part within gamma_2 times
+    the size of its two real products.
+    The amplitudes are Hermitian to the bit, as ``CatalogueMatrix._from_widths``
+    requires.
     """
     table = _fock_table(cfg.alpha2, cfg.N)
     s = math.exp(table.log_norm)
@@ -503,7 +511,7 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     # w_N(t) = sum_k q_k x^k with q_k = N2^2 Delta^(2k) / k!
     f2 = cfg.b * table.q_live
     f2[0] += cfg.a * s
-    c = np.convolve(f2, f2.conj()).real  # imaginary parts cancel pairwise
+    c = np.convolve(f2.real, f2.real) + np.convolve(f2.imag, f2.imag)  # Re(f2 * conj(f2)); Im cancels
 
     top = f1 * f2.conj()
     equilibrium = np.array([[abs(f1) ** 2, top[0]], [top[0].conjugate(), c[0]]])

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import HermitianMatrix, check_uniform_grid, hermitian_average
+from .numerics import HermitianMatrix, _matrix_reduce, check_uniform_grid, hermitian_average
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -43,6 +43,10 @@ BOUNDARY_IRRELEVANT = "irrelevant"
 _BOUNDARY_CUT = {BOUNDARY_RELEVANT: bisect.bisect_right, BOUNDARY_IRRELEVANT: bisect.bisect_left}
 
 _REL_SLACK = 1e-12
+
+# exp(x) is a normal float from here up: math.log(2^-1022) rounds up, and exp of the next
+# float down is about 2^-1022 (1 - 9e-14), some 390 subnormal spacings below 2^-1022
+_EXP_NORMAL_EDGE = math.log(2.0**-1022)
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -542,7 +546,9 @@ class CatalogueMatrix:
     the matrix level.  Widths, frequencies and the read-only (K, d, d)
     ``amplitudes`` stack are sorted jointly; ``poles`` is built on first read.
     ``evaluate`` and ``dropped_envelope`` take one time or an array of T
-    times (a (T, d, d) stack, a (T,) array).
+    times (a (T, d, d) stack, a (T,) array).  Their results are held to the
+    rounding bounds their docstrings state, not to fixed bits: a factor
+    whose exp would be subnormal counts as 0, and the sums run in any order.
     """
 
     def __init__(self, poles, equilibrium, amplitudes, hbar: float = 1.0):
@@ -553,12 +559,18 @@ class CatalogueMatrix:
 
     @classmethod
     def _from_widths(cls, omegas, gammas, equilibrium, amplitudes, hbar: float = 1.0):
-        """Catalogue of poles (omegas[k], gammas[k]), checked in one pass as ``Pole`` does."""
+        """Catalogue of poles (omegas[k], gammas[k]), checked in one pass as ``Pole`` does.
+
+        Precondition: ``amplitudes`` are finite and Hermitian to the bit
+        (A[j, i] == conj(A[i, j]), diagonals with imaginary part +0.0), so
+        the stack is stored as given; (A + A^H) / 2 would return A's own bits
+        for such A below 2^1021 anyway.  The constructor checks and averages.
+        """
         cm = cls.__new__(cls)
-        cm._build(omegas, gammas, equilibrium, amplitudes, hbar)
+        cm._build(omegas, gammas, equilibrium, amplitudes, hbar, average=False)
         return cm
 
-    def _build(self, omegas, gammas, equilibrium, amplitudes, hbar):
+    def _build(self, omegas, gammas, equilibrium, amplitudes, hbar, average=True):
         omegas, gammas = np.asarray(omegas, dtype=float), np.asarray(gammas, dtype=float)
         bad = ~((gammas > 0.0) & (gammas < math.inf) & np.isfinite(omegas))
         if bad.any():  # the first bad pole raises what its Pole raises
@@ -579,9 +591,10 @@ class CatalogueMatrix:
         self._omegas = omegas[order]
         self._gammas = gammas[order]
         self.gammas = tuple(self._gammas.tolist())
-        self.amplitudes = hermitian_average(amps[order])
+        self.amplitudes = hermitian_average(amps[order]) if average else amps[order]
         self.amplitudes.setflags(write=False)
-        self._norms = np.linalg.norm(self.amplitudes, axis=(-2, -1))
+        # Frobenius norms, each summed along the stack's long axis (see dropped_envelope)
+        self._norms = np.sqrt(_matrix_reduce(np.ndarray.sum, (self.amplitudes.conj() * self.amplitudes).real))
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
@@ -609,10 +622,19 @@ class CatalogueMatrix:
         return idx
 
     def _decay(self, t, idx) -> np.ndarray:
-        """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array."""
+        """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array.
+
+        Precision (t >= 0): the exponent x = -gamma t / hbar takes two
+        roundings, so |x_hat - x| <= gamma_2 |x|, and exp rounds once more
+        (within one ulp).  A factor whose exp would not be a normal float
+        (x_hat below log 2^-1022 = -708.396) is stored as 0.0, and no exp
+        is spent on it.  So a stored factor e_hat is within
+        e^x ((1 + 2u) e^(gamma_2 |x|) - 1) of e^x, or is 0.0 where
+        e^x < 2^-1022 e^(gamma_2 |x|); u = 2^-53, gamma_k = k u / (1 - k u).
+        """
         decay = np.multiply.outer(t, -self._gammas[idx])
         decay /= self.hbar
-        dead = decay <= -746.0  # exp rounds to exactly 0.0 below log(2**-1075) = -745.13
+        dead = decay < _EXP_NORMAL_EDGE
         np.exp(decay, out=decay, where=~dead)
         decay[dead] = 0.0
         return decay
@@ -622,6 +644,14 @@ class CatalogueMatrix:
 
         For an array of times the result is a (T, d, d) stack, built from
         one (T, K) matrix of decay factors and one ``tensordot``.
+
+        Precision: the real and imaginary part of each entry lie within
+        gamma_(K+1) (|EQ| + sum_k |A_k| e_hat_k) + sum_k |A_k| eps_k + (K + 1) 2^-1074
+        of EQ + sum_k A_k e^(-gamma_k t / hbar), over the K kept modes, with
+        |EQ| and |A_k| the moduli of that entry, and e_hat_k and its distance
+        eps_k from e^x as ``_decay`` states; the
+        sum is a dot product of K terms in any order (Higham 2002, ch. 3),
+        and products that underflow add the last term.  Bits are not pinned.
         """
         idx = slice(None) if keep is None else self._mode_index(keep)
         return self.equilibrium + np.tensordot(self._decay(t, idx), self.amplitudes[idx], 1)
@@ -632,6 +662,17 @@ class CatalogueMatrix:
         One time gives a float; an array of T times gives a (T,) array whose
         entry k equals the call at ``t[k]`` bit for bit, since both reduce
         the same products with one row-wise sum.
+
+        Precision: each stored norm n_hat_k is within
+        gamma_(d^2+2) ||A_k|| + d 2^-536 of ||A_k||_F (its d^2 squares and
+        their sum round, then sqrt; squares below 2^-1022 lose their last
+        bits), and the K nonnegative products n_hat_k e_hat_k are summed
+        within gamma_K of their exact sum, plus K 2^-1074 where they
+        underflow.  So the result lies within
+        (1 + gamma_K) sum_k (n_k + nu_k)(e_k + eps_k) - sum_k n_k e_k + K 2^-1074
+        of the exact ceiling, nu_k and eps_k the norm and factor bounds; the
+        factors ``_decay`` stores as 0.0 make it under-read by at most
+        sum_k ||A_k|| 2^-1022.
         """
         idx = self._mode_index(dropped)
         decay = self._decay(t, idx)

@@ -792,7 +792,7 @@ def frame_tower(cfg, weights):
     f1 = cfg.a + cfg.b * s
     f2 = cfg.b * weights.astype(complex)
     f2[0] += cfg.a * s
-    c = np.convolve(f2, f2.conj()).real
+    c = np.convolve(f2.real, f2.real) + np.convolve(f2.imag, f2.imag)  # Re(f2 * conj(f2))
     top = f1 * f2.conj()
     equilibrium = np.array([[abs(f1) ** 2, top[0]], [top[0].conjugate(), c[0]]])
     amps = np.zeros((c.size - 1, 2, 2), dtype=complex)

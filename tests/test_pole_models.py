@@ -656,17 +656,23 @@ class TestCatalogueMatrix:
         want = math.sqrt(2 * 0.3**2) * math.exp(-10 * 0.2)
         assert cm.dropped_envelope(0.2, (1,)) == pytest.approx(want, rel=1e-15)
 
-    def test_decay_across_the_underflow_edge_is_plain_exp(self):
-        # exponents -gamma t on [-760, -740] in steps of 0.001: exp underflows to
-        # 0.0 below -745.13, and the subnormals above it must survive
-        gammas = np.linspace(740.0, 760.0, 20001)
+    def test_decay_across_the_subnormal_edge_is_exp_or_zero(self):
+        # exponents -gamma t on [-750, -700] in steps of 0.0025, and the floats next to
+        # log(2^-1022): a factor is exp where that is a normal float, else 0.0, which
+        # is within 2^-1022 of exp
+        tiny = np.finfo(float).tiny
+        at_edge = -math.log(2.0**-1022) + np.arange(-3, 4) * 2.0**-43  # its float and three on each side
+        assert (np.exp(-at_edge) >= tiny).tolist() == [True] * 4 + [False] * 3
+        gammas = np.sort(np.concatenate([np.linspace(700.0, 750.0, 20001), at_edge]))
         cm = CatalogueMatrix._from_widths(
             np.zeros(gammas.size), gammas, np.eye(1), np.ones((gammas.size, 1, 1))
         )
         for t in (1.0, np.array([1.0, 0.999, 1.001])):
-            want = np.exp(np.multiply.outer(t, -gammas))
-            assert np.any((want > 0.0) & (want < np.finfo(float).tiny))
-            assert cm._decay(t, slice(None)).tobytes() == want.tobytes()
+            exact = np.exp(np.multiply.outer(t, -gammas))
+            assert np.any((exact > 0.0) & (exact < tiny))
+            got = cm._decay(t, slice(None))
+            assert got.tobytes() == np.where(exact >= tiny, exact, 0.0).tobytes()
+            assert np.all(np.abs(got - exact) < tiny)
 
     def test_partition_integration(self):
         cm = self.build()
@@ -779,7 +785,8 @@ class TestCatalogueMatrixFromWidths:
     """The width-array path checks as ``Pole`` does, and builds the same catalogue."""
 
     EQ = np.diag([0.75, 0.25])
-    AMPS = np.array([[[0.0, 0.3], [0.3, 0.0]], np.eye(2), [[-0.25, 0.1j], [-0.1j, 0.25]]])
+    # Hermitian to the bit, as ``_from_widths`` requires: -0.1j would be -0.0 - 0.1j, and conj(0.1j) is 0.0 - 0.1j
+    AMPS = np.array([[[0.0, 0.3], [0.3, 0.0]], np.eye(2), [[-0.25, 0.1j], [np.conj(0.1j), 0.25]]])
 
     def test_same_catalogue_as_pole_list(self):
         omegas, gammas = [0.5, -2.0, 0.25], [10.0, 1.0, 1.0]  # a width tie, broken by omega

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -124,10 +125,11 @@ def sparse_matrix_catalogues(draw):
 
 
 def unmasked_decay(cm, t, idx):
-    """exp(-gamma t / hbar) of every ``idx`` mode, dead ones included."""
+    """exp(-gamma t / hbar) of every ``idx`` mode, dead ones included, where it is a normal float, else 0."""
     decay = np.multiply.outer(t, -np.array(cm.gammas)[idx])
     decay /= cm.hbar
-    return np.exp(decay)
+    decay = np.exp(decay)
+    return np.where(decay >= np.finfo(float).tiny, decay, 0.0)
 
 
 def unmasked_evaluate(cm, t, keep=None):
@@ -137,9 +139,13 @@ def unmasked_evaluate(cm, t, keep=None):
 
 
 def unmasked_envelope(cm, t, dropped):
-    """Reference: norm times decay summed over every ``dropped`` mode, dead ones included."""
+    """Reference: norm times decay summed over every ``dropped`` mode, dead ones included.
+
+    The norms are the catalogue's own, whose summation order is not pinned;
+    ``TestCatalogueKernelAccuracy.test_dropped_envelope`` holds them to their rounding bound.
+    """
     idx = np.asarray(dropped, dtype=np.intp)
-    norms = np.linalg.norm(cm.amplitudes, axis=(-2, -1))[idx]
+    norms = cm._norms[idx]
     return (unmasked_decay(cm, t, idx) * norms).sum(axis=-1)
 
 
@@ -208,6 +214,110 @@ class TestRangeIndex:
             for method in (cm.evaluate, cm.dropped_envelope):
                 got, want = np.asarray(method(when, r)), np.asarray(method(when, np.array(r, dtype=np.intp)))
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (method.__name__, r, when)
+
+
+# --- the catalogue kernels' precision contract --------------------------------
+# Each kernel is held to the rounding bound its docstring states, against mpmath at
+# 160 bits over the stored floats, whose own rounding is far below every bound.
+# u = 2^-53 and gamma_k = k u / (1 - k u) (Higham 2002, ch. 3).
+
+_TINY = 2.0**-1022
+_EDGE = math.log(_TINY)  # the least float whose exp is normal; see pole_models._EXP_NORMAL_EDGE
+
+
+def _gamma(k):
+    u = mpmath.mpf(2) ** -53
+    return k * u / (1 - k * u)
+
+
+def exact_factor(cm, t, k):
+    """(e, eps): exp(-gamma_k t / hbar) over the stored floats, and how far ``_decay`` may stray from it."""
+    x = -mpmath.mpf(cm.gammas[k]) * mpmath.mpf(t) / mpmath.mpf(cm.hbar)
+    e, drift = mpmath.exp(x), mpmath.exp(_gamma(2) * abs(x))
+    if e < _TINY * drift:  # its exponent may round below the edge: stored as 0.0
+        return e, e
+    return e, e * ((1 + 2 * mpmath.mpf(2) ** -53) * drift - 1)
+
+
+def exact_norm(a):
+    """||a||_F of one stored matrix, and the bound on the stored norm's distance from it."""
+    n = mpmath.sqrt(mpmath.fsum(mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2 for v in a.ravel().tolist()))
+    d = a.shape[-1]
+    return n, _gamma(d * d + 2) * n + d * mpmath.mpf(2) ** -536
+
+
+def _edge_catalogue(x):
+    """One unit mode over a zero equilibrium whose exponent at t = 1 is ``x``."""
+    return [Pole(0.0, -x)], np.zeros((1, 1)), np.ones((1, 1, 1)), 1.0
+
+
+@st.composite
+def decay_setups(draw):
+    """(catalogue of unit scalar modes, times): exponents -gamma t / hbar over [-760, 0),
+    a third of them within 4 of log 2^-1022, and some on the floats next to it."""
+    hbar, t = draw(st.floats(0.1, 10.0)), draw(st.floats(0.01, 50.0))
+    near_edge = _EDGE + np.arange(-3, 4) * 2.0**-43
+    xs = draw(st.lists(
+        st.floats(-760.0, -1e-3) | st.floats(_EDGE - 4.0, _EDGE + 4.0) | st.sampled_from(near_edge.tolist()),
+        min_size=1, max_size=12,
+    ))
+    gammas = np.array([-x * hbar / t for x in xs])
+    return (np.zeros(len(xs)), gammas, np.eye(1), np.ones((len(xs), 1, 1)), hbar), np.array([0.0, t, 2.0 * t])
+
+
+class TestCatalogueKernelAccuracy:
+    """``_decay``, ``evaluate`` and ``dropped_envelope`` within their stated bounds of the exact values."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(decay_setups())
+    @example(((np.zeros(2), np.array([705.0, -_EDGE]), np.eye(1), np.ones((2, 1, 1)), 1.0), np.array([1.0])))
+    def test_decay_factors(self, setup):
+        widths, times = setup
+        cm = CatalogueMatrix._from_widths(*widths)
+        got = cm._decay(times, slice(None))
+        for i, t in enumerate(times.tolist()):
+            for k, g in enumerate(got[i].tolist()):
+                assert g == 0.0 or g >= _TINY, (t, k, g)  # no subnormal factor
+                e, eps = exact_factor(cm, t, k)
+                assert abs(g - e) <= eps, (t, k, g)
+
+    @settings(deadline=None, max_examples=25)
+    @given(sparse_matrix_catalogues(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3).map(np.array))
+    @example(_edge_catalogue(-705.0), np.array([1.0]))
+    def test_evaluate(self, catalogue, times):
+        cm = CatalogueMatrix(*catalogue)
+        n, d = len(cm.gammas), cm.dim
+        for when in (times, float(times[0])):
+            got = cm.evaluate(when).reshape(-1, d, d)
+            for i, t in enumerate(np.atleast_1d(when).tolist()):
+                factors = [exact_factor(cm, t, k) for k in range(n)]
+                for r in range(d):
+                    for c in range(d):
+                        sizes = [abs(a) for a in cm.amplitudes[:, r, c].tolist()]
+                        slack = sum(s * eps for s, (_, eps) in zip(sizes, factors)) + (n + 1) * mpmath.mpf(2) ** -1074
+                        for part in ("real", "imag"):
+                            eq = mpmath.mpf(getattr(cm.equilibrium[r, c], part))
+                            amps = [mpmath.mpf(getattr(a, part)) for a in cm.amplitudes[:, r, c].tolist()]
+                            exact = eq + mpmath.fsum(a * e for a, (e, _) in zip(amps, factors))
+                            scale = abs(eq) + sum(s * (e + eps) for s, (e, eps) in zip(sizes, factors))
+                            assert abs(getattr(got[i, r, c], part) - exact) <= _gamma(n + 1) * scale + slack, (t, r, c)
+
+    @settings(deadline=None, max_examples=25)
+    @given(sparse_matrix_catalogues(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3).map(np.array))
+    @example(_edge_catalogue(-705.0), np.array([1.0]))
+    def test_dropped_envelope(self, catalogue, times):
+        cm = CatalogueMatrix(*catalogue)
+        n = len(cm.gammas)
+        norms = [exact_norm(a) for a in cm.amplitudes]
+        for got, (want, nu) in zip(cm._norms.tolist(), norms):
+            assert abs(got - want) <= nu
+        for when in (times, float(times[0])):
+            got = np.atleast_1d(cm.dropped_envelope(when, range(n)))
+            for i, t in enumerate(np.atleast_1d(when).tolist()):
+                factors = [exact_factor(cm, t, k) for k in range(n)]
+                exact = mpmath.fsum(nk * e for (nk, _), (e, _) in zip(norms, factors))
+                ceiling = (1 + _gamma(n)) * mpmath.fsum((nk + nu) * (e + eps) for (nk, nu), (e, eps) in zip(norms, factors))
+                assert abs(got[i] - exact) <= ceiling - exact + n * mpmath.mpf(2) ** -1074, t
 
 
 @st.composite
@@ -468,6 +578,7 @@ class TestFrameCatalogueRounding:
         amps = np.concatenate([cm.equilibrium[None], cm.amplitudes])  # power k at row k
         assert not np.any(amps[1:, 0, 0]) and not np.any(amps[:, 1, 1].imag)
         assert np.array_equal(amps[:, 1, 0], amps[:, 0, 1].conj()) and not np.any(amps[hi + 1 :, 0, 1])
+        assert hermitian_average(cm.amplitudes).tobytes() == cm.amplitudes.tobytes()  # as _from_widths requires
         for k in range(2 * hi + 1):
             pairs = [(x[j] * x[k - j], y[j] * y[k - j]) for j in range(max(0, k - hi), min(k, hi) + 1)]
             got = amps[k, 1, 1].real if k <= n else 0.0
@@ -811,6 +922,34 @@ def outcome(check, a):
         return "ok", check(a)
     except ValidationError as exc:
         return str(exc), None
+
+
+@st.composite
+def nearly_hermitian(draw):
+    """One (d, d) matrix or a (T, d, d) stack, d = 1..4, off Hermitian by up to 0.6 of the
+    tolerance, at scales from subnormal to past 2^1021, where the average halves first."""
+    d = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(((d, d), (draw(st.integers(1, 6)), d, d))))
+    raw = draw(hnp.arrays(float, (2, 2) + shape, elements=st.floats(-1.0, 1.0)))
+    h = raw[0, 0] + 1j * raw[0, 1]
+    h = (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
+    size = np.max(np.abs(h), axis=(-2, -1), keepdims=True)
+    a = h + 0.2 * HERMITICITY_TOL * size * (raw[1, 0] + 1j * raw[1, 1])
+    return a * draw(st.sampled_from((1e-310, 1e-3, 1.0, 1e6, 2.0**1022)))
+
+
+class TestHermitianAverageAccuracy:
+    @settings(deadline=None, max_examples=60)
+    @given(nearly_hermitian())
+    def test_each_part_within_half_an_ulp_of_the_exact_average(self, a):
+        """(a_ij + conj(a_ji)) / 2 takes one rounded addition, and its halving is exact but
+        for subnormals: each part lies within u |exact| + 2^-1074 of it, u = 2^-53."""
+        got = hermitian_average(a)
+        for idx in np.ndindex(a.shape):
+            p, q = complex(a[idx]), complex(a[idx[:-2] + idx[:-3:-1]])  # a_ij and a_ji
+            exact = ((Fraction(p.real) + Fraction(q.real)) / 2, (Fraction(p.imag) - Fraction(q.imag)) / 2)
+            for part, want in zip((got[idx].real, got[idx].imag), exact):
+                assert abs(Fraction(part) - want) <= abs(want) / 2**53 + Fraction(1, 2**1074), idx
 
 
 class TestHermitianCheck:

@@ -21,18 +21,14 @@ __version__ = "0.1.0"
 # owner module -> the public names it exports through the package
 _EXPORTS = {
     "errors": ("ConvergenceError", "RankDeficiencyError", "ValidationError"),
-    "friedrich": (
-        "EffectiveHamiltonian", "PerturbativePole", "SpectralDensity", "evolve_amplitude",
-        "lee_friedrich_spectrum", "perturbative_pole", "pole_from_rate",
-    ),
+    "friedrich": ("PerturbativePole", "SpectralDensity", "perturbative_pole"),
     "numerics": (
         "DensityMatrix", "EigenDecomposition", "HermitianMatrix", "adaptive_simpson", "eigh",
         "fit_residual", "matrix_pencil_fit", "principal_value_integral",
     ),
     "omnes": (
-        "CollectiveRate", "FockDensityParts", "MacroscopicityReport", "NDComponents",
-        "OmnesConfig", "QuasiCoherentState", "build_density_matrix", "collective_rate",
-        "density_components", "evolved_overlaps", "fock_overlap", "frame_amplitudes",
+        "CollectiveRate", "MacroscopicityReport", "NDComponents", "OmnesConfig",
+        "QuasiCoherentState", "build_density_matrix", "collective_rate", "fock_overlap",
         "frame_catalogue_matrix", "frame_projection", "macroscopicity_check", "nd_block",
         "nd_decay", "overlap_error_bound", "overlap_truncated",
     ),

@@ -6,10 +6,9 @@ sits at z0 = (omega0 + delta_omega) - i gamma0 with
     delta_omega = PV integral of g(w) / (omega0 - w) over the band,
     gamma0      = pi * g(omega0),
 
-where g(w) >= 0 collects the mode density times the squared coupling.  A
-ladder of excitations then decays through the equally spaced complex
-spectrum z_n = n z0: every truncated Fock sum of the package, here and in
-``omnes``, is a weighted sum of one set of ladder phases exp(-i z_n t / hbar).
+where g(w) >= 0 collects the mode density times the squared coupling.
+The command line hands (gamma0, omega0 + delta_omega) to ``omnes``, whose
+excitation ladder decays through the equally spaced spectrum z_n = n z0.
 
 Sign convention: widths are stored positive and enter as -i gamma0, so
 amplitudes damp as exp(-n gamma0 t / hbar).  A printed variant with the
@@ -19,11 +18,9 @@ module always decays.
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -162,15 +159,6 @@ class PerturbativePole:
         return self.omega0 + self.delta_omega
 
 
-def pole_from_rate(omega: float, gamma0: float) -> PerturbativePole:
-    """Pole with the shift absorbed: z0 = omega - i gamma0.
-
-    Use when the dressed frequency is known directly (the oscillator
-    identification omega' = omega that drops slow background terms).
-    """
-    return PerturbativePole(omega, 0.0, gamma0)
-
-
 def perturbative_pole(sd: SpectralDensity) -> PerturbativePole:
     """Second-order pole of the coupled oscillator.
 
@@ -194,79 +182,3 @@ def perturbative_pole(sd: SpectralDensity) -> PerturbativePole:
         shift = adaptive_simpson(lambda w: sd(w) / (w0 - w), sd.lo, sd.hi)
         gamma0 = 0.0
     return PerturbativePole(w0, shift, gamma0)
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """Truncated complex spectrum z_n = n z0, n = 0..N_max.
-
-    The damping enters only through Im z0 <= 0.  Levels are linear in n by
-    construction; the additivity z_m + z_n = z_{m+n} is exact whenever the
-    products n * z0 are representable (dyadic z0) and otherwise holds to
-    one rounding of the last place.
-    """
-
-    N_max: int
-    z0: complex
-
-    def __post_init__(self):
-        n_max = int(self.N_max)
-        if n_max < 1:
-            raise ValidationError("N_max must be at least 1")
-        z0 = complex(self.z0)
-        _pole_width(z0)
-        object.__setattr__(self, "N_max", n_max)
-        object.__setattr__(self, "z0", z0)
-
-
-def _pole_width(z0: complex) -> float:
-    """gamma = -Im z0 of a decaying pole; a growing one (Im z0 > 0) raises ValidationError."""
-    z0 = complex(z0)
-    if z0.imag > 0.0:
-        raise ValidationError(f"Im z0 = {z0.imag} must be <= 0 (decaying pole)")
-    return -z0.imag
-
-
-@functools.lru_cache(maxsize=32)
-def _ladder_exponents(size: int, z0_bits: bytes) -> np.ndarray:
-    """-i n z0 for n = 0..size-1, shared read-only; keyed by z0's bits, as == merges +-0.0."""
-    out = -1j * np.arange(size) * complex(*struct.unpack("dd", z0_bits))
-    out.setflags(write=False)
-    return out
-
-
-def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
-    """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t.
-
-    On a purely damped ladder (Re z0 = 0, in range) the phases past exponent -746 stay exp's exact (+0, +0).
-    """
-    damped = z0.real == 0.0 and t > 0.0 and 0.0 < -z0.imag * size * max(t, 1.0) < 1e300 and 1e-300 < hbar < 1e300
-    live = int(min(size, 746.0 * hbar / -z0.imag / t + 2.0)) if damped else size  # + 2: past 4 roundings
-    out = np.zeros(size, dtype=complex)
-    head, exps = out[:live], _ladder_exponents(size, struct.pack("dd", z0.real, z0.imag))[:live]
-    np.exp(np.divide(np.multiply(exps, t, out=head), hbar, out=head), out=head)  # in one buffer
-    return out
-
-
-def lee_friedrich_spectrum(pole: PerturbativePole, N_max: int) -> EffectiveHamiltonian:
-    """Equally spaced tower n * z0 built from the perturbative pole."""
-    return EffectiveHamiltonian(N_max, pole.z0)
-
-
-def evolve_amplitude(a_coeffs, b_coeffs, ham: EffectiveHamiltonian, t: float, hbar: float = 1.0) -> complex:
-    """A(t) = sum_n b_n conj(a_n) exp(-i n z0 t / hbar).
-
-    The n-th term damps as exp(-n gamma0 t / hbar), so |A| never exceeds
-    sum |b_n a_n| for t >= 0.
-    """
-    a = np.asarray(a_coeffs, dtype=complex)
-    b = np.asarray(b_coeffs, dtype=complex)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError("coefficient lists must be 1-D and equal length")
-    if a.size > ham.N_max + 1:
-        raise ValidationError(
-            f"{a.size} coefficients exceed the spectrum truncation N_max={ham.N_max}"
-        )
-    if hbar <= 0.0:
-        raise ValidationError("hbar must be positive")
-    return complex(np.sum(b * np.conj(a) * _ladder_phases(a.size, ham.z0, t, hbar)))

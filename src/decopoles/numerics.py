@@ -36,19 +36,28 @@ def _matrix_reduce(reduce, x: np.ndarray) -> np.ndarray:
     return reduce(x, axis=(-2, -1))
 
 
+def _halved(h: np.ndarray) -> np.ndarray:
+    """h / 2 on its float view: each part halved alone, so a zero keeps its sign (complex / 2.0 may not)."""
+    h = np.ascontiguousarray(h)
+    parts = h.view(float)
+    np.multiply(parts, 0.5, out=parts)
+    return h
+
+
 def hermitian_average(a: np.ndarray) -> np.ndarray:
     """(A + A^H) / 2 of each matrix over the last two axes, so downstream math sees A == A^H.
 
     Every entry must be finite, and each matrix Hermitian relative to its
     own scale: max |A - A^H| <= HERMITICITY_TOL * max(max|A|, 1).  Input
     with an entry past 2^1021 is halved first, exactly for normal floats,
-    so no finite input overflows; other input keeps the bits of (A + A^H) / 2.
+    so no finite input overflows.  Every halving multiplies each real and
+    imaginary part by 0.5 alone, so a zero part keeps its sign.
 
     Precision: each part of each entry takes one rounded addition, and its
     halving is exact but for subnormals, so it lies within
     u |exact| + 2^-1074 of the exact (a_ij + conj(a_ji)) / 2, u = 2^-53.
     A matrix Hermitian to the bit (diagonals with imaginary part +0.0)
-    comes back with its own bits.
+    comes back with its own bits, the signs of its zero parts included.
     """
     if a.shape == (2, 2) and a.dtype == complex:  # read once; Python's abs rounds apart from numpy's
         (p, q), (r, s) = a.tolist()
@@ -56,7 +65,7 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
             scale = max(abs(p), abs(q), abs(r), abs(s))  # a NaN or Inf entry makes dev NaN or inf
             dev = abs(p - p.conjugate()) + abs(q - r.conjugate()) + abs(s - s.conjugate())
             if scale <= 2.0**1020 and dev <= 0.5 * HERMITICITY_TOL * max(scale, 1.0):  # room for an ulp
-                return (a + a.T.conj()) / 2.0
+                return _halved(a + a.T.conj())
         except OverflowError:  # Python's abs raises where numpy's reads inf
             pass
     if a.ndim == 2 and (scale := float(abs(a).max())) <= 2.0**1021:  # one matrix: compare Python floats
@@ -64,13 +73,13 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
         dev = float(abs(a - ah).max())
         if dev > HERMITICITY_TOL * max(scale, 1.0):
             raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
-        return (a + ah) / 2.0
+        return _halved(a + ah)
     scale = _matrix_reduce(np.ndarray.max, abs(a))
     unit = 1.0  # what one unit of ``a`` stands for
     if not (scale <= 2.0**1021).all():  # NaN, Inf, or entries whose sum could overflow
         if not np.isfinite(a).all():
             raise ValidationError("matrix contains NaN or Inf entries")
-        a, unit = a / 2.0, 2.0
+        a, unit = _halved(a.copy()), 2.0
         scale = _matrix_reduce(np.ndarray.max, abs(a))
     ah = a.swapaxes(-1, -2).conj()
     dev = _matrix_reduce(np.ndarray.max, abs(a - ah))
@@ -79,7 +88,7 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
         k = bad.argmax()  # the first failing matrix
         dev, scale = unit * float(dev.flat[k]), unit * float(scale.flat[k])  # Python floats reach inf silently
         raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
-    return a + ah if unit == 2.0 else (a + ah) / 2.0
+    return a + ah if unit == 2.0 else _halved(a + ah)
 
 
 def _checked_entries(entries, ndim: int = 2, unit_trace: bool = False) -> np.ndarray:

@@ -16,13 +16,15 @@ of dimension N+1:
   with t_D L0^2 independent of L0.
 
 All Fock weights come from one log-domain helper, so truncations up to
-N ~ 1e4 stay representable; sums over them run on friedrich's ladder phases.
+N ~ 1e4 stay representable; sums over them run on the ladder phases
+exp(-i n z0 t / hbar) of the spectrum z_n = n z0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .friedrich import _ladder_phases, _pole_width
 from .numerics import DensityMatrix
 from .pole_models import CatalogueMatrix, _collective_scale, _delta, _ldexp
 
@@ -43,6 +44,35 @@ def _logsumexp(exponents: np.ndarray) -> float:
     """log sum exp; every caller's exponents hold the n = 0 weight's 0, so their max is finite."""
     m = float(np.max(exponents))
     return m + math.log(float(np.sum(np.exp(exponents - m))))
+
+
+def _pole_width(z0: complex) -> float:
+    """gamma = -Im z0 of a decaying pole; a growing one (Im z0 > 0) raises ValidationError."""
+    z0 = complex(z0)
+    if z0.imag > 0.0:
+        raise ValidationError(f"Im z0 = {z0.imag} must be <= 0 (decaying pole)")
+    return -z0.imag
+
+
+@functools.lru_cache(maxsize=32)
+def _ladder_exponents(size: int, z0_bits: bytes) -> np.ndarray:
+    """-i n z0 for n = 0..size-1, shared read-only; keyed by z0's bits, as == merges +-0.0."""
+    out = -1j * np.arange(size) * complex(*struct.unpack("dd", z0_bits))
+    out.setflags(write=False)
+    return out
+
+
+def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
+    """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t.
+
+    On a purely damped ladder (Re z0 = 0, in range) the phases past exponent -746 stay exp's exact (+0, +0).
+    """
+    damped = z0.real == 0.0 and t > 0.0 and 0.0 < -z0.imag * size * max(t, 1.0) < 1e300 and 1e-300 < hbar < 1e300
+    live = int(min(size, 746.0 * hbar / -z0.imag / t + 2.0)) if damped else size  # + 2: past 4 roundings
+    out = np.zeros(size, dtype=complex)
+    head, exps = out[:live], _ladder_exponents(size, struct.pack("dd", z0.real, z0.imag))[:live]
+    np.exp(np.divide(np.multiply(exps, t, out=head), hbar, out=head), out=head)  # in one buffer
+    return out
 
 
 class _FockTable(NamedTuple):
@@ -287,19 +317,6 @@ def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     return math.exp(-0.5 * d2), (w if isinstance(w, np.ndarray) else complex(w))
 
 
-def evolved_overlaps(cfg: OmnesConfig, z0: complex, t: float):
-    """The four frame inner products at time t, closed form.
-
-    Returns (<1(0)|1(t)>, <1(0)|2(t)>, <2(0)|1(t)>, <2(0)|2(t)>) in the
-    vacuum gauge alpha1 = 0: the first is exactly 1, the cross terms carry
-    the static residual exp(-Delta^2/2), and the last decays through
-    exp(-Delta^2 (1 - exp(-i z0 t / hbar))).
-    """
-    s, w = _frame_overlaps(cfg, z0, t, closed_form=True)
-    _warn_if_not_macroscopic(cfg)
-    return (complex(1.0), complex(s), complex(s), w)
-
-
 @dataclass(frozen=True)
 class NDComponents:
     """Off-diagonal block in the {|alpha1(0)>, |alpha2(0)>} frame at one time.
@@ -385,27 +402,14 @@ def collective_rate(cfg: OmnesConfig) -> CollectiveRate:
 # --- full Fock-space construction -------------------------------------------
 
 
-@dataclass(frozen=True)
-class FockDensityParts:
-    """Evolved superposition and its diagonal/off-diagonal split.
+def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatrix:
+    """Trace-1 density matrix of the evolved superposition in Fock space.
 
-    ``state`` is the unnormalized evolved vector a|0> + b|alpha2(t)>;
-    ``norm`` its length (the non-unitary evolution loses norm).  ``rho``
-    is the trace-1 outer product of the normalized state; the D/ND parts
-    are the raw (unnormalized) projector pieces, so
-    rho_unnormalized = rho_d + rho_nd holds exactly.
+    The state a|0> + b|alpha2(t)>, with the displaced branch evolved
+    componentwise by exp(-i n z0 t / hbar), normalized by its length (the
+    non-unitary evolution loses norm); rho is its outer product.  A growing
+    pole (Im z0 > 0) raises ValidationError.
     """
-
-    state: np.ndarray
-    norm: float
-    rho: DensityMatrix
-    rho_unnormalized: np.ndarray
-    rho_d: np.ndarray
-    rho_nd: np.ndarray
-
-
-def _evolved_density(cfg: OmnesConfig, z0: complex, t: float):
-    """(|0>, evolved branch v2(t), unnormalized state, its norm, rho) of the superposition."""
     _pole_width(z0)
     v2t = _fock_table(cfg.alpha2, cfg.N).v * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
     e0 = np.zeros(cfg.N + 1, dtype=complex)
@@ -416,52 +420,10 @@ def _evolved_density(cfg: OmnesConfig, z0: complex, t: float):
     if norm <= 0.0:
         raise ValidationError("evolved state has zero norm")
     unit = state / norm
-    return e0, v2t, state, norm, DensityMatrix(np.outer(unit, unit.conj()))
-
-
-def density_components(cfg: OmnesConfig, z0: complex, t: float) -> FockDensityParts:
-    e0, v2t, state, norm, rho = _evolved_density(cfg, z0, t)
-    rho_d = (abs(cfg.a) ** 2) * np.outer(e0, e0.conj()) + (abs(cfg.b) ** 2) * np.outer(
-        v2t, v2t.conj()
-    )
-    rho_nd = cfg.a * cfg.b.conjugate() * np.outer(e0, v2t.conj()) + cfg.a.conjugate() * cfg.b * np.outer(v2t, e0.conj())
-    return FockDensityParts(
-        state=state,
-        norm=norm,
-        rho=rho,
-        rho_unnormalized=np.outer(state, state.conj()),
-        rho_d=rho_d,
-        rho_nd=rho_nd,
-    )
-
-
-def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatrix:
-    """Trace-1 density matrix of the evolved superposition in Fock space.
-
-    Componentwise evolution by exp(-i n z0 t / hbar) followed by
-    renormalization; it forms only rho, with the same operations as
-    ``density_components``, whose FockDensityParts add the unnormalized
-    pieces and the D/ND projections.
-    """
-    return _evolved_density(cfg, z0, t)[-1]
+    return DensityMatrix(np.outer(unit, unit.conj()))
 
 
 # --- two-dimensional frame picture -------------------------------------------
-
-
-def frame_amplitudes(cfg: OmnesConfig, z0: complex, t: float, closed_form: bool = True):
-    """Projections (f1, f2) of the evolved state on the initial branch pair.
-
-    f1 = a + b s and f2 = a s + b w(t), with s the static branch overlap
-    and w the self-overlap of the displaced branch.  ``closed_form`` picks
-    the infinite-N expressions; otherwise both use the exact truncated
-    sums, matching density_components to machine precision.  A growing
-    pole (Im z0 > 0) raises ValidationError.
-    """
-    s, w = _frame_overlaps(cfg, z0, t, closed_form)
-    f1 = cfg.a + cfg.b * s
-    f2 = cfg.a * s + cfg.b * w
-    return f1, f2
 
 
 def frame_projection(
@@ -469,12 +431,17 @@ def frame_projection(
 ) -> DensityMatrix:
     """2x2 density matrix of the state seen through the initial branch frame.
 
-    Entry (i, j) is f_i conj(f_j), normalized to unit trace; the frame is
-    treated as orthonormal, which the macroscopic regime justifies up to
-    the exp(-Delta^2/2) cross-overlap.
+    The projections of the evolved state on the initial branch pair are
+    f1 = a + b s and f2 = a s + b w(t), with s the static branch overlap
+    and w the self-overlap of the displaced branch.  ``closed_form`` picks
+    the infinite-N expressions; otherwise both use the exact truncated
+    sums.  Entry (i, j) is f_i conj(f_j), normalized to unit trace; the
+    frame is treated as orthonormal, which the macroscopic regime justifies
+    up to the exp(-Delta^2/2) cross-overlap.  A growing pole (Im z0 > 0)
+    raises ValidationError.
     """
-    f1, f2 = frame_amplitudes(cfg, z0, t, closed_form)
-    f = np.array([f1, f2], dtype=complex)
+    s, w = _frame_overlaps(cfg, z0, t, closed_form)
+    f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
     mat = f[:, None] * f.conj()  # np.outer's one multiply
     tr = mat.item(0).real + mat.item(3).real  # the bits of mat.trace().real, as Python floats
     if tr <= 0.0:

@@ -563,8 +563,9 @@ class CatalogueMatrix:
 
         Precondition: ``amplitudes`` are finite and Hermitian to the bit
         (A[j, i] == conj(A[i, j]), diagonals with imaginary part +0.0), so
-        the stack is stored as given; (A + A^H) / 2 would return A's own bits
-        for such A below 2^1021 anyway.  The constructor checks and averages.
+        the stack is stored as given; ``hermitian_average`` would return A's
+        own bits, zero signs included, for such A below 2^1021 anyway.  The
+        constructor checks and averages.
         """
         cm = cls.__new__(cls)
         cm._build(omegas, gammas, equilibrium, amplitudes, hbar, average=False)

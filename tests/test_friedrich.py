@@ -1,4 +1,7 @@
-"""Spectral densities, second-order poles, ladder spectrum, amplitude decay."""
+"""Spectral densities and second-order poles; the decay ladder z_n = n z0 of one pole.
+
+The ladder phases live in ``omnes``, their one user, and are tested here beside the pole.
+"""
 
 import math
 import struct
@@ -7,17 +10,8 @@ import numpy as np
 import pytest
 
 from decopoles.errors import ValidationError
-from decopoles.friedrich import (
-    EffectiveHamiltonian,
-    PerturbativePole,
-    SpectralDensity,
-    evolve_amplitude,
-    lee_friedrich_spectrum,
-    _ladder_exponents,
-    _ladder_phases,
-    perturbative_pole,
-    pole_from_rate,
-)
+from decopoles.friedrich import PerturbativePole, SpectralDensity, perturbative_pole
+from decopoles.omnes import _ladder_exponents, _ladder_phases
 
 
 class TestSpectralDensity:
@@ -164,67 +158,6 @@ class TestPerturbativePole:
         with pytest.raises(ValidationError):
             PerturbativePole(1.0, 0.0, -0.1)
 
-    def test_pole_from_rate(self):
-        pole = pole_from_rate(2.0, 0.3)
-        assert pole.delta_omega == 0.0
-        assert pole.z0 == complex(2.0, -0.3)
-
-
-def levels(ham):
-    """The spectrum z_n = n z0, n = 0..N_max, as Python complexes."""
-    return tuple(n * ham.z0 for n in range(ham.N_max + 1))
-
-
-class TestEffectiveHamiltonian:
-    def test_example_levels(self):
-        lv = levels(EffectiveHamiltonian(3, 1.0 - 0.1j))
-        assert lv[0] == 0.0
-        assert lv[1] == 1.0 - 0.1j
-        assert lv[2] == 2.0 - 0.2j
-        assert lv[3] == pytest.approx(3.0 - 0.3j, rel=1e-15)
-
-    def test_linearity_imaginary_part(self):
-        ham = EffectiveHamiltonian(10, 2.0 - 0.25j)
-        assert levels(ham)[10].imag == -10 * 0.25
-
-    def test_additivity_dyadic_exact(self):
-        # products n * z0 are representable, so additivity has no rounding
-        lv = levels(EffectiveHamiltonian(12, 1.5 - 0.125j))
-        for m in range(7):
-            for n in range(7):
-                assert lv[m] + lv[n] == lv[m + n]
-
-    def test_additivity_generic_one_ulp(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            z0 = complex(rng.uniform(-10, 10), -rng.uniform(0, 1))
-            lv = levels(EffectiveHamiltonian(12, z0))
-            for m in range(6):
-                for n in range(6):
-                    lhs = lv[m] + lv[n]
-                    rhs = lv[m + n]
-                    assert abs(lhs - rhs) <= 4e-16 * max(abs(rhs), 1.0)
-
-    def test_from_pole(self):
-        ham = lee_friedrich_spectrum(pole_from_rate(1.0, 0.1), 3)
-        assert levels(ham) == (0.0, 1.0 - 0.1j, 2.0 - 0.2j, (3.0 - 0.1j * 3))
-
-    def test_truncation_floor(self):
-        with pytest.raises(ValidationError):
-            EffectiveHamiltonian(0, 1.0 - 0.1j)
-
-    def test_levels_built_on_first_read(self):
-        # construction stores only (N_max, z0); the spectrum is formed when a caller reads it
-        ham = EffectiveHamiltonian(1000, 0.7 - 0.03j)
-        assert set(vars(ham)) == {"N_max", "z0"}
-        assert ham == EffectiveHamiltonian(1000, 0.7 - 0.03j)
-        assert levels(ham) == tuple(n * (0.7 - 0.03j) for n in range(1001))
-        assert ham != EffectiveHamiltonian(999, 0.7 - 0.03j)
-
-    def test_growth_rejected(self):
-        with pytest.raises(ValidationError):
-            EffectiveHamiltonian(3, 1.0 + 0.1j)
-
 
 def one_line_ladder_phases(size, z0, t, hbar):
     """Reference: the ladder phases as one expression, exponent rebuilt at every time."""
@@ -273,47 +206,52 @@ class TestLadderPhases:
         assert ladder.tobytes() == (-1j * np.arange(7) * (0.5 - 0.1j)).tobytes()
 
 
+def survival_amplitude(a_coeffs, b_coeffs, z0, t, hbar=1.0):
+    """A(t) = sum_n b_n conj(a_n) exp(-i n z0 t / hbar), summed over the ladder phases."""
+    a = np.asarray(a_coeffs, dtype=complex)
+    b = np.asarray(b_coeffs, dtype=complex)
+    return complex(np.sum(b * np.conj(a) * _ladder_phases(a.size, z0, t, hbar)))
+
+
 class TestEvolveAmplitude:
-    def ham(self, gamma0=0.2, omega=1.0, n_max=40):
-        return lee_friedrich_spectrum(pole_from_rate(omega, gamma0), n_max)
+    """Survival amplitudes on the ladder: the n-th term damps as exp(-n gamma0 t / hbar)."""
+
+    @staticmethod
+    def z0(gamma0=0.2, omega=1.0):
+        return complex(omega, -gamma0)
 
     def test_vacuum_survives(self):
-        ham = self.ham()
         for t in (0.0, 1.0, 37.5):
-            assert evolve_amplitude([1.0], [1.0], ham, t) == 1.0 + 0.0j
+            assert survival_amplitude([1.0], [1.0], self.z0(), t) == 1.0 + 0.0j
 
     def test_single_level_decay(self):
-        ham = self.ham(gamma0=0.2)
         t = 1.0 / 0.2
-        amp = evolve_amplitude([0.0, 1.0], [0.0, 1.0], ham, t)
+        amp = survival_amplitude([0.0, 1.0], [0.0, 1.0], self.z0(gamma0=0.2), t)
         assert abs(amp) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_level_k_survival_time(self):
         # |A| for the pure n = k level hits 1/e at t = hbar / (k gamma0)
-        ham = self.ham(gamma0=0.3)
         for k in (1, 2, 3):
             coeffs = [0.0] * k + [1.0]
             t = 1.0 / (k * 0.3)
-            amp = evolve_amplitude(coeffs, coeffs, ham, t)
+            amp = survival_amplitude(coeffs, coeffs, self.z0(gamma0=0.3), t)
             assert abs(amp) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_initial_inner_product(self):
-        ham = self.ham()
         a = [0.3 + 0.1j, 0.5, 0.2j]
         b = [0.1, 0.4 - 0.2j, 0.6]
-        got = evolve_amplitude(a, b, ham, 0.0)
+        got = survival_amplitude(a, b, self.z0(), 0.0)
         want = sum(bn * np.conj(an) for an, bn in zip(a, b))
         assert got == pytest.approx(want, rel=1e-15)
 
     def test_magnitude_ceiling(self):
         rng = np.random.default_rng(21)
-        ham = self.ham(gamma0=0.15, omega=2.3, n_max=8)
         for _ in range(20):
             a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             t = float(rng.uniform(0.0, 20.0))
             ceiling = float(np.sum(np.abs(a) * np.abs(b)))
-            assert abs(evolve_amplitude(a, b, ham, t)) <= ceiling * (1 + 1e-12)
+            assert abs(survival_amplitude(a, b, self.z0(gamma0=0.15, omega=2.3), t)) <= ceiling * (1 + 1e-12)
 
     def test_coherent_closed_form(self):
         # ladder-coherent coefficients give A(t) = exp(|c|^2 (e^{-i z0 t} - 1))
@@ -321,26 +259,11 @@ class TestEvolveAmplitude:
         coeffs = []
         for n in range(41):
             coeffs.append(math.exp(-alpha2 / 2.0) * alpha2 ** (n / 2.0) / math.sqrt(math.factorial(n)))
-        ham = self.ham(gamma0=0.2, omega=1.0, n_max=40)
         for t in (0.0, 0.7, 3.0, 12.0):
-            got = evolve_amplitude(coeffs, coeffs, ham, t)
+            got = survival_amplitude(coeffs, coeffs, self.z0(gamma0=0.2, omega=1.0), t)
             want = np.exp(alpha2 * (np.exp(-1j * (1.0 - 0.2j) * t) - 1.0))
             assert got == pytest.approx(complex(want), rel=1e-12)
 
     def test_hbar_rescales_time(self):
-        ham = self.ham()
         a = [0.6, 0.8]
-        assert evolve_amplitude(a, a, ham, 3.0, hbar=2.0) == evolve_amplitude(a, a, ham, 1.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            evolve_amplitude([1.0], [1.0, 0.0], self.ham(), 0.0)
-
-    def test_truncation_enforced(self):
-        ham = self.ham(n_max=2)
-        with pytest.raises(ValidationError):
-            evolve_amplitude([1, 0, 0, 0], [1, 0, 0, 0], ham, 0.0)
-
-    def test_bad_hbar(self):
-        with pytest.raises(ValidationError):
-            evolve_amplitude([1.0], [1.0], self.ham(), 1.0, hbar=0.0)
+        assert survival_amplitude(a, a, self.z0(), 3.0, hbar=2.0) == survival_amplitude(a, a, self.z0(), 1.5)

@@ -105,6 +105,24 @@ class TestHermitianMatrix:
             HermitianMatrix(np.asarray(entries, dtype=complex))
         assert str(info.value) == line
 
+    @pytest.mark.parametrize(
+        "shape, cross, corner",
+        [
+            ((2, 2), complex(-0.0, 5e-324), 1.0),
+            ((49, 49), complex(-0.0, 5e-324), 1.0),
+            ((62, 2, 2), complex(-0.0, 5e-324), 1.0),
+            ((3, 4, 4), complex(-0.0, 5e-324), 1.0),
+            ((62, 2, 2), complex(-0.0, 1.0), 1.7e308),
+        ],
+        ids=["2x2", "49x49", "T>d^2", "T<=d^2", "past-2^1021"],
+    )
+    def test_signed_zero_keeps_its_bits(self, shape, cross, corner):
+        # complex / 2.0 halves (re + im * 0) / 2, which turns -0.0 into +0.0 when im > 0;
+        # amplitudes[60][0, 1] of the N = 61 frame catalogue in test_properties' @example is such a cross
+        a = np.zeros(shape, dtype=complex)
+        a[..., 0, 1], a[..., 1, 0], a[..., 0, 0] = cross, cross.conjugate(), corner
+        assert hermitian_average(a).tobytes() == a.tobytes()
+
     def test_empty_stack(self):
         # a catalogue matrix with no poles averages a (0, d, d) amplitude stack
         assert hermitian_average(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)

@@ -9,19 +9,17 @@ import numpy as np
 import pytest
 
 from decopoles.errors import ValidationError
-from decopoles.friedrich import EffectiveHamiltonian, _ladder_phases, evolve_amplitude
 from decopoles.omnes import (
     NDComponents,
     OmnesConfig,
     _fock_table,
+    _frame_overlaps,
+    _ladder_phases,
     _logsumexp,
     QuasiCoherentState,
     build_density_matrix,
     collective_rate,
-    density_components,
-    evolved_overlaps,
     fock_overlap,
-    frame_amplitudes,
     frame_catalogue_matrix,
     frame_projection,
     macroscopicity_check,
@@ -41,6 +39,38 @@ IGNORE_MACRO = pytest.mark.filterwarnings("ignore:configuration is not macroscop
 def config(L0=10.0, gamma0=0.1, N=6000, a=ROOT_HALF, b=ROOT_HALF, m=1.0, omega=2.0, hbar=1.0):
     # with m*omega/2 = hbar = 1 the displacement L0 equals Delta directly
     return OmnesConfig(m=m, omega=omega, hbar=hbar, gamma0=gamma0, L0=L0, a=a, b=b, N=N)
+
+
+def frame_pair(cfg, z0, t, closed_form=True):
+    """(f1, f2) = (a + b s, a s + b w(t)): the projections of the evolved state on the initial branches."""
+    s, w = _frame_overlaps(cfg, z0, t, closed_form)
+    return cfg.a + cfg.b * s, cfg.a * s + cfg.b * w
+
+
+def oracle_state(cfg, z0, t):
+    """Reference: the unnormalized evolved state a|0> + b sum_n v_n exp(-i n z0 t / hbar)|n>.
+
+    v is ``QuasiCoherentState.fock_vector()``; each phase is its own ``cmath.exp`` of n times
+    one exponent, so no ladder helper of the library takes part.
+    """
+    x = -1j * complex(z0) * t / cfg.hbar
+    state = cfg.b * cfg.state2().fock_vector() * np.array([cmath.exp(n * x) for n in range(cfg.N + 1)])
+    state[0] += cfg.a
+    return state
+
+
+# Stated before measuring: the oracle's phases differ from the library's by a few roundings of the
+# exponent x_n, so by about |x_n| u relative; weighted by |phase| = exp(-Re x_n), that is at most
+# (|z0| / gamma0) u, about 1e-14 at the widest ratio drawn (50).  Every entry of rho is at most 1,
+# so 1e-12 leaves a factor of 100, while a flipped phase sign moves entries by O(1) at t > 0.
+FOCK_ORACLE_TOL = 1e-12
+
+
+def oracle_density(cfg, z0, t):
+    """Reference: the trace-1 outer product of the normalized ``oracle_state``."""
+    u = oracle_state(cfg, z0, t)
+    u = u / np.linalg.norm(u)
+    return np.outer(u, u.conj())
 
 
 def brute_normalized_overlap(a1, a2, N):
@@ -286,41 +316,43 @@ class TestMacroscopicity:
 
 
 class TestEvolvedOverlaps:
+    """The closed-form frame overlaps s = exp(-Delta^2/2) and w(t), and the warning of their users."""
+
     def test_initial_values(self):
         cfg = config()
-        o11, o12, o21, o22 = evolved_overlaps(cfg, cfg.z0(), 0.0)
-        assert o11 == 1.0
-        assert o12 == o21 == pytest.approx(math.exp(-50.0), rel=1e-15)
-        assert o22 == 1.0
+        s, w = _frame_overlaps(cfg, cfg.z0(), 0.0, closed_form=True)
+        assert s == pytest.approx(math.exp(-50.0), rel=1e-15)
+        assert w == 1.0
 
     def test_long_time_floor(self):
         cfg = config()
-        _, _, _, w = evolved_overlaps(cfg, cfg.z0(), 50.0 / cfg.gamma0)
+        _, w = _frame_overlaps(cfg, cfg.z0(), 50.0 / cfg.gamma0, closed_form=True)
         assert abs(w) == pytest.approx(math.exp(-100.0), rel=1e-12)
 
     def test_oscillatory_magnitude(self):
         cfg = config()
         z0 = cfg.z0(omega_prime=2.0)
         t = 0.9
-        _, _, _, w = evolved_overlaps(cfg, z0, t)
+        _, w = _frame_overlaps(cfg, z0, t, closed_form=True)
         want = math.exp(-100.0 * (1.0 - math.cos(2.0 * t) * math.exp(-0.1 * t)))
         assert abs(w) == pytest.approx(want, rel=1e-12)
 
     def test_growth_pole_rejected(self):
         cfg = config()
-        with pytest.raises(ValidationError):
-            evolved_overlaps(cfg, complex(0.0, 0.1), 1.0)
+        for closed_form in (True, False):
+            with pytest.raises(ValidationError):
+                _frame_overlaps(cfg, complex(0.0, 0.1), 1.0, closed_form)
 
     def test_warns_when_not_macroscopic(self):
         cfg = config(L0=2.0, N=400)
         with pytest.warns(UserWarning, match="macroscopic"):
-            evolved_overlaps(cfg, cfg.z0(), 0.5)
+            nd_decay(cfg, cfg.z0(), [0.5])
 
     def test_quiet_when_macroscopic(self):
         cfg = config()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            evolved_overlaps(cfg, cfg.z0(), 0.5)
+            nd_decay(cfg, cfg.z0(), [0.5])
 
 
 class TestNDBlock:
@@ -464,27 +496,27 @@ class TestFockDensity:
         assert rho.entries[0, 0] == pytest.approx(1.0, rel=1e-14)
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
 
-    @IGNORE_MACRO
-    def test_split_reassembles(self):
-        cfg = config(L0=4.0, N=63)
-        for t in (0.0, 0.7, 5.0):
-            parts = density_components(cfg, cfg.z0(), t)
-            back = parts.rho_d + parts.rho_nd
-            assert np.max(np.abs(back - parts.rho_unnormalized)) < 1e-15
+    @staticmethod
+    def state_norm(cfg, z0, t):
+        """Length of the unnormalized state, read off rho: rho_00 = |a + b v_0|^2 / norm^2."""
+        rho = build_density_matrix(cfg, z0, t).entries
+        assert np.max(np.abs(rho - oracle_density(cfg, z0, t))) <= FOCK_ORACLE_TOL
+        return abs(oracle_state(cfg, z0, t)[0]) / math.sqrt(rho[0, 0].real)
 
     @IGNORE_MACRO
     def test_initial_norm(self):
         cfg = config(L0=4.0, N=63, a=0.6, b=0.8)
-        parts = density_components(cfg, cfg.z0(), 0.0)
         s_n = float(cfg.state2().fock_vector()[0])
-        assert parts.norm == pytest.approx(math.sqrt(1.0 + 2 * 0.6 * 0.8 * s_n), rel=1e-12)
+        assert self.state_norm(cfg, cfg.z0(), 0.0) == pytest.approx(math.sqrt(1.0 + 2 * 0.6 * 0.8 * s_n), rel=1e-12)
 
     @IGNORE_MACRO
     def test_norm_decays(self):
+        # the displaced branch damps toward its n = 0 component, so the state loses length
         cfg = config(L0=4.0, N=63)
-        early = density_components(cfg, cfg.z0(), 0.0).norm
-        late = density_components(cfg, cfg.z0(), 40.0 / cfg.gamma0).norm
+        early = self.state_norm(cfg, cfg.z0(), 0.0)
+        late = self.state_norm(cfg, cfg.z0(), 40.0 / cfg.gamma0)
         assert late < early
+        assert late == pytest.approx(np.linalg.norm(oracle_state(cfg, cfg.z0(), 40.0 / cfg.gamma0)), rel=1e-12)
 
     @IGNORE_MACRO
     def test_positive_unit_spectrum(self):
@@ -502,11 +534,13 @@ class TestFockDensity:
         cfg = config(L0=8.0, N=511)
         z0 = cfg.z0()
         t = 1.3
-        parts = density_components(cfg, z0, t)
+        rho = build_density_matrix(cfg, z0, t).entries
+        assert np.max(np.abs(rho - oracle_density(cfg, z0, t))) <= FOCK_ORACLE_TOL
+        rho_unnormalized = np.linalg.norm(oracle_state(cfg, z0, t)) ** 2 * rho
         v2 = cfg.state2().fock_vector().astype(complex)
         e0 = np.zeros(cfg.N + 1, dtype=complex)
         e0[0] = 1.0
-        bra_ket = complex(v2.conj() @ parts.rho_unnormalized @ e0)
+        bra_ket = complex(v2.conj() @ rho_unnormalized @ e0)
         nd = nd_block(cfg, z0, t)
         assert abs(bra_ket - nd.rho21) < 1e-10
 
@@ -515,40 +549,32 @@ class TestFramePicture:
     @pytest.mark.parametrize(
         "reader",
         [
-            lambda cfg, z0: frame_amplitudes(cfg, z0, 1.0, closed_form=True),
-            lambda cfg, z0: frame_amplitudes(cfg, z0, 1.0, closed_form=False),
+            lambda cfg, z0: frame_projection(cfg, z0, 1.0, closed_form=True),
             lambda cfg, z0: frame_projection(cfg, z0, 1.0, closed_form=False),
             lambda cfg, z0: nd_block(cfg, z0, 1.0),
             lambda cfg, z0: nd_decay(cfg, z0, [0.0, 1.0]),
+            lambda cfg, z0: build_density_matrix(cfg, z0, 1.0),
         ],
-        ids=["frame_amplitudes-closed", "frame_amplitudes-truncated", "frame_projection",
-             "nd_block", "nd_decay"],
+        ids=["frame_projection-closed", "frame_projection", "nd_block", "nd_decay", "build_density_matrix"],
     )
     def test_growth_pole_rejected(self, reader):
         with pytest.raises(ValidationError) as info:
             reader(config(), 0.1j)
         assert str(info.value) == "Im z0 = 0.1 must be <= 0 (decaying pole)"
 
-    def test_spectrum_rejects_growth_with_the_frame_message(self):
-        with pytest.raises(ValidationError) as spectrum:
-            EffectiveHamiltonian(2, 0.1j)
-        with pytest.raises(ValidationError) as frame:
-            frame_amplitudes(config(), 0.1j, 1.0)
-        assert str(spectrum.value) == str(frame.value) == "Im z0 = 0.1 must be <= 0 (decaying pole)"
-
     @IGNORE_MACRO
     def test_f1_static(self):
         cfg = config(L0=6.0, N=255)
-        f1_a, _ = frame_amplitudes(cfg, cfg.z0(), 0.0)
-        f1_b, _ = frame_amplitudes(cfg, cfg.z0(), 7.0)
+        f1_a, _ = frame_pair(cfg, cfg.z0(), 0.0)
+        f1_b, _ = frame_pair(cfg, cfg.z0(), 7.0)
         assert f1_a == f1_b
 
     @IGNORE_MACRO
     def test_closed_and_exact_agree_when_converged(self):
         cfg = config(L0=8.0, N=511)
         for t in (0.0, 0.4, 2.0):
-            closed = frame_amplitudes(cfg, cfg.z0(), t, closed_form=True)
-            exact = frame_amplitudes(cfg, cfg.z0(), t, closed_form=False)
+            closed = frame_pair(cfg, cfg.z0(), t, closed_form=True)
+            exact = frame_pair(cfg, cfg.z0(), t, closed_form=False)
             assert abs(closed[0] - exact[0]) < 1e-12
             assert abs(closed[1] - exact[1]) < 1e-12
 
@@ -557,8 +583,8 @@ class TestFramePicture:
         cfg = config(L0=6.0, N=255, a=0.6, b=0.8)
         z0 = cfg.z0()
         t = 0.9
-        f1, f2 = frame_amplitudes(cfg, z0, t, closed_form=False)
-        state = density_components(cfg, z0, t).state
+        f1, f2 = frame_pair(cfg, z0, t, closed_form=False)
+        state = oracle_state(cfg, z0, t)
         v2 = cfg.state2().fock_vector().astype(complex)
         assert complex(state[0]) == pytest.approx(f1, rel=1e-12)
         assert complex(v2.conj() @ state) == pytest.approx(f2, rel=1e-12)
@@ -615,16 +641,17 @@ class TestTowerOracle:
     def test_truncated_f2(self):
         for cfg, z0, t in self.cases():
             w, size, n2 = self.oracle(cfg, z0, t)
-            _, f2 = frame_amplitudes(cfg, z0, t, closed_form=False)
+            _, f2 = frame_pair(cfg, z0, t, closed_form=False)
             want = complex(cfg.a * n2 + cfg.b * w)
             tol = 1e-12 * float(abs(cfg.a) * n2 + abs(cfg.b) * size)
             assert abs(f2 - want) <= tol, (cfg, z0, t)
 
-    def test_evolve_amplitude(self):
+    def test_ladder_sum_over_the_fock_vector(self):
+        # w = sum_n v_n^2 x^n over all N + 1 ladder phases, the Fock density's ladder
         for cfg, z0, t in self.cases():
             w, size, _ = self.oracle(cfg, z0, t)
             v2 = cfg.state2().fock_vector()
-            got = evolve_amplitude(v2, v2, EffectiveHamiltonian(cfg.N, z0), t, cfg.hbar)
+            got = complex(np.sum(v2 * v2 * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)))
             assert abs(got - complex(w)) <= 1e-12 * float(size), (cfg, z0, t)
 
 
@@ -677,8 +704,8 @@ class TestLiveFrameSum:
         # the full sum overflows exp in its zero-weight terms here and fails on 0 * inf
         cfg = config(L0=6.9, gamma0=0.2, N=1000)
         z0, t = cfg.z0(), -5.0
-        f1, f2 = frame_amplitudes(cfg, z0, t, closed_form=False)
-        g1, g2 = frame_amplitudes(cfg, z0, t)
+        f1, f2 = frame_pair(cfg, z0, t, closed_form=False)
+        g1, g2 = frame_pair(cfg, z0, t)
         assert f1 == pytest.approx(g1, rel=1e-12) and f2 == pytest.approx(g2, rel=1e-12)
         exact = frame_projection(cfg, z0, t, closed_form=False).entries
         closed = frame_projection(cfg, z0, t).entries
@@ -724,9 +751,7 @@ class TestUnderflowingDisplacement:
 
     def test_truncated_frame_equals_closed_form(self):
         z0 = self.cfg.z0()
-        assert frame_amplitudes(self.cfg, z0, 1.0, closed_form=False) == frame_amplitudes(
-            self.cfg, z0, 1.0
-        )
+        assert frame_pair(self.cfg, z0, 1.0, closed_form=False) == frame_pair(self.cfg, z0, 1.0)
         exact = frame_projection(self.cfg, z0, 1.0, closed_form=False).entries
         assert np.array_equal(exact, frame_projection(self.cfg, z0, 1.0).entries)
 
@@ -772,7 +797,7 @@ class TestFrameCatalogue:
         cfg = config(L0=6.0, N=255)
         cm = frame_catalogue_matrix(cfg)
         for t in (0.0, 0.5, 3.0, 30.0):
-            f1, f2 = frame_amplitudes(cfg, cfg.z0(), t, closed_form=False)
+            f1, f2 = frame_pair(cfg, cfg.z0(), t, closed_form=False)
             direct = np.outer(np.array([f1, f2]), np.array([f1, f2]).conj())
             assert np.max(np.abs(cm.evaluate(t) - direct)) < 1e-12
 
@@ -848,9 +873,9 @@ class TestFrameWorkOnce:
         return calls
 
     @IGNORE_MACRO
-    def test_frame_amplitudes_truncated(self, table_calls):
+    def test_frame_projection_truncated(self, table_calls):
         cfg = config(L0=6.0, N=255)
-        frame_amplitudes(cfg, cfg.z0(), 0.7, closed_form=False)
+        frame_projection(cfg, cfg.z0(), 0.7, closed_form=False)
         assert table_calls == [(cfg.alpha2, cfg.N)]  # one read of the table per point
 
     @IGNORE_MACRO
@@ -866,6 +891,10 @@ class TestFrameWorkOnce:
         cfg = config(L0=6.0, N=255, a=0.6, b=0.8)
         z0 = cfg.z0(0.3)
         want = complex(np.exp(-cfg.delta**2 * (1.0 - np.exp(-1j * z0 * t / cfg.hbar))))
-        assert evolved_overlaps(cfg, z0, t)[3] == want
+        s = math.exp(-0.5 * cfg.delta**2)
+        assert _frame_overlaps(cfg, z0, t, closed_form=True) == (s, want)
         assert nd_block(cfg, z0, t).rho21 == cfg.a.conjugate() * cfg.b * want
-        assert frame_amplitudes(cfg, z0, t)[1] == cfg.a * math.exp(-0.5 * cfg.delta**2) + cfg.b * want
+        f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * want])
+        mat = np.outer(f, f.conj())
+        want_rho = DensityMatrix(mat / float(mat[0, 0].real + mat[1, 1].real)).entries
+        assert frame_projection(cfg, z0, t).entries.tobytes() == want_rho.tobytes()

@@ -3,8 +3,8 @@
 Usage: ``decopoles <subcommand> --config <file> [--out <dir>]`` with
 subcommands ``simulate`` (scenarios model1, model2, model3, bifriedrich),
 ``omnes`` and ``extract``.  Exit codes: 0 success, 2 invalid config (with
-field-path diagnostics), 3 numeric failure (quadrature, rank, state
-construction).
+field-path diagnostics), an unreadable input or an unwritable output path,
+3 numeric failure (quadrature, rank, state construction).
 
 ``model3`` reads a general pole catalogue (``modes``, ``equilibrium``,
 ``hbar``, ``khalfin``) with a partition ``rule`` and ``boundary``; the
@@ -127,11 +127,11 @@ def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
 
 
 def _read_text(path: str, label: str) -> str:
-    """Contents of a UTF-8 file; an unreadable one is a config error ``label 'path': why``."""
+    """Contents of a UTF-8 file; an unreadable or undecodable one is a config error ``label 'path': why``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{label} {path!r}: {exc}") from exc
 
 
@@ -514,6 +514,10 @@ def main(argv=None) -> int:
         rank = getattr(exc, "effective_rank", None)
         print(f"numeric failure: {exc}{'' if rank is None else f' (effective rank {rank})'}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output could not be written
+        where = "--out" if args.out is not None else "config.output_dir"
+        print(f"config error: {where} {outdir!r}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -48,9 +48,10 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
     """(A + A^H) / 2 of each matrix over the last two axes, so downstream math sees A == A^H.
 
     Every entry must be finite, and each matrix Hermitian relative to its
-    own scale: max |A - A^H| <= HERMITICITY_TOL * max(max|A|, 1).  Input
-    with an entry past 2^1021 is halved first, exactly for normal floats,
-    so no finite input overflows.  Every halving multiplies each real and
+    own scale: max |A - A^H| <= HERMITICITY_TOL * max(max|A|, 1); one
+    matrix is checked as a stack of one.  Input with an entry past 2^1021
+    is halved first, exactly for normal floats, so no finite input
+    overflows.  Every halving multiplies each real and
     imaginary part by 0.5 alone, so a zero part keeps its sign.
 
     Precision: each part of each entry takes one rounded addition, and its
@@ -59,21 +60,6 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
     A matrix Hermitian to the bit (diagonals with imaginary part +0.0)
     comes back with its own bits, the signs of its zero parts included.
     """
-    if a.shape == (2, 2) and a.dtype == complex:  # read once; Python's abs rounds apart from numpy's
-        (p, q), (r, s) = a.tolist()
-        try:
-            scale = max(abs(p), abs(q), abs(r), abs(s))  # a NaN or Inf entry makes dev NaN or inf
-            dev = abs(p - p.conjugate()) + abs(q - r.conjugate()) + abs(s - s.conjugate())
-            if scale <= 2.0**1020 and dev <= 0.5 * HERMITICITY_TOL * max(scale, 1.0):  # room for an ulp
-                return _halved(a + a.T.conj())
-        except OverflowError:  # Python's abs raises where numpy's reads inf
-            pass
-    if a.ndim == 2 and (scale := float(abs(a).max())) <= 2.0**1021:  # one matrix: compare Python floats
-        ah = a.T.conj()
-        dev = float(abs(a - ah).max())
-        if dev > HERMITICITY_TOL * max(scale, 1.0):
-            raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
-        return _halved(a + ah)
     scale = _matrix_reduce(np.ndarray.max, abs(a))
     unit = 1.0  # what one unit of ``a`` stands for
     if not (scale <= 2.0**1021).all():  # NaN, Inf, or entries whose sum could overflow
@@ -103,11 +89,11 @@ def _checked_entries(entries, ndim: int = 2, unit_trace: bool = False) -> np.nda
     if a.size == 0:
         raise ValidationError("empty matrix")
     h = hermitian_average(a)
-    if unit_trace and (a.shape != (2, 2) or abs(h.item(0).real + h.item(3).real - 1.0) > 1e-12):
+    if unit_trace:
         with np.errstate(over="ignore"):  # a trace past the float range reads inf
             tr = h.trace(axis1=-2, axis2=-1).real
         bad = abs(tr - 1.0) > 1e-12
-        if bad.any() if bad.ndim else bad:  # one matrix: a numpy bool, whose any() is a whole reduction
+        if bad.any():
             tr = float(tr.flat[bad.argmax()])  # a numpy scalar's repr varies across numpy
             raise ValidationError(f"trace is {tr!r}, expected 1 within 1e-12")
     h.setflags(write=False)
@@ -135,10 +121,10 @@ class HermitianMatrix:
 class DensityMatrix(HermitianMatrix):
     """Hermitian, trace-one complex matrix (positivity is the caller's task).
 
-    Construction enforces Hermiticity and unit trace to 1e-12; positive
-    semidefiniteness is a property of how the matrix was built (e.g. as a
-    normalized outer product) and can be audited with ``min_eigenvalue``,
-    one values-only LAPACK call (no eigenvectors, phases or residual).
+    Construction enforces Hermiticity and unit trace to 1e-12, as ``_formed_density``
+    does for ``omnes``' per-point states; positive semidefiniteness is a property of how
+    the matrix was built (e.g. as a normalized outer product) and can be audited with
+    ``min_eigenvalue``, one values-only LAPACK call (no eigenvectors, phases or residual).
     """
 
     def __post_init__(self):
@@ -162,14 +148,28 @@ def _stacked(mats) -> np.ndarray:
     return stack
 
 
+def _as_density(h: np.ndarray) -> DensityMatrix:
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "entries", h)
+    return rho
+
+
 def _density_stack(mats) -> list:
     """``[DensityMatrix(m) for m in mats]``, checked once as one stack; entries are its views."""
-    out = []
-    for m in _checked_entries(mats, 3, unit_trace=True):
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "entries", m)
-        out.append(rho)
-    return out
+    return [_as_density(m) for m in _checked_entries(mats, 3, unit_trace=True)]
+
+
+def _formed_density(a: np.ndarray) -> DensityMatrix:
+    """``DensityMatrix(a)`` for ``a`` = u u^H scaled to unit trace: the same average and failures,
+    without the scale and deviation reductions such a matrix cannot fail (see the README)."""
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix contains NaN or Inf entries")
+    h = _halved(a + a.T.conj())
+    tr = float(h.trace().real)  # finite entries far below 2^1021: no overflow
+    if abs(tr - 1.0) > 1e-12:
+        raise ValidationError(f"trace is {tr!r}, expected 1 within 1e-12")
+    h.setflags(write=False)
+    return _as_density(h)
 
 
 @dataclass(frozen=True)

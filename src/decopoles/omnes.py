@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix
+from .numerics import DensityMatrix, _formed_density
 from .pole_models import CatalogueMatrix, _collective_scale, _delta, _ldexp
 
 _NORM_TOL = 1e-12
@@ -407,8 +407,8 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
 
     The state a|0> + b|alpha2(t)>, with the displaced branch evolved
     componentwise by exp(-i n z0 t / hbar), normalized by its length (the
-    non-unitary evolution loses norm); rho is its outer product.  A growing
-    pole (Im z0 > 0) raises ValidationError.
+    non-unitary evolution loses norm); rho is its outer product, through
+    ``numerics._formed_density``.  A growing pole (Im z0 > 0) raises ValidationError.
     """
     _pole_width(z0)
     v2t = _fock_table(cfg.alpha2, cfg.N).v * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
@@ -420,7 +420,7 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
     if norm <= 0.0:
         raise ValidationError("evolved state has zero norm")
     unit = state / norm
-    return DensityMatrix(np.outer(unit, unit.conj()))
+    return _formed_density(np.outer(unit, unit.conj()))
 
 
 # --- two-dimensional frame picture -------------------------------------------
@@ -437,8 +437,8 @@ def frame_projection(
     the infinite-N expressions; otherwise both use the exact truncated
     sums.  Entry (i, j) is f_i conj(f_j), normalized to unit trace; the
     frame is treated as orthonormal, which the macroscopic regime justifies
-    up to the exp(-Delta^2/2) cross-overlap.  A growing pole (Im z0 > 0)
-    raises ValidationError.
+    up to the exp(-Delta^2/2) cross-overlap; it goes through ``numerics._formed_density``.
+    A growing pole (Im z0 > 0) raises ValidationError.
     """
     s, w = _frame_overlaps(cfg, z0, t, closed_form)
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
@@ -446,7 +446,7 @@ def frame_projection(
     tr = mat.item(0).real + mat.item(3).real  # the bits of mat.trace().real, as Python floats
     if tr <= 0.0:
         raise ValidationError("frame projection has zero weight")
-    return DensityMatrix(mat / tr)
+    return _formed_density(mat / tr)
 
 
 def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:

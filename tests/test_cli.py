@@ -708,6 +708,59 @@ class TestConfigErrors:
         )
 
 
+class TestFileErrors:
+    """An unreadable or undecodable input file, or an unwritable output path, is a config error:
+    exit 2, one line naming the field and the path, no traceback."""
+
+    MODEL1 = {"scenario": "model1", "grid": {"t_max": 1.0, "n_points": 5}, "params": {"gamma0": 1.0}}
+
+    @staticmethod
+    def not_utf8(tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe{}")
+        return path
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = self.not_utf8(tmp_path, "bad.json")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config {str(path)!r}: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    def test_input_csv_not_utf8(self, tmp_path, capsys):
+        path = self.not_utf8(tmp_path, "signal.csv")
+        cfg = write_config(tmp_path, {"scenario": "extract", "params": {"input_csv": str(path), "model_order": 1}})
+        assert main(["extract", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: params.input_csv: cannot read {str(path)!r}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    def test_density_csv_not_utf8(self, tmp_path, capsys):
+        path = self.not_utf8(tmp_path, "density.csv")
+        sd = {"kind": "csv", "omega0": 1.0, "path": str(path)}
+        cfg = write_config(tmp_path, {"scenario": "omnes", "grid": self.MODEL1["grid"], "params": {"spectral_density": sd}})
+        assert main(["omnes", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: params.spectral_density.path: cannot read {str(path)!r}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize("flag", [True, False], ids=["--out", "output_dir"])
+    def test_output_path_not_a_directory(self, tmp_path, capsys, flag, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        out = str(blocker / "run" if below else blocker)
+        doc = self.MODEL1 if flag else dict(self.MODEL1, output_dir=out)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg] + (["--out", out] if flag else [])) == 2
+        err = capsys.readouterr().err
+        field = "--out" if flag else "config.output_dir"
+        assert err.startswith(f"config error: {field} {out!r}: [Errno ")
+        assert err.count("\n") == 1
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(

@@ -744,6 +744,48 @@ class TestFrameProjectionBits:
             assert got.tobytes() == plain_formula_projection(cfg, cfg.z0(), t).tobytes(), t
 
 
+class TestFormedStates:
+    """frame_projection and build_density_matrix return through numerics._formed_density."""
+
+    FRAME = config(L0=6.0, gamma0=0.2, N=200)
+    FOCK = config(L0=4.0, N=48)
+    BUILDS = {
+        "frame-closed": lambda cfg, z0, t: frame_projection(cfg, z0, t),
+        "frame-truncated": lambda cfg, z0, t: frame_projection(cfg, z0, t, closed_form=False),
+        "fock": build_density_matrix,
+    }
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_no_hermitian_check_on_the_way(self, monkeypatch, name):
+        def refuse(a):
+            raise AssertionError("hermitian_average called on a formed state")
+
+        monkeypatch.setattr("decopoles.numerics.hermitian_average", refuse)
+        cfg = self.FOCK if name == "fock" else self.FRAME
+        rho = self.BUILDS[name](cfg, cfg.z0(0.3), 2.0)
+        assert type(rho) is DensityMatrix and not rho.entries.flags.writeable
+        assert np.array_equal(rho.entries, rho.entries.conj().T)
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_non_finite_state_is_rejected(self, name):
+        # far back in time the ladder phases overflow, and the state holds Inf or NaN
+        cfg = self.FOCK if name == "fock" else self.FRAME
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError) as err:
+            self.BUILDS[name](cfg, cfg.z0(), -1e3)
+        assert str(err.value) == "matrix contains NaN or Inf entries"
+
+    @pytest.mark.parametrize("L0", [2000.0, 2300.0])
+    def test_subnormal_squared_norm_fails_the_trace(self, L0):
+        # the n = 0 weight alone survives, near 1e-160: its square is subnormal, so the norm
+        # that scales the state is rounded far off and rho's trace misses 1 by more than 1e-12
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 1.0, L0, 0.0, 1.0, 60)
+        with pytest.raises(ValidationError) as err:
+            build_density_matrix(cfg, cfg.z0(), 20.0)
+        assert str(err.value).startswith("trace is ")
+
+
 class TestUnderflowingDisplacement:
     """L0 = 1e-200 is valid, but Delta^2 underflows to 0: the tower is the vacuum."""
 

@@ -6,6 +6,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -23,6 +24,7 @@ from decopoles.numerics import (
     hermitian_average,
     matrix_pencil_fit,
 )
+from decopoles import omnes
 from decopoles.omnes import (
     OmnesConfig,
     _fock_table,
@@ -30,6 +32,7 @@ from decopoles.omnes import (
     build_density_matrix,
     collective_rate,
     frame_catalogue_matrix,
+    frame_projection,
     nd_block,
     nd_decay,
     overlap_error_bound,
@@ -963,7 +966,7 @@ class TestHermitianCheck:
     @settings(deadline=None, max_examples=300)
     @given(spoilt_stacks(), st.booleans())
     def test_same_decision_message_and_bits_as_the_loop_body(self, mats, one):
-        a = mats[0] if one and len(mats) else mats  # one 2x2 member is checked on Python floats
+        a = mats[0] if one and len(mats) else mats  # one matrix takes the stack's path
         got, got_out = outcome(hermitian_average, a)
         want, want_out = outcome(reference_hermitian_average, a)
         assert got == want
@@ -992,7 +995,7 @@ _KINDS = ("hermitian", "non-hermitian", "non-finite", "huge", "signed-zero", "at
 
 @st.composite
 def single_matrices(draw):
-    """(m, unit_trace): one d x d complex matrix, d = 1..49 (2 half the time), of one of ``_KINDS``.
+    """(m, unit_trace): one d x d complex matrix, d = 1..49 (2 half the time, as a frame state), of one of ``_KINDS``.
 
     Entries come from a drawn numpy seed, so large matrices cost no more to
     draw than small ones.  "hermitian" is exactly Hermitian at a scale from
@@ -1005,7 +1008,7 @@ def single_matrices(draw):
     a density matrix, often a pure state |k><k|, by about the trace tolerance.
     """
     kind = draw(st.sampled_from(_KINDS))
-    d = draw(st.just(2) | st.integers(2 if kind == "at-tolerance" else 1, 49))  # 2x2: Python floats
+    d = draw(st.just(2) | st.integers(2 if kind == "at-tolerance" else 1, 49))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     unit_trace = kind == "off-trace" or draw(st.booleans())
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -1056,8 +1059,53 @@ def raised(check, *args, **kwargs):
         return None, (type(exc), str(exc))
 
 
+_U = Fraction(1, 2**53)
+_ONE = 2**1074  # 1.0 in units of 2^-1074 (``_units``)
+
+
+def _verdict(measure, bound, band):
+    """True when ``measure`` <= ``bound`` - ``band``, False when >= ``bound`` + ``band``, None between."""
+    return True if measure <= bound - band else False if measure >= bound + band else None
+
+
+def documented_check(m, unit_trace):
+    """(hermitian, trace): the README's rule for one matrix in exact arithmetic, each a ``_verdict``.
+
+    Hermitian: max |A - A^H| <= 1e-12 max(max|A|, 1), compared in squares.  The check
+    rounds each part of A - A^H once and takes abs as hypot, within one ulp (2u), so its
+    deviation lies within 3u of the exact one; its threshold takes abs and one product,
+    within 3u too.  So a verdict holds outside a band of 12u in squares, not 8u.
+    Trace (``unit_trace``): |tr - 1| <= 1e-12, tr the sum of the diagonal's real parts.
+    The check sums d rounded parts, within gamma_(d-1) sum |a_ii| of the exact sum, and
+    each halved subnormal part may lose 2^-1075; 1 - tr is then exact (Sterbenz).  That
+    bound, not a share of 1e-12, is the trace's band.  ``trace`` is None without ``unit_trace``.
+    """
+    d = m.shape[0]
+    re = [[_units(x) for x in row] for row in m.real.tolist()]
+    im = [[_units(x) for x in row] for row in m.imag.tolist()]
+    scale2 = max(re[i][j] ** 2 + im[i][j] ** 2 for i in range(d) for j in range(d))
+    dev2 = max((re[i][j] - re[j][i]) ** 2 + (im[i][j] + im[j][i]) ** 2 for i in range(d) for j in range(d))
+    bound2 = Fraction(1e-12) ** 2 * max(scale2, _ONE**2)
+    hermitian = _verdict(dev2, bound2, 12 * _U * bound2)
+    if not unit_trace:
+        return hermitian, None
+    diag = [re[i][i] for i in range(d)]
+    band = (d - 1) * _U / (1 - (d - 1) * _U) * sum(abs(x) for x in diag) + d  # gamma_(d-1) sum |a_ii| + d
+    return hermitian, _verdict(abs(sum(diag) - _ONE), Fraction(1e-12) * _ONE, band)
+
+
+def within_the_average_bound(got, m) -> bool:
+    """Each part of ``got`` within u |exact| + 2^-1074 of the exact (m_ij + conj(m_ji)) / 2."""
+    for (i, j), g in np.ndenumerate(got):
+        p, q = complex(m[i, j]), complex(m[j, i])
+        for part, twice in ((g.real, _units(p.real) + _units(q.real)), (g.imag, _units(p.imag) - _units(q.imag))):
+            if 2**53 * abs(2 * _units(part) - twice) > abs(twice) + 2**54:  # |part - twice / 2| <= u |twice / 2| + 1
+                return False
+    return True
+
+
 class TestSingleMatrixCheck:
-    """One (d, d) matrix is checked as the one-member stack is: same bits, same failure."""
+    """One (d, d) matrix against the documented rule in exact arithmetic (``documented_check``)."""
 
     @settings(deadline=None, max_examples=400)
     @given(single_matrices())
@@ -1065,12 +1113,52 @@ class TestSingleMatrixCheck:
     @example((np.diag([1.5e308, 1.0]).astype(complex), False))  # past 2^1021: halved
     @example((np.diag([1.0, 3e-12]).astype(complex), True))  # off-trace beside a pure state
     @example((np.array([[-0.0, 0.5], [0.5, -0.0]], dtype=complex), True))  # trace +0.0, not -0.0
-    def test_one_matrix_equals_the_one_member_stack(self, drawn):
+    @example((np.array([[1e-300, 0.3e-12], [0.0, 1e-300]], dtype=complex), False))  # below scale 1
+    def test_one_matrix_follows_the_documented_rule(self, drawn):
         m, unit_trace = drawn
-        # failures of any class are compared, not only ValidationError as in outcome(), so a
-        # numpy RuntimeWarning (an error under pytest) on either path shows, as a huge trace's did
-        got, got_exc = raised(_checked_entries, m, unit_trace=unit_trace)
-        want, want_exc = raised(_checked_entries, m[None], 3, unit_trace=unit_trace)
-        assert got_exc == want_exc
-        if want_exc is None:
-            assert got.shape == want[0].shape and got.tobytes() == want[0].tobytes()
+        # failures of any class are caught, not only ValidationError as in outcome(), so a
+        # numpy RuntimeWarning (an error under pytest) shows as a failure of its own class
+        got, exc = raised(_checked_entries, m, unit_trace=unit_trace)
+        if not np.isfinite(m).all():
+            assert exc == (ValidationError, "matrix contains NaN or Inf entries")
+            return
+        hermitian, trace = documented_check(m, unit_trace)
+        if exc is None:
+            assert hermitian is not False and trace is not False
+            assert within_the_average_bound(got, m)
+        elif exc[0] is ValidationError and exc[1].startswith("matrix is not Hermitian"):
+            assert hermitian is not True
+        else:
+            assert exc[0] is ValidationError and exc[1].startswith("trace is "), exc
+            assert hermitian is not False and trace is not True
+
+
+@st.composite
+def formed_state_setups(draw):
+    """(config, z0, t): N <= 60, omega' in [0, 1], t in [0, 20 t_R], Delta in [0.1, 12], complex a and b."""
+    hbar, m, omega, gamma0 = (draw(st.floats(0.1, 10.0)) for _ in range(4))
+    L0 = draw(st.floats(0.1, 12.0)) * hbar / math.sqrt(m * omega / 2.0)
+    cfg = OmnesConfig(m, omega, hbar, gamma0, L0, *draw(_UNIT_PAIRS), draw(st.integers(1, 60)))
+    return cfg, cfg.z0(draw(st.floats(0.0, 1.0))), draw(st.floats(0.0, 20.0)) * hbar / gamma0
+
+
+class TestFormedStates:
+    """frame_projection and build_density_matrix return what the public ``DensityMatrix`` would."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(formed_state_setups())
+    @example((OmnesConfig(1.0, 2.0, 1.0, 1.0, 2300.0, 0.0, 1.0, 60), complex(0.0, -1.0), 20.0))  # trace fails
+    def test_each_builder_equals_the_public_check(self, setup):
+        cfg, z0, t = setup
+        builds = (
+            lambda: frame_projection(cfg, z0, t),
+            lambda: frame_projection(cfg, z0, t, closed_form=False),
+            lambda: build_density_matrix(cfg, z0, t),
+        )
+        for build in builds:
+            got, got_exc = raised(build)
+            with mock.patch.object(omnes, "_formed_density", DensityMatrix):
+                want, want_exc = raised(build)
+            assert got_exc == want_exc
+            if want_exc is None:
+                assert type(got) is DensityMatrix and got.entries.tobytes() == want.entries.tobytes()

@@ -99,6 +99,15 @@ def _fock_table(alpha: float, N: int) -> _FockTable:
     return _FockTable(log_weights, log_norm, q_live, v)
 
 
+def _truncation(N, least: int = 1) -> int:
+    """A Fock truncation ``N`` >= ``least`` as an int; a bool or a non-integer raises, naming N."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ValidationError(f"truncation N must be an integer, got {N!r}")
+    if N < least:
+        raise ValidationError("truncation N must be at least 1" if least else "N must be >= 0")
+    return int(N)
+
+
 @dataclass(frozen=True)
 class QuasiCoherentState:
     """Coherent state truncated at Fock level N, renormalized to unit norm.
@@ -115,11 +124,8 @@ class QuasiCoherentState:
         a = float(self.alpha)
         if not math.isfinite(a) or a < 0.0:
             raise ValidationError(f"alpha must be finite and >= 0, got {a!r}")
-        n = int(self.N)
-        if n < 1:
-            raise ValidationError("truncation N must be at least 1")
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "N", n)
+        object.__setattr__(self, "N", _truncation(self.N))
 
     @property
     def log_norm(self) -> float:
@@ -170,10 +176,7 @@ class OmnesConfig:
             raise ValidationError(f"|a|^2 + |b|^2 = {ssq} must be 1 within {_NORM_TOL}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        n = int(self.N)
-        if n < 1:
-            raise ValidationError("truncation N must be at least 1")
-        object.__setattr__(self, "N", n)
+        object.__setattr__(self, "N", _truncation(self.N))
         delta = _delta(self.m, self.omega, self.L0, self.hbar)
         if not math.isfinite(delta * delta):  # the frame overlaps need Delta^2
             raise ValidationError(
@@ -238,9 +241,7 @@ def overlap_error_bound(delta: float, N: int) -> float:
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
         raise ValidationError("delta must be finite and >= 0")
-    N = int(N)
-    if N < 0:
-        raise ValidationError("N must be >= 0")
+    N = _truncation(N, least=0)
     try:
         return math.exp((N + 1) * math.log(0.5 * delta * delta) - math.lgamma(N + 2.0))
     except ValueError:  # log(0): delta == 0, or so small that its square underflows

@@ -436,8 +436,9 @@ def check_report_matches(cat, report: TimescaleReport):
     """Verify a report's partition against a catalogue's widths.
 
     ``cat`` is anything exposing sorted ``gammas`` and ``hbar`` (scalar or
-    matrix catalogue).  Raises when the partition could not have been
-    derived from these widths under the report's rule and boundary.
+    matrix catalogue).  Raises when the report's cut could not have been
+    derived from these widths under its rule and boundary; the message
+    names both cuts, or the window of cuts a custom rate's rounding allows.
     """
     gammas = cat.gammas
     if report.n_modes != len(gammas):
@@ -468,11 +469,8 @@ def check_report_matches(cat, report: TimescaleReport):
     side = _BOUNDARY_CUT[report.boundary]
     lo, hi = side(gammas, threshold - tol), side(gammas, threshold + tol)
     if not lo <= report.cut <= hi:
-        want = (*range(lo),) if lo == hi else f"{(*range(lo),)} to {(*range(hi),)}"
-        raise ValidationError(
-            f"report partition {tuple(report.p_relevant)} does not match the catalogue's "
-            f"threshold split {want}"
-        )
+        want = lo if lo == hi else f"{lo} to {hi}"
+        raise ValidationError(f"report cut {report.cut} does not match the catalogue's threshold cut {want}")
 
 
 def preferred_signal(
@@ -546,7 +544,10 @@ class CatalogueMatrix:
     the matrix level.  Widths, frequencies and the read-only (K, d, d)
     ``amplitudes`` stack are sorted jointly; ``poles`` is built on first read.
     ``evaluate`` and ``dropped_envelope`` take one time or an array of T
-    times (a (T, d, d) stack, a (T,) array).  Their results are held to the
+    times (a (T, d, d) stack, a (T,) array), and their modes as a report's
+    partition gives them: ``range(cut)`` kept, ``range(cut, K)`` dropped,
+    or any ``range(start, stop)`` with 0 <= start <= stop <= K, summed as
+    one slice; no other index form is taken.  Their results are held to the
     rounding bounds their docstrings state, not to fixed bits: a factor
     whose exp would be subnormal counts as 0, and the sums run in any order.
     """
@@ -604,23 +605,13 @@ class CatalogueMatrix:
     def poles(self) -> tuple:
         return tuple(map(Pole, self._omegas.tolist(), self.gammas))
 
-    def _mode_index(self, indices):
-        """``indices`` as an index array, or a range as a slice; non-integer or out-of-range entries raise."""
-        ranged = isinstance(indices, range)  # a report's partition: its two ends bound it
-        idx = np.asarray(([indices[0], indices[-1]] if indices else []) if ranged else indices)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.intp)
-        if not (idx.ndim == 1 and idx.dtype.kind in "iu") or (
-            not isinstance(indices, (np.ndarray, range)) and not {bool, np.bool_}.isdisjoint(map(type, indices))
-        ):
-            raise ValidationError(f"mode indices must be a sequence of integers, got {indices!r}")
-        if idx.min() < 0 or idx.max() >= self._gammas.size:
-            raise ValidationError(
-                f"mode indices must lie in [0, {self._gammas.size}), got {indices!r}"
-            )
-        if ranged:  # its entries lie in [0, K), so a negative stop means "through index 0"
-            return slice(indices.start, indices.stop if indices.stop >= 0 else None, indices.step)
-        return idx
+    def _mode_slice(self, modes) -> slice:
+        """A report's ``range(start, stop)`` of modes, 0 <= start <= stop <= K, as a slice; any other form raises."""
+        if not (isinstance(modes, range) and modes.step == 1 and modes.start <= modes.stop):
+            raise ValidationError(f"modes must be a range(start, stop) with start <= stop, got {modes!r}")
+        if modes.start < 0 or modes.stop > self._gammas.size:
+            raise ValidationError(f"mode indices must lie in [0, {self._gammas.size}), got {modes!r}")
+        return slice(modes.start, modes.stop)
 
     def _decay(self, t, idx) -> np.ndarray:
         """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array.
@@ -641,7 +632,7 @@ class CatalogueMatrix:
         return decay
 
     def evaluate(self, t, keep=None) -> np.ndarray:
-        """Hermitian matrix at time t, optionally restricted to ``keep`` modes.
+        """Hermitian matrix at time t, over every mode or the ``keep`` range (a report's ``p_relevant``).
 
         For an array of times the result is a (T, d, d) stack, built from
         one (T, K) matrix of decay factors and one ``tensordot``.
@@ -654,13 +645,15 @@ class CatalogueMatrix:
         sum is a dot product of K terms in any order (Higham 2002, ch. 3),
         and products that underflow add the last term.  Bits are not pinned.
         """
-        idx = slice(None) if keep is None else self._mode_index(keep)
+        idx = slice(None) if keep is None else self._mode_slice(keep)
         return self.equilibrium + np.tensordot(self._decay(t, idx), self.amplitudes[idx], 1)
 
     def dropped_envelope(self, t, dropped):
-        """Frobenius ceiling on the ``dropped`` modes: sum_k ||A_k|| exp(-gamma_k t / hbar).
+        """Frobenius ceiling on the ``dropped`` range: sum_k ||A_k|| exp(-gamma_k t / hbar).
 
-        One time gives a float; an array of T times gives a (T,) array whose
+        ``dropped`` is a report's ``p_irrelevant``, ``range(cut, K)``, so the
+        ceiling bounds what ``evaluate(t, keep=range(cut))`` leaves out.  One
+        time gives a float; an array of T times gives a (T,) array whose
         entry k equals the call at ``t[k]`` bit for bit, since both reduce
         the same products with one row-wise sum.
 
@@ -675,7 +668,7 @@ class CatalogueMatrix:
         factors ``_decay`` stores as 0.0 make it under-read by at most
         sum_k ||A_k|| 2^-1022.
         """
-        idx = self._mode_index(dropped)
+        idx = self._mode_slice(dropped)
         decay = self._decay(t, idx)
         total = np.multiply(decay, self._norms[idx], out=decay).sum(axis=-1)
         return float(total) if total.ndim == 0 else total

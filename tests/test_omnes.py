@@ -116,6 +116,21 @@ class TestQuasiCoherentState:
         with pytest.raises(ValidationError):
             QuasiCoherentState(1.0, 0)
 
+    @pytest.mark.parametrize(
+        "N", [3.7, 3.0, True, np.bool_(True), "3", np.float64(3.0)],
+        ids=["fraction", "integral-float", "bool", "numpy-bool", "string", "numpy-float"],
+    )
+    def test_non_integer_truncation_rejected(self, N):
+        # int(3.7) would give a 3-level state, not the one asked for
+        with pytest.raises(ValidationError) as err:
+            QuasiCoherentState(2.0, N)
+        assert str(err.value) == f"truncation N must be an integer, got {N!r}"
+
+    def test_integer_truncation_of_any_kind_is_kept_as_an_int(self):
+        for N in (np.int64(3), np.uint8(3)):
+            state = QuasiCoherentState(2.0, N)
+            assert type(state.N) is int and state == QuasiCoherentState(2.0, 3)
+
     @pytest.mark.parametrize("alpha,N", [(0.0, 3), (6.0, 200), (30.0, 1481)])
     def test_log_norm_cached_with_unchanged_bits(self, alpha, N):
         want = -0.5 * _logsumexp(2.0 * _fock_table(alpha, N).log_weights)
@@ -164,6 +179,13 @@ class TestOmnesConfig:
             config(gamma0=0.0)
         with pytest.raises(ValidationError):
             config(L0=-1.0)
+
+    @pytest.mark.parametrize("N", [200.9, 200.0, True, None])
+    def test_non_integer_truncation_rejected(self, N):
+        with pytest.raises(ValidationError) as err:
+            OmnesConfig(1, 2, 1, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), N)
+        assert str(err.value) == f"truncation N must be an integer, got {N!r}"
+        assert OmnesConfig(1, 2, 1, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), np.int32(200)).N == 200
 
     def test_pole_builder(self):
         assert config(gamma0=0.25).z0() == complex(0.0, -0.25)
@@ -282,8 +304,16 @@ class TestErrorBound:
     def test_validation(self):
         with pytest.raises(ValidationError):
             overlap_error_bound(-1.0, 5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="N must be >= 0"):
             overlap_error_bound(1.0, -1)
+
+    @pytest.mark.parametrize("N", [2.5, 2.0, False, math.nan])
+    def test_non_integer_truncation_rejected(self, N):
+        # int(2.5) would give the N = 2 remainder for a truncation that has none
+        with pytest.raises(ValidationError) as err:
+            overlap_error_bound(2.0, N)
+        assert str(err.value) == f"truncation N must be an integer, got {N!r}"
+        assert overlap_error_bound(2.0, np.int64(0)) == overlap_error_bound(2.0, 0) == 2.0
 
 
 class TestMacroscopicity:

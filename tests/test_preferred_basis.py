@@ -284,7 +284,7 @@ class TestConvergenceProfile:
     def test_bound_column_definition(self):
         cm = two_pole_matrix_catalogue()
         for dist in self.profile():
-            want = cm.dropped_envelope(dist.t, (1,)) / dist.eigenvalue_gap
+            want = cm.dropped_envelope(dist.t, range(1, 2)) / dist.eigenvalue_gap
             assert dist.bound == pytest.approx(want, rel=1e-12)
 
     def test_angle_shrinks_with_time(self):
@@ -344,7 +344,7 @@ class TestConvergenceProfile:
 
         def envelope(t):
             calls.append(np.array(t, copy=True))
-            return cm.dropped_envelope(t, (1,))
+            return cm.dropped_envelope(t, range(1, 2))
 
         grid = self.grid()
         rho = [DensityMatrix(cm.evaluate(t)) for t in grid]
@@ -352,7 +352,7 @@ class TestConvergenceProfile:
         assert len(calls) == 1
         assert np.array_equal(calls[0], grid)
         assert [d.bound for d in profile] == [
-            cm.dropped_envelope(t, (1,)) / d.eigenvalue_gap for t, d in zip(grid.tolist(), profile)
+            cm.dropped_envelope(t, range(1, 2)) / d.eigenvalue_gap for t, d in zip(grid.tolist(), profile)
         ]
 
     @pytest.mark.parametrize(

@@ -193,32 +193,6 @@ class TestLiveModes:
             assert got.tobytes() != unmasked_envelope(cm, grid, np.flatnonzero(sizes > cut)).tobytes()
 
 
-def mode_ranges(k):
-    """Nonempty ranges of mode indices in [0, k), of any step and either direction."""
-    ends = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, 3))
-    return ends.map(lambda e: range(e[0], e[1] + 1, e[2]) if e[1] >= e[0] else range(e[0], e[1] - 1, -e[2]))
-
-
-class TestRangeIndex:
-    """A range picks its modes through a slice, with the bits of its index array."""
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        sparse_matrix_catalogues().flatmap(lambda c: st.tuples(st.just(c), mode_ranges(len(c[0])))),
-        st.floats(0.0, 20.0),
-        st.lists(st.floats(0.0, 20.0), max_size=6).map(lambda ts: np.array([0.0] + ts)),
-    )
-    @example((_interior_dead_catalogue(), range(23, -1, -2)), 0.0, np.array([0.0, 0.5]))  # stop -1: through 0
-    @example((_interior_dead_catalogue(), range(2, 24)), 0.0, np.array([0.0, 0.5]))
-    def test_range_and_index_array_give_the_same_bits(self, picked, t, grid):
-        catalogue, r = picked
-        cm = CatalogueMatrix(*catalogue)
-        for when in (t, grid):
-            for method in (cm.evaluate, cm.dropped_envelope):
-                got, want = np.asarray(method(when, r)), np.asarray(method(when, np.array(r, dtype=np.intp)))
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (method.__name__, r, when)
-
-
 # --- the catalogue kernels' precision contract --------------------------------
 # Each kernel is held to the rounding bound its docstring states, against mpmath at
 # 160 bits over the stored floats, whose own rounding is far below every bound.
@@ -321,6 +295,65 @@ class TestCatalogueKernelAccuracy:
                 exact = mpmath.fsum(nk * e for (nk, _), (e, _) in zip(norms, factors))
                 ceiling = (1 + _gamma(n)) * mpmath.fsum((nk + nu) * (e + eps) for (nk, nu), (e, eps) in zip(norms, factors))
                 assert abs(got[i] - exact) <= ceiling - exact + n * mpmath.mpf(2) ** -1074, t
+
+
+def evaluate_slack(cm, factors, n):
+    """The contract's bound on ||evaluate(t, keep=range(n)) - exact||_F: each part of each
+    entry within its ``evaluate`` bound, so each entry within sqrt(2) times that bound."""
+    total = mpmath.mpf(0)
+    for r in range(cm.dim):
+        for c in range(cm.dim):
+            sizes = [abs(a) for a in cm.amplitudes[:n, r, c].tolist()]
+            scale = abs(cm.equilibrium[r, c]) + mpmath.fsum(s * (e + eps) for s, (e, eps) in zip(sizes, factors))
+            part = _gamma(n + 1) * scale + mpmath.fsum(s * eps for s, (_, eps) in zip(sizes, factors))
+            total += 2 * (part + (n + 1) * mpmath.mpf(2) ** -1074) ** 2
+    return mpmath.sqrt(total)
+
+
+class TestDroppedEnvelopeBoundsTheCut:
+    """The envelope of the modes a cut drops bounds what it drops from the state:
+    ||evaluate(t) - evaluate(t, keep=range(c))||_F <= dropped_envelope(t, range(c, K)) + slack.
+
+    Exactly, the difference is sum_{k >= c} A_k e_k, whose norm is at most
+    sum_{k >= c} ||A_k||_F e_k by the triangle inequality.  The slack, fixed before any
+    run, is the sum of the three contract bounds: each ``evaluate`` within
+    ``evaluate_slack`` of its exact matrix, and the envelope within its stated
+    bound of the exact ceiling.  The left side is the norm of the difference
+    of the two computed matrices, taken to 160 bits in mpmath.
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        # the sparse catalogues' dead and tiny modes, and dense ones whose dropped modes all count
+        st.one_of(sparse_matrix_catalogues(), matrix_catalogues()).flatmap(
+            lambda c: st.tuples(st.just(c), st.integers(0, len(c[0])))
+        ),
+        st.floats(0.0, 20.0),
+        st.lists(st.floats(0.0, 20.0), max_size=3).map(lambda ts: np.array([0.0] + ts)),
+    )
+    def test_envelope_bounds_the_dropped_modes(self, picked, t, grid):
+        catalogue, cut = picked
+        cm = CatalogueMatrix(*catalogue)
+        n = len(cm.gammas)
+        with mpmath.workprec(160):
+            norms = [exact_norm(a) for a in cm.amplitudes]
+            for when in (t, grid):
+                full = cm.evaluate(when).reshape(-1, cm.dim * cm.dim)
+                kept = cm.evaluate(when, keep=range(cut)).reshape(full.shape)
+                envelope = np.atleast_1d(cm.dropped_envelope(when, range(cut, n)))
+                for i, s in enumerate(np.atleast_1d(when).tolist()):
+                    factors = [exact_factor(cm, s, k) for k in range(n)]
+                    dropped = list(zip(norms[cut:], factors[cut:]))
+                    exact = mpmath.fsum(nk * e for (nk, _), (e, _) in dropped)
+                    ceiling = (1 + _gamma(n - cut)) * mpmath.fsum(
+                        (nk + nu) * (e + eps) for (nk, nu), (e, eps) in dropped
+                    )
+                    slack = (evaluate_slack(cm, factors, n) + evaluate_slack(cm, factors[:cut], cut)
+                             + ceiling - exact + (n - cut) * mpmath.mpf(2) ** -1074)
+                    diff = mpmath.sqrt(mpmath.fsum(
+                        abs(mpmath.mpc(a) - mpmath.mpc(b)) ** 2 for a, b in zip(full[i].tolist(), kept[i].tolist())
+                    ))
+                    assert diff <= envelope[i] + slack, (s, cut, float(diff), envelope[i], float(slack))
 
 
 @st.composite

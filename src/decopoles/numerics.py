@@ -138,11 +138,17 @@ class DensityMatrix(HermitianMatrix):
 
 
 def _stacked(mats) -> np.ndarray:
-    """One (T, d, d) array of the square matrices ``mats``, which must share one shape."""
+    """One (T, d, d) array of the square matrices ``mats``, which must share one shape.
+
+    The shapes are checked before ``np.array`` sees the list, so a ragged list never reaches it.
+    """
     try:
-        stack = np.stack(mats)
-    except ValueError as exc:
+        shapes = {m.shape if isinstance(m, np.ndarray) else np.shape(m) for m in mats}
+    except ValueError as exc:  # a ragged member
         raise ValidationError(f"matrices must share one shape: {exc}") from exc
+    if len(shapes) != 1:
+        raise ValidationError(f"matrices must share one shape, got shapes {sorted(shapes)}")
+    stack = np.array(mats)
     if stack.ndim != 3:
         raise ValidationError(f"expected square matrices, got a stack of shape {stack.shape}")
     return stack

@@ -38,6 +38,7 @@ from .pole_models import CatalogueMatrix, _collective_scale, _delta, _ldexp
 _NORM_TOL = 1e-12
 _MIN_DELTA = 10.0
 _TRUNCATION_FACTOR = 0.1
+_EPS = 2.0**-60  # the frame catalogue's truncation, a share of ||EQ||_F
 
 
 def _logsumexp(exponents: np.ndarray) -> float:
@@ -451,21 +452,31 @@ def frame_projection(
 
 
 def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
-    """Exact pole expansion of the (unnormalized) 2x2 frame matrix.
+    """Pole expansion of the (unnormalized) 2x2 frame matrix, truncated at eps = 2^-60.
 
     Requires a real damping pole z0 = -i gamma0 (no oscillation), so every
-    frame entry is a polynomial in x = exp(-gamma0 t / hbar): f2 carries
-    powers 0..hi from the live Fock weights and |f2|^2 powers 0..2 hi via
-    the Cauchy product.  The constant (x^0) part forms the equilibrium
-    matrix; powers k = 1..n become poles at k gamma0, n the last power with
-    a nonzero amplitude entry (every later power is exactly 0).  Feed the
-    result to a partition rule to drop the fast collective cluster.
+    frame entry is a polynomial in x = exp(-gamma0 t / hbar): f2 and
+    f1 conj(f2) carry powers 0..hi from the live Fock weights, |f2|^2 powers
+    0..2 hi via the Cauchy product.  Power 0 forms the equilibrium matrix EQ,
+    power k >= 1 a pole at k gamma0.  Feed the result to a partition rule to
+    drop the fast collective cluster.
+
+    Truncation, with S = ||EQ||_F = |f1|^2 + |f2_0|^2 (EQ = f f^H, f = (f1, f2_0)):
+    a dropped weight f2_j moves the powers' Frobenius norms by at most
+    |f2_j| R in sum, R = 2 |f2|_1 + sqrt(2) |f1|, so the leading and the
+    trailing weights that sum within eps S / (2 R) on each side are set to 0
+    and only the rest is convolved; then the powers are kept while their tail
+    sum_{j >= k} ||A_j||_F is nonzero and at least eps S.  The result's
+    ``truncation`` tau = (dropped weight) R + (dropped tail) < 2 eps S bounds
+    the sum over all powers, EQ included, of their Frobenius distance from the
+    untruncated tower's; its float sums of n <= 4 hi + 4 terms lie within
+    gamma_n of exact, plus n 2^-1074 where terms underflow.
 
     Precision is the dot-product bound, not fixed bits: power k of |f2|^2
-    is conv(Re f2, Re f2) + conv(Im f2, Im f2), two real sums of m products
-    each and one addition, so it lies within gamma_(m+1) sum_j (|Re f2_j Re f2_(k-j)|
-    + |Im f2_j Im f2_(k-j)|) <= gamma_(m+1) sum_j |f2_j| |f2_(k-j)| plus
-    (m + 1) 2^-1074 of its exact value over the stored f2, with
+    is conv(Re f2, Re f2) + conv(Im f2, Im f2) over the kept weights, two
+    real sums of m products each and one addition, so it lies within gamma_(m+1) sum_j
+    (|Re f2_j Re f2_(k-j)| + |Im f2_j Im f2_(k-j)|) <= gamma_(m+1) sum_j |f2_j| |f2_(k-j)| plus
+    (m + 1) 2^-1074 of its exact value over them, with
     gamma_k = k u / (1 - k u), u = 2^-53 (Higham 2002, ch. 3).  A cross
     power f1 conj(f2_k) is one complex product, each part within gamma_2 times
     the size of its two real products.
@@ -479,14 +490,29 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     # w_N(t) = sum_k q_k x^k with q_k = N2^2 Delta^(2k) / k!
     f2 = cfg.b * table.q_live
     f2[0] += cfg.a * s
-    c = np.convolve(f2.real, f2.real) + np.convolve(f2.imag, f2.imag)  # Re(f2 * conj(f2)); Im cancels
-
-    top = f1 * f2.conj()
-    equilibrium = np.array([[abs(f1) ** 2, top[0]], [top[0].conjugate(), c[0]]])
-    amps = np.zeros((c.size - 1, 2, 2), dtype=complex)
-    amps[: top.size - 1, 0, 1] = top[1:]
-    amps[: top.size - 1, 1, 0] = top[1:].conj()
-    amps[:, 1, 1] = c[1:]
-    n = np.flatnonzero(amps.any(axis=(1, 2))).max(initial=-1) + 1
+    size = np.abs(f2)
+    reach = 2.0 * float(size.sum()) + math.sqrt(2.0) * abs(f1)  # R: the powers' change per dropped weight
+    floor = _EPS * (abs(f1) ** 2 + float(size[0]) ** 2)  # eps ||EQ||_F
+    lead, trail = np.cumsum(size), np.cumsum(size[::-1])  # weight summed from either end
+    limit = 0.5 * floor / reach if reach > 0.0 else 0.0
+    lo, cut = int(np.searchsorted(lead, limit, "right")), int(np.searchsorted(trail, limit, "right"))
+    hi = f2.size - cut
+    if lo < hi:
+        dropped = (lead[lo - 1] if lo else 0.0) + (trail[cut - 1] if cut else 0.0)
+    else:  # the two sides meet: every weight is dropped
+        lo = hi = 0
+        dropped = lead[-1]
+    w = f2[lo:hi]
+    amps = np.zeros((max(2 * hi - 1, 1), 2, 2), dtype=complex)  # row k holds power k; row 0 is EQ
+    amps[0, 0, 0] = abs(f1) ** 2
+    if w.size:
+        top = f1 * w.conj()
+        amps[lo:hi, 0, 1] = top
+        amps[lo:hi, 1, 0] = top.conj()
+        amps[2 * lo : 2 * hi - 1, 1, 1] = np.convolve(w.real, w.real) + np.convolve(w.imag, w.imag)  # Re(w conj(w))
+    norms = np.hypot(amps[1:, 1, 1].real, math.sqrt(2.0) * np.abs(amps[1:, 0, 1]))
+    tails = np.cumsum(norms[::-1])[::-1]
+    n = int(np.count_nonzero((tails >= floor) & (tails > 0.0)))
+    truncation = float(dropped * reach) + (float(tails[n]) if n < tails.size else 0.0)
     gammas = np.arange(1, n + 1) * cfg.gamma0  # bit for bit Python's k * gamma0
-    return CatalogueMatrix._from_widths(np.zeros(n), gammas, equilibrium, amps[:n], cfg.hbar)
+    return CatalogueMatrix._from_widths(np.zeros(n), gammas, amps[0], amps[1 : n + 1], cfg.hbar, truncation)

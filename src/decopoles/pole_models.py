@@ -550,6 +550,14 @@ class CatalogueMatrix:
     one slice; no other index form is taken.  Their results are held to the
     rounding bounds their docstrings state, not to fixed bits: a factor
     whose exp would be subnormal counts as 0, and the sums run in any order.
+
+    ``truncation`` is a catalogue's stated distance tau from the catalogue
+    it was cut from: its amplitudes, EQ included, lie within tau of that
+    catalogue's in Frobenius norm summed over the modes, and modes it lacks
+    count as 0 there.  Each decay factor is <= 1 at t >= 0, so ``evaluate``
+    lies within tau of that catalogue's sum at every such time.  It is 0.0
+    for a constructor-built catalogue; ``omnes.frame_catalogue_matrix``
+    states its own.
     """
 
     def __init__(self, poles, equilibrium, amplitudes, hbar: float = 1.0):
@@ -559,8 +567,8 @@ class CatalogueMatrix:
         self._build([p.omega for p in poles], [p.gamma for p in poles], equilibrium, amplitudes, hbar)
 
     @classmethod
-    def _from_widths(cls, omegas, gammas, equilibrium, amplitudes, hbar: float = 1.0):
-        """Catalogue of poles (omegas[k], gammas[k]), checked in one pass as ``Pole`` does.
+    def _from_widths(cls, omegas, gammas, equilibrium, amplitudes, hbar: float = 1.0, truncation: float = 0.0):
+        """Catalogue of poles (omegas[k], gammas[k]), checked in one pass as ``Pole`` does, with ``truncation``.
 
         Precondition: ``amplitudes`` are finite and Hermitian to the bit
         (A[j, i] == conj(A[i, j]), diagonals with imaginary part +0.0), so
@@ -570,6 +578,7 @@ class CatalogueMatrix:
         """
         cm = cls.__new__(cls)
         cm._build(omegas, gammas, equilibrium, amplitudes, hbar, average=False)
+        cm.truncation = truncation
         return cm
 
     def _build(self, omegas, gammas, equilibrium, amplitudes, hbar, average=True):
@@ -600,6 +609,7 @@ class CatalogueMatrix:
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
+        self.truncation = 0.0
 
     @functools.cached_property
     def poles(self) -> tuple:
@@ -635,7 +645,8 @@ class CatalogueMatrix:
         """Hermitian matrix at time t, over every mode or the ``keep`` range (a report's ``p_relevant``).
 
         For an array of times the result is a (T, d, d) stack, built from
-        one (T, K) matrix of decay factors and one ``tensordot``.
+        one (T, K) matrix of decay factors and one real matrix product with
+        the amplitudes' (K, 2 d^2) float view.
 
         Precision: the real and imaginary part of each entry lie within
         gamma_(K+1) (|EQ| + sum_k |A_k| e_hat_k) + sum_k |A_k| eps_k + (K + 1) 2^-1074
@@ -646,16 +657,22 @@ class CatalogueMatrix:
         and products that underflow add the last term.  Bits are not pinned.
         """
         idx = slice(None) if keep is None else self._mode_slice(keep)
-        return self.equilibrium + np.tensordot(self._decay(t, idx), self.amplitudes[idx], 1)
+        amps = self.amplitudes[idx]
+        parts = self._decay(t, idx) @ amps.view(float).reshape(amps.shape[0], 2 * self.dim**2)  # real sums
+        return self.equilibrium + parts.view(complex).reshape(parts.shape[:-1] + amps.shape[1:])
 
     def dropped_envelope(self, t, dropped):
-        """Frobenius ceiling on the ``dropped`` range: sum_k ||A_k|| exp(-gamma_k t / hbar).
+        """Frobenius ceiling on the ``dropped`` range: sum_k ||A_k|| exp(-gamma_k t / hbar), plus
+        ``truncation`` when the range ends at K.
 
         ``dropped`` is a report's ``p_irrelevant``, ``range(cut, K)``, so the
-        ceiling bounds what ``evaluate(t, keep=range(cut))`` leaves out.  One
-        time gives a float; an array of T times gives a (T,) array whose
+        ceiling bounds what ``evaluate(t, keep=range(cut))`` leaves out of
+        the catalogue before its truncation (see ``CatalogueMatrix``).  So
+        ``range(K, K)`` gives ``truncation`` at every time, 0.0 for a
+        catalogue built by the constructor, and any other empty range 0.0.
+        One time gives a float; an array of T times gives a (T,) array whose
         entry k equals the call at ``t[k]`` bit for bit, since both reduce
-        the same products with one row-wise sum.
+        the same products with one row-wise sum and add the same term.
 
         Precision: each stored norm n_hat_k is within
         gamma_(d^2+2) ||A_k|| + d 2^-536 of ||A_k||_F (its d^2 squares and
@@ -666,11 +683,14 @@ class CatalogueMatrix:
         (1 + gamma_K) sum_k (n_k + nu_k)(e_k + eps_k) - sum_k n_k e_k + K 2^-1074
         of the exact ceiling, nu_k and eps_k the norm and factor bounds; the
         factors ``_decay`` stores as 0.0 make it under-read by at most
-        sum_k ||A_k|| 2^-1022.
+        sum_k ||A_k|| 2^-1022.  Adding ``truncation`` rounds once more,
+        within u of the sum (gamma_(K+1) in place of gamma_K).
         """
         idx = self._mode_slice(dropped)
         decay = self._decay(t, idx)
         total = np.multiply(decay, self._norms[idx], out=decay).sum(axis=-1)
+        if idx.stop == self._gammas.size:  # the truncated tail lies past the last kept mode
+            total += self.truncation
         return float(total) if total.ndim == 0 else total
 
 

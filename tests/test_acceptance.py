@@ -4,7 +4,8 @@ Each test computes a pass flag, prints a single "[criterion N] PASS/FAIL"
 line (visible with -s or -rA), then asserts.  Criteria 4 and 5 construct
 no density matrices, so the hygiene audit of criterion 10 sweeps the
 matrices accumulated while criteria 3 and 8 ran; run the module as a
-whole, in order.
+whole, in order.  One more test checks that criterion 5's 220-digit sums
+leave mpmath's precision as they found it.
 """
 
 import math
@@ -144,23 +145,23 @@ def test_criterion_05_overlap_bound_and_oracle():
     ok_bound = True
     ok_tie = True
     ok_oracle = True
-    mpmath.mp.dps = 220
-    for delta in deltas:
-        for N in orders:
-            x = mpmath.mpf(delta) ** 2 / 2
-            partial = mpmath.fsum((-x) ** k / mpmath.factorial(k) for k in range(N + 1))
-            bound_mp = x ** (N + 1) / mpmath.factorial(N + 1)
-            ok_bound &= abs(partial - mpmath.exp(-x)) <= bound_mp
-            s1 = QuasiCoherentState(0.0, N)
-            s2 = QuasiCoherentState(delta, N)
-            got = overlap_truncated(s1, s2)
-            # double-precision partial sum sits on the exact one up to
-            # cancellation noise, and obeys the bound with the same slack
-            ok_tie &= abs(got - float(partial)) <= 5e-11
-            limit = math.exp(-0.5 * delta * delta)
-            ok_bound &= abs(got - limit) <= overlap_error_bound(delta, N) + 5e-11
-            brute = _brute_normalized_overlap(0.0, delta, N)
-            ok_oracle &= abs(fock_overlap(s1, s2) - brute) <= 1e-12 * abs(brute)
+    with mpmath.workdps(220):
+        for delta in deltas:
+            for N in orders:
+                x = mpmath.mpf(delta) ** 2 / 2
+                partial = mpmath.fsum((-x) ** k / mpmath.factorial(k) for k in range(N + 1))
+                bound_mp = x ** (N + 1) / mpmath.factorial(N + 1)
+                ok_bound &= abs(partial - mpmath.exp(-x)) <= bound_mp
+                s1 = QuasiCoherentState(0.0, N)
+                s2 = QuasiCoherentState(delta, N)
+                got = overlap_truncated(s1, s2)
+                # double-precision partial sum sits on the exact one up to
+                # cancellation noise, and obeys the bound with the same slack
+                ok_tie &= abs(got - float(partial)) <= 5e-11
+                limit = math.exp(-0.5 * delta * delta)
+                ok_bound &= abs(got - limit) <= overlap_error_bound(delta, N) + 5e-11
+                brute = _brute_normalized_overlap(0.0, delta, N)
+                ok_oracle &= abs(fock_overlap(s1, s2) - brute) <= 1e-12 * abs(brute)
     ok = ok_bound and ok_tie and ok_oracle
     assert report(
         5,
@@ -168,6 +169,13 @@ def test_criterion_05_overlap_bound_and_oracle():
         "truncated overlap within remainder bound on the full grid; "
         "normalized overlap matches the double-sum oracle to 1e-12",
     )
+
+
+def test_criterion_05_restores_the_mpmath_precision():
+    # criterion 5 sums at 220 digits; later mpmath references must still run at their own precision
+    before = mpmath.mp.prec
+    test_criterion_05_overlap_bound_and_oracle()
+    assert mpmath.mp.prec == before
 
 
 def _brute_normalized_overlap(a1, a2, N):

@@ -848,21 +848,31 @@ class TestUnderflowingDisplacement:
         assert fock_overlap(s, s) == 1.0
 
 
+EPS = 2.0**-60  # frame_catalogue_matrix's truncation, a share of ||EQ||_F
+
+
 class TestFrameCatalogue:
     @IGNORE_MACRO
     def test_tower_structure(self):
-        # N = 255: no Fock weight underflows, so the tower runs to 2N; N = 1000: the weights
-        # past hi = 457 and the powers of |f2|^2 past 596 underflow, a dead tail the tower ends before
-        for N, hi, n in [(255, 255, 510), (1000, 457, 596)]:
+        # the live weights run to hi = 255 and 457, but both windows end at power 102 and both
+        # mode tails at 158, where the tail of Frobenius norms drops below 2^-60 ||EQ||_F: one catalogue
+        cms = []
+        for N, hi in [(255, 255), (1000, 457)]:
             cfg = config(L0=6.0, N=N)
             cm = frame_catalogue_matrix(cfg)
             assert _fock_table(cfg.alpha2, N).q_live.size == hi + 1
-            assert len(cm.poles) == n
+            assert len(cm.poles) == 158
             assert cm.gammas[0] == pytest.approx(cfg.gamma0, rel=1e-15)
-            assert cm.gammas[-1] == pytest.approx(n * cfg.gamma0, rel=1e-15)
+            assert cm.gammas[-1] == pytest.approx(158 * cfg.gamma0, rel=1e-15)
             assert np.any(cm.amplitudes[-1])  # the last mode is live
-            # cross entries exist only up to the last live Fock weight
-            assert np.any(cm.amplitudes[hi - 1][0, 1]) and not np.any(cm.amplitudes[hi:, 0, 1])
+            # cross entries exist only up to the window's last weight, power 102
+            assert np.any(cm.amplitudes[101][0, 1]) and not np.any(cm.amplitudes[102:, 0, 1])
+            assert 0.0 < cm.truncation < 2.0 * EPS * np.linalg.norm(cm.equilibrium)
+            cms.append(cm)
+        for name in ("gammas", "truncation"):
+            assert getattr(cms[0], name) == getattr(cms[1], name)
+        for name in ("equilibrium", "amplitudes"):
+            assert getattr(cms[0], name).tobytes() == getattr(cms[1], name).tobytes()
 
     @IGNORE_MACRO
     def test_reproduces_unnormalized_frame_matrix(self):
@@ -883,51 +893,90 @@ class TestFrameCatalogue:
         assert len(rep.p_relevant) == 36  # poles at k gamma0 with k <= Delta^2
 
 
-def frame_tower(cfg, weights):
-    """Reference: (equilibrium, amplitude per power k >= 1) of the frame matrix from the Fock ``weights``."""
+def frame_f2(cfg, weights=None):
+    """(f1, f2): the frame's constant projection and the powers of f2 over the Fock ``weights``
+    (the live ones by default)."""
     s = math.exp(cfg.state2().log_norm)
-    f1 = cfg.a + cfg.b * s
-    f2 = cfg.b * weights.astype(complex)
+    f2 = cfg.b * (_fock_table(cfg.alpha2, cfg.N).q_live if weights is None else weights.astype(complex))
     f2[0] += cfg.a * s
-    c = np.convolve(f2.real, f2.real) + np.convolve(f2.imag, f2.imag)  # Re(f2 * conj(f2))
+    return cfg.a + cfg.b * s, f2
+
+
+def frame_tower(f1, f2, lo=0):
+    """Reference: (equilibrium, amplitude per power k >= 1) of the frame matrix whose f2 holds the
+    weights ``f2`` from power ``lo`` on and 0 at every other power."""
+    hi = lo + f2.size
+    c = np.convolve(f2.real, f2.real) + np.convolve(f2.imag, f2.imag) if f2.size else f2.real  # Re(f2 conj(f2))
     top = f1 * f2.conj()
-    equilibrium = np.array([[abs(f1) ** 2, top[0]], [top[0].conjugate(), c[0]]])
-    amps = np.zeros((c.size - 1, 2, 2), dtype=complex)
-    amps[: top.size - 1, 0, 1] = top[1:]
-    amps[: top.size - 1, 1, 0] = top[1:].conj()
-    amps[:, 1, 1] = c[1:]
+    square = np.zeros(max(2 * hi - 1, 1))
+    square[2 * lo : 2 * lo + c.size] = c
+    top0 = top[0] if lo == 0 and top.size else 0j
+    equilibrium = np.array([[abs(f1) ** 2, top0], [top0.conjugate(), square[0]]])
+    amps = np.zeros((square.size - 1, 2, 2), dtype=complex)
+    rows = slice(max(lo - 1, 0), hi - 1)  # powers max(lo, 1) .. hi - 1 at rows one lower
+    amps[rows, 0, 1] = top[rows.start + 1 - lo :]
+    amps[rows, 1, 0] = top[rows.start + 1 - lo :].conj()
+    amps[:, 1, 1] = square[1:]
     return equilibrium, amps
 
 
+def frame_truncation(cfg):
+    """Reference: (lo, hi, n, tau) of ``frame_catalogue_matrix``: the window f2[lo:hi], the modes kept
+    and the truncation term, by the rule its docstring states, in Python loops over the stored f2."""
+    f1, f2 = frame_f2(cfg)
+    size = [abs(v) for v in f2.tolist()]
+    reach = 2.0 * math.fsum(size) + math.sqrt(2.0) * abs(f1)
+    floor = EPS * (abs(f1) ** 2 + size[0] ** 2)
+    limit = 0.5 * floor / reach if reach > 0.0 else 0.0
+    lo, low = 0, 0.0
+    while lo < len(size) and low + size[lo] <= limit:
+        low, lo = low + size[lo], lo + 1
+    hi, high = len(size), 0.0
+    while hi > 0 and high + size[hi - 1] <= limit:
+        high, hi = high + size[hi - 1], hi - 1
+    if lo >= hi:  # every weight dropped
+        lo, hi, low, high = 0, 0, math.fsum(size), 0.0
+    _, amps = frame_tower(f1, f2[lo:hi], lo)
+    norms = [math.hypot(a[1, 1].real, math.sqrt(2.0) * abs(a[0, 1])) for a in amps]
+    n, tail = len(norms), 0.0
+    while n and not (tail + norms[n - 1] >= floor and tail + norms[n - 1] > 0.0):
+        tail, n = tail + norms[n - 1], n - 1
+    return lo, hi, n, (low + high) * reach + tail
+
+
 def pole_list_frame_catalogue(cfg):
-    """Reference: the frame catalogue built through ``Pole`` objects, over the live Fock weights
-    and up to the last power with a nonzero amplitude entry."""
-    equilibrium, amps = frame_tower(cfg, _fock_table(cfg.alpha2, cfg.N).q_live)
-    n = max([0] + [k + 1 for k in range(len(amps)) if np.any(amps[k])])
+    """Reference: the frame catalogue built through ``Pole`` objects, over the window and up to
+    the last mode that ``frame_truncation`` keeps."""
+    lo, hi, n, tau = frame_truncation(cfg)
+    f1, f2 = frame_f2(cfg)
+    equilibrium, amps = frame_tower(f1, f2[lo:hi], lo)
     poles = [Pole(0.0, kk * cfg.gamma0) for kk in range(1, n + 1)]
-    return CatalogueMatrix(poles, equilibrium, amps[:n], cfg.hbar)
+    return CatalogueMatrix(poles, equilibrium, amps[:n], cfg.hbar), tau
 
 
 class TestFrameCatalogueAgainstPoleList:
-    """The width-array frame catalogue equals the one built from ``Pole`` objects."""
+    """The width-array frame catalogue equals the one built from ``Pole`` objects by the stated rule."""
 
     @IGNORE_MACRO
     @pytest.mark.parametrize("gamma0, N, hbar", [(0.1, 200, 1.0), (0.37, 255, 1.3), (0.0123, 1000, 0.7)])
     def test_same_catalogue(self, gamma0, N, hbar):
         cfg = config(L0=6.0, gamma0=gamma0, N=N, hbar=hbar)
-        got, want = frame_catalogue_matrix(cfg), pole_list_frame_catalogue(cfg)
+        got, (want, tau) = frame_catalogue_matrix(cfg), pole_list_frame_catalogue(cfg)
         assert got.gammas == want.gammas
         assert got.poles == want.poles
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert got.equilibrium.tobytes() == want.equilibrium.tobytes()
         assert got.hbar == want.hbar
-        # the 2N powers over all N + 1 weights: those past the last live mode are exactly 0, and
-        # the kept ones differ only by the convolution's grouping, far below the largest amplitude
-        equilibrium, full = frame_tower(cfg, all_fock_weights(cfg))
+        assert got.truncation == pytest.approx(tau, rel=1e-13, abs=0.0)  # the reference sums with fsum
+        assert 0.0 < tau < 2.0 * EPS * np.linalg.norm(got.equilibrium)
+        # the 2N powers over all N + 1 weights: the kept ones differ by the convolution's grouping
+        # and the window's dropped weight, and the Frobenius norms past the last kept mode sum within tau
+        equilibrium, full = frame_tower(*frame_f2(cfg, all_fock_weights(cfg)))
         n = len(got.gammas)
-        assert full.shape[0] == 2 * N and not np.any(full[n:])
+        assert full.shape[0] == 2 * N
         assert equilibrium.tobytes() == want.equilibrium.tobytes()
-        assert np.max(np.abs(full[:n] - got.amplitudes)) <= 1e-15 * np.max(np.abs(full))
+        assert np.max(np.abs(full[:n] - got.amplitudes)) <= 1e-15 * np.max(np.abs(full)) + got.truncation
+        assert 0.0 < math.fsum(np.linalg.norm(full[n:], axis=(1, 2)).tolist()) <= got.truncation
 
 
 class TestFrameWorkOnce:

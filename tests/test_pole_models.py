@@ -858,24 +858,25 @@ def loop_evaluate(cm, t, keep=None):
 
 
 def loop_dropped_envelope(cm, t, dropped):
-    """Reference: per-mode Frobenius norm times its decay, summed in a loop."""
+    """Reference: per-mode Frobenius norm times its decay, summed in a loop, plus the truncation
+    term when the range runs to the last mode."""
     total = 0.0
     for k in dropped:
         total += float(np.linalg.norm(cm.amplitudes[k])) * math.exp(
             -cm.poles[k].gamma * t / cm.hbar
         )
-    return total
+    return total + (cm.truncation if dropped.stop == len(cm.poles) else 0.0)
 
 
 class TestCatalogueMatrixAgainstLoop:
-    """The vectorized sums agree with the per-mode loop on a 400-mode frame catalogue."""
+    """The vectorized sums agree with the per-mode loop on a 158-mode frame catalogue."""
 
     TOL = 1e-13
     TIMES = (0.0, 0.05, 0.5, 3.0, 30.0)
 
     @pytest.fixture(scope="class")
     def frame(self):
-        # Delta = 6 with m omega / 2 = hbar = 1; 2N = 400 modes
+        # Delta = 6 with m omega / 2 = hbar = 1; 2N = 400 powers, of which the truncation keeps 158
         cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), 200)
         cm = frame_catalogue_matrix(cfg)
         rule = collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)
@@ -920,13 +921,18 @@ class TestCatalogueMatrixAgainstLoop:
             assert got == pytest.approx(want, rel=self.TOL)
 
     def test_dropped_envelope_of_nothing_is_zero(self, frame):
-        cm, _ = frame
-        assert cm.dropped_envelope(0.7, range(400, 400)) == 0.0
+        # no mode dropped: 0 before the last mode; past it the truncated tail remains, at every time
+        cm, rep = frame
+        for empty in (range(0, 0), range(36, 36), range(157, 157)):
+            assert cm.dropped_envelope(0.7, empty) == 0.0
+        assert 0.0 < cm.truncation < 2.0**-59 * np.linalg.norm(cm.equilibrium)
+        assert cm.dropped_envelope(0.7, range(158, 158)) == cm.truncation
+        assert cm.dropped_envelope(np.array([0.0, 1e3]), range(158, 158)).tolist() == [cm.truncation] * 2
 
     def test_partition_is_nontrivial(self, frame):
         cm, rep = frame
-        assert len(cm.poles) == 400
-        assert len(rep.p_relevant) == 36 and len(rep.p_irrelevant) == 364
+        assert len(cm.poles) == 158
+        assert len(rep.p_relevant) == 36 and len(rep.p_irrelevant) == 122
 
 
 class TestSerialization:

@@ -61,7 +61,7 @@ from decopoles.pole_models import (
     synthesize,
 )
 from decopoles.preferred_basis import _greedy_match, preferred_state
-from test_omnes import FOCK_ORACLE_TOL, oracle_density
+from test_omnes import EPS, FOCK_ORACLE_TOL, frame_f2, frame_tower, frame_truncation, oracle_density
 from test_preferred_basis import reference_greedy_match
 
 _RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
@@ -136,9 +136,12 @@ def unmasked_decay(cm, t, idx):
 
 
 def unmasked_evaluate(cm, t, keep=None):
-    """Reference: the sum over every kept mode, dead ones included."""
+    """Reference: the sum over every kept mode, dead ones included, as one real product of the
+    decay factors with the amplitudes' (K, 2 d^2) float view, the product ``evaluate`` forms."""
     idx = slice(None) if keep is None else np.asarray(keep, dtype=np.intp)
-    return cm.equilibrium + np.tensordot(unmasked_decay(cm, t, idx), cm.amplitudes[idx], 1)
+    amps = cm.amplitudes[idx]
+    parts = unmasked_decay(cm, t, idx) @ amps.view(float).reshape(amps.shape[0], 2 * cm.dim**2)
+    return cm.equilibrium + parts.view(complex).reshape(parts.shape[:-1] + amps.shape[1:])
 
 
 def unmasked_envelope(cm, t, dropped):
@@ -196,7 +199,9 @@ class TestLiveModes:
 # --- the catalogue kernels' precision contract --------------------------------
 # Each kernel is held to the rounding bound its docstring states, against mpmath at
 # 160 bits over the stored floats, whose own rounding is far below every bound.
-# u = 2^-53 and gamma_k = k u / (1 - k u) (Higham 2002, ch. 3).
+# The references and the bodies that use them set those 160 bits themselves, so a
+# run of this file alone (53 bits) or after a test that raised the precision holds
+# the same bound.  u = 2^-53 and gamma_k = k u / (1 - k u) (Higham 2002, ch. 3).
 
 _TINY = 2.0**-1022
 _EDGE = math.log(_TINY)  # the least float whose exp is normal; see pole_models._EXP_NORMAL_EDGE
@@ -207,6 +212,7 @@ def _gamma(k):
     return k * u / (1 - k * u)
 
 
+@mpmath.workprec(160)
 def exact_factor(cm, t, k):
     """(e, eps): exp(-gamma_k t / hbar) over the stored floats, and how far ``_decay`` may stray from it."""
     x = -mpmath.mpf(cm.gammas[k]) * mpmath.mpf(t) / mpmath.mpf(cm.hbar)
@@ -216,6 +222,7 @@ def exact_factor(cm, t, k):
     return e, e * ((1 + 2 * mpmath.mpf(2) ** -53) * drift - 1)
 
 
+@mpmath.workprec(160)
 def exact_norm(a):
     """||a||_F of one stored matrix, and the bound on the stored norm's distance from it."""
     n = mpmath.sqrt(mpmath.fsum(mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2 for v in a.ravel().tolist()))
@@ -252,11 +259,12 @@ class TestCatalogueKernelAccuracy:
         widths, times = setup
         cm = CatalogueMatrix._from_widths(*widths)
         got = cm._decay(times, slice(None))
-        for i, t in enumerate(times.tolist()):
-            for k, g in enumerate(got[i].tolist()):
-                assert g == 0.0 or g >= _TINY, (t, k, g)  # no subnormal factor
-                e, eps = exact_factor(cm, t, k)
-                assert abs(g - e) <= eps, (t, k, g)
+        with mpmath.workprec(160):
+            for i, t in enumerate(times.tolist()):
+                for k, g in enumerate(got[i].tolist()):
+                    assert g == 0.0 or g >= _TINY, (t, k, g)  # no subnormal factor
+                    e, eps = exact_factor(cm, t, k)
+                    assert abs(g - e) <= eps, (t, k, g)
 
     @settings(deadline=None, max_examples=25)
     @given(sparse_matrix_catalogues(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3).map(np.array))
@@ -264,20 +272,21 @@ class TestCatalogueKernelAccuracy:
     def test_evaluate(self, catalogue, times):
         cm = CatalogueMatrix(*catalogue)
         n, d = len(cm.gammas), cm.dim
-        for when in (times, float(times[0])):
-            got = cm.evaluate(when).reshape(-1, d, d)
-            for i, t in enumerate(np.atleast_1d(when).tolist()):
-                factors = [exact_factor(cm, t, k) for k in range(n)]
-                for r in range(d):
-                    for c in range(d):
-                        sizes = [abs(a) for a in cm.amplitudes[:, r, c].tolist()]
-                        slack = sum(s * eps for s, (_, eps) in zip(sizes, factors)) + (n + 1) * mpmath.mpf(2) ** -1074
-                        for part in ("real", "imag"):
-                            eq = mpmath.mpf(getattr(cm.equilibrium[r, c], part))
-                            amps = [mpmath.mpf(getattr(a, part)) for a in cm.amplitudes[:, r, c].tolist()]
-                            exact = eq + mpmath.fsum(a * e for a, (e, _) in zip(amps, factors))
-                            scale = abs(eq) + sum(s * (e + eps) for s, (e, eps) in zip(sizes, factors))
-                            assert abs(getattr(got[i, r, c], part) - exact) <= _gamma(n + 1) * scale + slack, (t, r, c)
+        with mpmath.workprec(160):
+            for when in (times, float(times[0])):
+                got = cm.evaluate(when).reshape(-1, d, d)
+                for i, t in enumerate(np.atleast_1d(when).tolist()):
+                    factors = [exact_factor(cm, t, k) for k in range(n)]
+                    for r in range(d):
+                        for c in range(d):
+                            sizes = [abs(a) for a in cm.amplitudes[:, r, c].tolist()]
+                            slack = sum(s * eps for s, (_, eps) in zip(sizes, factors)) + (n + 1) * mpmath.mpf(2) ** -1074
+                            for part in ("real", "imag"):
+                                eq = mpmath.mpf(getattr(cm.equilibrium[r, c], part))
+                                amps = [mpmath.mpf(getattr(a, part)) for a in cm.amplitudes[:, r, c].tolist()]
+                                exact = eq + mpmath.fsum(a * e for a, (e, _) in zip(amps, factors))
+                                scale = abs(eq) + sum(s * (e + eps) for s, (e, eps) in zip(sizes, factors))
+                                assert abs(getattr(got[i, r, c], part) - exact) <= _gamma(n + 1) * scale + slack, (t, r, c)
 
     @settings(deadline=None, max_examples=25)
     @given(sparse_matrix_catalogues(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3).map(np.array))
@@ -285,16 +294,26 @@ class TestCatalogueKernelAccuracy:
     def test_dropped_envelope(self, catalogue, times):
         cm = CatalogueMatrix(*catalogue)
         n = len(cm.gammas)
-        norms = [exact_norm(a) for a in cm.amplitudes]
-        for got, (want, nu) in zip(cm._norms.tolist(), norms):
-            assert abs(got - want) <= nu
-        for when in (times, float(times[0])):
-            got = np.atleast_1d(cm.dropped_envelope(when, range(n)))
-            for i, t in enumerate(np.atleast_1d(when).tolist()):
-                factors = [exact_factor(cm, t, k) for k in range(n)]
-                exact = mpmath.fsum(nk * e for (nk, _), (e, _) in zip(norms, factors))
-                ceiling = (1 + _gamma(n)) * mpmath.fsum((nk + nu) * (e + eps) for (nk, nu), (e, eps) in zip(norms, factors))
-                assert abs(got[i] - exact) <= ceiling - exact + n * mpmath.mpf(2) ** -1074, t
+        with mpmath.workprec(160):
+            norms = [exact_norm(a) for a in cm.amplitudes]
+            for got, (want, nu) in zip(cm._norms.tolist(), norms):
+                assert abs(got - want) <= nu
+            for when in (times, float(times[0])):
+                got = np.atleast_1d(cm.dropped_envelope(when, range(n)))
+                for i, t in enumerate(np.atleast_1d(when).tolist()):
+                    factors = [exact_factor(cm, t, k) for k in range(n)]
+                    exact = mpmath.fsum(nk * e for (nk, _), (e, _) in zip(norms, factors))
+                    ceiling = (1 + _gamma(n)) * mpmath.fsum(
+                        (nk + nu) * (e + eps) for (nk, nu), (e, eps) in zip(norms, factors)
+                    )
+                    assert abs(got[i] - exact) <= ceiling - exact + n * mpmath.mpf(2) ** -1074, t
+
+    def test_references_run_at_160_bits(self):
+        # at the 53 bits of a run that sets no precision, the references still form 160-bit values
+        cm = CatalogueMatrix([Pole(0.0, 1.0)], np.eye(1), np.ones((1, 1, 1)))
+        with mpmath.workprec(53):
+            (n, _), (e, _) = exact_norm(np.array([[1.0, 2.0**-40]])), exact_factor(cm, 1.0, 0)
+            assert n > 1 and mpmath.mpf(float(e)) != e  # sqrt(1 + 2^-80) and exp(-1) past 53 bits
 
 
 def evaluate_slack(cm, factors, n):
@@ -580,8 +599,38 @@ _UNIT_PAIRS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.flo
 )
 
 
+def _power_slack(size_c, m, size_re, size_im):
+    """Frobenius bound on one power's rounding: the |f2|^2 entry's dot-product bound over m terms
+    of total size ``size_c``, plus twice each cross part's (the (0, 1) and (1, 0) entries); the
+    sizes count 2^-2148."""
+    tiny = mpmath.mpf(2) ** -2148
+    return (_gamma(m + 1) * size_c * tiny + (m + 1) * mpmath.mpf(2) ** -1074
+            + 2 * (_gamma(2) * (size_re + size_im) * tiny + 4 * mpmath.mpf(2) ** -1074))
+
+
+def _tau_slack(cm, hi):
+    """tau's own rounding, as ``frame_catalogue_matrix`` states it: sums of at most 4 hi + 4 terms."""
+    return _gamma(4 * hi + 4) * cm.truncation + (4 * hi + 4) * mpmath.mpf(2) ** -1074
+
+
+def _frame_units(f1, f2):
+    """Re f2, Im f2, Re f1 and Im f1 as exact integer counts of 2^-1074."""
+    return [_units(v) for v in f2.real.tolist()], [_units(v) for v in f2.imag.tolist()], _units(f1.real), _units(f1.imag)
+
+
+def _exact_power(x, y, ar, ai, k):
+    """(c, size, m, re, im, size_re, size_im) of power k over the integer f2 parts: |f2|^2's exact sum,
+    its real product sizes and term count, and the exact parts of f1 conj(f2_k); all in 2^-2148."""
+    hi = len(x) - 1
+    pairs = [(x[j] * x[k - j], y[j] * y[k - j]) for j in range(max(0, k - hi), min(k, hi) + 1)]
+    re, im = ((ar * x[k], ai * y[k]), (ai * x[k], -ar * y[k])) if k <= hi else ((0, 0), (0, 0))
+    return (sum(p + q for p, q in pairs), sum(abs(p) + abs(q) for p, q in pairs), len(pairs),
+            sum(re), sum(im), sum(map(abs, re)), sum(map(abs, im)))
+
+
 class TestFrameCatalogueRounding:
-    """Every frame-catalogue amplitude is its exact sum over the stored f2, up to the dot-product bound.
+    """Every kept frame-catalogue amplitude is its exact sum over the stored window of f2, up to the
+    dot-product bound, and the powers past the last kept mode sum within the truncation term.
 
     Stated before measuring (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
     ch. 3): in the real or imaginary part of a sum of m complex products x_j conj(y_j), each term
@@ -589,44 +638,123 @@ class TestFrameCatalogueRounding:
     m - 1 more, so it lies within gamma_(m+1) times the sum of its real product sizes
     (|Re x_j Re y_j| + |Im x_j Im y_j| for the real part, at most |x_j| |y_j|) of the exact value,
     gamma_k = k u / (1 - k u), u = 2^-53, in any order of summation; products that underflow add
-    (m + 1) 2^-1074.  A |f2|^2 power k is such a sum with m = min(k, 2 hi - k) + 1
-    terms, a cross power one product.  The exact sums run on Python integers, in units of 2^-2148,
-    so the reference rounds nowhere.
+    (m + 1) 2^-1074.  A |f2|^2 power k is such a sum over the window's weights, a cross power one
+    product.  The window f2[lo:hi] and the count of kept modes are ``frame_truncation``'s: the stated
+    rule, restated in Python loops.  The powers past the last kept mode sum in Frobenius norm below
+    eps ||EQ||_F, so within tau, each up to tau's stated rounding and each power's dot-product bound.
+    The exact sums run on Python integers, in units of 2^-2148, so the reference rounds nowhere.
     """
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 100), st.floats(-3.0, 0.9).map(lambda e: 10.0**e), _UNIT_PAIRS, st.floats(0.01, 1.0))
     @example(40, 1e-200, (0.6 + 0j, 0.8j), 0.1)  # hi = 0: no power past 0 is live
-    @example(100, 0.1, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.2)  # weights past hi = 91 underflow; n = 98
+    @example(100, 0.1, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.2)  # weights past hi = 91 underflow
     # a (0, 1) entry of -0.0 + 5e-324j, whose zero sign a complex / 2.0 halving turns to +0.0
     @example(61, 10**-1.8984375, (-0.41614683654714235 + 0.9092974268256816j, 1.0536712127723509e-08 + 0j), 1.0)
+    # the tail past the last mode of norm >= eps ||EQ||_F still sums above it: mode 113 stays
+    @example(88, 4.66, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.1)
+    # the trailing weights' sum, not each weight, stays within the window's budget
+    @example(88, 5.04, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.1)
     def test_amplitudes_within_the_dot_product_bound(self, N, L0, ab, gamma0):
         cfg = OmnesConfig(1.0, 2.0, 1.0, gamma0, L0, ab[0], ab[1], N)
         cm = frame_catalogue_matrix(cfg)
-        table = _fock_table(cfg.alpha2, N)
-        s = math.exp(table.log_norm)
-        f1 = cfg.a + cfg.b * s
-        f2 = cfg.b * table.q_live  # the convolution's inputs
-        f2[0] += cfg.a * s
-        hi, n = f2.size - 1, len(cm.gammas)
-        x, y = [_units(v) for v in f2.real.tolist()], [_units(v) for v in f2.imag.tolist()]
-        ar, ai = _units(f1.real), _units(f1.imag)
+        lo, hi, n_ref, tau = frame_truncation(cfg)
+        f1, f2 = frame_f2(cfg)
+        window = np.zeros_like(f2)  # the convolution's inputs
+        window[lo:hi] = f2[lo:hi]
+        x, y, ar, ai = _frame_units(f1, window)
+        n = len(cm.gammas)
+        assert n == n_ref and abs(cm.truncation - tau) <= 1e-12 * tau + 2.0**-1070
         assert cm.gammas == tuple((np.arange(1, n + 1) * gamma0).tolist())
-        assert n == 0 or np.any(cm.amplitudes[-1])  # the tower ends at its last live mode
+        assert n == 0 or np.any(cm.amplitudes[-1])  # the tower ends at a live mode
         amps = np.concatenate([cm.equilibrium[None], cm.amplitudes])  # power k at row k
         assert not np.any(amps[1:, 0, 0]) and not np.any(amps[:, 1, 1].imag)
-        assert np.array_equal(amps[:, 1, 0], amps[:, 0, 1].conj()) and not np.any(amps[hi + 1 :, 0, 1])
+        assert np.array_equal(amps[:, 1, 0], amps[:, 0, 1].conj()) and not np.any(amps[max(hi, 1) :, 0, 1])
+        assert not np.any(amps[:lo, 0, 1]) and not np.any(amps[: 2 * lo, 1, 1])
         assert hermitian_average(cm.amplitudes).tobytes() == cm.amplitudes.tobytes()  # as _from_widths requires
-        for k in range(2 * hi + 1):
-            pairs = [(x[j] * x[k - j], y[j] * y[k - j]) for j in range(max(0, k - hi), min(k, hi) + 1)]
-            got = amps[k, 1, 1].real if k <= n else 0.0
-            exact, size = sum(p + q for p, q in pairs), sum(abs(p) + abs(q) for p, q in pairs)
-            assert _within_dot_bound(got, exact, size, len(pairs)), ("c", k)
-            if k <= hi:  # f1 conj(f2_k)
-                got = complex(amps[k, 0, 1]) if k <= n else 0j
-                re, im = (ar * x[k], ai * y[k]), (ai * x[k], -ar * y[k])
-                assert _within_dot_bound(got.real, sum(re), sum(map(abs, re)), 1), ("top", k)
-                assert _within_dot_bound(got.imag, sum(im), sum(map(abs, im)), 1), ("top", k)
+        with mpmath.workprec(160):
+            tail, slack = mpmath.mpf(0), _tau_slack(cm, f2.size - 1)
+            for k in range(2 * f2.size - 1):
+                c, size, m, re, im, size_re, size_im = _exact_power(x, y, ar, ai, k)
+                if k > n:  # not kept: within tau
+                    tail += mpmath.sqrt(mpmath.mpf(c) ** 2 + 2 * (mpmath.mpf(re) ** 2 + mpmath.mpf(im) ** 2))
+                    slack += _power_slack(size, m, size_re, size_im)
+                    continue
+                assert _within_dot_bound(amps[k, 1, 1].real, c, size, m), ("c", k)
+                got = complex(amps[k, 0, 1])
+                assert _within_dot_bound(got.real, re, size_re, 1), ("top", k)
+                assert _within_dot_bound(got.imag, im, size_im, 1), ("top", k)
+            tail *= mpmath.mpf(2) ** -2148
+            assert tail <= cm.truncation + slack
+            assert tail <= EPS * (abs(f1) ** 2 + abs(f2[0]) ** 2) + slack  # the dropped tail is below eps ||EQ||_F
+
+
+class TestFrameTruncation:
+    """The truncated frame catalogue lies within its truncation term tau of the untruncated one.
+
+    The untruncated catalogue is the tower of every live Fock weight, the catalogue as it was before
+    the truncation, formed in exact integers as ``TestFrameCatalogueRounding`` forms it.  Stated
+    before measuring, with ``_power_slack`` each power's dot-product bound in Frobenius norm and
+    ``_tau_slack`` tau's own rounding:
+    * each power k (EQ as power 0, a mode the catalogue lacks as 0) differs from its exact value by
+      its rounding R_k, ||R_k||_F <= ``_power_slack``, plus its share W_k of the truncation, where
+      sum_k ||W_k||_F <= tau + ``_tau_slack``.  So the excess sum_k max(0, ||A_k - A_k^exact||_F -
+      ``_power_slack``) is at most tau + ``_tau_slack``: the large powers' rounding, far above tau,
+      cannot hide the small powers the truncation drops;
+    * every decay factor is <= 1 at t >= 0, so ||evaluate(t) - rho^exact(t)||_F is at most tau +
+      ``_tau_slack`` + the sum of ``_power_slack`` plus ``evaluate``'s stated bound
+      (``evaluate_slack``), rho^exact(t) summing every power with its exact factor;
+    * tau < 2^-59 ||EQ||_F = 2^-59 (|f1|^2 + |f2_0|^2), up to 2^-40 relative for its rounding;
+    * the collective-rate partition has the untruncated catalogue's cut and t_D.
+    Delta reaches 12.6, where the window drops leading weights as well as trailing ones.
+    """
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 160), st.floats(-1.0, 1.1).map(lambda e: 10.0**e), _UNIT_PAIRS, st.floats(0.01, 1.0),
+           st.floats(0.0, 20.0))
+    @example(150, 11.0, (math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j), 0.1, 0.5)  # both sides of the window cut
+    @example(40, 1e-200, (0.6 + 0j, 0.8j), 0.1, 1.0)  # hi = 0: nothing to cut
+    @example(120, 12.0, (1.0 + 0j, 0j), 0.3, 0.0)  # b = 0 and f2_0 = a s below the cut: every weight dropped
+    def test_within_tau_of_the_untruncated_catalogue(self, N, L0, ab, gamma0, t):
+        cfg = OmnesConfig(1.0, 2.0, 1.0, gamma0, L0, ab[0], ab[1], N)
+        cm = frame_catalogue_matrix(cfg)
+        f1, f2 = frame_f2(cfg)
+        x, y, ar, ai = _frame_units(f1, f2)
+        n, hi, tiny = len(cm.gammas), f2.size - 1, mpmath.mpf(2) ** -2148
+        assert cm.equilibrium[0, 0] == abs(f1) ** 2
+        assert cm.truncation <= 2.0 * EPS * (abs(f1) ** 2 + abs(f2[0]) ** 2) * (1.0 + 2.0**-40)
+        amps = np.concatenate([cm.equilibrium[None], cm.amplitudes])  # power k at row k
+        widths = (np.arange(1, 2 * hi + 1) * gamma0).tolist()
+        with mpmath.workprec(160):
+            excess, slack = mpmath.mpf(0), mpmath.mpf(0)
+            rho = [mpmath.mpf(cm.equilibrium[0, 0].real), mpmath.mpc(0), mpmath.mpf(0)]  # (0, 0), (0, 1), (1, 1)
+            for k in range(2 * hi + 1):
+                c, size, m, re, im, size_re, size_im = _exact_power(x, y, ar, ai, k)
+                got_c, got_top = (amps[k, 1, 1].real, complex(amps[k, 0, 1])) if k <= n else (0.0, 0j)
+                dc = (_units(got_c) << 1074) - c
+                dre, dim = (_units(got_top.real) << 1074) - re, (_units(got_top.imag) << 1074) - im
+                moved = mpmath.sqrt(mpmath.mpf(dc) ** 2 + 2 * (mpmath.mpf(dre) ** 2 + mpmath.mpf(dim) ** 2)) * tiny
+                rounding = _power_slack(size, m, size_re, size_im)
+                excess, slack = excess + max(moved - rounding, 0), slack + rounding
+                e = mpmath.exp(-mpmath.mpf(widths[k - 1]) * t) if k else 1
+                rho[1] += mpmath.mpc(re, im) * tiny * e
+                rho[2] += c * tiny * e
+            assert excess <= cm.truncation + _tau_slack(cm, hi)
+            slack += _tau_slack(cm, hi)
+            got = cm.evaluate(t)
+            diff = mpmath.sqrt(abs(got[0, 0].real - rho[0]) ** 2 + abs(mpmath.mpc(got[0, 1]) - rho[1]) ** 2
+                               + abs(mpmath.mpc(got[1, 0]) - mpmath.conj(rho[1])) ** 2 + abs(got[1, 1].real - rho[2]) ** 2)
+            factors = [exact_factor(cm, t, k) for k in range(n)]
+            assert diff <= cm.truncation + slack + evaluate_slack(cm, factors, n)
+        nonzero = np.flatnonzero(frame_tower(f1, f2)[1].any(axis=(1, 2)))
+        if not nonzero.size:  # the untruncated catalogue has no mode either
+            assert n == 0
+        if not nonzero.size or cfg.delta < 1.0:  # the collective rule needs t_D <= t_R
+            return
+        rule = collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)
+        want = partition_report(widths[: nonzero[-1] + 1], cfg.hbar, rule=rule)
+        got = partition_report(cm.gammas, cm.hbar, rule=rule)
+        assert (got.cut, got.t_D) == (want.cut, want.t_D)
 
 
 class TestSignalCsvRoundTrip:

@@ -498,11 +498,11 @@ def main(argv=None) -> int:
 
     try:
         doc = _load_config(args.config)
-        outdir = args.out
-        if outdir is None:
-            outdir = doc.get("output_dir", ".")
-            if not isinstance(outdir, str):
-                raise ValidationError("config.output_dir: expected a string path")
+        outdir = doc.get("output_dir", ".")
+        if not isinstance(outdir, str):
+            raise ValidationError("config.output_dir: expected a string path")
+        if args.out is not None:
+            outdir = args.out
         runner = _dispatch(args.subcommand, doc, outdir)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -139,7 +139,7 @@ def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     np.divide(turn.real, size, out=turn.real, where=moved)
     np.divide(turn.imag, size, out=turn.imag, where=moved)
     phase = np.cumprod(np.concatenate([np.ones((1, vals.shape[1])), turn]), axis=0)
-    gaps = np.diff(np.sort(vals, axis=1), axis=1)
+    gaps = vals[:, :-1] - vals[:, 1:]  # eigh's values descend
     degenerate = t[np.min(gaps, axis=1, initial=math.inf) < _GAP_TOL]
     return MovingBasis(
         times=t,
@@ -190,7 +190,7 @@ def convergence_profile(
     stacked ``eigh``; its decompositions are paired at each time by
     ``_greedy_match``, untracked: relabeling columns permutes the overlap
     matrix (same pairs, up to exact ties), phases drop out of the moduli,
-    and the gap is taken from sorted eigenvalues.  The grid must lie in
+    and the gap is taken between eigh's descending eigenvalues.  The grid must lie in
     t >= 0 and reach at least 3 t_D so the post-decoherence regime is
     actually sampled.  ``envelope`` turns on the ``bound`` column, the
     first-order estimate envelope / gap (inf where the gap vanishes; NaN
@@ -221,7 +221,7 @@ def convergence_profile(
     val_err = np.max(
         np.abs(dec_p.eigenvalues - np.take_along_axis(dec_r.eigenvalues, perm, axis=1)), axis=1
     )
-    gaps = np.min(np.diff(np.sort(dec_p.eigenvalues, axis=1), axis=1), axis=1, initial=math.inf)
+    gaps = np.min(dec_p.eigenvalues[:, :-1] - dec_p.eigenvalues[:, 1:], axis=1, initial=math.inf)
 
     bounds = np.full(t.shape, math.nan)
     if envelope is not None:

@@ -664,6 +664,10 @@ class TestConfigErrors:
         )
         assert main(["simulate", "--config", cfg]) == 2
         assert "config.output_dir" in capsys.readouterr().err
+        # checked whenever present, --out or not, and nothing is written
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config.output_dir: expected a string path" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_superposition_norm(self, tmp_path, capsys):
         self.check(

@@ -747,11 +747,11 @@ class TestLiveFrameSum:
 def plain_formula_projection(cfg, z0, t):
     """Reference: frame_projection(closed_form=False) by its plain formula, sharing no fast path.
 
-    One-line ladder phases, the log norm through a QuasiCoherentState, np.outer, the trace from
-    two indexed entries and the (T, d, d) stack check.
+    One-pass ladder phases (c = -i z0 t / hbar formed once), the log norm through a
+    QuasiCoherentState, np.outer, the trace from two indexed entries and the (T, d, d) stack check.
     """
     q = _fock_table(cfg.alpha2, cfg.N).q_live
-    w = complex(q @ np.exp(-1j * np.arange(q.size) * complex(z0) * t / cfg.hbar))
+    w = complex(q @ np.exp(np.arange(q.size) * (-1j * complex(z0) * t / cfg.hbar)))
     s = math.exp(cfg.state2().log_norm)
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
     mat = np.outer(f, f.conj())
@@ -848,31 +848,38 @@ class TestUnderflowingDisplacement:
         assert fock_overlap(s, s) == 1.0
 
 
-EPS = 2.0**-60  # frame_catalogue_matrix's truncation, a share of ||EQ||_F
+EPS = 2.0**-60  # frame_catalogue_matrix's truncation, a share of ||rho(0)||_F
 
 
 class TestFrameCatalogue:
     @IGNORE_MACRO
     def test_tower_structure(self):
-        # the live weights run to hi = 255 and 457, but both windows end at power 102 and both
-        # mode tails at 158, where the tail of Frobenius norms drops below 2^-60 ||EQ||_F: one catalogue
+        # the live weights run to hi = 255 and 457, but both windows end at power 101 and both
+        # mode tails at 157, where the tail of Frobenius norms drops below 2^-60 ||rho(0)||_F: one catalogue
         cms = []
         for N, hi in [(255, 255), (1000, 457)]:
             cfg = config(L0=6.0, N=N)
             cm = frame_catalogue_matrix(cfg)
             assert _fock_table(cfg.alpha2, N).q_live.size == hi + 1
-            assert len(cm.poles) == 158
+            assert len(cm.poles) == 157
             assert cm.gammas[0] == pytest.approx(cfg.gamma0, rel=1e-15)
-            assert cm.gammas[-1] == pytest.approx(158 * cfg.gamma0, rel=1e-15)
+            assert cm.gammas[-1] == pytest.approx(157 * cfg.gamma0, rel=1e-15)
             assert np.any(cm.amplitudes[-1])  # the last mode is live
-            # cross entries exist only up to the window's last weight, power 102
-            assert np.any(cm.amplitudes[101][0, 1]) and not np.any(cm.amplitudes[102:, 0, 1])
-            assert 0.0 < cm.truncation < 2.0 * EPS * np.linalg.norm(cm.equilibrium)
+            # cross entries exist only up to the window's last weight, power 101
+            assert np.any(cm.amplitudes[100][0, 1]) and not np.any(cm.amplitudes[101:, 0, 1])
+            assert 0.0 < cm.truncation < 2.0 * EPS * rho0_norm(*frame_f2(cfg))
             cms.append(cm)
         for name in ("gammas", "truncation"):
             assert getattr(cms[0], name) == getattr(cms[1], name)
         for name in ("equilibrium", "amplitudes"):
             assert getattr(cms[0], name).tobytes() == getattr(cms[1], name).tobytes()
+
+    def test_cut_scale_holds_in_the_displaced_branch(self):
+        # f1 = a + b s and f2_0 = a s + b q_0 both vanish as a -> 0, so a cut at eps (|f1|^2 + |f2_0|^2)
+        # kept 361 and 477 modes at a = 1e-3 and 0 where |a|^2 = 1/2 keeps 336; eps ||rho(0)||_F does not move
+        counts = [len(frame_catalogue_matrix(config(N=400, a=a, b=math.sqrt(1.0 - a * a))).poles)
+                  for a in (ROOT_HALF, 1e-3, 0.0)]
+        assert all(abs(n - counts[0]) <= 0.01 * counts[0] for n in counts[1:]), counts
 
     @IGNORE_MACRO
     def test_reproduces_unnormalized_frame_matrix(self):
@@ -902,6 +909,11 @@ def frame_f2(cfg, weights=None):
     return cfg.a + cfg.b * s, f2
 
 
+def rho0_norm(f1, f2):
+    """S = ||rho(0)||_F = |f1|^2 + |f2(1)|^2, f2(1) = sum_j f2_j: the scale of the frame catalogue's truncation."""
+    return abs(f1) ** 2 + abs(complex(f2.sum())) ** 2
+
+
 def frame_tower(f1, f2, lo=0):
     """Reference: (equilibrium, amplitude per power k >= 1) of the frame matrix whose f2 holds the
     weights ``f2`` from power ``lo`` on and 0 at every other power."""
@@ -926,7 +938,7 @@ def frame_truncation(cfg):
     f1, f2 = frame_f2(cfg)
     size = [abs(v) for v in f2.tolist()]
     reach = 2.0 * math.fsum(size) + math.sqrt(2.0) * abs(f1)
-    floor = EPS * (abs(f1) ** 2 + size[0] ** 2)
+    floor = EPS * rho0_norm(f1, f2)
     limit = 0.5 * floor / reach if reach > 0.0 else 0.0
     lo, low = 0, 0.0
     while lo < len(size) and low + size[lo] <= limit:
@@ -968,7 +980,7 @@ class TestFrameCatalogueAgainstPoleList:
         assert got.equilibrium.tobytes() == want.equilibrium.tobytes()
         assert got.hbar == want.hbar
         assert got.truncation == pytest.approx(tau, rel=1e-13, abs=0.0)  # the reference sums with fsum
-        assert 0.0 < tau < 2.0 * EPS * np.linalg.norm(got.equilibrium)
+        assert 0.0 < tau < 2.0 * EPS * rho0_norm(*frame_f2(cfg))
         # the 2N powers over all N + 1 weights: the kept ones differ by the convolution's grouping
         # and the window's dropped weight, and the Frobenius norms past the last kept mode sum within tau
         equilibrium, full = frame_tower(*frame_f2(cfg, all_fock_weights(cfg)))

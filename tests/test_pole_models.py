@@ -40,6 +40,7 @@ from decopoles.pole_models import (
     signal_to_csv,
     synthesize,
 )
+from test_omnes import frame_f2, rho0_norm
 
 
 def figure_catalogue(equilibrium=0.0, khalfin=None, hbar=1.0):
@@ -869,15 +870,16 @@ def loop_dropped_envelope(cm, t, dropped):
 
 
 class TestCatalogueMatrixAgainstLoop:
-    """The vectorized sums agree with the per-mode loop on a 158-mode frame catalogue."""
+    """The vectorized sums agree with the per-mode loop on a 157-mode frame catalogue."""
 
     TOL = 1e-13
     TIMES = (0.0, 0.05, 0.5, 3.0, 30.0)
+    # Delta = 6 with m omega / 2 = hbar = 1; 2N = 400 powers, of which the truncation keeps 157
+    CFG = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), 200)
 
     @pytest.fixture(scope="class")
     def frame(self):
-        # Delta = 6 with m omega / 2 = hbar = 1; 2N = 400 powers, of which the truncation keeps 158
-        cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), 200)
+        cfg = self.CFG
         cm = frame_catalogue_matrix(cfg)
         rule = collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)
         return cm, partition_report(cm.gammas, cm.hbar, rule=rule)
@@ -923,16 +925,16 @@ class TestCatalogueMatrixAgainstLoop:
     def test_dropped_envelope_of_nothing_is_zero(self, frame):
         # no mode dropped: 0 before the last mode; past it the truncated tail remains, at every time
         cm, rep = frame
-        for empty in (range(0, 0), range(36, 36), range(157, 157)):
+        for empty in (range(0, 0), range(36, 36), range(156, 156)):
             assert cm.dropped_envelope(0.7, empty) == 0.0
-        assert 0.0 < cm.truncation < 2.0**-59 * np.linalg.norm(cm.equilibrium)
-        assert cm.dropped_envelope(0.7, range(158, 158)) == cm.truncation
-        assert cm.dropped_envelope(np.array([0.0, 1e3]), range(158, 158)).tolist() == [cm.truncation] * 2
+        assert 0.0 < cm.truncation < 2.0**-59 * rho0_norm(*frame_f2(self.CFG))
+        assert cm.dropped_envelope(0.7, range(157, 157)) == cm.truncation
+        assert cm.dropped_envelope(np.array([0.0, 1e3]), range(157, 157)).tolist() == [cm.truncation] * 2
 
     def test_partition_is_nontrivial(self, frame):
         cm, rep = frame
-        assert len(cm.poles) == 158
-        assert len(rep.p_relevant) == 36 and len(rep.p_irrelevant) == 122
+        assert len(cm.poles) == 157
+        assert len(rep.p_relevant) == 36 and len(rep.p_irrelevant) == 121
 
 
 class TestSerialization:

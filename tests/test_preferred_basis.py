@@ -335,7 +335,7 @@ class TestConvergenceProfile:
         rho = [np.eye(2) / 2] * grid.size
         for dist in convergence_profile(rho, rho, grid, t_D=0.1, envelope=lambda t: 1.0):
             assert not dist.reliable
-            assert dist.eigenvalue_gap == 0.0
+            assert dist.eigenvalue_gap == 0.0 and math.copysign(1.0, dist.eigenvalue_gap) == 1.0  # not -0.0
             assert dist.bound == math.inf
 
     def test_envelope_called_once_with_the_grid(self):

@@ -61,7 +61,7 @@ from decopoles.pole_models import (
     synthesize,
 )
 from decopoles.preferred_basis import _greedy_match, preferred_state
-from test_omnes import EPS, FOCK_ORACLE_TOL, frame_f2, frame_tower, frame_truncation, oracle_density
+from test_omnes import EPS, FOCK_ORACLE_TOL, frame_f2, frame_tower, frame_truncation, oracle_density, rho0_norm
 from test_preferred_basis import reference_greedy_match
 
 _RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
@@ -581,6 +581,74 @@ class TestFockTableBits:
         assert abs(norm - 1.0) <= 2.0**-53 * (abs(table.log_norm) + 2.0 * (N + 1) + 8.0), norm - 1.0
 
 
+_CEXP_K = 6  # numpy's complex exp, per part: exp and cos or sin within an ulp (2u) each, their product u
+
+
+@st.composite
+def ladders(draw):
+    """(size, z0, t, hbar): the top phase's Re exponent down to about -800, t = +-0.0, or a small t < 0."""
+    size = draw(st.integers(1, 1500))
+    z0 = complex(draw(st.sampled_from((0.0, -0.0)) | st.floats(-5.0, 5.0)), draw(st.floats(-3.0, 0.0)))
+    hbar = draw(st.floats(1e-3, 1e3))
+    reach = 800.0 * hbar / (max(size - 1, 1) * max(-z0.imag, 2.0**-10))  # the top Re exponent is -800 at t = reach
+    return size, z0, draw(st.floats(0.0, 1.0) | st.sampled_from((0.0, -0.0)) | st.floats(-0.01, 0.0)) * reach, hbar
+
+
+_LADDER_EXAMPLES = [
+    # the grid of ``test_bits_across_the_underflow_edge``: the top phase's |Re exponent| is 746 when at = 1
+    (size, z0, at * 746.0 * hbar / (max(size - 1, 1) * max(-z0.imag, 0.03)), hbar)
+    for size, hbar in [(1, 1.0), (201, 1.0), (1001, 0.9)]
+    for z0 in (0.7 - 0.03j, 2.5 - 1.0j, -0.4 - 0.2j, 0.3 + 0.0j, -0.2j, complex(-0.0, -1.0))
+    for at in (1.5, -0.5)
+] + [
+    # the dead-phase cut of ``test_bits_at_the_dead_phase_cut`` at exponent steps of 0.2, not 0.01: 4000
+    # phases reach -800, one lands on -745, where exp reads 2^-1074, and the last time puts one on -746
+    (4000, -1.0j, 0.2, 1.0), (4000, complex(-0.0, -0.37), 0.2 / 0.37, 1.0), (4000, -1.0j, 746.0 / 3999, 1.0),
+    # signed zeros in Re z0 and t
+    (4, complex(0.0, -0.7), 0.0, 1.0), (4, complex(-0.0, -0.7), -0.0, 1.0), (4, complex(-0.0, -0.7), -1.3, 1.0),
+]
+
+
+def _with_examples(cases):
+    def wrap(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+
+    return wrap
+
+
+class TestLadderPhaseAccuracy:
+    """``omnes._ladder_phases`` within its stated bound of exp of the exact exponent.
+
+    Stated before measuring, u = 2^-53 and gamma_k = k u / (1 - k u): c = -i z0 t / hbar takes
+    one rounding per part for t and one for hbar, and n c one more, so each part of the computed
+    exponent is within gamma_3 of the exact x_n = -i n z0 t / hbar of the float inputs, and
+    |x^_n - x_n| <= gamma_3 |x_n|.  numpy's complex exp is e^Re cos(Im) and e^Re sin(Im), each
+    factor within an ulp (2u) and their product rounded once, so each part is within
+    (1 + 2u)^2 (1 + u) - 1 < 6u of its exact value at x^_n.  Together each part of phase n is
+    within |e^x| ((1 + 6u) e^(gamma_3 |x|) - 1) + 2^-1074 of exp(x_n), the last term for a
+    result in the subnormal range.  The reference is mpmath's exp at 160 bits.
+    """
+
+    @settings(deadline=None, max_examples=40)
+    @given(ladders())
+    @_with_examples(_LADDER_EXAMPLES)
+    def test_within_the_bound_of_exp(self, ladder):
+        size, z0, t, hbar = ladder
+        got = omnes._ladder_phases(size, z0, t, hbar)
+        assert got.shape == (size,)
+        with mpmath.workprec(160):
+            c = mpmath.mpc(z0.imag, -z0.real) * mpmath.mpf(t) / mpmath.mpf(hbar)  # -i z0 t / hbar
+            rel, tiny = 1 + _CEXP_K * mpmath.mpf(2) ** -53, mpmath.mpf(2) ** -1074
+            step, drift = mpmath.exp(_gamma(3) * abs(c)), mpmath.mpf(1)  # drift = e^(gamma_3 |x_n|)
+            for n, g in enumerate(got.tolist()):
+                e = mpmath.exp(n * c)
+                bound = abs(e) * (rel * drift - 1) + tiny
+                drift *= step
+                assert abs(g.real - e.real) <= bound and abs(g.imag - e.imag) <= bound, (n, g, e)
+
+
 def _units(x: float) -> int:
     """x as an exact integer count of 2^-1074, the spacing of the subnormal floats."""
     num, den = x.as_integer_ratio()
@@ -641,7 +709,7 @@ class TestFrameCatalogueRounding:
     (m + 1) 2^-1074.  A |f2|^2 power k is such a sum over the window's weights, a cross power one
     product.  The window f2[lo:hi] and the count of kept modes are ``frame_truncation``'s: the stated
     rule, restated in Python loops.  The powers past the last kept mode sum in Frobenius norm below
-    eps ||EQ||_F, so within tau, each up to tau's stated rounding and each power's dot-product bound.
+    eps ||rho(0)||_F, so within tau, each up to tau's stated rounding and each power's dot-product bound.
     The exact sums run on Python integers, in units of 2^-2148, so the reference rounds nowhere.
     """
 
@@ -651,10 +719,10 @@ class TestFrameCatalogueRounding:
     @example(100, 0.1, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.2)  # weights past hi = 91 underflow
     # a (0, 1) entry of -0.0 + 5e-324j, whose zero sign a complex / 2.0 halving turns to +0.0
     @example(61, 10**-1.8984375, (-0.41614683654714235 + 0.9092974268256816j, 1.0536712127723509e-08 + 0j), 1.0)
-    # the tail past the last mode of norm >= eps ||EQ||_F still sums above it: mode 113 stays
-    @example(88, 4.66, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.1)
+    # the tail past the last mode of norm >= eps ||rho(0)||_F still sums above it: mode 93 stays
+    @example(88, 4.01, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.1)
     # the trailing weights' sum, not each weight, stays within the window's budget
-    @example(88, 5.04, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.1)
+    @example(88, 4.03, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.1)
     def test_amplitudes_within_the_dot_product_bound(self, N, L0, ab, gamma0):
         cfg = OmnesConfig(1.0, 2.0, 1.0, gamma0, L0, ab[0], ab[1], N)
         cm = frame_catalogue_matrix(cfg)
@@ -686,7 +754,7 @@ class TestFrameCatalogueRounding:
                 assert _within_dot_bound(got.imag, im, size_im, 1), ("top", k)
             tail *= mpmath.mpf(2) ** -2148
             assert tail <= cm.truncation + slack
-            assert tail <= EPS * (abs(f1) ** 2 + abs(f2[0]) ** 2) + slack  # the dropped tail is below eps ||EQ||_F
+            assert tail <= EPS * rho0_norm(f1, f2) + slack  # the dropped tail is below eps ||rho(0)||_F
 
 
 class TestFrameTruncation:
@@ -704,7 +772,7 @@ class TestFrameTruncation:
     * every decay factor is <= 1 at t >= 0, so ||evaluate(t) - rho^exact(t)||_F is at most tau +
       ``_tau_slack`` + the sum of ``_power_slack`` plus ``evaluate``'s stated bound
       (``evaluate_slack``), rho^exact(t) summing every power with its exact factor;
-    * tau < 2^-59 ||EQ||_F = 2^-59 (|f1|^2 + |f2_0|^2), up to 2^-40 relative for its rounding;
+    * tau < 2^-59 ||rho(0)||_F = 2^-59 (|f1|^2 + |f2(1)|^2), up to 2^-40 relative for its rounding;
     * the collective-rate partition has the untruncated catalogue's cut and t_D.
     Delta reaches 12.6, where the window drops leading weights as well as trailing ones.
     """
@@ -712,7 +780,7 @@ class TestFrameTruncation:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(1, 160), st.floats(-1.0, 1.1).map(lambda e: 10.0**e), _UNIT_PAIRS, st.floats(0.01, 1.0),
            st.floats(0.0, 20.0))
-    @example(150, 11.0, (math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j), 0.1, 0.5)  # both sides of the window cut
+    @example(150, 11.0, (math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j), 0.1, 0.5)  # the window cuts 37 leading weights
     @example(40, 1e-200, (0.6 + 0j, 0.8j), 0.1, 1.0)  # hi = 0: nothing to cut
     @example(120, 12.0, (1.0 + 0j, 0j), 0.3, 0.0)  # b = 0 and f2_0 = a s below the cut: every weight dropped
     def test_within_tau_of_the_untruncated_catalogue(self, N, L0, ab, gamma0, t):
@@ -722,7 +790,7 @@ class TestFrameTruncation:
         x, y, ar, ai = _frame_units(f1, f2)
         n, hi, tiny = len(cm.gammas), f2.size - 1, mpmath.mpf(2) ** -2148
         assert cm.equilibrium[0, 0] == abs(f1) ** 2
-        assert cm.truncation <= 2.0 * EPS * (abs(f1) ** 2 + abs(f2[0]) ** 2) * (1.0 + 2.0**-40)
+        assert cm.truncation <= 2.0 * EPS * rho0_norm(f1, f2) * (1.0 + 2.0**-40)
         amps = np.concatenate([cm.equilibrium[None], cm.amplitudes])  # power k at row k
         widths = (np.arange(1, 2 * hi + 1) * gamma0).tolist()
         with mpmath.workprec(160):

@@ -77,12 +77,20 @@ def hermitian_average(a: np.ndarray) -> np.ndarray:
     return a + ah if unit == 2.0 else _halved(a + ah)
 
 
+def _complex_array(x) -> np.ndarray:
+    """``np.asarray(x, dtype=complex)``; ragged or non-numeric input raises ``ValidationError``."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrices must share one shape: {exc}") from exc
+
+
 def _checked_entries(entries, ndim: int = 2, unit_trace: bool = False) -> np.ndarray:
     """Read-only Hermitian average of a square matrix (ndim 2) or a nonempty (T, d, d) stack.
 
     Finiteness, Hermiticity, then (``unit_trace``) traces within 1e-12, each once per stack.
     """
-    a = np.asarray(entries, dtype=complex)
+    a = _complex_array(entries)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or (ndim == 3 and a.size == 0):
         what = "a square matrix" if ndim == 2 else "a stack of square matrices"
         raise ValidationError(f"expected {what}, got shape {a.shape}")
@@ -135,23 +143,6 @@ class DensityMatrix(HermitianMatrix):
             return float(np.linalg.eigvalsh(self.entries)[0])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"LAPACK eigvalsh did not converge: {exc}") from exc
-
-
-def _stacked(mats) -> np.ndarray:
-    """One (T, d, d) array of the square matrices ``mats``, which must share one shape.
-
-    The shapes are checked before ``np.array`` sees the list, so a ragged list never reaches it.
-    """
-    try:
-        shapes = {m.shape if isinstance(m, np.ndarray) else np.shape(m) for m in mats}
-    except ValueError as exc:  # a ragged member
-        raise ValidationError(f"matrices must share one shape: {exc}") from exc
-    if len(shapes) != 1:
-        raise ValidationError(f"matrices must share one shape, got shapes {sorted(shapes)}")
-    stack = np.array(mats)
-    if stack.ndim != 3:
-        raise ValidationError(f"expected square matrices, got a stack of shape {stack.shape}")
-    return stack
 
 
 def _as_density(h: np.ndarray) -> DensityMatrix:
@@ -229,20 +220,22 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 def eigh(a) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix, or a (T, d, d) stack, with LAPACK.
 
-    Accepts a ``HermitianMatrix``, anything convertible to one, a stack
-    that passes the same check matrix by matrix, or a list of equally shaped
-    ``HermitianMatrix`` members, stacked without a second check.  A stack
-    goes to LAPACK in one ``np.linalg.eigh`` call, with the same values as
-    one call per matrix.  LAPACK's ascending eigenvalues are reversed to
+    Accepts a ``HermitianMatrix``, an array-like matrix or stack, or a list
+    or tuple of members: all ``HermitianMatrix`` are stacked unchecked, any
+    other stack is checked once; ragged input raises ``ValidationError``.  A
+    stack goes to LAPACK in one ``np.linalg.eigh`` call, with the same values
+    as one call per matrix.  LAPACK's ascending eigenvalues are reversed to
     descending order and the vectors get the ``_phase_fix`` convention.
     A LAPACK failure to converge raises ``ConvergenceError``.
     """
     if isinstance(a, HermitianMatrix):
         entries = a.entries
-    elif isinstance(a, list) and a and all(isinstance(m, HermitianMatrix) for m in a):
-        entries = _stacked([m.entries for m in a])
+    elif isinstance(a, (list, tuple)) and a and all(isinstance(m, HermitianMatrix) for m in a):
+        entries = _complex_array([m.entries for m in a])
     else:
-        a = np.asarray(a, dtype=complex)
+        if isinstance(a, (list, tuple)):
+            a = [m.entries if isinstance(m, HermitianMatrix) else m for m in a]
+        a = _complex_array(a)
         entries = _checked_entries(a, 3 if a.ndim == 3 else 2)
     try:
         values, vecs = np.linalg.eigh(entries)

@@ -400,7 +400,8 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
     The state a|0> + b|alpha2(t)>, with the displaced branch evolved
     componentwise by exp(-i n z0 t / hbar), normalized by its length (the
     non-unitary evolution loses norm); rho is its outer product, through
-    ``numerics._formed_density``.  A growing pole (Im z0 > 0) raises ValidationError.
+    ``numerics._formed_density``; a state of norm below 2^-480 is scaled first, exactly,
+    by a power of two, so no square underflows.  A growing pole (Im z0 > 0) raises ValidationError.
     """
     _pole_width(z0)
     v2t = _fock_table(cfg.alpha2, cfg.N).v * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
@@ -409,6 +410,9 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
 
     state = cfg.a * e0 + cfg.b * v2t
     norm = float(np.linalg.norm(state))
+    if norm < 2.0**-480:  # the squares under the norm underflow: scale the state up by a power of two first
+        state = np.ldexp(state.view(float), -math.frexp(float(np.max(abs(state.view(float)))))[1]).view(complex)
+        norm = float(np.linalg.norm(state))
     if norm <= 0.0:
         raise ValidationError("evolved state has zero norm")
     unit = state / norm
@@ -436,6 +440,10 @@ def frame_projection(
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
     mat = f[:, None] * f.conj()  # np.outer's one multiply
     tr = mat.item(0).real + mat.item(3).real  # the bits of mat.trace().real, as Python floats
+    if tr < 2.0**-1021:  # 1 / tr would overflow: scale f, exactly, so its largest part lies in [1/2, 1)
+        f = np.ldexp(f.view(float), -math.frexp(float(np.max(abs(f.view(float)))))[1]).view(complex)
+        mat = f[:, None] * f.conj()
+        tr = mat.item(0).real + mat.item(3).real
     if tr <= 0.0:
         raise ValidationError("frame projection has zero weight")
     return _formed_density(mat / tr)

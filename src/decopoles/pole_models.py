@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import HermitianMatrix, _matrix_reduce, check_uniform_grid, hermitian_average
+from .numerics import HermitianMatrix, _complex_array, _matrix_reduce, check_uniform_grid, hermitian_average
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -588,10 +588,7 @@ class CatalogueMatrix:
             Pole(omegas[bad.argmax()], gammas[bad.argmax()])
         eq = HermitianMatrix(equilibrium).entries
         dim = eq.shape[0]
-        try:
-            amps = np.asarray(amplitudes, dtype=complex)
-        except ValueError as exc:  # matrices of differing shapes
-            raise ValidationError(f"amplitude matrices must share one shape: {exc}") from exc
+        amps = _complex_array(amplitudes)
         if amps.size == 0:
             amps = amps.reshape(0, dim, dim)
         if amps.shape != (gammas.size, dim, dim):

@@ -9,8 +9,9 @@ pairs, and sets beside it the first-order estimate (dropped-mode
 envelope) / (eigenvalue gap of rho_P), which is not a bound.
 
 Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
-over the grid, one stacked ``eigh`` per family, one batched product for
-the overlaps, one greedy match over that stack, and one envelope call.
+over the grid, one ``eigh`` per family, which checks each stack at most
+once, one batched product for the overlaps, one greedy match over that
+stack, and one envelope call.
 Per-time results are record arrays of those (T,) columns.
 
 The bi-partite scenario at the end runs two commuting subsystems whose
@@ -27,7 +28,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix, HermitianMatrix, _density_stack, _stacked, eigh
+from .numerics import DensityMatrix, _density_stack, eigh
 from .pole_models import (
     CatalogueMatrix,
     PoleCatalogue,
@@ -40,14 +41,13 @@ from .pole_models import (
 _GAP_TOL = 1e-10
 
 
-def _materialize(rho_of_t, grid: np.ndarray):
-    """The family on the grid: its members if all are checked, else one plain (T, d, d) stack."""
-    mats = [rho_of_t(float(t)) for t in grid] if callable(rho_of_t) else list(rho_of_t)
-    if len(mats) != grid.size:
-        raise ValidationError(f"{len(mats)} matrices supplied for a grid of {grid.size} points")
-    if all(isinstance(m, HermitianMatrix) for m in mats):
-        return mats
-    return _stacked([m.entries if isinstance(m, HermitianMatrix) else m for m in mats])
+def _family_eigh(family, t: np.ndarray):
+    """``eigh`` of a family, which must hold one matrix per grid point."""
+    dec = eigh(family)
+    if dec.eigenvalues.shape[:-1] != t.shape:
+        count = f"{len(dec.eigenvalues)} matrices" if dec.eigenvalues.ndim == 2 else "one matrix, not a stack, was"
+        raise ValidationError(f"{count} supplied for a grid of {t.size} points")
+    return dec
 
 
 def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
@@ -106,11 +106,12 @@ class MovingBasis:
 def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     """Diagonalize a time-indexed family with eigenvector continuity.
 
-    ``rho_of_t`` is a callable t -> matrix (DensityMatrix, HermitianMatrix
-    or plain Hermitian array) or a sequence aligned with ``grid``.  The
-    whole family is diagonalized in one stacked ``eigh`` call and each step
-    is matched by ``_greedy_match``; an exact tie between rows goes to the
-    earlier column in the previous ``eigh`` order, not in track order.
+    ``rho_of_t`` is a list or tuple of matrices (DensityMatrix, HermitianMatrix
+    or plain Hermitian arrays) or one (T, d, d) array, aligned with ``grid``.
+    It is diagonalized in one ``eigh`` call, as it is (checked once unless all
+    its members are checked), and each step is matched by ``_greedy_match``;
+    an exact tie between rows goes to the earlier column in the previous
+    ``eigh`` order, not in track order.
     After matching, each eigenvector's phase is fixed so its overlap with
     the previous time step is real and nonnegative, keeping the angle
     between consecutive matched vectors below pi/2; a vector whose overlap
@@ -119,7 +120,7 @@ def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
-    dec = eigh(_materialize(rho_of_t, t))
+    dec = _family_eigh(rho_of_t, t)
     vals, vecs = dec.eigenvalues, dec.eigenvectors
     steps = np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]  # <v_i(t_k-1)|v_j(t_k)>
     match = _greedy_match(np.abs(steps))
@@ -186,9 +187,9 @@ def convergence_profile(
     largest principal angle over matched pairs, in [0, pi/2]),
     ``eigenvalue_gap`` (of rho_P), ``bound``, ``max_eigenvalue_discrepancy``
     and ``reliable`` (gap >= 1e-10): ``profile.subspace_angle`` is a column,
-    ``profile[k]`` the row at the k-th grid point.  Each family is one
-    stacked ``eigh``; its decompositions are paired at each time by
-    ``_greedy_match``, untracked: relabeling columns permutes the overlap
+    ``profile[k]`` the row at the k-th grid point.  Each family takes the
+    forms and the one ``eigh`` of ``moving_eigenbasis``; its decompositions
+    are paired at each time by ``_greedy_match``, untracked: relabeling columns permutes the overlap
     matrix (same pairs, up to exact ties), phases drop out of the moduli,
     and the gap is taken between eigh's descending eigenvalues.  The grid must lie in
     t >= 0 and reach at least 3 t_D so the post-decoherence regime is
@@ -209,8 +210,8 @@ def convergence_profile(
         raise ValidationError(
             f"grid [{lo}, {hi}] must lie in t >= 0 and span at least 3 t_D = {3.0 * t_D}"
         )
-    dec_r = eigh(_materialize(rho_R, t))
-    dec_p = eigh(_materialize(rho_P, t))
+    dec_r = _family_eigh(rho_R, t)
+    dec_p = _family_eigh(rho_P, t)
     if dec_r.eigenvalues.shape[1] != dec_p.eigenvalues.shape[1]:
         raise ValidationError("the two families have different dimensions")
 

@@ -241,7 +241,7 @@ def test_criterion_08_moving_basis_convergence():
     grid = np.linspace(0.0, 0.5, 51)  # grid[20] = 2 t_D
     pref = preferred_state(mat, rep, grid)
     profile = convergence_profile(
-        lambda t: mat.evaluate(t),
+        [mat.evaluate(float(t)) for t in grid],
         pref,
         grid,
         rep.t_D,

@@ -118,7 +118,7 @@ class TestHermitianMatrix:
     )
     def test_signed_zero_keeps_its_bits(self, shape, cross, corner):
         # complex / 2.0 halves (re + im * 0) / 2, which turns -0.0 into +0.0 when im > 0;
-        # amplitudes[60][0, 1] of the N = 61 frame catalogue in test_properties' @example is such a cross
+        # test_pole_models' test_signed_zero_amplitude_keeps_its_bits stores such a cross in a catalogue
         a = np.zeros(shape, dtype=complex)
         a[..., 0, 1], a[..., 1, 0], a[..., 0, 0] = cross, cross.conjugate(), corner
         assert hermitian_average(a).tobytes() == a.tobytes()
@@ -452,6 +452,26 @@ class TestCheckedMembers:
         mats[1, 0, 2] += 1e-6
         with pytest.raises(ValidationError, match="not Hermitian"):
             eigh(mats)
+
+
+class TestRaggedInput:
+    """Ragged or non-numeric input raises ValidationError on every route, not numpy's ValueError."""
+
+    @pytest.mark.parametrize(
+        "build", [HermitianMatrix, DensityMatrix, eigh, lambda x: _checked_entries(x, 3)],
+        ids=["hermitian", "density", "eigh", "stack"],
+    )
+    @pytest.mark.parametrize(
+        "entries", [[[1, 2], [3]], [np.eye(2), np.eye(3)], [["a", 1], [1, 1]]],
+        ids=["ragged-row", "two-shapes", "non-numeric"],
+    )
+    def test_raises_validation_error(self, build, entries):
+        with pytest.raises(ValidationError, match="matrices must share one shape"):
+            build(entries)
+
+    def test_plain_members_of_two_shapes(self):
+        with pytest.raises(ValidationError, match="matrices must share one shape"):
+            eigh((DensityMatrix(np.eye(2) / 2.0), np.eye(3) / 3.0))
 
 
 class TestAdaptiveSimpson:

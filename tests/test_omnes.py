@@ -806,14 +806,33 @@ class TestFormedStates:
             self.BUILDS[name](cfg, cfg.z0(), -1e3)
         assert str(err.value) == "matrix contains NaN or Inf entries"
 
-    @pytest.mark.parametrize("L0", [2000.0, 2300.0])
-    def test_subnormal_squared_norm_fails_the_trace(self, L0):
-        # the n = 0 weight alone survives, near 1e-160: its square is subnormal, so the norm
-        # that scales the state is rounded far off and rho's trace misses 1 by more than 1e-12
+    @pytest.mark.parametrize("L0", [2000.0, 2300.0, 2371.0, 2400.0])
+    def test_subnormal_squared_norm_gives_the_oracle_state(self, L0):
+        # the n = 0 weight alone survives, near 1e-162: its square is subnormal (past L0 = 2399 it
+        # is 0), so an unscaled norm is rounded far off (or reads 0) and rho's trace misses 1
         cfg = OmnesConfig(1.0, 2.0, 1.0, 1.0, L0, 0.0, 1.0, 60)
-        with pytest.raises(ValidationError) as err:
-            build_density_matrix(cfg, cfg.z0(), 20.0)
-        assert str(err.value).startswith("trace is ")
+        u = oracle_state(cfg, cfg.z0(), 20.0)
+        u = u / math.hypot(*u.real, *u.imag)  # math.hypot scales its arguments, so no square underflows
+        rho = build_density_matrix(cfg, cfg.z0(), 20.0).entries
+        assert np.max(np.abs(rho - np.outer(u, u.conj()))) <= FOCK_ORACLE_TOL
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("closed_form, N", [(True, 60), (False, 1000)], ids=["closed", "truncated"])
+    def test_frame_weight_below_2_to_the_minus_1021(self, closed_form, N):
+        # from t = 0.7 on, f1 and f2 are near 1e-157: |f1|^2 + |f2|^2 < 2^-1021, and 1 / tr would overflow
+        a = 1e-157
+        cfg = OmnesConfig(1.0, 1.0, 1.0, 1.0, 38.03, a, math.sqrt(1.0 - a * a), N)
+        tiny = 0
+        for t in np.linspace(0.5, 0.9, 9).tolist():
+            f1, f2 = frame_pair(cfg, cfg.z0(), t, closed_form)
+            tiny += abs(f1) ** 2 + abs(f2) ** 2 < 2.0**-1021
+            with mpmath.workprec(160):
+                f = [mpmath.mpc(f1), mpmath.mpc(f2)]
+                tr = abs(f[0]) ** 2 + abs(f[1]) ** 2
+                want = [[complex(fi * mpmath.conj(fj) / tr) for fj in f] for fi in f]
+            got = frame_projection(cfg, cfg.z0(), t, closed_form=closed_form).entries
+            assert np.max(np.abs(got - np.array(want))) <= 1e-15, t
+        assert tiny == 5
 
 
 class TestUnderflowingDisplacement:

@@ -715,6 +715,10 @@ class TestCatalogueMatrix:
         with pytest.raises(ValidationError):
             CatalogueMatrix((Pole(0.0, 1.0),), np.eye(2), (np.eye(3),))
 
+    def test_rejects_amplitudes_of_two_shapes(self):
+        with pytest.raises(ValidationError, match="matrices must share one shape"):
+            CatalogueMatrix((Pole(0.0, 1.0), Pole(0.0, 2.0)), np.eye(2), (np.eye(2), np.eye(3)))
+
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValidationError):
             CatalogueMatrix((Pole(0.0, 1.0),), np.eye(2), (np.eye(2), np.eye(2)))
@@ -837,6 +841,16 @@ class TestCatalogueMatrixFromWidths:
             CatalogueMatrix._from_widths(
                 np.array([math.nan, 0.0, 0.0]), np.array([1.0, -1.0, 3.0]), self.EQ, self.AMPS
             )
+
+    def test_signed_zero_amplitude_keeps_its_bits(self):
+        # a (0, 1) entry of -0.0 + 5e-324j, whose zero sign a complex / 2.0 halving turns to +0.0
+        cross = complex(-0.0, 5e-324)
+        amps = np.zeros((2, 2, 2), dtype=complex)  # Hermitian to the bit
+        amps[:, 0, 1], amps[:, 1, 0], amps[:, 0, 0] = cross, cross.conjugate(), 1.0
+        got = CatalogueMatrix._from_widths(np.zeros(2), np.array([1.0, 2.0]), self.EQ, amps)
+        want = CatalogueMatrix([Pole(0.0, 1.0), Pole(0.0, 2.0)], self.EQ, amps)
+        assert math.copysign(1.0, got.amplitudes[0, 0, 1].real) == -1.0
+        assert got.amplitudes.tobytes() == amps.tobytes() == want.amplitudes.tobytes()
 
     def test_poles_built_on_first_read(self):
         cm = CatalogueMatrix._from_widths(np.zeros(3), np.array([3.0, 1.0, 2.0]), self.EQ, self.AMPS)

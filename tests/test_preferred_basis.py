@@ -70,7 +70,7 @@ def closed_form_angle(t):
 class TestMovingBasis:
     def test_static_diagonal(self):
         grid = np.linspace(0.0, 1.0, 5)
-        basis = moving_eigenbasis(lambda t: np.diag([0.9, 0.1]), grid)
+        basis = moving_eigenbasis([np.diag([0.9, 0.1])] * grid.size, grid)
         assert basis.dim == 2
         assert np.all(basis.eigenvalues == np.array([0.9, 0.1]))
         assert basis.degenerate_times == ()
@@ -79,7 +79,7 @@ class TestMovingBasis:
 
     def test_rotating_family_tracks(self):
         grid = np.linspace(0.0, 2.0, 41)
-        basis = moving_eigenbasis(rotating_family, grid)
+        basis = moving_eigenbasis([rotating_family(t) for t in grid], grid)
         # per-track eigenvalues stay put while the vectors rotate
         assert np.max(np.abs(basis.eigenvalues - np.array([0.7, 0.3]))) < 1e-12
         for k, t in enumerate(grid):
@@ -89,19 +89,19 @@ class TestMovingBasis:
 
     def test_phase_continuity(self):
         grid = np.linspace(0.0, 4.0, 81)
-        basis = moving_eigenbasis(rotating_family, grid)
+        basis = moving_eigenbasis([rotating_family(t) for t in grid], grid)
         for k in range(1, grid.size):
             for i in range(2):
                 inner = np.vdot(basis.eigenvectors[k - 1][:, i], basis.eigenvectors[k][:, i])
                 assert inner.real >= 0.0
 
-    def test_sequence_input_matches_callable(self):
+    def test_sequence_input_matches_array(self):
         grid = np.linspace(0.0, 1.0, 9)
         mats = [rotating_family(t) for t in grid]
-        a = moving_eigenbasis(rotating_family, grid)
         b = moving_eigenbasis(mats, grid)
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        for a in (moving_eigenbasis(np.stack(mats), grid), moving_eigenbasis(tuple(mats), grid)):
+            assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
     def test_accepts_density_matrices(self):
         grid = np.array([0.0, 1.0])
@@ -115,13 +115,14 @@ class TestMovingBasis:
 
     def test_empty_grid(self):
         with pytest.raises(ValidationError):
-            moving_eigenbasis(lambda t: np.eye(2), np.array([]))
+            moving_eigenbasis([np.eye(2)], np.array([]))
 
     def test_degeneracy_flagged(self):
         def crossing(t):
             return np.diag([0.5 + 0.1 * (t - 1.0), 0.5 - 0.1 * (t - 1.0)])
 
-        basis = moving_eigenbasis(crossing, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+        grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        basis = moving_eigenbasis([crossing(t) for t in grid], grid)
         assert basis.degenerate_times == (1.0,)
 
     def test_density_members_give_the_raw_stack_bits(self):
@@ -134,7 +135,7 @@ class TestMovingBasis:
 
     def test_reversed_traversal_same_spectra(self):
         grid = np.linspace(0.0, 2.0, 21)
-        fwd = moving_eigenbasis(rotating_family, grid)
+        fwd = moving_eigenbasis([rotating_family(t) for t in grid], grid)
         rev = moving_eigenbasis([rotating_family(t) for t in grid[::-1]], grid[::-1])
         assert np.max(np.abs(fwd.eigenvalues - rev.eigenvalues[::-1])) < 1e-12
 
@@ -373,16 +374,17 @@ def skewed(t):
 
 
 class TestPlainFamiliesChecked:
-    """Plain arrays, and callables returning them, are still checked for Hermiticity."""
+    """Plain arrays, as a list or as one stack, are still checked for Hermiticity."""
 
     GRID = np.array([0.0, 1.0, 2.0, 3.0])
+    FAMILIES = [np.stack([skewed(t) for t in GRID]), [skewed(t) for t in GRID]]
 
-    @pytest.mark.parametrize("family", [skewed, [skewed(t) for t in GRID]], ids=["callable", "list"])
+    @pytest.mark.parametrize("family", FAMILIES, ids=["array", "list"])
     def test_moving_eigenbasis_rejects(self, family):
         with pytest.raises(ValidationError, match="not Hermitian"):
             moving_eigenbasis(family, self.GRID)
 
-    @pytest.mark.parametrize("family", [skewed, [skewed(t) for t in GRID]], ids=["callable", "list"])
+    @pytest.mark.parametrize("family", FAMILIES, ids=["array", "list"])
     def test_convergence_profile_rejects(self, family):
         good = [DensityMatrix(np.diag([0.6, 0.4]))] * self.GRID.size
         for rho_r, rho_p in ((family, good), (good, family)):
@@ -393,6 +395,34 @@ class TestPlainFamiliesChecked:
         family = [DensityMatrix(np.diag([0.6, 0.4]))] * 3 + [skewed(1.0)]
         with pytest.raises(ValidationError, match="not Hermitian"):
             moving_eigenbasis(family, self.GRID)
+
+
+class TestFamilyForms:
+    """A family reaches eigh as it is: one matrix per grid point, or a ValidationError."""
+
+    GRID = np.array([0.0, 1.0])
+    GOOD = [DensityMatrix(np.diag([0.6, 0.4]))] * 2
+    BAD = [5, rotating_family, np.eye(2) / 2.0, [np.eye(2) / 2.0, np.eye(3) / 3.0], [np.eye(2) / 2.0] * 3]
+    IDS = ["number", "callable", "one-matrix", "two-shapes", "three-for-two"]
+
+    @pytest.mark.parametrize("family", BAD, ids=IDS)
+    def test_moving_eigenbasis_rejects(self, family):
+        with pytest.raises(ValidationError):
+            moving_eigenbasis(family, self.GRID)
+
+    @pytest.mark.parametrize("family", BAD, ids=IDS)
+    def test_convergence_profile_rejects(self, family):
+        for rho_r, rho_p in ((family, self.GOOD), (self.GOOD, family)):
+            with pytest.raises(ValidationError):
+                convergence_profile(rho_r, rho_p, self.GRID, t_D=0.1)
+
+    def test_count_mismatch_messages(self):
+        with pytest.raises(ValidationError) as err:
+            moving_eigenbasis(np.eye(2) / 2.0, self.GRID)  # d == T: one matrix, not two
+        assert str(err.value) == "one matrix, not a stack, was supplied for a grid of 2 points"
+        with pytest.raises(ValidationError) as err:
+            moving_eigenbasis([np.eye(2) / 2.0] * 3, self.GRID)
+        assert str(err.value) == "3 matrices supplied for a grid of 2 points"
 
 
 def reference_greedy_match(overlaps):

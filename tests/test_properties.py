@@ -717,7 +717,8 @@ class TestFrameCatalogueRounding:
     @given(st.integers(1, 100), st.floats(-3.0, 0.9).map(lambda e: 10.0**e), _UNIT_PAIRS, st.floats(0.01, 1.0))
     @example(40, 1e-200, (0.6 + 0j, 0.8j), 0.1)  # hi = 0: no power past 0 is live
     @example(100, 0.1, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.2)  # weights past hi = 91 underflow
-    # a (0, 1) entry of -0.0 + 5e-324j, whose zero sign a complex / 2.0 halving turns to +0.0
+    # a complex a with b = 1e-8: two modes stay, their (0, 1) parts near 1e-12 and 1e-16, none a -0.0
+    # (a -0.0 part is TestCatalogueMatrixFromWidths::test_signed_zero_amplitude_keeps_its_bits's case)
     @example(61, 10**-1.8984375, (-0.41614683654714235 + 0.9092974268256816j, 1.0536712127723509e-08 + 0j), 1.0)
     # the tail past the last mode of norm >= eps ||rho(0)||_F still sums above it: mode 93 stays
     @example(88, 4.01, (math.sqrt(0.5) + 0j, math.sqrt(0.5) * 1j), 0.1)

@@ -184,8 +184,6 @@ def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()) -> str:
 
 # --- scenario runners --------------------------------------------------------
 
-_RULES = (pole_models.RULE_SECOND_SMALLEST, pole_models.RULE_SLOWEST, pole_models.RULE_BACKGROUND)
-_BOUNDARIES = (pole_models.BOUNDARY_RELEVANT, pole_models.BOUNDARY_IRRELEVANT)
 _VISIBLE_CHANGE = 1e-8  # extract: a rate r changes a window of span T visibly when |r| T exceeds it
 
 _MODEL1_ROWS = (
@@ -225,9 +223,9 @@ def _parse_simulate(params: dict, scenario: str):
         extra = rows(*(m.pole.gamma for m in modes), cat.hbar)
     else:  # model3
         cat = _read_catalogue(params, path, ("rule", "boundary"), tail_only_ok=False)
-        rule = _string(params, path, "rule", pole_models.RULE_SECOND_SMALLEST, choices=_RULES)
+        rule = _string(params, path, "rule", pole_models.RULE_SECOND_SMALLEST, choices=pole_models._NAMED_RULES)
         boundary = _string(
-            params, path, "boundary", pole_models.BOUNDARY_RELEVANT, choices=_BOUNDARIES
+            params, path, "boundary", pole_models.BOUNDARY_RELEVANT, choices=pole_models._BOUNDARY_CUT
         )
         extra = ()
     return cat, pole_models.decoherence_time(cat, rule, boundary), extra

@@ -307,6 +307,14 @@ def principal_value_integral(f, omega0: float, lo: float, hi: float) -> float:
     return value
 
 
+def _time_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; anything but a nonempty 1-D array (a number, a 2-D grid) raises."""
+    t = np.asarray(grid, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValidationError("grid must be a nonempty 1-D array")
+    return t
+
+
 def check_uniform_grid(times: np.ndarray) -> float:
     """Return the step of a strictly increasing, uniform grid of >= 2 points.
 

@@ -22,6 +22,7 @@ exp(-i n z0 t / hbar) of the spectrum z_n = n z0.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -62,8 +63,18 @@ def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
     x_n = -i n z0 t / hbar, with gamma_k = k u / (1 - k u), u = 2^-53.  numpy's complex exp adds
     under 6u per part (exp and cos or sin within an ulp, 2u, each, and their product u), so each
     part of a phase lies within |e^x| ((1 + 6u) e^(gamma_3 |x|) - 1) + 2^-1074 of exp(x_n).
+
+    Once c itself overflows, n + 0j times c would spend 0 * inf = NaN on each part, so n Re c and
+    n Im c are then real products, for n >= 1 only, and phase 0 is exp(0) = 1.
     """
-    return np.exp(np.arange(size) * (-1j * complex(z0) * t / hbar))
+    c = -1j * complex(z0) * t / hbar
+    if cmath.isfinite(c):
+        return np.exp(np.arange(size) * c)
+    x = np.zeros(size, dtype=complex)
+    n = np.arange(1, size)
+    with np.errstate(over="ignore"):  # a finite part past the float range reads +-inf
+        x.real[1:], x.imag[1:] = n * c.real, n * c.imag
+    return np.exp(x)
 
 
 class _FockTable(NamedTuple):

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import HermitianMatrix, _complex_array, _matrix_reduce, check_uniform_grid, hermitian_average
+from .numerics import HermitianMatrix, _complex_array, _matrix_reduce, _time_grid, check_uniform_grid, hermitian_average
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -133,16 +133,15 @@ class PoleCatalogue:
 
     Modes are stored sorted ascending by gamma (canonical order, so any
     input permutation synthesizes identically).  At least one mode or a
-    tail must be present.  ``pair_product`` marks catalogues whose modes
-    came from pole pairs and therefore carry meaningful beat frequencies;
-    only those may be rendered with oscillatory phases.
+    tail must be present.  A catalogue is its data: each mode's stored
+    omega is the frequency ``synthesize(..., rendering='full')`` rotates
+    it at, however the catalogue was built.
     """
 
     equilibrium: float
     modes: tuple
     khalfin: Optional[KhalfinTail] = None
     hbar: float = 1.0
-    pair_product: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "equilibrium", float(self.equilibrium))
@@ -160,7 +159,8 @@ class PoleCatalogue:
         """Build a catalogue from (pole_i, pole_j, amplitude) cross terms.
 
         Each pair contributes one mode decaying at (gamma_i + gamma_j) / 2
-        whose phase rotates at the beat frequency omega_j - omega_i.
+        whose phase rotates at the beat frequency omega_j - omega_i; the
+        result is a plain catalogue of those modes.
         """
         modes = []
         for pi, pj, amp in pairs:
@@ -170,7 +170,7 @@ class PoleCatalogue:
                     amp,
                 )
             )
-        return cls(equilibrium, tuple(modes), khalfin, hbar, pair_product=True)
+        return cls(equilibrium, tuple(modes), khalfin, hbar)
 
     @property
     def gammas(self) -> tuple:
@@ -253,24 +253,17 @@ def synthesize(cat: PoleCatalogue, grid, rendering: str = "envelope") -> Signal:
 
     ``rendering='envelope'`` keeps only the real damping factors.
     ``rendering='full'`` additionally rotates each mode by
-    exp(-i omega_i t / hbar) and requires a pair-product catalogue, since
-    only there do the stored frequencies mean beat frequencies.
+    exp(-i omega_i t / hbar), at the stored omega of any catalogue.
+    ``grid`` must be a nonempty 1-D array.
     """
     return _mode_sum(cat, grid, rendering, cat.modes)
 
 
 def _mode_sum(cat: PoleCatalogue, grid, rendering: str, modes) -> Signal:
     """Equilibrium + ``modes`` (of ``cat``) + tail, on a checked grid and rendering."""
-    t = np.asarray(grid, dtype=float)
-    if t.size == 0:
-        raise ValidationError("empty time grid")
+    t = _time_grid(grid)
     if rendering not in ("envelope", "full"):
         raise ValidationError(f"unknown rendering {rendering!r}")
-    if rendering == "full" and not cat.pair_product:
-        raise ValidationError(
-            "full rendering requires a pair-product catalogue; "
-            "use PoleCatalogue.from_pole_pairs"
-        )
     values = np.full(t.shape, complex(cat.equilibrium), dtype=complex)
     for mode in modes:
         term = mode.amplitude * np.exp(-mode.pole.gamma * t / cat.hbar)
@@ -356,11 +349,6 @@ def collective_rate_rule(m: float, omega: float, L0: float, hbar: float = 1.0) -
     return rate
 
 
-def _rule_width(rule: str, gammas) -> float:
-    """The width a named rule splits the sorted ``gammas`` at."""
-    return gammas[1] if rule == RULE_SECOND_SMALLEST and len(gammas) > 1 else gammas[0]
-
-
 def partition_report(
     gammas: Sequence[float],
     hbar: float = 1.0,
@@ -400,8 +388,8 @@ def partition_report(
         threshold = float(rule(widths))
         if not math.isfinite(threshold) or threshold <= 0.0:
             raise ValidationError(f"custom rule returned a nonpositive rate: {threshold!r}")
-    elif rule in _NAMED_RULES:
-        threshold = _rule_width(rule, widths)
+    elif rule in _NAMED_RULES:  # a named rule splits at a width itself
+        threshold = widths[1] if rule == RULE_SECOND_SMALLEST and widths.size > 1 else widths[0]
     else:
         raise ValidationError(f"unknown rule {rule!r}")
     if boundary not in _BOUNDARY_CUT:
@@ -436,9 +424,13 @@ def check_report_matches(cat, report: TimescaleReport):
     """Verify a report's partition against a catalogue's widths.
 
     ``cat`` is anything exposing sorted ``gammas`` and ``hbar`` (scalar or
-    matrix catalogue).  Raises when the report's cut could not have been
-    derived from these widths under its rule and boundary; the message
-    names both cuts, or the window of cuts a custom rate's rounding allows.
+    matrix catalogue).  A named rule's report is derived again by
+    ``partition_report`` from these widths, with the catalogue's hbar: its
+    cut must be that report's, and its t_D that report's within 2e-12
+    relative (the two hbar may differ by 1e-12).  A custom rate is not
+    stored, so its report is held to the window of cuts any rate within
+    rounding of hbar / t_D gives; so is any report on no modes.  Raises
+    naming both cuts, or that window, or both t_D.
     """
     gammas = cat.gammas
     if report.n_modes != len(gammas):
@@ -447,27 +439,20 @@ def check_report_matches(cat, report: TimescaleReport):
         )
     if abs(report.hbar - cat.hbar) > _REL_SLACK * cat.hbar:
         raise ValidationError("report and catalogue disagree on hbar")
-    if report.rule == RULE_BACKGROUND:
-        if report.cut:
-            raise ValidationError("background-only report must drop every pole")
-        return
     if report.rule == RULE_CUSTOM or not gammas:
-        # a custom rate is known only through t_D, so up to its rounding
+        # any rate in [threshold - tol, threshold + tol] could have made the cut
         threshold = cat.hbar / report.t_D
         tol = _REL_SLACK * threshold
+        side = _BOUNDARY_CUT[report.boundary]
+        lo, hi = side(gammas, threshold - tol), side(gammas, threshold + tol)
     else:
-        # a named rule's threshold is a width itself, so the split is exact
-        threshold = _rule_width(report.rule, gammas)
-        tol = 0.0
-        # the catalogue's hbar may differ from the report's by the slack too
-        if abs(cat.hbar / threshold - report.t_D) > 2.0 * _REL_SLACK * report.t_D:
+        derived = partition_report(gammas, cat.hbar, report.rule, report.boundary)
+        if abs(derived.t_D - report.t_D) > 2.0 * _REL_SLACK * report.t_D:
             raise ValidationError(
                 f"report t_D = {report.t_D!r} does not follow from the {report.rule} "
-                f"threshold width {threshold!r}"
+                f"rule's t_D = {derived.t_D!r}"
             )
-    # any rate in [threshold - tol, threshold + tol] could have made the cut
-    side = _BOUNDARY_CUT[report.boundary]
-    lo, hi = side(gammas, threshold - tol), side(gammas, threshold + tol)
+        lo = hi = derived.cut
     if not lo <= report.cut <= hi:
         want = lo if lo == hi else f"{lo} to {hi}"
         raise ValidationError(f"report cut {report.cut} does not match the catalogue's threshold cut {want}")
@@ -782,11 +767,7 @@ def _read_catalogue(doc: dict, path: str, other_keys=(), tail_only_ok=True) -> P
 
 
 def catalogue_to_json(cat: PoleCatalogue) -> str:
-    """Serialize to the interchange schema.
-
-    The pair-product flag is not part of the schema; a reloaded catalogue
-    is a plain (envelope) catalogue.
-    """
+    """Serialize to the interchange schema: ``catalogue_from_json`` gives back an equal catalogue."""
     doc = {
         "hbar": cat.hbar,
         "equilibrium": cat.equilibrium,

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix, _density_stack, eigh
+from .numerics import DensityMatrix, _density_stack, _time_grid, eigh
 from .pole_models import (
     CatalogueMatrix,
     PoleCatalogue,
@@ -117,9 +117,7 @@ def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     between consecutive matched vectors below pi/2; a vector whose overlap
     with its predecessor vanishes keeps the phase it had.
     """
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValidationError("grid must be a nonempty 1-D array")
+    t = _time_grid(grid)
     dec = _family_eigh(rho_of_t, t)
     vals, vecs = dec.eigenvalues, dec.eigenvectors
     steps = np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]  # <v_i(t_k-1)|v_j(t_k)>
@@ -159,11 +157,10 @@ def preferred_state(
     truncated matrix is renormalized to unit trace and the stack is checked
     once, giving the entries ``DensityMatrix(m / tr)`` would store.  A
     vanishing trace means the surviving modes cannot represent a state.
+    ``grid`` must be a nonempty 1-D array; one time is a grid of one point.
     """
     check_report_matches(source, report)
-    t = np.asarray(grid, dtype=float)
-    if t.size == 0:
-        raise ValidationError("empty time grid")
+    t = _time_grid(grid)
     mats = source.evaluate(t, keep=report.p_relevant)
     traces = np.trace(mats, axis1=-2, axis2=-1).real
     vanishing = ~np.isfinite(traces) | (np.abs(traces) < 1e-200)
@@ -200,9 +197,7 @@ def convergence_profile(
     times it at 7.56 t_D.  Called once with the whole grid, ``envelope``
     returns the dropped modes' weight per point, (T,) or one number.
     """
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValidationError("grid must be a nonempty 1-D array")
+    t = _time_grid(grid)
     if not t_D > 0.0:  # NaN fails too
         raise ValidationError("t_D must be positive")
     lo, hi = t.min(), t.max()

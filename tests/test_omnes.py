@@ -816,6 +816,42 @@ class TestFormedStates:
         rho = build_density_matrix(cfg, cfg.z0(), 20.0).entries
         assert np.max(np.abs(rho - np.outer(u, u.conj()))) <= FOCK_ORACLE_TOL
 
+    @pytest.mark.xfail(
+        raises=ValidationError, strict=True,
+        reason="the Fock weights and ladder phases are formed in linear scale, and every product underflows",
+    )
+    def test_underflowing_fock_weights_give_the_oracle_state(self):
+        # past L0 = 1.1e6 even the n = 0 weight underflows: the state reads zero where the exact
+        # one is nearly |0>, since the weights grow as alpha^n / sqrt(n!) but the phases damp as e^(-20 n)
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 1.0, 1e7, 0.0, 1.0, 60)
+        with mpmath.workprec(160):
+            x = mpmath.mpc(0, -1) * mpmath.mpc(cfg.z0()) * 20.0 / cfg.hbar
+            u = [mpmath.mpf(cfg.alpha2) ** n / mpmath.sqrt(mpmath.factorial(n)) * mpmath.exp(n * x)
+                 for n in range(cfg.N + 1)]
+            tr = mpmath.fsum(abs(ui) ** 2 for ui in u)
+            want = np.array([[complex(ui * mpmath.conj(uj) / tr) for uj in u] for ui in u])
+        rho = build_density_matrix(cfg, cfg.z0(), 20.0).entries
+        assert np.max(np.abs(rho - want)) <= FOCK_ORACLE_TOL
+
+    @IGNORE_MACRO
+    @pytest.mark.parametrize("omega_prime", [0.5, 0.0], ids=["reproducer", "pure-damping"])
+    def test_overflowing_ladder_exponent_leaves_phase_zero(self, monkeypatch, omega_prime):
+        # at t = 1e308 and hbar = 0.25, c = -i z0 t / hbar overflows: (n + 0j) c once made every
+        # phase NaN, where the exact phases are 1 at n = 0 and 0 past it
+        cfg = OmnesConfig(1.0, 2.0, 0.25, 1.0, 1.5, math.sqrt(0.5), math.sqrt(0.5), 60)
+        z0 = cfg.z0(omega_prime)
+        got = [build(cfg, z0, 1e308).entries for build in (self.BUILDS["fock"], self.BUILDS["frame-truncated"])]
+
+        def unit_phase_zero(size, z0, t, hbar):
+            phases = np.zeros(size, dtype=complex)
+            phases[0] = 1.0
+            return phases
+
+        monkeypatch.setattr("decopoles.omnes._ladder_phases", unit_phase_zero)
+        want = [build(cfg, z0, 1e308).entries for build in (self.BUILDS["fock"], self.BUILDS["frame-truncated"])]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     @IGNORE_MACRO
     @pytest.mark.parametrize("closed_form, N", [(True, 60), (False, 1000)], ids=["closed", "truncated"])
     def test_frame_weight_below_2_to_the_minus_1021(self, closed_form, N):

@@ -169,9 +169,14 @@ class TestSynthesize:
         b = synthesize(ref, [1.5])
         assert a.values[0] == b.values[0]
 
-    def test_full_rendering_requires_pair_product(self):
-        with pytest.raises(ValidationError):
-            synthesize(figure_catalogue(), [0.0, 1.0], rendering="full")
+    def test_full_rendering_of_a_plain_catalogue(self):
+        # a catalogue is its data: the stored omega rotates a mode however it was built
+        cat = PoleCatalogue(0.0, (Mode(Pole(2.0, 0.4), 2.0),))
+        full = synthesize(cat, [1.0], rendering="full")
+        want = 2 * math.exp(-0.4) * complex(math.cos(2.0), -math.sin(2.0))
+        assert full.values[0] == pytest.approx(want, rel=1e-14)
+        pairs = PoleCatalogue.from_pole_pairs([(Pole(1.0, 0.2), Pole(3.0, 0.6), 2.0)])
+        assert synthesize(pairs, [1.0], rendering="full").values[0] == full.values[0]
 
     def test_unknown_rendering(self):
         with pytest.raises(ValidationError):
@@ -181,11 +186,16 @@ class TestSynthesize:
         with pytest.raises(ValidationError):
             synthesize(figure_catalogue(), [])
 
+    @pytest.mark.parametrize("grid", [[], 1.0, [[0.0, 1.0]]], ids=["empty", "scalar", "2-D"])
+    def test_grid_must_be_nonempty_and_1d(self, grid):
+        with pytest.raises(ValidationError) as err:
+            synthesize(figure_catalogue(), grid)
+        assert str(err.value) == "grid must be a nonempty 1-D array"
+
     def test_pair_product_beat(self):
         zi = Pole(1.0, 0.2)
         zj = Pole(3.0, 0.6)
         cat = PoleCatalogue.from_pole_pairs([(zi, zj, 2.0)])
-        assert cat.pair_product
         mode = cat.modes[0]
         assert mode.pole.gamma == pytest.approx(0.4)
         assert mode.pole.omega == pytest.approx(2.0)
@@ -509,6 +519,25 @@ class TestReportValidation:
         forged = TimescaleReport(rep.t_R, 0.9 * rep.t_D, rep.cut, rep.n_modes, rep.rule, rep.boundary)
         with pytest.raises(ValidationError, match="does not follow"):
             check_report_matches(cat, forged)
+
+    def test_check_rejects_background_report_with_t_d_below_t_r(self):
+        # background-only keeps no pole and sets t_D = t_R; a shorter t_D is another rule's report
+        cat = figure_catalogue()
+        check_report_matches(cat, decoherence_time(cat, RULE_BACKGROUND))
+        forged = TimescaleReport(10.0, 1.0, 0, 3, RULE_BACKGROUND)
+        with pytest.raises(ValidationError, match="does not follow from the background-only rule's t_D = 10.0"):
+            check_report_matches(cat, forged)
+
+    def test_check_names_the_background_cut(self):
+        cat = figure_catalogue()
+        with pytest.raises(ValidationError) as err:
+            check_report_matches(cat, TimescaleReport(10.0, 10.0, 1, 3, RULE_BACKGROUND))
+        assert str(err.value) == "report cut 1 does not match the catalogue's threshold cut 0"
+
+    def test_check_takes_a_report_on_no_modes(self):
+        # an empty matrix catalogue has no widths to derive a report from: its t_D is a rate's
+        cm = CatalogueMatrix((), np.eye(2) / 2, np.zeros((0, 2, 2)))
+        check_report_matches(cm, TimescaleReport(1.0, 1.0, 0, 0, RULE_SECOND_SMALLEST))
 
     def test_check_rejects_hbar_mismatch(self):
         cat = figure_catalogue(hbar=2.0)

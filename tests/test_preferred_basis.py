@@ -192,6 +192,14 @@ class TestPreferredState:
         with pytest.raises(ValidationError):
             preferred_state(cm, rep, [0.5])
 
+    @pytest.mark.parametrize("grid", [[], 1.0, [[0.0, 1.0]]], ids=["empty", "scalar", "2-D"])
+    def test_grid_must_be_nonempty_and_1d(self, grid):
+        # a number once gave a bare IndexError, and a (1, 2) grid a complaint about a (1, 2, 2, 2) stack
+        cm = two_pole_matrix_catalogue()
+        with pytest.raises(ValidationError) as err:
+            preferred_state(cm, partition_report(cm.gammas, cm.hbar), grid)
+        assert str(err.value) == "grid must be a nonempty 1-D array"
+
     def test_foreign_report_rejected(self):
         cm = two_pole_matrix_catalogue()
         with pytest.raises(ValidationError):

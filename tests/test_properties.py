@@ -1,9 +1,13 @@
 """Property tests of the paper's invariants over generated inputs."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -14,6 +18,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from decopoles import cli
 from decopoles.errors import ValidationError
 from decopoles.numerics import (
     HERMITICITY_TOL,
@@ -884,7 +889,7 @@ def oscillating_catalogues(draw):
     modes = tuple(
         Mode(Pole(f * nyquist, m.pole.gamma), m.amplitude) for f, m in zip(fractions, cat.modes)
     )
-    return PoleCatalogue(cat.equilibrium, modes, None, cat.hbar, pair_product=True), grid
+    return PoleCatalogue(cat.equilibrium, modes, None, cat.hbar), grid
 
 
 class TestExtractionRoundTrip:
@@ -920,6 +925,44 @@ class TestExtractionRoundTrip:
             assert abs(-z.real * cat.hbar - gamma) <= 1e-6 * gamma
             assert abs(-z.imag * cat.hbar - omega) <= 1e-6 * abs(complex(omega, gamma))
             assert abs(amp - mode.amplitude) <= 1e-5 * abs(mode.amplitude)
+
+    @staticmethod
+    def roundtrip_tolerance(cat, t_max):
+        """Stated before measuring: the largest |S_fit(t) - S(t)| that the bounds above allow on [0, t_max].
+
+        A fitted mode a' exp(x') with |a' - a| <= 1e-5 |a| and x' = -(gamma' + i omega') t / hbar, its
+        width within 1e-6 gamma and its frequency within 1e-6 |omega - i gamma|, differs from a exp(x)
+        by |a| e^(Re x) |(a' / a) e^(x' - x) - 1| <= |a| ((1 + 1e-5) e^(d) - 1), with
+        d = 1e-6 (gamma + |omega - i gamma|) t_max / hbar >= |x' - x|.  The equilibrium is given to
+        extract, so it is exact; each signal rounds to about an ulp of its terms' total size,
+        which 1e-13 of that total covers.
+        """
+        drift = 0.0
+        for m in cat.modes:
+            d = 1e-6 * (m.pole.gamma + abs(complex(m.pole.omega, m.pole.gamma))) * t_max / cat.hbar
+            drift += abs(m.amplitude) * ((1.0 + 1e-5) * math.exp(d) - 1.0)
+        return drift + 1e-13 * (abs(cat.equilibrium) + sum(abs(m.amplitude) for m in cat.modes))
+
+    @settings(deadline=None, max_examples=100)
+    @given(oscillating_catalogues())
+    def test_extract_then_full_synthesis_gives_the_signal_back(self, setup):
+        # a plain catalogue renders its stored frequencies: CSV -> decopoles extract -> JSON -> synthesize
+        cat, grid = setup
+        signal = synthesize(cat, grid, rendering="full")
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, cfg_path, out = (os.path.join(tmp, name) for name in ("signal.csv", "extract.json", "out"))
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write(signal_to_csv(signal))
+            params = {"input_csv": csv_path, "model_order": len(cat.modes)}
+            params.update(equilibrium=cat.equilibrium, hbar=cat.hbar)
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump({"scenario": "extract", "params": params}, fh)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["extract", "--config", cfg_path, "--out", out]) == 0
+            with open(os.path.join(out, "catalogue.json"), encoding="utf-8") as fh:
+                fitted = catalogue_from_json(fh.read())
+        back = synthesize(fitted, grid, rendering="full")
+        assert np.max(np.abs(back.values - signal.values)) <= self.roundtrip_tolerance(cat, float(grid[-1]))
 
 
 @st.composite

@@ -7,8 +7,10 @@
 # request's base, or the commit before a push); it is checked out once, in a
 # worktree at WORKDIR/base, which a later call reuses.  Both modes print this
 # tree's lines, then digest_diff.py's comparison with the base's.  `library`
-# never fails on the comparison, as library results are pinned by tolerances,
-# not bits; `cli` fails when an op both trees run writes different bytes.
+# then prints, for each op whose digest moved, the largest entrywise move of
+# each result leaf (library_digest.py --moved), and never fails, as library
+# results are pinned by tolerances, not bits; `cli` fails when an op both
+# trees run writes different bytes.
 # Without a base, or with a base that has no such script, nothing is compared.
 set -euo pipefail
 
@@ -28,6 +30,7 @@ fi
 python "$work/base/$script" > "$work/base_$mode.txt"
 if [ "$mode" = library ]; then
   python .github/scripts/digest_diff.py "$work/base_$mode.txt" "$work/head_$mode.txt" || true
+  python "$script" --moved "$work/base" "$work/base_$mode.txt" "$work/head_$mode.txt" || true
 else
   python .github/scripts/digest_diff.py "$work/base_$mode.txt" "$work/head_$mode.txt"
 fi

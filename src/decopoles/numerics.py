@@ -19,6 +19,7 @@ concurrently.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,9 +131,9 @@ class DensityMatrix(HermitianMatrix):
     """Hermitian, trace-one complex matrix (positivity is the caller's task).
 
     Construction enforces Hermiticity and unit trace to 1e-12, as ``_formed_density``
-    does for ``omnes``' per-point states; positive semidefiniteness is a property of how
-    the matrix was built (e.g. as a normalized outer product) and can be audited with
-    ``min_eigenvalue``, one values-only LAPACK call (no eigenvectors, phases or residual).
+    does for the pure states ``omnes`` forms from their vectors; positive semidefiniteness
+    is a property of how the matrix was built (u u^H / tr is by construction) and can be audited
+    with ``min_eigenvalue``, one values-only LAPACK call (no eigenvectors, phases or residual).
     """
 
     def __post_init__(self):
@@ -156,9 +157,25 @@ def _density_stack(mats) -> list:
     return [_as_density(m) for m in _checked_entries(mats, 3, unit_trace=True)]
 
 
-def _formed_density(a: np.ndarray) -> DensityMatrix:
-    """``DensityMatrix(a)`` for ``a`` = u u^H scaled to unit trace: the same average and failures,
-    without the scale and deviation reductions such a matrix cannot fail (see the README)."""
+def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
+    """u u^H / tr, tr the correctly rounded sum of its diagonal, as a ``DensityMatrix``; a zero u raises
+    ``ValidationError(empty)``.  Below tr = 2^-960 products of u's parts may be subnormal, keeping too few
+    bits, so u is first scaled by a power of two (exact, rho unchanged) to a largest part in [1/2, 1).
+    Then ``DensityMatrix``'s finiteness check, ``_halved`` average and trace check on the same bits,
+    without the reductions such a matrix cannot fail (see the README).  Each part of rho_ij lies within
+    gamma_8 |u_i| |u_j| / |u|^2 + (d + 2) 2^-113 of exact, gamma_k = k 2^-53 / (1 - k 2^-53): gamma_2
+    per product, gamma_3 on tr, two roundings in the division (a multiply by the rounded 1 / tr) and one
+    in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-961.
+    """
+    mat = u[:, None] * u.conj()  # np.outer's one multiply
+    tr = math.fsum(mat.real.diagonal().tolist())
+    if tr < 2.0**-960:
+        u = np.ldexp(u.view(float), -math.frexp(float(np.max(abs(u.view(float)))))[1]).view(complex)
+        mat = u[:, None] * u.conj()
+        tr = math.fsum(mat.real.diagonal().tolist())
+        if tr == 0.0:
+            raise ValidationError(empty)
+    a = mat / tr
     if not np.isfinite(a).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     h = _halved(a + a.T.conj())

@@ -1,7 +1,7 @@
 """Truncated coherent-state superpositions and their collective decay.
 
 A particle in a harmonic well, displaced by L0 and prepared in the
-superposition a|alpha1> + b|alpha2| with alpha1 = 0 (gauge), decoheres
+superposition a|alpha1> + b|alpha2> with alpha1 = 0 (gauge), decoheres
 through a single resonance pole z0.  Working in the truncated Fock space
 of dimension N+1:
 
@@ -55,33 +55,34 @@ def _pole_width(z0: complex) -> float:
     return -z0.imag
 
 
-def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
-    """exp(-i z_n t / hbar) on the ladder z_n = n z0, n = 0..size-1, at one time t.
+def _ladder_exponents(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
+    """x_n = n c, c = -i z0 t / hbar, on the ladder z_n = n z0, n = 0..size-1, at one time t.
 
-    c = -i z0 t / hbar is formed once, as a Python complex (one rounding per part for t, one for
-    hbar), and n c takes one more, so each part of the exponent is within gamma_3 of the exact
-    x_n = -i n z0 t / hbar, with gamma_k = k u / (1 - k u), u = 2^-53.  numpy's complex exp adds
-    under 6u per part (exp and cos or sin within an ulp, 2u, each, and their product u), so each
-    part of a phase lies within |e^x| ((1 + 6u) e^(gamma_3 |x|) - 1) + 2^-1074 of exp(x_n).
-
-    Once c itself overflows, n + 0j times c would spend 0 * inf = NaN on each part, so n Re c and
-    n Im c are then real products, for n >= 1 only, and phase 0 is exp(0) = 1.
+    c is formed once, as a Python complex (one rounding per part for t, one for hbar), and n c
+    takes one more, so each part of the exponent is within gamma_3 of the exact x_n = -i n z0 t / hbar,
+    with gamma_k = k u / (1 - k u), u = 2^-53.  Once c itself overflows, n + 0j times c would spend
+    0 * inf = NaN on each part, so n Re c and n Im c are then real products, for n >= 1 only, and x_0 = 0.
     """
     c = -1j * complex(z0) * t / hbar
     if cmath.isfinite(c):
-        return np.exp(np.arange(size) * c)
+        return np.arange(size) * c
     x = np.zeros(size, dtype=complex)
     n = np.arange(1, size)
     with np.errstate(over="ignore"):  # a finite part past the float range reads +-inf
         x.real[1:], x.imag[1:] = n * c.real, n * c.imag
-    return np.exp(x)
+    return x
+
+
+def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
+    """exp(-i z_n t / hbar) = exp(x_n) of ``_ladder_exponents``; numpy's complex exp adds under 6u per part,
+    so each part lies within |e^x| ((1 + 6u) e^(gamma_3 |x|) - 1) + 2^-1074 of exp(x_n) (see the README)."""
+    return np.exp(_ladder_exponents(size, z0, t, hbar))
 
 
 class _FockTable(NamedTuple):
     log_weights: np.ndarray  # log(alpha^n / sqrt(n!)), n = 0..N; alpha = 0 gives only n = 0
     log_norm: float  # -1/2 log(sum_n alpha^2n / n!)
     q_live: np.ndarray  # |<n|alpha>|^2 for n = 0..hi as complex, q_hi the last nonzero one (leading zeros stay)
-    v: np.ndarray  # <n|alpha>
 
 
 @functools.lru_cache(maxsize=32)
@@ -95,10 +96,9 @@ def _fock_table(alpha: float, N: int) -> _FockTable:
     log_norm = -0.5 * _logsumexp(2.0 * log_weights)
     q = np.exp(2.0 * (log_weights + log_norm))
     q_live = q[: np.flatnonzero(q)[-1] + 1].astype(complex)
-    v = np.exp(log_weights + log_norm)  # unit norm by construction, up to rounding in |log_norm| and N
-    for arr in (log_weights, q_live, v):
+    for arr in (log_weights, q_live):
         arr.setflags(write=False)
-    return _FockTable(log_weights, log_norm, q_live, v)
+    return _FockTable(log_weights, log_norm, q_live)
 
 
 def _truncation(N, least: int = 1) -> int:
@@ -135,8 +135,9 @@ class QuasiCoherentState:
         return _fock_table(self.alpha, self.N).log_norm
 
     def fock_vector(self) -> np.ndarray:
-        """Unit-norm component vector in the Fock basis, length N+1."""
-        return _fock_table(self.alpha, self.N).v.copy()
+        """Unit-norm component vector <n|alpha> in the Fock basis, length N+1 (up to rounding in |log_norm| and N)."""
+        table = _fock_table(self.alpha, self.N)
+        return np.exp(table.log_weights + table.log_norm)
 
 
 def _weight_sum(a: complex, b: complex) -> float:
@@ -408,26 +409,22 @@ def collective_rate(cfg: OmnesConfig) -> CollectiveRate:
 def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatrix:
     """Trace-1 density matrix of the evolved superposition in Fock space.
 
-    The state a|0> + b|alpha2(t)>, with the displaced branch evolved
-    componentwise by exp(-i n z0 t / hbar), normalized by its length (the
-    non-unitary evolution loses norm); rho is its outer product, through
-    ``numerics._formed_density``; a state of norm below 2^-480 is scaled first, exactly,
-    by a power of two, so no square underflows.  A growing pole (Im z0 > 0) raises ValidationError.
+    The state a|0> + b|alpha2(t)>, with the displaced branch evolved componentwise by
+    exp(-i n z0 t / hbar), has amplitudes exp(log <n|alpha2> + x_n), formed in log scale and
+    shifted by their largest log (a's included), so no amplitude overflows or underflows all
+    together; ``numerics._formed_density`` forms rho = u u^H / tr (the non-unitary evolution
+    loses norm) within its stated bound.  A growing pole (Im z0 > 0) raises ValidationError.
     """
     _pole_width(z0)
-    v2t = _fock_table(cfg.alpha2, cfg.N).v * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)
-    e0 = np.zeros(cfg.N + 1, dtype=complex)
-    e0[0] = 1.0
-
-    state = cfg.a * e0 + cfg.b * v2t
-    norm = float(np.linalg.norm(state))
-    if norm < 2.0**-480:  # the squares under the norm underflow: scale the state up by a power of two first
-        state = np.ldexp(state.view(float), -math.frexp(float(np.max(abs(state.view(float)))))[1]).view(complex)
-        norm = float(np.linalg.norm(state))
-    if norm <= 0.0:
-        raise ValidationError("evolved state has zero norm")
-    unit = state / norm
-    return _formed_density(np.outer(unit, unit.conj()))
+    table = _fock_table(cfg.alpha2, cfg.N)
+    x = table.log_weights + table.log_norm + _ladder_exponents(cfg.N + 1, z0, t, cfg.hbar)
+    log_a = math.log(abs(cfg.a)) if cfg.a else -math.inf
+    shift = max(float(np.max(x.real)), log_a)  # the largest amplitude's log, a's included
+    state = cfg.b * np.exp(x - shift)
+    if cfg.a:  # shift >= log|a| > -745; a e^-shift as (a half) half, since e^-shift alone may overflow
+        half = math.exp(-0.5 * shift)
+        state[0] += cfg.a * half * half
+    return _formed_density(state, "evolved state has zero norm")
 
 
 # --- two-dimensional frame picture -------------------------------------------
@@ -442,22 +439,14 @@ def frame_projection(
     f1 = a + b s and f2 = a s + b w(t), with s the static branch overlap
     and w the self-overlap of the displaced branch.  ``closed_form`` picks
     the infinite-N expressions; otherwise both use the exact truncated
-    sums.  Entry (i, j) is f_i conj(f_j), normalized to unit trace; the
+    sums.  rho = f f^H / tr through ``numerics._formed_density``; the
     frame is treated as orthonormal, which the macroscopic regime justifies
-    up to the exp(-Delta^2/2) cross-overlap; it goes through ``numerics._formed_density``.
+    up to the exp(-Delta^2/2) cross-overlap.
     A growing pole (Im z0 > 0) raises ValidationError.
     """
     s, w = _frame_overlaps(cfg, z0, t, closed_form)
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
-    mat = f[:, None] * f.conj()  # np.outer's one multiply
-    tr = mat.item(0).real + mat.item(3).real  # the bits of mat.trace().real, as Python floats
-    if tr < 2.0**-1021:  # 1 / tr would overflow: scale f, exactly, so its largest part lies in [1/2, 1)
-        f = np.ldexp(f.view(float), -math.frexp(float(np.max(abs(f.view(float)))))[1]).view(complex)
-        mat = f[:, None] * f.conj()
-        tr = mat.item(0).real + mat.item(3).real
-    if tr <= 0.0:
-        raise ValidationError("frame projection has zero weight")
-    return _formed_density(mat / tr)
+    return _formed_density(f, "frame projection has zero weight")
 
 
 def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:

@@ -59,6 +59,16 @@ def oracle_state(cfg, z0, t):
     return state
 
 
+def exact_fock_state(cfg, z0, t):
+    """Reference, in mpmath at the caller's precision: a|0> + b N2 sum_n alpha2^n / sqrt(n!) exp(-i n z0 t / hbar)|n>."""
+    x = mpmath.mpc(0, -1) * mpmath.mpc(z0) * t / cfg.hbar
+    v = [mpmath.mpf(cfg.alpha2) ** n / mpmath.sqrt(mpmath.factorial(n)) for n in range(cfg.N + 1)]
+    norm = mpmath.sqrt(mpmath.fsum(vn**2 for vn in v))
+    u = [mpmath.mpc(cfg.b) * vn / norm * mpmath.exp(n * x) for n, vn in enumerate(v)]
+    u[0] += mpmath.mpc(cfg.a)
+    return u
+
+
 # Stated before measuring: the oracle's phases differ from the library's by a few roundings of the
 # exponent x_n, so by about |x_n| u relative; weighted by |phase| = exp(-Re x_n), that is at most
 # (|z0| / gamma0) u, about 1e-14 at the widest ratio drawn (50).  Every entry of rho is at most 1,
@@ -71,6 +81,31 @@ def oracle_density(cfg, z0, t):
     u = oracle_state(cfg, z0, t)
     u = u / np.linalg.norm(u)
     return np.outer(u, u.conj())
+
+
+def amplitude_damped(rho0, kappa_t):
+    """Reference: the zero-temperature amplitude-damping state of a Fock-space operator, by its Kraus sum.
+
+    The master equation d rho / dt = kappa (a rho a^H - {a^H a, rho} / 2) of Walls & Milburn,
+    Phys. Rev. A 31, 2403 (1985), solved exactly: rho(t) = sum_k K_k rho0 K_k^H, with
+    K_k = sum_n sqrt(C(n, k)) eta^((n - k) / 2) (1 - eta)^(k / 2) |n - k><n| and eta = e^(-kappa t).
+    numpy only; K_k |n> = K_k[n - k, n] |n - k>, so each term is a shifted block, scaled row and column.
+    Meant for N = dim - 1 <= 80, where C(n, k) stays far inside the float range.
+    """
+    dim = rho0.shape[0]
+    eta, lost = math.exp(-kappa_t), -math.expm1(-kappa_t)
+    out = np.zeros_like(rho0)
+    for k in range(dim):
+        n = np.arange(k, dim)
+        kraus = np.sqrt([float(math.comb(int(m), k)) for m in n]) * eta ** ((n - k) / 2) * lost ** (k / 2)
+        out[: dim - k, : dim - k] += kraus[:, None] * rho0[k:, k:] * kraus
+    return out
+
+
+def coherent_branch(delta, N):
+    """Reference: <n|Delta> = e^(-Delta^2 / 2) Delta^n / sqrt(n!), n = 0..N, unrenormalized."""
+    n = np.arange(N + 1)
+    return np.exp(n * math.log(delta) - 0.5 * np.array([math.lgamma(m + 1.0) for m in range(N + 1)]) - 0.5 * delta**2)
 
 
 def brute_normalized_overlap(a1, a2, N):
@@ -99,9 +134,9 @@ class TestQuasiCoherentState:
         table = _fock_table(3.0, 40)
         want = np.exp(table.log_weights + table.log_norm)
         assert v.tobytes() == want.tobytes()
-        v[:] = 0.0  # the caller's copy; the table is read-only
+        v[:] = 0.0  # the caller's own array; the table's are read-only
         assert state.fock_vector().tobytes() == want.tobytes()
-        assert not table.v.flags.writeable
+        assert not table.log_weights.flags.writeable
 
     def test_large_alpha_state_is_accepted(self):
         # a valid state whose ||v|| - 1 = 1.55e-12 is all rounding in a log norm near -8e4
@@ -276,7 +311,7 @@ class TestLogFactorials:
     def test_cached_and_read_only(self):
         table = _fock_table(2.0, 57)
         assert _fock_table(2.0, 57) is table
-        for arr in (table.log_weights, table.q_live, table.v):
+        for arr in (table.log_weights, table.q_live):
             with pytest.raises(ValueError):
                 arr[3] = 0.0
 
@@ -800,11 +835,24 @@ class TestFormedStates:
     @IGNORE_MACRO
     @pytest.mark.parametrize("name", BUILDS)
     def test_non_finite_state_is_rejected(self, name):
-        # far back in time the ladder phases overflow, and the state holds Inf or NaN
+        # far back in time the ladder phases overflow, and the state holds Inf or NaN; the Fock
+        # amplitudes are shifted in log scale, so only an exponent n c past the float range does that
         cfg = self.FOCK if name == "fock" else self.FRAME
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError) as err:
-            self.BUILDS[name](cfg, cfg.z0(), -1e3)
+            self.BUILDS[name](cfg, cfg.z0(), -1e308 if name == "fock" else -1e3)
         assert str(err.value) == "matrix contains NaN or Inf entries"
+
+    @IGNORE_MACRO
+    def test_growing_fock_state_gives_the_oracle_state(self):
+        # at t = -1e3 the amplitudes grow as e^(100 n): their products overflow, but the state,
+        # formed in log scale, is the finite one near |N> that the 160-bit oracle gives
+        cfg, t = self.FOCK, -1e3
+        with mpmath.workprec(160):
+            u = exact_fock_state(cfg, cfg.z0(), t)
+            tr = mpmath.fsum(abs(ui) ** 2 for ui in u)
+            want = np.array([[complex(ui * mpmath.conj(uj) / tr) for uj in u] for ui in u])
+        rho = build_density_matrix(cfg, cfg.z0(), t).entries
+        assert np.max(np.abs(rho - want)) <= FOCK_ORACLE_TOL and abs(rho[-1, -1] - 1.0) < 1e-3
 
     @pytest.mark.parametrize("L0", [2000.0, 2300.0, 2371.0, 2400.0])
     def test_subnormal_squared_norm_gives_the_oracle_state(self, L0):
@@ -816,13 +864,9 @@ class TestFormedStates:
         rho = build_density_matrix(cfg, cfg.z0(), 20.0).entries
         assert np.max(np.abs(rho - np.outer(u, u.conj()))) <= FOCK_ORACLE_TOL
 
-    @pytest.mark.xfail(
-        raises=ValidationError, strict=True,
-        reason="the Fock weights and ladder phases are formed in linear scale, and every product underflows",
-    )
     def test_underflowing_fock_weights_give_the_oracle_state(self):
-        # past L0 = 1.1e6 even the n = 0 weight underflows: the state reads zero where the exact
-        # one is nearly |0>, since the weights grow as alpha^n / sqrt(n!) but the phases damp as e^(-20 n)
+        # past L0 = 1.1e6 even the n = 0 weight underflows: in linear scale the state read zero where
+        # the exact one is nearly |0>, since the weights grow as alpha^n / sqrt(n!) but the phases damp as e^(-20 n)
         cfg = OmnesConfig(1.0, 2.0, 1.0, 1.0, 1e7, 0.0, 1.0, 60)
         with mpmath.workprec(160):
             x = mpmath.mpc(0, -1) * mpmath.mpc(cfg.z0()) * 20.0 / cfg.hbar
@@ -833,6 +877,13 @@ class TestFormedStates:
         rho = build_density_matrix(cfg, cfg.z0(), 20.0).entries
         assert np.max(np.abs(rho - want)) <= FOCK_ORACLE_TOL
 
+    def test_vacuum_far_below_the_float_range(self):
+        # a = 0 and Delta = 1e20: at t = 1e3 every amplitude's log is below -2600, so e^-shift alone would
+        # overflow; the state is |0> to within e^-954 per level
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 1.0, 1e20, 0.0, 1.0, 60)
+        rho = build_density_matrix(cfg, cfg.z0(), 1e3).entries
+        assert rho[0, 0] == 1.0 and not np.any(rho.ravel()[1:])
+
     @IGNORE_MACRO
     @pytest.mark.parametrize("omega_prime", [0.5, 0.0], ids=["reproducer", "pure-damping"])
     def test_overflowing_ladder_exponent_leaves_phase_zero(self, monkeypatch, omega_prime):
@@ -842,11 +893,15 @@ class TestFormedStates:
         z0 = cfg.z0(omega_prime)
         got = [build(cfg, z0, 1e308).entries for build in (self.BUILDS["fock"], self.BUILDS["frame-truncated"])]
 
-        def unit_phase_zero(size, z0, t, hbar):
-            phases = np.zeros(size, dtype=complex)
-            phases[0] = 1.0
-            return phases
+        def exponent_zero(size, z0, t, hbar):  # exponents (0, -inf, -inf, ...): phases (1, 0, 0, ...)
+            exponents = np.full(size, -np.inf, dtype=complex)
+            exponents[0] = 0.0
+            return exponents
 
+        def unit_phase_zero(size, z0, t, hbar):
+            return np.exp(exponent_zero(size, z0, t, hbar))
+
+        monkeypatch.setattr("decopoles.omnes._ladder_exponents", exponent_zero)
         monkeypatch.setattr("decopoles.omnes._ladder_phases", unit_phase_zero)
         want = [build(cfg, z0, 1e308).entries for build in (self.BUILDS["fock"], self.BUILDS["frame-truncated"])]
         for g, w in zip(got, want):

@@ -29,7 +29,7 @@ from decopoles.numerics import (
     hermitian_average,
     matrix_pencil_fit,
 )
-from decopoles import omnes
+from decopoles import numerics, omnes
 from decopoles.omnes import (
     OmnesConfig,
     _fock_table,
@@ -66,7 +66,10 @@ from decopoles.pole_models import (
     synthesize,
 )
 from decopoles.preferred_basis import _greedy_match, preferred_state
-from test_omnes import EPS, FOCK_ORACLE_TOL, frame_f2, frame_tower, frame_truncation, oracle_density, rho0_norm
+from test_omnes import (
+    EPS, FOCK_ORACLE_TOL, amplitude_damped, coherent_branch, exact_fock_state, frame_f2, frame_tower, frame_truncation,
+    oracle_density, rho0_norm,
+)
 from test_preferred_basis import reference_greedy_match
 
 _RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
@@ -553,7 +556,7 @@ def _formula_fock_table(alpha, N):
     top = float(np.max(2.0 * log_weights))
     log_norm = -0.5 * (top + math.log(float(np.sum(np.exp(2.0 * log_weights - top)))))
     q = np.exp(2.0 * (log_weights + log_norm))
-    return log_weights, log_norm, q[: np.flatnonzero(q)[-1] + 1].astype(complex), np.exp(log_weights + log_norm)
+    return log_weights, log_norm, q[: np.flatnonzero(q)[-1] + 1].astype(complex)
 
 
 class TestFockTableBits:
@@ -563,7 +566,7 @@ class TestFockTableBits:
     @example(30.0, 3000)  # Delta^2 = 900: q_0 = exp(-900) underflows, so the live weights have leading zeros
     def test_every_field_has_the_bits_of_its_formula(self, alpha, N):
         table = _fock_table(alpha, N)
-        for name, got, want in zip(table._fields, table, _formula_fock_table(alpha, N)):
+        for name, got, want in zip(table._fields, table, _formula_fock_table(alpha, N), strict=True):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
             assert not isinstance(got, np.ndarray) or not got.flags.writeable, name
 
@@ -581,9 +584,10 @@ class TestFockTableBits:
         is off by at most u |log_norm| + (0.7 (N + 1) + 2) u.  Each v_n adds u/e on its square
         and one ulp, and the fsum of squares and its sqrt 2u: | ||v|| - 1 | <= u (|log_norm| + 2(N + 1) + 8).
         """
-        table = _fock_table(alpha, N)
-        norm = math.sqrt(math.fsum((table.v * table.v).tolist()))
-        assert abs(norm - 1.0) <= 2.0**-53 * (abs(table.log_norm) + 2.0 * (N + 1) + 8.0), norm - 1.0
+        state = QuasiCoherentState(alpha, N)
+        v = state.fock_vector()
+        norm = math.sqrt(math.fsum((v * v).tolist()))
+        assert abs(norm - 1.0) <= 2.0**-53 * (abs(state.log_norm) + 2.0 * (N + 1) + 8.0), norm - 1.0
 
 
 _CEXP_K = 6  # numpy's complex exp, per part: exp and cos or sin within an ulp (2u) each, their product u
@@ -1415,12 +1419,31 @@ def formed_state_setups(draw):
     return cfg, cfg.z0(draw(st.floats(0.0, 1.0))), draw(st.floats(0.0, 20.0)) * hbar / gamma0
 
 
+_RESCUE = 2.0**-960  # the trace below which ``numerics._formed_density`` scales u by a power of two
+
+
+def public_density(u, empty):
+    """Reference for ``numerics._formed_density`` by its documented steps: ``DensityMatrix(u u^H / tr)``,
+    tr the diagonal's correctly rounded sum; where tr < 2^-960, u is first scaled by a power of two to a
+    largest part in [1/2, 1); a zero trace raises ``ValidationError(empty)``."""
+    for _ in range(2):
+        mat = np.outer(u, u.conj())
+        tr = math.fsum(np.diagonal(mat).real.tolist())
+        if tr >= _RESCUE:
+            break
+        parts = u.view(float)
+        u = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(complex)
+    if tr == 0.0:
+        raise ValidationError(empty)
+    return DensityMatrix(mat / tr)
+
+
 class TestFormedStates:
-    """frame_projection and build_density_matrix return what the public ``DensityMatrix`` would."""
+    """frame_projection and build_density_matrix return what the public ``DensityMatrix(u u^H / tr)`` would."""
 
     @settings(deadline=None, max_examples=200)
     @given(formed_state_setups())
-    @example((OmnesConfig(1.0, 2.0, 1.0, 1.0, 2300.0, 0.0, 1.0, 60), complex(0.0, -1.0), 20.0))  # trace fails
+    @example((OmnesConfig(1.0, 2.0, 1.0, 1.0, 2300.0, 0.0, 1.0, 60), complex(0.0, -1.0), 20.0))  # frame rescued
     def test_each_builder_equals_the_public_check(self, setup):
         cfg, z0, t = setup
         builds = (
@@ -1430,8 +1453,127 @@ class TestFormedStates:
         )
         for build in builds:
             got, got_exc = raised(build)
-            with mock.patch.object(omnes, "_formed_density", DensityMatrix):
+            with mock.patch.object(omnes, "_formed_density", public_density):
                 want, want_exc = raised(build)
             assert got_exc == want_exc
             if want_exc is None:
                 assert type(got) is DensityMatrix and got.entries.tobytes() == want.entries.tobytes()
+
+
+@st.composite
+def formed_vectors(draw):
+    """A complex vector of 1 to 12 parts, its largest part in [1/2, 1), scaled by 2^k.
+
+    The trace lies between 2^(2k - 2) and 2^(2k + 4).  k near 0 gives ordinary states; k from -1100
+    to -470 tiny ones, down to traces in the subnormal range and to vectors that underflow to zero;
+    k from -483 to -477 puts the trace on either side of the rescue threshold 2^-960.
+    """
+    d = draw(st.integers(1, 12))
+    parts = draw(hnp.arrays(float, 2 * d, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    top = float(np.max(np.abs(parts)))
+    if top == 0.0:
+        reject()
+    k = draw(st.integers(-2, 2) | st.integers(-1100, -470) | st.integers(-483, -477))
+    return np.ldexp(parts, k - math.frexp(top)[1]).view(complex)
+
+
+def within_the_formed_bound(rho, u):
+    """Each part of rho within gamma_8 |u_i| |u_j| / |u|^2 + (d + 2) 2^-113 of the exact
+    u_i conj(u_j) / |u|^2 (``numerics._formed_density``'s bound), by mpmath at 160 bits."""
+    with mpmath.workprec(160):
+        v = [mpmath.mpc(x) for x in u.tolist()]
+        norm2 = mpmath.fsum(abs(x) ** 2 for x in v)
+        floor = (len(v) + 2) * mpmath.mpf(2) ** -113
+        for i, vi in enumerate(v):
+            for j, vj in enumerate(v):
+                exact = vi * mpmath.conj(vj) / norm2
+                bound = _gamma(8) * abs(vi) * abs(vj) / norm2 + floor
+                got = complex(rho[i, j])
+                if not (abs(got.real - exact.real) <= bound and abs(got.imag - exact.imag) <= bound):
+                    return False
+    return True
+
+
+class TestFormedDensityPrecision:
+    """``numerics._formed_density`` within its stated bound of the exact u u^H / |u|^2.
+
+    Stated before measuring, in its docstring: each part of rho_ij within gamma_8 |u_i| |u_j| / |u|^2
+    + (d + 2) 2^-113, gamma_k = k u / (1 - k u), u = 2^-53, on both sides of the rescue threshold.
+    Without the rescue a tiny u reads zero weight; with the rescue only at a zero trace, a trace in
+    the subnormal range leaves products with a few bits, far outside the bound.
+    """
+
+    @settings(deadline=None, max_examples=300)
+    @given(formed_vectors())
+    @example(np.array([3.0 * 2.0**-530, 2.0**-529 + 0j]))  # a subnormal trace, about 2^-1056
+    @example(np.array([2.0**-500, 0.7 * 2.0**-540 + 0j]))  # a normal trace, 2^-1000, over a subnormal product
+    @example(np.array([0.6 * 2.0**-525, 0.8j * 2.0**-525, 0.3 * 2.0**-560]))  # a subnormal trace, 3 parts
+    @example(np.array([2.0**-481, 0.0, -(2.0**-482) * 1j]))  # just below 2^-960
+    @example(np.array([2.0**-479, 0.0, -(2.0**-482) * 1j]))  # just above
+    @example(np.array([2.0**-1074 + 0j, 0.0]))  # the smallest nonzero vector
+    def test_within_the_bound_of_the_exact_state(self, u):
+        got, exc = raised(numerics._formed_density, u, "zero vector")
+        if not np.any(u):
+            assert exc == (ValidationError, "zero vector")
+            return
+        assert exc is None, exc
+        assert type(got) is DensityMatrix and not got.entries.flags.writeable
+        assert within_the_formed_bound(got.entries, u)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(1e-250, 1e-140), st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0), st.floats(0.0, 20.0),
+           st.integers(1, 40))
+    @example(1e-200, 0.0, 0.0, 1.0, 20)  # the state is |1> to within 1e-200; every square underflows
+    def test_cancelling_branches_give_the_exact_state(self, L0, phase, omega_prime, t, N):
+        # a = -b cancels |0> to within |b| Delta^2 / 2: the state is about |1>, of norm about Delta
+        b = cmath.rect(math.sqrt(0.5), phase)
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 1.0, L0, -b, b, N)
+        z0 = cfg.z0(omega_prime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # not macroscopic
+            rho = build_density_matrix(cfg, z0, t).entries
+        with mpmath.workprec(160):
+            u = exact_fock_state(cfg, z0, t)
+            scale = max(abs(un) for un in u)
+            exact = np.array([complex(un / scale) for un in u])  # the exact state, rounded once
+        # the amplitudes' own rounding moves rho only by their ratios to u_1, which are about Delta
+        assert within_the_formed_bound(rho, exact)
+        assert abs(rho[1, 1] - 1.0) <= 2.0**-50
+
+
+class TestLindbladReference:
+    """``collective_rate``'s t_D against an independent model of the same decay: zero-temperature
+    amplitude damping of a|0> + b|Delta> (``test_omnes.amplitude_damped``, the exact Kraus sum).
+
+    With kappa = 2 gamma0 / hbar a branch amplitude decays as e^(-n gamma0 t / hbar), as the code's
+    do.  The Kraus map is linear, so the damped state's branch-cross part is a conj(b) times the
+    damped |0><Delta|, whose norm is the coherence factor c(t) = exp(-Delta^2 (1 - e^(-kappa t)) / 2);
+    its initial log-slope Delta^2 kappa / 2 = Delta^2 gamma0 / hbar is 1 / t_D.
+
+    Tolerances, stated before measuring, for Delta in [0.5, 4] at N = 80, whose Poisson tail past
+    n = 80 is below 1e-30:
+    - c(t) equals the closed form within 1e-12 for t in [0, 3 t_D]: sums of at most 81 terms of
+      size <= 1 round to about 1e-14;
+    - at t = 1e-6 t_D, -log c(t) / t equals 1 / t_D within 1e-5 relative: (1 - e^-x) / x = 1 - x / 2
+      + ..., with x = kappa t = 2e-6 / Delta^2 <= 8e-6, so the formula itself deviates by at most
+      4e-6, and the rounding of c near 1 - 1e-6 adds about 1e-9.
+    """
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.floats(0.5, 4.0), st.floats(1e-3, 1e3), st.floats(1e-2, 1e2), st.floats(0.0, 3.0))
+    @example(4.0, 1.0, 1.0, 1.0)  # the roadmap's probe: Delta = 4, gamma0 = hbar = 1, at t_D
+    def test_initial_log_slope_is_the_collective_rate(self, delta, gamma0, hbar, at):
+        cfg = OmnesConfig(1.0, 2.0, hbar, gamma0, delta * hbar, 0.6, 0.8, 80)  # Delta = L0 / hbar
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # not macroscopic
+            t_d = collective_rate(cfg).t_D
+        kappa = 2.0 * gamma0 / hbar
+        cross = np.outer(np.eye(cfg.N + 1)[0], coherent_branch(cfg.delta, cfg.N)).astype(complex)
+
+        def coherence(t):
+            return float(np.linalg.norm(amplitude_damped(cross, kappa * t)))
+
+        t = at * t_d
+        assert abs(coherence(t) - math.exp(-0.5 * cfg.delta**2 * -math.expm1(-kappa * t))) <= 1e-12
+        early = 1e-6 * t_d
+        assert abs(-math.log(coherence(early)) / early * t_d - 1.0) <= 1e-5

@@ -159,27 +159,36 @@ def _density_stack(mats) -> list:
 
 def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
     """u u^H / tr, tr the correctly rounded sum of its diagonal, as a ``DensityMatrix``; a zero u raises
-    ``ValidationError(empty)``.  Below tr = 2^-960 products of u's parts may be subnormal, keeping too few
-    bits, so u is first scaled by a power of two (exact, rho unchanged) to a largest part in [1/2, 1).
-    Then ``DensityMatrix``'s finiteness check, ``_halved`` average and trace check on the same bits,
-    without the reductions such a matrix cannot fail (see the README).  Each part of rho_ij lies within
+    ``ValidationError(empty)``, a u with a NaN or Inf part "matrix contains NaN or Inf entries".
+    Finiteness is read off tr: each part of u_i conj(u_j) is at most |u_i| |u_j| <= tr, so a tr in
+    [2^-960, 2^1022) leaves every entry finite.  Outside it a finite u is first scaled by a power of two
+    (exact, rho unchanged) to a largest part in [1/2, 1): below, products of u's parts may be subnormal,
+    keeping too few bits; above, 1 / tr is subnormal or the products overflow (tr infinite, NaN, or an
+    fsum that overflows).  Then the ``_halved`` average in the product's own buffer and the check that
+    the fsum of its real diagonal is 1 within 1e-12.  Each part of rho_ij lies within
     gamma_8 |u_i| |u_j| / |u|^2 + (d + 2) 2^-113 of exact, gamma_k = k 2^-53 / (1 - k 2^-53): gamma_2
     per product, gamma_3 on tr, two roundings in the division (a multiply by the rounded 1 / tr) and one
     in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-961.
     """
-    mat = u[:, None] * u.conj()  # np.outer's one multiply
-    tr = math.fsum(mat.real.diagonal().tolist())
-    if tr < 2.0**-960:
-        u = np.ldexp(u.view(float), -math.frexp(float(np.max(abs(u.view(float)))))[1]).view(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # a u past 2^511 is rescued below
+        mat = u[:, None] * u.conj()  # np.outer's one multiply
+    try:
+        tr = math.fsum(mat.real.diagonal().tolist())
+    except OverflowError:
+        tr = math.inf
+    if not 2.0**-960 <= tr < 2.0**1022:
+        parts = u.view(float)
+        if not np.isfinite(parts).all():
+            raise ValidationError("matrix contains NaN or Inf entries")
+        u = np.ldexp(parts, -math.frexp(float(np.max(abs(parts))))[1]).view(complex)
         mat = u[:, None] * u.conj()
         tr = math.fsum(mat.real.diagonal().tolist())
         if tr == 0.0:
             raise ValidationError(empty)
-    a = mat / tr
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix contains NaN or Inf entries")
-    h = _halved(a + a.T.conj())
-    tr = float(h.trace().real)  # finite entries far below 2^1021: no overflow
+    mat /= tr
+    mat += mat.T.conj()
+    h = _halved(mat)
+    tr = math.fsum(h.real.diagonal().tolist())
     if abs(tr - 1.0) > 1e-12:
         raise ValidationError(f"trace is {tr!r}, expected 1 within 1e-12")
     h.setflags(write=False)

@@ -55,8 +55,9 @@ def _pole_width(z0: complex) -> float:
     return -z0.imag
 
 
-def _ladder_exponents(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
-    """x_n = n c, c = -i z0 t / hbar, on the ladder z_n = n z0, n = 0..size-1, at one time t.
+def _ladder_exponents(ladder: np.ndarray, z0: complex, t: float, hbar: float) -> np.ndarray:
+    """x_n = n c, c = -i z0 t / hbar, on the ladder z_n = n z0 at one time t, as a new array;
+    ``ladder`` holds n = 0, 1, ... as complex (a slice of ``_FockTable.ladder``).
 
     c is formed once, as a Python complex (one rounding per part for t, one for hbar), and n c
     takes one more, so each part of the exponent is within gamma_3 of the exact x_n = -i n z0 t / hbar,
@@ -65,29 +66,31 @@ def _ladder_exponents(size: int, z0: complex, t: float, hbar: float) -> np.ndarr
     """
     c = -1j * complex(z0) * t / hbar
     if cmath.isfinite(c):
-        return np.arange(size) * c
-    x = np.zeros(size, dtype=complex)
-    n = np.arange(1, size)
+        return ladder * c
+    x = np.zeros(ladder.size, dtype=complex)
+    n = ladder.real[1:]
     with np.errstate(over="ignore"):  # a finite part past the float range reads +-inf
         x.real[1:], x.imag[1:] = n * c.real, n * c.imag
     return x
 
 
-def _ladder_phases(size: int, z0: complex, t: float, hbar: float) -> np.ndarray:
-    """exp(-i z_n t / hbar) = exp(x_n) of ``_ladder_exponents``; numpy's complex exp adds under 6u per part,
-    so each part lies within |e^x| ((1 + 6u) e^(gamma_3 |x|) - 1) + 2^-1074 of exp(x_n) (see the README)."""
-    return np.exp(_ladder_exponents(size, z0, t, hbar))
+def _ladder_phases(ladder: np.ndarray, z0: complex, t: float, hbar: float) -> np.ndarray:
+    """exp(-i z_n t / hbar) = exp(x_n) of ``_ladder_exponents``, in their buffer; numpy's complex exp adds
+    under 6u per part, so each part lies within |e^x| ((1 + 6u) e^(gamma_3 |x|) - 1) + 2^-1074 of exp(x_n)."""
+    x = _ladder_exponents(ladder, z0, t, hbar)
+    return np.exp(x, out=x)
 
 
 class _FockTable(NamedTuple):
     log_weights: np.ndarray  # log(alpha^n / sqrt(n!)), n = 0..N; alpha = 0 gives only n = 0
     log_norm: float  # -1/2 log(sum_n alpha^2n / n!)
     q_live: np.ndarray  # |<n|alpha>|^2 for n = 0..hi as complex, q_hi the last nonzero one (leading zeros stay)
+    ladder: np.ndarray  # n = 0..N as complex, the ladder steps that ``_ladder_exponents`` scales by c
 
 
 @functools.lru_cache(maxsize=32)
 def _fock_table(alpha: float, N: int) -> _FockTable:
-    """Every Fock-weight quantity of the truncated |alpha>, cached per (alpha, N) with read-only arrays."""
+    """Every Fock-weight quantity of the truncated |alpha> and its ladder, cached per (alpha, N), read-only."""
     if alpha == 0.0:
         log_weights = np.full(N + 1, -math.inf)
         log_weights[0] = 0.0
@@ -96,9 +99,10 @@ def _fock_table(alpha: float, N: int) -> _FockTable:
     log_norm = -0.5 * _logsumexp(2.0 * log_weights)
     q = np.exp(2.0 * (log_weights + log_norm))
     q_live = q[: np.flatnonzero(q)[-1] + 1].astype(complex)
-    for arr in (log_weights, q_live):
+    ladder = np.arange(N + 1, dtype=complex)
+    for arr in (log_weights, q_live, ladder):
         arr.setflags(write=False)
-    return _FockTable(log_weights, log_norm, q_live)
+    return _FockTable(log_weights, log_norm, q_live, ladder)
 
 
 def _truncation(N, least: int = 1) -> int:
@@ -313,7 +317,8 @@ def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     _pole_width(z0)
     if not closed_form:
         table = _fock_table(cfg.alpha2, cfg.N)
-        return math.exp(table.log_norm), complex(table.q_live @ _ladder_phases(table.q_live.size, z0, t, cfg.hbar))
+        phases = _ladder_phases(table.ladder[: table.q_live.size], z0, t, cfg.hbar)
+        return math.exp(table.log_norm), complex(table.q_live @ phases)
     d2 = cfg.delta**2
     arg = -1j * complex(z0)
     inner = np.exp(arg.real * t / cfg.hbar + 1j * (arg.imag * t / cfg.hbar))
@@ -417,7 +422,7 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
     """
     _pole_width(z0)
     table = _fock_table(cfg.alpha2, cfg.N)
-    x = table.log_weights + table.log_norm + _ladder_exponents(cfg.N + 1, z0, t, cfg.hbar)
+    x = table.log_weights + table.log_norm + _ladder_exponents(table.ladder, z0, t, cfg.hbar)
     log_a = math.log(abs(cfg.a)) if cfg.a else -math.inf
     shift = max(float(np.max(x.real)), log_a)  # the largest amplitude's log, a's included
     state = cfg.b * np.exp(x - shift)

@@ -3,6 +3,7 @@
 The ladder phases live in ``omnes``, their one user, and are tested here beside the pole.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from decopoles.errors import ValidationError
 from decopoles.friedrich import PerturbativePole, SpectralDensity, perturbative_pole
-from decopoles.omnes import _ladder_phases
+from decopoles.omnes import _fock_table, _ladder_exponents, _ladder_phases
 
 
 class TestSpectralDensity:
@@ -158,6 +159,11 @@ class TestPerturbativePole:
             PerturbativePole(1.0, 0.0, -0.1)
 
 
+def fock_ladder(size):
+    """The ladder n = 0..size-1 as the code passes it: the Fock table's, at N = size - 1."""
+    return _fock_table(0.0, size - 1).ladder
+
+
 def one_line_ladder_phases(size, z0, t, hbar):
     """Reference: the ladder phases as one expression, c = -i z0 t / hbar formed once per time."""
     return np.exp(np.arange(size) * (-1j * complex(z0) * t / hbar))
@@ -174,7 +180,7 @@ class TestLadderPhases:
         for z0 in (0.7 - 0.03j, 2.5 - 1.0j, -0.4 - 0.2j, 0.3 + 0.0j, -0.2j, complex(-0.0, -1.0)):
             edge = 746.0 * hbar / (max(size - 1, 1) * max(-z0.imag, 0.03))
             for t in np.linspace(0.0, 3.0 * edge, 61).tolist() + [-0.0, -0.5 * edge]:
-                got = _ladder_phases(size, z0, t, hbar)
+                got = _ladder_phases(fock_ladder(size), z0, t, hbar)
                 assert got.tobytes() == one_line_ladder_phases(size, z0, t, hbar).tobytes()
 
     @pytest.mark.parametrize("z0", [-1.0j, complex(-0.0, -0.37)])
@@ -184,15 +190,41 @@ class TestLadderPhases:
         size, gamma = 80_000, -z0.imag
         step = 0.01 / gamma
         for t in (step, np.nextafter(step, 0.0), np.nextafter(step, 1.0), 746.0 / (size - 1) / gamma):
-            got = _ladder_phases(size, z0, float(t), 1.0)
+            got = _ladder_phases(fock_ladder(size), z0, float(t), 1.0)
             assert got.tobytes() == one_line_ladder_phases(size, z0, float(t), 1.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "z0, t, hbar",
+        [
+            (0.5 - 1.0j, 1e308, 1.0),  # F3's reproducer at hbar = 1: c is finite, n c overflows from n = 2
+            (0.5 - 1.0j, 1e308, 0.25),  # F3's reproducer: c itself overflows
+            (0.7 - 0.03j, 3.7, 0.9),
+            (-0.2j, -13.1, 1.0),
+            (complex(-0.0, -0.37), -0.0, 1.0),
+            (2.5 - 1.0j, 1e-300, 7.0),
+        ],
+    )
+    def test_exponents_on_the_table_ladder_are_the_one_line_product(self, z0, t, hbar):
+        # a slice of the Fock table's ladder gives the bits of np.arange(k) * c; once c overflows,
+        # those of F3's real products n Re c and n Im c for n >= 1, with x_0 = 0
+        c = -1j * complex(z0) * t / hbar
+        table = _fock_table(3.0, 60)
+        for k in (1, 2, 17, 61):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _ladder_exponents(table.ladder[:k], z0, t, hbar)
+                if cmath.isfinite(c):
+                    want = np.arange(k) * c
+                else:
+                    want = np.zeros(k, dtype=complex)
+                    want.real[1:], want.imag[1:] = np.arange(1, k) * c.real, np.arange(1, k) * c.imag
+            assert got.tobytes() == want.tobytes(), k
 
 
 def survival_amplitude(a_coeffs, b_coeffs, z0, t, hbar=1.0):
     """A(t) = sum_n b_n conj(a_n) exp(-i n z0 t / hbar), summed over the ladder phases."""
     a = np.asarray(a_coeffs, dtype=complex)
     b = np.asarray(b_coeffs, dtype=complex)
-    return complex(np.sum(b * np.conj(a) * _ladder_phases(a.size, z0, t, hbar)))
+    return complex(np.sum(b * np.conj(a) * _ladder_phases(fock_ladder(a.size), z0, t, hbar)))
 
 
 class TestEvolveAmplitude:

@@ -716,7 +716,7 @@ class TestTowerOracle:
         for cfg, z0, t in self.cases():
             w, size, _ = self.oracle(cfg, z0, t)
             v2 = cfg.state2().fock_vector()
-            got = complex(np.sum(v2 * v2 * _ladder_phases(cfg.N + 1, z0, t, cfg.hbar)))
+            got = complex(np.sum(v2 * v2 * _ladder_phases(_fock_table(cfg.alpha2, cfg.N).ladder, z0, t, cfg.hbar)))
             assert abs(got - complex(w)) <= 1e-12 * float(size), (cfg, z0, t)
 
 
@@ -729,7 +729,7 @@ def all_fock_weights(cfg):
 def full_sum_projection(cfg, z0, t):
     """Reference: the truncated frame projection with w summed over all N + 1 Fock weights."""
     s = math.exp(cfg.state2().log_norm)
-    w = complex(all_fock_weights(cfg) @ _ladder_phases(cfg.N + 1, z0, t, cfg.hbar))
+    w = complex(all_fock_weights(cfg) @ _ladder_phases(_fock_table(cfg.alpha2, cfg.N).ladder, z0, t, cfg.hbar))
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
     mat = np.outer(f, f.conj())
     return DensityMatrix(mat / float(mat[0, 0].real + mat[1, 1].real)).entries
@@ -843,6 +843,31 @@ class TestFormedStates:
         assert str(err.value) == "matrix contains NaN or Inf entries"
 
     @IGNORE_MACRO
+    @pytest.mark.parametrize("closed_form", [True, False], ids=["closed", "truncated"])
+    @pytest.mark.parametrize("t", [-13.1, -14.0])
+    def test_backward_frame_state_gives_the_oracle_state(self, t, closed_form):
+        # back in time |w| reaches 1e148-1e241: w is finite but |w|^2 overflows, so the frame vector is
+        # scaled by a power of two before its outer product; the state is about |alpha2><alpha2|.
+        # Stated before measuring: w's exponent, at most 36 e^2.8 ~ 600 in size, is rounded within a
+        # few u relative, so w is within about 600 * 4u ~ 3e-13 relative, and rho_21 ~ f1 / f2 with it
+        cfg = self.FRAME
+        with mpmath.workprec(160):
+            d2 = mpmath.mpf(cfg.delta) ** 2
+            x = mpmath.exp(mpmath.mpc(0, -1) * mpmath.mpc(cfg.z0()) * t / cfg.hbar)
+            if closed_form:
+                s, w = mpmath.exp(-d2 / 2), mpmath.exp(-d2 * (1 - x))
+            else:
+                terms = [d2**n / mpmath.factorial(n) for n in range(cfg.N + 1)]
+                n2sq = 1 / mpmath.fsum(terms)
+                s, w = mpmath.sqrt(n2sq), n2sq * mpmath.fsum(c * x**n for n, c in enumerate(terms))
+            f = [cfg.a + cfg.b * s, cfg.a * s + cfg.b * w]
+            tr = abs(f[0]) ** 2 + abs(f[1]) ** 2
+            want = np.array([[complex(fi * mpmath.conj(fj) / tr) for fj in f] for fi in f])
+        rho = frame_projection(cfg, cfg.z0(), t, closed_form=closed_form).entries
+        assert np.max(np.abs(rho - want)) <= FOCK_ORACLE_TOL
+        assert abs(rho[1, 0] - want[1, 0]) <= 1e-11 * abs(want[1, 0])
+
+    @IGNORE_MACRO
     def test_growing_fock_state_gives_the_oracle_state(self):
         # at t = -1e3 the amplitudes grow as e^(100 n): their products overflow, but the state,
         # formed in log scale, is the finite one near |N> that the 160-bit oracle gives
@@ -893,13 +918,13 @@ class TestFormedStates:
         z0 = cfg.z0(omega_prime)
         got = [build(cfg, z0, 1e308).entries for build in (self.BUILDS["fock"], self.BUILDS["frame-truncated"])]
 
-        def exponent_zero(size, z0, t, hbar):  # exponents (0, -inf, -inf, ...): phases (1, 0, 0, ...)
-            exponents = np.full(size, -np.inf, dtype=complex)
+        def exponent_zero(ladder, z0, t, hbar):  # exponents (0, -inf, -inf, ...): phases (1, 0, 0, ...)
+            exponents = np.full(ladder.size, -np.inf, dtype=complex)
             exponents[0] = 0.0
             return exponents
 
-        def unit_phase_zero(size, z0, t, hbar):
-            return np.exp(exponent_zero(size, z0, t, hbar))
+        def unit_phase_zero(ladder, z0, t, hbar):
+            return np.exp(exponent_zero(ladder, z0, t, hbar))
 
         monkeypatch.setattr("decopoles.omnes._ladder_exponents", exponent_zero)
         monkeypatch.setattr("decopoles.omnes._ladder_phases", unit_phase_zero)

@@ -556,7 +556,7 @@ def _formula_fock_table(alpha, N):
     top = float(np.max(2.0 * log_weights))
     log_norm = -0.5 * (top + math.log(float(np.sum(np.exp(2.0 * log_weights - top)))))
     q = np.exp(2.0 * (log_weights + log_norm))
-    return log_weights, log_norm, q[: np.flatnonzero(q)[-1] + 1].astype(complex)
+    return log_weights, log_norm, q[: np.flatnonzero(q)[-1] + 1].astype(complex), np.arange(N + 1) + 0j
 
 
 class TestFockTableBits:
@@ -645,7 +645,7 @@ class TestLadderPhaseAccuracy:
     @_with_examples(_LADDER_EXAMPLES)
     def test_within_the_bound_of_exp(self, ladder):
         size, z0, t, hbar = ladder
-        got = omnes._ladder_phases(size, z0, t, hbar)
+        got = omnes._ladder_phases(_fock_table(0.0, size - 1).ladder, z0, t, hbar)
         assert got.shape == (size,)
         with mpmath.workprec(160):
             c = mpmath.mpc(z0.imag, -z0.real) * mpmath.mpf(t) / mpmath.mpf(hbar)  # -i z0 t / hbar
@@ -1419,23 +1419,28 @@ def formed_state_setups(draw):
     return cfg, cfg.z0(draw(st.floats(0.0, 1.0))), draw(st.floats(0.0, 20.0)) * hbar / gamma0
 
 
-_RESCUE = 2.0**-960  # the trace below which ``numerics._formed_density`` scales u by a power of two
+_RESCUE, _TOP = 2.0**-960, 2.0**1022  # ``numerics._formed_density`` rescues u outside these traces
 
 
 def public_density(u, empty):
     """Reference for ``numerics._formed_density`` by its documented steps: ``DensityMatrix(u u^H / tr)``,
-    tr the diagonal's correctly rounded sum; where tr < 2^-960, u is first scaled by a power of two to a
+    tr the diagonal's correctly rounded sum; where tr < 2^-960, tr >= 2^1022, or tr is no float (infinite,
+    NaN, or an fsum that overflows), a u whose parts are all finite is first scaled by a power of two to a
     largest part in [1/2, 1); a zero trace raises ``ValidationError(empty)``."""
-    for _ in range(2):
-        mat = np.outer(u, u.conj())
-        tr = math.fsum(np.diagonal(mat).real.tolist())
-        if tr >= _RESCUE:
-            break
-        parts = u.view(float)
-        u = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(complex)
-    if tr == 0.0:
-        raise ValidationError(empty)
-    return DensityMatrix(mat / tr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            mat = np.outer(u, u.conj())
+            try:
+                tr = math.fsum(np.diagonal(mat).real.tolist())
+            except OverflowError:
+                tr = math.inf
+            parts = u.view(float)
+            if _RESCUE <= tr < _TOP or not np.isfinite(parts).all():
+                break
+            u = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(complex)
+        if tr == 0.0:
+            raise ValidationError(empty)
+        return DensityMatrix(mat / tr)
 
 
 class TestFormedStates:
@@ -1444,6 +1449,8 @@ class TestFormedStates:
     @settings(deadline=None, max_examples=200)
     @given(formed_state_setups())
     @example((OmnesConfig(1.0, 2.0, 1.0, 1.0, 2300.0, 0.0, 1.0, 60), complex(0.0, -1.0), 20.0))  # frame rescued
+    # backward in time |w| reaches 1e241 (closed form) and 1e164 (truncated): rescued from above
+    @example((OmnesConfig(1.0, 2.0, 1.0, 0.2, 6.0, math.sqrt(0.5), math.sqrt(0.5), 200), complex(0.0, -0.2), -14.0))
     def test_each_builder_equals_the_public_check(self, setup):
         cfg, z0, t = setup
         builds = (
@@ -1462,19 +1469,27 @@ class TestFormedStates:
 
 @st.composite
 def formed_vectors(draw):
-    """A complex vector of 1 to 12 parts, its largest part in [1/2, 1), scaled by 2^k.
+    """A complex vector of 1 to 12 parts, its largest part in [1/2, 1), scaled by 2^k; now and then one
+    part is NaN or +-Inf.
 
     The trace lies between 2^(2k - 2) and 2^(2k + 4).  k near 0 gives ordinary states; k from -1100
     to -470 tiny ones, down to traces in the subnormal range and to vectors that underflow to zero;
-    k from -483 to -477 puts the trace on either side of the rescue threshold 2^-960.
+    k from -483 to -477 puts the trace on either side of the rescue threshold 2^-960.  k from 470 to
+    1023 gives huge ones, up to parts near the largest float, whose products overflow; k from 508 to
+    515 puts the trace on either side of 2^1022 and of the float range.
     """
     d = draw(st.integers(1, 12))
     parts = draw(hnp.arrays(float, 2 * d, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
     top = float(np.max(np.abs(parts)))
     if top == 0.0:
         reject()
-    k = draw(st.integers(-2, 2) | st.integers(-1100, -470) | st.integers(-483, -477))
-    return np.ldexp(parts, k - math.frexp(top)[1]).view(complex)
+    k = draw(st.integers(-2, 2) | st.integers(-1100, -470) | st.integers(-483, -477)
+             | st.integers(470, 1023) | st.integers(508, 515))
+    parts = np.ldexp(parts, k - math.frexp(top)[1])
+    bad = draw(st.sampled_from((None,) * 5 + (math.nan, math.inf, -math.inf)))
+    if bad is not None:
+        parts[draw(st.integers(0, 2 * d - 1))] = bad
+    return parts.view(complex)
 
 
 def within_the_formed_bound(rho, u):
@@ -1498,9 +1513,12 @@ class TestFormedDensityPrecision:
     """``numerics._formed_density`` within its stated bound of the exact u u^H / |u|^2.
 
     Stated before measuring, in its docstring: each part of rho_ij within gamma_8 |u_i| |u_j| / |u|^2
-    + (d + 2) 2^-113, gamma_k = k u / (1 - k u), u = 2^-53, on both sides of the rescue threshold.
+    + (d + 2) 2^-113, gamma_k = k u / (1 - k u), u = 2^-53, on both sides of each rescue threshold.
     Without the rescue a tiny u reads zero weight; with the rescue only at a zero trace, a trace in
-    the subnormal range leaves products with a few bits, far outside the bound.
+    the subnormal range leaves products with a few bits, far outside the bound.  Without its upper
+    side a huge u reads NaN or raises fsum's OverflowError.  A u with a NaN or Inf part raises
+    "matrix contains NaN or Inf entries"; finiteness is read off the trace, so a check that lets a
+    NaN trace through returns a NaN matrix, and a rescue that scales a non-finite u returns one too.
     """
 
     @settings(deadline=None, max_examples=300)
@@ -1511,8 +1529,17 @@ class TestFormedDensityPrecision:
     @example(np.array([2.0**-481, 0.0, -(2.0**-482) * 1j]))  # just below 2^-960
     @example(np.array([2.0**-479, 0.0, -(2.0**-482) * 1j]))  # just above
     @example(np.array([2.0**-1074 + 0j, 0.0]))  # the smallest nonzero vector
+    @example(np.array([1e154, 1e154j]))  # finite parts whose squares' sum overflows fsum
+    @example(np.array([2.0**511, 2.0**510 * 1j]))  # tr = 2^1022 + 2^1020: 1 / tr is subnormal
+    @example(np.array([2.0**510, 0.0, 2.0**509 * 1j]))  # just below 2^1022
+    @example(np.array([1.7e308 + 0j, 2.0**-1000]))  # a part near the largest float, another tiny
+    @example(np.array([complex(math.nan, 0.0), 1.0]))  # a NaN trace
+    @example(np.array([complex(1e300, 0.0), complex(0.0, math.inf)]))  # an infinite part past a huge one
     def test_within_the_bound_of_the_exact_state(self, u):
         got, exc = raised(numerics._formed_density, u, "zero vector")
+        if not np.isfinite(u).all():
+            assert exc == (ValidationError, "matrix contains NaN or Inf entries")
+            return
         if not np.any(u):
             assert exc == (ValidationError, "zero vector")
             return

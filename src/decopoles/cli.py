@@ -18,12 +18,15 @@ boundary and the extra timescale rows of ``pole_models.model1_times`` /
 A run imports only what its scenario needs: ``numerics`` and
 ``pole_models`` always, ``preferred_basis`` for ``bifriedrich`` and
 ``friedrich`` with ``omnes`` for ``omnes``, each inside the scenario
-functions that use it.  ``extract`` refits an over-asked order at the
+function that uses it.  ``extract`` refits an over-asked order at the
 effective rank from the pencil's one SVD.
 
-Configs are strictly validated before any computation: unknown keys are
-rejected and every diagnostic names the offending field path.  All float
-output uses 17 significant digits so CSVs parse back losslessly and
+Each scenario is one function that validates its params strictly, before
+any computation: unknown keys are rejected and every diagnostic names the
+offending field path.  It returns ``run``, which computes every output
+file, ``{file name: text or its chunks}``, and writes nothing; ``main``
+then writes them all, so a numeric failure leaves no output behind.  All
+float output uses 17 significant digits so CSVs parse back losslessly and
 identical configs produce byte-identical files.
 """
 
@@ -147,16 +150,6 @@ def _read_table(csv_path: str, path: str, parse):
 # --- output helpers ----------------------------------------------------------
 
 
-def _write(outdir: str, name: str, text):
-    """Write ``text``, a string or an iterable of strings written in turn."""
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(text, str):
-            fh.write(text)
-        else:
-            fh.writelines(text)
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -182,7 +175,7 @@ def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()) -> str:
     return _csv("name,value", rows + list(extra_rows))
 
 
-# --- scenario runners --------------------------------------------------------
+# --- scenarios ---------------------------------------------------------------
 
 _VISIBLE_CHANGE = 1e-8  # extract: a rate r changes a window of span T visibly when |r| T exceeds it
 
@@ -212,8 +205,8 @@ _PRESETS = {
 }
 
 
-def _parse_simulate(params: dict, scenario: str):
-    """Validate scenario params and build catalogue, report and extra rows."""
+def _simulate(params: dict, grid: np.ndarray, scenario: str):
+    """model1/2/3: the catalogue, its report and extra rows; ``run`` renders signal, preferred, timescales."""
     path = "params"
     if scenario in _PRESETS:
         keys, rule, boundary, rows = _PRESETS[scenario]
@@ -228,19 +221,21 @@ def _parse_simulate(params: dict, scenario: str):
             params, path, "boundary", pole_models.BOUNDARY_RELEVANT, choices=pole_models._BOUNDARY_CUT
         )
         extra = ()
-    return cat, pole_models.decoherence_time(cat, rule, boundary), extra
+    report = pole_models.decoherence_time(cat, rule, boundary)
+
+    def run():
+        signal = pole_models.synthesize(cat, grid)
+        preferred = pole_models.preferred_signal(cat, report, grid)
+        return {
+            "signal.csv": pole_models.signal_csv_chunks(signal),
+            "preferred.csv": pole_models.signal_csv_chunks(preferred),
+            "timescales.csv": _timescales_csv(report, extra),
+        }
+
+    return run
 
 
-def _run_simulate(parsed, grid: np.ndarray, outdir: str):
-    cat, report, extra = parsed
-    signal = pole_models.synthesize(cat, grid)
-    preferred = pole_models.preferred_signal(cat, report, grid)
-    _write(outdir, "signal.csv", pole_models.signal_csv_chunks(signal))
-    _write(outdir, "preferred.csv", pole_models.signal_csv_chunks(preferred))
-    _write(outdir, "timescales.csv", _timescales_csv(report, extra))
-
-
-def _parse_bifriedrich(params: dict) -> preferred_basis.BiFriedrichModel:
+def _bifriedrich(params: dict, grid: np.ndarray):
     from . import preferred_basis
 
     _reject_unknown(params, "params", ("part1", "part2"))
@@ -248,23 +243,24 @@ def _parse_bifriedrich(params: dict) -> preferred_basis.BiFriedrichModel:
     for key in ("part1", "part2"):
         path = f"params.{key}"
         parts.append(_read_catalogue(_as_object(_field(params, "params", key), path), path))
-    return preferred_basis.BiFriedrichModel(*parts)
+    model = preferred_basis.BiFriedrichModel(*parts)
+
+    def run():
+        result = preferred_basis.bifriedrich_run(model, grid)
+        v = result.verdicts  # states iterated, not listed: tolist() makes 2T strings, raising peak RSS
+        rows = zip(v.t.tolist(), v.part1_state, v.part2_state)
+        return {
+            "signal1.csv": pole_models.signal_csv_chunks(result.signal1),
+            "signal2.csv": pole_models.signal_csv_chunks(result.signal2),
+            "verdicts.csv": _csv("t,part1_state,part2_state", rows),
+        }
+
+    return run
 
 
-def _run_bifriedrich(model: preferred_basis.BiFriedrichModel, grid: np.ndarray, outdir: str):
-    from . import preferred_basis
-
-    result = preferred_basis.bifriedrich_run(model, grid)
-    _write(outdir, "signal1.csv", pole_models.signal_csv_chunks(result.signal1))
-    _write(outdir, "signal2.csv", pole_models.signal_csv_chunks(result.signal2))
-    v = result.verdicts  # states iterated, not listed: tolist() makes 2T strings, raising peak RSS
-    rows = zip(v.t.tolist(), v.part1_state, v.part2_state)
-    _write(outdir, "verdicts.csv", _csv("t,part1_state,part2_state", rows))
-
-
-def _parse_omnes(params: dict) -> dict:
-    """Validate omnes params; pole resolution from a density stays deferred."""
-    from . import omnes
+def _omnes(params: dict, grid: np.ndarray):
+    """Every config checked, and with ``gamma0`` the sweep's rates; ``run`` resolves a density's pole and rates."""
+    from . import friedrich, omnes
 
     path = "params"
     allowed = (
@@ -279,7 +275,7 @@ def _parse_omnes(params: dict) -> dict:
             "params: spectral_density is mutually exclusive with gamma0 / omega_prime"
         )
 
-    config = {  # the OmnesConfig fields but gamma0, which a density resolves at run time
+    config = {  # the OmnesConfig fields but gamma0
         "m": _number(params, path, "m", 1.0, positive=True),
         "omega": _number(params, path, "omega", 2.0, positive=True),
         "hbar": _number(params, path, "hbar", 1.0, positive=True),
@@ -299,23 +295,52 @@ def _parse_omnes(params: dict) -> dict:
         raise ValidationError(
             f"params.a_re/a_im/b_re/b_im: |a|^2 + |b|^2 = {ssq!r}, must be 1 within {omnes._NORM_TOL}"
         )
-    plan = {"config": config, "density": None, "gamma0": None, "omega_prime": 0.0}
+    density, gamma0, omega_prime = None, None, 0.0
     if "spectral_density" in params:
-        plan["density"] = _spectral_density(
+        density = _spectral_density(
             _as_object(params["spectral_density"], "params.spectral_density"),
             "params.spectral_density",
         )
     else:
-        plan["gamma0"] = _number(params, path, "gamma0", 0.1, positive=True)
-        plan["omega_prime"] = _number(params, path, "omega_prime", 0.0)
+        gamma0 = _number(params, path, "gamma0", 0.1, positive=True)
+        omega_prime = _number(params, path, "omega_prime", 0.0)
 
     sweep_raw = _field(params, path, "L0_sweep", [10.0, 20.0, 40.0])
     if not isinstance(sweep_raw, list) or not sweep_raw:
         raise ValidationError("params.L0_sweep: expected a nonempty array of lengths")
     sweep = [_finite(v, f"params.L0_sweep[{i}]", positive=True) for i, v in enumerate(sweep_raw)]
-    _omnes_sweep(config, plan["gamma0"], sweep)
-    plan["L0_sweep"] = sweep
-    return plan
+    rates = _omnes_sweep(config, gamma0, sweep)
+
+    def run():
+        width, shift, swept = gamma0, omega_prime, rates
+        if density is not None:
+            pole = friedrich.perturbative_pole(density)
+            width, shift = pole.gamma0, pole.omega_prime
+            swept = _omnes_sweep(config, width, sweep)
+        cfg = omnes.OmnesConfig(gamma0=width, **config)  # the sweep's first config, so it holds
+
+        report = omnes.macroscopicity_check(cfg)
+        lines = [f"status: {'PASS' if report.passed else 'FAIL'}"]
+        lines.extend(
+            f"{name}: {_fmt(getattr(report, name))}"
+            for name in ("delta", "lower_margin", "upper_margin", "min_delta", "truncation_factor")
+        )
+        if not report.passed:
+            print(
+                f"warning: macroscopicity FAIL (delta={report.delta:.3g}); proceeding",
+                file=sys.stderr,
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # macroscopicity already reported above
+            decay = omnes.nd_decay(cfg, cfg.z0(shift), grid)
+        rows = [(L0, rate.t_D, rate.gamma_tilde) for L0, rate in zip(sweep, swept)]
+        return {
+            "macroscopicity.txt": "\n".join(lines) + "\n",
+            "nd_decay.csv": pole_models.csv_chunks("t,abs_rho12", (grid, decay)),
+            "td_vs_L0.csv": _csv("L0,t_D,gamma_tilde", rows),
+        }
+
+    return run
 
 
 def _omnes_sweep(config: dict, gamma0, sweep: list) -> list:
@@ -335,41 +360,7 @@ def _omnes_sweep(config: dict, gamma0, sweep: list) -> list:
     return rates
 
 
-def _run_omnes(plan: dict, grid: np.ndarray, outdir: str):
-    from . import friedrich, omnes
-
-    if plan["density"] is not None:
-        pole = friedrich.perturbative_pole(plan["density"])
-        gamma0, omega_prime = pole.gamma0, pole.omega_prime
-    else:
-        gamma0, omega_prime = plan["gamma0"], plan["omega_prime"]
-
-    cfg = omnes.OmnesConfig(gamma0=gamma0, **plan["config"])
-    z0 = cfg.z0(omega_prime)
-    rates = _omnes_sweep(plan["config"], gamma0, plan["L0_sweep"])  # before any file is written
-
-    report = omnes.macroscopicity_check(cfg)
-    lines = [f"status: {'PASS' if report.passed else 'FAIL'}"]
-    lines.extend(
-        f"{name}: {_fmt(getattr(report, name))}"
-        for name in ("delta", "lower_margin", "upper_margin", "min_delta", "truncation_factor")
-    )
-    _write(outdir, "macroscopicity.txt", "\n".join(lines) + "\n")
-    if not report.passed:
-        print(
-            f"warning: macroscopicity FAIL (delta={report.delta:.3g}); proceeding",
-            file=sys.stderr,
-        )
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # macroscopicity already reported above
-        decay = omnes.nd_decay(cfg, z0, grid)
-        _write(outdir, "nd_decay.csv", pole_models.csv_chunks("t,abs_rho12", (grid, decay)))
-        rows = [(L0, rate.t_D, rate.gamma_tilde) for L0, rate in zip(plan["L0_sweep"], rates)]
-        _write(outdir, "td_vs_L0.csv", _csv("L0,t_D,gamma_tilde", rows))
-
-
-def _parse_extract(params: dict) -> dict:
+def _extract(params: dict, grid: None):  # extract has no config grid
     path = "params"
     _reject_unknown(params, path, ("input_csv", "model_order", "equilibrium", "hbar"))
     csv_path = _string(params, path, "input_csv")
@@ -383,52 +374,53 @@ def _parse_extract(params: dict) -> dict:
             f"{path}.model_order: needs at least {need} samples for order {order}, "
             f"{path}.input_csv has {len(signal)}"
         )
-    return {"signal": signal, "order": order, "equilibrium": equilibrium, "hbar": hbar}
+    with np.errstate(over="ignore"):
+        values = signal.values - equilibrium
+    if not np.isfinite(values.view(float)).all():
+        raise ValidationError(
+            f"{path}.equilibrium: {equilibrium!r} shifts {path}.input_csv's values out of the float range"
+        )
 
+    def run():
+        try:
+            fitted = numerics.matrix_pencil_fit(signal.times, values, order)
+        except RankDeficiencyError as exc:
+            if exc.effective_rank and exc.effective_rank >= 1:
+                print(
+                    f"warning: requested {order} modes but the signal supports only "
+                    f"{exc.effective_rank}; refitting at the effective rank",
+                    file=sys.stderr,
+                )
+                fitted = exc.pencil.fit(exc.effective_rank)  # the same SVD, not a second one
+            else:
+                raise
 
-def _run_extract(plan: dict, grid: None, outdir: str):  # extract has no config grid
-    signal = plan["signal"]
-    order = plan["order"]
-    equilibrium = plan["equilibrium"]
-    hbar = plan["hbar"]
-    values = signal.values - equilibrium
-    try:
-        fitted = numerics.matrix_pencil_fit(signal.times, values, order)
-    except RankDeficiencyError as exc:
-        if exc.effective_rank and exc.effective_rank >= 1:
-            print(
-                f"warning: requested {order} modes but the signal supports only "
-                f"{exc.effective_rank}; refitting at the effective rank",
-                file=sys.stderr,
+        t_span = float(signal.times[-1] - signal.times[0])
+        growth = [z.real for z, _ in fitted if z.real * t_span > _VISIBLE_CHANGE]
+        if growth:
+            raise ConvergenceError(
+                f"{len(growth)} fitted mode(s) grow over the window (largest growth rate "
+                f"{max(growth):.3e}); a pole catalogue holds only decaying modes"
             )
-            fitted = exc.pencil.fit(exc.effective_rank)  # the same SVD, not a second one
-        else:
-            raise
+        # rates with no visible decay over the window are equilibrium content
+        cat_equilibrium = equilibrium
+        modes = []
+        for z, amp in fitted:
+            gamma = -z.real * hbar
+            if gamma * t_span / hbar < _VISIBLE_CHANGE:
+                cat_equilibrium += amp.real
+                continue
+            modes.append((pole_models.Pole(-z.imag * hbar + 0.0, gamma), amp))
+        if not modes:
+            raise RankDeficiencyError(
+                "signal contains no decaying modes (constant or equilibrium-only content)",
+                effective_rank=0,
+            )
+        cat = pole_models.PoleCatalogue(cat_equilibrium, tuple(modes), None, hbar)
+        print(f"residual: {_fmt(numerics.fit_residual(signal.times, values, fitted))}")
+        return {"catalogue.json": pole_models.catalogue_to_json(cat) + "\n"}
 
-    t_span = float(signal.times[-1] - signal.times[0])
-    growth = [z.real for z, _ in fitted if z.real * t_span > _VISIBLE_CHANGE]
-    if growth:
-        raise ConvergenceError(
-            f"{len(growth)} fitted mode(s) grow over the window (largest growth rate "
-            f"{max(growth):.3e}); a pole catalogue holds only decaying modes"
-        )
-    # rates with no visible decay over the window are equilibrium content
-    modes = []
-    for z, amp in fitted:
-        gamma = -z.real * hbar
-        if gamma * t_span / hbar < _VISIBLE_CHANGE:
-            equilibrium += amp.real
-            continue
-        modes.append((pole_models.Pole(-z.imag * hbar + 0.0, gamma), amp))
-    if not modes:
-        raise RankDeficiencyError(
-            "signal contains no decaying modes (constant or equilibrium-only content)",
-            effective_rank=0,
-        )
-    cat = pole_models.PoleCatalogue(equilibrium, tuple(modes), None, hbar)
-    _write(outdir, "catalogue.json", pole_models.catalogue_to_json(cat) + "\n")
-    residual = numerics.fit_residual(signal.times, values, fitted)
-    print(f"residual: {_fmt(residual)}")
+    return run
 
 
 # --- entry point -------------------------------------------------------------
@@ -445,22 +437,22 @@ def _load_config(path: str) -> dict:
     return _as_object(doc, "config")
 
 
-# scenario -> (subcommand, parse(params) -> plan, run(plan, grid, outdir))
+# scenario -> (subcommand, validate(params, grid) -> run() -> {file name: text or its chunks})
 _SCENARIOS = {
     **{
-        name: ("simulate", functools.partial(_parse_simulate, scenario=name), _run_simulate)
+        name: ("simulate", functools.partial(_simulate, scenario=name))
         for name in ("model1", "model2", "model3")
     },
-    "bifriedrich": ("simulate", _parse_bifriedrich, _run_bifriedrich),
-    "omnes": ("omnes", _parse_omnes, _run_omnes),
-    "extract": ("extract", _parse_extract, _run_extract),
+    "bifriedrich": ("simulate", _bifriedrich),
+    "omnes": ("omnes", _omnes),
+    "extract": ("extract", _extract),
 }
 
 
-def _dispatch(subcommand: str, doc: dict, outdir: str):
+def _dispatch(subcommand: str, doc: dict):
     _reject_unknown(doc, "config", ("scenario", "grid", "params", "output_dir"))
     scenario = _string(doc, "config", "scenario", choices=_SCENARIOS)
-    owner, parse, run = _SCENARIOS[scenario]
+    owner, validate = _SCENARIOS[scenario]
     if owner != subcommand:
         expected = sorted(name for name, entry in _SCENARIOS.items() if entry[0] == subcommand)
         raise ValidationError(
@@ -474,8 +466,7 @@ def _dispatch(subcommand: str, doc: dict, outdir: str):
         grid = None
     else:
         grid = _grid(doc, "config")
-    plan = parse(params)
-    return lambda: run(plan, grid, outdir)
+    return validate(params, grid)
 
 
 def main(argv=None) -> int:
@@ -501,17 +492,23 @@ def main(argv=None) -> int:
             raise ValidationError("config.output_dir: expected a string path")
         if args.out is not None:
             outdir = args.out
-        runner = _dispatch(args.subcommand, doc, outdir)
+        run = _dispatch(args.subcommand, doc)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        runner()
+        files = run()
     except (ConvergenceError, ValidationError) as exc:  # a RankDeficiencyError carries its rank
         rank = getattr(exc, "effective_rank", None)
         print(f"numeric failure: {exc}{'' if rank is None else f' (effective rank {rank})'}", file=sys.stderr)
         return 3
+
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:  # an output could not be written
         where = "--out" if args.out is not None else "config.output_dir"
         print(f"config error: {where} {outdir!r}: {exc}", file=sys.stderr)

@@ -61,11 +61,11 @@ def _ladder_exponents(ladder: np.ndarray, z0: complex, t: float, hbar: float) ->
 
     c is formed once, as a Python complex (one rounding per part for t, one for hbar), and n c
     takes one more, so each part of the exponent is within gamma_3 of the exact x_n = -i n z0 t / hbar,
-    with gamma_k = k u / (1 - k u), u = 2^-53.  Once c itself overflows, n + 0j times c would spend
-    0 * inf = NaN on each part, so n Re c and n Im c are then real products, for n >= 1 only, and x_0 = 0.
+    with gamma_k = k u / (1 - k u), u = 2^-53.  Once the last n c overflows, n + 0j times c warns (and spends
+    0 * inf = NaN on each part once c does), so n Re c and n Im c are then real products, for n >= 1, and x_0 = 0.
     """
     c = -1j * complex(z0) * t / hbar
-    if cmath.isfinite(c):
+    if cmath.isfinite((ladder.size - 1) * c):
         return ladder * c
     x = np.zeros(ladder.size, dtype=complex)
     n = ladder.real[1:]

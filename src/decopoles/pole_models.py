@@ -265,13 +265,15 @@ def _mode_sum(cat: PoleCatalogue, grid, rendering: str, modes) -> Signal:
     if rendering not in ("envelope", "full"):
         raise ValidationError(f"unknown rendering {rendering!r}")
     values = np.full(t.shape, complex(cat.equilibrium), dtype=complex)
-    for mode in modes:
-        term = mode.amplitude * np.exp(-mode.pole.gamma * t / cat.hbar)
-        if rendering == "full":
-            term = term * np.exp(-1j * mode.pole.omega * t / cat.hbar)
-        values += term
-    if cat.khalfin is not None:
-        values += cat.khalfin(t)
+    tail = None if cat.khalfin is None else cat.khalfin(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range: Signal rejects it
+        for mode in modes:
+            term = mode.amplitude * np.exp(-mode.pole.gamma * t / cat.hbar)
+            if rendering == "full":
+                term = term * np.exp(-1j * mode.pole.omega * t / cat.hbar)
+            values += term
+        if tail is not None:
+            values += tail
     return Signal(t, values)
 
 

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from decopoles import pole_models, preferred_basis
+from decopoles import numerics, omnes, pole_models, preferred_basis
+from decopoles.errors import ValidationError
 from decopoles.cli import main
 from decopoles.omnes import OmnesConfig, nd_block
 from decopoles.pole_models import (
@@ -363,6 +364,20 @@ class TestOmnes:
         )
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("route", ["gamma0", "density"])
+    def test_one_collective_rate_per_sweep_length(self, tmp_path, monkeypatch, route):
+        # the gamma0 sweep's rates are the ones checked during validation; a density's are formed once its pole is known
+        calls = []
+        rate = omnes.collective_rate
+        monkeypatch.setattr(omnes, "collective_rate", lambda cfg: calls.append(cfg.L0) or rate(cfg))
+        doc = self.base_doc(N=200, L0_sweep=[10.0, 20.0, 30.0, 40.0])
+        if route == "density":
+            del doc["params"]["gamma0"]
+            doc["params"]["spectral_density"] = {"kind": "lorentzian", "omega0": 1.1, "center": 0.6, "width": 0.7}
+        assert main(["omnes", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "r")]) == 0
+        assert calls == [10.0, 20.0, 30.0, 40.0]
+        assert len((tmp_path / "r" / "td_vs_L0.csv").read_text(encoding="utf-8").splitlines()) == 5
+
     def test_density_and_rate_are_exclusive(self, tmp_path, capsys):
         doc = self.base_doc()
         doc["params"]["spectral_density"] = {"kind": "ohmic", "omega0": 1.0, "cutoff": 1.0}
@@ -535,6 +550,55 @@ class TestExtract:
         )
         assert main(["extract", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
         assert "config.grid" in capsys.readouterr().err
+
+
+class TestNumericFailureWritesNothing:
+    """A run computes every file before it writes any: a numeric failure exits 3 with one stderr line
+    and leaves no output directory.  A sum past the float range is one; an extract equilibrium that
+    shifts the signal past it is a config error, found before any fit."""
+
+    OVERFLOWING = {"modes": [{"gamma": 1.0, "amp_re": 1e308}, {"gamma": 2.0, "amp_re": 1e308}]}
+
+    @pytest.mark.parametrize("scenario", ["model3", "bifriedrich"])
+    def test_overflowing_sum(self, tmp_path, capsys, scenario):
+        params = self.OVERFLOWING if scenario == "model3" else {"part1": {"modes": FIGURE_MODES}, "part2": self.OVERFLOWING}
+        cfg = write_config(tmp_path, {"scenario": scenario, "grid": {"t_max": 1.0, "n_points": 5}, "params": params})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == "numeric failure: signal contains NaN or Inf\n"
+        assert not (tmp_path / "r").exists()
+
+    @staticmethod
+    def decay_csv(tmp_path, scale=1.7e308):
+        """41 samples of scale e^(-t/2) on [0, 10]."""
+        t = np.linspace(0.0, 10.0, 41)
+        path = tmp_path / f"decay-{scale}.csv"
+        path.write_text(signal_to_csv(Signal(t, scale * np.exp(-0.5 * t))), encoding="utf-8")
+        return str(path)
+
+    def test_equilibrium_shift_past_the_float_range(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fit attempted")
+
+        monkeypatch.setattr(numerics, "matrix_pencil_fit", refuse)
+        params = {"input_csv": self.decay_csv(tmp_path), "model_order": 1, "equilibrium": -1e308}
+        cfg = write_config(tmp_path, {"scenario": "extract", "params": params})
+        assert main(["extract", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: params.equilibrium: -1e+308 shifts params.input_csv's values out of the float range\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    def test_extract_validates_then_runs_without_writing(self, tmp_path, capsys, monkeypatch):
+        from decopoles.cli import _extract
+
+        with pytest.raises(ValidationError, match=r"^params\.equilibrium: -1e\+308 shifts"):
+            _extract({"input_csv": self.decay_csv(tmp_path), "model_order": 1, "equilibrium": -1e308}, None)
+        run = _extract({"input_csv": self.decay_csv(tmp_path, 1.7), "model_order": 1}, None)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        files = run()
+        assert list(files) == ["catalogue.json"] and capsys.readouterr().out.startswith("residual: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestConfigErrors:

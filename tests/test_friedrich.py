@@ -205,14 +205,14 @@ class TestLadderPhases:
         ],
     )
     def test_exponents_on_the_table_ladder_are_the_one_line_product(self, z0, t, hbar):
-        # a slice of the Fock table's ladder gives the bits of np.arange(k) * c; once c overflows,
-        # those of F3's real products n Re c and n Im c for n >= 1, with x_0 = 0
+        # a slice of the Fock table's ladder gives the bits of np.arange(k) * c; once its last
+        # product (k - 1) c overflows, those of F3's real products n Re c and n Im c for n >= 1, with x_0 = 0
         c = -1j * complex(z0) * t / hbar
         table = _fock_table(3.0, 60)
         for k in (1, 2, 17, 61):
             with np.errstate(over="ignore", invalid="ignore"):
                 got = _ladder_exponents(table.ladder[:k], z0, t, hbar)
-                if cmath.isfinite(c):
+                if cmath.isfinite((k - 1) * c):
                     want = np.arange(k) * c
                 else:
                     want = np.zeros(k, dtype=complex)

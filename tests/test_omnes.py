@@ -910,11 +910,14 @@ class TestFormedStates:
         assert rho[0, 0] == 1.0 and not np.any(rho.ravel()[1:])
 
     @IGNORE_MACRO
-    @pytest.mark.parametrize("omega_prime", [0.5, 0.0], ids=["reproducer", "pure-damping"])
-    def test_overflowing_ladder_exponent_leaves_phase_zero(self, monkeypatch, omega_prime):
+    @pytest.mark.parametrize(
+        "omega_prime, hbar", [(0.5, 0.25), (0.0, 0.25), (0.5, 1.0)], ids=["reproducer", "pure-damping", "finite-c"]
+    )
+    def test_overflowing_ladder_exponent_leaves_phase_zero(self, monkeypatch, omega_prime, hbar):
         # at t = 1e308 and hbar = 0.25, c = -i z0 t / hbar overflows: (n + 0j) c once made every
-        # phase NaN, where the exact phases are 1 at n = 0 and 0 past it
-        cfg = OmnesConfig(1.0, 2.0, 0.25, 1.0, 1.5, math.sqrt(0.5), math.sqrt(0.5), 60)
+        # phase NaN, where the exact phases are 1 at n = 0 and 0 past it; at hbar = 1, c is finite but
+        # n c overflows from n = 2, and the product once returned the state with an overflow warning
+        cfg = OmnesConfig(1.0, 2.0, hbar, 1.0, 1.5, math.sqrt(0.5), math.sqrt(0.5), 60)
         z0 = cfg.z0(omega_prime)
         got = [build(cfg, z0, 1e308).entries for build in (self.BUILDS["fock"], self.BUILDS["frame-truncated"])]
 

@@ -192,6 +192,17 @@ class TestSynthesize:
             synthesize(figure_catalogue(), grid)
         assert str(err.value) == "grid must be a nonempty 1-D array"
 
+    @pytest.mark.parametrize("rendering", ["envelope", "full"])
+    def test_sum_past_the_float_range_is_rejected_without_a_warning(self, rendering):
+        # each mode is finite, their sum 2e308 is not: Signal's finiteness check decides, and no
+        # numpy overflow warning escapes (an error under this suite's warning filter)
+        cat = PoleCatalogue(0.0, ((Pole(0.0, 1.0), 1e308), (Pole(0.0, 2.0), 1e308)))
+        report = decoherence_time(cat)
+        for build in (lambda: synthesize(cat, [0.0, 0.5], rendering), lambda: preferred_signal(cat, report, [0.0, 0.5])):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert str(err.value) == "signal contains NaN or Inf"
+
     def test_pair_product_beat(self):
         zi = Pole(1.0, 0.2)
         zj = Pole(3.0, 0.6)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the README's model3, extract (as written and over-asked), omnes (as
-# written and at m = omega = hbar = 1e-200) and bifriedrich examples through
-# the `decopoles` console script and check what they write.
+# written and at m = omega = hbar = 1e-200) and bifriedrich examples, and a
+# weakly separated model2, through the `decopoles` console script and check
+# what they write.
 #
 #     readme_examples.sh README.md WORKDIR
 #
@@ -45,6 +46,15 @@ decopoles omnes --config omnes_tiny_scales.json --out omnes_tiny_scales_out
 decopoles simulate --config bifriedrich.json --out bi
 grep -qx "1,quantum,quantum" bi/verdicts.csv
 grep -qx "1.5,classical,quantum" bi/verdicts.csv
+# gamma1 / gamma0 = 5: model2 runs, and its weak separation is one warning: line of the CLI's
+python - <<'PY'
+import json
+doc = {"scenario": "model2", "grid": {"t_max": 10.0, "n_points": 41}, "params": {"gamma0": 1, "gamma1": 5}}
+json.dump(doc, open("model2_weak.json", "w", encoding="utf-8"))
+PY
+decopoles simulate --config model2_weak.json --out model2_weak 2> model2_weak.err
+test -f model2_weak/timescales.csv
+printf 'warning: gamma0 = 1.0 is not << gamma1 = 5.0; timescale separation is weak\n' | cmp - model2_weak.err
 test -f omnes_out/macroscopicity.txt
 test -f omnes_out/nd_decay.csv
 # the separation-free invariant through the console script: t_D L0^2 is one number

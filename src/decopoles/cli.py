@@ -4,7 +4,10 @@ Usage: ``decopoles <subcommand> --config <file> [--out <dir>]`` with
 subcommands ``simulate`` (scenarios model1, model2, model3, bifriedrich),
 ``omnes`` and ``extract``.  Exit codes: 0 success, 2 invalid config (with
 field-path diagnostics), an unreadable input or an unwritable output path,
-3 numeric failure (quadrature, rank, state construction).
+3 numeric failure (quadrature, rank, state construction).  Every
+``warning:`` line on stderr is the CLI's: the library returns each
+condition as data (``omnes.macroscopicity_check``,
+``Model2Times.weak_separation``) and warns about nothing.
 
 ``model3`` reads a general pole catalogue (``modes``, ``equilibrium``,
 ``hbar``, ``khalfin``) with a partition ``rule`` and ``boundary``; the
@@ -38,7 +41,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -184,6 +186,18 @@ _MODEL1_ROWS = (
     "background_background_time",
 )
 
+
+def _model2_rows(gamma0: float, gamma1: float, hbar: float):
+    """model2's extra row; a weak timescale separation is reported as one ``warning:`` line."""
+    times = pole_models.model2_times(gamma0, gamma1, hbar)
+    if times.weak_separation:
+        print(
+            f"warning: gamma0 = {gamma0} is not << gamma1 = {gamma1}; timescale separation is weak",
+            file=sys.stderr,
+        )
+    return (("intermediate_time", times.intermediate),)
+
+
 # model1 and model2 as fixed-shape model3 catalogues: the (gamma, amp_re,
 # amp_im) keys of each pole, the rule, the boundary, and the extra timescale
 # rows as a function of the widths in input order and hbar
@@ -198,9 +212,7 @@ _PRESETS = {
         (("gamma0", "amp0_re", "amp0_im"), ("gamma1", "amp1_re", "amp1_im")),
         pole_models.RULE_SECOND_SMALLEST,
         pole_models.BOUNDARY_IRRELEVANT,
-        lambda gamma0, gamma1, hbar: (
-            ("intermediate_time", pole_models.model2_times(gamma0, gamma1, hbar).intermediate),
-        ),
+        _model2_rows,
     ),
 }
 
@@ -330,9 +342,7 @@ def _omnes(params: dict, grid: np.ndarray):
                 f"warning: macroscopicity FAIL (delta={report.delta:.3g}); proceeding",
                 file=sys.stderr,
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # macroscopicity already reported above
-            decay = omnes.nd_decay(cfg, cfg.z0(shift), grid)
+        decay = omnes.nd_decay(cfg, cfg.z0(shift), grid)
         rows = [(L0, rate.t_D, rate.gamma_tilde) for L0, rate in zip(sweep, swept)]
         return {
             "macroscopicity.txt": "\n".join(lines) + "\n",
@@ -348,15 +358,13 @@ def _omnes_sweep(config: dict, gamma0, sweep: list) -> list:
     from . import omnes
 
     rates = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the run reports macroscopicity once, at L0
-        for key, L0 in (("L0", config["L0"]), *((f"L0_sweep[{i}]", v) for i, v in enumerate(sweep))):
-            try:
-                cfg = omnes.OmnesConfig(gamma0=1.0 if gamma0 is None else gamma0, **dict(config, L0=L0))
-                if gamma0 is not None and key != "L0":
-                    rates.append(omnes.collective_rate(cfg))
-            except ValidationError as exc:
-                raise ValidationError(f"params.{key}: {exc}") from None
+    for key, L0 in (("L0", config["L0"]), *((f"L0_sweep[{i}]", v) for i, v in enumerate(sweep))):
+        try:
+            cfg = omnes.OmnesConfig(gamma0=1.0 if gamma0 is None else gamma0, **dict(config, L0=L0))
+            if gamma0 is not None and key != "L0":
+                rates.append(omnes.collective_rate(cfg))
+        except ValidationError as exc:
+            raise ValidationError(f"params.{key}: {exc}") from None
     return rates
 
 

@@ -171,7 +171,7 @@ def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
     in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-961.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a u past 2^511 is rescued below
-        mat = u[:, None] * u.conj()  # np.outer's one multiply
+        mat = u[:, None] * u.conj()  # u_i conj(u_j), one complex multiply each: np.outer's bits for d >= 2 only
     try:
         tr = math.fsum(mat.real.diagonal().tolist())
     except OverflowError:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -293,17 +292,6 @@ def macroscopicity_check(cfg: OmnesConfig) -> MacroscopicityReport:
     )
 
 
-def _warn_if_not_macroscopic(cfg: OmnesConfig):
-    report = macroscopicity_check(cfg)
-    if not report.passed:
-        warnings.warn(
-            f"configuration is not macroscopic: Delta = {report.delta:.3g}, "
-            f"margins ({report.lower_margin:.3g}, {report.upper_margin:.3g}); "
-            "closed-form overlaps may be inaccurate",
-            stacklevel=3,
-        )
-
-
 def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     """(s, w): static branch overlap and <alpha2(0)|alpha2(t)>; rejects a growing pole.
 
@@ -351,9 +339,11 @@ class NDComponents:
 
 
 def nd_block(cfg: OmnesConfig, z0: complex, t: float) -> NDComponents:
-    """Evaluate the four frame components of the coherence block at time t."""
+    """Evaluate the four frame components of the coherence block at time t.
+
+    ``macroscopicity_check`` reports the regime in which the closed form holds.
+    """
     s, w = _frame_overlaps(cfg, z0, t, closed_form=True)
-    _warn_if_not_macroscopic(cfg)
     cross = cfg.a.conjugate() * cfg.b
     rho21 = cross * w
     return NDComponents(
@@ -371,10 +361,10 @@ def nd_decay(cfg: OmnesConfig, z0: complex, times) -> np.ndarray:
 
     Each entry equals abs(nd_block(cfg, z0, t).rho12) bit for bit: the
     product conj(a) b w(t) is formed on real and imaginary parts as CPython
-    forms it, and its magnitude is np.hypot, as abs(complex) is.
+    forms it, and its magnitude is np.hypot, as abs(complex) is.  The
+    regime in which the closed form holds is ``macroscopicity_check``'s report.
     """
     _, w = _frame_overlaps(cfg, z0, np.asarray(times, dtype=float), closed_form=True)
-    _warn_if_not_macroscopic(cfg)
     cross = cfg.a.conjugate() * cfg.b
     return np.hypot(
         cross.real * w.real - cross.imag * w.imag,
@@ -395,9 +385,9 @@ def collective_rate(cfg: OmnesConfig) -> CollectiveRate:
     t_D = hbar / gamma_tilde shrinks as 1/L0^2 while t_R = hbar / gamma0
     is separation-independent, so t_D * L0^2 = 2 hbar^3 / (m omega gamma0)
     exactly.  In the macroscopic regime gamma_tilde / gamma0 = Delta^2 >> 1
-    guarantees t_D << t_R.  A t_D that leaves the float range raises ValidationError.
+    guarantees t_D << t_R (the regime ``macroscopicity_check`` reports).  A t_D
+    that leaves the float range raises ValidationError.
     """
-    _warn_if_not_macroscopic(cfg)
     gamma_tilde = (scale := _collective_scale(cfg.m, cfg.omega, cfg.L0, cfg.hbar)) * cfg.gamma0
     t_D = cfg.hbar / gamma_tilde if gamma_tilde > 0.0 else math.inf  # gamma_tilde = inf gives 0
     if gamma_tilde > 0.0 and min(scale, gamma_tilde) < 2.0**-1022:  # subnormal: hbar / (Delta^2 gamma0) on mantissas

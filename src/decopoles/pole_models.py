@@ -21,7 +21,6 @@ import bisect
 import functools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -294,25 +293,20 @@ class Model2Times:
     t_R: float
     t_D: float
     intermediate: float
+    weak_separation: bool
 
 
 def model2_times(gamma0: float, gamma1: float, hbar: float = 1.0) -> Model2Times:
     """Two-pole characteristic times: t_R = hbar/gamma0, t_D = hbar/gamma1.
 
     The cross terms between the two poles decay on hbar / (gamma1 + gamma0).
-    Warns when gamma0 is not well separated below gamma1 (ratio < 10), since
-    the relaxation/decoherence split loses meaning there.
+    ``weak_separation`` is set when gamma0 is not well separated below gamma1
+    (ratio 10 or less), since the relaxation/decoherence split loses meaning there.
     """
     gamma0 = _require_positive("gamma0", gamma0)
     gamma1 = _require_positive("gamma1", gamma1)
     hbar = _require_positive("hbar", hbar)
-    if gamma0 >= gamma1 / 10.0:
-        warnings.warn(
-            f"gamma0 = {gamma0} is not << gamma1 = {gamma1}; "
-            "timescale separation is weak",
-            stacklevel=2,
-        )
-    return Model2Times(hbar / gamma0, hbar / gamma1, hbar / (gamma1 + gamma0))
+    return Model2Times(hbar / gamma0, hbar / gamma1, hbar / (gamma1 + gamma0), gamma0 >= gamma1 / 10.0)
 
 
 def _ldexp(x: float, e: int) -> float:

@@ -9,7 +9,6 @@ leave mpmath's precision as they found it.
 """
 
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -61,18 +60,16 @@ def report(n, ok, detail):
 def test_criterion_01_timescale_formulas():
     rng = np.random.default_rng(20260814)
     ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # weak-separation draws
-        for _ in range(100):
-            g0 = float(rng.uniform(0.01, 10.0))
-            hbar = float(rng.uniform(0.1, 5.0))
-            got1 = model1_times(g0, hbar)
-            ok &= got1 == (hbar / g0, 2.0 * hbar / g0, 2.0 * hbar / g0, math.inf)
-            g1 = g0 * float(rng.uniform(2.0, 200.0))
-            got2 = model2_times(g0, g1, hbar)
-            ok &= got2.t_R == hbar / g0
-            ok &= got2.t_D == hbar / g1
-            ok &= got2.intermediate == hbar / (g1 + g0)
+    for _ in range(100):
+        g0 = float(rng.uniform(0.01, 10.0))
+        hbar = float(rng.uniform(0.1, 5.0))
+        got1 = model1_times(g0, hbar)
+        ok &= got1 == (hbar / g0, 2.0 * hbar / g0, 2.0 * hbar / g0, math.inf)
+        g1 = g0 * float(rng.uniform(2.0, 200.0))
+        got2 = model2_times(g0, g1, hbar)
+        ok &= got2.t_R == hbar / g0
+        ok &= got2.t_D == hbar / g1
+        ok &= got2.intermediate == hbar / (g1 + g0)
     assert report(1, ok, "model-1 and model-2 times exact over 100 random draws")
 
 

@@ -89,7 +89,7 @@ class TestSimulateModel1:
 
 
 class TestSimulateModel2:
-    def test_timescale_rows(self, tmp_path):
+    def test_timescale_rows(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             {
@@ -99,8 +99,13 @@ class TestSimulateModel2:
             },
         )
         out = tmp_path / "run"
-        with pytest.warns(UserWarning):  # ratio exactly 10: weak separation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        # ratio exactly 10: weak separation, one line of the CLI's own, no source path
+        assert capsys.readouterr().err == (
+            "warning: gamma0 = 0.1 is not << gamma1 = 1.0; timescale separation is weak\n"
+        )
         rows = read_rows(out / "timescales.csv")
         assert float(rows["t_R"]) == 10.0
         assert float(rows["t_D"]) == 1.0
@@ -109,9 +114,7 @@ class TestSimulateModel2:
         assert rows["p_irrelevant"] == "1"
         assert float(rows["intermediate_time"]) == pytest.approx(1.0 / 1.1, rel=1e-15)
 
-    def test_well_separated_is_quiet(self, tmp_path):
-        import warnings
-
+    def test_well_separated_is_quiet(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             {
@@ -123,6 +126,7 @@ class TestSimulateModel2:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSimulateModel3:
@@ -247,9 +251,15 @@ class TestOmnes:
         }
 
     def test_reference_run(self, tmp_path, capsys):
+        # the README's default sweep: at N = 6000, L0 = 20 and 40 are not macroscopic, yet the
+        # run reports the regime once, at L0, and nothing reaches stderr
+        assert [omnes.macroscopicity_check(OmnesConfig(1.0, 2.0, 1.0, 0.1, L0, 0.6, 0.8, 6000)).passed
+                for L0 in (10.0, 20.0, 40.0)] == [True, False, False]
         cfg = write_config(tmp_path, self.base_doc())
         out = tmp_path / "run"
-        assert main(["omnes", "--config", cfg, "--out", str(out)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["omnes", "--config", cfg, "--out", str(out)]) == 0
         text = (out / "macroscopicity.txt").read_text(encoding="utf-8")
         assert "status: PASS" in text
         assert "delta: 10" in text
@@ -278,10 +288,8 @@ class TestOmnes:
         ref = OmnesConfig(m=1.0, omega=2.0, hbar=1.7, gamma0=0.1, L0=17.0,
                           a=math.sqrt(0.5), b=complex(0.6, b_im), N=6000)
         z0 = ref.z0(0.7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = [f"{t:.17g},{abs(nd_block(ref, z0, t).rho12):.17g}\n"
-                    for t in np.linspace(0.0, 340.0, 401).tolist()]
+        rows = [f"{t:.17g},{abs(nd_block(ref, z0, t).rho12):.17g}\n"
+                for t in np.linspace(0.0, 340.0, 401).tolist()]
         assert (out / "nd_decay.csv").read_bytes() == ("t,abs_rho12\n" + "".join(rows)).encode()
 
     def test_separation_sweep_invariant(self, tmp_path):
@@ -328,7 +336,9 @@ class TestOmnes:
     def test_macroscopicity_fail_warns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.base_doc(L0=2.0, N=50))
         out = tmp_path / "run"
-        assert main(["omnes", "--config", cfg, "--out", str(out)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["omnes", "--config", cfg, "--out", str(out)]) == 0
         assert "status: FAIL" in (out / "macroscopicity.txt").read_text(encoding="utf-8")
         assert "macroscopicity FAIL" in capsys.readouterr().err
 
@@ -878,12 +888,10 @@ class TestDeterminism:
 
 
 def run_simulate(tmp_path, doc, name):
-    """Run one simulate config quietly; return its output directory."""
+    """Run one simulate config; return its output directory."""
     out = tmp_path / name
     cfg = write_config(tmp_path, doc, name=f"{name}.json")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # model2's weak-separation warning
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     return out
 
 

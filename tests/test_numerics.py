@@ -316,7 +316,6 @@ class TestEigh:
         with pytest.raises(ConvergenceError, match="did not converge"):
             DensityMatrix(np.eye(3) / 3.0).min_eigenvalue()
 
-    @pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
     def test_rank_one_fock_density(self):
         # a pure state: one unit eigenvalue and a 24-fold degenerate zero cluster
         half = math.sqrt(0.5)

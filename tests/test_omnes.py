@@ -33,8 +33,6 @@ from decopoles.pole_models import CatalogueMatrix, Pole, partition_report, colle
 
 ROOT_HALF = math.sqrt(0.5)
 
-IGNORE_MACRO = pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
-
 
 def config(L0=10.0, gamma0=0.1, N=6000, a=ROOT_HALF, b=ROOT_HALF, m=1.0, omega=2.0, hbar=1.0):
     # with m*omega/2 = hbar = 1 the displacement L0 equals Delta directly
@@ -408,10 +406,14 @@ class TestEvolvedOverlaps:
             with pytest.raises(ValidationError):
                 _frame_overlaps(cfg, complex(0.0, 0.1), 1.0, closed_form)
 
-    def test_warns_when_not_macroscopic(self):
-        cfg = config(L0=2.0, N=400)
-        with pytest.warns(UserWarning, match="macroscopic"):
-            nd_decay(cfg, cfg.z0(), [0.5])
+    def test_not_macroscopic_is_reported_not_warned(self):
+        # the regime is macroscopicity_check's report; the frame quantities return outside it too
+        for cfg in (config(L0=2.0, N=400), config(L0=2.0, N=50)):
+            assert macroscopicity_check(cfg).passed is False
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                nd_decay(cfg, cfg.z0(), [0.5])
+                nd_block(cfg, cfg.z0(), 0.5)
 
     def test_quiet_when_macroscopic(self):
         cfg = config()
@@ -428,7 +430,6 @@ class TestNDBlock:
         assert nd.rho12 == nd.rho21.conjugate()
         assert nd.envelope == 1.0
 
-    @IGNORE_MACRO
     def test_long_time_asymptote(self):
         cfg = config(L0=6.0, N=255)
         t = 80.0 / cfg.gamma0
@@ -491,7 +492,6 @@ class TestCollectiveRate:
         rate = collective_rate(config())
         assert rate.t_D < rate.t_R / 10.0
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize(
         "hbar", [1e-170, 1e-155, 1e160], ids=["2hbar2-is-zero", "2hbar2-is-subnormal", "2hbar2-overflows"]
     )
@@ -504,7 +504,6 @@ class TestCollectiveRate:
         # the partition threshold is the same number
         assert collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)((cfg.gamma0,)) == rate.gamma_tilde
 
-    @IGNORE_MACRO
     def test_ordinary_rate_keeps_its_order_of_operations(self):
         # (m omega / 2 hbar^2) L0^2 gamma0, which td_vs_L0.csv has always printed
         cfg = config(L0=17.3, gamma0=0.37, m=1.3, omega=2.9, hbar=1.7)
@@ -512,14 +511,12 @@ class TestCollectiveRate:
         assert want != cfg.delta * cfg.delta * 0.37  # the two orders differ in the last bit here
         assert collective_rate(cfg).gamma_tilde == want
 
-    @IGNORE_MACRO
     def test_rate_where_m_omega_underflows(self):
         # Delta = sqrt(1/2), so gamma_tilde = gamma0 / 2 and t_D = 2 hbar / gamma0; m omega reads 0.0
         rate = collective_rate(config(m=1e-200, omega=1e-200, hbar=1e-200, L0=1.0, gamma0=1.0, N=50))
         assert rate.gamma_tilde == pytest.approx(0.5, rel=1e-15)
         assert rate.t_D == pytest.approx(2e-200, rel=1e-15)
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("hbar, L0, gamma0", [(1e-10, 1e-168, 1.0), (1.0, 1.7e-155, 100.0)],
                              ids=["gamma_tilde-subnormal", "Delta2-subnormal"])
     def test_t_d_keeps_its_digits_where_a_factor_is_subnormal(self, hbar, L0, gamma0):
@@ -531,11 +528,13 @@ class TestCollectiveRate:
             exact = mpmath.mpf(hbar) / ((mpmath.mpf(L0) / mpmath.mpf(hbar)) ** 2 * gamma0)
             assert abs(rate.t_D - exact) <= 10 * 2.0**-53 * exact
 
-    def test_warns_when_not_macroscopic(self):
-        with pytest.warns(UserWarning, match="macroscopic"):
-            collective_rate(config(L0=2.0, N=50))
+    def test_not_macroscopic_is_reported_not_warned(self):
+        for cfg in (config(L0=2.0, N=400), config(L0=2.0, N=50)):
+            assert macroscopicity_check(cfg).passed is False
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                collective_rate(cfg)
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize(
         "cfg, line",
         [
@@ -568,13 +567,11 @@ class TestFockDensity:
         assert np.max(np.abs(rho - oracle_density(cfg, z0, t))) <= FOCK_ORACLE_TOL
         return abs(oracle_state(cfg, z0, t)[0]) / math.sqrt(rho[0, 0].real)
 
-    @IGNORE_MACRO
     def test_initial_norm(self):
         cfg = config(L0=4.0, N=63, a=0.6, b=0.8)
         s_n = float(cfg.state2().fock_vector()[0])
         assert self.state_norm(cfg, cfg.z0(), 0.0) == pytest.approx(math.sqrt(1.0 + 2 * 0.6 * 0.8 * s_n), rel=1e-12)
 
-    @IGNORE_MACRO
     def test_norm_decays(self):
         # the displaced branch damps toward its n = 0 component, so the state loses length
         cfg = config(L0=4.0, N=63)
@@ -583,7 +580,6 @@ class TestFockDensity:
         assert late < early
         assert late == pytest.approx(np.linalg.norm(oracle_state(cfg, cfg.z0(), 40.0 / cfg.gamma0)), rel=1e-12)
 
-    @IGNORE_MACRO
     def test_positive_unit_spectrum(self):
         cfg = config(L0=4.0, N=63)
         for t in (0.0, 1.3, 9.0):
@@ -592,7 +588,6 @@ class TestFockDensity:
             assert eigs[0] >= -1e-12
             assert np.sum(eigs) == pytest.approx(1.0, abs=1e-12)
 
-    @IGNORE_MACRO
     def test_coherence_matches_closed_form(self):
         # frame matrix element of the full Fock construction against the
         # two-level closed form; the static overlap floor limits agreement
@@ -627,14 +622,12 @@ class TestFramePicture:
             reader(config(), 0.1j)
         assert str(info.value) == "Im z0 = 0.1 must be <= 0 (decaying pole)"
 
-    @IGNORE_MACRO
     def test_f1_static(self):
         cfg = config(L0=6.0, N=255)
         f1_a, _ = frame_pair(cfg, cfg.z0(), 0.0)
         f1_b, _ = frame_pair(cfg, cfg.z0(), 7.0)
         assert f1_a == f1_b
 
-    @IGNORE_MACRO
     def test_closed_and_exact_agree_when_converged(self):
         cfg = config(L0=8.0, N=511)
         for t in (0.0, 0.4, 2.0):
@@ -643,7 +636,6 @@ class TestFramePicture:
             assert abs(closed[0] - exact[0]) < 1e-12
             assert abs(closed[1] - exact[1]) < 1e-12
 
-    @IGNORE_MACRO
     def test_matches_fock_inner_products(self):
         cfg = config(L0=6.0, N=255, a=0.6, b=0.8)
         z0 = cfg.z0()
@@ -654,7 +646,6 @@ class TestFramePicture:
         assert complex(state[0]) == pytest.approx(f1, rel=1e-12)
         assert complex(v2.conj() @ state) == pytest.approx(f2, rel=1e-12)
 
-    @IGNORE_MACRO
     def test_projection_is_pure(self):
         cfg = config(L0=6.0, N=255)
         rho = frame_projection(cfg, cfg.z0(), 1.1)
@@ -755,7 +746,6 @@ class TestLiveFrameSum:
         if (L0, gamma0, N) in self.CONFIGS:
             assert live.size < q.size  # a dead tail to cut
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("L0, gamma0, N", CONFIGS)
     def test_projection_equals_the_full_sum(self, L0, gamma0, N):
         cfg = config(L0=L0, gamma0=gamma0, N=N)
@@ -764,7 +754,6 @@ class TestLiveFrameSum:
                 got = frame_projection(cfg, z0, t, closed_form=False).entries
                 assert got.tobytes() == full_sum_projection(cfg, z0, t).tobytes(), (z0, t)
 
-    @IGNORE_MACRO
     def test_negative_time_matches_the_closed_form(self):
         # the full sum overflows exp in its zero-weight terms here and fails on 0 * inf
         cfg = config(L0=6.9, gamma0=0.2, N=1000)
@@ -800,7 +789,6 @@ class TestFrameProjectionBits:
              (5.280865732464273, 0.21487770849824317, 450), (7.5308890050360935, 0.08219132052424301, 675),
              (6.989853241381825, 0.1854404473928758, 1000)]
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("L0, gamma0, N", RUNGS)
     def test_grid_bits(self, L0, gamma0, N):
         cfg = config(L0=L0, gamma0=gamma0, N=N)
@@ -820,7 +808,6 @@ class TestFormedStates:
         "fock": build_density_matrix,
     }
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("name", BUILDS)
     def test_no_hermitian_check_on_the_way(self, monkeypatch, name):
         def refuse(a):
@@ -832,7 +819,6 @@ class TestFormedStates:
         assert type(rho) is DensityMatrix and not rho.entries.flags.writeable
         assert np.array_equal(rho.entries, rho.entries.conj().T)
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("name", BUILDS)
     def test_non_finite_state_is_rejected(self, name):
         # far back in time the ladder phases overflow, and the state holds Inf or NaN; the Fock
@@ -842,7 +828,6 @@ class TestFormedStates:
             self.BUILDS[name](cfg, cfg.z0(), -1e308 if name == "fock" else -1e3)
         assert str(err.value) == "matrix contains NaN or Inf entries"
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("closed_form", [True, False], ids=["closed", "truncated"])
     @pytest.mark.parametrize("t", [-13.1, -14.0])
     def test_backward_frame_state_gives_the_oracle_state(self, t, closed_form):
@@ -867,7 +852,6 @@ class TestFormedStates:
         assert np.max(np.abs(rho - want)) <= FOCK_ORACLE_TOL
         assert abs(rho[1, 0] - want[1, 0]) <= 1e-11 * abs(want[1, 0])
 
-    @IGNORE_MACRO
     def test_growing_fock_state_gives_the_oracle_state(self):
         # at t = -1e3 the amplitudes grow as e^(100 n): their products overflow, but the state,
         # formed in log scale, is the finite one near |N> that the 160-bit oracle gives
@@ -909,7 +893,6 @@ class TestFormedStates:
         rho = build_density_matrix(cfg, cfg.z0(), 1e3).entries
         assert rho[0, 0] == 1.0 and not np.any(rho.ravel()[1:])
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize(
         "omega_prime, hbar", [(0.5, 0.25), (0.0, 0.25), (0.5, 1.0)], ids=["reproducer", "pure-damping", "finite-c"]
     )
@@ -935,7 +918,6 @@ class TestFormedStates:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("closed_form, N", [(True, 60), (False, 1000)], ids=["closed", "truncated"])
     def test_frame_weight_below_2_to_the_minus_1021(self, closed_form, N):
         # from t = 0.7 on, f1 and f2 are near 1e-157: |f1|^2 + |f2|^2 < 2^-1021, and 1 / tr would overflow
@@ -990,7 +972,6 @@ EPS = 2.0**-60  # frame_catalogue_matrix's truncation, a share of ||rho(0)||_F
 
 
 class TestFrameCatalogue:
-    @IGNORE_MACRO
     def test_tower_structure(self):
         # the live weights run to hi = 255 and 457, but both windows end at power 101 and both
         # mode tails at 157, where the tail of Frobenius norms drops below 2^-60 ||rho(0)||_F: one catalogue
@@ -1019,7 +1000,6 @@ class TestFrameCatalogue:
                   for a in (ROOT_HALF, 1e-3, 0.0)]
         assert all(abs(n - counts[0]) <= 0.01 * counts[0] for n in counts[1:]), counts
 
-    @IGNORE_MACRO
     def test_reproduces_unnormalized_frame_matrix(self):
         cfg = config(L0=6.0, N=255)
         cm = frame_catalogue_matrix(cfg)
@@ -1028,7 +1008,6 @@ class TestFrameCatalogue:
             direct = np.outer(np.array([f1, f2]), np.array([f1, f2]).conj())
             assert np.max(np.abs(cm.evaluate(t) - direct)) < 1e-12
 
-    @IGNORE_MACRO
     def test_collective_partition(self):
         cfg = config(L0=6.0, N=255)
         cm = frame_catalogue_matrix(cfg)
@@ -1107,7 +1086,6 @@ def pole_list_frame_catalogue(cfg):
 class TestFrameCatalogueAgainstPoleList:
     """The width-array frame catalogue equals the one built from ``Pole`` objects by the stated rule."""
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("gamma0, N, hbar", [(0.1, 200, 1.0), (0.37, 255, 1.3), (0.0123, 1000, 0.7)])
     def test_same_catalogue(self, gamma0, N, hbar):
         cfg = config(L0=6.0, gamma0=gamma0, N=N, hbar=hbar)
@@ -1143,19 +1121,16 @@ class TestFrameWorkOnce:
         monkeypatch.setattr("decopoles.omnes._fock_table", counted)
         return calls
 
-    @IGNORE_MACRO
     def test_frame_projection_truncated(self, table_calls):
         cfg = config(L0=6.0, N=255)
         frame_projection(cfg, cfg.z0(), 0.7, closed_form=False)
         assert table_calls == [(cfg.alpha2, cfg.N)]  # one read of the table per point
 
-    @IGNORE_MACRO
     def test_frame_catalogue_matrix(self, table_calls):
         cfg = config(L0=6.0, N=255)
         frame_catalogue_matrix(cfg)
         assert table_calls == [(cfg.alpha2, cfg.N)]
 
-    @IGNORE_MACRO
     @pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 40.0])
     def test_closed_form_self_overlap_bits(self, t):
         # every closed-form user evaluates exactly exp(-D^2 (1 - exp(-i z0 t / hbar)))

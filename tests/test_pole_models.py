@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,28 +256,28 @@ class TestCharacteristicTimes:
         with pytest.raises(ValidationError):
             model1_times(0.0)
 
+    @staticmethod
+    def model2_quiet(gamma0, gamma1):
+        """model2_times under an error filter: it reports weak separation as data, never as a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return model2_times(gamma0, gamma1)
+
     def test_model2(self):
-        with pytest.warns(UserWarning):  # ratio exactly 10 counts as weak
-            times = model2_times(0.1, 1.0)
+        times = self.model2_quiet(0.1, 1.0)
         assert times.t_R == 10.0
         assert times.t_D == 1.0
         assert times.intermediate == pytest.approx(1.0 / 1.1, rel=1e-15)
 
-    def test_model2_warns_on_weak_separation(self):
-        with pytest.warns(UserWarning, match="separation"):
-            model2_times(0.5, 1.0)
+    def test_model2_weak_separation(self):
+        assert self.model2_quiet(0.5, 1.0).weak_separation is True
 
-    def test_model2_warns_at_ratio_ten(self):
+    def test_model2_weak_at_ratio_ten(self):
         # ratio exactly 10 counts as weak separation
-        with pytest.warns(UserWarning):
-            model2_times(0.1000000000000000, 1.0)
+        assert self.model2_quiet(0.1, 1.0).weak_separation is True
 
     def test_model2_quiet_when_separated(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            model2_times(0.099, 1.0)
+        assert self.model2_quiet(0.099, 1.0).weak_separation is False
 
 
 class TestPartition:
@@ -339,7 +340,6 @@ class TestPartition:
         assert rep.t_D == pytest.approx(0.1, rel=1e-15)
         assert rep.p_relevant == range(2)  # threshold far above both widths
 
-    @pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
     def test_collective_rule_has_the_bits_of_collective_rate(self):
         # the threshold at gamma0 is collective_rate's gamma_tilde; the rule's own
         # m omega L0^2 / (2 hbar^2) gave 0.39603543273910835, one ulp above it

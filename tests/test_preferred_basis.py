@@ -205,7 +205,6 @@ class TestPreferredState:
         with pytest.raises(ValidationError):
             preferred_state(cm, partition_report((0.5, 2.0, 8.0)), [0.0, 1.0])
 
-    @pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
     @pytest.mark.parametrize("source", ["frame", "two-pole"])
     def test_equals_one_density_matrix_per_point(self, source):
         if source == "frame":
@@ -529,7 +528,6 @@ def crossing_stack():
     return grid, [np.diag([0.5 + 0.1 * (t - 1.0), 0.5 - 0.1 * (t - 1.0)]) for t in grid]
 
 
-@pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
 class TestBatchedAgainstLoop:
     """The one-pass moving basis and profile against the per-point loop they replaced."""
 
@@ -589,7 +587,6 @@ class TestBatchedAgainstLoop:
         self.assert_same_profile(got, loop_convergence_profile(rho_r, rho_p, grid))
 
 
-@pytest.mark.filterwarnings("ignore:configuration is not macroscopic")
 class TestMacroscopicConvergence:
     """Collective-mode truncation of the displaced-oscillator tower."""
 

@@ -8,7 +8,6 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -525,12 +524,10 @@ class TestCollectiveRateInvariant:
         p = m * omega / 2.0
         if all(2.0**-1022 <= x < math.inf for x in (m * omega, p, L0 * math.sqrt(p), L0 * math.sqrt(p) / hbar)):
             assert cfg.delta == L0 * math.sqrt(p) / hbar  # the bits of that order where its steps are normal
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # most generated configs are not macroscopic
-            try:
-                rate = collective_rate(cfg)
-            except ValidationError:
-                rate = None
+        try:
+            rate = collective_rate(cfg)
+        except ValidationError:
+            rate = None
         if all(_is_normal(x) for x in (delta2, gamma_tilde, t_d)):
             assert rate is not None
             assert abs(rate.gamma_tilde - gamma_tilde) <= _RATE_REL * gamma_tilde
@@ -992,10 +989,8 @@ class TestNdDecayBits:
     @given(coherence_setups())
     def test_one_pass_equals_nd_block_at_every_point(self, setup):
         cfg, z0, grid = setup
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # N = 64 is not macroscopic
-            got = nd_decay(cfg, z0, grid).tolist()
-            want = [abs(nd_block(cfg, z0, t).rho12) for t in grid.tolist()]
+        got = nd_decay(cfg, z0, grid).tolist()
+        want = [abs(nd_block(cfg, z0, t).rho12) for t in grid.tolist()]
         assert got == want
 
 
@@ -1009,11 +1004,9 @@ class TestFockDensityOracle:
     @given(coherence_setups())
     def test_rho_within_the_stated_tolerance_of_the_oracle(self, setup):
         cfg, z0, grid = setup
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # N = 64 is not macroscopic
-            for t in grid.tolist():
-                got = build_density_matrix(cfg, z0, t).entries
-                assert np.max(np.abs(got - oracle_density(cfg, z0, t))) <= FOCK_ORACLE_TOL, t
+        for t in grid.tolist():
+            got = build_density_matrix(cfg, z0, t).entries
+            assert np.max(np.abs(got - oracle_density(cfg, z0, t))) <= FOCK_ORACLE_TOL, t
 
 
 @st.composite
@@ -1120,10 +1113,8 @@ class TestMinEigenvalue:
     @given(coherence_setups())
     def test_rank_one_fock_states(self, setup):
         cfg, z0, grid = setup
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # N = 64 is not macroscopic
-            for t in grid.tolist()[:8]:
-                self.assert_spectrum_minimum(build_density_matrix(cfg, z0, t))
+        for t in grid.tolist()[:8]:
+            self.assert_spectrum_minimum(build_density_matrix(cfg, z0, t))
 
     def test_preferred_state_before_t_D_is_indefinite(self):
         # the truncated catalogue is no state before t_D: rho_P has a negative eigenvalue
@@ -1426,7 +1417,9 @@ def public_density(u, empty):
     """Reference for ``numerics._formed_density`` by its documented steps: ``DensityMatrix(u u^H / tr)``,
     tr the diagonal's correctly rounded sum; where tr < 2^-960, tr >= 2^1022, or tr is no float (infinite,
     NaN, or an fsum that overflows), a u whose parts are all finite is first scaled by a power of two to a
-    largest part in [1/2, 1); a zero trace raises ``ValidationError(empty)``."""
+    largest part in [1/2, 1); a zero trace raises ``ValidationError(empty)``.  It is compared only at
+    d >= 2 (frame and Fock states): at d = 1, numpy 2's ``np.outer`` can round the one product differently
+    from ``_formed_density``'s broadcast multiply."""
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
             mat = np.outer(u, u.conj())
@@ -1556,9 +1549,7 @@ class TestFormedDensityPrecision:
         b = cmath.rect(math.sqrt(0.5), phase)
         cfg = OmnesConfig(1.0, 2.0, 1.0, 1.0, L0, -b, b, N)
         z0 = cfg.z0(omega_prime)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # not macroscopic
-            rho = build_density_matrix(cfg, z0, t).entries
+        rho = build_density_matrix(cfg, z0, t).entries
         with mpmath.workprec(160):
             u = exact_fock_state(cfg, z0, t)
             scale = max(abs(un) for un in u)
@@ -1591,9 +1582,7 @@ class TestLindbladReference:
     @example(4.0, 1.0, 1.0, 1.0)  # the roadmap's probe: Delta = 4, gamma0 = hbar = 1, at t_D
     def test_initial_log_slope_is_the_collective_rate(self, delta, gamma0, hbar, at):
         cfg = OmnesConfig(1.0, 2.0, hbar, gamma0, delta * hbar, 0.6, 0.8, 80)  # Delta = L0 / hbar
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # not macroscopic
-            t_d = collective_rate(cfg).t_D
+        t_d = collective_rate(cfg).t_D
         kappa = 2.0 * gamma0 / hbar
         cross = np.outer(np.eye(cfg.N + 1)[0], coherent_branch(cfg.delta, cfg.N)).astype(complex)
 

@@ -23,8 +23,8 @@ _EXPORTS = {
     "errors": ("ConvergenceError", "RankDeficiencyError", "ValidationError"),
     "friedrich": ("PerturbativePole", "SpectralDensity", "perturbative_pole"),
     "numerics": (
-        "DensityMatrix", "EigenDecomposition", "HermitianMatrix", "adaptive_simpson", "eigh",
-        "fit_residual", "matrix_pencil_fit", "principal_value_integral",
+        "DensityFamily", "DensityMatrix", "EigenDecomposition", "HermitianMatrix", "adaptive_simpson",
+        "eigh", "fit_residual", "matrix_pencil_fit", "principal_value_integral",
     ),
     "omnes": (
         "CollectiveRate", "MacroscopicityReport", "NDComponents", "OmnesConfig",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,9 +153,18 @@ def _as_density(h: np.ndarray) -> DensityMatrix:
     return rho
 
 
-def _density_stack(mats) -> list:
-    """``[DensityMatrix(m) for m in mats]``, checked once as one stack; entries are its views."""
-    return [_as_density(m) for m in _checked_entries(mats, 3, unit_trace=True)]
+@dataclass(frozen=True, eq=False)  # an ndarray field makes the generated == raise, as on HermitianMatrix
+class DensityFamily:
+    """One density matrix per grid point: a read-only (T, d, d) stack, checked once as ``DensityMatrix``
+    checks each.  ``len``, an integer index and iteration give ``DensityMatrix`` views of ``entries``."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _checked_entries(self.entries, 3, unit_trace=True))
+
+    __len__ = lambda self: len(self.entries)
+    __getitem__ = lambda self, k: _as_density(self.entries[operator.index(k)])
 
 
 def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
@@ -246,15 +256,15 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 def eigh(a) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix, or a (T, d, d) stack, with LAPACK.
 
-    Accepts a ``HermitianMatrix``, an array-like matrix or stack, or a list
-    or tuple of members: all ``HermitianMatrix`` are stacked unchecked, any
-    other stack is checked once; ragged input raises ``ValidationError``.  A
-    stack goes to LAPACK in one ``np.linalg.eigh`` call, with the same values
-    as one call per matrix.  LAPACK's ascending eigenvalues are reversed to
-    descending order and the vectors get the ``_phase_fix`` convention.
+    Accepts a ``HermitianMatrix`` or ``DensityFamily`` (its ``entries`` taken as they
+    are), an array-like matrix or stack, or a list or tuple of members: all
+    ``HermitianMatrix`` are stacked unchecked, any other stack is checked once; ragged
+    input raises ``ValidationError``.  A stack goes to LAPACK in one ``np.linalg.eigh``
+    call, with the same values as one call per matrix.  LAPACK's ascending eigenvalues
+    are reversed to descending order and the vectors get the ``_phase_fix`` convention.
     A LAPACK failure to converge raises ``ConvergenceError``.
     """
-    if isinstance(a, HermitianMatrix):
+    if isinstance(a, (HermitianMatrix, DensityFamily)):
         entries = a.entries
     elif isinstance(a, (list, tuple)) and a and all(isinstance(m, HermitianMatrix) for m in a):
         entries = _complex_array([m.entries for m in a])
@@ -334,10 +344,12 @@ def principal_value_integral(f, omega0: float, lo: float, hi: float) -> float:
 
 
 def _time_grid(grid) -> np.ndarray:
-    """``grid`` as a float array; anything but a nonempty 1-D array (a number, a 2-D grid) raises."""
+    """``grid`` as a float array; anything but a nonempty 1-D array (a number, a 2-D grid) or a NaN raises."""
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
+    if np.isnan(t).any():
+        raise ValidationError(f"grid holds NaN at index {int(np.isnan(t).argmax())}")
     return t
 
 

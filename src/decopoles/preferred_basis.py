@@ -9,9 +9,9 @@ pairs, and sets beside it the first-order estimate (dropped-mode
 envelope) / (eigenvalue gap of rho_P), which is not a bound.
 
 Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
-over the grid, one ``eigh`` per family, which checks each stack at most
-once, one batched product for the overlaps, one greedy match over that
-stack, and one envelope call.
+over the grid, one ``eigh`` per family, which checks each stack at most once
+(rho_P is a ``DensityFamily``, checked when formed), one batched product for
+the overlaps, one greedy match over that stack, and one envelope call.
 Per-time results are record arrays of those (T,) columns.
 
 The bi-partite scenario at the end runs two commuting subsystems whose
@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix, _density_stack, _time_grid, eigh
+from .numerics import DensityFamily, _time_grid, eigh
 from .pole_models import (
     CatalogueMatrix,
     PoleCatalogue,
@@ -106,10 +106,10 @@ class MovingBasis:
 def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     """Diagonalize a time-indexed family with eigenvector continuity.
 
-    ``rho_of_t`` is a list or tuple of matrices (DensityMatrix, HermitianMatrix
-    or plain Hermitian arrays) or one (T, d, d) array, aligned with ``grid``.
-    It is diagonalized in one ``eigh`` call, as it is (checked once unless all
-    its members are checked), and each step is matched by ``_greedy_match``;
+    ``rho_of_t`` is a ``DensityFamily``, a list or tuple of matrices (DensityMatrix,
+    HermitianMatrix or plain Hermitian arrays) or one (T, d, d) array, aligned with
+    ``grid``.  It goes to one ``eigh`` as it is (checked once unless it is a family or
+    all its members are checked), and each step is matched by ``_greedy_match``;
     an exact tie between rows goes to the earlier column in the previous
     ``eigh`` order, not in track order.
     After matching, each eigenvector's phase is fixed so its overlap with
@@ -150,14 +150,14 @@ def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
 
 def preferred_state(
     source: CatalogueMatrix, report: TimescaleReport, grid
-) -> List[DensityMatrix]:
+) -> DensityFamily:
     """Evaluate the catalogue with p-irrelevant poles dropped, per time point.
 
     The whole grid is one ``CatalogueMatrix.evaluate`` call.  Each
     truncated matrix is renormalized to unit trace and the stack is checked
-    once, giving the entries ``DensityMatrix(m / tr)`` would store.  A
-    vanishing trace means the surviving modes cannot represent a state.
-    ``grid`` must be a nonempty 1-D array; one time is a grid of one point.
+    once, as a ``DensityFamily`` whose k-th member holds the entries ``DensityMatrix(m / tr)``
+    would store.  A vanishing trace means the surviving modes cannot represent a
+    state.  ``grid`` must be a nonempty 1-D array without NaN; one time is a grid of one point.
     """
     check_report_matches(source, report)
     t = _time_grid(grid)
@@ -168,7 +168,7 @@ def preferred_state(
         raise ValidationError(
             f"truncated state has vanishing trace at t={t[np.argmax(vanishing)]}"
         )
-    return _density_stack(mats / traces[:, None, None])
+    return DensityFamily(mats / traces[:, None, None])
 
 
 def convergence_profile(
@@ -184,8 +184,8 @@ def convergence_profile(
     largest principal angle over matched pairs, in [0, pi/2]),
     ``eigenvalue_gap`` (of rho_P), ``bound``, ``max_eigenvalue_discrepancy``
     and ``reliable`` (gap >= 1e-10): ``profile.subspace_angle`` is a column,
-    ``profile[k]`` the row at the k-th grid point.  Each family takes the
-    forms and the one ``eigh`` of ``moving_eigenbasis``; its decompositions
+    ``profile[k]`` the row at the k-th grid point.  Each family takes the forms and the one
+    ``eigh`` of ``moving_eigenbasis`` (a ``DensityFamily`` is not checked again); its decompositions
     are paired at each time by ``_greedy_match``, untracked: relabeling columns permutes the overlap
     matrix (same pairs, up to exact ties), phases drop out of the moduli,
     and the gap is taken between eigh's descending eigenvalues.  The grid must lie in

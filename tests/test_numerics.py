@@ -9,11 +9,11 @@ import pytest
 from decopoles.errors import ConvergenceError, RankDeficiencyError, ValidationError
 from decopoles.numerics import (
     _RANK_RTOL,
+    DensityFamily,
     DensityMatrix,
     HermitianMatrix,
     PencilFactorisation,
     _checked_entries,
-    _density_stack,
     _phase_fix,
     adaptive_simpson,
     check_uniform_grid,
@@ -168,7 +168,7 @@ class TestDensityMatrix:
     )
     def test_trace_past_the_float_range_reads_inf(self, entries):
         # pyproject turns numpy's overflow RuntimeWarning into a test failure
-        check = DensityMatrix if entries.ndim == 2 else _density_stack
+        check = DensityMatrix if entries.ndim == 2 else DensityFamily
         with pytest.raises(ValidationError) as err:
             check(entries.astype(complex))
         assert str(err.value) == "trace is inf, expected 1 within 1e-12"
@@ -187,13 +187,13 @@ def message(build, *args):
 
 
 class TestDensityStack:
-    """The stacked constructor against one ``DensityMatrix`` per matrix."""
+    """``DensityFamily``, checked as one stack, against one ``DensityMatrix`` per matrix."""
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_equals_one_density_matrix_per_matrix(self, dim):
         mats = density_stack(np.random.default_rng(dim), 9, dim)
         mats[:, 0, -1] += 1e-15j  # Hermitian within the tolerance, not exactly
-        got = _density_stack(mats)
+        got = DensityFamily(mats)
         assert all(type(rho) is DensityMatrix for rho in got)
         for rho, mat in zip(got, mats):
             want = DensityMatrix(mat).entries
@@ -206,7 +206,7 @@ class TestDensityStack:
         mats[k, 0, 2] += 0.25 * (k + 1)
         want = message(DensityMatrix, mats[k])
         assert want.startswith("matrix is not Hermitian")
-        assert message(_density_stack, mats) == want
+        assert message(DensityFamily, mats) == want
 
     @pytest.mark.parametrize("k", [0, 4, 8])
     def test_bad_trace_member_raises_its_own_message(self, k):
@@ -214,17 +214,17 @@ class TestDensityStack:
         mats[k] *= 1.0 + 1e-3 * (k + 1)
         want = message(DensityMatrix, mats[k])
         assert want.startswith("trace is ")
-        assert message(_density_stack, mats) == want
+        assert message(DensityFamily, mats) == want
 
     def test_non_finite_member_rejected(self):
         mats = density_stack(np.random.default_rng(3), 4, 2)
         mats[2, 1, 1] = np.inf
-        assert message(_density_stack, mats) == message(DensityMatrix, mats[2])
+        assert message(DensityFamily, mats) == message(DensityMatrix, mats[2])
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (0, 2, 2), (3, 0, 0)])
     def test_rejects_bad_stack_shape(self, shape):
         with pytest.raises(ValidationError):
-            _density_stack(np.zeros(shape))
+            DensityFamily(np.zeros(shape))
 
 
 class TestEigh:
@@ -445,6 +445,35 @@ class TestCheckedMembers:
     def test_members_of_two_shapes_rejected(self):
         with pytest.raises(ValidationError, match="share one shape"):
             eigh([DensityMatrix(np.eye(2) / 2.0), DensityMatrix(np.eye(3) / 3.0)])
+
+    def test_family_is_taken_as_it_is(self, monkeypatch):
+        family = DensityFamily(density_stack(np.random.default_rng(47), 4, 3))
+        calls = []
+        monkeypatch.setattr("decopoles.numerics.hermitian_average", calls.append)
+        got = eigh(family)
+        assert got.entries is family.entries
+        assert calls == []
+        want = eigh(list(family))
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+    def test_family_members_are_views_of_its_stack(self):
+        family = DensityFamily(density_stack(np.random.default_rng(53), 5, 2))
+        assert family.entries.shape == (5, 2, 2)
+        assert not family.entries.flags.writeable
+        assert len(family) == 5
+        members = [family[0], family[3], family[-1], *family]
+        assert len(members) == 3 + 5
+        for rho in members:
+            assert type(rho) is DensityMatrix
+            assert np.shares_memory(rho.entries, family.entries)
+        assert family[-1].entries.tobytes() == family[4].entries.tobytes() == family.entries[4].tobytes()
+        with pytest.raises(IndexError):
+            family[len(family)]
+        with pytest.raises(TypeError):  # a slice would wrap a stack as one DensityMatrix
+            family[1:3]
+        with pytest.raises(AttributeError):
+            family.entries = family.entries.copy()
 
     def test_plain_stack_still_checked(self):
         mats = density_stack(np.random.default_rng(43), 3, 4)

@@ -193,6 +193,11 @@ class TestSynthesize:
             synthesize(figure_catalogue(), grid)
         assert str(err.value) == "grid must be a nonempty 1-D array"
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            synthesize(figure_catalogue(), [0.0, math.nan])
+        assert str(err.value) == "grid holds NaN at index 1"
+
     @pytest.mark.parametrize("rendering", ["envelope", "full"])
     def test_sum_past_the_float_range_is_rejected_without_a_warning(self, rendering):
         # each mode is finite, their sum 2e308 is not: Signal's finiteness check decides, and no

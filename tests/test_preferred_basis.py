@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from decopoles.errors import ValidationError
-from decopoles.numerics import DensityMatrix, eigh
+from decopoles.numerics import DensityFamily, DensityMatrix, eigh
 from decopoles.omnes import (
     OmnesConfig,
     build_density_matrix,
@@ -117,6 +117,12 @@ class TestMovingBasis:
         with pytest.raises(ValidationError):
             moving_eigenbasis([np.eye(2)], np.array([]))
 
+    def test_nan_time_rejected(self):
+        rho = np.diag([0.8, 0.2])
+        with pytest.raises(ValidationError) as err:
+            moving_eigenbasis([rho, rho], [0.0, math.nan])
+        assert str(err.value) == "grid holds NaN at index 1"
+
     def test_degeneracy_flagged(self):
         def crossing(t):
             return np.diag([0.5 + 0.1 * (t - 1.0), 0.5 - 0.1 * (t - 1.0)])
@@ -138,6 +144,23 @@ class TestMovingBasis:
         fwd = moving_eigenbasis([rotating_family(t) for t in grid], grid)
         rev = moving_eigenbasis([rotating_family(t) for t in grid[::-1]], grid[::-1])
         assert np.max(np.abs(fwd.eigenvalues - rev.eigenvalues[::-1])) < 1e-12
+
+
+def preferred_case(source):
+    """A catalogue, its report, a grid, and the per-point ``DensityMatrix`` path the stacked check replaced."""
+    if source == "frame":
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), 200)
+        cm = frame_catalogue_matrix(cfg)
+        rule = collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)
+        rep = partition_report(cm.gammas, cm.hbar, rule=rule)
+        grid = np.linspace(0.0, 60.0, 81)
+    else:
+        cm = two_pole_matrix_catalogue()
+        rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
+        grid = np.linspace(0.0, 0.5, 51)
+    mats = cm.evaluate(grid, keep=rep.p_relevant)
+    traces = np.trace(mats, axis1=-2, axis2=-1).real
+    return cm, rep, grid, [DensityMatrix(m / tr) for m, tr in zip(mats, traces)]
 
 
 class TestPreferredState:
@@ -207,24 +230,47 @@ class TestPreferredState:
 
     @pytest.mark.parametrize("source", ["frame", "two-pole"])
     def test_equals_one_density_matrix_per_point(self, source):
-        if source == "frame":
-            cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), 200)
-            cm = frame_catalogue_matrix(cfg)
-            rule = collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar)
-            rep = partition_report(cm.gammas, cm.hbar, rule=rule)
-            grid = np.linspace(0.0, 60.0, 81)
-        else:
-            cm = two_pole_matrix_catalogue()
-            rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
-            grid = np.linspace(0.0, 0.5, 51)
-        # the per-point path the stacked check replaced
-        mats = cm.evaluate(grid, keep=rep.p_relevant)
-        traces = np.trace(mats, axis1=-2, axis2=-1).real
-        want = [DensityMatrix(m / tr) for m, tr in zip(mats, traces)]
+        cm, rep, grid, want = preferred_case(source)
         got = preferred_state(cm, rep, grid)
         assert len(got) == grid.size
         assert all(type(rho) is DensityMatrix for rho in got)
         assert [rho.entries.tobytes() for rho in got] == [rho.entries.tobytes() for rho in want]
+
+    @pytest.mark.parametrize("source", ["frame", "two-pole"])
+    def test_is_one_read_only_family(self, source):
+        cm, rep, grid, want = preferred_case(source)
+        family = preferred_state(cm, rep, grid)
+        assert type(family) is DensityFamily
+        assert family.entries.shape == (grid.size, *want[0].entries.shape)
+        assert not family.entries.flags.writeable
+        assert family.entries.tobytes() == b"".join(rho.entries.tobytes() for rho in want)
+        assert all(np.shares_memory(rho.entries, family.entries) for rho in family)
+        assert eigh(family).entries is family.entries
+
+    def test_family_is_not_checked_again(self, monkeypatch):
+        cm, rep, grid, _ = preferred_case("two-pole")
+        family = preferred_state(cm, rep, grid)
+        rho_r = [DensityMatrix(cm.evaluate(t)) for t in grid]
+        env = lambda t: cm.dropped_envelope(t, rep.p_irrelevant)
+        calls = []
+        monkeypatch.setattr("decopoles.numerics.hermitian_average", calls.append)
+        basis = moving_eigenbasis(family, grid)
+        profile = convergence_profile(rho_r, family, grid, t_D=rep.t_D, envelope=env)
+        assert calls == []
+        listed = list(family)
+        want = moving_eigenbasis(listed, grid)
+        assert basis.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert basis.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert profile.tobytes() == convergence_profile(rho_r, listed, grid, rep.t_D, env).tobytes()
+
+    def test_nan_time_rejected(self):
+        cm = two_pole_matrix_catalogue()
+        rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
+        with pytest.raises(ValidationError) as err:
+            preferred_state(cm, rep, [0.0, math.nan])
+        assert str(err.value) == "grid holds NaN at index 1"
+        # t = inf stays: the catalogue's equilibrium limit
+        assert preferred_state(cm, rep, [0.0, math.inf])[1].entries.tolist() == [[0.75, 0.0], [0.0, 0.25]]
 
 
 class TestConvergenceProfile:
@@ -323,6 +369,12 @@ class TestConvergenceProfile:
         forward = convergence_profile(rho[::-1], rho[::-1], grid[::-1], t_D=1.0)
         for name in PROFILE_FIELDS:
             assert np.array_equal(profile[name], forward[name][::-1], equal_nan=True)
+
+    def test_nan_time_rejected(self):
+        rho = [np.diag([0.8, 0.2])] * 3
+        with pytest.raises(ValidationError) as err:
+            convergence_profile(rho, rho, [0.0, 1.0, math.nan], t_D=0.1)
+        assert str(err.value) == "grid holds NaN at index 2"
 
     def test_bad_t_d(self):
         grid = self.grid()

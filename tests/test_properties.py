@@ -21,9 +21,9 @@ from decopoles import cli
 from decopoles.errors import ValidationError
 from decopoles.numerics import (
     HERMITICITY_TOL,
+    DensityFamily,
     DensityMatrix,
     _checked_entries,
-    _density_stack,
     eigh,
     hermitian_average,
     matrix_pencil_fit,
@@ -1244,8 +1244,8 @@ class TestHermitianCheck:
 
     @settings(deadline=None, max_examples=300)
     @given(spoilt_stacks(unit_trace=True))
-    def test_density_stack_decides_as_one_density_matrix_each(self, mats):
-        got, stack = outcome(_density_stack, mats)
+    def test_density_family_decides_as_one_density_matrix_each(self, mats):
+        got, stack = outcome(DensityFamily, mats)
         each = [outcome(DensityMatrix, m) for m in mats]
         failures = [msg for msg, _ in each if msg != "ok"]
         if not failures:

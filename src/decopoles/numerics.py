@@ -110,7 +110,7 @@ def _checked_entries(entries, ndim: int = 2, unit_trace: bool = False) -> np.nda
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # the generated == on an ndarray field raises: identity equality and hash
 class HermitianMatrix:
     """A dim x dim complex matrix with A = A^H enforced at construction.
 
@@ -127,7 +127,7 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix(HermitianMatrix):
     """Hermitian, trace-one complex matrix (positivity is the caller's task).
 
@@ -153,7 +153,7 @@ def _as_density(h: np.ndarray) -> DensityMatrix:
     return rho
 
 
-@dataclass(frozen=True, eq=False)  # an ndarray field makes the generated == raise, as on HermitianMatrix
+@dataclass(frozen=True, eq=False)  # identity equality, as on HermitianMatrix
 class DensityFamily:
     """One density matrix per grid point: a read-only (T, d, d) stack, checked once as ``DensityMatrix``
     checks each.  ``len``, an integer index and iteration give ``DensityMatrix`` views of ``entries``."""
@@ -170,27 +170,30 @@ class DensityFamily:
 def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
     """u u^H / tr, tr the correctly rounded sum of its diagonal, as a ``DensityMatrix``; a zero u raises
     ``ValidationError(empty)``, a u with a NaN or Inf part "matrix contains NaN or Inf entries".
-    Finiteness is read off tr: each part of u_i conj(u_j) is at most |u_i| |u_j| <= tr, so a tr in
-    [2^-960, 2^1022) leaves every entry finite.  Outside it a finite u is first scaled by a power of two
-    (exact, rho unchanged) to a largest part in [1/2, 1): below, products of u's parts may be subnormal,
-    keeping too few bits; above, 1 / tr is subnormal or the products overflow (tr infinite, NaN, or an
-    fsum that overflows).  Then the ``_halved`` average in the product's own buffer and the check that
+    The products are formed only once every part of u is below 2^511 (a NaN fails: it is the argmax),
+    so none overflows; any other u goes straight to the rescue.  Finiteness is read off tr: each part of
+    u_i conj(u_j) is at most |u_i| |u_j| <= tr, so a tr in [2^-960, 2^1022) leaves every entry finite.
+    Outside it a finite u is first scaled by a power of two (exact, rho unchanged) to a largest part in
+    [1/2, 1): below, products of u's parts may be subnormal, keeping too few bits; above, 1 / tr is
+    subnormal or the products may overflow (a part past the gate, or an fsum that overflows).  Then the
+    ``_halved`` average in the product's own buffer and the check that
     the fsum of its real diagonal is 1 within 1e-12.  Each part of rho_ij lies within
     gamma_8 |u_i| |u_j| / |u|^2 + (d + 2) 2^-113 of exact, gamma_k = k 2^-53 / (1 - k 2^-53): gamma_2
     per product, gamma_3 on tr, two roundings in the division (a multiply by the rounded 1 / tr) and one
     in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-961.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a u past 2^511 is rescued below
+    size = abs(u.view(float))
+    tr = math.inf  # a u that fails the gate goes to the rescue below
+    if size[size.argmax()] < 2.0**511:  # cheaper than an np.errstate block, d = 2 to 49
         mat = u[:, None] * u.conj()  # u_i conj(u_j), one complex multiply each: np.outer's bits for d >= 2 only
-    try:
-        tr = math.fsum(mat.real.diagonal().tolist())
-    except OverflowError:
-        tr = math.inf
+        try:
+            tr = math.fsum(mat.real.diagonal().tolist())
+        except OverflowError:
+            pass
     if not 2.0**-960 <= tr < 2.0**1022:
-        parts = u.view(float)
-        if not np.isfinite(parts).all():
+        if not np.isfinite(size).all():
             raise ValidationError("matrix contains NaN or Inf entries")
-        u = np.ldexp(parts, -math.frexp(float(np.max(abs(parts))))[1]).view(complex)
+        u = np.ldexp(u.view(float), -math.frexp(float(size.max()))[1]).view(complex)
         mat = u[:, None] * u.conj()
         tr = math.fsum(mat.real.diagonal().tolist())
         if tr == 0.0:

@@ -37,7 +37,7 @@ from .pole_models import CatalogueMatrix, _collective_scale, _delta, _ldexp
 _NORM_TOL = 1e-12
 _MIN_DELTA = 10.0
 _TRUNCATION_FACTOR = 0.1
-_EPS = 2.0**-60  # the frame catalogue's truncation, a share of ||rho(0)||_F
+_EPS = 2.0**-60  # the frame catalogue's truncation, a share of ||rho(0)||_F; the head window's, of sum q
 
 
 def _logsumexp(exponents: np.ndarray) -> float:
@@ -85,6 +85,7 @@ class _FockTable(NamedTuple):
     log_norm: float  # -1/2 log(sum_n alpha^2n / n!)
     q_live: np.ndarray  # |<n|alpha>|^2 for n = 0..hi as complex, q_hi the last nonzero one (leading zeros stay)
     ladder: np.ndarray  # n = 0..N as complex, the ladder steps that ``_ladder_exponents`` scales by c
+    head: int  # q_live's length less its trailing weights that sum below _EPS sum q (the low side stays)
 
 
 @functools.lru_cache(maxsize=32)
@@ -101,7 +102,9 @@ def _fock_table(alpha: float, N: int) -> _FockTable:
     ladder = np.arange(N + 1, dtype=complex)
     for arr in (log_weights, q_live, ladder):
         arr.setflags(write=False)
-    return _FockTable(log_weights, log_norm, q_live, ladder)
+    trail = np.cumsum(q_live.real[::-1])  # weight summed from the top
+    head = q_live.size - int(np.searchsorted(trail, _EPS * trail[-1]))
+    return _FockTable(log_weights, log_norm, q_live, ladder, head)
 
 
 def _truncation(N, least: int = 1) -> int:
@@ -299,14 +302,17 @@ def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     at a time or an array of times, each entry with the bits of its time
     alone.  The arithmetic runs on real and imaginary parts in the order
     the scalar complex operators use, since numpy's complex multiply and
-    divide round differently.  Otherwise the exact truncated sums at one time,
-    over the Fock weights up to the last nonzero one (t < 0 overflows no phase).
+    divide round differently.  Otherwise the truncated w at one time, over the live Fock weights q_0..q_hi
+    (to the last nonzero one: t < 0 overflows no phase) or at t >= 0 over their head q_0..q_(h-1): there
+    |x| = e^(-gamma0 t / hbar) <= 1, so the dropped tail (< 2^-60 sum q) weighs < 2^-60 A, A = sum q_n |x|^n;
+    as gamma_(hi+1) - gamma_h >= 2^-53, w keeps the live sum's gamma_(hi+1) A + (hi + 1) 2^-1074 (Higham, ch. 3).
     """
     _pole_width(z0)
     if not closed_form:
         table = _fock_table(cfg.alpha2, cfg.N)
-        phases = _ladder_phases(table.ladder[: table.q_live.size], z0, t, cfg.hbar)
-        return math.exp(table.log_norm), complex(table.q_live @ phases)
+        m = table.head if t >= 0.0 else table.q_live.size
+        phases = _ladder_phases(table.ladder[:m], z0, t, cfg.hbar)
+        return math.exp(table.log_norm), complex(table.q_live[:m] @ phases)
     d2 = cfg.delta**2
     arg = -1j * complex(z0)
     inner = np.exp(arg.real * t / cfg.hbar + 1j * (arg.imag * t / cfg.hbar))
@@ -433,10 +439,10 @@ def frame_projection(
     The projections of the evolved state on the initial branch pair are
     f1 = a + b s and f2 = a s + b w(t), with s the static branch overlap
     and w the self-overlap of the displaced branch.  ``closed_form`` picks
-    the infinite-N expressions; otherwise both use the exact truncated
-    sums.  rho = f f^H / tr through ``numerics._formed_density``; the
-    frame is treated as orthonormal, which the macroscopic regime justifies
-    up to the exp(-Delta^2/2) cross-overlap.
+    the infinite-N expressions; otherwise the truncated sums, w at t >= 0 over the
+    head window only (``_frame_overlaps`` states the bound).  rho = f f^H / tr through
+    ``numerics._formed_density``; the frame is treated as orthonormal, which the
+    macroscopic regime justifies up to the exp(-Delta^2/2) cross-overlap.
     A growing pole (Im z0 > 0) raises ValidationError.
     """
     s, w = _frame_overlaps(cfg, z0, t, closed_form)

@@ -1,5 +1,6 @@
 """Kernel-level checks: eigensolver, quadrature, exponential fitting."""
 
+import copy
 import math
 
 import mpmath
@@ -172,6 +173,22 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError) as err:
             check(entries.astype(complex))
         assert str(err.value) == "trace is inf, expected 1 within 1e-12"
+
+
+class TestIdentityEquality:
+    """The matrix types compare and hash by identity: a generated == over an ndarray field would
+    raise, and a frozen one with eq would not hash."""
+
+    @pytest.mark.parametrize("make", [HermitianMatrix, DensityMatrix, lambda m: DensityFamily(m[None])[0]],
+                             ids=["hermitian", "density", "family-view"])
+    def test_equal_to_itself_only(self, make):
+        rho, twin = make(np.eye(2) / 2), make(np.eye(2) / 2)
+        assert rho == rho and not rho != rho
+        assert rho != twin and not rho == twin
+        assert rho != copy.copy(rho)
+        assert rho in [rho] and rho not in [twin]
+        assert {rho, rho, twin} == {rho, twin} and len({rho, twin}) == 2
+        assert hash(rho) == hash(rho) == object.__hash__(rho)
 
 
 def density_stack(rng, count, dim):

@@ -717,17 +717,50 @@ def all_fock_weights(cfg):
     return np.exp(2.0 * (table.log_weights + table.log_norm))
 
 
-def full_sum_projection(cfg, z0, t):
-    """Reference: the truncated frame projection with w summed over all N + 1 Fock weights."""
+def head_window(cfg):
+    """Reference: how many leading Fock weights are left once the trailing weights that sum
+    below EPS of all of them are dropped, from the tail sums of ``all_fock_weights``."""
+    q = all_fock_weights(cfg)
+    tails = np.cumsum(q[::-1])  # weight summed from the top; the zero weights past the live ones add 0
+    return q.size - int(np.count_nonzero(tails < EPS * tails[-1]))
+
+
+def full_sum_projection(cfg, z0, t, size=None):
+    """Reference: the truncated frame projection with w summed over the first ``size`` Fock weights,
+    all N + 1 by default."""
     s = math.exp(cfg.state2().log_norm)
-    w = complex(all_fock_weights(cfg) @ _ladder_phases(_fock_table(cfg.alpha2, cfg.N).ladder, z0, t, cfg.hbar))
+    phases = _ladder_phases(_fock_table(cfg.alpha2, cfg.N).ladder[:size], z0, t, cfg.hbar)
+    w = complex(all_fock_weights(cfg)[:size] @ phases)
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
     mat = np.outer(f, f.conj())
     return DensityMatrix(mat / float(mat[0, 0].real + mat[1, 1].real)).entries
 
 
+def gamma(k):
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def assert_within_the_window_bound(got, cfg, z0, t):
+    """frame_projection's rho at t >= 0 against the full sum's, within the stated bound.
+
+    Both w lie within gamma_(hi+1) A of the exact sum over the live weights on the same phases,
+    A = sum q_n |phase_n| (the head window's, by its dropped tail of at most 2^-60 A), so they differ
+    by at most 2 gamma_(hi+1) A, and |b| times that in f2.  A change e in f moves f / |f| by at most
+    2 |e| / |f| and each entry of rho by twice that; each side's rounding adds at most gamma_8 + 2^-110
+    (``_formed_density``'s bound for d = 2; the reference takes fewer roundings).
+    """
+    q = all_fock_weights(cfg)
+    area = float(np.abs(q) @ np.abs(_ladder_phases(_fock_table(cfg.alpha2, cfg.N).ladder, z0, t, cfg.hbar)))
+    hi = int(np.flatnonzero(q)[-1])
+    dw = 2.0 * gamma(hi + 1) * area * (1.0 + gamma(q.size))  # A itself rounded, within gamma_(N+1)
+    f1, f2 = frame_pair(cfg, z0, t, closed_form=False)
+    tol = 4.0 * abs(cfg.b) * dw / math.hypot(abs(f1), abs(f2)) + 2.0 * (gamma(8) + 2.0**-110)
+    assert np.max(np.abs(got - full_sum_projection(cfg, z0, t))) <= tol, (z0, t)
+
+
 class TestLiveFrameSum:
-    """The truncated frame sum skips only the trailing Fock weights that underflow to 0."""
+    """The truncated frame sum skips the trailing Fock weights that underflow to 0, and at t >= 0
+    the trailing live ones that sum below 2^-60 of all of them (the head window)."""
 
     # (L0, gamma0, N): the N = 675 and N = 1000 frame_convergence rungs of benchmark seed 1,
     # whose weights past n = 376 and n = 508 are 0, and Delta^2 = 900, whose leading weights are 0 too
@@ -748,11 +781,14 @@ class TestLiveFrameSum:
 
     @pytest.mark.parametrize("L0, gamma0, N", CONFIGS)
     def test_projection_equals_the_full_sum(self, L0, gamma0, N):
+        # the bits of the plain formula over the head window; the full sum within the stated bound
         cfg = config(L0=L0, gamma0=gamma0, N=N)
+        head = head_window(cfg)
         for z0 in (cfg.z0(), cfg.z0(0.7)):
             for t in np.linspace(0.0, 6.0 / gamma0, 81).tolist():
                 got = frame_projection(cfg, z0, t, closed_form=False).entries
-                assert got.tobytes() == full_sum_projection(cfg, z0, t).tobytes(), (z0, t)
+                assert got.tobytes() == full_sum_projection(cfg, z0, t, head).tobytes(), (z0, t)
+                assert_within_the_window_bound(got, cfg, z0, t)
 
     def test_negative_time_matches_the_closed_form(self):
         # the full sum overflows exp in its zero-weight terms here and fails on 0 * inf
@@ -769,12 +805,13 @@ class TestLiveFrameSum:
 
 
 def plain_formula_projection(cfg, z0, t):
-    """Reference: frame_projection(closed_form=False) by its plain formula, sharing no fast path.
+    """Reference: frame_projection(closed_form=False) at t >= 0 by its plain formula, sharing no fast path.
 
-    One-pass ladder phases (c = -i z0 t / hbar formed once), the log norm through a
-    QuasiCoherentState, np.outer, the trace from two indexed entries and the (T, d, d) stack check.
+    The weights of ``head_window``, one-pass ladder phases (c = -i z0 t / hbar formed once), the
+    log norm through a QuasiCoherentState, np.outer, the trace from two indexed entries and the
+    (T, d, d) stack check.
     """
-    q = _fock_table(cfg.alpha2, cfg.N).q_live
+    q = all_fock_weights(cfg)[: head_window(cfg)].astype(complex)
     w = complex(q @ np.exp(np.arange(q.size) * (-1j * complex(z0) * t / cfg.hbar)))
     s = math.exp(cfg.state2().log_norm)
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
@@ -795,6 +832,7 @@ class TestFrameProjectionBits:
         for t in np.linspace(0.0, 6.0 * cfg.hbar / gamma0, 81).tolist():
             got = frame_projection(cfg, cfg.z0(), t, closed_form=False).entries
             assert got.tobytes() == plain_formula_projection(cfg, cfg.z0(), t).tobytes(), t
+            assert_within_the_window_bound(got, cfg, cfg.z0(), t)
 
 
 class TestFormedStates:
@@ -818,6 +856,16 @@ class TestFormedStates:
         rho = self.BUILDS[name](cfg, cfg.z0(0.3), 2.0)
         assert type(rho) is DensityMatrix and not rho.entries.flags.writeable
         assert np.array_equal(rho.entries, rho.entries.conj().T)
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_no_errstate_block_for_a_state_below_the_gate(self, monkeypatch, name):
+        # every part of these states is below 2^511, so no product can overflow and no guard is paid for
+        def refuse(**kwargs):
+            raise AssertionError("np.errstate entered for a state below 2^511")
+
+        monkeypatch.setattr(np, "errstate", refuse)
+        cfg = self.FOCK if name == "fock" else self.FRAME
+        assert type(self.BUILDS[name](cfg, cfg.z0(0.3), 2.0)) is DensityMatrix
 
     @pytest.mark.parametrize("name", BUILDS)
     def test_non_finite_state_is_rejected(self, name):

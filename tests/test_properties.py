@@ -66,8 +66,8 @@ from decopoles.pole_models import (
 )
 from decopoles.preferred_basis import _greedy_match, preferred_state
 from test_omnes import (
-    EPS, FOCK_ORACLE_TOL, amplitude_damped, coherent_branch, exact_fock_state, frame_f2, frame_tower, frame_truncation,
-    oracle_density, rho0_norm,
+    EPS, FOCK_ORACLE_TOL, ROOT_HALF, amplitude_damped, coherent_branch, exact_fock_state, frame_f2, frame_tower,
+    frame_truncation, oracle_density, rho0_norm,
 )
 from test_preferred_basis import reference_greedy_match
 
@@ -553,7 +553,10 @@ def _formula_fock_table(alpha, N):
     top = float(np.max(2.0 * log_weights))
     log_norm = -0.5 * (top + math.log(float(np.sum(np.exp(2.0 * log_weights - top)))))
     q = np.exp(2.0 * (log_weights + log_norm))
-    return log_weights, log_norm, q[: np.flatnonzero(q)[-1] + 1].astype(complex), np.arange(N + 1) + 0j
+    live = q[: np.flatnonzero(q)[-1] + 1]
+    tails = np.cumsum(live[::-1])  # the head window: drop the trailing weights that sum below EPS of all
+    head = live.size - int(np.count_nonzero(tails < EPS * tails[-1]))
+    return log_weights, log_norm, live.astype(complex), np.arange(N + 1) + 0j, head
 
 
 class TestFockTableBits:
@@ -585,6 +588,60 @@ class TestFockTableBits:
         v = state.fock_vector()
         norm = math.sqrt(math.fsum((v * v).tolist()))
         assert abs(norm - 1.0) <= 2.0**-53 * (abs(state.log_norm) + 2.0 * (N + 1) + 8.0), norm - 1.0
+
+
+@st.composite
+def frame_windows(draw):
+    """(cfg, z0, t): Delta in (0, 40], N up to 2000, omega' 0 or drawn, t up to 12 hbar / gamma0, or
+    t < 0 with every phase's |Re exponent| up to 600, so that no phase overflows."""
+    delta, N = draw(st.floats(0.0, 40.0, exclude_min=True)), draw(st.integers(1, 2000))
+    cfg = OmnesConfig(1.0, 2.0, 1.0, draw(st.floats(1e-3, 10.0)), delta, ROOT_HALF, ROOT_HALF, N)
+    reach = min(1.0, 600.0 / _fock_table(cfg.alpha2, N).q_live.size)
+    tau = draw(st.floats(0.0, 12.0) | st.floats(-1.0, 0.0).map(lambda x: x * reach))
+    return cfg, cfg.z0(draw(st.just(0.0) | st.floats(-5.0, 5.0))), tau * cfg.hbar / cfg.gamma0
+
+
+_TINY_SUB = 2.0**-1074  # the spacing of the subnormal floats
+
+
+def _frame_window_case(delta, N, gamma0, omega_prime, tau):
+    cfg = OmnesConfig(1.0, 2.0, 1.0, gamma0, delta, ROOT_HALF, ROOT_HALF, N)
+    return cfg, cfg.z0(omega_prime), tau * cfg.hbar / gamma0
+
+
+class TestFrameHeadWindow:
+    """The truncated frame overlap w keeps the live sum's bound on its head window.
+
+    Stated before measuring, u = 2^-53, gamma_k = k u / (1 - k u): at t >= 0 ``_frame_overlaps``
+    sums only the head window, the live weights q_0..q_hi less the trailing ones that sum below
+    2^-60 sum q; |x| = e^(-gamma0 t / hbar) <= 1 there, so the dropped terms weigh below 2^-60 A,
+    A = sum_(n<=hi) q_n |phase_n|, and the head sum's gamma_h A plus them stays within gamma_(hi+1) A;
+    at t < 0 it sums the whole live window.  So |w - w_exact| <= gamma_(hi+1) A + (hi + 1) 2^-1074, the
+    last term where products underflow, with w_exact the exact
+    sum over the float weights and the float phases ``_ladder_phases`` forms for them, by mpmath at
+    160 bits.  The window is the widest such cut: its dropped tail sums below 2^-60 sum q, and with
+    one weight more it would not (each side up to the rounding of the table's float tail sums).
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(frame_windows())
+    @example(_frame_window_case(6.0, 200, 0.2, 0.0, -0.5))  # t < 0: the dropped tail weighs e^(0.5 n) more
+    @example(_frame_window_case(10.0, 300, 0.1, 0.7, 10.0))  # late t: q_0 < 2^-60 carries w
+    @example(_frame_window_case(30.0, 2000, 0.05, 0.0, 3.0))  # q_0 underflows: leading zeros
+    @example(_frame_window_case(1e-200, 40, 0.1, 0.0, 1.0))  # one live weight
+    def test_within_the_live_sum_bound(self, case):
+        cfg, z0, t = case
+        table = _fock_table(cfg.alpha2, cfg.N)
+        q = table.q_live.real.tolist()
+        phases = omnes._ladder_phases(table.ladder[: len(q)], z0, t, cfg.hbar).tolist()
+        _, w = omnes._frame_overlaps(cfg, z0, t, closed_form=False)
+        with mpmath.workprec(160):
+            terms = [mpmath.mpf(a) * mpmath.mpc(p) for a, p in zip(q, phases)]
+            exact, area = mpmath.fsum(terms), mpmath.fsum(abs(v) for v in terms)
+            assert abs(mpmath.mpc(w) - exact) <= _gamma(len(q)) * area + len(q) * _TINY_SUB, (cfg, z0, t)
+        total, slack = math.fsum(q), 2.0 * float(_gamma(len(q)))
+        assert math.fsum(q[table.head :]) < EPS * total * (1.0 + slack), table.head
+        assert math.fsum(q[table.head - 1 :]) >= EPS * total * (1.0 - slack), table.head
 
 
 _CEXP_K = 6  # numpy's complex exp, per part: exp and cos or sin within an ulp (2u) each, their product u
@@ -1527,6 +1584,8 @@ class TestFormedDensityPrecision:
     @example(np.array([2.0**510, 0.0, 2.0**509 * 1j]))  # just below 2^1022
     @example(np.array([1.7e308 + 0j, 2.0**-1000]))  # a part near the largest float, another tiny
     @example(np.array([complex(math.nan, 0.0), 1.0]))  # a NaN trace
+    @example(np.array([1.0, complex(0.0, math.nan)]))  # a NaN past the first part: still the gate's argmax
+    @example(np.array([math.nextafter(2.0**511, 0.0), 0.0]))  # the largest part the gate passes, tr < 2^1022
     @example(np.array([complex(1e300, 0.0), complex(0.0, math.inf)]))  # an infinite part past a huge one
     def test_within_the_bound_of_the_exact_state(self, u):
         got, exc = raised(numerics._formed_density, u, "zero vector")

@@ -13,10 +13,11 @@ between numpy versions, so compare trees on one installation only.
 The second form reads two runs of the first, a base tree's and this tree's.  For each op
 both hold with different digests it prints the op, then the largest entrywise
 |head - base| of each result leaf, list indices folded (``rho[*]`` is the largest over every
-``rho[k]``).  Eigenvalue leaves are compared as sorted sets, so tracks permuted inside a
-degenerate cluster read as no move; eigenvectors are compared as they are.  It runs the moved
-ops on this tree and, in a child process of this same script (``--root BASE_ROOT --dump``),
-on the src/ and perfbench/ of the base checkout at BASE_ROOT.
+``rho[k]``); a record array's is the largest over its fields.  Eigenvalue leaves are compared
+as sorted sets, so tracks permuted inside a degenerate cluster read as no move; eigenvectors
+are compared as they are.  It runs the moved ops on this tree and, in a child process of this
+same script (``--root BASE_ROOT --dump``), on the src/ and perfbench/ of the base checkout at
+BASE_ROOT.
 """
 
 from __future__ import annotations
@@ -77,9 +78,17 @@ def _leaf_arrays(keys, workdir) -> dict:
 
 
 def _largest_move(path: str, head: np.ndarray, base: np.ndarray):
-    """max |head - base| over the entries as a float, or a word where no number applies."""
-    if head.shape != base.shape or head.dtype.kind != base.dtype.kind:
+    """max |head - base| over the entries as a float, or a word where no number applies.
+
+    A record array (``convergence_profile``'s) is compared field by field:
+    the largest move over its fields, or the first field's word.
+    """
+    if head.shape != base.shape or head.dtype.kind != base.dtype.kind or head.dtype.names != base.dtype.names:
         return f"{base.dtype.str}{base.shape}->{head.dtype.str}{head.shape}"
+    if head.dtype.names:
+        moves = [_largest_move(f"{path}.{name}", head[name], base[name]) for name in head.dtype.names]
+        words = [m for m in moves if isinstance(m, str)]
+        return words[0] if words else max(moves, default=0.0)
     if head.dtype.kind not in "biufc":  # a None, as its str
         return 0.0 if np.array_equal(head, base) else "differs"
     if path.endswith(".eigenvalues"):

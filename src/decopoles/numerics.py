@@ -8,9 +8,11 @@ Three self-contained tools used throughout the package:
 * ``principal_value_integral`` -- Cauchy principal value of
   f(w)/(w0 - w) by symmetric-pair quadrature around the singularity.
 * ``matrix_pencil_fit`` -- complex-exponential spectral estimation, in two
-  steps: ``PencilFactorisation`` (Hankel shift pair + rank-revealing thin
-  SVD, independent of the order) and its ``fit(order)`` (pencil roots +
-  least-squares amplitudes), so a refit at a lower order reuses the SVD.
+  steps: ``PencilFactorisation`` (power-of-two scaling, Hankel shift pair +
+  rank-revealing thin SVD at a window independent of the order) and its
+  ``fit(order)`` (pencil roots, refined by variable-projection
+  Gauss-Newton, + least-squares amplitudes), so a refit at a lower order
+  reuses the SVD.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -29,6 +31,10 @@ from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 
 HERMITICITY_TOL = 1e-12
 _RANK_RTOL = 1e-10  # the pencil counts singular values above this share of the largest
+_WINDOW_DIVISOR = 9  # the pencil's window is n // 9 of n samples ...
+_WINDOW_FLOOR = 128  # ... but not below 128, nor n // 2 when that is smaller
+_REFINE_STEPS = 16  # the most Gauss-Newton steps that refine the pencil's roots
+_REFINE_HALVINGS = 4  # a step that does not lower the residual is halved at most this often
 
 
 def _matrix_reduce(reduce, x: np.ndarray) -> np.ndarray:
@@ -384,24 +390,102 @@ def pencil_min_samples(order: int) -> int:
     return 2 * order + 2
 
 
+def _power_of_two_scaled(y: np.ndarray):
+    """(y / 2^e, e), with e the frexp exponent of the largest real or imaginary part (0 for y = 0).
+
+    The largest part of y / 2^e lies in [1/2, 1).  The division is exact
+    wherever both y and the result are normal, so a fit or residual taken
+    on the scaled samples neither overflows nor underflows in its squares.
+    """
+    parts = np.ascontiguousarray(y, dtype=complex).view(float)
+    e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+    return np.ldexp(parts, -e).view(complex), e
+
+
+def _projected_fit(t: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """(basis, amplitudes, residual, squared norm) of the least-squares fit at exponents ``z``.
+
+    None if the basis exp(z t) leaves the float range on the grid, or
+    its least-squares solve fails.
+    """
+    basis = np.exp(np.outer(t, z))
+    if not np.isfinite(basis.view(float)).all():
+        return None
+    try:
+        amps = np.linalg.lstsq(basis, y, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+    residual = y - basis @ amps
+    return basis, amps, residual, float(np.vdot(residual, residual).real)
+
+
+def _refined(t: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Variable-projection Gauss-Newton from the pencil's exponents ``z``: the refined (z, amplitudes).
+
+    The amplitudes are eliminated: at exponents z they are the
+    least-squares a = E(z)^+ y, E_jk = exp(z_k t_j), and the residual is
+    r = P y with P = I - E E^+ (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+    1973).  Each step solves min ||r - J s|| with Kaufman's Jacobian
+    J = P (dE/dz) diag(a), column k being P (t exp(z_k t)) a_k.  A step is
+    taken only if it lowers ||r||^2; otherwise it is halved, at most
+    ``_REFINE_HALVINGS`` times, and the loop ends when no halving lowers it
+    or after ``_REFINE_STEPS`` steps.  A trial whose basis or residual is
+    not finite lowers nothing.  With no step taken, the result is the
+    pencil's z and the amplitudes of its one least-squares solve.  Raises
+    ``ConvergenceError`` if the pencil's own basis leaves the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = _projected_fit(t, y, z)
+        if fit is None:
+            raise ConvergenceError("the pencil's roots give no finite least-squares fit on this grid")
+        basis, amps, residual, cost = fit
+        for _ in range(_REFINE_STEPS):
+            q = np.linalg.qr(basis)[0]
+            slopes = basis * (t[:, None] * amps)
+            jac = slopes - q @ (q.conj().T @ slopes)
+            if not np.isfinite(jac.view(float)).all():
+                break
+            step = np.linalg.lstsq(jac, residual, rcond=None)[0]
+            for _ in range(_REFINE_HALVINGS + 1):
+                trial = _projected_fit(t, y, z + step)
+                if trial is not None and trial[3] < cost:
+                    break
+                step = step / 2.0
+            else:
+                break
+            z = z + step
+            basis, amps, residual, cost = trial
+    return z, amps
+
+
 class PencilFactorisation:
-    """The order-free half of the matrix pencil: sample checks, Hankel view and thin SVD.
+    """The order-free half of the matrix pencil: sample checks, scaling, Hankel view and thin SVD.
 
     ``PencilFactorisation(times, values, order)`` checks the samples as
-    ``matrix_pencil_fit(times, values, order)`` does (``order`` is only
-    checked here), splits the Hankel matrix of the samples into the shifted
-    pair (Y0, Y1) and takes the thin SVD of Y0 once.  ``fit(k)`` then gives
-    the modes at any order k up to ``effective_rank`` from that one SVD.
+    ``matrix_pencil_fit(times, values, order)`` does, divides them by
+    2^scale, the power of two of their largest real or imaginary part
+    (exact for normal values), splits the Hankel matrix of the scaled
+    samples into the shifted pair (Y0, Y1) and takes the thin SVD of Y0
+    once.  ``fit(k)`` then gives the modes at any order k up to
+    ``effective_rank`` from that one SVD.
 
-    The window, n // 2 for n samples, does not depend on the order.  The
-    pencil uses min(max(n // 2, k), n - k) at order k, and every order
-    the sample minimum allows has n >= 2k + 2.  Then n // 2 >= k + 1 > k,
-    so the max is n // 2; and n - k >= n - (n - 2) / 2 = n / 2 + 1 > n // 2,
-    so the min is n // 2 as well.
+    The window of n samples is w(n) = max(n // 9, min(n // 2, 128)),
+    raised to ``order`` only when ``order`` is larger.  A fit at k modes
+    needs w >= k and n - w >= k.  Every order the sample minimum allows has
+    n >= 2k + 2, so k <= n // 2 - 1; the window max(w(n), k) is at least k,
+    and at most n // 2, so n - window >= n / 2 > k.  For n <= 257 the rule
+    gives n // 2 >= k + 1, and above that it gives at least 128: the window
+    depends on the order only past w(n), so a refit at any order up to w(n)
+    reuses a factorisation taken at any other such order.  The window near
+    n / 9 costs about a tenth of the n // 2 block's SVD; refined by
+    ``fit``'s Gauss-Newton loop, its roots match those refined from n // 2
+    (Hua & Sarkar, IEEE Trans. ASSP 38, 1990, on the pencil's window), and
+    the floor keeps the raw roots close enough for the loop to converge.
 
-    Attributes: ``t``, ``y`` (the samples as float and complex arrays),
-    ``dt`` (the grid step), ``window``, ``y1`` (the shifted Hankel view of
-    ``y``), ``u``, ``singular_values``, ``vh`` (the thin SVD of Y0) and
+    Attributes: ``t`` (the times as floats), ``scale`` (the exponent e),
+    ``y`` (the samples / 2^e, complex), ``dt`` (the grid step),
+    ``window``, ``y1`` (the shifted Hankel view of ``y``), ``u``,
+    ``singular_values``, ``vh`` (the thin SVD of the scaled Y0) and
     ``effective_rank`` (singular values above 1e-10 times the largest).
     An identically zero signal raises ``RankDeficiencyError`` with rank 0.
     """
@@ -414,9 +498,10 @@ class PencilFactorisation:
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
             raise ValidationError("times and values must be finite")
         _check_order(order, t.size)
-        self.t, self.y, self.dt = t, y, check_uniform_grid(t)
-        self.window = y.size // 2
-        hankel = np.lib.stride_tricks.sliding_window_view(y, self.window + 1)  # (n - window, window + 1)
+        self.t, self.dt = t, check_uniform_grid(t)
+        self.y, self.scale = _power_of_two_scaled(y)
+        self.window = max(y.size // _WINDOW_DIVISOR, min(y.size // 2, _WINDOW_FLOOR), order)
+        hankel = np.lib.stride_tricks.sliding_window_view(self.y, self.window + 1)  # (n - window, window + 1)
         self.y1 = hankel[:, 1:]
         self.u, self.singular_values, self.vh = np.linalg.svd(hankel[:, :-1], full_matrices=False)
         sig = self.singular_values
@@ -428,10 +513,12 @@ class PencilFactorisation:
         """The modes at ``order``, as ``matrix_pencil_fit`` returns them.
 
         The pencil eigenvalues of (Y1, Y0), through the rank-``order``
-        truncated SVD, give the per-step ratios exp(z_k dt); amplitudes come
-        from one dense least-squares solve on the full series.  An order
-        above ``effective_rank`` raises ``RankDeficiencyError`` carrying
-        this factorisation in ``pencil``, so a retry needs no second SVD.
+        truncated SVD, give the per-step ratios exp(z_k dt); ``_refined``'s
+        Gauss-Newton loop takes z to the least-squares optimum, and the
+        amplitudes come from one dense least-squares solve on the full
+        series at the final z, scaled back by 2^scale.  An order above
+        ``effective_rank`` raises ``RankDeficiencyError`` carrying this
+        factorisation in ``pencil``, so a retry needs no second SVD.
         """
         _check_order(order, self.t.size)
         if self.effective_rank < order:
@@ -446,10 +533,11 @@ class PencilFactorisation:
         ratios = np.linalg.eigvals(pencil)
         if np.any(np.abs(ratios) == 0.0):
             raise ConvergenceError("pencil produced a zero ratio; data is not exponential")
-        z = np.log(ratios) / self.dt
-
-        basis = np.exp(np.outer(self.t, z))
-        amps, *_ = np.linalg.lstsq(basis, self.y, rcond=None)
+        z, amps = _refined(self.t, self.y, np.log(ratios) / self.dt)
+        with np.errstate(over="ignore"):
+            amps = np.ldexp(amps.view(float), self.scale).view(complex)
+        if not np.isfinite(amps.view(float)).all():
+            raise ConvergenceError("a fitted amplitude is past the float range")
         idx = sorted(range(order), key=lambda k: (abs(z[k].imag), -z[k].real))
         return [(complex(z[k]), complex(amps[k])) for k in idx]
 
@@ -462,11 +550,17 @@ def _check_order(order: int, samples: int):
 
 
 def matrix_pencil_fit(times, values, order: int):
-    """Fit s(t) ~ sum_k a_k exp(z_k t) by the matrix-pencil method.
+    """Fit s(t) ~ sum_k a_k exp(z_k t) by the matrix pencil, refined to the least-squares optimum.
 
     Needs a uniform time grid with at least 2 * order + 2 samples.  This is
-    ``PencilFactorisation(times, values, order).fit(order)``: the Hankel
-    shift pair and its thin SVD, then the roots and amplitudes at ``order``.
+    ``PencilFactorisation(times, values, order).fit(order)``: the samples
+    scaled by a power of two, the Hankel shift pair at the window
+    max(n // 9, min(n // 2, 128)) (raised to ``order`` if that is larger)
+    and its thin SVD, then the roots at ``order``, their variable-projection
+    Gauss-Newton refinement and the amplitudes.  The window fits every
+    order the sample minimum allows (see ``PencilFactorisation``), and
+    scaling y by 2^k, with every part normal before and after, returns the
+    same z bit for bit and the amplitudes times 2^k.
 
     Imaginary parts of the recovered exponents are only defined modulo the
     sampling Nyquist band (-pi/dt, pi/dt].
@@ -481,10 +575,18 @@ def matrix_pencil_fit(times, values, order: int):
 
 
 def fit_residual(times, values, modes) -> float:
-    """RMS misfit of a recovered mode set against the samples."""
+    """RMS misfit of a recovered mode set against the samples.
+
+    Samples and amplitudes are divided by the pencil's power of two first
+    and the RMS multiplied back, so no square overflows or underflows; the
+    scaling is exact in the normal range, where the bits are those of the
+    unscaled sum.
+    """
     t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=complex)
+    y, scale = _power_of_two_scaled(np.asarray(values, dtype=complex))
+    amps = np.ldexp(np.array([a for _, a in modes], dtype=complex).view(float), -scale).view(complex)
     model = np.zeros_like(y)
-    for z, a in modes:
+    for (z, _), a in zip(modes, amps):
         model += a * np.exp(z * t)
-    return float(np.sqrt(np.mean(np.abs(model - y) ** 2)))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt(np.mean(np.abs(model - y) ** 2)), scale))

@@ -16,6 +16,7 @@ from decopoles.numerics import (
     PencilFactorisation,
     _checked_entries,
     _phase_fix,
+    _refined,
     adaptive_simpson,
     check_uniform_grid,
     eigh,
@@ -645,7 +646,9 @@ class TestNoisyPencil:
     Complex Gaussian noise at a given SNR, 20 seeded draws: the median over
     draws of the worst relative width error stays within the tolerance.  A
     probe over three other sets of 20 draws gave medians 4.4e-3 to 5.7e-3
-    at 60 dB and 5.8e-2 to 9.1e-2 at 40 dB.
+    at 60 dB and 5.8e-2 to 9.1e-2 at 40 dB for the unrefined n // 2 pencil.
+    Over draws 0-199 its median was 4.69e-3 at 60 dB and 8.11e-2 at 40 dB;
+    the refined fit at the window rule gives 4.49e-3 and 4.42e-2.
     """
 
     WIDTHS = np.array([0.1, 0.7, 2.0])
@@ -665,8 +668,25 @@ class TestNoisyPencil:
         assert np.median(errors) <= tol
 
 
+def window_rule(n, order):
+    """The pencil's window, written out: max(n // 9, min(n // 2, 128)), raised to ``order`` if that is larger."""
+    return max(n // 9, min(n // 2, 128), order)
+
+
+def pencil_roots(t, y, order, window):
+    """The pencil's unrefined exponents of ``y`` at ``window``, through the rank-``order`` truncated SVD."""
+    hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)
+    u, sig, vh = np.linalg.svd(hankel[:, :-1], full_matrices=False)
+    pencil = np.diag(1.0 / sig[:order]) @ (u[:, :order].conj().T @ hankel[:, 1:] @ vh[:order, :].conj().T)
+    return np.log(np.linalg.eigvals(pencil)) / (t[1] - t[0])
+
+
 def presplit_matrix_pencil_fit(times, values, order):
-    """``matrix_pencil_fit`` as one function, before it was split into factorisation and fit."""
+    """``matrix_pencil_fit`` as one function, before it was split into factorisation and fit.
+
+    The power-of-two scaling and the window rule are written out here; the
+    roots go through the library's ``_refined`` loop, as the split pencil's do.
+    """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=complex)
     if t.shape != y.shape or t.ndim != 1:
@@ -679,8 +699,10 @@ def presplit_matrix_pencil_fit(times, values, order):
         raise ValidationError(f"need at least {pencil_min_samples(order)} samples for order {order}")
     dt = check_uniform_grid(t)
 
+    scale = math.frexp(float(np.max(np.abs(y.view(float)))))[1]
+    y = np.ldexp(y.view(float), -scale).view(complex)
     n = y.size
-    window = min(max(n // 2, order), n - order)
+    window = window_rule(n, order)
     hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)
     y0 = hankel[:, :-1]
     y1 = hankel[:, 1:]
@@ -700,10 +722,8 @@ def presplit_matrix_pencil_fit(times, values, order):
     ratios = np.linalg.eigvals(pencil)
     if np.any(np.abs(ratios) == 0.0):
         raise ConvergenceError("pencil produced a zero ratio; data is not exponential")
-    z = np.log(ratios) / dt
-
-    basis = np.exp(np.outer(t, z))
-    amps, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    z, amps = _refined(t, y, np.log(ratios) / dt)
+    amps = np.ldexp(amps.view(float), scale).view(complex)
     idx = sorted(range(order), key=lambda k: (abs(z[k].imag), -z[k].real))
     return [(complex(z[k]), complex(amps[k])) for k in idx]
 
@@ -730,6 +750,32 @@ def generated_signal(seed):
     return t, y, m
 
 
+class TestWindowRule:
+    """The fit at the window rule against the fit refined from the n // 2 pencil's roots.
+
+    TestNoisyPencil's signal (451 samples, window 128), 20 seeded draws at
+    60 and 40 dB.  Stated before measuring: both Gauss-Newton loops stop at
+    the same least-squares minimum, which a float residual locates only to
+    about sqrt(u) = 1.5e-8 relative in the exponents, so each fitted z_k
+    lies within 1e-6 |z_k| of the other's.  The draws are seeds 20-39, not
+    TestNoisyPencil's 0-19: a planted window of n // 9 = 50 with no floor
+    ends 157 off on draw 26 at 40 dB, and over seeds 0-199 it lost only
+    draws 26, 90 and 151, so seeds 0-19 would not show it.
+    """
+
+    @pytest.mark.parametrize("snr_db", [60.0, 40.0])
+    def test_window_fit_matches_the_half_window_refinement(self, snr_db):
+        t = np.linspace(0.0, 30.0, 451)
+        clean = np.exp(np.multiply.outer(t, -TestNoisyPencil.WIDTHS)) @ TestNoisyPencil.AMPS
+        sigma = math.sqrt(np.mean(clean**2) / 10.0 ** (snr_db / 10.0) / 2.0)
+        for seed in range(20, 40):
+            rng = np.random.default_rng(seed)
+            noisy = clean + sigma * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
+            got = np.sort_complex([z for z, _ in matrix_pencil_fit(t, noisy, 3)])
+            want = np.sort_complex(_refined(t, noisy, pencil_roots(t, noisy, 3, t.size // 2))[0])
+            assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want)), seed
+
+
 class TestPencilSplit:
     """The factorisation-plus-fit pencil against the one-function pencil it replaced."""
 
@@ -753,6 +799,18 @@ class TestPencilSplit:
                 assert n >= pencil_min_samples(order)
                 assert min(max(n // 2, order), n - order) == n // 2
             assert PencilFactorisation(np.arange(n, dtype=float), np.exp(-0.1 * np.arange(n))).window == n // 2
+
+    def test_window_rule_fits_every_order(self):
+        # every order the sample minimum allows fits: Y0 is (n - window) x window, both >= order
+        for n in range(4, 1200):
+            orders = np.arange(1, (n - 2) // 2 + 1)
+            windows = np.maximum(max(n // 9, min(n // 2, 128)), orders)
+            assert np.all(n >= 2 * orders + 2)
+            assert np.all((orders <= windows) & (orders <= n - windows))
+            assert np.all(windows[orders <= windows[0]] == windows[0])  # order-free up to the rule's window
+        for n, order in ((257, 1), (258, 1), (258, 128), (451, 3), (451, 129), (600, 200), (1161, 1)):
+            t = np.arange(n, dtype=float)
+            assert PencilFactorisation(t, np.exp(-0.01 * t), order).window == window_rule(n, order)
 
     def test_rank_error_carries_the_factorisation(self):
         t = np.linspace(0.0, 6.0, 241)

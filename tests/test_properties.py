@@ -25,6 +25,7 @@ from decopoles.numerics import (
     DensityMatrix,
     _checked_entries,
     eigh,
+    fit_residual,
     hermitian_average,
     matrix_pencil_fit,
 )
@@ -1021,6 +1022,40 @@ class TestExtractionRoundTrip:
                 fitted = catalogue_from_json(fh.read())
         back = synthesize(fitted, grid, rendering="full")
         assert np.max(np.abs(back.values - signal.values)) <= self.roundtrip_tolerance(cat, float(grid[-1]))
+
+
+def _normal_shifts(*values):
+    """(lo, hi): for lo <= k <= hi, every nonzero real or imaginary part of ``values`` times 2^k is normal."""
+    parts = np.abs(np.concatenate([np.asarray(v, dtype=complex).ravel() for v in values]).view(float))
+    exponents = np.frexp(parts[parts > 0.0])[1]  # part = m 2^e, m in [1/2, 1): normal iff -1021 <= e + k <= 1024
+    return -1021 - int(exponents.min()), 1024 - int(exponents.max())
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestPencilScaling:
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(separated_catalogues(), oscillating_catalogues()), st.data())
+    def test_power_of_two_scaling_is_exact(self, setup, data):
+        """y 2^k fits to the same z bit for bit, with its amplitudes and residual 2^k times y's.
+
+        k ranges over every shift that keeps each nonzero part of y, of the
+        fitted amplitudes and of the residual normal: about +-1000 for most
+        of these signals, past where |y|^2 overflows or underflows.
+        """
+        cat, grid = setup
+        y = synthesize(cat, grid, rendering="full").values - cat.equilibrium
+        fit = matrix_pencil_fit(grid, y, len(cat.modes))
+        residual = fit_residual(grid, y, fit)
+        lo, hi = _normal_shifts(y, [a for _, a in fit], residual)
+        k = data.draw(st.integers(lo, hi), label="k")
+        scaled = np.ldexp(y.view(float), k).view(complex)
+        got = matrix_pencil_fit(grid, scaled, len(cat.modes))
+        assert _bits([z for z, _ in got]) == _bits([z for z, _ in fit])
+        assert _bits([a for _, a in got]) == _bits(np.ldexp(np.array([a for _, a in fit]).view(float), k).view(complex))
+        assert fit_residual(grid, scaled, got) == math.ldexp(residual, k)
 
 
 @st.composite

@@ -583,7 +583,7 @@ def fit_residual(times, values, modes) -> float:
     unscaled sum.
     """
     t = np.asarray(times, dtype=float)
-    y, scale = _power_of_two_scaled(np.asarray(values, dtype=complex))
+    y, scale = _power_of_two_scaled(values)
     amps = np.ldexp(np.array([a for _, a in modes], dtype=complex).view(float), -scale).view(complex)
     model = np.zeros_like(y)
     for (z, _), a in zip(modes, amps):

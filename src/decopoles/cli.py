@@ -28,7 +28,8 @@ Each scenario is one function that validates its params strictly, before
 any computation: unknown keys are rejected and every diagnostic names the
 offending field path.  It returns ``run``, which computes every output
 file, ``{file name: text or its chunks}``, and writes nothing; ``main``
-then writes them all, so a numeric failure leaves no output behind.  All
+then writes them all, so a numeric failure leaves no output behind.  Every
+table streams through ``pole_models.csv_chunks``, the one table writer.  All
 float output uses 17 significant digits so CSVs parse back losslessly and
 identical configs produce byte-identical files.
 """
@@ -47,7 +48,7 @@ import numpy as np
 from . import numerics, pole_models
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 from .pole_models import (  # the catalogue schema's reader and field validators
-    _CATALOGUE_KEYS, _REQUIRED, _as_object, _catalogue, _field, _finite, _mode, _number,
+    _CATALOGUE_KEYS, _REQUIRED, _as_object, _catalogue, _field, _finite, _fmt, _mode, _number,
     _read_catalogue, _reject_unknown,
 )
 
@@ -152,20 +153,7 @@ def _read_table(csv_path: str, path: str, parse):
 # --- output helpers ----------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def _csv(header: str, rows) -> str:
-    """CSV text: the header line, then each row's fields rendered by ``_fmt``."""
-    lines = [header]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()) -> str:
+def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()):
     rows = [
         ("t_R", report.t_R),
         ("t_D", report.t_D),
@@ -174,7 +162,7 @@ def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()) -> str:
         ("p_relevant", ";".join(str(i) for i in report.p_relevant)),
         ("p_irrelevant", ";".join(str(i) for i in report.p_irrelevant)),
     ]
-    return _csv("name,value", rows + list(extra_rows))
+    return pole_models.csv_chunks("name,value", tuple(zip(*rows, *extra_rows)))
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -259,12 +247,11 @@ def _bifriedrich(params: dict, grid: np.ndarray):
 
     def run():
         result = preferred_basis.bifriedrich_run(model, grid)
-        v = result.verdicts  # states iterated, not listed: tolist() makes 2T strings, raising peak RSS
-        rows = zip(v.t.tolist(), v.part1_state, v.part2_state)
+        v = result.verdicts
         return {
             "signal1.csv": pole_models.signal_csv_chunks(result.signal1),
             "signal2.csv": pole_models.signal_csv_chunks(result.signal2),
-            "verdicts.csv": _csv("t,part1_state,part2_state", rows),
+            "verdicts.csv": pole_models.csv_chunks("t,part1_state,part2_state", (v.t, v.part1_state, v.part2_state)),
         }
 
     return run
@@ -343,11 +330,12 @@ def _omnes(params: dict, grid: np.ndarray):
                 file=sys.stderr,
             )
         decay = omnes.nd_decay(cfg, cfg.z0(shift), grid)
-        rows = [(L0, rate.t_D, rate.gamma_tilde) for L0, rate in zip(sweep, swept)]
         return {
             "macroscopicity.txt": "\n".join(lines) + "\n",
             "nd_decay.csv": pole_models.csv_chunks("t,abs_rho12", (grid, decay)),
-            "td_vs_L0.csv": _csv("L0,t_D,gamma_tilde", rows),
+            "td_vs_L0.csv": pole_models.csv_chunks(
+                "L0,t_D,gamma_tilde", (sweep, [r.t_D for r in swept], [r.gamma_tilde for r in swept])
+            ),
         }
 
     return run
@@ -410,12 +398,17 @@ def _extract(params: dict, grid: None):  # extract has no config grid
                 f"{len(growth)} fitted mode(s) grow over the window (largest growth rate "
                 f"{max(growth):.3e}); a pole catalogue holds only decaying modes"
             )
-        # rates with no visible decay over the window are equilibrium content
+        # rates with no visible decay or oscillation over the window are equilibrium content
         cat_equilibrium = equilibrium
         modes = []
         for z, amp in fitted:
             gamma = -z.real * hbar
             if gamma * t_span / hbar < _VISIBLE_CHANGE:
+                if abs(z.imag) * t_span > _VISIBLE_CHANGE:
+                    raise ConvergenceError(
+                        f"a fitted mode oscillates without visible decay over the window (angular frequency "
+                        f"{abs(z.imag):.3e}); a pole catalogue holds only decaying modes"
+                    )
                 cat_equilibrium += amp.real
                 continue
             modes.append((pole_models.Pole(-z.imag * hbar + 0.0, gamma), amp))

@@ -176,35 +176,29 @@ class DensityFamily:
 def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
     """u u^H / tr, tr the correctly rounded sum of its diagonal, as a ``DensityMatrix``; a zero u raises
     ``ValidationError(empty)``, a u with a NaN or Inf part "matrix contains NaN or Inf entries".
-    The products are formed only once every part of u is below 2^511 (a NaN fails: it is the argmax),
-    so none overflows; any other u goes straight to the rescue.  Finiteness is read off tr: each part of
-    u_i conj(u_j) is at most |u_i| |u_j| <= tr, so a tr in [2^-960, 2^1022) leaves every entry finite.
-    Outside it a finite u is first scaled by a power of two (exact, rho unchanged) to a largest part in
-    [1/2, 1): below, products of u's parts may be subnormal, keeping too few bits; above, 1 / tr is
-    subnormal or the products may overflow (a part past the gate, or an fsum that overflows).  Then the
-    ``_halved`` average in the product's own buffer and the check that
+    Whether to scale is decided from u's largest part m, before any product: u is used as it is when
+    m lies in [2^-480, 2^510 / sqrt(2d)), 2d counting the real and imaginary parts (a NaN, the argmax,
+    fails, as do an Inf and a zero).  Then tr lies in [2^-960, 2^1021): it is at least m^2 and at most
+    2d m^2, so every part of u_i conj(u_j), at most |u_i| |u_j| <= tr, is finite and 1 / tr is normal.
+    Any other finite u is first scaled by a power of two (exact, rho unchanged) to a largest part in
+    [1/2, 1): below, products of u's parts may be subnormal, keeping too few bits; above, 1 / tr may be
+    subnormal or the products and their fsum may overflow.  Then the one product and its fsum trace,
+    the ``_halved`` average in the product's own buffer and the check that
     the fsum of its real diagonal is 1 within 1e-12.  Each part of rho_ij lies within
     gamma_8 |u_i| |u_j| / |u|^2 + (d + 2) 2^-113 of exact, gamma_k = k 2^-53 / (1 - k 2^-53): gamma_2
     per product, gamma_3 on tr, two roundings in the division (a multiply by the rounded 1 / tr) and one
-    in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-961.
+    in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-960.
     """
     size = abs(u.view(float))
-    tr = math.inf  # a u that fails the gate goes to the rescue below
-    if size[size.argmax()] < 2.0**511:  # cheaper than an np.errstate block, d = 2 to 49
-        mat = u[:, None] * u.conj()  # u_i conj(u_j), one complex multiply each: np.outer's bits for d >= 2 only
-        try:
-            tr = math.fsum(mat.real.diagonal().tolist())
-        except OverflowError:
-            pass
-    if not 2.0**-960 <= tr < 2.0**1022:
-        if not np.isfinite(size).all():
+    top = size[size.argmax()]
+    if not 2.0**-480 <= top < 2.0**510 / math.sqrt(size.size):
+        if not math.isfinite(top):
             raise ValidationError("matrix contains NaN or Inf entries")
-        u = np.ldexp(u.view(float), -math.frexp(float(size.max()))[1]).view(complex)
-        mat = u[:, None] * u.conj()
-        tr = math.fsum(mat.real.diagonal().tolist())
-        if tr == 0.0:
+        if top == 0.0:
             raise ValidationError(empty)
-    mat /= tr
+        u = np.ldexp(u.view(float), -math.frexp(top)[1]).view(complex)
+    mat = u[:, None] * u.conj()  # u_i conj(u_j), one complex multiply each: np.outer's bits for d >= 2 only
+    mat /= math.fsum(mat.real.diagonal().tolist())
     mat += mat.T.conj()
     h = _halved(mat)
     tr = math.fsum(h.real.diagonal().tolist())

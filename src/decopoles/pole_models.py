@@ -803,17 +803,25 @@ def catalogue_from_json(text: str) -> PoleCatalogue:
 _CSV_CHUNK_ROWS = 4096
 
 
+def _fmt(x) -> str:
+    """One output value: a float at 17 significant digits (lossless), anything else as ``str``."""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
 def csv_chunks(header: str, columns) -> Iterator[str]:
-    """CSV text of equal-length float columns, in pieces to write in turn.
+    """CSV text of equal-length columns, in pieces to write in turn: the command line's one table writer.
 
     The first piece is the header line; each further one holds up to
-    ``_CSV_CHUNK_ROWS`` rows with every value at 17 significant digits
-    (lossless), so the whole text is never held at once.
+    ``_CSV_CHUNK_ROWS`` rows, so the whole text is never held at once.  A
+    float array's values are written at 17 significant digits (lossless);
+    any other column's values (a sequence) as ``_fmt`` renders each.
     """
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    row = ",".join("{:.17g}" if f else "{}" for f in floats) + "\n"
     yield header + "\n"
     for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        parts = (c[start : start + _CSV_CHUNK_ROWS].tolist() for c in columns)
+        stop = start + _CSV_CHUNK_ROWS
+        parts = (c[start:stop].tolist() if f else map(_fmt, c[start:stop]) for c, f in zip(columns, floats))
         yield "".join(map(row.format, *parts))
 
 

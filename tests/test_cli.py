@@ -521,6 +521,21 @@ class TestExtract:
         assert "largest growth rate 5.000e-02" in err
         assert not (out / "catalogue.json").exists()
 
+    def test_undamped_oscillation_fails(self, tmp_path, capsys):
+        # an oscillation with no visible decay is no equilibrium content: its amp_re alone would drop it
+        t = np.linspace(0.0, 20.0, 401)
+        sig = Signal(t, np.exp(-0.5 * t) + 0.3 * np.exp(2j * t))
+        csv_path = tmp_path / "ring.csv"
+        csv_path.write_text(signal_to_csv(sig), encoding="utf-8")
+        cfg = self.extract_config(tmp_path, csv_path, 2)
+        out = tmp_path / "f"
+        assert main(["extract", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: a fitted mode oscillates without visible decay over the window "
+            "(angular frequency 2.000e+00); a pole catalogue holds only decaying modes\n"
+        )
+        assert not out.exists()
+
     def decay_csv(self, tmp_path, rows):
         t = np.arange(rows, dtype=float)
         csv_path = tmp_path / "short.csv"
@@ -609,6 +624,65 @@ class TestNumericFailureWritesNothing:
         files = run()
         assert list(files) == ["catalogue.json"] and capsys.readouterr().out.startswith("residual: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def _open_defect(case_id, reason):
+    return dict(id=case_id, marks=pytest.mark.xfail(strict=True, reason=f"{case_id}: {reason}"))
+
+
+class TestOpenContractDefects:
+    """Open defects of the CLI contract, each pinned as a strict expected failure, so a run's log lists
+    them by id and a mend makes its case pass, which fails until its marker goes.  The contract: an
+    input the library cannot serve exits 2 or 3, its last stderr line reads ``config error: ...`` or
+    ``numeric failure: ...``, and no output directory is made."""
+
+    GRID = {"t_max": 10.0, "n_points": 41}
+    DENSITY = {"N": 50, "L0": 1.0}  # an omnes run that takes its pole from a spectral density
+
+    @pytest.mark.parametrize(
+        "subcommand, doc",
+        [
+            pytest.param(
+                "simulate", {"scenario": "model1", "grid": GRID, "params": {"gamma0": 1e-320}},
+                **_open_defect("F8-model1", "t_R = hbar / gamma0 overflows with a numpy warning"),
+            ),
+            pytest.param(
+                "simulate", {"scenario": "model2", "grid": GRID, "params": {"gamma0": 1e-320, "gamma1": 1.0}},
+                **_open_defect("F8-model2", "t_R = hbar / gamma0 overflows with a numpy warning"),
+            ),
+            pytest.param(
+                "simulate",
+                {"scenario": "model3", "grid": GRID,
+                 "params": {"modes": [{"gamma": 1.0}], "khalfin": {"amplitude": 0.2, "tau": 5e-324}}},
+                **_open_defect("F10-model3", "t / tau overflows with a numpy warning"),
+            ),
+            pytest.param(
+                "omnes",
+                {"scenario": "omnes", "grid": GRID, "params": dict(DENSITY, spectral_density={
+                    "kind": "lorentzian", "omega0": 1.1, "center": 0.6, "width": 1e300})},
+                **_open_defect("F9-lorentzian", "the density's (w - c) ** 2 raises OverflowError"),
+            ),
+            pytest.param(
+                "omnes",
+                {"scenario": "omnes", "grid": GRID, "params": dict(DENSITY, spectral_density={
+                    "kind": "ohmic", "omega0": 1e-320, "cutoff": 1.0})},
+                **_open_defect("F9-ohmic", "principal_value_integral raises ZeroDivisionError"),
+            ),
+            pytest.param(
+                "extract", {"scenario": "extract", "params": {"input_csv": "far.csv", "model_order": 1}},
+                **_open_defect("FOUND-far-grid", "e^-(t - 800) on [800, 810] exits 0 with amp_re 0.0"),
+            ),
+        ],
+    )
+    def test_invalid_input_meets_the_contract(self, tmp_path, capsys, monkeypatch, subcommand, doc):
+        monkeypatch.chdir(tmp_path)
+        t = np.linspace(800.0, 810.0, 41)
+        (tmp_path / "far.csv").write_text(signal_to_csv(Signal(t, np.exp(800.0 - t) + 0j)), encoding="utf-8")
+        code = main([subcommand, "--config", write_config(tmp_path, doc), "--out", "out"])
+        last = capsys.readouterr().err.splitlines()[-1:]
+        assert code in (2, 3)
+        assert last and last[0].startswith("config error: " if code == 2 else "numeric failure: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigErrors:

@@ -1113,6 +1113,15 @@ class TestSerialization:
         assert len(list(signal_csv_chunks(Signal(times, values)))) == 1 + math.ceil(re.size / 5)
         want = "a,b\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(re, im))
         assert "".join(csv_chunks("a,b", (re, im))) == want
+        # a column that is no float array (the CLI's name,value and verdict tables): each float at
+        # 17 significant digits, anything else as str
+        mixed = [x if k % 3 else (f"s{k}" if k % 2 else k) for k, x in enumerate(re.tolist())]
+        states = np.where(re > 0.0, "classical", "quantum")
+        want = "t,m,s\n" + "".join(
+            f"{t:.17g},{m if not isinstance(m, float) else format(m, '.17g')},{s}\n"
+            for t, m, s in zip(times, mixed, states)
+        )
+        assert "".join(csv_chunks("t,m,s", (times, mixed, states))) == want
 
     def test_csv_header_enforced(self):
         with pytest.raises(ValidationError):

@@ -1502,27 +1502,27 @@ def formed_state_setups(draw):
     return cfg, cfg.z0(draw(st.floats(0.0, 1.0))), draw(st.floats(0.0, 20.0)) * hbar / gamma0
 
 
-_RESCUE, _TOP = 2.0**-960, 2.0**1022  # ``numerics._formed_density`` rescues u outside these traces
+# ``numerics._formed_density`` uses u as it is when its largest part lies in [_LOW, _HIGH / sqrt(2d))
+_LOW, _HIGH = 2.0**-480, 2.0**510
 
 
 def public_density(u, empty):
     """Reference for ``numerics._formed_density`` by its documented steps: ``DensityMatrix(u u^H / tr)``,
-    tr the diagonal's correctly rounded sum; where tr < 2^-960, tr >= 2^1022, or tr is no float (infinite,
-    NaN, or an fsum that overflows), a u whose parts are all finite is first scaled by a power of two to a
-    largest part in [1/2, 1); a zero trace raises ``ValidationError(empty)``.  It is compared only at
-    d >= 2 (frame and Fock states): at d = 1, numpy 2's ``np.outer`` can round the one product differently
-    from ``_formed_density``'s broadcast multiply."""
+    tr the diagonal's correctly rounded sum; a u whose parts are all finite and whose largest part lies
+    outside [2^-480, 2^510 / sqrt(2d)) is first scaled by a power of two to a largest part in [1/2, 1);
+    a zero trace raises ``ValidationError(empty)``.  It is compared only at d >= 2 (frame and Fock states):
+    at d = 1, numpy 2's ``np.outer`` can round the one product differently from ``_formed_density``'s
+    broadcast multiply."""
+    parts = u.view(float)
+    top = np.max(np.abs(parts))
+    if np.isfinite(parts).all() and not _LOW <= top < _HIGH / math.sqrt(parts.size):
+        u = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            mat = np.outer(u, u.conj())
-            try:
-                tr = math.fsum(np.diagonal(mat).real.tolist())
-            except OverflowError:
-                tr = math.inf
-            parts = u.view(float)
-            if _RESCUE <= tr < _TOP or not np.isfinite(parts).all():
-                break
-            u = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(complex)
+        mat = np.outer(u, u.conj())
+        try:
+            tr = math.fsum(np.diagonal(mat).real.tolist())
+        except OverflowError:  # huge finite parts beside a NaN or Inf one
+            tr = math.inf
         if tr == 0.0:
             raise ValidationError(empty)
         return DensityMatrix(mat / tr)
@@ -1559,9 +1559,10 @@ def formed_vectors(draw):
 
     The trace lies between 2^(2k - 2) and 2^(2k + 4).  k near 0 gives ordinary states; k from -1100
     to -470 tiny ones, down to traces in the subnormal range and to vectors that underflow to zero;
-    k from -483 to -477 puts the trace on either side of the rescue threshold 2^-960.  k from 470 to
-    1023 gives huge ones, up to parts near the largest float, whose products overflow; k from 508 to
-    515 puts the trace on either side of 2^1022 and of the float range.
+    k from -483 to -477 puts the largest part on either side of the lower threshold 2^-480.  k from 470
+    to 1023 gives huge ones, up to parts near the largest float, whose products overflow; k from 505 to
+    515 puts the largest part on either side of the upper threshold 2^510 / sqrt(2d) (2^507.7 to
+    2^509.5 for d from 12 down to 1), and the trace on either side of 2^1022 and of the float range.
     """
     d = draw(st.integers(1, 12))
     parts = draw(hnp.arrays(float, 2 * d, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
@@ -1569,7 +1570,7 @@ def formed_vectors(draw):
     if top == 0.0:
         reject()
     k = draw(st.integers(-2, 2) | st.integers(-1100, -470) | st.integers(-483, -477)
-             | st.integers(470, 1023) | st.integers(508, 515))
+             | st.integers(470, 1023) | st.integers(505, 515))
     parts = np.ldexp(parts, k - math.frexp(top)[1])
     bad = draw(st.sampled_from((None,) * 5 + (math.nan, math.inf, -math.inf)))
     if bad is not None:
@@ -1598,12 +1599,12 @@ class TestFormedDensityPrecision:
     """``numerics._formed_density`` within its stated bound of the exact u u^H / |u|^2.
 
     Stated before measuring, in its docstring: each part of rho_ij within gamma_8 |u_i| |u_j| / |u|^2
-    + (d + 2) 2^-113, gamma_k = k u / (1 - k u), u = 2^-53, on both sides of each rescue threshold.
-    Without the rescue a tiny u reads zero weight; with the rescue only at a zero trace, a trace in
-    the subnormal range leaves products with a few bits, far outside the bound.  Without its upper
-    side a huge u reads NaN or raises fsum's OverflowError.  A u with a NaN or Inf part raises
-    "matrix contains NaN or Inf entries"; finiteness is read off the trace, so a check that lets a
-    NaN trace through returns a NaN matrix, and a rescue that scales a non-finite u returns one too.
+    + (d + 2) 2^-113, gamma_k = k u / (1 - k u), u = 2^-53, on both sides of each threshold on u's
+    largest part, 2^-480 and 2^510 / sqrt(2d).  Without the rescue below, a tiny u reads zero weight,
+    or a trace in the subnormal range leaves products with a few bits, far outside the bound.  Without
+    the rescue above, a huge u reads NaN or raises fsum's OverflowError.  A u with a NaN or Inf part
+    raises "matrix contains NaN or Inf entries"; a window test that lets a NaN largest part through
+    returns a NaN matrix, and a rescue that scales a non-finite u returns one too.
     """
 
     @settings(deadline=None, max_examples=300)
@@ -1611,16 +1612,22 @@ class TestFormedDensityPrecision:
     @example(np.array([3.0 * 2.0**-530, 2.0**-529 + 0j]))  # a subnormal trace, about 2^-1056
     @example(np.array([2.0**-500, 0.7 * 2.0**-540 + 0j]))  # a normal trace, 2^-1000, over a subnormal product
     @example(np.array([0.6 * 2.0**-525, 0.8j * 2.0**-525, 0.3 * 2.0**-560]))  # a subnormal trace, 3 parts
-    @example(np.array([2.0**-481, 0.0, -(2.0**-482) * 1j]))  # just below 2^-960
-    @example(np.array([2.0**-479, 0.0, -(2.0**-482) * 1j]))  # just above
+    @example(np.array([2.0**-481, 0.0, -(2.0**-482) * 1j]))  # a trace just below 2^-960: scaled
+    @example(np.array([2.0**-479, 0.0, -(2.0**-482) * 1j]))  # just above: used as it is
+    @example(np.array([math.nextafter(_LOW, 0.0), 0.3j * 2.0**-500]))  # a largest part just below 2^-480
+    @example(np.array([_LOW, 0.3j * 2.0**-500]))  # exactly 2^-480: the smallest used as it is
     @example(np.array([2.0**-1074 + 0j, 0.0]))  # the smallest nonzero vector
     @example(np.array([1e154, 1e154j]))  # finite parts whose squares' sum overflows fsum
     @example(np.array([2.0**511, 2.0**510 * 1j]))  # tr = 2^1022 + 2^1020: 1 / tr is subnormal
-    @example(np.array([2.0**510, 0.0, 2.0**509 * 1j]))  # just below 2^1022
+    @example(np.array([2.0**510, 0.0, 2.0**509 * 1j]))  # tr below 2^1022, the largest part past 2^510 / sqrt(6)
+    @example(np.array([math.nextafter(_HIGH / 2.0, 0.0), 2.0**508 * 1j]))  # d = 2: the largest part used as it is
+    @example(np.array([_HIGH / 2.0, 2.0**508 * 1j]))  # exactly 2^510 / sqrt(4): scaled
+    @example(np.full(3, (1 + 1j) * math.nextafter(_HIGH / math.sqrt(6), 0.0)))  # each part just inside: tr near 2^1020
+    @example(np.full(3, (1 + 1j) * (_HIGH / math.sqrt(6))))  # one step up: scaled
     @example(np.array([1.7e308 + 0j, 2.0**-1000]))  # a part near the largest float, another tiny
     @example(np.array([complex(math.nan, 0.0), 1.0]))  # a NaN trace
-    @example(np.array([1.0, complex(0.0, math.nan)]))  # a NaN past the first part: still the gate's argmax
-    @example(np.array([math.nextafter(2.0**511, 0.0), 0.0]))  # the largest part the gate passes, tr < 2^1022
+    @example(np.array([1.0, complex(0.0, math.nan)]))  # a NaN past the first part: still the argmax
+    @example(np.array([math.nextafter(2.0**511, 0.0) + 0j, 0.0]))  # tr below 2^1022, a part past 2^509
     @example(np.array([complex(1e300, 0.0), complex(0.0, math.inf)]))  # an infinite part past a huge one
     def test_within_the_bound_of_the_exact_state(self, u):
         got, exc = raised(numerics._formed_density, u, "zero vector")

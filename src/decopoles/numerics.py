@@ -210,26 +210,29 @@ def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues sorted descending plus orthonormal, phase-fixed vectors.
+    """Eigenvalues sorted descending plus orthonormal vectors, phase-fixed on first read.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; for a (T, d, d)
-    stack both carry a leading time axis, as does ``entries``, the matrix
-    diagonalized.  Phase fix: the largest-magnitude component of each
-    vector is real and nonnegative.  Within a degenerate cluster (eigenvalue
-    spacing < 1e-9 * ||A||) the vectors are an arbitrary orthonormal basis
-    of the cluster subspace, so comparisons across decompositions must use
-    subspace metrics there.  ``off_diagonal_residual``, computed on first
-    read, is ||offdiag(V^H A V)||_F / ||A||_F (0 for the zero matrix), the
-    largest one over a stack.
+    ``unphased_vectors[:, k]``, with LAPACK's phase, belongs to ``eigenvalues[k]``; for a (T, d, d)
+    stack both carry a leading time axis, as does ``entries``, the matrix diagonalized.
+    ``eigenvectors``, computed on first read, has each phase-fixed by ``_phase_fix``: its
+    largest-magnitude component is real and nonnegative.  Within a degenerate cluster (eigenvalue
+    spacing < 1e-9 * ||A||) the vectors are an arbitrary orthonormal basis of the cluster subspace,
+    so comparisons across decompositions must use subspace metrics there.
+    ``off_diagonal_residual``, computed on first read, is ||offdiag(V^H A V)||_F / ||A||_F (0 for
+    the zero matrix), the largest one over a stack, with V unphased: no phase changes it.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    unphased_vectors: np.ndarray
     entries: np.ndarray = field(repr=False)
 
     @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return _phase_fix(self.unphased_vectors)
+
+    @functools.cached_property
     def off_diagonal_residual(self) -> float:
-        vecs, entries = self.eigenvectors, self.entries
+        vecs, entries = self.unphased_vectors, self.entries
         rotated = np.swapaxes(vecs.conj(), -1, -2) @ entries @ vecs
         diag = np.arange(rotated.shape[-1])
         rotated[..., diag, diag] = 0.0
@@ -240,19 +243,16 @@ class EigenDecomposition:
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real and >= 0.
-
-    Works on the last two axes, so one call fixes a whole stack; a zero
-    column is left alone.
-    """
+    """A copy with each column rotated (one complex multiply) so its largest-magnitude entry is real
+    and >= 0, over the last two axes, so one call fixes a whole stack; a zero column is left alone."""
     out = np.array(vectors, dtype=complex)
-    row = np.argmax(np.abs(out), axis=-2)[..., None, :]
-    piv = np.take_along_axis(out, row, axis=-2)
+    flat = out.reshape(-1, *out.shape[-2:])
+    pivots = np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=1), np.arange(flat.shape[2])
+    piv = flat[pivots]
     size = np.hypot(piv.real, piv.imag)  # the rounding of abs() on one complex
     nonzero = size > 0.0
-    out *= np.where(nonzero, np.conj(piv) / np.where(nonzero, size, 1.0), 1.0)
-    # kill the residual imaginary dust
-    np.put_along_axis(out, row, np.where(nonzero, size, piv), axis=-2)
+    flat *= np.where(nonzero, np.conj(piv) / np.where(nonzero, size, 1.0), 1.0)[:, None, :]
+    flat[pivots] = np.where(nonzero, size, piv)  # kill the residual imaginary dust
     return out
 
 
@@ -264,8 +264,8 @@ def eigh(a) -> EigenDecomposition:
     ``HermitianMatrix`` are stacked unchecked, any other stack is checked once; ragged
     input raises ``ValidationError``.  A stack goes to LAPACK in one ``np.linalg.eigh``
     call, with the same values as one call per matrix.  LAPACK's ascending eigenvalues
-    are reversed to descending order and the vectors get the ``_phase_fix`` convention.
-    A LAPACK failure to converge raises ``ConvergenceError``.
+    are reversed to descending order, and so are its vectors, whose phase convention is
+    applied on the first read of ``eigenvectors``.  A LAPACK failure raises ``ConvergenceError``.
     """
     if isinstance(a, (HermitianMatrix, DensityFamily)):
         entries = a.entries
@@ -280,7 +280,7 @@ def eigh(a) -> EigenDecomposition:
         values, vecs = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
-    return EigenDecomposition(values[..., ::-1].copy(), _phase_fix(vecs[..., ::-1]), entries)
+    return EigenDecomposition(values[..., ::-1].copy(), vecs[..., ::-1].copy(), entries)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, fa, fm, fb, depth: int):

@@ -11,8 +11,8 @@ envelope) / (eigenvalue gap of rho_P), which is not a bound.
 Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
 over the grid, one ``eigh`` per family, which checks each stack at most once
 (rho_P is a ``DensityFamily``, checked when formed), one batched product for
-the overlaps, one greedy match over that stack, and one envelope call.
-Per-time results are record arrays of those (T,) columns.
+the overlaps of its unphased vectors, one greedy match over that stack, and
+one envelope call.  Per-time results are record arrays of those (T,) columns.
 
 The bi-partite scenario at the end runs two commuting subsystems whose
 observables each see only their own pole content, so one part can look
@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityFamily, _time_grid, eigh
+from .numerics import DensityFamily, _phase_fix, _time_grid, eigh
 from .pole_models import (
     CatalogueMatrix,
     PoleCatalogue,
@@ -67,13 +67,14 @@ def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
     *lead, d, _ = np.shape(overlaps)
     flat = np.array(overlaps, dtype=float).reshape(math.prod(lead), d, d)
     perm = np.full(flat.shape[:-1], -1, dtype=np.intp)
+    mats = np.arange(len(flat))[:, None]
     while True:
         open_rows = perm < 0
         if not open_rows.any():
             return perm.reshape(*lead, d)
         best_col = np.argmax(flat, axis=2)  # per row; struck entries hold -1 < every overlap
         best_row = np.argmax(flat, axis=1)  # per column
-        dominant = open_rows & (np.take_along_axis(best_row, best_col, axis=1) == np.arange(d))
+        dominant = open_rows & (best_row[mats, best_col] == np.arange(d))
         k, i = np.nonzero(dominant)
         j = best_col[k, i]
         perm[k, i] = j
@@ -106,20 +107,18 @@ class MovingBasis:
 def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     """Diagonalize a time-indexed family with eigenvector continuity.
 
-    ``rho_of_t`` is a ``DensityFamily``, a list or tuple of matrices (DensityMatrix,
-    HermitianMatrix or plain Hermitian arrays) or one (T, d, d) array, aligned with
-    ``grid``.  It goes to one ``eigh`` as it is (checked once unless it is a family or
-    all its members are checked), and each step is matched by ``_greedy_match``;
-    an exact tie between rows goes to the earlier column in the previous
-    ``eigh`` order, not in track order.
-    After matching, each eigenvector's phase is fixed so its overlap with
-    the previous time step is real and nonnegative, keeping the angle
-    between consecutive matched vectors below pi/2; a vector whose overlap
-    with its predecessor vanishes keeps the phase it had.
+    ``rho_of_t``, one matrix per point of ``grid`` in a form ``eigh`` stacks (a ``DensityFamily``, a
+    list or tuple of members, or one (T, d, d) array), goes to one ``eigh`` as it is, and each step
+    is matched by ``_greedy_match``; an exact tie between rows goes to the earlier column in the
+    previous ``eigh`` order, not in track order.  The first point's vectors get ``eigh``'s phase
+    convention; each later one is LAPACK's times one phase, from the step overlaps, so its overlap
+    with the previous time step is real and nonnegative, keeping the angle between consecutive
+    matched vectors below pi/2; a track whose overlap with its predecessor vanishes keeps its phase.
     """
     t = _time_grid(grid)
     dec = _family_eigh(rho_of_t, t)
-    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    vals, vecs = dec.eigenvalues, dec.unphased_vectors.copy()
+    vecs[0] = _phase_fix(vecs[0])
     steps = np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]  # <v_i(t_k-1)|v_j(t_k)>
     match = _greedy_match(np.abs(steps))
 
@@ -131,19 +130,21 @@ def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
 
     # each step turns a track by conj(overlap) / |overlap|, rounded as one
     # Python complex divided by its abs(): a real overlap turns it by exactly +-1
-    inner = steps[np.arange(t.size - 1)[:, None], track[:-1], track[1:]]
+    points = np.arange(t.size)[:, None]
+    inner = steps[points[:-1], track[:-1], track[1:]]
     size = np.hypot(inner.real, inner.imag)
     moved = size > 0.0
     turn = np.where(moved, inner.conj(), 1.0)
     np.divide(turn.real, size, out=turn.real, where=moved)
     np.divide(turn.imag, size, out=turn.imag, where=moved)
-    phase = np.cumprod(np.concatenate([np.ones((1, vals.shape[1])), turn]), axis=0)
+    tracked = np.swapaxes(vecs, 1, 2)[points, track]  # [k, i]: track i's vector at t_k, contiguous
+    tracked[1:] *= np.cumprod(turn, axis=0)[:, :, None]
     gaps = vals[:, :-1] - vals[:, 1:]  # eigh's values descend
     degenerate = t[np.min(gaps, axis=1, initial=math.inf) < _GAP_TOL]
     return MovingBasis(
         times=t,
-        eigenvalues=np.take_along_axis(vals, track, axis=1),
-        eigenvectors=np.take_along_axis(vecs, track[:, None, :], axis=2) * phase[:, None, :],
+        eigenvalues=vals[points, track],
+        eigenvectors=np.swapaxes(tracked, 1, 2),
         degenerate_times=tuple(degenerate.tolist()),
     )
 
@@ -187,7 +188,7 @@ def convergence_profile(
     ``profile[k]`` the row at the k-th grid point.  Each family takes the forms and the one
     ``eigh`` of ``moving_eigenbasis`` (a ``DensityFamily`` is not checked again); its decompositions
     are paired at each time by ``_greedy_match``, untracked: relabeling columns permutes the overlap
-    matrix (same pairs, up to exact ties), phases drop out of the moduli,
+    matrix (same pairs, up to exact ties), phases drop out of the moduli, so none is fixed,
     and the gap is taken between eigh's descending eigenvalues.  The grid must lie in
     t >= 0 and reach at least 3 t_D so the post-decoherence regime is
     actually sampled.  ``envelope`` turns on the ``bound`` column, the
@@ -210,13 +211,12 @@ def convergence_profile(
     if dec_r.eigenvalues.shape[1] != dec_p.eigenvalues.shape[1]:
         raise ValidationError("the two families have different dimensions")
 
-    overlaps = np.abs(np.swapaxes(dec_p.eigenvectors.conj(), -1, -2) @ dec_r.eigenvectors)
+    overlaps = np.abs(np.swapaxes(dec_p.unphased_vectors.conj(), -1, -2) @ dec_r.unphased_vectors)
     perm = _greedy_match(overlaps)
-    matched = np.minimum(1.0, np.take_along_axis(overlaps, perm[..., None], axis=-1)[..., 0])
+    points = np.arange(t.size)[:, None]
+    matched = np.minimum(1.0, overlaps[points, np.arange(perm.shape[1]), perm])
     angles = np.max(np.arccos(matched), axis=1)
-    val_err = np.max(
-        np.abs(dec_p.eigenvalues - np.take_along_axis(dec_r.eigenvalues, perm, axis=1)), axis=1
-    )
+    val_err = np.max(np.abs(dec_p.eigenvalues - dec_r.eigenvalues[points, perm]), axis=1)
     gaps = np.min(dec_p.eigenvalues[:, :-1] - dec_p.eigenvalues[:, 1:], axis=1, initial=math.inf)
 
     bounds = np.full(t.shape, math.nan)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from decopoles import numerics, preferred_basis
 from decopoles.errors import ValidationError
-from decopoles.numerics import DensityFamily, DensityMatrix, eigh
+from decopoles.numerics import DensityFamily, DensityMatrix, _phase_fix, eigh
 from decopoles.omnes import (
     OmnesConfig,
     build_density_matrix,
@@ -637,6 +638,48 @@ class TestBatchedAgainstLoop:
         rho_r = [cm.evaluate(t) for t in grid]
         got = convergence_profile(rho_r, rho_p, grid, t_D=0.1)
         self.assert_same_profile(got, loop_convergence_profile(rho_r, rho_p, grid))
+
+
+class TestPhaseOnFirstRead:
+    """``eigh`` fixes phases only when ``eigenvectors`` is read; the profile never reads it."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return frame_stack()
+
+    def test_profile_fixes_no_phase(self, frame, monkeypatch):
+        grid, rho_r, rho_p, t_d, env = frame
+        want = convergence_profile(rho_r, rho_p, grid, t_D=t_d, envelope=env)
+
+        def refuse(_):
+            raise AssertionError("convergence_profile fixed a phase")
+
+        monkeypatch.setattr(numerics, "_phase_fix", refuse)
+        got = convergence_profile(rho_r, rho_p, grid, t_D=t_d, envelope=env)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["frame_r", "frame_p", "fock"])
+    def test_eigenvectors_are_phase_fixed_once_on_first_read(self, frame, family, monkeypatch):
+        mats = {"frame_r": frame[1], "frame_p": frame[2], "fock": fock_stack()[1]}[family]
+        dec = eigh(np.stack(mats))
+        values, vecs = np.linalg.eigh(dec.entries)
+        assert dec.eigenvalues.tobytes() == values[..., ::-1].tobytes()
+        assert dec.unphased_vectors.tobytes() == np.ascontiguousarray(vecs[..., ::-1]).tobytes()
+        assert "eigenvectors" not in vars(dec)
+        calls = []
+        monkeypatch.setattr(numerics, "_phase_fix", lambda v: calls.append(v) or _phase_fix(v))
+        first = dec.eigenvectors
+        assert dec.eigenvectors is first and len(calls) == 1
+        assert first.tobytes() == _phase_fix(vecs[..., ::-1]).tobytes()
+
+    def test_lapack_is_reached_through_the_module_name(self, frame, monkeypatch):
+        grid, rho_r, rho_p, t_d, _ = frame
+        calls = []
+        monkeypatch.setattr(preferred_basis, "eigh", lambda a: calls.append(a) or eigh(a))
+        moving_eigenbasis(rho_r, grid)
+        assert len(calls) == 1
+        convergence_profile(rho_r, rho_p, grid, t_D=t_d)
+        assert len(calls) == 3
 
 
 class TestMacroscopicConvergence:

@@ -65,12 +65,14 @@ from decopoles.pole_models import (
     signal_to_csv,
     synthesize,
 )
-from decopoles.preferred_basis import _greedy_match, preferred_state
+from decopoles.preferred_basis import _greedy_match, convergence_profile, moving_eigenbasis, preferred_state
 from test_omnes import (
     EPS, FOCK_ORACLE_TOL, ROOT_HALF, amplitude_damped, coherent_branch, exact_fock_state, frame_f2, frame_tower,
     frame_truncation, oracle_density, rho0_norm,
 )
-from test_preferred_basis import reference_greedy_match
+from test_preferred_basis import (
+    PROFILE_FIELDS, loop_convergence_profile, loop_moving_eigenbasis, reference_greedy_match,
+)
 
 _RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
 _BOUNDARIES = st.sampled_from((BOUNDARY_RELEVANT, BOUNDARY_IRRELEVANT))
@@ -1228,6 +1230,110 @@ class TestStackedEigh:
             one = eigh(mat)
             assert np.array_equal(got.eigenvalues[k], one.eigenvalues)
             assert np.max(np.abs(got.eigenvectors[k] - one.eigenvectors)) <= 1e-14
+
+
+_TIE_P = (0.6, 0.7, 0.8, 0.9)  # diag(p, 1 - p): the larger value first, as eigh orders it
+_TIE_Q = (0.05, 0.1, 0.2, 0.25, 0.4)  # [[1/2, q], [q, 1/2]]: LAPACK's vectors have entries of one modulus
+
+
+def _tie_pool_matrix(kind: str, value: float) -> np.ndarray:
+    if kind == "diagonal":
+        return np.diag([value, 1.0 - value]).astype(complex)
+    return np.array([[0.5, value], [value, 0.5]], dtype=complex)
+
+
+_FAMILY_DIMS = {"random": (2, 5), "pure": (2, 6), "crossing": (2, 4), "repeated": (2, 2)}
+
+
+@st.composite
+def family_shapes(draw, count_min=1):
+    """(kind, d, T) of a ``basis_family``, T = count_min..12."""
+    kind = draw(st.sampled_from(tuple(_FAMILY_DIMS)))
+    return kind, draw(st.integers(*_FAMILY_DIMS[kind])), draw(st.integers(count_min, 12))
+
+
+@st.composite
+def basis_family(draw, kind, d, count):
+    """A (T, d, d) Hermitian family of one kind, as the moving basis meets them.
+
+    * random: independent Hermitian matrices;
+    * pure: rank-one u u^H / |u|^2, whose null space is a degenerate
+      (d - 1)-fold cluster, as on the Fock workload;
+    * crossing: diagonal matrices whose eigenvalues run on lines of
+      lattice slopes, so some cross exactly on a grid point;
+    * repeated: (d = 2) matrices drawn with repetition from diag(p, 1 - p)
+      and [[1/2, q], [q, 1/2]]; the second's vectors have entries of one
+      modulus and the first's are unit vectors, so every step between the
+      two kinds is an exact four-way tie, while eigh's order stays the
+      track order.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        mats = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+        return (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2.0
+    if kind == "pure":
+        u = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+        mats = u[:, :, None] * u[:, None, :].conj()
+        return mats / np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    if kind == "crossing":
+        start, slope = rng.integers(0, 8, d) / 8.0, rng.integers(-4, 5, d) / 16.0
+        lines = start + slope * np.arange(count)[:, None]
+        return np.array([np.diag(line) for line in lines], dtype=complex)
+    pool = [_tie_pool_matrix("diagonal", p) for p in _TIE_P] + [_tie_pool_matrix("symmetric", q) for q in _TIE_Q]
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count)))
+
+
+class TestMovingBasisAgainstLoop:
+    """``moving_eigenbasis`` and ``convergence_profile`` against their per-point loop references.
+
+    The precision contract: eigenvalues, tracks and degenerate times keep the
+    loop's bits, and vectors lie within 1e-14 of its (one phase product
+    where the loop takes two).  Every profile column keeps the loop's bits
+    but the angle.  Both sides take each matched overlap as the modulus of
+    a d-term product of the same LAPACK vectors, which the loop has turned
+    twice, so the two overlaps lie within delta = 4 (d + 2) u of each other,
+    u = 2^-53, and the angles within arccos(1 - delta), the most arccos
+    moves for a change delta in its argument (about 6e-8 at d = 2: at
+    cos = 1 one ulp of the overlap is 1.5e-8 of angle).
+    """
+
+    @staticmethod
+    def assert_basis_as_loop(mats, grid):
+        want_vals, want_vecs, want_degenerate, want_tracks = loop_moving_eigenbasis(mats, grid)
+        got = moving_eigenbasis(mats, grid)
+        assert got.eigenvalues.tobytes() == want_vals.tobytes()
+        assert got.degenerate_times == want_degenerate
+        raw = eigh(mats).eigenvectors
+        tracks = np.argmax(np.abs(np.swapaxes(raw.conj(), -1, -2) @ got.eigenvectors), axis=-2)
+        assert tracks.tolist() == want_tracks.tolist()
+        assert np.max(np.abs(got.eigenvectors - want_vecs)) <= 1e-14
+
+    @settings(deadline=None, max_examples=60)
+    @given(family_shapes().flatmap(lambda shape: basis_family(*shape)))
+    def test_moving_basis(self, mats):
+        self.assert_basis_as_loop(mats, np.linspace(0.0, 1.0, len(mats)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(family_shapes(count_min=2).flatmap(lambda shape: st.tuples(basis_family(*shape), basis_family(*shape))))
+    def test_profile(self, families):
+        rho_r, rho_p = families
+        grid = np.linspace(0.0, 1.0, len(rho_r))
+        envelope = lambda t: 1e-3 / (1.0 + t)
+        got = convergence_profile(rho_r, rho_p, grid, t_D=0.1, envelope=envelope)
+        want = loop_convergence_profile(rho_r, rho_p, grid, envelope)
+        for name in PROFILE_FIELDS:
+            if name != "subspace_angle":
+                assert got[name].tobytes() == want[name].astype(got[name].dtype).tobytes(), name
+        delta = 4 * (rho_r.shape[-1] + 2) * 2.0**-53
+        assert np.max(np.abs(got.subspace_angle - want["subspace_angle"])) <= math.acos(1.0 - delta)
+
+    def test_repeated_pool_ties_exactly(self):
+        # the repeated family's premise: a step between the two kinds ties all four overlaps
+        for p in _TIE_P:
+            for q in _TIE_Q:
+                vecs = eigh(np.array([_tie_pool_matrix("diagonal", p), _tie_pool_matrix("symmetric", q)]))
+                step = np.abs(vecs.unphased_vectors[0].conj().T @ vecs.unphased_vectors[1])
+                assert np.unique(step).size == 1, (p, q)
 
 
 def reference_hermitian_average(a):

@@ -9,10 +9,10 @@ builds the truncated signal used as the preferred (post-decoherence)
 trajectory.
 
 Width convention: a stored ``gamma`` is always the e-folding rate of the
-mode's envelope, i.e. the mode decays as exp(-gamma t / hbar).  Catalogues
-assembled from pole pairs map a pair (z_i, z_j) with z = omega - i gamma/2
-onto a single mode with envelope rate (gamma_i + gamma_j) / 2 and beat
-frequency omega_j - omega_i; see ``PoleCatalogue.from_pole_pairs``.
+mode's envelope, i.e. the mode decays as exp(-gamma t / hbar).  A pair of
+poles (z_i, z_j) with z = omega - i gamma/2 is one mode with envelope rate
+(gamma_i + gamma_j) / 2 and beat frequency omega_j - omega_i, that is
+``Pole(omega_j - omega_i, (gamma_i + gamma_j) / 2)``.
 """
 
 from __future__ import annotations
@@ -114,27 +114,26 @@ class Mode:
         object.__setattr__(self, "amplitude", amp)
 
 
-def _canonical_modes(modes) -> tuple:
-    out = []
-    for entry in modes:
-        if not isinstance(entry, Mode):
-            pole, amp = entry
-            entry = Mode(pole if isinstance(pole, Pole) else Pole(*pole), amp)
-        out.append(entry)
-    parts = lambda m: (m.pole.gamma, m.pole.omega, m.amplitude.real, m.amplitude.imag)
-    out.sort(key=lambda m: [(x, math.copysign(1.0, x)) for x in parts(m)])  # -0.0 before 0.0
-    return tuple(out)
+def _as_mode(entry) -> Mode:
+    """A catalogue entry as a ``Mode``: a ``Mode``, ``(Pole, amp)`` or ``((omega, gamma), amp)``."""
+    if isinstance(entry, Mode):
+        return entry
+    pole, amp = entry
+    return Mode(pole if isinstance(pole, Pole) else Pole(*pole), amp)
 
 
 @dataclass(frozen=True)
 class PoleCatalogue:
     """Equilibrium value, decaying modes, optional background tail.
 
-    Modes are stored sorted ascending by gamma (canonical order, so any
-    input permutation synthesizes identically).  At least one mode or a
-    tail must be present.  A catalogue is its data: each mode's stored
-    omega is the frequency ``synthesize(..., rendering='full')`` rotates
-    it at, however the catalogue was built.
+    Modes are stored in canonical order, so any input permutation
+    synthesizes identically: ascending by gamma, then omega, then the
+    amplitude's real and imaginary part, with -0.0 before 0.0 at each key.
+    Alongside ``modes`` the same order is held as columns: ``gammas`` (a
+    tuple of floats) and ``amplitudes`` (a read-only complex (K,) array).
+    At least one mode or a tail must be present.  A catalogue is its data:
+    each mode's stored omega is the frequency ``synthesize(...,
+    rendering='full')`` rotates it at, however the catalogue was built.
     """
 
     equilibrium: float
@@ -147,33 +146,22 @@ class PoleCatalogue:
         if not math.isfinite(self.equilibrium):
             raise ValidationError("equilibrium must be finite")
         object.__setattr__(self, "hbar", _require_positive("hbar", self.hbar))
-        object.__setattr__(self, "modes", _canonical_modes(self.modes))
+        modes = [_as_mode(entry) for entry in self.modes]
+        omegas = np.array([m.pole.omega for m in modes], dtype=float)
+        gammas = np.array([m.pole.gamma for m in modes], dtype=float)
+        amps = np.array([m.amplitude for m in modes], dtype=complex)
+        # the last key sorts first; each value's ~signbit breaks its tie, -0.0 before 0.0
+        order = np.lexsort([k for col in (amps.imag, amps.real, omegas, gammas) for k in (~np.signbit(col), col)])
+        amps = amps[order]
+        amps.setflags(write=False)
+        object.__setattr__(self, "modes", tuple(modes[i] for i in order.tolist()))
+        object.__setattr__(self, "gammas", tuple(gammas[order].tolist()))
+        object.__setattr__(self, "_omegas", omegas[order])
+        object.__setattr__(self, "amplitudes", amps)
         if not self.modes and self.khalfin is None:
             raise ValidationError("catalogue needs at least one mode or a Khalfin tail")
         if self.khalfin is not None and not isinstance(self.khalfin, KhalfinTail):
             raise ValidationError("khalfin must be a KhalfinTail")
-
-    @classmethod
-    def from_pole_pairs(cls, pairs, equilibrium=0.0, khalfin=None, hbar=1.0):
-        """Build a catalogue from (pole_i, pole_j, amplitude) cross terms.
-
-        Each pair contributes one mode decaying at (gamma_i + gamma_j) / 2
-        whose phase rotates at the beat frequency omega_j - omega_i; the
-        result is a plain catalogue of those modes.
-        """
-        modes = []
-        for pi, pj, amp in pairs:
-            modes.append(
-                Mode(
-                    Pole(pj.omega - pi.omega, 0.5 * (pi.gamma + pj.gamma)),
-                    amp,
-                )
-            )
-        return cls(equilibrium, tuple(modes), khalfin, hbar)
-
-    @property
-    def gammas(self) -> tuple:
-        return tuple(m.pole.gamma for m in self.modes)
 
 
 @dataclass(frozen=True)
@@ -255,21 +243,21 @@ def synthesize(cat: PoleCatalogue, grid, rendering: str = "envelope") -> Signal:
     exp(-i omega_i t / hbar), at the stored omega of any catalogue.
     ``grid`` must be a nonempty 1-D array.
     """
-    return _mode_sum(cat, grid, rendering, cat.modes)
+    return _mode_sum(cat, grid, rendering, slice(None))
 
 
-def _mode_sum(cat: PoleCatalogue, grid, rendering: str, modes) -> Signal:
-    """Equilibrium + ``modes`` (of ``cat``) + tail, on a checked grid and rendering."""
+def _mode_sum(cat: PoleCatalogue, grid, rendering: str, modes: slice) -> Signal:
+    """Equilibrium + the ``modes`` slice of ``cat``'s modes + tail, on a checked grid and rendering."""
     t = _time_grid(grid)
     if rendering not in ("envelope", "full"):
         raise ValidationError(f"unknown rendering {rendering!r}")
     values = np.full(t.shape, complex(cat.equilibrium), dtype=complex)
     tail = None if cat.khalfin is None else cat.khalfin(t)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range: Signal rejects it
-        for mode in modes:
-            term = mode.amplitude * np.exp(-mode.pole.gamma * t / cat.hbar)
+        for amp, gamma, omega in zip(cat.amplitudes[modes].tolist(), cat.gammas[modes], cat._omegas[modes].tolist()):
+            term = amp * np.exp(-gamma * t / cat.hbar)
             if rendering == "full":
-                term = term * np.exp(-1j * mode.pole.omega * t / cat.hbar)
+                term = term * np.exp(-1j * omega * t / cat.hbar)
             values += term
         if tail is not None:
             values += tail
@@ -411,7 +399,7 @@ def decoherence_time(
     See :func:`partition_report` for the rule and boundary semantics; the
     catalogue's sorted widths and hbar are used.
     """
-    if not cat.modes:
+    if not cat.gammas:
         raise ValidationError("catalogue has no poles to partition")
     return partition_report(cat.gammas, cat.hbar, rule, boundary)
 
@@ -467,7 +455,7 @@ def preferred_signal(
     as the decohered trajectory only past the report's t_D.
     """
     check_report_matches(cat, report)
-    return _mode_sum(cat, grid, rendering, cat.modes[: report.cut])
+    return _mode_sum(cat, grid, rendering, slice(report.cut))
 
 
 @dataclass(frozen=True)
@@ -504,13 +492,13 @@ def coincidence_check(
     full, kept = signal.values[mask], preferred.values[mask]
     deviation = float(np.max(np.abs(full - kept)))
     bound = 0.0
-    for mode in cat.modes[report.cut :]:
-        bound += abs(mode.amplitude) * math.exp(-mode.pole.gamma * report.t_D / cat.hbar)
+    for amp, gamma in zip(cat.amplitudes[report.cut :].tolist(), cat.gammas[report.cut :]):
+        bound += abs(amp) * math.exp(-gamma * report.t_D / cat.hbar)
     # each trajectory is a sum of equilibrium, modes and tail, rounded once per term
     # to an ulp of a partial sum, which the terms' sizes at t >= 0 bound
-    terms = [cat.equilibrium, cat.khalfin.amplitude if cat.khalfin else 0.0] + [m.amplitude for m in cat.modes]
+    terms = [cat.equilibrium, cat.khalfin.amplitude if cat.khalfin else 0.0] + cat.amplitudes.tolist()
     scale = max(float(np.max(np.abs(full))), float(np.max(np.abs(kept))), sum(map(abs, terms)))
-    rounding = (len(cat.modes) + 2) * float(np.spacing(scale))
+    rounding = len(terms) * float(np.spacing(scale))
     passed = deviation <= bound * (1.0 + _REL_SLACK) + rounding or deviation == 0.0
     return CoincidenceResult(deviation, bound, passed, report.t_D)
 
@@ -752,7 +740,7 @@ def _read_catalogue(doc: dict, path: str, other_keys=(), tail_only_ok=True) -> P
     """
     _reject_unknown(doc, path, ("modes",) + _CATALOGUE_KEYS + other_keys)
     raw = _field(doc, path, "modes")
-    if not isinstance(raw, list) or not (raw or (tail_only_ok and doc.get("khalfin") is not None)):
+    if not isinstance(raw, list) or not (raw or (tail_only_ok and _field(doc, path, "khalfin", None) is not None)):
         raise ValidationError(f"{path}.modes: expected a nonempty array of mode objects")
     modes = []
     for i, entry in enumerate(raw):
@@ -768,13 +756,8 @@ def catalogue_to_json(cat: PoleCatalogue) -> str:
         "hbar": cat.hbar,
         "equilibrium": cat.equilibrium,
         "modes": [
-            {
-                "omega": m.pole.omega,
-                "gamma": m.pole.gamma,
-                "amp_re": m.amplitude.real,
-                "amp_im": m.amplitude.imag,
-            }
-            for m in cat.modes
+            {"omega": omega, "gamma": gamma, "amp_re": amp.real, "amp_im": amp.imag}
+            for omega, gamma, amp in zip(cat._omegas.tolist(), cat.gammas, cat.amplitudes.tolist())
         ],
         "khalfin": None
         if cat.khalfin is None

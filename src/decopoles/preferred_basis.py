@@ -258,7 +258,7 @@ class BiFriedrichModel:
 
     def relaxation_time(self, which) -> float:
         cat = self.part(which)
-        if not cat.modes:
+        if not cat.gammas:
             return 0.0
         return cat.hbar / cat.gammas[0]
 

@@ -1,5 +1,6 @@
 """Catalogue construction, timescales, partitioning, serialization."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -112,11 +113,26 @@ class TestBuildingBlocks:
             (Mode(Pole(0.0, 5.0), 1.0), Mode(Pole(0.0, 0.1), 3.0), Mode(Pole(0.0, 1.0), 2.0)),
         )
         assert cat.gammas == (0.1, 1.0, 5.0)
+        assert all(type(g) is float for g in cat.gammas)
+        # the amplitude column is read-only and sorted with the modes
+        assert cat.amplitudes.dtype == complex and cat.amplitudes.shape == (3,)
+        assert cat.amplitudes.tolist() == [m.amplitude for m in cat.modes] == [3.0, 2.0, 1.0]
+        with pytest.raises(ValueError):
+            cat.amplitudes[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cat.modes = ()
 
     def test_modes_accept_bare_tuples(self):
         cat = PoleCatalogue(0.0, ((Pole(0.0, 2.0), 1.5), ((1.0, 0.5), 2.5)))
         assert cat.gammas == (0.5, 2.0)
         assert cat.modes[0].amplitude == 2.5
+        # all three input forms, in either order, make one catalogue
+        for modes in (
+            (Mode(Pole(0.0, 2.0), 1.5), Mode(Pole(1.0, 0.5), 2.5)),
+            (((1.0, 0.5), 2.5), (Pole(0.0, 2.0), 1.5)),
+        ):
+            other = PoleCatalogue(0.0, modes)
+            assert other == cat and hash(other) == hash(cat)
 
 
 class TestSynthesize:
@@ -176,8 +192,6 @@ class TestSynthesize:
         full = synthesize(cat, [1.0], rendering="full")
         want = 2 * math.exp(-0.4) * complex(math.cos(2.0), -math.sin(2.0))
         assert full.values[0] == pytest.approx(want, rel=1e-14)
-        pairs = PoleCatalogue.from_pole_pairs([(Pole(1.0, 0.2), Pole(3.0, 0.6), 2.0)])
-        assert synthesize(pairs, [1.0], rendering="full").values[0] == full.values[0]
 
     def test_unknown_rendering(self):
         with pytest.raises(ValidationError):
@@ -208,19 +222,6 @@ class TestSynthesize:
             with pytest.raises(ValidationError) as err:
                 build()
             assert str(err.value) == "signal contains NaN or Inf"
-
-    def test_pair_product_beat(self):
-        zi = Pole(1.0, 0.2)
-        zj = Pole(3.0, 0.6)
-        cat = PoleCatalogue.from_pole_pairs([(zi, zj, 2.0)])
-        mode = cat.modes[0]
-        assert mode.pole.gamma == pytest.approx(0.4)
-        assert mode.pole.omega == pytest.approx(2.0)
-        env = synthesize(cat, [1.0])
-        assert env.values[0] == pytest.approx(2 * math.exp(-0.4), rel=1e-15)
-        full = synthesize(cat, [1.0], rendering="full")
-        want = 2 * math.exp(-0.4) * complex(math.cos(2.0), -math.sin(2.0))
-        assert full.values[0] == pytest.approx(want, rel=1e-14)
 
 
 class TestSignal:
@@ -1014,6 +1015,8 @@ class TestSerialization:
         modes = [Mode(Pole(-0.0, 1.0), complex(0.0, -0.0)), Mode(Pole(0.0, 1.0), -0.0j)]
         texts = {catalogue_to_json(PoleCatalogue(0.0, tuple(m))) for m in (modes, modes[::-1])}
         assert len(texts) == 1
+        # and the mode whose omega is -0.0 is written first
+        assert [math.copysign(1.0, m["omega"]) for m in json.loads(texts.pop())["modes"]] == [-1.0, 1.0]
 
     def test_json_null_tail(self):
         cat = figure_catalogue()

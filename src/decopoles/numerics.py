@@ -137,8 +137,8 @@ class HermitianMatrix:
 class DensityMatrix(HermitianMatrix):
     """Hermitian, trace-one complex matrix (positivity is the caller's task).
 
-    Construction enforces Hermiticity and unit trace to 1e-12, as ``_formed_density``
-    does for the pure states ``omnes`` forms from their vectors; positive semidefiniteness
+    Construction enforces Hermiticity and unit trace to 1e-12 (``_formed_density``'s pure states
+    meet a tighter trace bound by construction); positive semidefiniteness
     is a property of how the matrix was built (u u^H / tr is by construction) and can be audited
     with ``min_eigenvalue``, one values-only LAPACK call (no eigenvectors, phases or residual).
     """
@@ -183,11 +183,13 @@ def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
     Any other finite u is first scaled by a power of two (exact, rho unchanged) to a largest part in
     [1/2, 1): below, products of u's parts may be subnormal, keeping too few bits; above, 1 / tr may be
     subnormal or the products and their fsum may overflow.  Then the one product and its fsum trace,
-    the ``_halved`` average in the product's own buffer and the check that
-    the fsum of its real diagonal is 1 within 1e-12.  Each part of rho_ij lies within
+    and the ``_halved`` average in the product's own buffer.  Each part of rho_ij lies within
     gamma_8 |u_i| |u_j| / |u|^2 + (d + 2) 2^-113 of exact, gamma_k = k 2^-53 / (1 - k 2^-53): gamma_2
     per product, gamma_3 on tr, two roundings in the division (a multiply by the rounded 1 / tr) and one
-    in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-960.
+    in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-960.  The unit
+    trace is by construction, not a check: rho_ii is the product's rounded s_i = |u_i|^2 times the rounded
+    1 / tr, tr the correctly rounded sum of the same s_i, and the average keeps it, so the fsum of rho's
+    real diagonal lies within gamma_4 + d 2^-1074 of 1.
     """
     size = abs(u.view(float))
     top = size[size.argmax()]
@@ -201,14 +203,11 @@ def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
     mat /= math.fsum(mat.real.diagonal().tolist())
     mat += mat.T.conj()
     h = _halved(mat)
-    tr = math.fsum(h.real.diagonal().tolist())
-    if abs(tr - 1.0) > 1e-12:
-        raise ValidationError(f"trace is {tr!r}, expected 1 within 1e-12")
     h.setflags(write=False)
     return _as_density(h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as on HermitianMatrix
 class EigenDecomposition:
     """Eigenvalues sorted descending plus orthonormal vectors, phase-fixed on first read.
 

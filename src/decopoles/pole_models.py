@@ -164,16 +164,16 @@ class PoleCatalogue:
             raise ValidationError("khalfin must be a KhalfinTail")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as on numerics.HermitianMatrix
 class Signal:
-    """Sampled trajectory on a strictly increasing uniform time grid."""
+    """Sampled trajectory on a strictly increasing uniform time grid: read-only copies of its inputs."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
+        t = np.array(self.times, dtype=float)
+        v = np.array(self.values, dtype=complex)
         if t.ndim != 1 or t.size == 0:
             raise ValidationError("times must be a nonempty 1-D array")
         if v.shape != t.shape:
@@ -396,11 +396,10 @@ def decoherence_time(
 ) -> TimescaleReport:
     """Derive t_R, t_D and the mode partition for a catalogue.
 
-    See :func:`partition_report` for the rule and boundary semantics; the
+    See :func:`partition_report` for the rule and boundary semantics and for
+    the errors, a tail-only catalogue's empty widths among them; the
     catalogue's sorted widths and hbar are used.
     """
-    if not cat.gammas:
-        raise ValidationError("catalogue has no poles to partition")
     return partition_report(cat.gammas, cat.hbar, rule, boundary)
 
 

@@ -82,7 +82,7 @@ def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
         flat[k, :, j] = -1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as on numerics.HermitianMatrix
 class MovingBasis:
     """Continuity-matched eigendecompositions along a time grid.
 
@@ -268,7 +268,7 @@ def observable_signal(model: BiFriedrichModel, which, grid) -> Signal:
     return synthesize(model.part(which), grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as on numerics.HermitianMatrix
 class BiFriedrichResult:
     """Both signals, both t_R, and ``verdicts``: a (T,) record array with fields
     ``t``, ``part1_state`` and ``part2_state``, each 'classical' or 'quantum'."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -633,8 +634,9 @@ def _open_defect(case_id, reason):
 class TestOpenContractDefects:
     """Open defects of the CLI contract, each pinned as a strict expected failure, so a run's log lists
     them by id and a mend makes its case pass, which fails until its marker goes.  The contract: an
-    input the library cannot serve exits 2 or 3, its last stderr line reads ``config error: ...`` or
-    ``numeric failure: ...``, and no output directory is made."""
+    input the library cannot serve exits 2 or 3, its last stderr line reads ``config error: ...``,
+    naming a ``params.``, ``grid.``, ``config.`` or ``--out`` path, or ``numeric failure: ...``, and no
+    output directory is made."""
 
     GRID = {"t_max": 10.0, "n_points": 41}
     DENSITY = {"N": 50, "L0": 1.0}  # an omnes run that takes its pole from a spectral density
@@ -669,6 +671,12 @@ class TestOpenContractDefects:
                 **_open_defect("F9-ohmic", "principal_value_integral raises ZeroDivisionError"),
             ),
             pytest.param(
+                "omnes",
+                {"scenario": "omnes", "grid": GRID, "params": dict(DENSITY, L0=2.0, L0_sweep=[2.0], spectral_density={
+                    "kind": "lorentzian", "omega0": 0.7, "center": 0.6, "width": 1e-3, "weight": 1e308})},
+                **_open_defect("F9-weight", "the density's peak overflows: its config error names no field"),
+            ),
+            pytest.param(
                 "extract", {"scenario": "extract", "params": {"input_csv": "far.csv", "model_order": 1}},
                 **_open_defect("FOUND-far-grid", "e^-(t - 800) on [800, 810] exits 0 with amp_re 0.0"),
             ),
@@ -682,6 +690,7 @@ class TestOpenContractDefects:
         last = capsys.readouterr().err.splitlines()[-1:]
         assert code in (2, 3)
         assert last and last[0].startswith("config error: " if code == 2 else "numeric failure: ")
+        assert code == 3 or re.search(r"\b(params|grid|config)\.|--out\b", last[0])
         assert not (tmp_path / "out").exists()
 
 
@@ -774,6 +783,14 @@ class TestConfigErrors:
             capsys,
             {"scenario": "model1", "grid": {"t_max": 1.0, "n_points": 1}, "params": {"gamma0": 1.0}},
             "config.grid.n_points",
+        )
+
+    def test_fractional_grid_size(self, tmp_path, capsys):
+        self.check(
+            tmp_path,
+            capsys,
+            {"scenario": "model1", "grid": {"t_max": 1.0, "n_points": 2.5}, "params": {"gamma0": 1.0}},
+            "config error: config.grid.n_points: expected an integer, got 2.5\n",
         )
 
     def test_unknown_param(self, tmp_path, capsys):
@@ -1079,11 +1096,38 @@ class TestSingleBadFieldDiagnostics:
                 {"modes": [], "khalfin": {"amplitude": 0.3}},
                 "params.modes: expected a nonempty array of mode objects",
             ),
+            (
+                "model3",
+                {"modes": [{"gamma": 1.0}], "rule": "fastest"},
+                "params.rule: must be one of ['background-only', 'second-smallest-gamma', 'slowest-only'], "
+                "got 'fastest'",
+            ),
+            (
+                "model3",
+                {"modes": [{"gamma": 1.0}], "rule": 3},
+                "params.rule: expected a string, got 3",
+            ),
+            ("omnes", {"N": "50", "L0": 1.0}, "params.N: expected an integer, got '50'"),
+            (
+                "omnes",
+                {"N": 50, "L0": 1.0, "L0_sweep": 10.0},
+                "params.L0_sweep: expected a nonempty array of lengths",
+            ),
+            (
+                "extract",
+                {"input_csv": "signal.csv", "model_order": 2.0},
+                "params.model_order: expected an integer, got 2.0",
+            ),
+            (3, {"gamma0": 1.0}, "config.scenario: expected a string, got 3"),
         ],
     )
     def test_exact_line(self, tmp_path, capsys, scenario, params, line):
-        cfg = write_config(tmp_path, {"scenario": scenario, "grid": self.GRID, "params": params})
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        doc = {"scenario": scenario, "params": params}
+        if scenario != "extract":  # extract reads its grid from its input CSV
+            doc["grid"] = self.GRID
+        subcommand = scenario if scenario in ("omnes", "extract") else "simulate"
+        cfg = write_config(tmp_path, doc)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
 
     @pytest.mark.parametrize(

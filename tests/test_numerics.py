@@ -27,6 +27,8 @@ from decopoles.numerics import (
     principal_value_integral,
 )
 from decopoles.omnes import OmnesConfig, build_density_matrix
+from decopoles.pole_models import Pole, PoleCatalogue, synthesize
+from decopoles.preferred_basis import BiFriedrichModel, bifriedrich_run, moving_eigenbasis
 
 
 def reconstruct(dec):
@@ -176,9 +178,13 @@ class TestDensityMatrix:
         assert str(err.value) == "trace is inf, expected 1 within 1e-12"
 
 
+ONE_POLE = PoleCatalogue(0.0, ((Pole(0.0, 1.0), 1.0 + 0j),))
+THREE_TIMES = np.linspace(0.0, 1.0, 3)
+
+
 class TestIdentityEquality:
-    """The matrix types compare and hash by identity: a generated == over an ndarray field would
-    raise, and a frozen one with eq would not hash."""
+    """The records that hold arrays compare and hash by identity: a generated == over an ndarray
+    field would raise, and a frozen one with eq would not hash."""
 
     @pytest.mark.parametrize("make", [HermitianMatrix, DensityMatrix, lambda m: DensityFamily(m[None])[0]],
                              ids=["hermitian", "density", "family-view"])
@@ -190,6 +196,22 @@ class TestIdentityEquality:
         assert rho in [rho] and rho not in [twin]
         assert {rho, rho, twin} == {rho, twin} and len({rho, twin}) == 2
         assert hash(rho) == hash(rho) == object.__hash__(rho)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: synthesize(ONE_POLE, THREE_TIMES),
+            lambda: eigh(np.eye(2)),
+            lambda: moving_eigenbasis([np.diag([0.9, 0.1])] * 3, THREE_TIMES),
+            lambda: bifriedrich_run(BiFriedrichModel(ONE_POLE, ONE_POLE), THREE_TIMES),
+        ],
+        ids=["signal", "eigen-decomposition", "moving-basis", "bifriedrich-result"],
+    )
+    def test_array_records_equal_to_themselves_only(self, make):
+        record, twin = make(), make()
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert hash(record) == object.__hash__(record) and len({record, twin}) == 2
 
 
 def density_stack(rng, count, dim):

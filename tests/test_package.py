@@ -136,9 +136,21 @@ def test_cli_child_loads_only_what_its_scenario_runs(tmp_path, subcommand, doc, 
     assert not loaded & absent
 
 
-def test_importing_the_package_loads_no_submodule():
+def fresh_import(probe):
+    """The stdout of ``import sys, decopoles`` then ``probe``, in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(decopoles.__file__))
-    probe = "import sys, decopoles; print(sorted(m for m in sys.modules if m.startswith('decopoles.')))"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert done.stdout == "[]\n"
+    done = subprocess.run([sys.executable, "-c", "import sys, decopoles; " + probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    return done.stdout
+
+
+def test_importing_the_package_loads_no_submodule():
+    # nor numpy: perfbench's setup_s times this import, and numpy's own import would dominate it
+    probe = "print(sorted(m for m in sys.modules if m.startswith('decopoles.')), 'numpy' in sys.modules)"
+    assert fresh_import(probe) == "[] False\n"
+
+
+def test_first_access_to_a_submodule_imports_it():
+    # the package __getattr__'s submodule branch: no import statement names decopoles.omnes
+    probe = "print('decopoles.omnes' in sys.modules, decopoles.omnes is sys.modules['decopoles.omnes'])"
+    assert fresh_import(probe) == "False True\n"

@@ -250,6 +250,16 @@ class TestSignal:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
+    def test_inputs_are_copied_not_frozen(self):
+        grid, values = np.linspace(0.0, 1.0, 11), np.zeros(11, dtype=complex)
+        signals = synthesize(figure_catalogue(), grid), Signal(grid, values)
+        for s in signals:
+            assert s.times is not grid and s.values is not values
+            assert not (s.times.flags.writeable or s.values.flags.writeable)
+        assert grid.flags.writeable and values.flags.writeable
+        grid[0] = 0.5  # the caller's arrays stay the caller's
+        assert [s.times[0] for s in signals] == [0.0, 0.0]
+
 
 class TestCharacteristicTimes:
     def test_model1(self):
@@ -435,9 +445,11 @@ class TestPartition:
         assert rep.hbar == 2.0
 
     def test_decoherence_time_needs_modes(self):
+        # partition_report owns the rule, and its wording, for a tail-only catalogue's empty widths
         cat = PoleCatalogue(0.0, (), KhalfinTail(1.0, 1.0, 3.0))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             decoherence_time(cat)
+        assert str(err.value) == "no poles to partition"
 
 
 class TestReportValidation:
@@ -502,26 +514,31 @@ class TestReportValidation:
         assert str(err.value) == "report cut 4 does not match the catalogue's threshold cut 1 to 3"
 
     @pytest.mark.parametrize(
-        "cut, n_modes, message",
-        [(2, 2, "report partitions 2 modes but the catalogue has 3 modes"),
-         (2, 4, "report partitions 4 modes but the catalogue has 3 modes"),
-         (0, 0, "report partitions 0 modes but the catalogue has 3 modes"),
-         # a partition that cannot be built is named where it is built
-         (-1, 3, "cut must be a nonnegative integer, got -1"),
-         (0, -3, "n_modes must be a nonnegative integer, got -3"),
-         (True, 3, "cut must be a nonnegative integer, got True"),
-         (1, False, "n_modes must be a nonnegative integer, got False"),
-         (np.True_, 3, f"cut must be a nonnegative integer, got {np.True_!r}"),
-         (1.0, 3, "cut must be a nonnegative integer, got 1.0"),
-         (1, 3.0, "n_modes must be a nonnegative integer, got 3.0"),
-         (4, 3, "cut = 4 exceeds n_modes = 3")],
+        "fields, message",
+        [({"cut": 2, "n_modes": 2}, "report partitions 2 modes but the catalogue has 3 modes"),
+         ({"cut": 2, "n_modes": 4}, "report partitions 4 modes but the catalogue has 3 modes"),
+         ({"cut": 0, "n_modes": 0}, "report partitions 0 modes but the catalogue has 3 modes"),
+         # a report that cannot be built is named where it is built
+         ({"cut": -1}, "cut must be a nonnegative integer, got -1"),
+         ({"cut": 0, "n_modes": -3}, "n_modes must be a nonnegative integer, got -3"),
+         ({"cut": True}, "cut must be a nonnegative integer, got True"),
+         ({"cut": 1, "n_modes": False}, "n_modes must be a nonnegative integer, got False"),
+         ({"cut": np.True_}, f"cut must be a nonnegative integer, got {np.True_!r}"),
+         ({"cut": 1.0}, "cut must be a nonnegative integer, got 1.0"),
+         ({"cut": 1, "n_modes": 3.0}, "n_modes must be a nonnegative integer, got 3.0"),
+         ({"cut": 4}, "cut = 4 exceeds n_modes = 3"),
+         ({"rule": "fastest"}, "unknown rule 'fastest'"),
+         ({"boundary": "inclusive"}, "unknown boundary mode 'inclusive'"),
+         ({"t_D": 0.0}, "characteristic times must be positive")],
         ids=["misses-last", "out-of-range", "empty", "negative", "negative-modes", "bool-cut",
-             "bool-modes", "numpy-bool-cut", "float-cut", "float-modes", "cut-past-modes"],
+             "bool-modes", "numpy-bool-cut", "float-cut", "float-modes", "cut-past-modes",
+             "unknown-rule", "unknown-boundary", "zero-t-d"],
     )
-    def test_check_names_the_partitioned_indices(self, cut, n_modes, message):
+    def test_check_names_the_partitioned_indices(self, fields, message):
+        fields = {"t_R": 10.0, "t_D": 1.0, "cut": 2, "n_modes": 3, "rule": RULE_SECOND_SMALLEST, **fields}
         cat = figure_catalogue()
         with pytest.raises(ValidationError) as err:
-            check_report_matches(cat, TimescaleReport(10.0, 1.0, cut, n_modes, RULE_SECOND_SMALLEST))
+            check_report_matches(cat, TimescaleReport(**fields))
         assert str(err.value) == message
 
     def test_integer_cut_of_any_kind_is_kept_as_an_int(self):

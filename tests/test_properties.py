@@ -1711,6 +1711,10 @@ class TestFormedDensityPrecision:
     the rescue above, a huge u reads NaN or raises fsum's OverflowError.  A u with a NaN or Inf part
     raises "matrix contains NaN or Inf entries"; a window test that lets a NaN largest part through
     returns a NaN matrix, and a rescue that scales a non-finite u returns one too.
+
+    The unit trace, which nothing in ``_formed_density`` checks, is held to its docstring's bound: the
+    fsum of rho's real diagonal within gamma_4 + d 2^-1074 of 1.  A normalization off by 1e-13, which a
+    1e-12 trace check would pass, fails it.
     """
 
     @settings(deadline=None, max_examples=300)
@@ -1746,6 +1750,8 @@ class TestFormedDensityPrecision:
         assert exc is None, exc
         assert type(got) is DensityMatrix and not got.entries.flags.writeable
         assert within_the_formed_bound(got.entries, u)
+        trace = Fraction(math.fsum(got.entries.real.diagonal().tolist()))
+        assert abs(trace - 1) <= 4 * _U / (1 - 4 * _U) + u.size * Fraction(1, 2**1074)
 
     @settings(deadline=None, max_examples=40)
     @given(st.floats(1e-250, 1e-140), st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0), st.floats(0.0, 20.0),

@@ -50,7 +50,7 @@ __all__ = sorted(_OWNER)
 
 def __getattr__(name):
     if name in _EXPORTS:  # a submodule not imported yet
-        return importlib.import_module(f"{__name__}.{name}")
+        return importlib.import_module(f"{__name__}.{name}")  # probe: run in a child interpreter by the tests
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)

@@ -518,4 +518,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # probe: the script entry point; the tests call main

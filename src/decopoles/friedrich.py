@@ -30,6 +30,14 @@ from .numerics import adaptive_simpson, principal_value_integral
 _PROBE_POINTS = 33
 
 
+def _reads_as_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Oscillator frequency plus the coupling-squared density g on [lo, hi].
@@ -79,9 +87,8 @@ class SpectralDensity:
 
     @classmethod
     def from_csv(cls, omega0, text: str) -> "SpectralDensity":
-        """Parse 'omega,g' rows (optional header) into an interpolated density."""
-        omegas = []
-        values = []
+        """Parse 'omega,g' rows into an interpolated density; a first row with no numeric field is a header."""
+        omegas, values = [], []
         for i, ln in enumerate(ln.strip() for ln in text.splitlines() if ln.strip()):
             parts = ln.split(",")
             if len(parts) != 2:
@@ -89,7 +96,7 @@ class SpectralDensity:
             try:
                 w, g = float(parts[0]), float(parts[1])
             except ValueError:
-                if i == 0:  # tolerate a single header line
+                if i == 0 and not any(map(_reads_as_number, parts)):  # only a row of names is a header
                     continue
                 raise ValidationError(f"bad density row: {ln!r}")
             omegas.append(w)
@@ -172,9 +179,7 @@ def perturbative_pole(sd: SpectralDensity) -> PerturbativePole:
     """
     w0 = sd.omega0
     if w0 == sd.lo or w0 == sd.hi:
-        raise ValidationError(
-            f"omega0 = {w0} sits exactly on the support edge [{sd.lo}, {sd.hi}]"
-        )
+        raise ValidationError(f"omega0 = {w0} sits exactly on the support edge [{sd.lo}, {sd.hi}]")
     if sd.lo < w0 < sd.hi:
         shift = principal_value_integral(sd, w0, sd.lo, sd.hi)
         gamma0 = math.pi * sd(w0)

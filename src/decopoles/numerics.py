@@ -180,10 +180,10 @@ def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
     m lies in [2^-480, 2^510 / sqrt(2d)), 2d counting the real and imaginary parts (a NaN, the argmax,
     fails, as do an Inf and a zero).  Then tr lies in [2^-960, 2^1021): it is at least m^2 and at most
     2d m^2, so every part of u_i conj(u_j), at most |u_i| |u_j| <= tr, is finite and 1 / tr is normal.
-    Any other finite u is first scaled by a power of two (exact, rho unchanged) to a largest part in
-    [1/2, 1): below, products of u's parts may be subnormal, keeping too few bits; above, 1 / tr may be
-    subnormal or the products and their fsum may overflow.  Then the one product and its fsum trace,
-    and the ``_halved`` average in the product's own buffer.  Each part of rho_ij lies within
+    Any other finite u is first scaled by ``_power_of_two_scaled`` (exact, rho unchanged): below,
+    products of u's parts may be subnormal, keeping too few bits; above, 1 / tr may be subnormal or
+    the products and their fsum may overflow.  Then the one product and its fsum trace, and the
+    ``_halved`` average in the product's own buffer.  Each part of rho_ij lies within
     gamma_8 |u_i| |u_j| / |u|^2 + (d + 2) 2^-113 of exact, gamma_k = k 2^-53 / (1 - k 2^-53): gamma_2
     per product, gamma_3 on tr, two roundings in the division (a multiply by the rounded 1 / tr) and one
     in the average; the last term is the products' subnormal roundings, as |u|^2 >= 2^-960.  The unit
@@ -198,7 +198,7 @@ def _formed_density(u: np.ndarray, empty: str) -> DensityMatrix:
             raise ValidationError("matrix contains NaN or Inf entries")
         if top == 0.0:
             raise ValidationError(empty)
-        u = np.ldexp(u.view(float), -math.frexp(top)[1]).view(complex)
+        u = _power_of_two_scaled(u)[0]
     mat = u[:, None] * u.conj()  # u_i conj(u_j), one complex multiply each: np.outer's bits for d >= 2 only
     mat /= math.fsum(mat.real.diagonal().tolist())
     mat += mat.T.conj()
@@ -386,9 +386,9 @@ def pencil_min_samples(order: int) -> int:
 def _power_of_two_scaled(y: np.ndarray):
     """(y / 2^e, e), with e the frexp exponent of the largest real or imaginary part (0 for y = 0).
 
-    The largest part of y / 2^e lies in [1/2, 1).  The division is exact
-    wherever both y and the result are normal, so a fit or residual taken
-    on the scaled samples neither overflows nor underflows in its squares.
+    The one power-of-two scaling: the largest part of y / 2^e lies in [1/2, 1).  The division is
+    exact wherever both y and the result are normal, so a fit, a residual or a formed density taken
+    on the scaled values neither overflows nor underflows in its squares or products.
     """
     parts = np.ascontiguousarray(y, dtype=complex).view(float)
     e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
@@ -407,7 +407,7 @@ def _projected_fit(t: np.ndarray, y: np.ndarray, z: np.ndarray):
     try:
         amps = np.linalg.lstsq(basis, y, rcond=None)[0]
     except np.linalg.LinAlgError:
-        return None
+        return None  # probe: lstsq on a finite basis has no known failing input
     residual = y - basis @ amps
     return basis, amps, residual, float(np.vdot(residual, residual).real)
 

@@ -480,8 +480,8 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     gamma_k = k u / (1 - k u), u = 2^-53 (Higham 2002, ch. 3).  A cross
     power f1 conj(f2_k) is one complex product, each part within gamma_2 times
     the size of its two real products.
-    The amplitudes are Hermitian to the bit, as ``CatalogueMatrix._from_widths``
-    requires.
+    The amplitudes are Hermitian to the bit, so the average ``CatalogueMatrix._from_widths``
+    takes returns their own bits.
     """
     table = _fock_table(cfg.alpha2, cfg.N)
     s = math.exp(table.log_norm)

@@ -356,8 +356,8 @@ def partition_report(
 
     ``boundary`` decides the fate of poles sitting exactly at the
     threshold: ``'relevant'`` uses gamma <= hbar/t_D, ``'irrelevant'``
-    uses strict <.  Both readings appear in two-pole treatments, where the
-    threshold pole itself is the one being dropped.
+    uses strict <; the report rejects any other name.  Both readings
+    appear in two-pole treatments, which drop the threshold pole itself.
     """
     widths = np.fromiter(gammas, dtype=float)
     if not widths.size:
@@ -376,12 +376,11 @@ def partition_report(
         threshold = widths[1] if rule == RULE_SECOND_SMALLEST and widths.size > 1 else widths[0]
     else:
         raise ValidationError(f"unknown rule {rule!r}")
-    if boundary not in _BOUNDARY_CUT:
-        raise ValidationError(f"unknown boundary mode {boundary!r}")
+    side = _BOUNDARY_CUT.get(boundary)  # an unknown name is the report's to reject
     return TimescaleReport(
         t_R=hbar / widths[0],
         t_D=hbar / threshold,
-        cut=0 if rule == RULE_BACKGROUND else _BOUNDARY_CUT[boundary](widths, threshold),
+        cut=0 if rule == RULE_BACKGROUND or side is None else side(widths, threshold),
         n_modes=widths.size,
         rule=RULE_CUSTOM if callable(rule) else rule,
         boundary=boundary,
@@ -538,18 +537,13 @@ class CatalogueMatrix:
     def _from_widths(cls, omegas, gammas, equilibrium, amplitudes, hbar: float = 1.0, truncation: float = 0.0):
         """Catalogue of poles (omegas[k], gammas[k]), checked in one pass as ``Pole`` does, with ``truncation``.
 
-        Precondition: ``amplitudes`` are finite and Hermitian to the bit
-        (A[j, i] == conj(A[i, j]), diagonals with imaginary part +0.0), so
-        the stack is stored as given; ``hermitian_average`` would return A's
-        own bits, zero signs included, for such A below 2^1021 anyway.  The
-        constructor checks and averages.
+        ``amplitudes`` are checked and averaged as the constructor's are.
         """
         cm = cls.__new__(cls)
-        cm._build(omegas, gammas, equilibrium, amplitudes, hbar, average=False)
-        cm.truncation = truncation
+        cm._build(omegas, gammas, equilibrium, amplitudes, hbar, truncation)
         return cm
 
-    def _build(self, omegas, gammas, equilibrium, amplitudes, hbar, average=True):
+    def _build(self, omegas, gammas, equilibrium, amplitudes, hbar, truncation=0.0):
         omegas, gammas = np.asarray(omegas, dtype=float), np.asarray(gammas, dtype=float)
         bad = ~((gammas > 0.0) & (gammas < math.inf) & np.isfinite(omegas))
         if bad.any():  # the first bad pole raises what its Pole raises
@@ -567,14 +561,14 @@ class CatalogueMatrix:
         self._omegas = omegas[order]
         self._gammas = gammas[order]
         self.gammas = tuple(self._gammas.tolist())
-        self.amplitudes = hermitian_average(amps[order]) if average else amps[order]
+        self.amplitudes = hermitian_average(amps[order])
         self.amplitudes.setflags(write=False)
         # Frobenius norms, each summed along the stack's long axis (see dropped_envelope)
         self._norms = np.sqrt(_matrix_reduce(np.ndarray.sum, (self.amplitudes.conj() * self.amplitudes).real))
         self.equilibrium = eq
         self.hbar = _require_positive("hbar", hbar)
         self.dim = dim
-        self.truncation = 0.0
+        self.truncation = truncation
 
     @functools.cached_property
     def poles(self) -> tuple:

@@ -677,6 +677,13 @@ class TestOpenContractDefects:
                 **_open_defect("F9-weight", "the density's peak overflows: its config error names no field"),
             ),
             pytest.param(
+                "omnes",
+                {"scenario": "omnes", "grid": GRID, "params": dict(DENSITY, spectral_density={
+                    "kind": "ohmic", "omega0": 5.0, "cutoff": 10.0, "weight": 3e305, "hi": 1000.0})},
+                **_open_defect("F9-ohmic-product", "weight * w overflows before the exp shrinks it: "
+                               "its config error names no field"),
+            ),
+            pytest.param(
                 "extract", {"scenario": "extract", "params": {"input_csv": "far.csv", "model_order": 1}},
                 **_open_defect("FOUND-far-grid", "e^-(t - 800) on [800, 810] exits 0 with amp_re 0.0"),
             ),

@@ -38,6 +38,10 @@ class TestSpectralDensity:
         with pytest.raises(ValidationError):
             SpectralDensity(0.5, lambda w: 1.0, 2.0, 2.0)
 
+    def test_non_finite_support_rejected(self):
+        with pytest.raises(ValidationError, match="omega0, lo, hi must be finite"):
+            SpectralDensity(math.inf, lambda w: 1.0, 0.0, 1.0)
+
     def test_fn_must_be_callable(self):
         with pytest.raises(ValidationError):
             SpectralDensity(0.5, 3.0, 0.0, 1.0)
@@ -73,6 +77,11 @@ class TestSpectralDensity:
     def test_from_csv_one_header_line(self):
         with pytest.raises(ValidationError, match="bad density row: 'foo,bar'"):
             SpectralDensity.from_csv(1.0, "omega,g\nfoo,bar\nbaz,qux\n0,0.05\n3,0.05\n")
+
+    def test_from_csv_half_numeric_first_row_is_rejected(self):
+        # a header names its columns: a first row with a numeric field is a bad row, not skipped
+        with pytest.raises(ValidationError, match="bad density row: '1.0,x'"):
+            SpectralDensity.from_csv(1.5, "1.0,x\n2.0,0.5\n3.0,0.7\n")
 
     def test_lorentzian_peak(self):
         sd = SpectralDensity.lorentzian(1.0, center=1.0, width=0.5, weight=2.0)
@@ -157,6 +166,10 @@ class TestPerturbativePole:
     def test_negative_width_rejected(self):
         with pytest.raises(ValidationError):
             PerturbativePole(1.0, 0.0, -0.1)
+
+    def test_non_finite_frequency_rejected(self):
+        with pytest.raises(ValidationError, match="omega0 must be finite"):
+            PerturbativePole(math.nan, 0.0, 0.1)
 
 
 def fock_ladder(size):

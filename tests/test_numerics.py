@@ -59,6 +59,10 @@ class TestHermitianMatrix:
         with pytest.raises(ValidationError):
             HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValidationError, match="empty matrix"):
+            HermitianMatrix(np.zeros((0, 0)))
+
     def test_entries_write_protected(self):
         m = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -560,6 +564,10 @@ class TestAdaptiveSimpson:
         with pytest.raises(ConvergenceError):
             adaptive_simpson(lambda x: abs(x - 0.3) ** -0.9, 0.0, 1.0, tol=1e-12, max_depth=8)
 
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValidationError, match=r"bad interval \[1.0, 0.0\]"):
+            adaptive_simpson(math.sin, 1.0, 0.0)
+
 
 class TestPrincipalValue:
     def test_constant_cancels_exactly(self):
@@ -654,6 +662,36 @@ class TestMatrixPencil:
         t = np.array([0.0, 1.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0])
         with pytest.raises(ValidationError):
             matrix_pencil_fit(t, np.exp(-t), 1)
+
+    def test_one_sample_is_no_grid(self):
+        with pytest.raises(ValidationError, match="need at least two samples"):
+            check_uniform_grid(np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "t, y, error, message",
+        [
+            ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0], ValidationError, "1-D arrays of equal length"),
+            # a growing mode: e^(z t) at z = 1 leaves the float range past t = 709.78, inside the grid
+            (np.linspace(700, 710, 41), lambda t: np.exp(t - 1400), ConvergenceError,
+             "the pencil's roots give no finite least-squares fit"),
+            (np.arange(20.0), lambda t: (t == 0.0) * 1.0, ConvergenceError, "pencil produced a zero ratio"),
+            # the fitted amplitude is referred to t = 0, where it is 100 e^708
+            (np.linspace(708, 716, 41), lambda t: 100 * np.exp(-(t - 708)), ConvergenceError,
+             "a fitted amplitude is past the float range"),
+        ],
+        ids=["unequal-lengths", "basis-overflows", "unit-impulse", "amplitude-overflows"],
+    )
+    def test_unfittable_signal_names_its_fault(self, t, y, error, message):
+        with pytest.raises(error, match=message):
+            matrix_pencil_fit(t, y(np.asarray(t)) if callable(y) else y, 1)
+
+    def test_refinement_stops_at_a_non_finite_jacobian(self):
+        # e^(709 - t) near t = 709: the amplitude e^709 is finite, but t e^(z t) a overflows in the
+        # Gauss-Newton Jacobian, so the pencil's own root is kept
+        t = np.linspace(709, 717, 41)
+        ((z, a),) = matrix_pencil_fit(t, np.exp(-(t - 709)), 1)
+        assert abs(z + 1.0) <= 1e-12
+        assert abs(a - math.exp(709)) <= 1e-9 * math.exp(709)
 
     def test_residual(self):
         t = np.linspace(0.0, 5.0, 101)

@@ -280,6 +280,10 @@ class TestFockOverlap:
         s = QuasiCoherentState(2.0, 12)
         assert fock_overlap(s, s) == 1.0
 
+    def test_truncations_must_agree(self):
+        with pytest.raises(ValidationError, match="truncations differ: 10 != 11"):
+            fock_overlap(QuasiCoherentState(1.0, 10), QuasiCoherentState(1.0, 11))
+
     @pytest.mark.parametrize("a1,a2,N", [(0.0, 2.0, 10), (1.5, 3.2, 30), (0.0, 0.7, 4)])
     def test_brute_force_oracle(self, a1, a2, N):
         got = fock_overlap(QuasiCoherentState(a1, N), QuasiCoherentState(a2, N))

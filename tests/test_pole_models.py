@@ -84,7 +84,9 @@ class TestBuildingBlocks:
         t = 1e6
         assert tail(2 * t) / tail(t) == pytest.approx(2.0**-3, rel=1e-5)
 
-    @pytest.mark.parametrize("kwargs", [dict(tau=0.0), dict(tau=-1.0), dict(p=0.0), dict(p=-2.0)])
+    @pytest.mark.parametrize(
+        "kwargs", [dict(tau=0.0), dict(tau=-1.0), dict(p=0.0), dict(p=-2.0), dict(amplitude=math.inf)]
+    )
     def test_khalfin_bad_params(self, kwargs):
         params = dict(amplitude=1.0, tau=1.0, p=3.0)
         params.update(kwargs)
@@ -98,6 +100,10 @@ class TestBuildingBlocks:
     def test_catalogue_needs_content(self):
         with pytest.raises(ValidationError):
             PoleCatalogue(0.0, ())
+
+    def test_catalogue_equilibrium_must_be_finite(self):
+        with pytest.raises(ValidationError, match="equilibrium must be finite"):
+            PoleCatalogue(math.nan, ((Pole(0.0, 1.0), 1.0),))
 
     def test_catalogue_tail_only(self):
         cat = PoleCatalogue(0.1, (), KhalfinTail(0.5, 1.0, 3.0))
@@ -244,6 +250,10 @@ class TestSignal:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             Signal(np.array([0.0, 1.0]), np.zeros(3))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="times must be a nonempty 1-D array"):
+            Signal([], [])
 
     def test_write_protected(self):
         s = Signal(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
@@ -404,10 +414,17 @@ class TestPartition:
     def test_unknown_rule(self):
         with pytest.raises(ValidationError):
             partition_report((0.1, 1.0), rule="largest-gamma")
+        # the report takes the custom rule's name, but only a callable makes one
+        with pytest.raises(ValidationError, match="unknown rule 'custom-f'"):
+            partition_report((0.1, 1.0), rule=RULE_CUSTOM)
 
     def test_unknown_boundary(self):
         with pytest.raises(ValidationError):
             partition_report((0.1, 1.0), boundary="inclusive")
+        # the report names it, whatever the rule
+        for rule in (RULE_SECOND_SMALLEST, RULE_BACKGROUND, collective_rate_rule(1.0, 2.0, 6.0)):
+            with pytest.raises(ValidationError, match="unknown boundary mode 'inclusive'"):
+                partition_report((0.1, 1.0), rule=rule, boundary="inclusive")
 
     @pytest.mark.parametrize(
         "gammas, message",
@@ -872,7 +889,7 @@ class TestCatalogueMatrixFromWidths:
     """The width-array path checks as ``Pole`` does, and builds the same catalogue."""
 
     EQ = np.diag([0.75, 0.25])
-    # Hermitian to the bit, as ``_from_widths`` requires: -0.1j would be -0.0 - 0.1j, and conj(0.1j) is 0.0 - 0.1j
+    # Hermitian to the bit, so the average keeps their bits: -0.1j would be -0.0 - 0.1j, and conj(0.1j) is 0.0 - 0.1j
     AMPS = np.array([[[0.0, 0.3], [0.3, 0.0]], np.eye(2), [[-0.25, 0.1j], [np.conj(0.1j), 0.25]]])
 
     def test_same_catalogue_as_pole_list(self):
@@ -914,6 +931,10 @@ class TestCatalogueMatrixFromWidths:
         want = CatalogueMatrix([Pole(0.0, 1.0), Pole(0.0, 2.0)], self.EQ, amps)
         assert math.copysign(1.0, got.amplitudes[0, 0, 1].real) == -1.0
         assert got.amplitudes.tobytes() == amps.tobytes() == want.amplitudes.tobytes()
+
+    def test_amplitudes_checked_as_the_constructor_checks_them(self):
+        with pytest.raises(ValidationError, match="matrix is not Hermitian"):
+            CatalogueMatrix._from_widths([0.0], [1.0], np.eye(2) / 2, [[[0, 1], [0, 0]]])
 
     def test_poles_built_on_first_read(self):
         cm = CatalogueMatrix._from_widths(np.zeros(3), np.array([3.0, 1.0, 2.0]), self.EQ, self.AMPS)

@@ -1,14 +1,16 @@
-"""Compare two runs of cli_digest.py, a base tree's and a head tree's.
+"""Compare two runs of cli_digest.py or of library_digest.py, a base tree's and a head tree's.
 
     python .github/scripts/digest_diff.py BASE.txt HEAD.txt
 
-A line reads ``<workload> seed=<seed> rung=<rung> N=<N> <file> <sha256>``,
-or ``... exit=<code>`` for an op that failed.  Lines found in one run only
-are printed, ``-`` for the base and ``+`` for the head.  The exit status is
-1 when an op (workload, seed, rung, N) that both runs hold differs: a file
-with two digests, a file written by one run only, or an exit in one run
-only.  An op in one run only (a rung the workload gained or lost) is
-printed but not failed.
+A cli_digest.py line reads ``<workload> seed=<seed> rung=<rung> N=<N>
+<file> <sha256>``, or ``... exit=<code>`` for an op that failed; a
+library_digest.py line reads ``<chain> seed=<seed> rung=<rung> N=<N>
+<sha256>``, with no file field.  Either way the first four fields name the
+op and the rest is its output.  Lines found in one run only are printed,
+``-`` for the base and ``+`` for the head.  The exit status is 1 when an
+op that both runs hold differs: a library op or a file with two digests, a
+file written by one run only, or an exit in one run only.  An op in one
+run only (a rung the workload gained or lost) is printed but not failed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 
 def _ops(lines) -> dict:
-    """(workload, seed, rung, N) -> the sorted (file, digest) lines of that op."""
+    """(workload or chain, seed, rung, N) -> the sorted output lines of that op: "<file> <sha256>" or "<sha256>"."""
     ops: dict = {}
     for line in lines:
         fields = line.split()

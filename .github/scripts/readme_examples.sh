@@ -22,8 +22,8 @@ for block in re.findall(r"```json\n(.*?)```", readme, re.S):
 PY
 decopoles simulate --config model3.json --out out
 decopoles extract --config extract.json --out fit
-# over-asked: the README's signal has 3 modes; the retry at the effective rank
-# reuses the first fit's SVD and must write the catalogue a 3-mode run writes
+# over-asked: the README's signal has 3 modes; the fit at the effective rank, from
+# the one SVD taken before any fit, must write the catalogue a 3-mode run writes
 python - <<'PY'
 import json
 doc = json.load(open("extract.json", encoding="utf-8"))

@@ -21,8 +21,8 @@ boundary and the extra timescale rows of ``pole_models.model1_times`` /
 A run imports only what its scenario needs: ``numerics`` and
 ``pole_models`` always, ``preferred_basis`` for ``bifriedrich`` and
 ``friedrich`` with ``omnes`` for ``omnes``, each inside the scenario
-function that uses it.  ``extract`` refits an over-asked order at the
-effective rank from the pencil's one SVD.
+function that uses it.  ``extract`` takes the pencil's one factorisation
+and fits at the smaller of the model order and its effective rank.
 
 Each scenario is one function that validates its params strictly, before
 any computation: unknown keys are rejected and every diagnostic names the
@@ -89,7 +89,10 @@ def _optional_number(doc, path, key):
 
 
 def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
-    """The density block; it must be positive at omega0, strictly inside its support."""
+    """The density block; it must be positive at omega0, strictly inside its support.
+
+    A given bound is checked against the other, given or the kind's default, before the density is built.
+    """
     from . import friedrich
 
     kind = _string(sub, path, "kind", choices=("lorentzian", "ohmic", "csv"))
@@ -110,17 +113,14 @@ def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
         weight = _number(sub, path, "weight", 1.0, positive=True)
         lo = _optional_number(sub, path, "lo")
         hi = _optional_number(sub, path, "hi")
+        band_lo, band_hi = friedrich._default_band(kind, *shape)
         if lo is not None and hi is not None and not lo < hi:
             raise ValidationError(f"{path}.hi: must be > lo = {lo!r}, got {hi!r}")
-        try:
-            density = make(omega0, *shape, weight, lo, hi)
-        except ValidationError:  # one given bound crossed the kind's default for the other
-            band = make(omega0, *shape, weight)
-            if hi is None and not lo < band.hi:
-                raise ValidationError(f"{path}.lo: must be < the default hi = {band.hi!r}, got {lo!r}")
-            if lo is None and not band.lo < hi:
-                raise ValidationError(f"{path}.hi: must be > the default lo = {band.lo!r}, got {hi!r}")
-            raise
+        if lo is not None and hi is None and not lo < band_hi:
+            raise ValidationError(f"{path}.lo: must be < the default hi = {band_hi!r}, got {lo!r}")
+        if lo is None and hi is not None and not band_lo < hi:
+            raise ValidationError(f"{path}.hi: must be > the default lo = {band_lo!r}, got {hi!r}")
+        density = make(omega0, *shape, weight, lo, hi)
     # pi * g(omega0) is the decay rate of the pole the density must drive
     if not density.lo < omega0 < density.hi:
         raise ValidationError(
@@ -378,18 +378,14 @@ def _extract(params: dict, grid: None):  # extract has no config grid
         )
 
     def run():
-        try:
-            fitted = numerics.matrix_pencil_fit(signal.times, values, order)
-        except RankDeficiencyError as exc:
-            if exc.effective_rank and exc.effective_rank >= 1:
-                print(
-                    f"warning: requested {order} modes but the signal supports only "
-                    f"{exc.effective_rank}; refitting at the effective rank",
-                    file=sys.stderr,
-                )
-                fitted = exc.pencil.fit(exc.effective_rank)  # the same SVD, not a second one
-            else:
-                raise
+        pencil = numerics.PencilFactorisation(signal.times, values, order)  # one SVD for every order
+        if pencil.effective_rank < order:
+            print(
+                f"warning: requested {order} modes but the signal supports only "
+                f"{pencil.effective_rank}; refitting at the effective rank",
+                file=sys.stderr,
+            )
+        fitted = pencil.fit(min(order, pencil.effective_rank))
 
         t_span = float(signal.times[-1] - signal.times[0])
         growth = [z.real for z, _ in fitted if z.real * t_span > _VISIBLE_CHANGE]

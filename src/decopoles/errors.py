@@ -24,12 +24,10 @@ class ConvergenceError(RuntimeError):
 class RankDeficiencyError(ValidationError):
     """Requested model order exceeds the numerical rank of the data.
 
-    ``effective_rank`` holds the rank actually found, so callers can retry
-    with a smaller order; ``pencil``, when the matrix pencil raised it, is
-    its factorisation, whose ``fit`` retries without a second SVD.
+    ``effective_rank`` holds the rank found.  A caller that would fit at
+    that rank instead builds a ``numerics.PencilFactorisation``, which states it.
     """
 
-    def __init__(self, message, effective_rank, pencil=None):
+    def __init__(self, message, effective_rank):
         super().__init__(message)
         self.effective_rank = effective_rank
-        self.pencil = pencil

@@ -30,6 +30,14 @@ from .numerics import adaptive_simpson, principal_value_integral
 _PROBE_POINTS = 33
 
 
+def _default_band(kind: str, *shape: float) -> tuple:
+    """The default support (lo, hi) of a "lorentzian" (center, width) or "ohmic" (cutoff,) density."""
+    if kind == "lorentzian":
+        center, width = shape
+        return center - 3000.0 * width, center + 3000.0 * width
+    return 0.0, 40.0 * shape[0]
+
+
 def _reads_as_number(field: str) -> bool:
     try:
         float(field)
@@ -115,15 +123,12 @@ class SpectralDensity:
         width = float(width)
         if width <= 0.0:
             raise ValidationError("lorentzian width must be positive")
-        if lo is None:
-            lo = center - 3000.0 * width
-        if hi is None:
-            hi = center + 3000.0 * width
+        band_lo, band_hi = _default_band("lorentzian", center, width)
 
         def g(w, _c=center, _eta=width, _a=float(weight)):
             return _a * (_eta / math.pi) / ((w - _c) ** 2 + _eta**2)
 
-        return cls(omega0, g, lo, hi)
+        return cls(omega0, g, band_lo if lo is None else lo, band_hi if hi is None else hi)
 
     @classmethod
     def ohmic(cls, omega0, cutoff, weight=1.0, lo=None, hi=None) -> "SpectralDensity":
@@ -131,13 +136,12 @@ class SpectralDensity:
         cutoff = float(cutoff)
         if cutoff <= 0.0:
             raise ValidationError("ohmic cutoff must be positive")
-        if hi is None:
-            hi = 40.0 * cutoff
+        band_lo, band_hi = _default_band("ohmic", cutoff)
 
         def g(w, _wc=cutoff, _a=float(weight)):
             return _a * w * math.exp(-w / _wc) if w >= 0.0 else 0.0
 
-        return cls(omega0, g, 0.0 if lo is None else lo, hi)
+        return cls(omega0, g, band_lo if lo is None else lo, band_hi if hi is None else hi)
 
 
 @dataclass(frozen=True)

@@ -510,8 +510,7 @@ class PencilFactorisation:
         Gauss-Newton loop takes z to the least-squares optimum, and the
         amplitudes come from one dense least-squares solve on the full
         series at the final z, scaled back by 2^scale.  An order above
-        ``effective_rank`` raises ``RankDeficiencyError`` carrying this
-        factorisation in ``pencil``, so a retry needs no second SVD.
+        ``effective_rank`` raises ``RankDeficiencyError``.
         """
         _check_order(order, self.t.size)
         if self.effective_rank < order:
@@ -519,7 +518,6 @@ class PencilFactorisation:
                 f"numerical rank {self.effective_rank} is below the requested order {order}; "
                 f"retry with order <= {self.effective_rank}",
                 effective_rank=self.effective_rank,
-                pencil=self,
             )
         u, sig, vh = self.u, self.singular_values, self.vh
         pencil = np.diag(1.0 / sig[:order]) @ (u[:, :order].conj().T @ self.y1 @ vh[:order, :].conj().T)
@@ -561,8 +559,7 @@ def matrix_pencil_fit(times, values, order: int):
     Returns a list of (z_k, a_k) pairs sorted by |Im z_k| ascending, ties
     broken toward slower decay.  Raises ``RankDeficiencyError`` when the
     data's numerical rank (singular values above 1e-10 times the largest)
-    is below ``order``; its ``pencil`` is the factorisation, whose
-    ``fit(effective_rank)`` refits without a second SVD.
+    is below ``order``; ``PencilFactorisation`` states that rank before any fit.
     """
     return PencilFactorisation(times, values, order).fit(order)
 

@@ -221,7 +221,7 @@ class TimescaleReport:
             raise ValidationError(f"cut = {self.cut} exceeds n_modes = {self.n_modes}")
         if self.rule not in _NAMED_RULES + (RULE_CUSTOM,):
             raise ValidationError(f"unknown rule {self.rule!r}")
-        if self.boundary not in _BOUNDARY_CUT:
+        if not isinstance(self.boundary, str) or self.boundary not in _BOUNDARY_CUT:
             raise ValidationError(f"unknown boundary mode {self.boundary!r}")
         if not (self.t_D > 0.0 and self.t_R > 0.0):
             raise ValidationError("characteristic times must be positive")
@@ -376,7 +376,7 @@ def partition_report(
         threshold = widths[1] if rule == RULE_SECOND_SMALLEST and widths.size > 1 else widths[0]
     else:
         raise ValidationError(f"unknown rule {rule!r}")
-    side = _BOUNDARY_CUT.get(boundary)  # an unknown name is the report's to reject
+    side = _BOUNDARY_CUT.get(boundary) if isinstance(boundary, str) else None  # the report names a bad one
     return TimescaleReport(
         t_R=hbar / widths[0],
         t_D=hbar / threshold,

@@ -1183,11 +1183,31 @@ class TestSingleBadFieldDiagnostics:
                 {"kind": "ohmic", "omega0": -2.0, "cutoff": 1.0, "hi": -1.0},
                 "params.spectral_density.hi: must be > the default lo = 0.0, got -1.0",
             ),
+            (
+                # the crossed bound is named before the density, whose peak overflows, is built
+                {"kind": "lorentzian", "omega0": 0.7, "center": 0.6, "width": 1e-3, "weight": 1e308,
+                 "lo": 5.0},
+                "params.spectral_density.lo: must be < the default hi = 3.6, got 5.0",
+            ),
+            # the support is open: a bound on the other, given or the default, leaves it empty
+            (
+                {"kind": "lorentzian", "omega0": 1.0, "center": 1.0, "width": 0.5, "lo": 2.0, "hi": 2.0},
+                "params.spectral_density.hi: must be > lo = 2.0, got 2.0",
+            ),
+            (
+                {"kind": "lorentzian", "omega0": 1.0, "center": 1.0, "width": 0.5, "lo": 1501.0},
+                "params.spectral_density.lo: must be < the default hi = 1501.0, got 1501.0",
+            ),
+            (
+                {"kind": "lorentzian", "omega0": 1.0, "center": 1.0, "width": 0.5, "hi": -1499.0},
+                "params.spectral_density.hi: must be > the default lo = -1499.0, got -1499.0",
+            ),
         ],
         ids=[
             "omega0-outside", "zero-weight", "omega0-on-edge", "empty-support", "negative-weight",
             "lo-above-default-hi", "hi-below-default-lo", "ohmic-lo-above-default-hi",
-            "ohmic-hi-below-default-lo",
+            "ohmic-hi-below-default-lo", "lo-above-default-hi-overflowing-peak", "lo-equals-hi",
+            "lo-equals-default-hi", "hi-equals-default-lo",
         ],
     )
     def test_density_exact_line(self, tmp_path, capsys, density, line):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from decopoles.errors import ValidationError
-from decopoles.friedrich import PerturbativePole, SpectralDensity, perturbative_pole
+from decopoles.friedrich import PerturbativePole, SpectralDensity, _default_band, perturbative_pole
 from decopoles.omnes import _fock_table, _ladder_exponents, _ladder_phases
 
 
@@ -103,6 +103,22 @@ class TestSpectralDensity:
     def test_ohmic_bad_cutoff(self):
         with pytest.raises(ValidationError):
             SpectralDensity.ohmic(1.0, cutoff=-1.0)
+
+    @pytest.mark.parametrize("center, width", [(1.0, 0.5), (0.6, 1e-3), (1.0 / 3.0, 0.1), (-2.5, 7.0)])
+    def test_lorentzian_default_bounds_are_the_default_band(self, center, width):
+        band_lo, band_hi = (x.hex() for x in _default_band("lorentzian", center, width))
+        sd = SpectralDensity.lorentzian(center, center, width)
+        assert (sd.lo.hex(), sd.hi.hex()) == (band_lo, band_hi)
+        assert SpectralDensity.lorentzian(center, center, width, lo=center - width).hi.hex() == band_hi
+        assert SpectralDensity.lorentzian(center, center, width, hi=center + width).lo.hex() == band_lo
+
+    @pytest.mark.parametrize("cutoff", [2.0, 0.1, 1.0 / 3.0, 1e-300])
+    def test_ohmic_default_bounds_are_the_default_band(self, cutoff):
+        band_lo, band_hi = (x.hex() for x in _default_band("ohmic", cutoff))
+        sd = SpectralDensity.ohmic(cutoff, cutoff)
+        assert (sd.lo.hex(), sd.hi.hex()) == (band_lo, band_hi)
+        assert SpectralDensity.ohmic(cutoff, cutoff, lo=0.5 * cutoff).hi.hex() == band_hi
+        assert SpectralDensity.ohmic(cutoff, cutoff, hi=2.0 * cutoff).lo.hex() == band_lo
 
 
 class TestPerturbativePole:

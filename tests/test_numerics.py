@@ -872,23 +872,26 @@ class TestPencilSplit:
             t = np.arange(n, dtype=float)
             assert PencilFactorisation(t, np.exp(-0.01 * t), order).window == window_rule(n, order)
 
-    def test_rank_error_carries_the_factorisation(self):
+    def test_rank_error_carries_its_rank_only(self):
         t = np.linspace(0.0, 6.0, 241)
         values = 3 * np.exp(-0.1 * t) + 2 * np.exp(-1.0 * t) + np.exp(-5.0 * t)
         with pytest.raises(RankDeficiencyError) as exc_info:
             matrix_pencil_fit(t, values, 5)
-        exc = exc_info.value
-        assert exc.effective_rank == exc.pencil.effective_rank == 3
-        assert exc.pencil.fit(3) == matrix_pencil_fit(t, values, 3)
-        with pytest.raises(RankDeficiencyError, match="numerical rank 3 is below the requested order 4"):
-            exc.pencil.fit(4)
+        assert exc_info.value.effective_rank == 3
+        assert not hasattr(exc_info.value, "pencil")
+        pencil = PencilFactorisation(t, values, 5)  # the rank is stated before any fit
+        assert pencil.effective_rank == 3
+        assert pencil.fit(3) == matrix_pencil_fit(t, values, 3)
+        with pytest.raises(RankDeficiencyError, match="numerical rank 3 is below the requested order 4") as exc_info:
+            pencil.fit(4)
+        assert exc_info.value.effective_rank == 3
 
-    def test_zero_signal_has_rank_zero_and_no_factorisation(self):
+    def test_zero_signal_has_rank_zero_from_the_factorisation(self):
         t = np.linspace(0.0, 5.0, 41)
-        with pytest.raises(RankDeficiencyError, match="^signal is identically zero$") as exc_info:
-            matrix_pencil_fit(t, np.zeros(41), 1)
-        assert exc_info.value.effective_rank == 0
-        assert exc_info.value.pencil is None
+        for build in (lambda: matrix_pencil_fit(t, np.zeros(41), 1), lambda: PencilFactorisation(t, np.zeros(41), 1)):
+            with pytest.raises(RankDeficiencyError, match="^signal is identically zero$") as exc_info:
+                build()
+            assert exc_info.value.effective_rank == 0
 
     def test_fit_checks_the_order(self):
         pencil = PencilFactorisation(np.linspace(0.0, 1.0, 7), np.exp(-np.linspace(0.0, 1.0, 7)))

@@ -84,6 +84,23 @@ class TestBuildingBlocks:
         t = 1e6
         assert tail(2 * t) / tail(t) == pytest.approx(2.0**-3, rel=1e-5)
 
+    @pytest.mark.xfail(
+        strict=True, raises=RuntimeWarning,
+        reason="open: KhalfinTail.__call__'s (1 + t / tau) ** (-p), the line F10 overflows, "
+        "warns at t <= -tau; F10's mend owns that line",
+    )
+    def test_tail_at_or_before_minus_tau_leaks_no_numpy_warning(self):
+        # a time synthesize cannot serve raises ValidationError; a time it serves gives a finite signal
+        for p, t in ((3.0, -1.0), (2.5, -2.0)):  # divide by zero, then a negative base's invalid power
+            cat = PoleCatalogue(0.0, ((Pole(0.0, 1.0), 1.0),), KhalfinTail(0.5, 1.0, p))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    signal = synthesize(cat, np.array([t, 0.0, 1.0]))
+                except ValidationError:
+                    continue
+            assert np.isfinite(signal.values.view(float)).all()
+
     @pytest.mark.parametrize(
         "kwargs", [dict(tau=0.0), dict(tau=-1.0), dict(p=0.0), dict(p=-2.0), dict(amplitude=math.inf)]
     )
@@ -425,6 +442,14 @@ class TestPartition:
         for rule in (RULE_SECOND_SMALLEST, RULE_BACKGROUND, collective_rate_rule(1.0, 2.0, 6.0)):
             with pytest.raises(ValidationError, match="unknown boundary mode 'inclusive'"):
                 partition_report((0.1, 1.0), rule=rule, boundary="inclusive")
+        # an unhashable name is named too, by the report, not lost to a dict lookup's TypeError
+        cat = PoleCatalogue(0.0, ((Pole(0.0, 0.1), 1.0), (Pole(0.0, 1.0), 1.0)))
+        for boundary in (["relevant"], {"relevant": 1}):
+            for call in (lambda: partition_report((0.1, 1.0), boundary=boundary),
+                         lambda: decoherence_time(cat, boundary=boundary)):
+                with pytest.raises(ValidationError) as err:
+                    call()
+                assert str(err.value) == f"unknown boundary mode {boundary!r}"
 
     @pytest.mark.parametrize(
         "gammas, message",
@@ -546,10 +571,12 @@ class TestReportValidation:
          ({"cut": 4}, "cut = 4 exceeds n_modes = 3"),
          ({"rule": "fastest"}, "unknown rule 'fastest'"),
          ({"boundary": "inclusive"}, "unknown boundary mode 'inclusive'"),
+         ({"boundary": ["x"]}, "unknown boundary mode ['x']"),
+         ({"boundary": {"x": 1}}, "unknown boundary mode {'x': 1}"),
          ({"t_D": 0.0}, "characteristic times must be positive")],
         ids=["misses-last", "out-of-range", "empty", "negative", "negative-modes", "bool-cut",
              "bool-modes", "numpy-bool-cut", "float-cut", "float-modes", "cut-past-modes",
-             "unknown-rule", "unknown-boundary", "zero-t-d"],
+             "unknown-rule", "unknown-boundary", "list-boundary", "dict-boundary", "zero-t-d"],
     )
     def test_check_names_the_partitioned_indices(self, fields, message):
         fields = {"t_R": 10.0, "t_D": 1.0, "cut": 2, "n_modes": 3, "rule": RULE_SECOND_SMALLEST, **fields}

@@ -886,7 +886,7 @@ class TestPencilSplit:
             pencil.fit(4)
         assert exc_info.value.effective_rank == 3
 
-    def test_zero_signal_has_rank_zero_from_the_factorisation(self):
+    def test_zero_signal_has_rank_zero_and_no_factorisation(self):
         t = np.linspace(0.0, 5.0, 41)
         for build in (lambda: matrix_pencil_fit(t, np.zeros(41), 1), lambda: PencilFactorisation(t, np.zeros(41), 1)):
             with pytest.raises(RankDeficiencyError, match="^signal is identically zero$") as exc_info:

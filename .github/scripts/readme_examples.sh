@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Run the README's model3, extract (as written and over-asked), omnes (as
-# written and at m = omega = hbar = 1e-200) and bifriedrich examples, and a
-# weakly separated model2, through the `decopoles` console script and check
-# what they write.
+# Run the README's model3 (as written and with an unread key), extract (as
+# written and over-asked), omnes (as written and at m = omega = hbar =
+# 1e-200) and bifriedrich examples, and a weakly separated model2, through
+# the `decopoles` console script and check what they write.
 #
 #     readme_examples.sh README.md WORKDIR
 #
@@ -21,6 +21,18 @@ for block in re.findall(r"```json\n(.*?)```", readme, re.S):
         fh.write(block)
 PY
 decopoles simulate --config model3.json --out out
+# an unread key: exit 2 with one line naming it and the keys model3 reads, and no output
+python - <<'PY'
+import json
+doc = json.load(open("model3.json", encoding="utf-8"))
+doc["params"]["colour"] = "red"
+json.dump(doc, open("model3_colour.json", "w", encoding="utf-8"))
+PY
+code=0
+decopoles simulate --config model3_colour.json --out colour 2> colour.err || code=$?
+test "$code" -eq 2
+printf "%s\n" "config error: params: unknown keys ['colour']; allowed keys are ['boundary', 'equilibrium', 'hbar', 'khalfin', 'modes', 'rule']" | cmp - colour.err
+test ! -e colour
 decopoles extract --config extract.json --out fit
 # over-asked: the README's signal has 3 modes; the fit at the effective rank, from
 # the one SVD taken before any fit, must write the catalogue a 3-mode run writes

@@ -25,8 +25,12 @@ function that uses it.  ``extract`` takes the pencil's one factorisation
 and fits at the smaller of the model order and its effective rank.
 
 Each scenario is one function that validates its params strictly, before
-any computation: unknown keys are rejected and every diagnostic names the
-offending field path.  It returns ``run``, which computes every output
+any computation, and every diagnostic names the offending field path.  The
+config is read through one ``pole_models._Fields`` per object, and its reads
+are the schema: each records ``path.key -> (value, given)`` in the root's
+``record``, and an object's unknown keys are the ones no read asked for,
+named once its reads end, before any ``warning:`` line or input file read.
+It returns ``run``, which computes every output
 file, ``{file name: text or its chunks}``, and writes nothing; ``main``
 then writes them all, so a numeric failure leaves no output behind.  Every
 table streams through ``pole_models.csv_chunks``, the one table writer.  All
@@ -48,71 +52,65 @@ import numpy as np
 from . import numerics, pole_models
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 from .pole_models import (  # the catalogue schema's reader and field validators
-    _CATALOGUE_KEYS, _REQUIRED, _as_object, _catalogue, _field, _finite, _fmt, _mode, _number,
-    _read_catalogue, _reject_unknown,
+    _REQUIRED, _Fields, _catalogue, _finite, _fmt, _mode, _read_catalogue,
 )
 
 
 # --- schema helpers ----------------------------------------------------------
 
 
-def _integer(doc, path, key, default=_REQUIRED, minimum=None) -> int:
-    raw = _field(doc, path, key, default)
+def _integer(fields: _Fields, key, default=_REQUIRED, minimum=None) -> int:
+    raw = fields.get(key, default)
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValidationError(f"{path}.{key}: expected an integer, got {raw!r}")
+        raise ValidationError(f"{fields.path}.{key}: expected an integer, got {raw!r}")
     if minimum is not None and raw < minimum:
-        raise ValidationError(f"{path}.{key}: must be >= {minimum}, got {raw}")
+        raise ValidationError(f"{fields.path}.{key}: must be >= {minimum}, got {raw}")
     return raw
 
 
-def _string(doc, path, key, default=_REQUIRED, choices=None) -> str:
-    raw = _field(doc, path, key, default)
+def _string(fields: _Fields, key, default=_REQUIRED, choices=None) -> str:
+    raw = fields.get(key, default)
     if not isinstance(raw, str):
-        raise ValidationError(f"{path}.{key}: expected a string, got {raw!r}")
+        raise ValidationError(f"{fields.path}.{key}: expected a string, got {raw!r}")
     if choices is not None and raw not in choices:
-        raise ValidationError(f"{path}.{key}: must be one of {sorted(choices)}, got {raw!r}")
+        raise ValidationError(f"{fields.path}.{key}: must be one of {sorted(choices)}, got {raw!r}")
     return raw
 
 
-def _grid(doc: dict, path: str) -> np.ndarray:
-    sub = _as_object(_field(doc, path, "grid"), f"{path}.grid")
-    _reject_unknown(sub, f"{path}.grid", ("t_max", "n_points"))
-    t_max = _number(sub, f"{path}.grid", "t_max", positive=True)
-    n = _integer(sub, f"{path}.grid", "n_points", minimum=2)
+def _grid(root: _Fields) -> np.ndarray:
+    sub = root.object("grid")
+    t_max = sub.number("t_max", positive=True)
+    n = _integer(sub, "n_points", minimum=2)
+    sub.done()
     return np.linspace(0.0, t_max, n)
 
 
-def _optional_number(doc, path, key):
-    if key not in doc:
-        return None
-    return _number(doc, path, key)
-
-
-def _spectral_density(sub: dict, path: str) -> friedrich.SpectralDensity:
+def _spectral_density(sub: _Fields) -> friedrich.SpectralDensity:
     """The density block; it must be positive at omega0, strictly inside its support.
 
     A given bound is checked against the other, given or the kind's default, before the density is built.
     """
     from . import friedrich
 
-    kind = _string(sub, path, "kind", choices=("lorentzian", "ohmic", "csv"))
-    omega0 = _number(sub, path, "omega0")
+    path = sub.path
+    kind = _string(sub, "kind", choices=("lorentzian", "ohmic", "csv"))
+    omega0 = sub.number("omega0")
     if kind == "csv":
-        _reject_unknown(sub, path, ("kind", "omega0", "path"))
+        csv_path = _string(sub, "path")
+        sub.done()
         parse = functools.partial(friedrich.SpectralDensity.from_csv, omega0)
-        density = _read_table(_string(sub, path, "path"), f"{path}.path", parse)
+        density = _read_table(csv_path, f"{path}.path", parse)
     else:
         if kind == "lorentzian":
-            _reject_unknown(sub, path, ("kind", "omega0", "center", "width", "weight", "lo", "hi"))
             make = friedrich.SpectralDensity.lorentzian
-            shape = (_number(sub, path, "center"), _number(sub, path, "width", positive=True))
+            shape = (sub.number("center"), sub.number("width", positive=True))
         else:
-            _reject_unknown(sub, path, ("kind", "omega0", "cutoff", "weight", "lo", "hi"))
             make = friedrich.SpectralDensity.ohmic
-            shape = (_number(sub, path, "cutoff", positive=True),)
-        weight = _number(sub, path, "weight", 1.0, positive=True)
-        lo = _optional_number(sub, path, "lo")
-        hi = _optional_number(sub, path, "hi")
+            shape = (sub.number("cutoff", positive=True),)
+        weight = sub.number("weight", 1.0, positive=True)
+        lo = sub.number("lo", None)
+        hi = sub.number("hi", None)
+        sub.done()
         band_lo, band_hi = friedrich._default_band(kind, *shape)
         if lo is not None and hi is not None and not lo < hi:
             raise ValidationError(f"{path}.hi: must be > lo = {lo!r}, got {hi!r}")
@@ -205,21 +203,19 @@ _PRESETS = {
 }
 
 
-def _simulate(params: dict, grid: np.ndarray, scenario: str):
+def _simulate(params: _Fields, grid: np.ndarray, scenario: str):
     """model1/2/3: the catalogue, its report and extra rows; ``run`` renders signal, preferred, timescales."""
-    path = "params"
     if scenario in _PRESETS:
         keys, rule, boundary, rows = _PRESETS[scenario]
-        _reject_unknown(params, path, sum(keys, _CATALOGUE_KEYS))
-        modes = tuple(_mode(params, path, *triple) for triple in keys)
-        cat = _catalogue(params, path, modes)
+        modes = tuple(_mode(params, *triple) for triple in keys)
+        cat = _catalogue(params, modes)
+        params.done()
         extra = rows(*(m.pole.gamma for m in modes), cat.hbar)
     else:  # model3
-        cat = _read_catalogue(params, path, ("rule", "boundary"), tail_only_ok=False)
-        rule = _string(params, path, "rule", pole_models.RULE_SECOND_SMALLEST, choices=pole_models._NAMED_RULES)
-        boundary = _string(
-            params, path, "boundary", pole_models.BOUNDARY_RELEVANT, choices=pole_models._BOUNDARY_CUT
-        )
+        cat = _read_catalogue(params, tail_only_ok=False)
+        rule = _string(params, "rule", pole_models.RULE_SECOND_SMALLEST, choices=pole_models._NAMED_RULES)
+        boundary = _string(params, "boundary", pole_models.BOUNDARY_RELEVANT, choices=pole_models._BOUNDARY_CUT)
+        params.done()
         extra = ()
     report = pole_models.decoherence_time(cat, rule, boundary)
 
@@ -235,14 +231,15 @@ def _simulate(params: dict, grid: np.ndarray, scenario: str):
     return run
 
 
-def _bifriedrich(params: dict, grid: np.ndarray):
+def _bifriedrich(params: _Fields, grid: np.ndarray):
     from . import preferred_basis
 
-    _reject_unknown(params, "params", ("part1", "part2"))
     parts = []
     for key in ("part1", "part2"):
-        path = f"params.{key}"
-        parts.append(_read_catalogue(_as_object(_field(params, "params", key), path), path))
+        part = params.object(key)
+        parts.append(_read_catalogue(part))
+        part.done()
+    params.done()
     model = preferred_basis.BiFriedrichModel(*parts)
 
     def run():
@@ -257,57 +254,43 @@ def _bifriedrich(params: dict, grid: np.ndarray):
     return run
 
 
-def _omnes(params: dict, grid: np.ndarray):
+def _omnes(params: _Fields, grid: np.ndarray):
     """Every config checked, and with ``gamma0`` the sweep's rates; ``run`` resolves a density's pole and rates."""
     from . import friedrich, omnes
 
-    path = "params"
-    allowed = (
-        "m", "omega", "hbar", "gamma0", "L0", "a_re", "a_im", "b_re", "b_im",
-        "N", "omega_prime", "L0_sweep", "spectral_density",
-    )
-    _reject_unknown(params, path, allowed)
-    if "spectral_density" in params and (
-        "gamma0" in params or "omega_prime" in params
-    ):
+    with_density = params.given("spectral_density")
+    if with_density and (params.given("gamma0") or params.given("omega_prime")):
         raise ValidationError(
             "params: spectral_density is mutually exclusive with gamma0 / omega_prime"
         )
 
     config = {  # the OmnesConfig fields but gamma0
-        "m": _number(params, path, "m", 1.0, positive=True),
-        "omega": _number(params, path, "omega", 2.0, positive=True),
-        "hbar": _number(params, path, "hbar", 1.0, positive=True),
-        "L0": _number(params, path, "L0", 10.0, positive=True),
-        "a": complex(
-            _number(params, path, "a_re", math.sqrt(0.5)),
-            _number(params, path, "a_im", 0.0),
-        ),
-        "b": complex(
-            _number(params, path, "b_re", math.sqrt(0.5)),
-            _number(params, path, "b_im", 0.0),
-        ),
-        "N": _integer(params, path, "N", 6000, minimum=1),
+        "m": params.number("m", 1.0, positive=True),
+        "omega": params.number("omega", 2.0, positive=True),
+        "hbar": params.number("hbar", 1.0, positive=True),
+        "L0": params.number("L0", 10.0, positive=True),
+        "a": complex(params.number("a_re", math.sqrt(0.5)), params.number("a_im", 0.0)),
+        "b": complex(params.number("b_re", math.sqrt(0.5)), params.number("b_im", 0.0)),
+        "N": _integer(params, "N", 6000, minimum=1),
     }
     ssq = omnes._weight_sum(config["a"], config["b"])
     if abs(ssq - 1.0) > omnes._NORM_TOL:
         raise ValidationError(
             f"params.a_re/a_im/b_re/b_im: |a|^2 + |b|^2 = {ssq!r}, must be 1 within {omnes._NORM_TOL}"
         )
-    density, gamma0, omega_prime = None, None, 0.0
-    if "spectral_density" in params:
-        density = _spectral_density(
-            _as_object(params["spectral_density"], "params.spectral_density"),
-            "params.spectral_density",
-        )
+    block, gamma0, omega_prime = None, None, 0.0
+    if with_density:
+        block = params.object("spectral_density")
     else:
-        gamma0 = _number(params, path, "gamma0", 0.1, positive=True)
-        omega_prime = _number(params, path, "omega_prime", 0.0)
+        gamma0 = params.number("gamma0", 0.1, positive=True)
+        omega_prime = params.number("omega_prime", 0.0)
 
-    sweep_raw = _field(params, path, "L0_sweep", [10.0, 20.0, 40.0])
+    sweep_raw = params.get("L0_sweep", [10.0, 20.0, 40.0])
     if not isinstance(sweep_raw, list) or not sweep_raw:
         raise ValidationError("params.L0_sweep: expected a nonempty array of lengths")
     sweep = [_finite(v, f"params.L0_sweep[{i}]", positive=True) for i, v in enumerate(sweep_raw)]
+    params.done()
+    density = None if block is None else _spectral_density(block)  # a csv density is read after params' checks
     rates = _omnes_sweep(config, gamma0, sweep)
 
     def run():
@@ -356,14 +339,14 @@ def _omnes_sweep(config: dict, gamma0, sweep: list) -> list:
     return rates
 
 
-def _extract(params: dict, grid: None):  # extract has no config grid
-    path = "params"
-    _reject_unknown(params, path, ("input_csv", "model_order", "equilibrium", "hbar"))
-    csv_path = _string(params, path, "input_csv")
-    order = _integer(params, path, "model_order", minimum=1)
-    equilibrium = _number(params, path, "equilibrium", 0.0)
-    hbar = _number(params, path, "hbar", 1.0, positive=True)
-    signal = _read_table(csv_path, "params.input_csv", pole_models.signal_from_csv)
+def _extract(params: _Fields, grid: None):  # extract has no config grid
+    path = params.path
+    csv_path = _string(params, "input_csv")
+    order = _integer(params, "model_order", minimum=1)
+    equilibrium = params.number("equilibrium", 0.0)
+    hbar = params.number("hbar", 1.0, positive=True)
+    params.done()
+    signal = _read_table(csv_path, f"{path}.input_csv", pole_models.signal_from_csv)
     need = numerics.pencil_min_samples(order)
     if len(signal) < need:
         raise ValidationError(
@@ -423,7 +406,8 @@ def _extract(params: dict, grid: None):  # extract has no config grid
 # --- entry point -------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> _Fields:
+    """The config's root object; its record fills as the run reads the config."""
     text = _read_text(path, "cannot read config")
     try:
         doc = json.loads(text)
@@ -431,7 +415,7 @@ def _load_config(path: str) -> dict:
         raise ValidationError(
             f"config {path!r} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    return _as_object(doc, "config")
+    return _Fields(doc, "config", {})
 
 
 # scenario -> (subcommand, validate(params, grid) -> run() -> {file name: text or its chunks})
@@ -446,9 +430,8 @@ _SCENARIOS = {
 }
 
 
-def _dispatch(subcommand: str, doc: dict):
-    _reject_unknown(doc, "config", ("scenario", "grid", "params", "output_dir"))
-    scenario = _string(doc, "config", "scenario", choices=_SCENARIOS)
+def _dispatch(subcommand: str, root: _Fields):
+    scenario = _string(root, "scenario", choices=_SCENARIOS)
     owner, validate = _SCENARIOS[scenario]
     if owner != subcommand:
         expected = sorted(name for name, entry in _SCENARIOS.items() if entry[0] == subcommand)
@@ -456,13 +439,14 @@ def _dispatch(subcommand: str, doc: dict):
             f"config.scenario: {scenario!r} does not belong to subcommand "
             f"{subcommand!r} (expected one of {expected})"
         )
-    params = _as_object(_field(doc, "config", "params", {}), "config.params")
+    params = _Fields(root.get("params", {}), "params", root.record)
     if scenario == "extract":
-        if "grid" in doc:
+        if root.given("grid"):
             raise ValidationError("config.grid: extract reads its grid from the input CSV")
         grid = None
     else:
-        grid = _grid(doc, "config")
+        grid = _grid(root)
+    root.done()
     return validate(params, grid)
 
 
@@ -483,13 +467,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        doc = _load_config(args.config)
-        outdir = doc.get("output_dir", ".")
+        root = _load_config(args.config)
+        outdir = root.get("output_dir", ".")
         if not isinstance(outdir, str):
             raise ValidationError("config.output_dir: expected a string path")
         if args.out is not None:
             outdir = args.out
-        run = _dispatch(args.subcommand, doc)
+        run = _dispatch(args.subcommand, root)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

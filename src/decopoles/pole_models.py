@@ -654,37 +654,51 @@ class CatalogueMatrix:
 
 
 # --- the catalogue schema --------------------------------------------------
-# Its one reader and the field validators it shares with the command line;
+# Its one reader and the field reader it shares with the command line;
 # every diagnostic names the offending field path.
 
 _REQUIRED = object()
 
-# the keys a catalogue reads besides its modes
-_CATALOGUE_KEYS = ("equilibrium", "hbar", "khalfin")
 
+class _Fields:
+    """One config object at ``path``, read key by key: the reads are its schema.
 
-def _as_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+    Each read records ``path.key -> (value, given)`` in ``record``, shared by
+    every object of one config; ``given`` is False where the default stood.
+    ``done`` then rejects the keys no read asked for.
+    """
 
+    def __init__(self, doc, path: str, record: dict):
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: expected an object, got {type(doc).__name__}")
+        self.doc, self.path, self.record, self.asked = doc, path, record, set()
 
-def _reject_unknown(doc: dict, path: str, allowed):
-    extra = sorted(set(doc) - set(allowed))
-    if extra:
-        raise ValidationError(f"{path}: unknown keys {extra}; allowed keys are {sorted(allowed)}")
+    def get(self, key: str, default=_REQUIRED):
+        self.asked.add(key)
+        given = key in self.doc
+        if not given and default is _REQUIRED:
+            raise ValidationError(f"{self.path}.{key}: required field is missing")
+        value = self.doc[key] if given else default
+        self.record[f"{self.path}.{key}"] = (value, given)
+        return value
 
+    def given(self, key: str) -> bool:
+        """Whether the object holds ``key``, read (and recorded) as a key whose default is None."""
+        self.get(key, None)
+        return key in self.doc
 
-def _field(doc: dict, path: str, key: str, default=_REQUIRED):
-    if key in doc:
-        return doc[key]
-    if default is _REQUIRED:
-        raise ValidationError(f"{path}.{key}: required field is missing")
-    return default
+    def number(self, key: str, default=_REQUIRED, positive=False):
+        """A finite float (> 0 if ``positive``); an absent key gives ``default`` as it is."""
+        raw = self.get(key, default)
+        return _finite(raw, f"{self.path}.{key}", positive) if key in self.doc else raw
 
+    def object(self, key: str) -> _Fields:
+        return _Fields(self.get(key), f"{self.path}.{key}", self.record)
 
-def _number(doc, path, key, default=_REQUIRED, positive=False) -> float:
-    return _finite(_field(doc, path, key, default), f"{path}.{key}", positive)
+    def done(self):
+        extra = sorted(set(self.doc) - self.asked)
+        if extra:
+            raise ValidationError(f"{self.path}: unknown keys {extra}; allowed keys are {sorted(self.asked)}")
 
 
 def _finite(raw, path: str, positive=False) -> float:
@@ -702,45 +716,41 @@ def _finite(raw, path: str, positive=False) -> float:
     return value
 
 
-def _mode(doc, path, gamma_key, re_key, im_key, omega_key=None) -> Mode:
+def _mode(fields: _Fields, gamma_key, re_key, im_key, omega_key=None) -> Mode:
     """One mode; omega defaults to 0 (always, without an ``omega_key``), the amplitude to 1 + 0j."""
-    omega = 0.0 if omega_key is None else _number(doc, path, omega_key, 0.0)
+    omega = 0.0 if omega_key is None else fields.number(omega_key, 0.0)
     return Mode(
-        Pole(omega, _number(doc, path, gamma_key, positive=True)),
-        complex(_number(doc, path, re_key, 1.0), _number(doc, path, im_key, 0.0)),
+        Pole(omega, fields.number(gamma_key, positive=True)),
+        complex(fields.number(re_key, 1.0), fields.number(im_key, 0.0)),
     )
 
 
-def _catalogue(doc, path, modes) -> PoleCatalogue:
-    """``modes`` with the equilibrium, Khalfin tail and hbar read from ``doc``."""
-    equilibrium = _number(doc, path, "equilibrium", 0.0)
-    tail = _field(doc, path, "khalfin", None)
-    if tail is not None:
-        p = f"{path}.khalfin"
-        _reject_unknown(_as_object(tail, p), p, ("amplitude", "tau", "p"))
-        tail = KhalfinTail(
-            _number(tail, p, "amplitude"),
-            _number(tail, p, "tau", 1.0, positive=True),
-            _number(tail, p, "p", 3.0, positive=True),
-        )
-    return PoleCatalogue(equilibrium, modes, tail, _number(doc, path, "hbar", 1.0, positive=True))
+def _catalogue(fields: _Fields, modes) -> PoleCatalogue:
+    """``modes`` with the equilibrium, Khalfin tail and hbar read from ``fields``."""
+    equilibrium = fields.number("equilibrium", 0.0)
+    tail = None
+    if fields.get("khalfin", None) is not None:
+        sub = fields.object("khalfin")
+        shape = sub.number("amplitude"), sub.number("tau", 1.0, positive=True), sub.number("p", 3.0, positive=True)
+        sub.done()
+        tail = KhalfinTail(*shape)
+    return PoleCatalogue(equilibrium, modes, tail, fields.number("hbar", 1.0, positive=True))
 
 
-def _read_catalogue(doc: dict, path: str, other_keys=(), tail_only_ok=True) -> PoleCatalogue:
-    """The catalogue object ``doc``, which may also hold ``other_keys``.
+def _read_catalogue(fields: _Fields, tail_only_ok=True) -> PoleCatalogue:
+    """The catalogue object ``fields``; its owner, which may read more keys of it, calls ``done``.
 
     With ``tail_only_ok`` its ``modes`` may be empty if it gives a Khalfin tail.
     """
-    _reject_unknown(doc, path, ("modes",) + _CATALOGUE_KEYS + other_keys)
-    raw = _field(doc, path, "modes")
-    if not isinstance(raw, list) or not (raw or (tail_only_ok and _field(doc, path, "khalfin", None) is not None)):
-        raise ValidationError(f"{path}.modes: expected a nonempty array of mode objects")
+    raw = fields.get("modes")
+    if not isinstance(raw, list) or not (raw or (tail_only_ok and fields.get("khalfin", None) is not None)):
+        raise ValidationError(f"{fields.path}.modes: expected a nonempty array of mode objects")
     modes = []
     for i, entry in enumerate(raw):
-        p = f"{path}.modes[{i}]"
-        _reject_unknown(_as_object(entry, p), p, ("omega", "gamma", "amp_re", "amp_im"))
-        modes.append(_mode(entry, p, "gamma", "amp_re", "amp_im", "omega"))
-    return _catalogue(doc, path, tuple(modes))
+        mode = _Fields(entry, f"{fields.path}.modes[{i}]", fields.record)
+        modes.append(_mode(mode, "gamma", "amp_re", "amp_im", "omega"))
+        mode.done()
+    return _catalogue(fields, tuple(modes))
 
 
 def catalogue_to_json(cat: PoleCatalogue) -> str:
@@ -768,10 +778,13 @@ def catalogue_from_json(text: str) -> PoleCatalogue:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"catalogue: malformed JSON: {exc}") from exc
-    _as_object(doc, "catalogue")
-    for key in ("modes",) + _CATALOGUE_KEYS:  # inline catalogues may omit all but modes
-        _field(doc, "catalogue", key)
-    return _read_catalogue(doc, "catalogue")
+    fields = _Fields(doc, "catalogue", {})
+    cat = _read_catalogue(fields)
+    fields.done()
+    missing = sorted(fields.asked - set(doc))  # inline catalogues may omit all but modes
+    if missing:
+        raise ValidationError(f"catalogue.{missing[0]}: required field is missing")
+    return cat
 
 
 # rows per piece of streamed CSV text: it bounds the text held at once (~0.25 MB

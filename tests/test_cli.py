@@ -1,14 +1,17 @@
 """End-to-end runs of the command-line interface, in process."""
 
+import contextlib
+import io
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from decopoles import numerics, omnes, pole_models, preferred_basis
+from decopoles import cli, numerics, omnes, pole_models, preferred_basis
 from decopoles.errors import ValidationError
 from decopoles.cli import main
 from decopoles.omnes import OmnesConfig, nd_block
@@ -616,10 +619,12 @@ class TestNumericFailureWritesNothing:
 
     def test_extract_validates_then_runs_without_writing(self, tmp_path, capsys, monkeypatch):
         from decopoles.cli import _extract
+        from decopoles.pole_models import _Fields
 
         with pytest.raises(ValidationError, match=r"^params\.equilibrium: -1e\+308 shifts"):
-            _extract({"input_csv": self.decay_csv(tmp_path), "model_order": 1, "equilibrium": -1e308}, None)
-        run = _extract({"input_csv": self.decay_csv(tmp_path, 1.7), "model_order": 1}, None)
+            params = {"input_csv": self.decay_csv(tmp_path), "model_order": 1, "equilibrium": -1e308}
+            _extract(_Fields(params, "params", {}), None)
+        run = _extract(_Fields({"input_csv": self.decay_csv(tmp_path, 1.7), "model_order": 1}, "params", {}), None)
         monkeypatch.chdir(tmp_path)
         before = sorted(p.name for p in tmp_path.iterdir())
         files = run()
@@ -1360,3 +1365,203 @@ class TestCatalogueJsonIsAnInlineCatalogue:
         assert built[0] == catalogue_from_json(json.dumps(dict(part1, equilibrium=0.0, hbar=1.0)))
         want = signal_to_csv(synthesize(tail_only, np.linspace(0.0, 6.0, 61)))
         assert (tmp_path / "bifriedrich" / "signal1.csv").read_text(encoding="utf-8") == want
+
+
+def readme_configs():
+    """The README's ```json config blocks, by scenario."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = (json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S))
+    return {doc["scenario"]: doc for doc in blocks}
+
+
+def recording(monkeypatch):
+    """The records of the configs ``main`` loads from here on, one per run, in run order."""
+    records, load = [], cli._load_config
+
+    def spy(path):
+        root = load(path)
+        records.append(root.record)
+        return root
+
+    monkeypatch.setattr(cli, "_load_config", spy)
+    return records
+
+
+class TestConfigRecord:
+    """Every config value a run reads is recorded once, ``path -> (value, given)``: what the config gives,
+    and each default that stood in for an absent key.  The README's configs, record for record."""
+
+    ROOT_HALF = math.sqrt(0.5)
+
+    @staticmethod
+    def root(doc):
+        return {
+            "config.output_dir": (".", False),
+            "config.scenario": (doc["scenario"], True),
+            "config.params": (doc["params"], True),
+        }
+
+    @staticmethod
+    def grid(doc):
+        return {
+            "config.grid": (doc["grid"], True),
+            "config.grid.t_max": (doc["grid"]["t_max"], True),
+            "config.grid.n_points": (doc["grid"]["n_points"], True),
+        }
+
+    @staticmethod
+    def catalogue(path, doc, gammas, amps=None):
+        """A catalogue of modes that give ``gamma`` (and ``amp_re`` where ``amps`` has it), nothing else."""
+        want = {f"{path}.modes": (doc["modes"], True)}
+        for i, gamma in enumerate(gammas):
+            amp = (amps[i], True) if amps else (1.0, False)
+            want.update({
+                f"{path}.modes[{i}].omega": (0.0, False),
+                f"{path}.modes[{i}].gamma": (gamma, True),
+                f"{path}.modes[{i}].amp_re": amp,
+                f"{path}.modes[{i}].amp_im": (0.0, False),
+            })
+        want.update({
+            f"{path}.equilibrium": (0.0, False),
+            f"{path}.khalfin": (None, False),
+            f"{path}.hbar": (1.0, False),
+        })
+        return want
+
+    def run(self, tmp_path, monkeypatch, doc):
+        monkeypatch.chdir(tmp_path)
+        records = recording(monkeypatch)
+        subcommand = doc["scenario"] if doc["scenario"] in ("omnes", "extract") else "simulate"
+        cfg = write_config(tmp_path, doc, name=f"{doc['scenario']}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([subcommand, "--config", cfg, "--out", "out"]) == 0
+        return records[-1]
+
+    def test_model3(self, tmp_path, monkeypatch):
+        doc = readme_configs()["model3"]
+        want = {
+            **self.root(doc),
+            **self.grid(doc),
+            **self.catalogue("params", doc["params"], [0.1, 1.0, 5.0], [3.0, 2.0, 1.0]),
+            "params.rule": ("second-smallest-gamma", True),
+            "params.boundary": ("relevant", False),
+        }
+        assert self.run(tmp_path, monkeypatch, doc) == want
+
+    def test_bifriedrich(self, tmp_path, monkeypatch):
+        doc = readme_configs()["bifriedrich"]
+        parts = doc["params"]
+        want = {
+            **self.root(doc),
+            **self.grid(doc),
+            "params.part1": (parts["part1"], True),
+            **self.catalogue("params.part1", parts["part1"], [1.0]),
+            "params.part2": (parts["part2"], True),
+            **self.catalogue("params.part2", parts["part2"], [0.01]),
+        }
+        assert self.run(tmp_path, monkeypatch, doc) == want
+
+    def test_omnes(self, tmp_path, monkeypatch):
+        doc = readme_configs()["omnes"]
+        density = doc["params"]["spectral_density"]
+        want = {
+            **self.root(doc),
+            **self.grid(doc),
+            # with a density, gamma0 and omega_prime are read only to be refused
+            "params.spectral_density": (density, True),
+            "params.gamma0": (None, False),
+            "params.omega_prime": (None, False),
+            "params.m": (1.0, False),
+            "params.omega": (2.0, False),
+            "params.hbar": (1.0, False),
+            "params.L0": (10.0, False),
+            "params.a_re": (self.ROOT_HALF, False),
+            "params.a_im": (0.0, False),
+            "params.b_re": (self.ROOT_HALF, False),
+            "params.b_im": (0.0, False),
+            "params.N": (6000, False),
+            "params.L0_sweep": ([10.0, 20.0, 40.0], False),
+            "params.spectral_density.kind": ("lorentzian", True),
+            "params.spectral_density.omega0": (1.1, True),
+            "params.spectral_density.center": (0.6, True),
+            "params.spectral_density.width": (0.7, True),
+            "params.spectral_density.weight": (1.0, False),
+            "params.spectral_density.lo": (None, False),
+            "params.spectral_density.hi": (None, False),
+        }
+        assert self.run(tmp_path, monkeypatch, doc) == want
+
+    def test_extract(self, tmp_path, monkeypatch):
+        self.run(tmp_path, monkeypatch, readme_configs()["model3"])  # writes out/signal.csv
+        doc = readme_configs()["extract"]
+        want = {
+            **self.root(doc),
+            "config.grid": (None, False),  # read only to be refused
+            "params.input_csv": ("out/signal.csv", True),
+            "params.model_order": (3, True),
+            "params.equilibrium": (0.0, False),
+            "params.hbar": (1.0, False),
+        }
+        assert self.run(tmp_path, monkeypatch, doc) == want
+
+
+class TestReadOrder:
+    """An object's unknown keys are named once its reads end, before anything with a side effect: a
+    ``warning:`` line, or an input file read."""
+
+    GRID = {"t_max": 10.0, "n_points": 41}
+
+    def check(self, tmp_path, capsys, monkeypatch, subcommand, doc, line):
+        monkeypatch.chdir(tmp_path)
+        assert main([subcommand, "--config", write_config(tmp_path, doc), "--out", "out"]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_model2_names_the_unknown_key_before_its_warning(self, tmp_path, capsys, monkeypatch):
+        # gamma1 / gamma0 = 5 alone prints a weak-separation warning: line and runs
+        params = {"gamma0": 1.0, "gamma1": 5.0, "colour": "red"}
+        self.check(
+            tmp_path, capsys, monkeypatch, "simulate", {"scenario": "model2", "grid": self.GRID, "params": params},
+            "params: unknown keys ['colour']; allowed keys are ['amp0_im', 'amp0_re', 'amp1_im', 'amp1_re', "
+            "'equilibrium', 'gamma0', 'gamma1', 'hbar', 'khalfin']",
+        )
+
+    def test_csv_density_names_the_unknown_key_before_its_file(self, tmp_path, capsys, monkeypatch):
+        sd = {"kind": "csv", "omega0": 1.0, "path": "missing.csv", "colour": "red"}
+        self.check(
+            tmp_path, capsys, monkeypatch, "omnes",
+            {"scenario": "omnes", "grid": self.GRID, "params": {"N": 50, "L0": 1.0, "spectral_density": sd}},
+            "params.spectral_density: unknown keys ['colour']; allowed keys are ['kind', 'omega0', 'path']",
+        )
+
+    def test_csv_density_is_read_after_the_params_keys(self, tmp_path, capsys, monkeypatch):
+        sd = {"kind": "csv", "omega0": 1.0, "path": "missing.csv"}
+        params = {"N": 50, "L0": 1.0, "spectral_density": sd, "colour": "red"}
+        self.check(
+            tmp_path, capsys, monkeypatch, "omnes", {"scenario": "omnes", "grid": self.GRID, "params": params},
+            "params: unknown keys ['colour']; allowed keys are ['L0', 'L0_sweep', 'N', 'a_im', 'a_re', 'b_im', "
+            "'b_re', 'gamma0', 'hbar', 'm', 'omega', 'omega_prime', 'spectral_density']",
+        )
+
+    def test_extract_names_the_unknown_key_before_its_input(self, tmp_path, capsys, monkeypatch):
+        params = {"input_csv": "missing.csv", "model_order": 1, "colour": "red"}
+        self.check(
+            tmp_path, capsys, monkeypatch, "extract", {"scenario": "extract", "params": params},
+            "params: unknown keys ['colour']; allowed keys are ['equilibrium', 'hbar', 'input_csv', 'model_order']",
+        )
+
+    def test_extract_names_an_unknown_top_level_key_before_its_input(self, tmp_path, capsys, monkeypatch):
+        doc = {"scenario": "extract", "params": {"input_csv": "missing.csv", "model_order": 1}, "colour": "red"}
+        self.check(
+            tmp_path, capsys, monkeypatch, "extract", doc,
+            "config: unknown keys ['colour']; allowed keys are ['grid', 'output_dir', 'params', 'scenario']",
+        )
+
+    def test_misspelled_required_key_is_named_missing(self, tmp_path, capsys, monkeypatch):
+        # the required key's read comes first; before the reads were the schema this line read
+        # "params: unknown keys ['gama0']; allowed keys are [...]"
+        self.check(
+            tmp_path, capsys, monkeypatch, "simulate",
+            {"scenario": "model1", "grid": self.GRID, "params": {"gama0": 1.0}},
+            "params.gamma0: required field is missing",
+        )

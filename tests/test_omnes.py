@@ -904,6 +904,20 @@ class TestFormedStates:
         assert np.max(np.abs(rho - want)) <= FOCK_ORACLE_TOL
         assert abs(rho[1, 0] - want[1, 0]) <= 1e-11 * abs(want[1, 0])
 
+    @pytest.mark.xfail(
+        strict=True, raises=RuntimeWarning,
+        reason="F6: far back in time w = exp(-Delta^2 (1 - exp(-i z0 t / hbar))) overflows in exp, so a "
+        "valid state near |alpha2><alpha2| is refused; forming w in log scale mends it",
+    )
+    def test_far_backward_frame_state_is_near_alpha2(self):
+        # ROADMAP's F6 reproducer, with no errstate block: L0 = 6, gamma0 = 0.2, a = b = 1/sqrt(2),
+        # N = 200, z0 = -0.2i, t = -20, in both forms; at t = -14 rho_21 is already below 1e-160
+        cfg = self.FRAME
+        for closed_form in (True, False):
+            rho = frame_projection(cfg, cfg.z0(), -20.0, closed_form=closed_form)
+            assert type(rho) is DensityMatrix
+            assert np.max(np.abs(rho.entries - np.diag([0.0, 1.0]))) <= 1e-12
+
     def test_growing_fock_state_gives_the_oracle_state(self):
         # at t = -1e3 the amplitudes grow as e^(100 n): their products overflow, but the state,
         # formed in log scale, is the finite one near |N> that the 160-bit oracle gives

@@ -13,6 +13,7 @@ from unittest import mock
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -54,6 +55,7 @@ from decopoles.pole_models import (
     Mode,
     Pole,
     PoleCatalogue,
+    Signal,
     catalogue_from_json,
     catalogue_to_json,
     coincidence_check,
@@ -469,6 +471,175 @@ class TestCatalogueJsonRoundTrip:
         again = catalogue_from_json(json.dumps(doc))
         assert again == cat
         assert catalogue_to_json(again) == catalogue_to_json(cat)
+
+
+# --- the config record ---------------------------------------------------------
+# Each schema below is written from the README, not from the reader: ``{key: default}``, with
+# ("object", schema) or ("objects", schema) for a key holding one object or an array of them.  A key
+# a generated config always gives (a required one) has default None; it is never read as a default.
+
+_MODE_SCHEMA = {"omega": 0.0, "gamma": None, "amp_re": 1.0, "amp_im": 0.0}
+_TAIL_SCHEMA = ("object", {"amplitude": None, "tau": 1.0, "p": 3.0})
+_CATALOGUE_TAIL = {"equilibrium": 0.0, "khalfin": _TAIL_SCHEMA, "hbar": 1.0}
+_CATALOGUE_SCHEMA = {"modes": ("objects", _MODE_SCHEMA), **_CATALOGUE_TAIL}
+_OMNES_SCHEMA = {
+    "m": 1.0, "omega": 2.0, "hbar": 1.0, "L0": 10.0, "a_re": math.sqrt(0.5), "a_im": 0.0,
+    "b_re": math.sqrt(0.5), "b_im": 0.0, "N": 6000, "L0_sweep": [10.0, 20.0, 40.0],
+}
+_DENSITY_SCHEMAS = {
+    kind: {"kind": None, "omega0": None, **dict.fromkeys(shape), "weight": 1.0, "lo": None, "hi": None}
+    for kind, shape in (("lorentzian", ("center", "width")), ("ohmic", ("cutoff",)))
+}
+_PARAMS_SCHEMAS = {
+    "model1": {"gamma0": None, "amp_re": 1.0, "amp_im": 0.0, **_CATALOGUE_TAIL},
+    "model2": {
+        "gamma0": None, "amp0_re": 1.0, "amp0_im": 0.0, "gamma1": None, "amp1_re": 1.0, "amp1_im": 0.0,
+        **_CATALOGUE_TAIL,
+    },
+    "model3": {**_CATALOGUE_SCHEMA, "rule": RULE_SECOND_SMALLEST, "boundary": BOUNDARY_RELEVANT},
+    "bifriedrich": {"part1": ("object", _CATALOGUE_SCHEMA), "part2": ("object", _CATALOGUE_SCHEMA)},
+    "extract": {"input_csv": None, "model_order": None, "equilibrium": 0.0, "hbar": 1.0},
+}
+
+
+def _params_schema(doc):
+    params = doc.get("params", {})
+    if doc["scenario"] != "omnes":
+        return _PARAMS_SCHEMAS[doc["scenario"]]
+    if "spectral_density" in params:  # gamma0 and omega_prime are read only to be refused
+        density = ("object", _DENSITY_SCHEMAS[params["spectral_density"]["kind"]])
+        return {**_OMNES_SCHEMA, "spectral_density": density, "gamma0": None, "omega_prime": None}
+    return {**_OMNES_SCHEMA, "spectral_density": None, "gamma0": 0.1, "omega_prime": 0.0}
+
+
+def _expected_record(doc, schema, path, record):
+    """``record`` with ``path.key -> (value, given)`` for each key of ``schema``, and its objects' keys."""
+    for key, spec in schema.items():
+        kind, sub = spec if isinstance(spec, tuple) else ("leaf", None)
+        given = key in doc
+        value = doc[key] if given else (None if kind != "leaf" else spec)
+        record[f"{path}.{key}"] = (value, given)
+        if kind == "object" and value is not None:
+            _expected_record(value, sub, f"{path}.{key}", record)
+        if kind == "objects":
+            for i, entry in enumerate(value):
+                _expected_record(entry, sub, f"{path}.{key}[{i}]", record)
+    return record
+
+
+_POSITIVE = st.floats(0.2, 5.0) | st.integers(1, 5)
+_REAL = st.floats(-2.0, 2.0) | st.integers(-2, 2)
+_GIVEN_TAIL = st.none() | st.fixed_dictionaries(
+    {"amplitude": _REAL}, optional={"tau": _POSITIVE, "p": _POSITIVE}
+)
+_TAIL_KEYS = {"equilibrium": _REAL, "khalfin": _GIVEN_TAIL, "hbar": _POSITIVE}
+
+
+def _config_modes(min_size):
+    # distinct widths, so every rule partitions them
+    gammas = st.lists(st.floats(0.05, 20.0), min_size=min_size, max_size=4, unique=True)
+    return gammas.flatmap(lambda gs: st.tuples(*(
+        st.fixed_dictionaries({"gamma": st.just(g)}, optional={"omega": _REAL, "amp_re": _REAL, "amp_im": _REAL})
+        for g in gs
+    )).map(list))
+
+
+def _catalogue_params(min_modes, **more):
+    return st.fixed_dictionaries({"modes": _config_modes(min_modes)}, optional={**_TAIL_KEYS, **more})
+
+
+@st.composite
+def _omnes_params(draw):
+    params = draw(st.fixed_dictionaries({}, optional={
+        "m": st.floats(0.5, 2.0), "omega": st.floats(0.5, 2.0), "hbar": st.floats(0.5, 2.0),
+        "L0": st.floats(1.0, 20.0) | st.integers(1, 20), "N": st.integers(1, 60),
+        "L0_sweep": st.lists(st.floats(1.0, 40.0), min_size=1, max_size=3),
+    }))
+    if draw(st.booleans()):  # |a|^2 + |b|^2 = 1 with a = cos(theta) e^(i phi), b = sin(theta)
+        theta, phi = draw(st.floats(0.1, 1.4)), draw(st.floats(-3.0, 3.0))
+        params.update(a_re=math.cos(theta) * math.cos(phi), a_im=math.cos(theta) * math.sin(phi), b_re=math.sin(theta))
+        params.update(draw(st.fixed_dictionaries({}, optional={"b_im": st.just(0.0)})))
+    kind = draw(st.sampled_from(["rate", "lorentzian", "ohmic"]))
+    if kind == "rate":
+        params.update(draw(st.fixed_dictionaries({}, optional={"gamma0": st.floats(0.01, 1.0),
+                                                              "omega_prime": st.floats(-1.0, 1.0)})))
+        return params
+    omega0 = draw(st.floats(0.5, 2.0))
+    if kind == "lorentzian":
+        shape = {"center": omega0 + draw(st.floats(-0.5, 0.5)), "width": draw(st.floats(0.2, 2.0))}
+        bounds = {"lo": st.just(omega0 - draw(st.floats(0.5, 5.0))), "hi": st.just(omega0 + draw(st.floats(0.5, 5.0)))}
+    else:
+        shape = {"cutoff": omega0 / draw(st.floats(0.1, 3.0))}
+        bounds = {"lo": st.just(omega0 * draw(st.floats(0.0, 0.9))), "hi": st.just(omega0 * draw(st.floats(1.1, 10.0)))}
+    params["spectral_density"] = {
+        "kind": kind, "omega0": omega0, **shape,
+        **draw(st.fixed_dictionaries({}, optional={"weight": st.floats(0.1, 5.0), **bounds})),
+    }
+    return params
+
+
+_SCENARIO_PARAMS = {
+    "model1": st.fixed_dictionaries({"gamma0": _POSITIVE}, optional={
+        "amp_re": _REAL, "amp_im": _REAL, **_TAIL_KEYS}),
+    "model2": st.tuples(st.floats(0.05, 2.0), st.floats(1.5, 50.0)).flatmap(lambda g: st.fixed_dictionaries(
+        {"gamma0": st.just(g[0]), "gamma1": st.just(g[0] * g[1])},
+        optional={"amp0_re": _REAL, "amp0_im": _REAL, "amp1_re": _REAL, "amp1_im": _REAL, **_TAIL_KEYS},
+    )),
+    "model3": _catalogue_params(1, rule=_RULES, boundary=_BOUNDARIES),
+    "bifriedrich": st.fixed_dictionaries({"part1": _catalogue_params(1), "part2": _catalogue_params(1)}),
+    "omnes": _omnes_params(),
+    "extract": st.fixed_dictionaries({"input_csv": st.just("signal.csv"), "model_order": st.integers(1, 3)},
+                                     optional={"equilibrium": _REAL, "hbar": _POSITIVE}),
+}
+
+
+@st.composite
+def valid_configs(draw, scenario):
+    required = {"scenario": st.just(scenario), "params": _SCENARIO_PARAMS[scenario]}
+    if scenario != "extract":
+        required["grid"] = st.fixed_dictionaries({"t_max": _POSITIVE, "n_points": st.integers(2, 20)})
+    doc = draw(st.fixed_dictionaries(required, optional={"output_dir": st.just("elsewhere")}))
+    if scenario == "omnes" and not doc["params"] and draw(st.booleans()):
+        del doc["params"]  # every omnes param has a default
+    return doc
+
+
+class TestConfigRecord:
+    """A run's config record holds every key the config gives, as given, and every default that stood
+    in for an absent key, as that default: nothing the config gives goes unread, and no read escapes."""
+
+    @pytest.mark.parametrize("scenario", sorted(_SCENARIO_PARAMS))
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_record_is_the_config_and_its_defaults(self, scenario, data):
+        doc = data.draw(valid_configs(scenario), label="config")
+        grid = None if scenario == "extract" else ("object", {"t_max": None, "n_points": None})
+        want = _expected_record(doc, {"output_dir": ".", "scenario": None, "params": {}, "grid": grid}, "config", {})
+        _expected_record(doc.get("params", {}), _params_schema(doc), "params", want)
+
+        records, dispatch = [], cli._dispatch
+
+        def validate_only(subcommand, root):
+            dispatch(subcommand, root)
+            records.append(root.record)
+            return dict  # a run that writes nothing
+
+        subcommand = scenario if scenario in ("omnes", "extract") else "simulate"
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_dispatch", validate_only):
+            t = np.linspace(0.0, 10.0, 41)
+            with open(os.path.join(tmp, "signal.csv"), "w", encoding="utf-8") as fh:
+                fh.write(signal_to_csv(Signal(t, np.exp(-0.5 * t) + 0.5 * np.exp(-2.0 * t) + 0j)))
+            with open(os.path.join(tmp, "config.json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = cli.main([subcommand, "--config", "config.json", "--out", "out"])
+            finally:
+                os.chdir(cwd)
+        assert code == 0, err.getvalue()
+        assert records == [want]
 
 
 class TestCoincidenceInvariant:

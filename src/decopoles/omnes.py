@@ -515,4 +515,4 @@ def frame_catalogue_matrix(cfg: OmnesConfig) -> CatalogueMatrix:
     n = int(np.count_nonzero((tails >= floor) & (tails > 0.0)))
     truncation = float(dropped * reach) + (float(tails[n]) if n < tails.size else 0.0)
     gammas = np.arange(1, n + 1) * cfg.gamma0  # bit for bit Python's k * gamma0
-    return CatalogueMatrix._from_widths(np.zeros(n), gammas, amps[0], amps[1 : n + 1], cfg.hbar, truncation)
+    return CatalogueMatrix._from_widths(gammas, amps[0], amps[1 : n + 1], cfg.hbar, truncation)

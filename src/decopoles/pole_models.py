@@ -507,9 +507,9 @@ class CatalogueMatrix:
     Every entry shares one pole list; per-pole amplitudes are Hermitian
     matrices so the evaluated matrix is Hermitian at all times.  This is
     the per-mode tagging needed to drop poles entrywise when building a
-    preferred state.  Only envelope (real damping) rendering is defined at
-    the matrix level.  Widths, frequencies and the read-only (K, d, d)
-    ``amplitudes`` stack are sorted jointly; ``poles`` is built on first read.
+    preferred state.  Frequencies are not rendered, so a pole with omega != 0
+    is refused (-0.0 passes).  Widths and the read-only (K, d, d) ``amplitudes``
+    stack are sorted jointly and stably; ``poles`` is built on first read.
     ``evaluate`` and ``dropped_envelope`` take one time or an array of T
     times (a (T, d, d) stack, a (T,) array), and their modes as a report's
     partition gives them: ``range(cut)`` kept, ``range(cut, K)`` dropped,
@@ -531,23 +531,23 @@ class CatalogueMatrix:
         poles = tuple(poles)
         if not all(isinstance(p, Pole) for p in poles):
             raise ValidationError("poles must be Pole instances")
-        self._build([p.omega for p in poles], [p.gamma for p in poles], equilibrium, amplitudes, hbar)
+        for k, p in enumerate(poles):
+            if p.omega:  # -0.0 passes
+                raise ValidationError(f"poles[{k}]: omega = {p.omega!r}, but a matrix catalogue renders widths only")
+        self._build([p.gamma for p in poles], equilibrium, amplitudes, hbar)
 
     @classmethod
-    def _from_widths(cls, omegas, gammas, equilibrium, amplitudes, hbar: float = 1.0, truncation: float = 0.0):
-        """Catalogue of poles (omegas[k], gammas[k]), checked in one pass as ``Pole`` does, with ``truncation``.
-
-        ``amplitudes`` are checked and averaged as the constructor's are.
-        """
+    def _from_widths(cls, gammas, equilibrium, amplitudes, hbar: float = 1.0, truncation: float = 0.0):
+        """Poles (0, gammas[k]) plus ``truncation``: checked, stably sorted and averaged as by the constructor."""
         cm = cls.__new__(cls)
-        cm._build(omegas, gammas, equilibrium, amplitudes, hbar, truncation)
+        cm._build(gammas, equilibrium, amplitudes, hbar, truncation)
         return cm
 
-    def _build(self, omegas, gammas, equilibrium, amplitudes, hbar, truncation=0.0):
-        omegas, gammas = np.asarray(omegas, dtype=float), np.asarray(gammas, dtype=float)
-        bad = ~((gammas > 0.0) & (gammas < math.inf) & np.isfinite(omegas))
-        if bad.any():  # the first bad pole raises what its Pole raises
-            Pole(omegas[bad.argmax()], gammas[bad.argmax()])
+    def _build(self, gammas, equilibrium, amplitudes, hbar, truncation=0.0):
+        gammas = np.asarray(gammas, dtype=float)
+        bad = ~((gammas > 0.0) & (gammas < math.inf))
+        if bad.any():  # the first bad width raises what its Pole raises
+            _require_positive("gamma", gammas[bad.argmax()])
         eq = HermitianMatrix(equilibrium).entries
         dim = eq.shape[0]
         amps = _complex_array(amplitudes)
@@ -557,8 +557,7 @@ class CatalogueMatrix:
             raise ValidationError(
                 f"need one {dim}x{dim} amplitude matrix per pole ({gammas.size}), got shape {amps.shape}"
             )
-        order = np.lexsort((omegas, gammas))
-        self._omegas = omegas[order]
+        order = np.argsort(gammas, kind="stable")
         self._gammas = gammas[order]
         self.gammas = tuple(self._gammas.tolist())
         self.amplitudes = hermitian_average(amps[order])
@@ -572,7 +571,7 @@ class CatalogueMatrix:
 
     @functools.cached_property
     def poles(self) -> tuple:
-        return tuple(map(Pole, self._omegas.tolist(), self.gammas))
+        return tuple(Pole(0.0, g) for g in self.gammas)
 
     def _mode_slice(self, modes) -> slice:
         """A report's ``range(start, stop)`` of modes, 0 <= start <= stop <= K, as a slice; any other form raises."""

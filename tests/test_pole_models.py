@@ -545,7 +545,7 @@ class TestReportValidation:
 
     def test_mismatch_message_names_the_cuts(self):
         # 2000 modes cut at 1000 under slowest-only: the message names two cuts, not 1000 indices
-        cm = CatalogueMatrix._from_widths(np.zeros(2000), np.arange(1.0, 2001.0), np.eye(1), np.ones((2000, 1, 1)))
+        cm = CatalogueMatrix._from_widths(np.arange(1.0, 2001.0), np.eye(1), np.ones((2000, 1, 1)))
         with pytest.raises(ValidationError) as err:
             check_report_matches(cm, TimescaleReport(1.0, 1.0, 1000, 2000, RULE_SLOWEST))
         assert str(err.value) == "report cut 1000 does not match the catalogue's threshold cut 1"
@@ -783,6 +783,23 @@ class TestCatalogueMatrix:
         assert cm.gammas == (1.0, 10.0)
         assert np.array_equal(cm.amplitudes[0], slow)
 
+    def test_nonzero_omega_is_refused(self):
+        # ROADMAP F14's reproducer: evaluate renders exp(-gamma t / hbar) only, so an omega it
+        # took would be left out of rho(t) without a word; the refusal names the pole and its omega
+        with pytest.raises(ValidationError) as err:
+            CatalogueMatrix([Pole(3.0, 0.5)], np.eye(2) / 2, [[[0, 0.5], [0.5, 0]]])
+        assert str(err.value) == "poles[0]: omega = 3.0, but a matrix catalogue renders widths only"
+        with pytest.raises(ValidationError, match=r"^poles\[1\]: omega = -5e-324, "):
+            CatalogueMatrix([Pole(0.0, 1.0), Pole(-5e-324, 2.0)], np.eye(1), np.ones((2, 1, 1)))
+
+    def test_negative_zero_omega_builds_the_zero_omega_catalogue(self):
+        amps = [[[0, 0.5], [0.5, 0]]]
+        got = CatalogueMatrix([Pole(-0.0, 0.5)], np.eye(2) / 2, amps)
+        want = CatalogueMatrix([Pole(0.0, 0.5)], np.eye(2) / 2, amps)
+        assert got.poles == want.poles == (Pole(0.0, 0.5),)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert got.evaluate(1.0).tobytes() == want.evaluate(1.0).tobytes()
+
     def test_dropped_envelope(self):
         cm = self.build()
         want = math.sqrt(2 * 0.3**2) * math.exp(-10 * 0.2)
@@ -798,9 +815,7 @@ class TestCatalogueMatrix:
         at_edge = -math.log(2.0**-1022) + np.arange(-3, 4) * 2.0**-43  # its float and three on each side
         assert (np.exp(-at_edge) >= tiny).tolist() == [True] * 4 + [False] * 3
         gammas = np.sort(np.concatenate([np.linspace(700.0, 750.0, 20001), at_edge]))
-        cm = CatalogueMatrix._from_widths(
-            np.zeros(gammas.size), gammas, np.eye(1), np.ones((gammas.size, 1, 1))
-        )
+        cm = CatalogueMatrix._from_widths(gammas, np.eye(1), np.ones((gammas.size, 1, 1)))
         for t in (1.0, np.array([1.0, 0.999, 1.001])):
             exact = np.exp(np.multiply.outer(t, -gammas))
             assert np.any((exact > 0.0) & (exact < tiny))
@@ -873,9 +888,7 @@ class TestCatalogueMatrix:
     )
     def test_bool_in_a_sequence_or_a_scalar_is_named(self, method, indices):
         # none is a range, so each is named with the form, whatever it holds and however long
-        cm = CatalogueMatrix._from_widths(
-            np.zeros(2000), np.arange(1.0, 2001.0), np.eye(2), np.ones((2000, 2, 2))
-        )
+        cm = CatalogueMatrix._from_widths(np.arange(1.0, 2001.0), np.eye(2), np.ones((2000, 2, 2)))
         call = getattr(cm, method)
         with pytest.raises(ValidationError) as err:
             call(0.3, indices) if method == "dropped_envelope" else call(0.3, keep=indices)
@@ -920,51 +933,50 @@ class TestCatalogueMatrixFromWidths:
     AMPS = np.array([[[0.0, 0.3], [0.3, 0.0]], np.eye(2), [[-0.25, 0.1j], [np.conj(0.1j), 0.25]]])
 
     def test_same_catalogue_as_pole_list(self):
-        omegas, gammas = [0.5, -2.0, 0.25], [10.0, 1.0, 1.0]  # a width tie, broken by omega
-        got = CatalogueMatrix._from_widths(np.array(omegas), np.array(gammas), self.EQ, self.AMPS, 1.3)
-        want = CatalogueMatrix([Pole(w, g) for w, g in zip(omegas, gammas)], self.EQ, self.AMPS, 1.3)
+        gammas = [10.0, 1.0, 1.0]  # a width tie, kept in input order
+        got = CatalogueMatrix._from_widths(np.array(gammas), self.EQ, self.AMPS, 1.3)
+        want = CatalogueMatrix([Pole(0.0, g) for g in gammas], self.EQ, self.AMPS, 1.3)
         assert got.gammas == want.gammas == (1.0, 1.0, 10.0)
         assert got.poles == want.poles
-        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes() == self.AMPS[[1, 2, 0]].tobytes()
         assert got.evaluate(0.4).tobytes() == want.evaluate(0.4).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])
     def test_rejects_bad_width_with_the_pole_message(self, bad):
         gammas = np.array([1.0, bad, 3.0])
         with pytest.raises(ValidationError) as err:
-            CatalogueMatrix._from_widths(np.zeros(3), gammas, self.EQ, self.AMPS)
+            CatalogueMatrix._from_widths(gammas, self.EQ, self.AMPS)
         assert str(err.value) == pole_message(0.0, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_omega_with_the_pole_message(self, bad):
-        omegas = np.array([0.0, 0.0, bad])
+        # the width-array path takes no frequencies; the constructor's poles check their own
         with pytest.raises(ValidationError) as err:
-            CatalogueMatrix._from_widths(omegas, np.array([1.0, 2.0, 3.0]), self.EQ, self.AMPS)
+            CatalogueMatrix([Pole(0.0, 1.0), Pole(0.0, 2.0), Pole(bad, 3.0)], self.EQ, self.AMPS)
         assert str(err.value) == pole_message(bad, 3.0) == "omega must be finite"
 
     def test_first_bad_pole_reports_as_pole_does(self):
-        # pole 0 has a bad omega and pole 1 a bad width: one Pole at a time fails on pole 0
-        with pytest.raises(ValidationError, match="omega must be finite"):
-            CatalogueMatrix._from_widths(
-                np.array([math.nan, 0.0, 0.0]), np.array([1.0, -1.0, 3.0]), self.EQ, self.AMPS
-            )
+        # pole 1 has a negative width and pole 2 a NaN one: one Pole at a time fails on pole 1
+        with pytest.raises(ValidationError) as err:
+            CatalogueMatrix._from_widths(np.array([1.0, -1.0, math.nan]), self.EQ, self.AMPS)
+        assert str(err.value) == pole_message(0.0, -1.0) != pole_message(0.0, math.nan)
 
     def test_signed_zero_amplitude_keeps_its_bits(self):
         # a (0, 1) entry of -0.0 + 5e-324j, whose zero sign a complex / 2.0 halving turns to +0.0
         cross = complex(-0.0, 5e-324)
         amps = np.zeros((2, 2, 2), dtype=complex)  # Hermitian to the bit
         amps[:, 0, 1], amps[:, 1, 0], amps[:, 0, 0] = cross, cross.conjugate(), 1.0
-        got = CatalogueMatrix._from_widths(np.zeros(2), np.array([1.0, 2.0]), self.EQ, amps)
+        got = CatalogueMatrix._from_widths(np.array([1.0, 2.0]), self.EQ, amps)
         want = CatalogueMatrix([Pole(0.0, 1.0), Pole(0.0, 2.0)], self.EQ, amps)
         assert math.copysign(1.0, got.amplitudes[0, 0, 1].real) == -1.0
         assert got.amplitudes.tobytes() == amps.tobytes() == want.amplitudes.tobytes()
 
     def test_amplitudes_checked_as_the_constructor_checks_them(self):
         with pytest.raises(ValidationError, match="matrix is not Hermitian"):
-            CatalogueMatrix._from_widths([0.0], [1.0], np.eye(2) / 2, [[[0, 1], [0, 0]]])
+            CatalogueMatrix._from_widths([1.0], np.eye(2) / 2, [[[0, 1], [0, 0]]])
 
     def test_poles_built_on_first_read(self):
-        cm = CatalogueMatrix._from_widths(np.zeros(3), np.array([3.0, 1.0, 2.0]), self.EQ, self.AMPS)
+        cm = CatalogueMatrix._from_widths(np.array([3.0, 1.0, 2.0]), self.EQ, self.AMPS)
         assert "poles" not in vars(cm)
         assert cm.poles == (Pole(0.0, 1.0), Pole(0.0, 2.0), Pole(0.0, 3.0))
         assert cm.poles is cm.poles

@@ -713,6 +713,75 @@ class TestMacroscopicConvergence:
                 assert dist.subspace_angle <= dist.bound
 
 
+class TestConvergenceProfileOpenDefects:
+    """ROADMAP item 1's two defects, pinned as strict expected failures; its mend flips both.
+
+    The rung is the benchmark's seed-1 N = 200 frame rung: m = 1, omega = 2, hbar = 1,
+    a = b = sqrt(1/2), and gamma0, L0 as drawn, over 81 points on [0, 6 t_R] with the
+    collective-rate partition.  rho_R is ``frame_projection(closed_form=False)``.  sin theta
+    of a matched pair is the root of the sum of the other squared overlaps in its column
+    of |V_P^H V_R|, with V_P and V_R from one ``eigh`` of each family.
+    """
+
+    CFG = OmnesConfig(
+        m=1.0, omega=2.0, hbar=1.0, gamma0=0.15772049688608442, L0=6.125677666997265,
+        a=math.sqrt(0.5), b=math.sqrt(0.5), N=200,
+    )
+
+    @pytest.fixture(scope="class")
+    def rung(self):
+        cfg = self.CFG
+        cm = frame_catalogue_matrix(cfg)
+        rep = partition_report(cm.gammas, cm.hbar, rule=collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar))
+        grid = np.linspace(0.0, 6.0 * cfg.hbar / cfg.gamma0, 81)
+        rho_p = preferred_state(cm, rep, grid)
+        rho_r = [frame_projection(cfg, cfg.z0(), float(t), closed_form=False) for t in grid]
+        return cm, rep, grid, rho_r, rho_p
+
+    @staticmethod
+    def sines(rho_r, rho_p):
+        overlaps = np.abs(np.swapaxes(eigh(rho_p).unphased_vectors.conj(), -1, -2) @ eigh(rho_r).unphased_vectors)
+        out = []
+        for m in overlaps:
+            perm = reference_greedy_match(m)
+            out.append(max(math.sqrt(sum(m[r, j] ** 2 for r in range(len(m)) if r != i)) for i, j in enumerate(perm)))
+        return np.array(out)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="item 1: arccos of the matched overlap reads 0 at 42 of the 80 reliable points past t_D "
+        "where sin theta > 0, the first at t = 2.853 (sin theta = 5.9e-9); atan2(sin, cos) mends it",
+    )
+    def test_angle_reads_zero_only_where_the_bases_agree(self, rung):
+        cm, rep, grid, rho_r, rho_p = rung
+        profile = convergence_profile(rho_r, rho_p, grid, t_D=rep.t_D)
+        sines = self.sines(rho_r, rho_p)
+        past = profile.reliable & (profile.t >= rep.t_D)
+        zero = past & (profile.subspace_angle == 0.0) & (sines > 0.0)
+        assert not zero.any(), (
+            f"{zero.sum()} of {past.sum()} angles read 0 with sin theta > 0, "
+            f"first at t = {profile.t[zero][0]:.4g} (sin theta = {sines[zero][0]:.3g})"
+        )
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="item 1: the bound column env/gap is no bound: without the factor 5 the angle exceeds it, "
+        "at t = 1.902 by 2.261e-6 against 1.600e-6 (ratio 1.413); the Davis-Kahan bound mends it",
+    )
+    def test_angle_within_the_bound_column_of_the_dropped_envelope(self, rung):
+        cm, rep, grid, rho_r, rho_p = rung
+        env = lambda t: cm.dropped_envelope(t, rep.p_irrelevant)
+        profile = convergence_profile(rho_r, rho_p, grid, t_D=rep.t_D, envelope=env)
+        past = profile.reliable & (profile.t >= rep.t_D)
+        over = past & (profile.subspace_angle > profile.bound)
+        ratio = np.where(over, profile.subspace_angle / profile.bound, 0.0)
+        worst = int(np.argmax(ratio))
+        assert not over.any(), (
+            f"{over.sum()} of {past.sum()} angles exceed the bound column, worst at t = {profile.t[worst]:.4g}: "
+            f"{profile.subspace_angle[worst]:.4g} against {profile.bound[worst]:.4g} (ratio {ratio[worst]:.4g})"
+        )
+
+
 class TestBiFriedrich:
     def model(self):
         part1 = PoleCatalogue(0.5, (Mode(Pole(0.0, 1.0), 1.0),))

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run the README's model3 (as written and with an unread key), extract (as
-# written and over-asked), omnes (as written and at m = omega = hbar =
-# 1e-200) and bifriedrich examples, and a weakly separated model2, through
-# the `decopoles` console script and check what they write.
+# written, over-asked and with an imaginary constant added), omnes (as
+# written and at m = omega = hbar = 1e-200) and bifriedrich examples, and a
+# weakly separated model2, through the `decopoles` console script and check
+# what they write.
 #
 #     readme_examples.sh README.md WORKDIR
 #
@@ -45,6 +46,25 @@ PY
 decopoles extract --config extract_overasked.json --out fit_overasked 2> overasked.err
 grep -q "requested 5 modes but the signal supports only 3; refitting at the effective rank" overasked.err
 cmp fit/catalogue.json fit_overasked/catalogue.json
+# a constant 0.5j on the README's signal: a catalogue's equilibrium is real, so the run exits 3 with
+# one numeric failure: line naming the imaginary part, and no output
+python - <<'PY'
+import json
+lines = open("out/signal.csv", encoding="utf-8").read().splitlines()
+with open("signal_imaginary_offset.csv", "w", encoding="utf-8") as fh:
+    fh.write(lines[0] + "\n")
+    for line in lines[1:]:
+        t, re, im = line.split(",")
+        fh.write(f"{t},{re},{float(im) + 0.5!r}\n")
+doc = json.load(open("extract.json", encoding="utf-8"))
+doc["params"].update(input_csv="signal_imaginary_offset.csv", model_order=4)
+json.dump(doc, open("extract_imaginary_offset.json", "w", encoding="utf-8"))
+PY
+code=0
+decopoles extract --config extract_imaginary_offset.json --out imaginary_offset 2> imaginary_offset.err || code=$?
+test "$code" -eq 3
+printf "%s\n" "numeric failure: the equilibrium content has imaginary part 5.000e-01, above 6.000e-08 (1e-08 of the samples' largest |re| or |im|); a pole catalogue's equilibrium is real" | cmp - imaginary_offset.err
+test ! -e imaginary_offset
 decopoles omnes --config omnes.json --out omnes_out
 # the same run with m = omega = hbar = 1e-200: m omega underflows to 0, yet
 # Delta = L0 sqrt(m omega / 2) / hbar is L0 sqrt(1/2), so every sweep length runs

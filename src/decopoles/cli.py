@@ -88,7 +88,7 @@ def _grid(root: _Fields) -> np.ndarray:
 def _spectral_density(sub: _Fields) -> friedrich.SpectralDensity:
     """The density block; it must be positive at omega0, strictly inside its support.
 
-    A given bound is checked against the other, given or the kind's default, before the density is built.
+    An absent bound takes the kind's default band; a given one is checked against the other before the build.
     """
     from . import friedrich
 
@@ -108,16 +108,14 @@ def _spectral_density(sub: _Fields) -> friedrich.SpectralDensity:
             make = friedrich.SpectralDensity.ohmic
             shape = (sub.number("cutoff", positive=True),)
         weight = sub.number("weight", 1.0, positive=True)
-        lo = sub.number("lo", None)
-        hi = sub.number("hi", None)
+        band = friedrich._default_band(kind, *shape)
+        lo, hi = sub.number("lo", band[0]), sub.number("hi", band[1])
         sub.done()
-        band_lo, band_hi = friedrich._default_band(kind, *shape)
-        if lo is not None and hi is not None and not lo < hi:
-            raise ValidationError(f"{path}.hi: must be > lo = {lo!r}, got {hi!r}")
-        if lo is not None and hi is None and not lo < band_hi:
-            raise ValidationError(f"{path}.lo: must be < the default hi = {band_hi!r}, got {lo!r}")
-        if lo is None and hi is not None and not band_lo < hi:
-            raise ValidationError(f"{path}.hi: must be > the default lo = {band_lo!r}, got {hi!r}")
+        if ("lo" in sub.doc or "hi" in sub.doc) and not lo < hi:  # the constructor checks a default band
+            if "hi" in sub.doc:
+                other = "lo" if "lo" in sub.doc else "the default lo"
+                raise ValidationError(f"{path}.hi: must be > {other} = {lo!r}, got {hi!r}")
+            raise ValidationError(f"{path}.lo: must be < the default hi = {hi!r}, got {lo!r}")
         density = make(omega0, *shape, weight, lo, hi)
     # pi * g(omega0) is the decay rate of the pole the density must drive
     if not density.lo < omega0 < density.hi:
@@ -165,7 +163,9 @@ def _timescales_csv(report: pole_models.TimescaleReport, extra_rows=()):
 
 # --- scenarios ---------------------------------------------------------------
 
-_VISIBLE_CHANGE = 1e-8  # extract: a rate r changes a window of span T visibly when |r| T exceeds it
+# extract: a rate r is visible over a span T when |r| T exceeds it, and a value beside samples when
+# it exceeds this share of their largest real or imaginary part
+_VISIBLE_CHANGE = 1e-8
 
 _MODEL1_ROWS = (
     "pole_pair_time", "pole_background_time_1", "pole_background_time_2",
@@ -378,7 +378,7 @@ def _extract(params: _Fields, grid: None):  # extract has no config grid
                 f"{max(growth):.3e}); a pole catalogue holds only decaying modes"
             )
         # rates with no visible decay or oscillation over the window are equilibrium content
-        cat_equilibrium = equilibrium
+        cat_equilibrium = complex(equilibrium)
         modes = []
         for z, amp in fitted:
             gamma = -z.real * hbar
@@ -388,7 +388,7 @@ def _extract(params: _Fields, grid: None):  # extract has no config grid
                         f"a fitted mode oscillates without visible decay over the window (angular frequency "
                         f"{abs(z.imag):.3e}); a pole catalogue holds only decaying modes"
                     )
-                cat_equilibrium += amp.real
+                cat_equilibrium += amp
                 continue
             modes.append((pole_models.Pole(-z.imag * hbar + 0.0, gamma), amp))
         if not modes:
@@ -396,7 +396,14 @@ def _extract(params: _Fields, grid: None):  # extract has no config grid
                 "signal contains no decaying modes (constant or equilibrium-only content)",
                 effective_rank=0,
             )
-        cat = pole_models.PoleCatalogue(cat_equilibrium, tuple(modes), None, hbar)
+        # a catalogue's equilibrium is real: a visible imaginary part would be dropped
+        visible = _VISIBLE_CHANGE * np.abs(signal.values.view(float)).max()
+        if abs(cat_equilibrium.imag) > visible:
+            raise ConvergenceError(
+                f"the equilibrium content has imaginary part {cat_equilibrium.imag:.3e}, above {visible:.3e} "
+                f"({_VISIBLE_CHANGE:g} of the samples' largest |re| or |im|); a pole catalogue's equilibrium is real"
+            )
+        cat = pole_models.PoleCatalogue(cat_equilibrium.real, tuple(modes), None, hbar)
         print(f"residual: {_fmt(numerics.fit_residual(signal.times, values, fitted))}")
         return {"catalogue.json": pole_models.catalogue_to_json(cat) + "\n"}
 

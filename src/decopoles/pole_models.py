@@ -664,6 +664,7 @@ class _Fields:
 
     Each read records ``path.key -> (value, given)`` in ``record``, shared by
     every object of one config; ``given`` is False where the default stood.
+    A presence check (``given``) asks for its key but records nothing.
     ``done`` then rejects the keys no read asked for.
     """
 
@@ -682,8 +683,8 @@ class _Fields:
         return value
 
     def given(self, key: str) -> bool:
-        """Whether the object holds ``key``, read (and recorded) as a key whose default is None."""
-        self.get(key, None)
+        """Whether the object holds ``key``: asked, so ``done`` allows it, but not recorded, as no value is read."""
+        self.asked.add(key)
         return key in self.doc
 
     def number(self, key: str, default=_REQUIRED, positive=False):

@@ -447,6 +447,31 @@ class TestExtract:
         assert len(cat.modes) == 3
         assert cat.equilibrium == pytest.approx(0.25, abs=1e-9)
 
+    def offset_decay(self, tmp_path, offset):
+        t = np.linspace(0.0, 10.0, 201)
+        csv_path = tmp_path / "offset.csv"
+        csv_path.write_text(signal_to_csv(Signal(t, offset + np.exp(-t))), encoding="utf-8")
+        return self.extract_config(tmp_path, csv_path, 2)
+
+    def test_imaginary_constant_content_fails(self, tmp_path, capsys):
+        # a catalogue's equilibrium is real: folding 2 + 1j into it would drop the 1j from every sample
+        out = tmp_path / "f"
+        assert main(["extract", "--config", self.offset_decay(tmp_path, 2 + 1j), "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "numeric failure: the equilibrium content has imaginary part 1.000e+00, above 3.000e-08 (1e-08 "
+            "of the samples' largest |re| or |im|); a pole catalogue's equilibrium is real\n",
+        )
+        assert not out.exists()
+
+    def test_invisible_imaginary_constant_content_folds_into_equilibrium(self, tmp_path):
+        # 1e-9 is below 1e-8 of the samples' largest part, 3.0: the real part alone is the equilibrium
+        out = tmp_path / "f"
+        assert main(["extract", "--config", self.offset_decay(tmp_path, 2 + 1e-9j), "--out", str(out)]) == 0
+        cat = catalogue_from_json((out / "catalogue.json").read_text(encoding="utf-8"))
+        assert len(cat.modes) == 1
+        assert cat.equilibrium == pytest.approx(2.0, abs=1e-9)
+
     def test_overasked_order_retries_at_effective_rank(self, tmp_path, capsys):
         csv_path = self.simulate_figure(tmp_path)
         cfg = self.extract_config(tmp_path, csv_path, 5)
@@ -1467,10 +1492,8 @@ class TestConfigRecord:
         want = {
             **self.root(doc),
             **self.grid(doc),
-            # with a density, gamma0 and omega_prime are read only to be refused
+            # with a density, gamma0 and omega_prime are only asked after, to be refused: no value is read
             "params.spectral_density": (density, True),
-            "params.gamma0": (None, False),
-            "params.omega_prime": (None, False),
             "params.m": (1.0, False),
             "params.omega": (2.0, False),
             "params.hbar": (1.0, False),
@@ -1486,8 +1509,9 @@ class TestConfigRecord:
             "params.spectral_density.center": (0.6, True),
             "params.spectral_density.width": (0.7, True),
             "params.spectral_density.weight": (1.0, False),
-            "params.spectral_density.lo": (None, False),
-            "params.spectral_density.hi": (None, False),
+            # the default band, center -+ 3000 width, is the support the run used
+            "params.spectral_density.lo": (-2099.4, False),
+            "params.spectral_density.hi": (2100.6, False),
         }
         assert self.run(tmp_path, monkeypatch, doc) == want
 
@@ -1495,8 +1519,7 @@ class TestConfigRecord:
         self.run(tmp_path, monkeypatch, readme_configs()["model3"])  # writes out/signal.csv
         doc = readme_configs()["extract"]
         want = {
-            **self.root(doc),
-            "config.grid": (None, False),  # read only to be refused
+            **self.root(doc),  # config.grid is only asked after, to be refused
             "params.input_csv": ("out/signal.csv", True),
             "params.model_order": (3, True),
             "params.equilibrium": (0.0, False),

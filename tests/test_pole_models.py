@@ -768,6 +768,26 @@ class TestCatalogueMatrix:
         )
         assert np.max(np.abs(cm.evaluate(t) - want)) < 1e-15
 
+    @pytest.mark.xfail(
+        strict=True, raises=RuntimeWarning,
+        reason="F15: CatalogueMatrix._decay's np.exp overflows before t = 0 (exp(2 t) at t = -400) and "
+        "returns inf with a numpy warning, where the scalar _mode_sum guards the case",
+    )
+    def test_before_zero_leaks_no_numpy_warning(self):
+        # a time the catalogue cannot serve raises ValidationError; a time it serves gives finite values
+        cm = CatalogueMatrix(
+            [Pole(0.0, 0.5), Pole(0.0, 2.0)], np.eye(2) / 2, [[[0, 0.2], [0.2, 0]], [[0.1, 0], [0, -0.1]]]
+        )
+        for t in (-1.0, -400.0):
+            for call in (lambda: cm.evaluate(t), lambda: cm.dropped_envelope(t, range(1, 2))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        value = call()
+                    except ValidationError:
+                        continue
+                assert np.isfinite(value).all()
+
     def test_keep_subset(self):
         cm = self.build()
         got = cm.evaluate(0.5, keep=range(1))

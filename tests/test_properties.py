@@ -534,9 +534,10 @@ _OMNES_SCHEMA = {
     "m": 1.0, "omega": 2.0, "hbar": 1.0, "L0": 10.0, "a_re": math.sqrt(0.5), "a_im": 0.0,
     "b_re": math.sqrt(0.5), "b_im": 0.0, "N": 6000, "L0_sweep": [10.0, 20.0, 40.0],
 }
-_DENSITY_SCHEMAS = {
-    kind: {"kind": None, "omega0": None, **dict.fromkeys(shape), "weight": 1.0, "lo": None, "hi": None}
-    for kind, shape in (("lorentzian", ("center", "width")), ("ohmic", ("cutoff",)))
+# the README's default bands: center -+ 3000 width, and [0, 40 cutoff]
+_DENSITY_BANDS = {
+    "lorentzian": lambda d: (d["center"] - 3000.0 * d["width"], d["center"] + 3000.0 * d["width"]),
+    "ohmic": lambda d: (0.0, 40.0 * d["cutoff"]),
 }
 _PARAMS_SCHEMAS = {
     "model1": {"gamma0": None, "amp_re": 1.0, "amp_im": 0.0, **_CATALOGUE_TAIL},
@@ -554,10 +555,13 @@ def _params_schema(doc):
     params = doc.get("params", {})
     if doc["scenario"] != "omnes":
         return _PARAMS_SCHEMAS[doc["scenario"]]
-    if "spectral_density" in params:  # gamma0 and omega_prime are read only to be refused
-        density = ("object", _DENSITY_SCHEMAS[params["spectral_density"]["kind"]])
-        return {**_OMNES_SCHEMA, "spectral_density": density, "gamma0": None, "omega_prime": None}
-    return {**_OMNES_SCHEMA, "spectral_density": None, "gamma0": 0.1, "omega_prime": 0.0}
+    if "spectral_density" not in params:  # a key only asked after, to be refused, reads no value
+        return {**_OMNES_SCHEMA, "gamma0": 0.1, "omega_prime": 0.0}
+    density = params["spectral_density"]
+    lo, hi = _DENSITY_BANDS[density["kind"]](density)
+    shape = ("center", "width") if density["kind"] == "lorentzian" else ("cutoff",)
+    schema = {"kind": None, "omega0": None, **dict.fromkeys(shape), "weight": 1.0, "lo": lo, "hi": hi}
+    return {**_OMNES_SCHEMA, "spectral_density": ("object", schema)}
 
 
 def _expected_record(doc, schema, path, record):
@@ -661,8 +665,10 @@ class TestConfigRecord:
     @given(data=st.data())
     def test_record_is_the_config_and_its_defaults(self, scenario, data):
         doc = data.draw(valid_configs(scenario), label="config")
-        grid = None if scenario == "extract" else ("object", {"t_max": None, "n_points": None})
-        want = _expected_record(doc, {"output_dir": ".", "scenario": None, "params": {}, "grid": grid}, "config", {})
+        root = {"output_dir": ".", "scenario": None, "params": {}}
+        if scenario != "extract":  # extract only asks after a grid, to refuse it
+            root["grid"] = ("object", {"t_max": None, "n_points": None})
+        want = _expected_record(doc, root, "config", {})
         _expected_record(doc.get("params", {}), _params_schema(doc), "params", want)
 
         records, dispatch = [], cli._dispatch
@@ -1225,26 +1231,66 @@ class TestExtractionRoundTrip:
             drift += abs(m.amplitude) * ((1.0 + 1e-5) * math.exp(d) - 1.0)
         return drift + 1e-13 * (abs(cat.equilibrium) + sum(abs(m.amplitude) for m in cat.modes))
 
+    @staticmethod
+    def extract(signal, **params):
+        """``decopoles extract`` of ``signal``'s CSV: its exit code, stderr, and the catalogue it wrote or None."""
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, cfg_path, out = (os.path.join(tmp, name) for name in ("signal.csv", "extract.json", "out"))
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write(signal_to_csv(signal))
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump({"scenario": "extract", "params": dict(params, input_csv=csv_path)}, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(["extract", "--config", cfg_path, "--out", out])
+            if not os.path.exists(out):
+                return code, err.getvalue(), None
+            with open(os.path.join(out, "catalogue.json"), encoding="utf-8") as fh:
+                return code, err.getvalue(), catalogue_from_json(fh.read())
+
     @settings(deadline=None, max_examples=100)
     @given(oscillating_catalogues())
     def test_extract_then_full_synthesis_gives_the_signal_back(self, setup):
         # a plain catalogue renders its stored frequencies: CSV -> decopoles extract -> JSON -> synthesize
         cat, grid = setup
         signal = synthesize(cat, grid, rendering="full")
-        with tempfile.TemporaryDirectory() as tmp:
-            csv_path, cfg_path, out = (os.path.join(tmp, name) for name in ("signal.csv", "extract.json", "out"))
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write(signal_to_csv(signal))
-            params = {"input_csv": csv_path, "model_order": len(cat.modes)}
-            params.update(equilibrium=cat.equilibrium, hbar=cat.hbar)
-            with open(cfg_path, "w", encoding="utf-8") as fh:
-                json.dump({"scenario": "extract", "params": params}, fh)
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["extract", "--config", cfg_path, "--out", out]) == 0
-            with open(os.path.join(out, "catalogue.json"), encoding="utf-8") as fh:
-                fitted = catalogue_from_json(fh.read())
+        code, err, fitted = self.extract(signal, model_order=len(cat.modes), equilibrium=cat.equilibrium, hbar=cat.hbar)
+        assert code == 0, err
         back = synthesize(fitted, grid, rendering="full")
         assert np.max(np.abs(back.values - signal.values)) <= self.roundtrip_tolerance(cat, float(grid[-1]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(oscillating_catalogues() | separated_catalogues(), st.floats(0.1, 1.0), st.sampled_from((-1.0, 1.0)),
+           st.booleans())
+    def test_extract_absorbs_a_real_constant_and_refuses_an_imaginary_one(self, setup, size, sign, imaginary):
+        """The catalogue's modes plus a constant c, extracted at K + 1 modes with no ``equilibrium`` given.
+
+        A real c = +-[0.1, 1] is one more fitted mode, of rate zero: by the bounds above its amplitude is
+        within 1e-5 |c|, and its rate, invisible over the window (|z| t_span <= sqrt(2) 1e-8), is dropped
+        as it folds into the equilibrium, so the round trip stays within the tolerance above plus
+        (1e-5 + 2e-8) |c|.  An imaginary part +-[0.1, 1] beside the catalogue's real equilibrium is
+        far above 1e-8 of the samples' largest part (at most 11), so the run exits 3 with one
+        ``numeric failure:`` line that names it, and writes nothing.
+        """
+        cat, grid = setup
+        if imaginary:
+            c = complex(cat.equilibrium, sign * size)
+            signal = Signal(grid, synthesize(cat, grid, rendering="full").values + 1j * c.imag)
+        else:
+            c = sign * size
+            cat = PoleCatalogue(c, cat.modes, None, cat.hbar)
+            signal = synthesize(cat, grid, rendering="full")
+        code, err, fitted = self.extract(signal, model_order=len(cat.modes) + 1, hbar=cat.hbar)
+        if imaginary:
+            assert (code, fitted) == (3, None), err
+            line, = err.splitlines()
+            head = "numeric failure: the equilibrium content has imaginary part "
+            assert line.startswith(head), line
+            assert float(line[len(head):].split(",")[0]) == pytest.approx(c.imag, rel=1e-3)
+            return
+        assert code == 0, err
+        back = synthesize(fitted, grid, rendering="full")
+        tolerance = self.roundtrip_tolerance(cat, float(grid[-1])) + (1e-5 + 2e-8) * abs(c)
+        assert np.max(np.abs(back.values - signal.values)) <= tolerance
 
 
 def _normal_shifts(*values):

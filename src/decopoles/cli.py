@@ -51,21 +51,10 @@ import numpy as np
 
 from . import numerics, pole_models
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
-from .pole_models import (  # the catalogue schema's reader and field validators
-    _REQUIRED, _Fields, _catalogue, _finite, _fmt, _mode, _read_catalogue,
-)
+from .pole_models import _REQUIRED, _Fields, _catalogue, _fmt, _mode, _read_catalogue  # the catalogue schema's reader
 
 
 # --- schema helpers ----------------------------------------------------------
-
-
-def _integer(fields: _Fields, key, default=_REQUIRED, minimum=None) -> int:
-    raw = fields.get(key, default)
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValidationError(f"{fields.path}.{key}: expected an integer, got {raw!r}")
-    if minimum is not None and raw < minimum:
-        raise ValidationError(f"{fields.path}.{key}: must be >= {minimum}, got {raw}")
-    return raw
 
 
 def _string(fields: _Fields, key, default=_REQUIRED, choices=None) -> str:
@@ -80,7 +69,7 @@ def _string(fields: _Fields, key, default=_REQUIRED, choices=None) -> str:
 def _grid(root: _Fields) -> np.ndarray:
     sub = root.object("grid")
     t_max = sub.number("t_max", positive=True)
-    n = _integer(sub, "n_points", minimum=2)
+    n = sub.integer("n_points", minimum=2)
     sub.done()
     return np.linspace(0.0, t_max, n)
 
@@ -271,7 +260,7 @@ def _omnes(params: _Fields, grid: np.ndarray):
         "L0": params.number("L0", 10.0, positive=True),
         "a": complex(params.number("a_re", math.sqrt(0.5)), params.number("a_im", 0.0)),
         "b": complex(params.number("b_re", math.sqrt(0.5)), params.number("b_im", 0.0)),
-        "N": _integer(params, "N", 6000, minimum=1),
+        "N": params.integer("N", 6000),
     }
     ssq = omnes._weight_sum(config["a"], config["b"])
     if abs(ssq - 1.0) > omnes._NORM_TOL:
@@ -288,7 +277,7 @@ def _omnes(params: _Fields, grid: np.ndarray):
     sweep_raw = params.get("L0_sweep", [10.0, 20.0, 40.0])
     if not isinstance(sweep_raw, list) or not sweep_raw:
         raise ValidationError("params.L0_sweep: expected a nonempty array of lengths")
-    sweep = [_finite(v, f"params.L0_sweep[{i}]", positive=True) for i, v in enumerate(sweep_raw)]
+    sweep = [numerics._number(v, f"params.L0_sweep[{i}]", "> 0") for i, v in enumerate(sweep_raw)]
     params.done()
     density = None if block is None else _spectral_density(block)  # a csv density is read after params' checks
     rates = _omnes_sweep(config, gamma0, sweep)
@@ -342,7 +331,7 @@ def _omnes_sweep(config: dict, gamma0, sweep: list) -> list:
 def _extract(params: _Fields, grid: None):  # extract has no config grid
     path = params.path
     csv_path = _string(params, "input_csv")
-    order = _integer(params, "model_order", minimum=1)
+    order = params.integer("model_order")
     equilibrium = params.number("equilibrium", 0.0)
     hbar = params.number("hbar", 1.0, positive=True)
     params.done()

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import adaptive_simpson, principal_value_integral
+from .numerics import _number, adaptive_simpson, principal_value_integral
 
 _PROBE_POINTS = 33
 
@@ -50,6 +50,7 @@ def _reads_as_number(field: str) -> bool:
 class SpectralDensity:
     """Oscillator frequency plus the coupling-squared density g on [lo, hi].
 
+    ``omega0``, ``lo`` and ``hi`` are finite numbers, each named if it is not.
     ``fn`` is any callable g(omega) >= 0; outside [lo, hi] the density is
     identically zero.  Negativity is probed on a coarse grid at build time
     and rechecked at every evaluation.
@@ -62,9 +63,7 @@ class SpectralDensity:
 
     def __post_init__(self):
         for name in ("omega0", "lo", "hi"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(map(math.isfinite, (self.omega0, self.lo, self.hi))):
-            raise ValidationError("omega0, lo, hi must be finite")
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not self.lo < self.hi:
             raise ValidationError(f"empty support [{self.lo}, {self.hi}]")
         if not callable(self.fn):
@@ -117,28 +116,26 @@ class SpectralDensity:
 
         Unit weight integrates to 1 over the real line; the default support
         spans +-3000 widths so the band-edge truncation error of the level
-        shift stays below 1e-10.
+        shift stays below 1e-10.  ``center`` is a finite number, ``width`` and
+        ``weight`` finite numbers > 0.
         """
-        center = float(center)
-        width = float(width)
-        if width <= 0.0:
-            raise ValidationError("lorentzian width must be positive")
+        center, width = _number(center, "center"), _number(width, "width", "> 0")
+        weight = _number(weight, "weight", "> 0")
         band_lo, band_hi = _default_band("lorentzian", center, width)
 
-        def g(w, _c=center, _eta=width, _a=float(weight)):
+        def g(w, _c=center, _eta=width, _a=weight):
             return _a * (_eta / math.pi) / ((w - _c) ** 2 + _eta**2)
 
         return cls(omega0, g, band_lo if lo is None else lo, band_hi if hi is None else hi)
 
     @classmethod
     def ohmic(cls, omega0, cutoff, weight=1.0, lo=None, hi=None) -> "SpectralDensity":
-        """g(w) = weight * w * exp(-w/cutoff) for w >= 0; the default support is [0, 40 cutoff]."""
-        cutoff = float(cutoff)
-        if cutoff <= 0.0:
-            raise ValidationError("ohmic cutoff must be positive")
+        """g(w) = weight * w * exp(-w/cutoff) for w >= 0, ``cutoff`` and ``weight`` finite numbers > 0; the
+        default support is [0, 40 cutoff]."""
+        cutoff, weight = _number(cutoff, "cutoff", "> 0"), _number(weight, "weight", "> 0")
         band_lo, band_hi = _default_band("ohmic", cutoff)
 
-        def g(w, _wc=cutoff, _a=float(weight)):
+        def g(w, _wc=cutoff, _a=weight):
             return _a * w * math.exp(-w / _wc) if w >= 0.0 else 0.0
 
         return cls(omega0, g, band_lo if lo is None else lo, band_hi if hi is None else hi)
@@ -153,13 +150,8 @@ class PerturbativePole:
     gamma0: float
 
     def __post_init__(self):
-        for name in ("omega0", "delta_omega", "gamma0"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-        if self.gamma0 < 0.0:
-            raise ValidationError("gamma0 must be nonnegative")
+        for name, bound in (("omega0", ""), ("delta_omega", ""), ("gamma0", ">= 0")):
+            object.__setattr__(self, name, _number(getattr(self, name), name, bound))
 
     @property
     def z0(self) -> complex:

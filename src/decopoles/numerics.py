@@ -14,6 +14,12 @@ Three self-contained tools used throughout the package:
   Gauss-Newton, + least-squares amplitudes), so a refit at a lower order
   reuses the SVD.
 
+Beside them live the package's input rules: ``_time_grid`` for grids, and
+``_number`` and ``_integer`` for scalars.  Every scalar argument of a public
+constructor or function, and every config number and integer, is checked by
+one of the two, and a refusal names the argument or the config path in one
+form: ``gamma: must be > 0, got 0.0``, ``params.N: expected an integer, got 2.5``.
+
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -345,6 +352,38 @@ def principal_value_integral(f, omega0: float, lo: float, hi: float) -> float:
     return value
 
 
+def _number(value, name: str, bound: str = "") -> float:
+    """``value`` as a finite float, and ``bound`` ("> 0" or ">= 0") if given: the one number rule.
+
+    A number is a ``numbers.Real`` that is not a bool, so numpy scalars pass and strings and
+    ``np.bool_`` do not; an int past the float range reads as +-inf.  Each refusal is a
+    ``ValidationError`` ``<name>: expected a number | must be finite | must be <bound>, got ...``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{name}: must be finite, got {x!r}")
+    if bound and not (x > 0.0 if bound == "> 0" else x >= 0.0):
+        raise ValidationError(f"{name}: must be {bound}, got {x!r}")
+    return x
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int >= ``minimum``: a ``numbers.Integral`` that is not a bool, the one integer rule.
+
+    Each refusal is a ``ValidationError`` ``<name>: expected an integer | must be >= <minimum>, got ...``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name}: must be >= {minimum}, got {int(value)}")
+    return int(value)
+
+
 def _time_grid(grid) -> np.ndarray:
     """``grid`` as a float array; anything but a nonempty 1-D array (a number, a 2-D grid) or a NaN raises."""
     t = np.asarray(grid, dtype=float)
@@ -534,8 +573,7 @@ class PencilFactorisation:
 
 
 def _check_order(order: int, samples: int):
-    if order < 1:
-        raise ValidationError("order must be >= 1")
+    _integer(order, "order", 1)
     if samples < pencil_min_samples(order):
         raise ValidationError(f"need at least {pencil_min_samples(order)} samples for order {order}")
 
@@ -543,7 +581,8 @@ def _check_order(order: int, samples: int):
 def matrix_pencil_fit(times, values, order: int):
     """Fit s(t) ~ sum_k a_k exp(z_k t) by the matrix pencil, refined to the least-squares optimum.
 
-    Needs a uniform time grid with at least 2 * order + 2 samples.  This is
+    Needs an integer ``order`` >= 1 and a uniform time grid with at least
+    2 * order + 2 samples.  This is
     ``PencilFactorisation(times, values, order).fit(order)``: the samples
     scaled by a power of two, the Hankel shift pair at the window
     max(n // 9, min(n // 2, 128)) (raised to ``order`` if that is larger)

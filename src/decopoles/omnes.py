@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix, _formed_density
+from .numerics import DensityMatrix, _formed_density, _integer, _number
 from .pole_models import CatalogueMatrix, _collective_scale, _delta, _ldexp
 
 _NORM_TOL = 1e-12
@@ -107,33 +107,21 @@ def _fock_table(alpha: float, N: int) -> _FockTable:
     return _FockTable(log_weights, log_norm, q_live, ladder, head)
 
 
-def _truncation(N, least: int = 1) -> int:
-    """A Fock truncation ``N`` >= ``least`` as an int; a bool or a non-integer raises, naming N."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise ValidationError(f"truncation N must be an integer, got {N!r}")
-    if N < least:
-        raise ValidationError("truncation N must be at least 1" if least else "N must be >= 0")
-    return int(N)
-
-
 @dataclass(frozen=True)
 class QuasiCoherentState:
     """Coherent state truncated at Fock level N, renormalized to unit norm.
 
     alpha is real and nonnegative: zero momentum displacement makes the
     amplitude real, and the sign can always be absorbed by a coordinate
-    flip.
+    flip.  N is an integer >= 1.
     """
 
     alpha: float
     N: int
 
     def __post_init__(self):
-        a = float(self.alpha)
-        if not math.isfinite(a) or a < 0.0:
-            raise ValidationError(f"alpha must be finite and >= 0, got {a!r}")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "N", _truncation(self.N))
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", ">= 0"))
+        object.__setattr__(self, "N", _integer(self.N, "N", 1))
 
     @property
     def log_norm(self) -> float:
@@ -160,7 +148,8 @@ class OmnesConfig:
 
     The displacement maps to alpha2 = L0 sqrt(m omega / 2) / hbar with
     alpha1 = 0 by choice of origin, so Delta = alpha2, whose square must
-    be finite.
+    be finite.  m, omega, hbar, gamma0 and L0 are finite numbers > 0, and N
+    an integer >= 1.
     """
 
     m: float
@@ -174,10 +163,7 @@ class OmnesConfig:
 
     def __post_init__(self):
         for name in ("m", "omega", "hbar", "gamma0", "L0"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValidationError(f"{name} must be a positive finite scale, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _number(getattr(self, name), name, "> 0"))
         a = complex(self.a)
         b = complex(self.b)
         ssq = _weight_sum(a, b)
@@ -185,7 +171,7 @@ class OmnesConfig:
             raise ValidationError(f"|a|^2 + |b|^2 = {ssq} must be 1 within {_NORM_TOL}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "N", _truncation(self.N))
+        object.__setattr__(self, "N", _integer(self.N, "N", 1))
         delta = _delta(self.m, self.omega, self.L0, self.hbar)
         if not math.isfinite(delta * delta):  # the frame overlaps need Delta^2
             raise ValidationError(
@@ -246,11 +232,9 @@ def fock_overlap(s1: QuasiCoherentState, s2: QuasiCoherentState) -> float:
 
 
 def overlap_error_bound(delta: float, N: int) -> float:
-    """Remainder ceiling (Delta^2/2)^(N+1) / (N+1)! for the truncated overlap; inf past the float range."""
-    delta = float(delta)
-    if not math.isfinite(delta) or delta < 0.0:
-        raise ValidationError("delta must be finite and >= 0")
-    N = _truncation(N, least=0)
+    """Remainder ceiling (Delta^2/2)^(N+1) / (N+1)! for the truncated overlap, delta >= 0 and an integer
+    N >= 0; inf past the float range."""
+    delta, N = _number(delta, "delta", ">= 0"), _integer(N, "N", 0)
     try:
         return math.exp((N + 1) * math.log(0.5 * delta * delta) - math.lgamma(N + 2.0))
     except ValueError:  # log(0): delta == 0, or so small that its square underflows

@@ -27,7 +27,10 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import HermitianMatrix, _complex_array, _matrix_reduce, _time_grid, check_uniform_grid, hermitian_average
+from .numerics import (
+    HermitianMatrix, _complex_array, _integer, _matrix_reduce, _number, _time_grid, check_uniform_grid,
+    hermitian_average,
+)
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
 RULE_CUSTOM = "custom-f"
@@ -48,13 +51,6 @@ _REL_SLACK = 1e-12
 _EXP_NORMAL_EDGE = math.log(2.0**-1022)
 
 
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Pole:
     """One resonance: frequency ``omega`` and strictly positive width ``gamma``.
@@ -67,10 +63,8 @@ class Pole:
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "gamma", _require_positive("gamma", self.gamma))
-        if not math.isfinite(self.omega):
-            raise ValidationError("omega must be finite")
+        object.__setattr__(self, "omega", _number(self.omega, "omega"))
+        object.__setattr__(self, "gamma", _number(self.gamma, "gamma", "> 0"))
 
     @property
     def z(self) -> complex:
@@ -90,11 +84,9 @@ class KhalfinTail:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "tau", _require_positive("tau", self.tau))
-        object.__setattr__(self, "p", _require_positive("p", self.p))
-        if not math.isfinite(self.amplitude):
-            raise ValidationError("amplitude must be finite")
+        object.__setattr__(self, "amplitude", _number(self.amplitude, "amplitude"))
+        object.__setattr__(self, "tau", _number(self.tau, "tau", "> 0"))
+        object.__setattr__(self, "p", _number(self.p, "p", "> 0"))
 
     def __call__(self, t):
         return self.amplitude * (1.0 + np.asarray(t, dtype=float) / self.tau) ** (-self.p)
@@ -142,10 +134,8 @@ class PoleCatalogue:
     hbar: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "equilibrium", float(self.equilibrium))
-        if not math.isfinite(self.equilibrium):
-            raise ValidationError("equilibrium must be finite")
-        object.__setattr__(self, "hbar", _require_positive("hbar", self.hbar))
+        object.__setattr__(self, "equilibrium", _number(self.equilibrium, "equilibrium"))
+        object.__setattr__(self, "hbar", _number(self.hbar, "hbar", "> 0"))
         modes = [_as_mode(entry) for entry in self.modes]
         omegas = np.array([m.pole.omega for m in modes], dtype=float)
         gammas = np.array([m.pole.gamma for m in modes], dtype=float)
@@ -199,7 +189,8 @@ class TimescaleReport:
     ``p_relevant`` is ``range(cut)``, the poles that survive past t_D, and
     ``p_irrelevant`` is ``range(cut, n_modes)``.  Threshold rules cut at
     gamma_i <= hbar / t_D (or strict <, per ``boundary``); background-only
-    keeps none.  t_D <= t_R always; a violation is a construction error.
+    keeps none.  ``cut`` and ``n_modes`` are integers >= 0.  t_D <= t_R
+    always; a violation is a construction error.
     """
 
     t_R: float
@@ -213,10 +204,8 @@ class TimescaleReport:
     def __post_init__(self):
         object.__setattr__(self, "t_R", float(self.t_R))
         object.__setattr__(self, "t_D", float(self.t_D))
-        for name, value in (("cut", self.cut), ("n_modes", self.n_modes)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "cut", _integer(self.cut, "cut", 0))
+        object.__setattr__(self, "n_modes", _integer(self.n_modes, "n_modes", 0))
         if self.cut > self.n_modes:
             raise ValidationError(f"cut = {self.cut} exceeds n_modes = {self.n_modes}")
         if self.rule not in _NAMED_RULES + (RULE_CUSTOM,):
@@ -271,8 +260,7 @@ def model1_times(gamma0: float, hbar: float = 1.0):
     2 hbar/gamma0, inf): pole-pair term, two pole-background cross terms,
     and the power-law background whose decay has no exponential scale.
     """
-    gamma0 = _require_positive("gamma0", gamma0)
-    hbar = _require_positive("hbar", hbar)
+    gamma0, hbar = _number(gamma0, "gamma0", "> 0"), _number(hbar, "hbar", "> 0")
     return (hbar / gamma0, 2.0 * hbar / gamma0, 2.0 * hbar / gamma0, math.inf)
 
 
@@ -291,9 +279,8 @@ def model2_times(gamma0: float, gamma1: float, hbar: float = 1.0) -> Model2Times
     ``weak_separation`` is set when gamma0 is not well separated below gamma1
     (ratio 10 or less), since the relaxation/decoherence split loses meaning there.
     """
-    gamma0 = _require_positive("gamma0", gamma0)
-    gamma1 = _require_positive("gamma1", gamma1)
-    hbar = _require_positive("hbar", hbar)
+    gamma0, gamma1 = _number(gamma0, "gamma0", "> 0"), _number(gamma1, "gamma1", "> 0")
+    hbar = _number(hbar, "hbar", "> 0")
     return Model2Times(hbar / gamma0, hbar / gamma1, hbar / (gamma1 + gamma0), gamma0 >= gamma1 / 10.0)
 
 
@@ -324,8 +311,8 @@ def _collective_scale(m: float, omega: float, L0: float, hbar: float) -> float:
 
 def collective_rate_rule(m: float, omega: float, L0: float, hbar: float = 1.0) -> Callable:
     """Threshold rule set by the collective rate (m omega / 2 hbar^2) L0^2 gamma0."""
-    _require_positive("hbar", hbar)
-    scale = _require_positive("m*omega*L0^2/(2 hbar^2)", _collective_scale(m, omega, L0, hbar))
+    hbar = _number(hbar, "hbar", "> 0")
+    scale = _number(_collective_scale(m, omega, L0, hbar), "m*omega*L0^2/(2 hbar^2)", "> 0")
 
     def rate(gammas: Sequence[float]) -> float:
         return scale * float(np.min(gammas))
@@ -366,7 +353,7 @@ def partition_report(
         raise ValidationError("widths must be positive and finite")
     if np.any(widths[1:] < widths[:-1]):
         raise ValidationError("widths must be sorted ascending")
-    hbar = _require_positive("hbar", hbar)
+    hbar = _number(hbar, "hbar", "> 0")
 
     if callable(rule):
         threshold = float(rule(widths))
@@ -547,7 +534,7 @@ class CatalogueMatrix:
         gammas = np.asarray(gammas, dtype=float)
         bad = ~((gammas > 0.0) & (gammas < math.inf))
         if bad.any():  # the first bad width raises what its Pole raises
-            _require_positive("gamma", gammas[bad.argmax()])
+            _number(gammas[bad.argmax()], "gamma", "> 0")
         eq = HermitianMatrix(equilibrium).entries
         dim = eq.shape[0]
         amps = _complex_array(amplitudes)
@@ -565,7 +552,7 @@ class CatalogueMatrix:
         # Frobenius norms, each summed along the stack's long axis (see dropped_envelope)
         self._norms = np.sqrt(_matrix_reduce(np.ndarray.sum, (self.amplitudes.conj() * self.amplitudes).real))
         self.equilibrium = eq
-        self.hbar = _require_positive("hbar", hbar)
+        self.hbar = _number(hbar, "hbar", "> 0")
         self.dim = dim
         self.truncation = truncation
 
@@ -688,9 +675,13 @@ class _Fields:
         return key in self.doc
 
     def number(self, key: str, default=_REQUIRED, positive=False):
-        """A finite float (> 0 if ``positive``); an absent key gives ``default`` as it is."""
+        """A finite float (> 0 if ``positive``) by the number rule; an absent key gives ``default`` as it is."""
         raw = self.get(key, default)
-        return _finite(raw, f"{self.path}.{key}", positive) if key in self.doc else raw
+        return _number(raw, f"{self.path}.{key}", "> 0" if positive else "") if key in self.doc else raw
+
+    def integer(self, key: str, default=_REQUIRED, minimum=1) -> int:
+        """An int >= ``minimum`` by the integer rule, ``default`` included."""
+        return _integer(self.get(key, default), f"{self.path}.{key}", minimum)
 
     def object(self, key: str) -> _Fields:
         return _Fields(self.get(key), f"{self.path}.{key}", self.record)
@@ -699,21 +690,6 @@ class _Fields:
         extra = sorted(set(self.doc) - self.asked)
         if extra:
             raise ValidationError(f"{self.path}: unknown keys {extra}; allowed keys are {sorted(self.asked)}")
-
-
-def _finite(raw, path: str, positive=False) -> float:
-    """``raw`` as a finite float (> 0 if ``positive``); bools are not numbers."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValidationError(f"{path}: expected a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # an integer past the float range
-        value = math.inf if raw > 0 else -math.inf
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}: must be finite, got {value!r}")
-    if positive and value <= 0.0:
-        raise ValidationError(f"{path}: must be > 0, got {value!r}")
-    return value
 
 
 def _mode(fields: _Fields, gamma_key, re_key, im_key, omega_key=None) -> Mode:

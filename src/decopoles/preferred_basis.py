@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityFamily, _phase_fix, _time_grid, eigh
+from .numerics import DensityFamily, _number, _phase_fix, _time_grid, eigh
 from .pole_models import (
     CatalogueMatrix,
     PoleCatalogue,
@@ -189,18 +189,16 @@ def convergence_profile(
     ``eigh`` of ``moving_eigenbasis`` (a ``DensityFamily`` is not checked again); its decompositions
     are paired at each time by ``_greedy_match``, untracked: relabeling columns permutes the overlap
     matrix (same pairs, up to exact ties), phases drop out of the moduli, so none is fixed,
-    and the gap is taken between eigh's descending eigenvalues.  The grid must lie in
-    t >= 0 and reach at least 3 t_D so the post-decoherence regime is
-    actually sampled.  ``envelope`` turns on the ``bound`` column, the
+    and the gap is taken between eigh's descending eigenvalues.  ``t_D`` is a finite
+    number > 0; the grid must lie in t >= 0 and reach at least 3 t_D so the
+    post-decoherence regime is actually sampled.  ``envelope`` turns on the ``bound`` column, the
     first-order estimate envelope / gap (inf where the gap vanishes; NaN
     without an envelope), which is no bound: the frame catalogue N = 5048,
     L0 = 10.04, gamma0 = 0.937, |a|^2 = 0.13, arg b = 2 has an angle 5.4
     times it at 7.56 t_D.  Called once with the whole grid, ``envelope``
     returns the dropped modes' weight per point, (T,) or one number.
     """
-    t = _time_grid(grid)
-    if not t_D > 0.0:  # NaN fails too
-        raise ValidationError("t_D must be positive")
+    t, t_D = _time_grid(grid), _number(t_D, "t_D", "> 0")
     lo, hi = t.min(), t.max()
     if not (lo >= 0.0 and hi >= 3.0 * t_D):
         raise ValidationError(

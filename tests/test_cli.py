@@ -730,6 +730,27 @@ class TestOpenContractDefects:
         assert code == 3 or re.search(r"\b(params|grid|config)\.|--out\b", last[0])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "density, field",
+        [
+            pytest.param(
+                {"kind": "lorentzian", "omega0": 1e20, "center": 1e20, "width": 1e-3}, "width",
+                **_open_defect("FOUND-empty-band", "center +- 3000 width rounds to center: "
+                               "'empty support [1e+20, 1e+20]' names no field"),
+            ),
+            pytest.param(
+                {"kind": "ohmic", "omega0": 1.0, "cutoff": 1e307}, "cutoff",
+                **_open_defect("FOUND-infinite-band", "40 cutoff overflows: the error names the band, not cutoff"),
+            ),
+        ],
+    )
+    def test_a_default_band_that_cannot_hold_is_named_by_its_shape(self, tmp_path, capsys, density, field):
+        doc = {"scenario": "omnes", "grid": self.GRID, "params": dict(self.DENSITY, spectral_density=density)}
+        code = main(["omnes", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+        last = capsys.readouterr().err.splitlines()[-1:]
+        assert code == 2 and last and last[0].startswith(f"config error: params.spectral_density.{field}: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigErrors:
     """Every parse-phase defect exits 2 with a field-path diagnostic."""

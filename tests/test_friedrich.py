@@ -39,7 +39,7 @@ class TestSpectralDensity:
             SpectralDensity(0.5, lambda w: 1.0, 2.0, 2.0)
 
     def test_non_finite_support_rejected(self):
-        with pytest.raises(ValidationError, match="omega0, lo, hi must be finite"):
+        with pytest.raises(ValidationError, match=r"^omega0: must be finite, got inf$"):
             SpectralDensity(math.inf, lambda w: 1.0, 0.0, 1.0)
 
     def test_fn_must_be_callable(self):
@@ -103,6 +103,20 @@ class TestSpectralDensity:
     def test_ohmic_bad_cutoff(self):
         with pytest.raises(ValidationError):
             SpectralDensity.ohmic(1.0, cutoff=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["center", "width"])
+    def test_lorentzian_names_a_non_finite_shape(self, field, bad):
+        # the shape is named itself, not the NaN or infinite default band it would give
+        with pytest.raises(ValidationError) as err:
+            SpectralDensity.lorentzian(1.0, **{"center": 1.0, "width": 0.5, field: bad})
+        assert str(err.value) == f"{field}: must be finite, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ohmic_names_a_non_finite_cutoff(self, bad):
+        with pytest.raises(ValidationError) as err:
+            SpectralDensity.ohmic(1.0, cutoff=bad)
+        assert str(err.value) == f"cutoff: must be finite, got {bad!r}"
 
     @pytest.mark.parametrize("center, width", [(1.0, 0.5), (0.6, 1e-3), (1.0 / 3.0, 0.1), (-2.5, 7.0)])
     def test_lorentzian_default_bounds_are_the_default_band(self, center, width):
@@ -184,7 +198,7 @@ class TestPerturbativePole:
             PerturbativePole(1.0, 0.0, -0.1)
 
     def test_non_finite_frequency_rejected(self):
-        with pytest.raises(ValidationError, match="omega0 must be finite"):
+        with pytest.raises(ValidationError, match=r"^omega0: must be finite, got nan$"):
             PerturbativePole(math.nan, 0.0, 0.1)
 
 

@@ -673,6 +673,14 @@ class TestMatrixPencil:
         with pytest.raises(ValidationError, match="times and values must be finite"):
             matrix_pencil_fit(t, values, 1)
 
+    @pytest.mark.parametrize("order", [2.0, "2", True], ids=["float", "string", "bool"])
+    def test_non_integer_order_is_named(self, order):
+        # named before any window is taken from it: a float cannot slice, and True is not one mode
+        t = np.linspace(0.0, 5.0, 41)
+        with pytest.raises(ValidationError) as err:
+            matrix_pencil_fit(t, np.exp(-t) + 0.5 * np.exp(-3.0 * t), order)
+        assert str(err.value) == f"order: expected an integer, got {order!r}"
+
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 1.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0])
         with pytest.raises(ValidationError):
@@ -910,7 +918,7 @@ class TestPencilSplit:
 
     def test_fit_checks_the_order(self):
         pencil = PencilFactorisation(np.linspace(0.0, 1.0, 7), np.exp(-np.linspace(0.0, 1.0, 7)))
-        with pytest.raises(ValidationError, match="order must be >= 1"):
+        with pytest.raises(ValidationError, match=r"^order: must be >= 1, got 0$"):
             pencil.fit(0)
         with pytest.raises(ValidationError, match="need at least 8 samples for order 3"):
             pencil.fit(3)

@@ -157,7 +157,7 @@ class TestQuasiCoherentState:
         # int(3.7) would give a 3-level state, not the one asked for
         with pytest.raises(ValidationError) as err:
             QuasiCoherentState(2.0, N)
-        assert str(err.value) == f"truncation N must be an integer, got {N!r}"
+        assert str(err.value) == f"N: expected an integer, got {N!r}"
 
     def test_integer_truncation_of_any_kind_is_kept_as_an_int(self):
         for N in (np.int64(3), np.uint8(3)):
@@ -217,7 +217,7 @@ class TestOmnesConfig:
     def test_non_integer_truncation_rejected(self, N):
         with pytest.raises(ValidationError) as err:
             OmnesConfig(1, 2, 1, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), N)
-        assert str(err.value) == f"truncation N must be an integer, got {N!r}"
+        assert str(err.value) == f"N: expected an integer, got {N!r}"
         assert OmnesConfig(1, 2, 1, 0.1, 6.0, math.sqrt(0.5), math.sqrt(0.5), np.int32(200)).N == 200
 
     def test_pole_builder(self):
@@ -341,7 +341,7 @@ class TestErrorBound:
     def test_validation(self):
         with pytest.raises(ValidationError):
             overlap_error_bound(-1.0, 5)
-        with pytest.raises(ValidationError, match="N must be >= 0"):
+        with pytest.raises(ValidationError, match=r"^N: must be >= 0, got -1$"):
             overlap_error_bound(1.0, -1)
 
     @pytest.mark.parametrize("N", [2.5, 2.0, False, math.nan])
@@ -349,7 +349,7 @@ class TestErrorBound:
         # int(2.5) would give the N = 2 remainder for a truncation that has none
         with pytest.raises(ValidationError) as err:
             overlap_error_bound(2.0, N)
-        assert str(err.value) == f"truncation N must be an integer, got {N!r}"
+        assert str(err.value) == f"N: expected an integer, got {N!r}"
         assert overlap_error_bound(2.0, np.int64(0)) == overlap_error_bound(2.0, 0) == 2.0
 
 

@@ -380,9 +380,18 @@ class TestConvergenceProfile:
     def test_bad_t_d(self):
         grid = self.grid()
         rho = [np.eye(2) / 2] * grid.size
-        for t_D in (0.0, math.nan):
-            with pytest.raises(ValidationError, match="t_D must be positive"):
+        for t_D, why in ((0.0, "> 0"), (math.nan, "finite")):
+            with pytest.raises(ValidationError) as err:
                 convergence_profile(rho, rho, grid, t_D=t_D)
+            assert str(err.value) == f"t_D: must be {why}, got {t_D!r}"
+
+    def test_infinite_t_d_is_named(self):
+        # named as t_D, not as a grid that cannot span 3 t_D = inf
+        grid = self.grid()
+        rho = [np.eye(2) / 2] * grid.size
+        with pytest.raises(ValidationError) as err:
+            convergence_profile(rho, rho, grid, t_D=math.inf)
+        assert str(err.value) == "t_D: must be finite, got inf"
 
     def test_dimension_mismatch(self):
         grid = self.grid()

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Run the README's model3 (as written and with an unread key), extract (as
-# written, over-asked and with an imaginary constant added), omnes (as
-# written and at m = omega = hbar = 1e-200) and bifriedrich examples, and a
-# weakly separated model2, through the `decopoles` console script and check
-# what they write.
+# Run the README's model3 (as written, with an unread key and with its first
+# mode at omega 2), extract (as written, over-asked, with an imaginary constant
+# added, and on the turning model3's signal, whose catalogue is pasted back as
+# model3 params), omnes (as written and at m = omega = hbar = 1e-200) and
+# bifriedrich examples, and a weakly separated model2, through the `decopoles`
+# console script and check what they write.
 #
 #     readme_examples.sh README.md WORKDIR
 #
@@ -65,6 +66,38 @@ decopoles extract --config extract_imaginary_offset.json --out imaginary_offset 
 test "$code" -eq 3
 printf "%s\n" "numeric failure: the equilibrium content has imaginary part 5.000e-01, above 6.000e-08 (1e-08 of the samples' largest |re| or |im|); a pole catalogue's equilibrium is real" | cmp - imaginary_offset.err
 test ! -e imaginary_offset
+# the paste workflow with a frequency: the README's model3 with its first mode at omega 2,
+# extracted by the README's extract config, holds (omega, gamma) = (2, 0.1); pasted back as
+# model3 params on the same grid, it writes the same signal within 1e-12 of its largest magnitude
+python - <<'PY'
+import json
+doc = json.load(open("model3.json", encoding="utf-8"))
+doc["params"]["modes"][0]["omega"] = 2.0
+json.dump(doc, open("model3_turning.json", "w", encoding="utf-8"))
+doc = json.load(open("extract.json", encoding="utf-8"))
+doc["params"]["input_csv"] = "turning/signal.csv"
+json.dump(doc, open("extract_turning.json", "w", encoding="utf-8"))
+PY
+decopoles simulate --config model3_turning.json --out turning
+decopoles extract --config extract_turning.json --out turning_fit
+python - <<'PY'
+import json
+fit = json.load(open("turning_fit/catalogue.json", encoding="utf-8"))
+mode = min(fit["modes"], key=lambda m: abs(m["gamma"] - 0.1))
+assert abs(mode["omega"] / 2.0 - 1.0) <= 1e-6 and abs(mode["gamma"] / 0.1 - 1.0) <= 1e-6, fit
+doc = json.load(open("model3.json", encoding="utf-8"))
+doc["params"] = fit
+json.dump(doc, open("model3_pasted.json", "w", encoding="utf-8"))
+PY
+decopoles simulate --config model3_pasted.json --out pasted
+python - <<'PY'
+def values(path):
+    rows = open(path, encoding="utf-8").read().splitlines()[1:]
+    return [complex(float(re), float(im)) for _, re, im in (row.split(",") for row in rows)]
+first, again = values("turning/signal.csv"), values("pasted/signal.csv")
+size = max(map(abs, first))
+assert len(first) == len(again) and max(abs(x - y) for x, y in zip(first, again)) <= 1e-12 * size
+PY
 decopoles omnes --config omnes.json --out omnes_out
 # the same run with m = omega = hbar = 1e-200: m omega underflows to 0, yet
 # Delta = L0 sqrt(m omega / 2) / hbar is L0 sqrt(1/2), so every sweep length runs

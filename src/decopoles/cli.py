@@ -12,10 +12,12 @@ condition as data (``omnes.macroscopicity_check``,
 ``model3`` reads a general pole catalogue (``modes``, ``equilibrium``,
 ``hbar``, ``khalfin``) with a partition ``rule`` and ``boundary``; the
 catalogue schema's one reader, shared with ``catalogue_from_json``, lives
-in ``pole_models``.  ``model1`` and ``model2`` are presets of it (``_PRESETS``): a fixed-shape
-catalogue of one or two poles read from flat keys, with a fixed rule and
-boundary and the extra timescale rows of ``pole_models.model1_times`` /
-``model2_times``.  Each scenario belongs to one subcommand
+in ``pole_models``.  Each mode turns at its ``omega`` in the signals a
+``model3`` or ``bifriedrich`` run writes, so ``extract``'s catalogue
+renders as it was fitted.  ``model1`` and ``model2`` are presets of it
+(``_PRESETS``): a fixed-shape catalogue of one or two poles read from
+flat keys, with a fixed rule and boundary and the extra timescale rows of
+``pole_models.model1_times`` / ``model2_times``.  Each scenario belongs to one subcommand
 (``_SCENARIOS``).
 
 A run imports only what its scenario needs: ``numerics`` and

@@ -14,8 +14,10 @@ Three self-contained tools used throughout the package:
   Gauss-Newton, + least-squares amplitudes), so a refit at a lower order
   reuses the SVD.
 
-Beside them live the package's input rules: ``_time_grid`` for grids, and
-``_number`` and ``_integer`` for scalars.  Every scalar argument of a public
+Beside them live the package's input rules: ``_time_grid`` for grids,
+``_number`` and ``_integer`` for scalars, and ``_refuse_bools`` for a bool
+where a number, or a sequence of them, is read another way (a grid, widths,
+a custom rule's rate, a part selector).  Every scalar argument of a public
 constructor or function, and every config number and integer, is checked by
 one of the two, and a refusal names the argument or the config path in one
 form: ``gamma: must be > 0, got 0.0``, ``params.N: expected an integer, got 2.5``.
@@ -312,7 +314,9 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, fa, fm, fb, depth: int)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9, max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature of a scalar callable on [a, b]."""
+    """Adaptive Simpson quadrature of a scalar callable on [a, b], to ``tol`` >= 0 in at most ``max_depth`` halvings."""
+    a, b, tol = _number(a, "a"), _number(b, "b"), _number(tol, "tol", ">= 0")
+    max_depth = _integer(max_depth, "max_depth", 0)
     if not (b > a):
         raise ValidationError(f"bad interval [{a}, {b}]")
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
@@ -334,6 +338,7 @@ def principal_value_integral(f, omega0: float, lo: float, hi: float) -> float:
     with step r * 1e-7.  The leftover one-sided strip is regular and is
     integrated by plain adaptive Simpson.
     """
+    omega0, lo, hi = _number(omega0, "omega0"), _number(lo, "lo"), _number(hi, "hi")
     if not (lo < omega0 < hi):
         raise ValidationError(f"singularity {omega0} not strictly inside [{lo}, {hi}]")
     r = min(omega0 - lo, hi - omega0)
@@ -384,11 +389,33 @@ def _integer(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+_BOOLS = (bool, np.bool_)
+
+
+def _refuse_bools(values, name: str):
+    """``values`` as given, unless it is a bool or a list, tuple or ndarray of numbers holding one: refused as
+    the number rule refuses a bool, ``<name>: expected a number, got True``, or ``<name>[k]: …`` at the first
+    bool's index k of a sequence.
+
+    An ndarray is scanned only when its dtype is bool, a list or tuple once, entry by entry; any other
+    input is left to its reader.
+    """
+    if isinstance(values, _BOOLS):
+        _number(values, name)
+    if isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.dtype.kind == "b":
+        k = next((k for k, x in enumerate(values) if isinstance(x, _BOOLS)), None)
+        if k is not None:
+            _number(values[k], f"{name}[{k}]")
+    return values
+
+
 def _time_grid(grid) -> np.ndarray:
-    """``grid`` as a float array; anything but a nonempty 1-D array (a number, a 2-D grid) or a NaN raises."""
+    """``grid`` as a float array; anything but a nonempty 1-D array (a number, a 2-D grid), a bool
+    entry or a NaN raises."""
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
+    _refuse_bools(grid, "grid")
     if np.isnan(t).any():
         raise ValidationError(f"grid holds NaN at index {int(np.isnan(t).argmax())}")
     return t

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import (
-    HermitianMatrix, _complex_array, _integer, _matrix_reduce, _number, _time_grid, check_uniform_grid,
+    HermitianMatrix, _complex_array, _integer, _matrix_reduce, _number, _refuse_bools, _time_grid, check_uniform_grid,
     hermitian_average,
 )
 
@@ -124,8 +124,8 @@ class PoleCatalogue:
     Alongside ``modes`` the same order is held as columns: ``gammas`` (a
     tuple of floats) and ``amplitudes`` (a read-only complex (K,) array).
     At least one mode or a tail must be present.  A catalogue is its data:
-    each mode's stored omega is the frequency ``synthesize(...,
-    rendering='full')`` rotates it at, however the catalogue was built.
+    ``synthesize`` turns each mode at its stored omega, however the
+    catalogue was built.
     """
 
     equilibrium: float
@@ -224,28 +224,25 @@ class TimescaleReport:
     p_irrelevant = property(lambda self: range(self.cut, self.n_modes))
 
 
-def synthesize(cat: PoleCatalogue, grid, rendering: str = "envelope") -> Signal:
-    """Evaluate S(t) = equilibrium + sum_i a_i exp(-gamma_i t / hbar) + tail(t).
+def synthesize(cat: PoleCatalogue, grid) -> Signal:
+    """Evaluate S(t) = equilibrium + sum_i a_i exp(-i omega_i t / hbar) exp(-gamma_i t / hbar) + tail(t).
 
-    ``rendering='envelope'`` keeps only the real damping factors.
-    ``rendering='full'`` additionally rotates each mode by
-    exp(-i omega_i t / hbar), at the stored omega of any catalogue.
-    ``grid`` must be a nonempty 1-D array.
+    Each mode turns at its stored omega; a mode whose omega is 0 (or -0.0)
+    is its real envelope alone, as exp(0) = 1.  ``grid`` must be a
+    nonempty 1-D array.
     """
-    return _mode_sum(cat, grid, rendering, slice(None))
+    return _mode_sum(cat, grid, slice(None))
 
 
-def _mode_sum(cat: PoleCatalogue, grid, rendering: str, modes: slice) -> Signal:
-    """Equilibrium + the ``modes`` slice of ``cat``'s modes + tail, on a checked grid and rendering."""
+def _mode_sum(cat: PoleCatalogue, grid, modes: slice) -> Signal:
+    """Equilibrium + the ``modes`` slice of ``cat``'s modes + tail, on a checked grid."""
     t = _time_grid(grid)
-    if rendering not in ("envelope", "full"):
-        raise ValidationError(f"unknown rendering {rendering!r}")
     values = np.full(t.shape, complex(cat.equilibrium), dtype=complex)
     tail = None if cat.khalfin is None else cat.khalfin(t)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range: Signal rejects it
         for amp, gamma, omega in zip(cat.amplitudes[modes].tolist(), cat.gammas[modes], cat._omegas[modes].tolist()):
             term = amp * np.exp(-gamma * t / cat.hbar)
-            if rendering == "full":
+            if omega:  # exp(-i 0 t / hbar) = 1
                 term = term * np.exp(-1j * omega * t / cat.hbar)
             values += term
         if tail is not None:
@@ -290,27 +287,29 @@ def _ldexp(x: float, e: int) -> float:
 
 
 def _delta(m: float, omega: float, L0: float, hbar: float) -> float:
-    """Delta = L0 sqrt(m omega / 2) / hbar, NaN where m omega < 0, in that order on frexp mantissas
+    """Delta = L0 sqrt(m omega / 2) / hbar of checked scales (each > 0), in that order on frexp mantissas
     scaled by a power of two once: the bits of the order on the scales themselves wherever its
     steps are normal floats, and no step under- or overflows where they are not."""
     (mm, em), (wm, ew), (lm, el), (hm, eh) = map(math.frexp, (m, omega, L0, hbar))
     e = em + ew - 1  # m omega / 2 = mm wm 2^e
     p = mm * wm * 2.0 ** (e & 1)  # so that e - (e & 1), the exponent left, is even
-    return _ldexp(lm * math.sqrt(p) / hm, el - eh + (e >> 1)) if p >= 0.0 else math.nan
+    return _ldexp(lm * math.sqrt(p) / hm, el - eh + (e >> 1))
 
 
 def _collective_scale(m: float, omega: float, L0: float, hbar: float) -> float:
-    """(m omega / 2 hbar^2) L0^2 while each step of that order is a normal float, else Delta * Delta."""
+    """(m omega / 2 hbar^2) L0^2 of checked scales (each > 0) while each step of that order is a normal float,
+    else Delta * Delta."""
     h2 = 2.0 * hbar * hbar
-    q = m * omega / h2 if h2 >= 2.0**-1022 and abs(m * omega) >= 2.0**-1022 else 0.0
-    if abs(q) >= 2.0**-1022 and 2.0**-1022 <= abs(scale := q * L0 * L0) < math.inf:
+    q = m * omega / h2 if h2 >= 2.0**-1022 and m * omega >= 2.0**-1022 else 0.0
+    if q >= 2.0**-1022 and 2.0**-1022 <= (scale := q * L0 * L0) < math.inf:
         return scale
     delta = _delta(m, omega, L0, hbar)
     return delta * delta
 
 
 def collective_rate_rule(m: float, omega: float, L0: float, hbar: float = 1.0) -> Callable:
-    """Threshold rule set by the collective rate (m omega / 2 hbar^2) L0^2 gamma0."""
+    """Threshold rule set by the collective rate (m omega / 2 hbar^2) L0^2 gamma0; m, omega, L0, hbar > 0."""
+    m, omega, L0 = _number(m, "m", "> 0"), _number(omega, "omega", "> 0"), _number(L0, "L0", "> 0")
     hbar = _number(hbar, "hbar", "> 0")
     scale = _number(_collective_scale(m, omega, L0, hbar), "m*omega*L0^2/(2 hbar^2)", "> 0")
 
@@ -338,8 +337,11 @@ def partition_report(
     * ``'background-only'``: every pole is declared irrelevant and the
       preferred signal keeps just equilibrium plus tail; t_D = t_R.
     * a callable ``f(gammas) -> rate``: t_D = hbar / f(...), where f
-      receives the checked widths as a sorted float array.  The shipped
-      example is :func:`collective_rate_rule`.
+      receives the checked widths as a sorted float array and returns a
+      number, not a bool.  The shipped example is :func:`collective_rate_rule`.
+
+    A list, tuple or ndarray of widths holding a bool is refused, naming
+    the entry, as the number rule refuses one bool.
 
     ``boundary`` decides the fate of poles sitting exactly at the
     threshold: ``'relevant'`` uses gamma <= hbar/t_D, ``'irrelevant'``
@@ -349,6 +351,7 @@ def partition_report(
     widths = np.fromiter(gammas, dtype=float)
     if not widths.size:
         raise ValidationError("no poles to partition")
+    _refuse_bools(gammas, "gammas")
     if not np.all((widths > 0.0) & (widths < math.inf)):
         raise ValidationError("widths must be positive and finite")
     if np.any(widths[1:] < widths[:-1]):
@@ -356,7 +359,7 @@ def partition_report(
     hbar = _number(hbar, "hbar", "> 0")
 
     if callable(rule):
-        threshold = float(rule(widths))
+        threshold = float(_refuse_bools(rule(widths), "rule(gammas)"))  # float() would read True as 1.0
         if not math.isfinite(threshold) or threshold <= 0.0:
             raise ValidationError(f"custom rule returned a nonpositive rate: {threshold!r}")
     elif rule in _NAMED_RULES:  # a named rule splits at a width itself
@@ -427,20 +430,16 @@ def check_report_matches(cat, report: TimescaleReport):
         raise ValidationError(f"report cut {report.cut} does not match the catalogue's threshold cut {want}")
 
 
-def preferred_signal(
-    cat: PoleCatalogue,
-    report: TimescaleReport,
-    grid,
-    rendering: str = "envelope",
-) -> Signal:
+def preferred_signal(cat: PoleCatalogue, report: TimescaleReport, grid) -> Signal:
     """Synthesize the catalogue with every p-irrelevant mode removed.
 
     The truncation applies for all t: the returned trajectory is
-    equilibrium + surviving modes + tail from t = 0 on, and is meaningful
+    equilibrium + surviving modes + tail from t = 0 on, each kept mode
+    turning at its stored omega as in ``synthesize``, and is meaningful
     as the decohered trajectory only past the report's t_D.
     """
     check_report_matches(cat, report)
-    return _mode_sum(cat, grid, rendering, slice(report.cut))
+    return _mode_sum(cat, grid, slice(report.cut))
 
 
 @dataclass(frozen=True)
@@ -460,7 +459,8 @@ def coincidence_check(
     """Compare full and truncated trajectories past t_D.
 
     Returns the maximum pointwise deviation for t >= t_D together with the
-    analytic ceiling sum_{dropped} |a_i| exp(-gamma_i t_D / hbar); the
+    analytic ceiling sum_{dropped} |a_i| exp(-gamma_i t_D / hbar), which
+    a mode's turning leaves as it is, since |exp(-i omega t / hbar)| = 1; the
     check passes when the deviation stays within the ceiling plus the
     rounding of the compared values: 1e-12 relative to the ceiling, and
     per term of the two sums one ulp of the largest compared value or of

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityFamily, _number, _phase_fix, _time_grid, eigh
+from .numerics import DensityFamily, _number, _phase_fix, _refuse_bools, _time_grid, eigh
 from .pole_models import (
     CatalogueMatrix,
     PoleCatalogue,
@@ -240,14 +240,16 @@ class BiFriedrichModel:
 
     The parts commute, so the observable of part 1 sees only part-1 poles
     and vice versa; ``part`` selects a part by observable name ("O1",
-    "O2") or index (0, 1).  A part with no poles (tail-only catalogue)
-    has already relaxed at t = 0.
+    "O2") or index (0, 1), not a bool.  Each part's signal turns every mode
+    at its stored omega, as ``synthesize`` does.  A part with no poles
+    (tail-only catalogue) has already relaxed at t = 0.
     """
 
     part1: PoleCatalogue
     part2: PoleCatalogue
 
     def part(self, which) -> PoleCatalogue:
+        _refuse_bools(which, "which")  # True == 1 would select part 2
         if which == "O1" or which == 0:
             return self.part1
         if which == "O2" or which == 1:

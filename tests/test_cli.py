@@ -170,6 +170,20 @@ class TestSimulateModel3:
         result = coincidence_check(signal, preferred, cat, report)
         assert result.passed
 
+    def test_a_mode_turns_at_its_omega(self, tmp_path):
+        # the slowest mode at omega 3 writes another signal than at omega 0: the rotated closed form
+        texts = {}
+        for omega in (0.0, 3.0):
+            modes = [dict(FIGURE_MODES[0], omega=omega)] + FIGURE_MODES[1:]
+            doc = {"scenario": "model3", "grid": {"t_max": 6.0, "n_points": 241}, "params": {"modes": modes}}
+            texts[omega] = (run_simulate(tmp_path, doc, f"omega{omega:g}") / "signal.csv").read_text(encoding="utf-8")
+        assert texts[0.0] != texts[3.0]
+        got = signal_from_csv(texts[3.0])
+        t = got.times
+        want = 3.0 * np.exp(-0.1 * t) * np.exp(-3j * t) + 2.0 * np.exp(-t) + np.exp(-5.0 * t)
+        size = 3.0 * np.exp(-0.1 * t) + 2.0 * np.exp(-t) + np.exp(-5.0 * t)
+        assert np.all(np.abs(got.values - want) <= 1e-12 * size)
+
     def test_rule_selection(self, tmp_path):
         cfg = self.config(tmp_path, rule="slowest-only")
         out = tmp_path / "run"
@@ -242,6 +256,22 @@ class TestBifriedrich:
         assert main(["simulate", "--config", cfg_b, "--out", str(out_b)]) == 0
         assert (out_a / "signal1.csv").read_bytes() == (out_b / "signal1.csv").read_bytes()
         assert (out_a / "signal2.csv").read_bytes() != (out_b / "signal2.csv").read_bytes()
+
+    def test_a_turning_part_keeps_its_verdicts_and_turns_its_signal(self, tmp_path):
+        # part 2's mode at omega = 0.5: the verdicts and part 1's signal are those of omega = 0, and
+        # signal2.csv is 0.25 + e^(-0.01 t) e^(-0.5 i t)
+        outs = {}
+        for omega in (0.0, 0.5):
+            doc = json.loads(Path(self.config(tmp_path)).read_text(encoding="utf-8"))
+            doc["params"]["part2"]["modes"][0]["omega"] = omega
+            outs[omega] = run_simulate(tmp_path, doc, f"omega{omega:g}")
+        for name in ("verdicts.csv", "signal1.csv"):
+            assert (outs[0.0] / name).read_bytes() == (outs[0.5] / name).read_bytes()
+        assert (outs[0.0] / "signal2.csv").read_bytes() != (outs[0.5] / "signal2.csv").read_bytes()
+        got = signal_from_csv((outs[0.5] / "signal2.csv").read_text(encoding="utf-8"))
+        t = got.times
+        want = 0.25 + np.exp(-0.01 * t) * np.exp(-0.5j * t)
+        assert np.all(np.abs(got.values - want) <= 1e-12 * (0.25 + np.exp(-0.01 * t)))
 
 
 class TestOmnes:
@@ -1401,6 +1431,30 @@ class TestCatalogueJsonIsAnInlineCatalogue:
         assert self.built(tmp_path, monkeypatch, "model3", doc) == [cat]
         parts = self.built(tmp_path, monkeypatch, "bifriedrich", {"part1": doc, "part2": doc})
         assert parts == [cat, cat]
+
+    def test_a_frequency_survives_extract_model3_extract(self, tmp_path):
+        # 0.25 + e^(-0.3 t) e^(-2 i t) + 0.5 e^(-1.1 t) on 201 samples of [0, 10]: extract, paste the
+        # catalogue as model3 params, simulate on the same grid and extract that signal; both fits hold
+        # the mode (omega, gamma) = (2, 0.3)
+        t = np.linspace(0.0, 10.0, 201)
+        (tmp_path / "signal.csv").write_text(
+            signal_to_csv(Signal(t, 0.25 + np.exp(-0.3 * t) * np.exp(-2j * t) + 0.5 * np.exp(-1.1 * t))),
+            encoding="utf-8",
+        )
+
+        def extract(csv_path, name):
+            doc = {"scenario": "extract", "params": {"input_csv": str(csv_path), "model_order": 3}}
+            assert main(["extract", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                         "--out", str(tmp_path / name)]) == 0
+            return json.loads((tmp_path / name / "catalogue.json").read_text(encoding="utf-8"))
+
+        first = extract(tmp_path / "signal.csv", "fit")
+        sim = run_simulate(tmp_path, {"scenario": "model3", "grid": {"t_max": 10.0, "n_points": 201}, "params": first},
+                           "sim")
+        for cat in (first, extract(sim / "signal.csv", "refit")):
+            mode = min(cat["modes"], key=lambda m: abs(m["gamma"] - 0.3))
+            assert mode["gamma"] == pytest.approx(0.3, rel=1e-6)
+            assert mode["omega"] == pytest.approx(2.0, rel=1e-6)
 
     def test_tail_only_part_runs(self, tmp_path, monkeypatch):
         part1 = {"modes": [], "khalfin": {"amplitude": 0.3}}

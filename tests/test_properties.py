@@ -28,10 +28,12 @@ from decopoles.numerics import (
     DensityMatrix,
     PencilFactorisation,
     _checked_entries,
+    adaptive_simpson,
     eigh,
     fit_residual,
     hermitian_average,
     matrix_pencil_fit,
+    principal_value_integral,
 )
 from decopoles import numerics, omnes
 from decopoles.omnes import (
@@ -73,7 +75,9 @@ from decopoles.pole_models import (
     signal_to_csv,
     synthesize,
 )
-from decopoles.preferred_basis import _greedy_match, convergence_profile, moving_eigenbasis, preferred_state
+from decopoles.preferred_basis import (
+    BiFriedrichModel, _greedy_match, convergence_profile, moving_eigenbasis, preferred_state,
+)
 from test_omnes import (
     EPS, FOCK_ORACLE_TOL, ROOT_HALF, amplitude_damped, coherent_branch, exact_fock_state, frame_f2, frame_tower,
     frame_truncation, oracle_density, rho0_norm,
@@ -702,6 +706,71 @@ class TestConfigRecord:
         assert records == [want]
 
 
+def _closed_form_terms(params, t):
+    """A config catalogue's terms at the times ``t``, each exactly as the closed form reads it: the equilibrium,
+    then a exp(-(gamma + i omega) t / hbar) for each mode in ascending width, then the tail (0 without one)."""
+    hbar = params.get("hbar", 1.0)
+    terms = [np.full(t.shape, complex(params.get("equilibrium", 0.0)))]
+    for m in sorted(params["modes"], key=lambda m: m["gamma"]):
+        a, x = complex(m.get("amp_re", 1.0), m.get("amp_im", 0.0)), complex(-m["gamma"], -m.get("omega", 0.0))
+        terms.append(np.array([a * cmath.exp(x * (s / hbar)) for s in t.tolist()]))
+    tail = params.get("khalfin")
+    if tail is not None:
+        terms.append(tail["amplitude"] * (1.0 + t / tail.get("tau", 1.0)) ** -tail.get("p", 3.0) + 0j)
+    return terms
+
+
+class TestCatalogueRendersAsStored:
+    """Every signal a model3 or bifriedrich run writes is the catalogue's closed form,
+    equilibrium + sum_k a_k exp(-i omega_k t / hbar) exp(-gamma_k t / hbar) + tail, over the kept modes for
+    ``preferred.csv``: within 1e-12 of the sum of the terms' magnitudes at each time.
+
+    Planted defect it catches: ``pole_models._mode_sum`` without the rotation (each mode's envelope alone).
+    """
+
+    @staticmethod
+    def run(doc):
+        """``decopoles simulate`` of ``doc``: {file name: parsed signal or text} of what it wrote."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(["simulate", "--config", cfg, "--out", out])
+            assert code == 0, err.getvalue()
+            files = {}
+            for name in os.listdir(out):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    text = fh.read()
+                files[name] = signal_from_csv(text) if name.startswith(("signal", "preferred")) else text
+            return files
+
+    @staticmethod
+    def assert_closed_form(signal, terms):
+        want = sum(terms)
+        size = sum(np.abs(term) for term in terms)
+        assert np.all(np.abs(signal.values - want) <= 1e-12 * size), np.max(np.abs(signal.values - want) / size)
+
+    @settings(deadline=None, max_examples=60)
+    @given(valid_configs("model3"))
+    def test_model3_signal_and_preferred(self, doc):
+        files = self.run(doc)
+        terms = _closed_form_terms(doc["params"], files["signal.csv"].times)
+        self.assert_closed_form(files["signal.csv"], terms)
+        relevant = dict(row.split(",", 1) for row in files["timescales.csv"].splitlines()[1:])["p_relevant"]
+        cut = len(relevant.split(";")) if relevant else 0
+        has_tail = doc["params"].get("khalfin") is not None
+        self.assert_closed_form(files["preferred.csv"], terms[: 1 + cut] + terms[len(terms) - has_tail:])
+
+    @settings(deadline=None, max_examples=60)
+    @given(valid_configs("bifriedrich"))
+    def test_bifriedrich_signals(self, doc):
+        files = self.run(doc)
+        for k in (1, 2):
+            signal = files[f"signal{k}.csv"]
+            self.assert_closed_form(signal, _closed_form_terms(doc["params"][f"part{k}"], signal.times))
+
+
 class TestCoincidenceInvariant:
     @settings(deadline=None, max_examples=100)
     @given(scalar_catalogues(), _RULES, _BOUNDARIES, st.integers(1, 80))
@@ -1210,7 +1279,7 @@ class TestExtractionRoundTrip:
         of omega_k, and its complex amplitude within 1e-5 |a_k| of a_k.
         """
         cat, grid = setup
-        signal = signal_from_csv(signal_to_csv(synthesize(cat, grid, rendering="full")))
+        signal = signal_from_csv(signal_to_csv(synthesize(cat, grid)))
         fitted = matrix_pencil_fit(signal.times, signal.values - cat.equilibrium, len(cat.modes))
         assert all(z.real * float(grid[-1]) <= 1e-8 for z, _ in fitted)
         fitted.sort(key=lambda mode: -mode[0].real)
@@ -1258,10 +1327,10 @@ class TestExtractionRoundTrip:
     def test_extract_then_full_synthesis_gives_the_signal_back(self, setup):
         # a plain catalogue renders its stored frequencies: CSV -> decopoles extract -> JSON -> synthesize
         cat, grid = setup
-        signal = synthesize(cat, grid, rendering="full")
+        signal = synthesize(cat, grid)
         code, err, fitted = self.extract(signal, model_order=len(cat.modes), equilibrium=cat.equilibrium, hbar=cat.hbar)
         assert code == 0, err
-        back = synthesize(fitted, grid, rendering="full")
+        back = synthesize(fitted, grid)
         assert np.max(np.abs(back.values - signal.values)) <= self.roundtrip_tolerance(cat, float(grid[-1]))
 
     @settings(deadline=None, max_examples=60)
@@ -1280,11 +1349,11 @@ class TestExtractionRoundTrip:
         cat, grid = setup
         if imaginary:
             c = complex(cat.equilibrium, sign * size)
-            signal = Signal(grid, synthesize(cat, grid, rendering="full").values + 1j * c.imag)
+            signal = Signal(grid, synthesize(cat, grid).values + 1j * c.imag)
         else:
             c = sign * size
             cat = PoleCatalogue(c, cat.modes, None, cat.hbar)
-            signal = synthesize(cat, grid, rendering="full")
+            signal = synthesize(cat, grid)
         code, err, fitted = self.extract(signal, model_order=len(cat.modes) + 1, hbar=cat.hbar)
         if imaginary:
             assert (code, fitted) == (3, None), err
@@ -1294,7 +1363,7 @@ class TestExtractionRoundTrip:
             assert float(line[len(head):].split(",")[0]) == pytest.approx(c.imag, rel=1e-3)
             return
         assert code == 0, err
-        back = synthesize(fitted, grid, rendering="full")
+        back = synthesize(fitted, grid)
         tolerance = self.roundtrip_tolerance(cat, float(grid[-1])) + (1e-5 + 2e-8) * abs(c)
         assert np.max(np.abs(back.values - signal.values)) <= tolerance
 
@@ -1312,7 +1381,7 @@ class TestExtractionRoundTrip:
         signal = synthesize(cat, grid)
         code, err, fitted = self.extract(signal, model_order=3)
         assert code == 0, err
-        back = synthesize(fitted, grid, rendering="full")
+        back = synthesize(fitted, grid)
         tolerance = self.roundtrip_tolerance(cat, float(grid[-1])) + (1e-5 + 2e-8) * abs(cat.equilibrium)
         assert np.max(np.abs(back.values - signal.values)) <= tolerance
 
@@ -1339,7 +1408,7 @@ class TestPencilScaling:
         of these signals, past where |y|^2 overflows or underflows.
         """
         cat, grid = setup
-        y = synthesize(cat, grid, rendering="full").values - cat.equilibrium
+        y = synthesize(cat, grid).values - cat.equilibrium
         fit = matrix_pencil_fit(grid, y, len(cat.modes))
         residual = fit_residual(grid, y, fit)
         lo, hi = _normal_shifts(y, [a for _, a in fit], residual)
@@ -2122,7 +2191,8 @@ SCALAR_ARGUMENTS = [
     (TimescaleReport, dict(t_R=10.0, t_D=1.0, cut=1, n_modes=2, rule=RULE_SECOND_SMALLEST), {"cut": 0, "n_modes": 0}),
     (model1_times, dict(gamma0=0.5, hbar=1.0), {"gamma0": "> 0", "hbar": "> 0"}),
     (model2_times, dict(gamma0=0.5, gamma1=2.0, hbar=1.0), {"gamma0": "> 0", "gamma1": "> 0", "hbar": "> 0"}),
-    (collective_rate_rule, dict(m=1.0, omega=2.0, L0=6.0, hbar=1.0), {"hbar": "> 0"}),
+    (collective_rate_rule, dict(m=1.0, omega=2.0, L0=6.0, hbar=1.0),
+     {"m": "> 0", "omega": "> 0", "L0": "> 0", "hbar": "> 0"}),
     (partition_report, dict(gammas=(0.1, 1.0), hbar=1.0), {"hbar": "> 0"}),
     (CatalogueMatrix, dict(poles=[Pole(0.0, 1.0)], equilibrium=np.eye(2) / 2, amplitudes=[[[0, 0.1], [0.1, 0]]],
                            hbar=1.0), {"hbar": "> 0"}),
@@ -2136,6 +2206,9 @@ SCALAR_ARGUMENTS = [
     (SpectralDensity.ohmic, dict(omega0=1.0, cutoff=2.0, weight=1.0), {"cutoff": "> 0", "weight": "> 0"}),
     (PerturbativePole, dict(omega0=2.0, delta_omega=0.5, gamma0=0.3),
      {"omega0": "", "delta_omega": "", "gamma0": ">= 0"}),
+    (adaptive_simpson, dict(f=math.cos, a=0.0, b=1.0, tol=1e-9, max_depth=48),
+     {"a": "", "b": "", "tol": ">= 0", "max_depth": 0}),
+    (principal_value_integral, dict(f=math.cos, omega0=0.5, lo=0.0, hi=1.0), {"omega0": "", "lo": "", "hi": ""}),
     (convergence_profile, dict(rho_R=_FAMILY, rho_P=_FAMILY, grid=[0.0, 1.0, 2.0], t_D=0.5), {"t_D": "> 0"}),
     (matrix_pencil_fit, dict(times=_PENCIL_T, values=_PENCIL_Y, order=2), {"order": 1}),
     (PencilFactorisation, dict(times=_PENCIL_T, values=_PENCIL_Y, order=2), {"order": 1}),
@@ -2204,3 +2277,61 @@ class TestScalarRules:
     @pytest.mark.parametrize("call, kwargs, name, rule", ROUTED)
     def test_numpy_scalars_of_valid_values_are_accepted(self, call, kwargs, name, rule):
         call(**dict(kwargs, **{name: (np.int64 if isinstance(rule, int) else np.float32)(kwargs[name])}))
+
+
+# --- bools among numbers ---------------------------------------------------------
+
+_ONE_MODE = PoleCatalogue(0.0, ((Pole(0.0, 1.0), 1.0),))
+_ONE_MATRIX_MODE = CatalogueMatrix([Pole(0.0, 1.0)], np.eye(2) / 2, [[[0, 0.1], [0.1, 0]]])
+
+# every public reader of a sequence of numbers: (its name in a refusal, a valid sequence, the call on it)
+SEQUENCE_ARGUMENTS = [
+    pytest.param("gammas", [0.5, 1.0, 2.0], partition_report, id="partition_report"),
+    pytest.param("grid", [0.0, 1.0, 2.0], lambda t: synthesize(_ONE_MODE, t), id="synthesize"),
+    pytest.param("grid", [0.0, 1.0, 2.0], lambda t: preferred_signal(_ONE_MODE, decoherence_time(_ONE_MODE), t),
+                 id="preferred_signal"),
+    pytest.param("grid", [0.0, 1.0, 2.0],
+                 lambda t: preferred_state(_ONE_MATRIX_MODE, partition_report(_ONE_MATRIX_MODE.gammas), t),
+                 id="preferred_state"),
+    pytest.param("grid", [0.0, 1.0, 2.0], lambda t: moving_eigenbasis(_FAMILY, t), id="moving_eigenbasis"),
+    pytest.param("grid", [0.0, 1.0, 2.0], lambda t: convergence_profile(_FAMILY, _FAMILY, t, 0.5),
+                 id="convergence_profile"),
+]
+_BOOLS = st.sampled_from([True, False, np.True_, np.False_])
+
+
+class TestBoolEntries:
+    """A bool is no number inside a sequence either: a list or tuple holding one, or a bool ndarray, is refused
+    in the number rule's form, naming the first bool's index, where numpy would read it as 0.0 or 1.0.
+
+    A planted defect it catches: ``numerics._time_grid`` without its bool check (``[False, True]`` samples
+    t = 0 and 1).
+    """
+
+    @pytest.mark.parametrize("name, valid, call", SEQUENCE_ARGUMENTS)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_a_bool_entry_is_refused_naming_it(self, name, valid, call, data):
+        call(valid)
+        k = data.draw(st.integers(0, len(valid) - 1), label="k")
+        entry = data.draw(_BOOLS, label="entry")
+        values = data.draw(st.sampled_from([list, tuple]))(valid[:k] + [entry] + valid[k + 1:])
+        with pytest.raises(ValidationError) as err:
+            call(values)
+        assert str(err.value) == f"{name}[{k}]: expected a number, got {entry!r}"
+
+    @pytest.mark.parametrize("name, valid, call", SEQUENCE_ARGUMENTS)
+    def test_a_bool_array_is_refused_by_its_dtype(self, name, valid, call):
+        values = np.ones(len(valid), dtype=bool)
+        with pytest.raises(ValidationError) as err:
+            call(values)
+        assert str(err.value) == f"{name}[0]: expected a number, got {values[0]!r}"
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_a_bool_rate_or_selector_is_refused(self, value):
+        with pytest.raises(ValidationError) as err:
+            partition_report((0.5, 1.0), rule=lambda gammas: value)
+        assert str(err.value) == f"rule(gammas): expected a number, got {value!r}"
+        with pytest.raises(ValidationError) as err:
+            BiFriedrichModel(_ONE_MODE, _ONE_MODE).part(value)
+        assert str(err.value) == f"which: expected a number, got {value!r}"

@@ -14,10 +14,13 @@ Three self-contained tools used throughout the package:
   Gauss-Newton, + least-squares amplitudes), so a refit at a lower order
   reuses the SVD.
 
-Beside them live the package's input rules: ``_time_grid`` for grids,
-``_number`` and ``_integer`` for scalars, and ``_refuse_bools`` for a bool
-where a number, or a sequence of them, is read another way (a grid, widths,
-a custom rule's rate, a part selector).  Every scalar argument of a public
+Beside them live the package's input rules: ``_times`` and ``_time_grid``
+for times, ``_number`` and ``_integer`` for scalars, and ``_refuse_bools``
+for a bool where a number, or a sequence of them, is read another way (a
+grid, widths, a custom rule's rate, a part selector).  Every catalogue
+evaluator runs forward from t = 0 through ``_times``: a resonance pole's
+Gamow vector grows without bound before t = 0, and every precision bound
+of the package is stated for t >= 0.  Every scalar argument of a public
 constructor or function, and every config number and integer, is checked by
 one of the two, and a refusal names the argument or the config path in one
 form: ``gamma: must be > 0, got 0.0``, ``params.N: expected an integer, got 2.5``.
@@ -364,7 +367,8 @@ def _number(value, name: str, bound: str = "") -> float:
     ``np.bool_`` do not; an int past the float range reads as +-inf.  Each refusal is a
     ``ValidationError`` ``<name>: expected a number | must be finite | must be <bound>, got ...``.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # an exact float skips the numbers.Real check, an ABC lookup that costs more than the rest of the rule
+    if value.__class__ is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{name}: expected a number, got {value!r}")
     try:
         x = float(value)
@@ -410,15 +414,25 @@ def _refuse_bools(values, name: str):
 
 
 def _time_grid(grid) -> np.ndarray:
-    """``grid`` as a float array; anything but a nonempty 1-D array (a number, a 2-D grid), a bool
-    entry or a NaN raises."""
+    """``grid`` as a new float array of times t >= 0, -0.0 read as +0.0.  Anything but a nonempty 1-D array
+    (a number, a 2-D grid) raises, and so does a bool entry, then the first NaN or negative one, each named
+    by the number rule as ``grid[k]``: ``grid[1]: must be >= 0, got -1.0``.  +inf passes: the limit t -> inf."""
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
     _refuse_bools(grid, "grid")
-    if np.isnan(t).any():
-        raise ValidationError(f"grid holds NaN at index {int(np.isnan(t).argmax())}")
-    return t
+    k = int((t >= 0.0).argmin())  # the first NaN or negative entry, if there is one
+    if not t[k] >= 0.0:
+        _number(float(t[k]), f"grid[{k}]", ">= 0")
+    return t + 0.0
+
+
+def _times(t):
+    """One time or a grid of them, forward from t = 0: the one time rule of every catalogue evaluator.  A list,
+    tuple or ndarray is a grid, read by ``_time_grid``; anything else is one time, a finite number >= 0 by
+    the number rule as ``t`` (``t: must be >= 0, got -1.0``), as a float.  -0.0 reads as +0.0, so it gives
+    +0.0's bits."""
+    return _time_grid(t) if isinstance(t, (list, tuple, np.ndarray)) else _number(t, "t", ">= 0") + 0.0
 
 
 def check_uniform_grid(times: np.ndarray) -> float:

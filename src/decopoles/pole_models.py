@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import (
-    HermitianMatrix, _complex_array, _integer, _matrix_reduce, _number, _refuse_bools, _time_grid, check_uniform_grid,
-    hermitian_average,
+    HermitianMatrix, _complex_array, _integer, _matrix_reduce, _number, _refuse_bools, _time_grid, _times,
+    check_uniform_grid, hermitian_average,
 )
 
 RULE_SECOND_SMALLEST = "second-smallest-gamma"
@@ -73,10 +73,11 @@ class Pole:
 
 @dataclass(frozen=True)
 class KhalfinTail:
-    """Slow background decay amplitude * (1 + t / tau) ** (-p).
+    """Slow background decay amplitude * (1 + t / tau) ** (-p), at one time or a grid of times t >= 0.
 
     Finite at t = 0, power law for t >> tau.  The exponent defaults to 3
     elsewhere in the package but is free here; amplitude 0 means no tail.
+    Times are read by ``numerics._times``.
     """
 
     amplitude: float
@@ -89,7 +90,7 @@ class KhalfinTail:
         object.__setattr__(self, "p", _number(self.p, "p", "> 0"))
 
     def __call__(self, t):
-        return self.amplitude * (1.0 + np.asarray(t, dtype=float) / self.tau) ** (-self.p)
+        return self.amplitude * (1.0 + np.asarray(_times(t)) / self.tau) ** (-self.p)
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,8 @@ def synthesize(cat: PoleCatalogue, grid) -> Signal:
     """Evaluate S(t) = equilibrium + sum_i a_i exp(-i omega_i t / hbar) exp(-gamma_i t / hbar) + tail(t).
 
     Each mode turns at its stored omega; a mode whose omega is 0 (or -0.0)
-    is its real envelope alone, as exp(0) = 1.  ``grid`` must be a
-    nonempty 1-D array.
+    is its real envelope alone, as exp(0) = 1.  ``grid`` is a nonempty 1-D
+    array of times t >= 0 (``numerics._time_grid``).
     """
     return _mode_sum(cat, grid, slice(None))
 
@@ -497,8 +498,9 @@ class CatalogueMatrix:
     preferred state.  Frequencies are not rendered, so a pole with omega != 0
     is refused (-0.0 passes).  Widths and the read-only (K, d, d) ``amplitudes``
     stack are sorted jointly and stably; ``poles`` is built on first read.
-    ``evaluate`` and ``dropped_envelope`` take one time or an array of T
-    times (a (T, d, d) stack, a (T,) array), and their modes as a report's
+    ``evaluate`` and ``dropped_envelope`` take one time or a grid of T
+    times t >= 0, read by ``numerics._times`` (a (T, d, d) stack, a (T,)
+    array), and their modes as a report's
     partition gives them: ``range(cut)`` kept, ``range(cut, K)`` dropped,
     or any ``range(start, stop)`` with 0 <= start <= stop <= K, summed as
     one slice; no other index form is taken.  Their results are held to the
@@ -508,8 +510,8 @@ class CatalogueMatrix:
     ``truncation`` is a catalogue's stated distance tau from the catalogue
     it was cut from: its amplitudes, EQ included, lie within tau of that
     catalogue's in Frobenius norm summed over the modes, and modes it lacks
-    count as 0 there.  Each decay factor is <= 1 at t >= 0, so ``evaluate``
-    lies within tau of that catalogue's sum at every such time.  It is 0.0
+    count as 0 there.  Each decay factor is <= 1, so ``evaluate`` lies
+    within tau of that catalogue's sum at every time.  It is 0.0
     for a constructor-built catalogue; ``omnes.frame_catalogue_matrix``
     states its own.
     """
@@ -569,9 +571,9 @@ class CatalogueMatrix:
         return slice(modes.start, modes.stop)
 
     def _decay(self, t, idx) -> np.ndarray:
-        """exp(-gamma t / hbar) of the ``idx`` modes, (K,) or (T, K), built in one array.
+        """exp(-gamma t / hbar) of the ``idx`` modes at times read by ``numerics._times``, (K,) or (T, K), in one array.
 
-        Precision (t >= 0): the exponent x = -gamma t / hbar takes two
+        Precision: the exponent x = -gamma t / hbar takes two
         roundings, so |x_hat - x| <= gamma_2 |x|, and exp rounds once more
         (within one ulp).  A factor whose exp would not be a normal float
         (x_hat below log 2^-1022 = -708.396) is stored as 0.0, and no exp
@@ -579,7 +581,7 @@ class CatalogueMatrix:
         e^x ((1 + 2u) e^(gamma_2 |x|) - 1) of e^x, or is 0.0 where
         e^x < 2^-1022 e^(gamma_2 |x|); u = 2^-53, gamma_k = k u / (1 - k u).
         """
-        decay = np.multiply.outer(t, -self._gammas[idx])
+        decay = np.multiply.outer(_times(t), -self._gammas[idx])
         decay /= self.hbar
         dead = decay < _EXP_NORMAL_EDGE
         np.exp(decay, out=decay, where=~dead)

@@ -107,10 +107,11 @@ class MovingBasis:
 def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     """Diagonalize a time-indexed family with eigenvector continuity.
 
-    ``rho_of_t``, one matrix per point of ``grid`` in a form ``eigh`` stacks (a ``DensityFamily``, a
-    list or tuple of members, or one (T, d, d) array), goes to one ``eigh`` as it is, and each step
-    is matched by ``_greedy_match``; an exact tie between rows goes to the earlier column in the
-    previous ``eigh`` order, not in track order.  The first point's vectors get ``eigh``'s phase
+    ``grid`` holds the family's times t >= 0 (``numerics._time_grid``), the domain of every catalogue
+    evaluator.  ``rho_of_t``, one matrix per point of ``grid`` in a form ``eigh`` stacks (a
+    ``DensityFamily``, a list or tuple of members, or one (T, d, d) array), goes to one ``eigh`` as it
+    is, and each step is matched by ``_greedy_match``; an exact tie between rows goes to the earlier
+    column in the previous ``eigh`` order, not in track order.  The first point's vectors get ``eigh``'s phase
     convention; each later one is LAPACK's times one phase, from the step overlaps, so its overlap
     with the previous time step is real and nonnegative, keeping the angle between consecutive
     matched vectors below pi/2; a track whose overlap with its predecessor vanishes keeps its phase.
@@ -158,7 +159,7 @@ def preferred_state(
     truncated matrix is renormalized to unit trace and the stack is checked
     once, as a ``DensityFamily`` whose k-th member holds the entries ``DensityMatrix(m / tr)``
     would store.  A vanishing trace means the surviving modes cannot represent a
-    state.  ``grid`` must be a nonempty 1-D array without NaN; one time is a grid of one point.
+    state.  ``grid`` is read by ``numerics._time_grid``, times t >= 0; one time is a grid of one point.
     """
     check_report_matches(source, report)
     t = _time_grid(grid)
@@ -190,7 +191,7 @@ def convergence_profile(
     are paired at each time by ``_greedy_match``, untracked: relabeling columns permutes the overlap
     matrix (same pairs, up to exact ties), phases drop out of the moduli, so none is fixed,
     and the gap is taken between eigh's descending eigenvalues.  ``t_D`` is a finite
-    number > 0; the grid must lie in t >= 0 and reach at least 3 t_D so the
+    number > 0; the grid must reach at least 3 t_D so the
     post-decoherence regime is actually sampled.  ``envelope`` turns on the ``bound`` column, the
     first-order estimate envelope / gap (inf where the gap vanishes; NaN
     without an envelope), which is no bound: the frame catalogue N = 5048,
@@ -199,11 +200,8 @@ def convergence_profile(
     returns the dropped modes' weight per point, (T,) or one number.
     """
     t, t_D = _time_grid(grid), _number(t_D, "t_D", "> 0")
-    lo, hi = t.min(), t.max()
-    if not (lo >= 0.0 and hi >= 3.0 * t_D):
-        raise ValidationError(
-            f"grid [{lo}, {hi}] must lie in t >= 0 and span at least 3 t_D = {3.0 * t_D}"
-        )
+    if t.max() < 3.0 * t_D:
+        raise ValidationError(f"grid [{t.min()}, {t.max()}] must span at least 3 t_D = {3.0 * t_D}")
     dec_r = _family_eigh(rho_R, t)
     dec_p = _family_eigh(rho_P, t)
     if dec_r.eigenvalues.shape[1] != dec_p.eigenvalues.shape[1]:

@@ -687,8 +687,9 @@ class TestNumericFailureWritesNothing:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
-def _open_defect(case_id, reason):
-    return dict(id=case_id, marks=pytest.mark.xfail(strict=True, reason=f"{case_id}: {reason}"))
+def _open_defect(case_id, item, reason):
+    """A strict expected failure for ``case_id``, owned by ROADMAP item ``item``."""
+    return dict(id=case_id, marks=pytest.mark.xfail(strict=True, reason=f"{case_id} (item {item}): {reason}"))
 
 
 class TestOpenContractDefects:
@@ -706,46 +707,46 @@ class TestOpenContractDefects:
         [
             pytest.param(
                 "simulate", {"scenario": "model1", "grid": GRID, "params": {"gamma0": 1e-320}},
-                **_open_defect("F8-model1", "t_R = hbar / gamma0 overflows with a numpy warning"),
+                **_open_defect("F8-model1", 20, "t_R = hbar / gamma0 overflows with a numpy warning"),
             ),
             pytest.param(
                 "simulate", {"scenario": "model2", "grid": GRID, "params": {"gamma0": 1e-320, "gamma1": 1.0}},
-                **_open_defect("F8-model2", "t_R = hbar / gamma0 overflows with a numpy warning"),
+                **_open_defect("F8-model2", 20, "t_R = hbar / gamma0 overflows with a numpy warning"),
             ),
             pytest.param(
                 "simulate",
                 {"scenario": "model3", "grid": GRID,
                  "params": {"modes": [{"gamma": 1.0}], "khalfin": {"amplitude": 0.2, "tau": 5e-324}}},
-                **_open_defect("F10-model3", "t / tau overflows with a numpy warning"),
+                **_open_defect("F10-model3", 20, "t / tau overflows with a numpy warning"),
             ),
             pytest.param(
                 "omnes",
                 {"scenario": "omnes", "grid": GRID, "params": dict(DENSITY, spectral_density={
                     "kind": "lorentzian", "omega0": 1.1, "center": 0.6, "width": 1e300})},
-                **_open_defect("F9-lorentzian", "the density's (w - c) ** 2 raises OverflowError"),
+                **_open_defect("F9-lorentzian", 20, "the density's (w - c) ** 2 raises OverflowError"),
             ),
             pytest.param(
                 "omnes",
                 {"scenario": "omnes", "grid": GRID, "params": dict(DENSITY, spectral_density={
                     "kind": "ohmic", "omega0": 1e-320, "cutoff": 1.0})},
-                **_open_defect("F9-ohmic", "principal_value_integral raises ZeroDivisionError"),
+                **_open_defect("F9-ohmic", 20, "principal_value_integral raises ZeroDivisionError"),
             ),
             pytest.param(
                 "omnes",
                 {"scenario": "omnes", "grid": GRID, "params": dict(DENSITY, L0=2.0, L0_sweep=[2.0], spectral_density={
                     "kind": "lorentzian", "omega0": 0.7, "center": 0.6, "width": 1e-3, "weight": 1e308})},
-                **_open_defect("F9-weight", "the density's peak overflows: its config error names no field"),
+                **_open_defect("F9-weight", 20, "the density's peak overflows: its config error names no field"),
             ),
             pytest.param(
                 "omnes",
                 {"scenario": "omnes", "grid": GRID, "params": dict(DENSITY, spectral_density={
                     "kind": "ohmic", "omega0": 5.0, "cutoff": 10.0, "weight": 3e305, "hi": 1000.0})},
-                **_open_defect("F9-ohmic-product", "weight * w overflows before the exp shrinks it: "
+                **_open_defect("F9-ohmic-product", 20, "weight * w overflows before the exp shrinks it: "
                                "its config error names no field"),
             ),
             pytest.param(
                 "extract", {"scenario": "extract", "params": {"input_csv": "far.csv", "model_order": 1}},
-                **_open_defect("FOUND-far-grid", "e^-(t - 800) on [800, 810] exits 0 with amp_re 0.0"),
+                **_open_defect("FOUND-far-grid", 20, "e^-(t - 800) on [800, 810] exits 0 with amp_re 0.0"),
             ),
         ],
     )
@@ -765,12 +766,12 @@ class TestOpenContractDefects:
         [
             pytest.param(
                 {"kind": "lorentzian", "omega0": 1e20, "center": 1e20, "width": 1e-3}, "width",
-                **_open_defect("FOUND-empty-band", "center +- 3000 width rounds to center: "
+                **_open_defect("FOUND-empty-band", 20, "center +- 3000 width rounds to center: "
                                "'empty support [1e+20, 1e+20]' names no field"),
             ),
             pytest.param(
                 {"kind": "ohmic", "omega0": 1.0, "cutoff": 1e307}, "cutoff",
-                **_open_defect("FOUND-infinite-band", "40 cutoff overflows: the error names the band, not cutoff"),
+                **_open_defect("FOUND-infinite-band", 20, "40 cutoff overflows: the error names the band, not cutoff"),
             ),
         ],
     )

@@ -26,9 +26,13 @@ from decopoles.numerics import (
     pencil_min_samples,
     principal_value_integral,
 )
-from decopoles.omnes import OmnesConfig, build_density_matrix
-from decopoles.pole_models import Pole, PoleCatalogue, synthesize
-from decopoles.preferred_basis import BiFriedrichModel, bifriedrich_run, moving_eigenbasis
+from decopoles.omnes import OmnesConfig, build_density_matrix, frame_projection, nd_block, nd_decay
+from decopoles.pole_models import (
+    CatalogueMatrix, KhalfinTail, Pole, PoleCatalogue, partition_report, preferred_signal, synthesize,
+)
+from decopoles.preferred_basis import (
+    BiFriedrichModel, bifriedrich_run, convergence_profile, moving_eigenbasis, preferred_state,
+)
 
 
 def reconstruct(dec):
@@ -40,6 +44,78 @@ def reconstruct(dec):
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+def time_rule_evaluators(cat, tail, cm, cfg, z0, rho):
+    """name -> (call(times), what it takes: "one" time, a "grid" or "both"): every catalogue evaluator, on a
+    scalar catalogue, a tail, a matrix catalogue and a frame config; ``rho`` is the family that
+    ``convergence_profile`` (at t_D = 0.1) and ``moving_eigenbasis`` read, one member per grid point."""
+    cat_report, cm_report = partition_report(cat.gammas, cat.hbar), partition_report(cm.gammas, cm.hbar)
+    return {
+        "synthesize": (lambda t: synthesize(cat, t), "grid"),
+        "preferred_signal": (lambda t: preferred_signal(cat, cat_report, t), "grid"),
+        "evaluate": (cm.evaluate, "both"),
+        "dropped_envelope": (lambda t: cm.dropped_envelope(t, cm_report.p_irrelevant), "both"),
+        "KhalfinTail": (tail, "both"),
+        "frame_projection": (lambda t: frame_projection(cfg, z0, t), "one"),
+        "frame_projection-truncated": (lambda t: frame_projection(cfg, z0, t, closed_form=False), "one"),
+        "nd_block": (lambda t: nd_block(cfg, z0, t), "one"),
+        "nd_decay": (lambda t: nd_decay(cfg, z0, t), "both"),
+        "build_density_matrix": (lambda t: build_density_matrix(cfg, z0, t), "one"),
+        "preferred_state": (lambda t: preferred_state(cm, cm_report, t), "grid"),
+        "convergence_profile": (lambda t: convergence_profile(rho, rho, t, t_D=0.1), "grid"),
+        "moving_eigenbasis": (lambda t: moving_eigenbasis(rho, t), "grid"),
+    }
+
+
+_TAIL = KhalfinTail(0.1, 1.0, 3.0)
+_FRAME = OmnesConfig(1.0, 2.0, 1.0, 0.2, 6.0, math.sqrt(0.5), math.sqrt(0.5), 40)
+_TIME_RULE_EVALUATORS = time_rule_evaluators(
+    PoleCatalogue(0.25, ((Pole(0.0, 0.5), 1.0), (Pole(1.0, 2.0), 0.5j)), _TAIL),
+    _TAIL,
+    CatalogueMatrix([Pole(0.0, 0.5), Pole(0.0, 2.0)], np.eye(2) / 2, [[[0, 0.2], [0.2, 0]], [[0.1, 0], [0, -0.1]]]),
+    _FRAME,
+    _FRAME.z0(),
+    [np.diag([0.8, 0.2])] * 2,
+)
+
+
+class TestOneTimeRule:
+    """Every catalogue evaluator runs forward from t = 0 through ``numerics._times``: one time is a finite
+    number >= 0 by the number rule, named ``t``; a grid a nonempty 1-D array of them, its first bad entry
+    named by index.  A NaN, a bool and a 2-D grid are refused like a negative time; an evaluator that takes
+    only grids names a single time as no grid."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (math.nan, "t: must be finite, got nan"),
+            (True, "t: expected a number, got True"),
+            (-1.0, "t: must be >= 0, got -1.0"),
+            ([0.0, math.nan], "grid[1]: must be finite, got nan"),
+            ([0.0, True], "grid[1]: expected a number, got True"),
+            (np.ones((2, 2)), "grid must be a nonempty 1-D array"),
+            ([0.5, -1.0, -2.0], "grid[1]: must be >= 0, got -1.0"),
+        ],
+        ids=["nan", "bool", "negative", "grid-nan", "grid-bool", "grid-2d", "grid-negative"],
+    )
+    @pytest.mark.parametrize("name", _TIME_RULE_EVALUATORS)
+    def test_refuses_a_time_out_of_the_domain(self, name, bad, message):
+        call, takes = _TIME_RULE_EVALUATORS[name]
+        if takes == "grid" and np.ndim(bad) == 0:
+            message = "grid must be a nonempty 1-D array"
+        with pytest.raises(ValidationError) as err:
+            call(bad)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", _TIME_RULE_EVALUATORS)
+    def test_takes_the_start_of_time(self, name):
+        # t = 0 lies in the domain, -0.0 too, and a grid from 0 past 3 t_D = 0.3 serves convergence_profile
+        call, takes = _TIME_RULE_EVALUATORS[name]
+        if takes != "one":
+            call(np.array([-0.0, 0.4]))
+        if takes != "grid":
+            call(-0.0)
 
 
 class TestHermitianMatrix:
@@ -633,7 +709,7 @@ class TestMatrixPencil:
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="open: fit sorts by |Im z| first, so decays whose Im z is rounding noise come out in the "
+        reason="item 6: fit sorts by |Im z| first, so decays whose Im z is rounding noise come out in the "
         "noise's order, not slowest first; the order reaches extract's residual: line",
     )
     def test_decays_come_out_slowest_first_whatever_their_rounding(self, monkeypatch):

@@ -84,22 +84,18 @@ class TestBuildingBlocks:
         t = 1e6
         assert tail(2 * t) / tail(t) == pytest.approx(2.0**-3, rel=1e-5)
 
-    @pytest.mark.xfail(
-        strict=True, raises=RuntimeWarning,
-        reason="open: KhalfinTail.__call__'s (1 + t / tau) ** (-p), the line F10 overflows, "
-        "warns at t <= -tau; F10's mend owns that line",
-    )
-    def test_tail_at_or_before_minus_tau_leaks_no_numpy_warning(self):
-        # a time synthesize cannot serve raises ValidationError; a time it serves gives a finite signal
-        for p, t in ((3.0, -1.0), (2.5, -2.0)):  # divide by zero, then a negative base's invalid power
-            cat = PoleCatalogue(0.0, ((Pole(0.0, 1.0), 1.0),), KhalfinTail(0.5, 1.0, p))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    signal = synthesize(cat, np.array([t, 0.0, 1.0]))
-                except ValidationError:
-                    continue
-            assert np.isfinite(signal.values.view(float)).all()
+    def test_tail_at_or_before_minus_tau_is_refused(self):
+        # (1 + t / tau) ** (-p) warned at t <= -tau (divide by zero, then a negative base's invalid power);
+        # the tail and every catalogue that carries it run forward from t = 0, and refuse the time first
+        for p, t in ((3.0, -1.0), (2.5, -2.0)):
+            tail = KhalfinTail(0.5, 1.0, p)
+            cat = PoleCatalogue(0.0, ((Pole(0.0, 1.0), 1.0),), tail)
+            with pytest.raises(ValidationError) as err:
+                synthesize(cat, np.array([t, 0.0, 1.0]))
+            assert str(err.value) == f"grid[0]: must be >= 0, got {t!r}"
+            with pytest.raises(ValidationError) as err:
+                tail(t)
+            assert str(err.value) == f"t: must be >= 0, got {t!r}"
 
     @pytest.mark.parametrize(
         "kwargs", [dict(tau=0.0), dict(tau=-1.0), dict(p=0.0), dict(p=-2.0), dict(amplitude=math.inf)]
@@ -229,7 +225,7 @@ class TestSynthesize:
     def test_nan_time_rejected(self):
         with pytest.raises(ValidationError) as err:
             synthesize(figure_catalogue(), [0.0, math.nan])
-        assert str(err.value) == "grid holds NaN at index 1"
+        assert str(err.value) == "grid[1]: must be finite, got nan"
 
     @pytest.mark.parametrize("omega", [0.0, 0.5], ids=["still", "turning"])
     def test_sum_past_the_float_range_is_rejected_without_a_warning(self, omega):
@@ -767,25 +763,18 @@ class TestCatalogueMatrix:
         )
         assert np.max(np.abs(cm.evaluate(t) - want)) < 1e-15
 
-    @pytest.mark.xfail(
-        strict=True, raises=RuntimeWarning,
-        reason="F15: CatalogueMatrix._decay's np.exp overflows before t = 0 (exp(2 t) at t = -400) and "
-        "returns inf with a numpy warning, where the scalar _mode_sum guards the case",
-    )
-    def test_before_zero_leaks_no_numpy_warning(self):
-        # a time the catalogue cannot serve raises ValidationError; a time it serves gives finite values
+    def test_before_zero_is_refused(self):
+        # F15: _decay's np.exp overflowed before t = 0 (exp(2 t) at t = -400) with a numpy warning; one time
+        # and a grid are both refused, naming the time or the grid's first negative entry
         cm = CatalogueMatrix(
             [Pole(0.0, 0.5), Pole(0.0, 2.0)], np.eye(2) / 2, [[[0, 0.2], [0.2, 0]], [[0.1, 0], [0, -0.1]]]
         )
         for t in (-1.0, -400.0):
-            for call in (lambda: cm.evaluate(t), lambda: cm.dropped_envelope(t, range(1, 2))):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        value = call()
-                    except ValidationError:
-                        continue
-                assert np.isfinite(value).all()
+            for call in (cm.evaluate, lambda t: cm.dropped_envelope(t, range(1, 2))):
+                for times, name in ((t, "t"), (np.array([0.0, t, t]), "grid[1]")):
+                    with pytest.raises(ValidationError) as err:
+                        call(times)
+                    assert str(err.value) == f"{name}: must be >= 0, got {t!r}"
 
     def test_keep_subset(self):
         cm = self.build()

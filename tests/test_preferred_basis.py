@@ -122,7 +122,7 @@ class TestMovingBasis:
         rho = np.diag([0.8, 0.2])
         with pytest.raises(ValidationError) as err:
             moving_eigenbasis([rho, rho], [0.0, math.nan])
-        assert str(err.value) == "grid holds NaN at index 1"
+        assert str(err.value) == "grid[1]: must be finite, got nan"
 
     def test_degeneracy_flagged(self):
         def crossing(t):
@@ -269,7 +269,7 @@ class TestPreferredState:
         rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
         with pytest.raises(ValidationError) as err:
             preferred_state(cm, rep, [0.0, math.nan])
-        assert str(err.value) == "grid holds NaN at index 1"
+        assert str(err.value) == "grid[1]: must be finite, got nan"
         # t = inf stays: the catalogue's equilibrium limit
         assert preferred_state(cm, rep, [0.0, math.inf])[1].entries.tolist() == [[0.75, 0.0], [0.0, 0.25]]
 
@@ -355,11 +355,15 @@ class TestConvergenceProfile:
             convergence_profile(rho, rho, grid, t_D=0.1)
 
     def test_negative_grid_rejected(self):
-        cm = two_pole_matrix_catalogue()
-        for grid in (np.linspace(-0.1, 0.5, 11), np.array([0.0, -1.0, 5.0])):
-            rho = [DensityMatrix(cm.evaluate(t)) for t in grid]
-            with pytest.raises(ValidationError, match="must lie in t >= 0"):
+        # named by the one time rule, at the grid's first negative entry
+        for grid, message in (
+            (np.linspace(-0.1, 0.5, 11), "grid[0]: must be >= 0, got -0.1"),
+            (np.array([0.0, -1.0, 5.0]), "grid[1]: must be >= 0, got -1.0"),
+        ):
+            rho = [np.diag([0.8, 0.2])] * grid.size
+            with pytest.raises(ValidationError) as err:
                 convergence_profile(rho, rho, grid, t_D=0.1)
+            assert str(err.value) == message
 
     def test_reversed_grid_accepted(self):
         cm = two_pole_matrix_catalogue()
@@ -375,7 +379,7 @@ class TestConvergenceProfile:
         rho = [np.diag([0.8, 0.2])] * 3
         with pytest.raises(ValidationError) as err:
             convergence_profile(rho, rho, [0.0, 1.0, math.nan], t_D=0.1)
-        assert str(err.value) == "grid holds NaN at index 2"
+        assert str(err.value) == "grid[2]: must be finite, got nan"
 
     def test_bad_t_d(self):
         grid = self.grid()

@@ -14,16 +14,17 @@ Three self-contained tools used throughout the package:
   Gauss-Newton, + least-squares amplitudes), so a refit at a lower order
   reuses the SVD.
 
-Beside them live the package's input rules: ``_times`` and ``_time_grid``
-for times, ``_number`` and ``_integer`` for scalars, and ``_refuse_bools``
-for a bool where a number, or a sequence of them, is read another way (a
-grid, widths, a custom rule's rate, a part selector).  Every catalogue
-evaluator runs forward from t = 0 through ``_times``: a resonance pole's
-Gamow vector grows without bound before t = 0, and every precision bound
-of the package is stated for t >= 0.  Every scalar argument of a public
-constructor or function, and every config number and integer, is checked by
-one of the two, and a refusal names the argument or the config path in one
-form: ``gamma: must be > 0, got 0.0``, ``params.N: expected an integer, got 2.5``.
+Beside them live the package's input rules: ``_time``, ``_time_grid`` and
+``_times`` for times, ``_number`` and ``_integer`` for scalars, and
+``_refuse_bools`` for a bool where a number, or a sequence of them, is read
+another way (a grid, widths, a custom rule's rate, a part selector).  Every
+catalogue evaluator runs forward from t = 0, each time a finite number
+>= 0: a resonance pole's Gamow vector grows without bound before t = 0,
+and every precision bound of the package is stated for finite t >= 0.
+Every scalar argument of a public constructor or function, and every
+config number and integer, is checked by one of the two, and a refusal
+names the argument or the config path in one form: ``gamma: must be > 0,
+got 0.0``, ``params.N: expected an integer, got 2.5``.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -414,25 +415,32 @@ def _refuse_bools(values, name: str):
 
 
 def _time_grid(grid) -> np.ndarray:
-    """``grid`` as a new float array of times t >= 0, -0.0 read as +0.0.  Anything but a nonempty 1-D array
-    (a number, a 2-D grid) raises, and so does a bool entry, then the first NaN or negative one, each named
-    by the number rule as ``grid[k]``: ``grid[1]: must be >= 0, got -1.0``.  +inf passes: the limit t -> inf."""
+    """``grid`` as a new float array of times, each a finite number >= 0 as the number rule reads one time;
+    -0.0 reads as +0.0.  Anything but a nonempty 1-D array (a number, a 2-D grid) raises, and so does a
+    bool entry, then the first NaN, infinite or negative one, each named by the number rule as ``grid[k]``:
+    ``grid[1]: must be finite, got inf``, ``grid[1]: must be >= 0, got -1.0``."""
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
     _refuse_bools(grid, "grid")
-    k = int((t >= 0.0).argmin())  # the first NaN or negative entry, if there is one
-    if not t[k] >= 0.0:
-        _number(float(t[k]), f"grid[{k}]", ">= 0")
+    k = int(((t >= 0.0) & (t < math.inf)).argmin())  # the first NaN, infinite or negative entry, else 0
+    _number(float(t[k]), f"grid[{k}]", ">= 0")  # refuses entry k if it is out of the domain
     return t + 0.0
 
 
+def _time(t) -> float:
+    """One time, forward from t = 0: a finite number >= 0 by the number rule, named ``t`` (``t: must be >= 0,
+    got -1.0``; a grid is ``t: expected a number, got [0.0, 1.0]``), as a float.  -0.0 reads as +0.0, so it
+    gives +0.0's bits.  The time rule of every evaluator that returns one state at one time."""
+    return _number(t, "t", ">= 0") + 0.0
+
+
 def _times(t):
-    """One time or a grid of them, forward from t = 0: the one time rule of every catalogue evaluator.  A list,
-    tuple or ndarray is a grid, read by ``_time_grid``; anything else is one time, a finite number >= 0 by
-    the number rule as ``t`` (``t: must be >= 0, got -1.0``), as a float.  -0.0 reads as +0.0, so it gives
-    +0.0's bits."""
-    return _time_grid(t) if isinstance(t, (list, tuple, np.ndarray)) else _number(t, "t", ">= 0") + 0.0
+    """One time or a grid of them, for the evaluators that serve both (``CatalogueMatrix.evaluate`` and
+    ``dropped_envelope``, ``KhalfinTail``, ``omnes.nd_decay``): a list, tuple or ndarray is a grid, read by
+    ``_time_grid``; anything else is one time, read by ``_time``.  Both hold every time to one domain, a
+    finite number >= 0."""
+    return _time_grid(t) if isinstance(t, (list, tuple, np.ndarray)) else _time(t)
 
 
 def check_uniform_grid(times: np.ndarray) -> float:

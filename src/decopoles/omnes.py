@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix, _formed_density, _integer, _number, _times
+from .numerics import DensityMatrix, _formed_density, _integer, _number, _time, _times
 from .pole_models import CatalogueMatrix, _collective_scale, _delta, _ldexp
 
 _NORM_TOL = 1e-12
@@ -280,8 +280,8 @@ def macroscopicity_check(cfg: OmnesConfig) -> MacroscopicityReport:
 
 
 def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
-    """(s, w): static branch overlap and <alpha2(0)|alpha2(t)> at times read by ``numerics._times``;
-    rejects a growing pole.
+    """(s, w): static branch overlap and <alpha2(0)|alpha2(t)> at the time or times ``t`` its caller read
+    (``numerics._time`` or ``_times``), so it reads none; rejects a growing pole.
 
     ``closed_form``: s = exp(-Delta^2/2), w = exp(-Delta^2 (1 - exp(-i z0 t / hbar)))
     at a time or a grid of times, each entry with the bits of its time
@@ -292,7 +292,6 @@ def _frame_overlaps(cfg: OmnesConfig, z0: complex, t, closed_form: bool):
     < 2^-60 A, A = sum q_n |x|^n; as gamma_(hi+1) - gamma_h >= 2^-53, w keeps the live sum's
     gamma_(hi+1) A + (hi + 1) 2^-1074 (Higham, ch. 3).
     """
-    t = _times(t)
     _pole_width(z0)
     if not closed_form:
         table = _fock_table(cfg.alpha2, cfg.N)
@@ -330,11 +329,12 @@ class NDComponents:
 
 
 def nd_block(cfg: OmnesConfig, z0: complex, t: float) -> NDComponents:
-    """Evaluate the four frame components of the coherence block at one time t >= 0.
+    """Evaluate the four frame components of the coherence block at one time ``t``, read once by
+    ``numerics._time``: a finite number >= 0 (a grid is refused as no number; ``nd_decay`` serves grids).
 
     ``macroscopicity_check`` reports the regime in which the closed form holds.
     """
-    s, w = _frame_overlaps(cfg, z0, t := _times(t), closed_form=True)
+    s, w = _frame_overlaps(cfg, z0, t := _time(t), closed_form=True)
     cross = cfg.a.conjugate() * cfg.b
     rho21 = cross * w
     return NDComponents(
@@ -348,14 +348,14 @@ def nd_block(cfg: OmnesConfig, z0: complex, t: float) -> NDComponents:
 
 
 def nd_decay(cfg: OmnesConfig, z0: complex, times) -> np.ndarray:
-    """|rho12| at every time of ``times`` (a grid, or one time, of t >= 0), in one numpy pass.
+    """|rho12| at every time of ``times`` (a grid, or one time, read by ``numerics._times``), in one numpy pass.
 
     Each entry equals abs(nd_block(cfg, z0, t).rho12) bit for bit: the
     product conj(a) b w(t) is formed on real and imaginary parts as CPython
     forms it, and its magnitude is np.hypot, as abs(complex) is.  The
     regime in which the closed form holds is ``macroscopicity_check``'s report.
     """
-    _, w = _frame_overlaps(cfg, z0, times, closed_form=True)
+    _, w = _frame_overlaps(cfg, z0, _times(times), closed_form=True)
     cross = cfg.a.conjugate() * cfg.b
     return np.hypot(
         cross.real * w.real - cross.imag * w.imag,
@@ -393,7 +393,8 @@ def collective_rate(cfg: OmnesConfig) -> CollectiveRate:
 
 
 def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatrix:
-    """Trace-1 density matrix of the evolved superposition in Fock space, at one time t >= 0.
+    """Trace-1 density matrix of the evolved superposition in Fock space, at one time ``t``, read once by
+    ``numerics._time``: a finite number >= 0 (a grid is refused as no number).
 
     The state a|0> + b|alpha2(t)>, with the displaced branch evolved componentwise by
     exp(-i n z0 t / hbar), has amplitudes exp(log <n|alpha2> + x_n), formed in log scale and
@@ -403,7 +404,7 @@ def build_density_matrix(cfg: OmnesConfig, z0: complex, t: float) -> DensityMatr
     """
     _pole_width(z0)
     table = _fock_table(cfg.alpha2, cfg.N)
-    x = table.log_weights + table.log_norm + _ladder_exponents(table.ladder, z0, _times(t), cfg.hbar)
+    x = table.log_weights + table.log_norm + _ladder_exponents(table.ladder, z0, _time(t), cfg.hbar)
     log_a = math.log(abs(cfg.a)) if cfg.a else -math.inf
     shift = max(float(np.max(x.real)), log_a)  # the largest amplitude's log, a's included
     state = cfg.b * np.exp(x - shift)
@@ -423,14 +424,15 @@ def frame_projection(
 
     The projections of the evolved state on the initial branch pair are
     f1 = a + b s and f2 = a s + b w(t), with s the static branch overlap
-    and w the self-overlap of the displaced branch, at one time t >= 0.  ``closed_form`` picks
+    and w the self-overlap of the displaced branch, at one time ``t``, read once by ``numerics._time``:
+    a finite number >= 0 (a grid is refused as no number).  ``closed_form`` picks
     the infinite-N expressions; otherwise the truncated sums, w over the
     head window only (``_frame_overlaps`` states the bound).  rho = f f^H / tr through
     ``numerics._formed_density``; the frame is treated as orthonormal, which the
     macroscopic regime justifies up to the exp(-Delta^2/2) cross-overlap.
     A growing pole (Im z0 > 0) raises ValidationError.
     """
-    s, w = _frame_overlaps(cfg, z0, t, closed_form)
+    s, w = _frame_overlaps(cfg, z0, _time(t), closed_form)
     f = np.array([cfg.a + cfg.b * s, cfg.a * s + cfg.b * w], dtype=complex)
     return _formed_density(f, "frame projection has zero weight")
 

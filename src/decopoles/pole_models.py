@@ -157,7 +157,8 @@ class PoleCatalogue:
 
 @dataclass(frozen=True, eq=False)  # identity equality, as on numerics.HermitianMatrix
 class Signal:
-    """Sampled trajectory on a strictly increasing uniform time grid: read-only copies of its inputs."""
+    """Sampled trajectory on a strictly increasing uniform grid of finite times, which may start anywhere:
+    read-only copies of its inputs.  NaN or Inf is refused before the grid's steps are measured."""
 
     times: np.ndarray
     values: np.ndarray
@@ -169,10 +170,10 @@ class Signal:
             raise ValidationError("times must be a nonempty 1-D array")
         if v.shape != t.shape:
             raise ValidationError("values must match times in shape")
-        if t.size > 1:
-            check_uniform_grid(t)
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v.view(float)))):
             raise ValidationError("signal contains NaN or Inf")
+        if t.size > 1:
+            check_uniform_grid(t)
         t.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "times", t)

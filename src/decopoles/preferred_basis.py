@@ -107,8 +107,8 @@ class MovingBasis:
 def moving_eigenbasis(rho_of_t, grid) -> MovingBasis:
     """Diagonalize a time-indexed family with eigenvector continuity.
 
-    ``grid`` holds the family's times t >= 0 (``numerics._time_grid``), the domain of every catalogue
-    evaluator.  ``rho_of_t``, one matrix per point of ``grid`` in a form ``eigh`` stacks (a
+    ``grid`` holds the family's times, each a finite number >= 0 (``numerics._time_grid``), the domain of
+    every catalogue evaluator.  ``rho_of_t``, one matrix per point of ``grid`` in a form ``eigh`` stacks (a
     ``DensityFamily``, a list or tuple of members, or one (T, d, d) array), goes to one ``eigh`` as it
     is, and each step is matched by ``_greedy_match``; an exact tie between rows goes to the earlier
     column in the previous ``eigh`` order, not in track order.  The first point's vectors get ``eigh``'s phase
@@ -159,7 +159,8 @@ def preferred_state(
     truncated matrix is renormalized to unit trace and the stack is checked
     once, as a ``DensityFamily`` whose k-th member holds the entries ``DensityMatrix(m / tr)``
     would store.  A vanishing trace means the surviving modes cannot represent a
-    state.  ``grid`` is read by ``numerics._time_grid``, times t >= 0; one time is a grid of one point.
+    state.  ``grid`` is read by ``numerics._time_grid``, each time a finite number >= 0 (t = inf is
+    refused, as NaN is); one time is a grid of one point.
     """
     check_report_matches(source, report)
     t = _time_grid(grid)

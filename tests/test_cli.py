@@ -616,6 +616,16 @@ class TestExtract:
         cfg = self.extract_config(tmp_path, self.decay_csv(tmp_path, 6), 2)
         assert main(["extract", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
 
+    def test_infinite_sample_time_is_one_config_error(self, tmp_path, capsys):
+        # finiteness is checked before the grid's steps are measured, so no numpy warning comes first
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("t,re,im\n0,1,0\ninf,0.5,0\n", encoding="utf-8")
+        cfg = self.extract_config(tmp_path, csv_path, 1)
+        assert main(["extract", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: params.input_csv: {str(csv_path)!r}: signal contains NaN or Inf\n"
+        )
+
     def test_missing_input_csv(self, tmp_path, capsys):
         cfg = self.extract_config(tmp_path, tmp_path / "absent.csv", 1)
         assert main(["extract", "--config", cfg, "--out", str(tmp_path / "f")]) == 2

@@ -1,12 +1,14 @@
 """Kernel-level checks: eigensolver, quadrature, exponential fitting."""
 
 import copy
+import inspect
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+import decopoles
 from decopoles.errors import ConvergenceError, RankDeficiencyError, ValidationError
 from decopoles.numerics import (
     _RANK_RTOL,
@@ -31,7 +33,7 @@ from decopoles.pole_models import (
     CatalogueMatrix, KhalfinTail, Pole, PoleCatalogue, partition_report, preferred_signal, synthesize,
 )
 from decopoles.preferred_basis import (
-    BiFriedrichModel, bifriedrich_run, convergence_profile, moving_eigenbasis, preferred_state,
+    BiFriedrichModel, bifriedrich_run, convergence_profile, moving_eigenbasis, observable_signal, preferred_state,
 )
 
 
@@ -48,12 +50,17 @@ def random_hermitian(rng, dim):
 
 def time_rule_evaluators(cat, tail, cm, cfg, z0, rho):
     """name -> (call(times), what it takes: "one" time, a "grid" or "both"): every catalogue evaluator, on a
-    scalar catalogue, a tail, a matrix catalogue and a frame config; ``rho`` is the family that
-    ``convergence_profile`` (at t_D = 0.1) and ``moving_eigenbasis`` read, one member per grid point."""
+    scalar catalogue (both parts of the two-part model too), a tail, a matrix catalogue and a frame config;
+    ``rho`` is the family that ``convergence_profile`` (at t_D = 0.1) and ``moving_eigenbasis`` read, one
+    member per grid point.  A name is the evaluator's, a method's own or its class's for ``__call__``, with
+    a ``-variant`` suffix for a second form; ``TestTimeRuleRegistry`` holds the list complete."""
     cat_report, cm_report = partition_report(cat.gammas, cat.hbar), partition_report(cm.gammas, cm.hbar)
+    model = BiFriedrichModel(cat, cat)
     return {
         "synthesize": (lambda t: synthesize(cat, t), "grid"),
         "preferred_signal": (lambda t: preferred_signal(cat, cat_report, t), "grid"),
+        "observable_signal": (lambda t: observable_signal(model, "O2", t), "grid"),
+        "bifriedrich_run": (lambda t: bifriedrich_run(model, t), "grid"),
         "evaluate": (cm.evaluate, "both"),
         "dropped_envelope": (lambda t: cm.dropped_envelope(t, cm_report.p_irrelevant), "both"),
         "KhalfinTail": (tail, "both"),
@@ -81,10 +88,11 @@ _TIME_RULE_EVALUATORS = time_rule_evaluators(
 
 
 class TestOneTimeRule:
-    """Every catalogue evaluator runs forward from t = 0 through ``numerics._times``: one time is a finite
-    number >= 0 by the number rule, named ``t``; a grid a nonempty 1-D array of them, its first bad entry
-    named by index.  A NaN, a bool and a 2-D grid are refused like a negative time; an evaluator that takes
-    only grids names a single time as no grid."""
+    """Every catalogue evaluator runs forward from t = 0 over one domain, each time a finite number >= 0:
+    one time by the number rule, named ``t`` (``numerics._time``); a grid a nonempty 1-D array of them, its
+    first bad entry named by index (``numerics._time_grid``).  A NaN, +inf, a bool and a 2-D grid are
+    refused like a negative time.  Each evaluator has one face or both: one that takes only grids names a
+    single time as no grid, and one that returns one state at one time names a grid as no number."""
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -93,17 +101,20 @@ class TestOneTimeRule:
             (True, "t: expected a number, got True"),
             (-1.0, "t: must be >= 0, got -1.0"),
             ([0.0, math.nan], "grid[1]: must be finite, got nan"),
+            ([0.0, math.inf], "grid[1]: must be finite, got inf"),
             ([0.0, True], "grid[1]: expected a number, got True"),
             (np.ones((2, 2)), "grid must be a nonempty 1-D array"),
             ([0.5, -1.0, -2.0], "grid[1]: must be >= 0, got -1.0"),
         ],
-        ids=["nan", "bool", "negative", "grid-nan", "grid-bool", "grid-2d", "grid-negative"],
+        ids=["nan", "bool", "negative", "grid-nan", "grid-inf", "grid-bool", "grid-2d", "grid-negative"],
     )
     @pytest.mark.parametrize("name", _TIME_RULE_EVALUATORS)
     def test_refuses_a_time_out_of_the_domain(self, name, bad, message):
         call, takes = _TIME_RULE_EVALUATORS[name]
         if takes == "grid" and np.ndim(bad) == 0:
             message = "grid must be a nonempty 1-D array"
+        if takes == "one" and np.ndim(bad) != 0:
+            message = f"t: expected a number, got {bad!r}"
         with pytest.raises(ValidationError) as err:
             call(bad)
         assert str(err.value) == message
@@ -116,6 +127,43 @@ class TestOneTimeRule:
             call(np.array([-0.0, 0.4]))
         if takes != "grid":
             call(-0.0)
+
+
+_TIME_PARAMETERS = {"t", "grid", "times"}
+# the sampled-signal readers take measured times, which may start anywhere, and the result records hold
+# times an evaluator has already read
+_NOT_EVALUATORS = {"Signal", "matrix_pencil_fit", "fit_residual", "MovingBasis", "NDComponents"}
+
+
+def time_taking_callables():
+    """The names of the public callables with a parameter named t, grid or times: each function of
+    ``decopoles.__all__``, and each class (its constructor), its public methods and its own ``__call__``,
+    named as ``time_rule_evaluators`` names them."""
+    found = set()
+    for name in decopoles.__all__:
+        obj = getattr(decopoles, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue  # an error takes a message
+        callables = [(name, obj)]
+        if inspect.isclass(obj):
+            methods = inspect.getmembers(obj, lambda m: inspect.isfunction(m) or inspect.ismethod(m))
+            callables += [(attr, m) for attr, m in methods if not attr.startswith("_")]
+            if any("__call__" in vars(c) for c in obj.__mro__[:-1]):
+                callables.append((name, obj.__call__))
+        for label, call in callables:
+            if _TIME_PARAMETERS & set(inspect.signature(call).parameters):
+                found.add(label)
+    return found
+
+
+class TestTimeRuleRegistry:
+    """``time_rule_evaluators`` lists every public callable that takes a time, but the named exemptions."""
+
+    def test_every_time_taking_callable_is_registered_or_exempt(self):
+        registered = {name.split("-")[0] for name in _TIME_RULE_EVALUATORS}
+        found = time_taking_callables()
+        assert found - registered - _NOT_EVALUATORS == set()
+        assert registered | _NOT_EVALUATORS <= found  # no stale entry or exemption
 
 
 class TestHermitianMatrix:

@@ -270,8 +270,10 @@ class TestPreferredState:
         with pytest.raises(ValidationError) as err:
             preferred_state(cm, rep, [0.0, math.nan])
         assert str(err.value) == "grid[1]: must be finite, got nan"
-        # t = inf stays: the catalogue's equilibrium limit
-        assert preferred_state(cm, rep, [0.0, math.inf])[1].entries.tolist() == [[0.75, 0.0], [0.0, 0.25]]
+        # t = inf is no time either: the domain holds finite times only
+        with pytest.raises(ValidationError) as err:
+            preferred_state(cm, rep, [0.0, math.inf])
+        assert str(err.value) == "grid[1]: must be finite, got inf"
 
 
 class TestConvergenceProfile:

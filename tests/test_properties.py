@@ -2019,7 +2019,8 @@ class TestFormedStates:
                 assert type(got) is DensityMatrix and got.entries.tobytes() == want.entries.tobytes()
 
 
-_BEFORE_ZERO = st.floats(max_value=-(2.0**-1074), allow_infinity=False)  # a finite time before t = 0
+# out of the domain: a finite time before t = 0, or +inf
+_OUT_OF_DOMAIN = st.floats(max_value=-(2.0**-1074), allow_infinity=False) | st.just(math.inf)
 
 
 @st.composite
@@ -2027,7 +2028,8 @@ def forward_setups(draw):
     """(evaluators, grid, back): ``test_numerics.time_rule_evaluators`` over a generated scalar catalogue and
     tail, a 2x2 matrix catalogue of traceless modes over a unit-trace equilibrium (so no truncated trace
     vanishes) and a frame config with N <= 60; a uniform grid of 2-8 times from 0.0 to a time in [3, 20]
-    (past 3 t_D = 0.3); and the grid with one or more drawn entries moved before t = 0."""
+    (past 3 t_D = 0.3); and the grid with one or more drawn entries moved out of the domain, each before
+    t = 0 or to +inf."""
     cat, tail = draw(scalar_catalogues()), draw(_TAILS)
     widths = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4, unique=True))
     parts = draw(hnp.arrays(float, (len(widths), 3), elements=st.floats(-1.0, 1.0)))
@@ -2042,7 +2044,7 @@ def forward_setups(draw):
     evaluators = time_rule_evaluators(cat, tail, cm, cfg, cfg.z0(draw(st.floats(0.0, 1.0))), rho)
     back = grid.copy()
     for k in draw(st.sets(st.integers(0, grid.size - 1), min_size=1)):
-        back[k] = draw(_BEFORE_ZERO)
+        back[k] = draw(_OUT_OF_DOMAIN)
     return evaluators, grid, back
 
 
@@ -2054,26 +2056,30 @@ def _result_bits(value) -> bytes:
 
 
 class TestForwardTimeRule:
-    """Every catalogue evaluator runs forward from t = 0 through one rule, ``numerics._times``.
+    """Every catalogue evaluator runs forward from t = 0 over one domain, each time a finite number >= 0.
 
-    Over generated catalogues and frame configs: a grid with entries before t = 0 is refused as
-    ``grid[k]: must be >= 0, got x`` at its first such index k, and one such time as ``t: must be >= 0,
-    got x``; the forward grid and t = 0 are served, and -0.0 in place of each 0.0 gives +0.0's result bit
+    Over generated catalogues and frame configs: a grid with entries before t = 0 or at +inf is refused at
+    its first such index k, as ``grid[k]: must be >= 0, got x`` or ``grid[k]: must be finite, got inf``,
+    and one such time as ``t: …``; an evaluator that returns one state refuses the forward grid as no
+    number.  The forward grid and t = 0 are served, and -0.0 in place of each 0.0 gives +0.0's result bit
     for bit, since the rule reads -0.0 as +0.0 before any product can carry its sign."""
 
     @settings(deadline=None, max_examples=40)
     @given(forward_setups())
-    def test_refuses_before_zero_and_reads_minus_zero_as_zero(self, setup):
+    def test_refuses_out_of_the_domain_and_reads_minus_zero_as_zero(self, setup):
         evaluators, grid, back = setup
-        k = int(np.argmax(back < 0.0))
+        k = int(np.argmax((back < 0.0) | (back == math.inf)))
         x = float(back[k])
+        refusal = "must be finite" if x == math.inf else "must be >= 0"
         signed = np.where(grid == 0.0, -0.0, grid)
         for name, (call, takes) in evaluators.items():
             cases = []
             if takes != "one":
-                cases.append((grid, signed, back, f"grid[{k}]: must be >= 0, got {x!r}"))
+                cases.append((grid, signed, back, f"grid[{k}]: {refusal}, got {x!r}"))
             if takes != "grid":
-                cases.append((0.0, -0.0, x, f"t: must be >= 0, got {x!r}"))
+                cases.append((0.0, -0.0, x, f"t: {refusal}, got {x!r}"))
+            if takes == "one":
+                assert raised(call, grid)[1] == (ValidationError, f"t: expected a number, got {grid!r}"), name
             for forward, minus_zero, before, message in cases:
                 assert raised(call, before)[1] == (ValidationError, message), name
                 want, exc = raised(call, forward)

@@ -13,11 +13,12 @@ between numpy versions, so compare trees on one installation only.
 The second form reads two runs of the first, a base tree's and this tree's.  For each op
 both hold with different digests it prints the op, then the largest entrywise
 |head - base| of each result leaf, list indices folded (``rho[*]`` is the largest over every
-``rho[k]``); a record array's is the largest over its fields.  Eigenvalue leaves are compared
-as sorted sets, so tracks permuted inside a degenerate cluster read as no move; eigenvectors
-are compared as they are.  It runs the moved ops on this tree and, in a child process of this
-same script (``--root BASE_ROOT --dump``), on the src/ and perfbench/ of the base checkout at
-BASE_ROOT.
+``rho[k]``); a record array's is the largest over its fields, or, where the head adds fields
+to the base's, one line per shared field and the added ones by name (``+estimate``).
+Eigenvalue leaves are compared as sorted sets, so tracks permuted inside a degenerate cluster
+read as no move; eigenvectors are compared as they are.  It runs the moved ops on this tree
+and, in a child process of this same script (``--root BASE_ROOT --dump``), on the src/ and
+perfbench/ of the base checkout at BASE_ROOT.
 """
 
 from __future__ import annotations
@@ -99,6 +100,21 @@ def _largest_move(path: str, head: np.ndarray, base: np.ndarray):
         return float(np.max(np.where(head == base, 0.0, np.abs(head - base)), initial=0.0))
 
 
+def _reported_moves(path: str, head: np.ndarray, base: np.ndarray):
+    """(path, move) per reported line of one leaf.
+
+    A record array whose fields include all of the base's and more is reported field by field, each
+    shared field as ``_largest_move`` reports it and each added one by name, ``+<field>``; any other
+    leaf is one ``_largest_move``, so a record array missing a base field reads as a dtype change.
+    """
+    names, base_names = head.dtype.names or (), base.dtype.names or ()
+    added = [name for name in names if name not in base_names]
+    if not base_names or not added or not set(base_names) <= set(names) or head.shape != base.shape:
+        return [(path, _largest_move(path, head, base))]
+    shared = [(f"{path}.{name}", _largest_move(f"{path}.{name}", head[name], base[name])) for name in base_names]
+    return shared + [(path, f"+{name}") for name in added]
+
+
 def moved(base_root: str, base_txt: str, head_txt: str) -> int:
     def digests(path):
         with open(path, encoding="utf-8") as lines:
@@ -122,8 +138,10 @@ def moved(base_root: str, base_txt: str, head_txt: str) -> int:
         for name, arr in head_leaves.items():
             if name.startswith(key + " "):
                 path = name[len(key) + 1 :]
-                move = "head-only" if name not in base_leaves else _largest_move(path, arr, base_leaves[name])
-                folded.setdefault(re.sub(r"\[\d+\]", "[*]", path), []).append(move)
+                base_arr = base_leaves.get(name)
+                moves = [(path, "head-only")] if base_arr is None else _reported_moves(path, arr, base_arr)
+                for line, move in moves:
+                    folded.setdefault(re.sub(r"\[\d+\]", "[*]", line), []).append(move)
         for path, moves in folded.items():
             numbers = [m for m in moves if isinstance(m, float)]
             words = sorted({m for m in moves if isinstance(m, str)})

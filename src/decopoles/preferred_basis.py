@@ -5,14 +5,16 @@ poles of a matrix-valued catalogue; its moving eigenbasis is the basis
 the full state's eigenbasis approaches once the dropped modes have died.
 This module tracks a family's eigenvectors along a grid, measures the
 separation of the two bases as the largest principal angle over matched
-pairs, and sets beside it the first-order estimate (dropped-mode
-envelope) / (eigenvalue gap of rho_P), which is not a bound.
+pairs, and bounds it by the Davis-Kahan bound 2 ||rho_R - rho_P||_2 / gap(rho_P),
+read from the two states alone; a caller's dropped-mode envelope gives, beside
+it, the first-order estimate envelope / gap.
 
 Each works on a whole time grid at once: one ``CatalogueMatrix.evaluate``
 over the grid, one ``eigh`` per family, which checks each stack at most once
 (rho_P is a ``DensityFamily``, checked when formed), one batched product for
-the overlaps of its unphased vectors, one greedy match over that stack, and
-one envelope call.  Per-time results are record arrays of those (T,) columns.
+the overlaps of its unphased vectors, one greedy match over that stack, one
+``eigvalsh`` of the stacked differences, and one envelope call.  Per-time
+results are record arrays of those (T,) columns.
 
 The bi-partite scenario at the end runs two commuting subsystems whose
 observables each see only their own pole content, so one part can look
@@ -39,6 +41,7 @@ from .pole_models import (
 )
 
 _GAP_TOL = 1e-10
+_ROUNDING = 8.0 * 2.0**-53  # c u of the bound's rounding term c d u ||rho||_2, u = 2^-53
 
 
 def _family_eigh(family, t: np.ndarray):
@@ -181,24 +184,47 @@ def convergence_profile(
     t_D: float,
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.recarray:
-    """Per-time angle between the eigenbases of the full and preferred states.
+    """Per-time angle between the eigenbases of the full and preferred states, and its bound.
 
     Returns a (T,) record array with fields ``t``, ``subspace_angle`` (the
     largest principal angle over matched pairs, in [0, pi/2]),
-    ``eigenvalue_gap`` (of rho_P), ``bound``, ``max_eigenvalue_discrepancy``
-    and ``reliable`` (gap >= 1e-10): ``profile.subspace_angle`` is a column,
+    ``eigenvalue_gap`` (of rho_P), ``bound``, ``max_eigenvalue_discrepancy``,
+    ``reliable`` (gap >= 1e-10) and ``estimate``: ``profile.subspace_angle`` is a column,
     ``profile[k]`` the row at the k-th grid point.  Each family takes the forms and the one
     ``eigh`` of ``moving_eigenbasis`` (a ``DensityFamily`` is not checked again); its decompositions
     are paired at each time by ``_greedy_match``, untracked: relabeling columns permutes the overlap
     matrix (same pairs, up to exact ties), phases drop out of the moduli, so none is fixed,
     and the gap is taken between eigh's descending eigenvalues.  ``t_D`` is a finite
     number > 0; the grid must reach at least 3 t_D so the
-    post-decoherence regime is actually sampled.  ``envelope`` turns on the ``bound`` column, the
-    first-order estimate envelope / gap (inf where the gap vanishes; NaN
-    without an envelope), which is no bound: the frame catalogue N = 5048,
-    L0 = 10.04, gamma0 = 0.937, |a|^2 = 0.13, arg b = 2 has an angle 5.4
-    times it at 7.56 t_D.  Called once with the whole grid, ``envelope``
-    returns the dropped modes' weight per point, (T,) or one number.
+    post-decoherence regime is actually sampled.
+
+    A matched pair's angle is atan2(sin, cos) (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002):
+    cos is its overlap, sin the root of the sum of the other squared overlaps in its rho_R vector's
+    column of |V_P^H V_R|, so an angle far below the square root of rounding still reads above 0.
+    ``bound`` is the Davis-Kahan bound (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970, in the one-gap
+    form of Yu, Wang & Samworth, Biometrika 102, 2015) with a rounding term,
+    (2 ||rho_R - rho_P||_2 + 8 d u ||rho||_2) / gap, inf where the gap is 0: ``||.||_2`` is the
+    largest |eigenvalue| of the stacked differences (one ``eigvalsh``), ``||rho||_2`` the larger of
+    the two states' (from their ``eigh``), u = 2^-53, and the term covers LAPACK's eigenvector error,
+    about d u ||rho||_2 / gap for each family, and the overlap product's.  It reads nothing but the
+    two families; it compares them as given, so ``CatalogueMatrix.truncation`` does not enter.
+
+    * Pairing.  The theorem bounds sin theta between the eigenvectors of rho_R and rho_P of one
+      eigenvalue index.  Where the bound is below 2^-1/2, each such overlap exceeds 2^-1/2 and
+      so every other entry of its row and column, every index pair is locally dominant, and the
+      greedy pair is the index pair: sin theta of the angle is within ``bound``.  At d = 2 it is
+      within ``bound`` at every point, since the greedy angle is min(phi, pi/2 - phi) for the
+      index pair's angle phi.
+    * Cluster form.  For a cluster lambda_r..lambda_s of rho_P's eigenvalues, separated from the
+      rest by delta = min(lambda_{r-1} - lambda_r, lambda_s - lambda_{s+1}), the invariant
+      subspaces of rho_R and rho_P of indices r..s meet at principal angles Theta with
+      ||sin Theta||_2 <= 2 ||rho_R - rho_P||_2 / delta; one eigenvalue is the cluster r = s.
+
+    ``estimate`` is the first-order estimate envelope / gap (inf where the gap vanishes; NaN
+    without an envelope), which is no bound: the frame catalogue N = 5048, L0 = 10.04,
+    gamma0 = 0.937, |a|^2 = 0.13, arg b = 2 has an angle 5.4 times it at 7.56 t_D.  Called once
+    with the whole grid, ``envelope`` returns the dropped modes' weight per point, (T,) or one
+    number, and not a bool, which would read as 1.0 (``envelope(t): expected a number, got True``).
     """
     t, t_D = _time_grid(grid), _number(t_D, "t_D", "> 0")
     if t.max() < 3.0 * t_D:
@@ -210,23 +236,28 @@ def convergence_profile(
 
     overlaps = np.abs(np.swapaxes(dec_p.unphased_vectors.conj(), -1, -2) @ dec_r.unphased_vectors)
     perm = _greedy_match(overlaps)
-    points = np.arange(t.size)[:, None]
-    matched = np.minimum(1.0, overlaps[points, np.arange(perm.shape[1]), perm])
-    angles = np.max(np.arccos(matched), axis=1)
+    points, rows = np.arange(t.size)[:, None], np.arange(perm.shape[1])
+    others = overlaps**2
+    others[points, rows, perm] = 0.0  # each rho_R vector's squared overlaps with its unmatched rho_P vectors
+    sines = np.sqrt(np.sum(others, axis=1))[points, perm]
+    angles = np.max(np.arctan2(sines, overlaps[points, rows, perm]), axis=1)
     val_err = np.max(np.abs(dec_p.eigenvalues - dec_r.eigenvalues[points, perm]), axis=1)
     gaps = np.min(dec_p.eigenvalues[:, :-1] - dec_p.eigenvalues[:, 1:], axis=1, initial=math.inf)
+    spread = 2.0 * np.max(np.abs(np.linalg.eigvalsh(dec_r.entries - dec_p.entries)), axis=1)  # 2 ||rho_R - rho_P||_2
+    spread += _ROUNDING * rows.size * np.max(np.abs([dec_r.eigenvalues, dec_p.eigenvalues]), axis=(0, 2))
+    bounds = np.divide(spread, gaps, out=np.full(t.shape, math.inf), where=gaps > 0.0)
 
-    bounds = np.full(t.shape, math.nan)
+    estimates = np.full(t.shape, math.nan)
     if envelope is not None:
-        env = np.asarray(envelope(t), dtype=float)
+        env = np.asarray(_refuse_bools(envelope(t), "envelope(t)"), dtype=float)
         if env.shape not in ((), t.shape):
             raise ValidationError(
                 f"envelope must return one value or one per grid point, got shape {env.shape}"
             )
-        bounds = np.divide(env, gaps, out=np.full(t.shape, math.inf), where=gaps > 0.0)
+        estimates = np.divide(env, gaps, out=np.full(t.shape, math.inf), where=gaps > 0.0)
     return np.rec.fromarrays(
-        [t, angles, gaps, bounds, val_err, gaps >= _GAP_TOL],
-        names="t,subspace_angle,eigenvalue_gap,bound,max_eigenvalue_discrepancy,reliable",
+        [t, angles, gaps, bounds, val_err, gaps >= _GAP_TOL, estimates],
+        names="t,subspace_angle,eigenvalue_gap,bound,max_eigenvalue_discrepancy,reliable,estimate",
     )
 
 

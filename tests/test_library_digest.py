@@ -36,6 +36,19 @@ class TestLargestMove:
         move = library_digest._largest_move("result.profile", head, base)
         assert isinstance(move, str) and "->" in move
 
+    def test_an_added_field_is_named_and_each_shared_field_reported(self):
+        base = profile((0.5, 0.25, 0.125))
+        head = np.array(list(zip((0.0, 1.0, 2.0), (0.5, 0.25 + 2.0**-54, 0.125), (True, True, False), (1.0, 2.0, 3.0))),
+                        dtype=PROFILE.descr + [("estimate", float)])
+        assert library_digest._reported_moves("result.profile", head, base) == [
+            ("result.profile.t", 0.0), ("result.profile.angle", 2.0**-54), ("result.profile.reliable", 0.0),
+            ("result.profile", "+estimate"),
+        ]
+        # same fields: one line, the largest move; a base field missing: one line, the dtype word
+        assert library_digest._reported_moves("result.profile", base, base.copy()) == [("result.profile", 0.0)]
+        renamed = base.astype([("t", float), ("theta", float), ("reliable", bool)])
+        assert "->" in library_digest._reported_moves("result.profile", renamed, base)[0][1]
+
     def test_plain_arrays_keep_their_entrywise_move(self):
         base = np.array([1.0, 2.0, 3.0])
         assert library_digest._largest_move("result.x", base + [0.0, 0.5, 0.0], base) == 0.5

@@ -85,7 +85,8 @@ from test_omnes import (
     frame_truncation, oracle_density, rho0_norm,
 )
 from test_preferred_basis import (
-    PROFILE_FIELDS, loop_convergence_profile, loop_moving_eigenbasis, reference_greedy_match,
+    assert_profile_as_loop, bloch_angle, loop_convergence_profile, loop_moving_eigenbasis, reference_greedy_match,
+    two_pole_matrix_catalogue,
 )
 
 _RULES = st.sampled_from((RULE_SECOND_SMALLEST, RULE_SLOWEST, RULE_BACKGROUND))
@@ -1651,13 +1652,9 @@ class TestMovingBasisAgainstLoop:
 
     The precision contract: eigenvalues, tracks and degenerate times keep the
     loop's bits, and vectors lie within 1e-14 of its (one phase product
-    where the loop takes two).  Every profile column keeps the loop's bits
-    but the angle.  Both sides take each matched overlap as the modulus of
-    a d-term product of the same LAPACK vectors, which the loop has turned
-    twice, so the two overlaps lie within delta = 4 (d + 2) u of each other,
-    u = 2^-53, and the angles within arccos(1 - delta), the most arccos
-    moves for a change delta in its argument (about 6e-8 at d = 2: at
-    cos = 1 one ulp of the overlap is 1.5e-8 of angle).
+    where the loop takes two).  The profile meets ``assert_profile_as_loop``'s
+    tolerances: every column keeps the loop's bits but the angle, within
+    2 d delta, delta = 4 (d + 2) u, u = 2^-53, and the bound, within 8 d u relative.
     """
 
     @staticmethod
@@ -1683,12 +1680,7 @@ class TestMovingBasisAgainstLoop:
         grid = np.linspace(0.0, 1.0, len(rho_r))
         envelope = lambda t: 1e-3 / (1.0 + t)
         got = convergence_profile(rho_r, rho_p, grid, t_D=0.1, envelope=envelope)
-        want = loop_convergence_profile(rho_r, rho_p, grid, envelope)
-        for name in PROFILE_FIELDS:
-            if name != "subspace_angle":
-                assert got[name].tobytes() == want[name].astype(got[name].dtype).tobytes(), name
-        delta = 4 * (rho_r.shape[-1] + 2) * 2.0**-53
-        assert np.max(np.abs(got.subspace_angle - want["subspace_angle"])) <= math.acos(1.0 - delta)
+        assert_profile_as_loop(got, loop_convergence_profile(rho_r, rho_p, grid, envelope), rho_r.shape[-1])
 
     def test_repeated_pool_ties_exactly(self):
         # the repeated family's premise: a step between the two kinds ties all four overlaps
@@ -1697,6 +1689,77 @@ class TestMovingBasisAgainstLoop:
                 vecs = eigh(np.array([_tie_pool_matrix("diagonal", p), _tie_pool_matrix("symmetric", q)]))
                 step = np.abs(vecs.unphased_vectors[0].conj().T @ vecs.unphased_vectors[1])
                 assert np.unique(step).size == 1, (p, q)
+
+
+@st.composite
+def profile_cases(draw):
+    """(rho_R, rho_P, grid, t_D, envelope) of a generated matrix catalogue (d = 2 or 3) or frame config (d = 2).
+
+    A catalogue's rho_R is ``evaluate`` over a grid to 3-8 t_D, each matrix over its trace as
+    ``preferred_state`` forms rho_P, under a drawn rule and boundary; a frame config's rho_R is
+    ``frame_projection(closed_form=False)`` over 6 t_R, under the collective-rate partition, as on the
+    benchmark's rungs.  ``envelope`` is the dropped modes' ``dropped_envelope``.
+    """
+    if draw(st.booleans()):
+        ab = draw(_UNIT_PAIRS)
+        cfg = OmnesConfig(1.0, 2.0, 1.0, draw(st.floats(0.05, 1.0)), draw(st.floats(1.5, 10.0)), *ab,
+                          draw(st.integers(20, 250)))
+        cm = frame_catalogue_matrix(cfg)
+        if not cm.gammas:
+            reject()  # b = 0: a frame with no mode has nothing to partition
+        rep = partition_report(cm.gammas, cm.hbar, rule=collective_rate_rule(cfg.m, cfg.omega, cfg.L0, cfg.hbar))
+        grid = np.linspace(0.0, 6.0 * cfg.hbar / cfg.gamma0, 41)
+        rho_r = np.stack([frame_projection(cfg, cfg.z0(), t, closed_form=False).entries for t in grid.tolist()])
+    else:
+        poles, eq, amps, hbar = draw(matrix_catalogues())
+        cm = CatalogueMatrix(poles, eq, amps, hbar)
+        rep = partition_report(cm.gammas, cm.hbar, rule=draw(_RULES), boundary=draw(_BOUNDARIES))
+        grid = np.linspace(0.0, draw(st.floats(3.0, 8.0)) * rep.t_D, draw(st.integers(2, 40)))
+        mats = cm.evaluate(grid)
+        traces = np.trace(mats, axis1=-2, axis2=-1).real
+        if np.min(np.abs(traces)) < 1e-3:
+            reject()  # a state rho_P cannot form or that rounds to nothing
+        rho_r = mats / traces[:, None, None]
+    try:
+        rho_p = preferred_state(cm, rep, grid)
+    except ValidationError:
+        reject()  # the kept modes' trace vanishes
+    return rho_r, rho_p, grid, rep.t_D, lambda t: cm.dropped_envelope(t, rep.p_irrelevant)
+
+
+class TestConvergenceMeasure:
+    """The profile's angle is the exact d = 2 angle, and sin theta stays within the Davis-Kahan bound.
+
+    Stated before measuring, with u = 2^-53, ||rho||_2 the larger of the two states' norms and g_R,
+    g_P their eigenvalue gaps (|n_R|, |n_P| of ``bloch_angle``): at d = 2 the angle lies within
+    8 d u ||rho||_2 (1 / g_P + 1 / g_R) of ``bloch_angle``, the bound's rounding term taken at each
+    family's own gap (LAPACK's vectors are within about d u ||rho||_2 / g of exact, and the oracle's
+    Bloch vectors within about u ||rho||_2 of theirs); sin theta <= bound at every reliable point at
+    d = 2, and wherever bound < 2^-1/2 at d = 3, where the greedy pair is the theorem's index pair.
+
+    Planted defects it catches: ``arccos`` of the matched overlap as the angle; the estimate
+    envelope / gap as the bound; the bound without its rounding term; ``bloch_angle`` without its
+    half angle.
+    """
+
+    @settings(deadline=None, max_examples=50)
+    @given(profile_cases())
+    def test_angle_is_the_bloch_angle_and_within_the_bound(self, case):
+        rho_r, rho_p, grid, t_d, envelope = case
+        profile = convergence_profile(rho_r, rho_p, grid, t_D=t_d, envelope=envelope)
+        d = rho_r.shape[-1]
+        sines = np.sin(profile.subspace_angle)
+        if d == 3:
+            tight = profile.reliable & (profile.bound < math.sqrt(0.5))
+            assert np.all(sines[tight] <= profile.bound[tight])
+            return
+        assert np.all(sines[profile.reliable] <= profile.bound[profile.reliable])
+        for k, (r, p) in enumerate(zip(rho_r, rho_p)):
+            norm = max(np.max(np.abs(np.linalg.eigvalsh(m))) for m in (r, p.entries))
+            g_r, g_p = (math.hypot(2.0 * abs(m[0, 1]), (m[0, 0] - m[1, 1]).real) for m in (r, p.entries))
+            if g_r > 0.0 and g_p > 0.0:
+                tol = 8.0 * d * 2.0**-53 * norm * (1.0 / g_p + 1.0 / g_r)
+                assert abs(profile.subspace_angle[k] - bloch_angle(r, p.entries)) <= tol, (k, tol)
 
 
 def reference_hermitian_average(a):
@@ -2351,6 +2414,7 @@ class TestScalarRules:
 # --- bools among numbers ---------------------------------------------------------
 
 _ONE_MODE = PoleCatalogue(0.0, ((Pole(0.0, 1.0), 1.0),))
+_TWO_POLE = two_pole_matrix_catalogue()
 _ONE_MATRIX_MODE = CatalogueMatrix([Pole(0.0, 1.0)], np.eye(2) / 2, [[[0, 0.1], [0.1, 0]]])
 
 # every public reader of a sequence of numbers: (its name in a refusal, a valid sequence, the call on it)
@@ -2365,6 +2429,9 @@ SEQUENCE_ARGUMENTS = [
     pytest.param("grid", [0.0, 1.0, 2.0], lambda t: moving_eigenbasis(_FAMILY, t), id="moving_eigenbasis"),
     pytest.param("grid", [0.0, 1.0, 2.0], lambda t: convergence_profile(_FAMILY, _FAMILY, t, 0.5),
                  id="convergence_profile"),
+    pytest.param("envelope(t)", [0.1, 0.2, 0.3],
+                 lambda env: convergence_profile(_FAMILY, _FAMILY, [0.0, 1.0, 2.0], 0.5, envelope=lambda t: env),
+                 id="envelope"),
 ]
 _BOOLS = st.sampled_from([True, False, np.True_, np.False_])
 
@@ -2373,8 +2440,9 @@ class TestBoolEntries:
     """A bool is no number inside a sequence either: a list or tuple holding one, or a bool ndarray, is refused
     in the number rule's form, naming the first bool's index, where numpy would read it as 0.0 or 1.0.
 
-    A planted defect it catches: ``numerics._time_grid`` without its bool check (``[False, True]`` samples
-    t = 0 and 1).
+    Planted defects it catches: ``numerics._time_grid`` without its bool check (``[False, True]`` samples
+    t = 0 and 1), and ``convergence_profile`` without the envelope's (``envelope=lambda t: True`` fills the
+    estimate column as if the envelope were 1.0).
     """
 
     @pytest.mark.parametrize("name, valid, call", SEQUENCE_ARGUMENTS)
@@ -2404,3 +2472,11 @@ class TestBoolEntries:
         with pytest.raises(ValidationError) as err:
             BiFriedrichModel(_ONE_MODE, _ONE_MODE).part(value)
         assert str(err.value) == f"which: expected a number, got {value!r}"
+        # an envelope's bool would fill the estimate column as if it were 1.0 at every point
+        cm = _TWO_POLE
+        rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
+        grid = np.linspace(0.0, 0.5, 11)
+        rho_r, rho_p = cm.evaluate(grid), preferred_state(cm, rep, grid)
+        with pytest.raises(ValidationError) as err:
+            convergence_profile(rho_r, rho_p, grid, rep.t_D, envelope=lambda t: value)
+        assert str(err.value) == f"envelope(t): expected a number, got {value!r}"

@@ -53,10 +53,10 @@ _EXP_NORMAL_EDGE = math.log(2.0**-1022)
 
 @dataclass(frozen=True)
 class Pole:
-    """One resonance: frequency ``omega`` and strictly positive width ``gamma``.
+    """One catalogue mode's pole: frequency ``omega`` and strictly positive width ``gamma``.
 
-    Represents the complex energy z = omega - i gamma / 2 in pair language;
-    as a catalogue mode, ``gamma`` is the envelope e-folding rate directly.
+    ``gamma`` is the e-folding rate of the mode's envelope, exp(-gamma t / hbar),
+    as everywhere in the package (see the module docstring for a pair of poles).
     """
 
     omega: float
@@ -65,10 +65,6 @@ class Pole:
     def __post_init__(self):
         object.__setattr__(self, "omega", _number(self.omega, "omega"))
         object.__setattr__(self, "gamma", _number(self.gamma, "gamma", "> 0"))
-
-    @property
-    def z(self) -> complex:
-        return complex(self.omega, -0.5 * self.gamma)
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,15 @@ class Mode:
         object.__setattr__(self, "amplitude", amp)
 
 
+def _mode_order(*columns) -> np.ndarray:
+    """The canonical mode order, one for both catalogues: ascending by the first (K,) key column, its ties by
+    the next, and so on, with -0.0 before 0.0 at every key.  The keys are the width, the frequency where the
+    catalogue holds one, then each real and imaginary part of the amplitude, row-major for a matrix; so any
+    listing of the same modes sorts to the same bytes.  ``np.lexsort`` sorts by its last key first, and each
+    value's ~signbit breaks its tie."""
+    return np.lexsort([k for col in columns[::-1] for k in (~np.signbit(col), col)])
+
+
 def _as_mode(entry) -> Mode:
     """A catalogue entry as a ``Mode``: a ``Mode``, ``(Pole, amp)`` or ``((omega, gamma), amp)``."""
     if isinstance(entry, Mode):
@@ -119,9 +124,10 @@ def _as_mode(entry) -> Mode:
 class PoleCatalogue:
     """Equilibrium value, decaying modes, optional background tail.
 
-    Modes are stored in canonical order, so any input permutation
-    synthesizes identically: ascending by gamma, then omega, then the
-    amplitude's real and imaginary part, with -0.0 before 0.0 at each key.
+    Modes are stored in the canonical order ``CatalogueMatrix`` shares, so
+    any input permutation builds the same catalogue: ascending by gamma, then
+    omega, then the amplitude's real and imaginary part, with -0.0 before 0.0
+    at each key.
     Alongside ``modes`` the same order is held as columns: ``gammas`` (a
     tuple of floats) and ``amplitudes`` (a read-only complex (K,) array).
     At least one mode or a tail must be present.  A catalogue is its data:
@@ -141,8 +147,7 @@ class PoleCatalogue:
         omegas = np.array([m.pole.omega for m in modes], dtype=float)
         gammas = np.array([m.pole.gamma for m in modes], dtype=float)
         amps = np.array([m.amplitude for m in modes], dtype=complex)
-        # the last key sorts first; each value's ~signbit breaks its tie, -0.0 before 0.0
-        order = np.lexsort([k for col in (amps.imag, amps.real, omegas, gammas) for k in (~np.signbit(col), col)])
+        order = _mode_order(gammas, omegas, amps.real, amps.imag)
         amps = amps[order]
         amps.setflags(write=False)
         object.__setattr__(self, "modes", tuple(modes[i] for i in order.tolist()))
@@ -498,7 +503,9 @@ class CatalogueMatrix:
     the per-mode tagging needed to drop poles entrywise when building a
     preferred state.  Frequencies are not rendered, so a pole with omega != 0
     is refused (-0.0 passes).  Widths and the read-only (K, d, d) ``amplitudes``
-    stack are sorted jointly and stably; ``poles`` is built on first read.
+    stack are held in the canonical order ``PoleCatalogue`` uses (ascending by
+    width, then by each part of the Hermitian-averaged amplitude), so any
+    listing of the same modes builds the same bytes; ``poles`` is built on first read.
     ``evaluate`` and ``dropped_envelope`` take one time or a grid of T
     times t >= 0, read by ``numerics._times`` (a (T, d, d) stack, a (T,)
     array), and their modes as a report's
@@ -528,7 +535,7 @@ class CatalogueMatrix:
 
     @classmethod
     def _from_widths(cls, gammas, equilibrium, amplitudes, hbar: float = 1.0, truncation: float = 0.0):
-        """Poles (0, gammas[k]) plus ``truncation``: checked, stably sorted and averaged as by the constructor."""
+        """Poles (0, gammas[k]) plus ``truncation``: checked, averaged and sorted as by the constructor."""
         cm = cls.__new__(cls)
         cm._build(gammas, equilibrium, amplitudes, hbar, truncation)
         return cm
@@ -547,10 +554,11 @@ class CatalogueMatrix:
             raise ValidationError(
                 f"need one {dim}x{dim} amplitude matrix per pole ({gammas.size}), got shape {amps.shape}"
             )
-        order = np.argsort(gammas, kind="stable")
+        amps = hermitian_average(amps)  # the order reads the stored amplitudes, each part row-major
+        order = _mode_order(gammas, *amps.view(float).reshape(gammas.size, 2 * dim * dim).T)
         self._gammas = gammas[order]
         self.gammas = tuple(self._gammas.tolist())
-        self.amplitudes = hermitian_average(amps[order])
+        self.amplitudes = amps[order]
         self.amplitudes.setflags(write=False)
         # Frobenius norms, each summed along the stack's long axis (see dropped_envelope)
         self._norms = np.sqrt(_matrix_reduce(np.ndarray.sum, (self.amplitudes.conj() * self.amplitudes).real))

@@ -164,16 +164,28 @@ def preferred_state(
     would store.  A vanishing trace means the surviving modes cannot represent a
     state.  ``grid`` is read by ``numerics._time_grid``, each time a finite number >= 0 (t = inf is
     refused, as NaN is); one time is a grid of one point.
+
+    A trace vanishes where it is not finite, or where it lies within the rounding bound of the
+    terms it sums: |tr| <= (K + d + 2 + 2 * 708.4) u sqrt(d) S(t), u = 2^-53, for K kept modes of
+    a d x d catalogue, with S(t) = ||EQ|| + sum_k ||A_k|| exp(-gamma_k t / hbar) over the kept
+    modes in Frobenius norm (``dropped_envelope`` of the kept range, which adds ``truncation``
+    when every mode is kept).  To first order in u this is ``evaluate``'s bound on each diagonal
+    entry, (K + 1) u times its terms' moduli plus each decay factor's error, summed over the d
+    diagonal entries, whose moduli total at most sqrt(d) times the Frobenius norm, plus (d - 1) u
+    for the trace's own sum.  A factor exp(x) is kept only for |x| < -log 2^-1022 = 708.4, so
+    its error is at most (2 + 2 * 708.4) u exp(x).  The subnormal terms of ``evaluate``'s bound,
+    below 2^-1022 per unit of amplitude, are not counted.
     """
     check_report_matches(source, report)
     t = _time_grid(grid)
     mats = source.evaluate(t, keep=report.p_relevant)
     traces = np.trace(mats, axis1=-2, axis2=-1).real
-    vanishing = ~np.isfinite(traces) | (np.abs(traces) < 1e-200)
+    # ||EQ|| by hypot, which does not overflow; |x| < -log 2^-1022 for a kept decay factor exp(x)
+    size = math.hypot(*np.abs(source.equilibrium).flat) + source.dropped_envelope(t, report.p_relevant)
+    rounding = (report.cut + source.dim + 2 - 2 * math.log(2.0**-1022)) * 2.0**-53 * math.sqrt(source.dim) * size
+    vanishing = ~np.isfinite(traces) | (np.abs(traces) <= rounding)
     if np.any(vanishing):
-        raise ValidationError(
-            f"truncated state has vanishing trace at t={t[np.argmax(vanishing)]}"
-        )
+        raise ValidationError(f"truncated state has vanishing trace at t={t[np.argmax(vanishing)]}")
     return DensityFamily(mats / traces[:, None, None])
 
 

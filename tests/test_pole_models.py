@@ -60,10 +60,6 @@ def figure_catalogue(equilibrium=0.0, khalfin=None, hbar=1.0):
 
 
 class TestBuildingBlocks:
-    def test_pole_z(self):
-        p = Pole(2.0, 0.5)
-        assert p.z == complex(2.0, -0.25)
-
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
     def test_pole_bad_gamma(self, gamma):
         with pytest.raises(ValidationError):
@@ -941,12 +937,12 @@ class TestCatalogueMatrixFromWidths:
     AMPS = np.array([[[0.0, 0.3], [0.3, 0.0]], np.eye(2), [[-0.25, 0.1j], [np.conj(0.1j), 0.25]]])
 
     def test_same_catalogue_as_pole_list(self):
-        gammas = [10.0, 1.0, 1.0]  # a width tie, kept in input order
+        gammas = [10.0, 1.0, 1.0]  # a width tie, sorted by the amplitudes: Re A[0, 0] = -0.25 before 1.0
         got = CatalogueMatrix._from_widths(np.array(gammas), self.EQ, self.AMPS, 1.3)
         want = CatalogueMatrix([Pole(0.0, g) for g in gammas], self.EQ, self.AMPS, 1.3)
         assert got.gammas == want.gammas == (1.0, 1.0, 10.0)
         assert got.poles == want.poles
-        assert got.amplitudes.tobytes() == want.amplitudes.tobytes() == self.AMPS[[1, 2, 0]].tobytes()
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes() == self.AMPS[[2, 1, 0]].tobytes()
         assert got.evaluate(0.4).tobytes() == want.evaluate(0.4).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])

@@ -232,6 +232,33 @@ class TestPreferredState:
         with pytest.raises(ValidationError):
             preferred_state(cm, rep, [0.5])
 
+    def test_trace_within_the_rounding_of_its_terms_rejected(self):
+        # the kept trace is 2e-191 against a kept off-diagonal of 0.5: an absolute 1e-200 floor
+        # let it through as a "state" with off-diagonal 2.5e190j and eigenvalues +-2.5e190
+        cm = CatalogueMatrix(
+            [Pole(0.0, 1.0), Pole(0.0, 10.0)], np.diag([1e-191, 1e-191]),
+            [[[0, 0.5j], [-0.5j, 0]], [[1.0, 0], [0, 0]]],
+        )
+        rep = partition_report(cm.gammas, cm.hbar, boundary=BOUNDARY_IRRELEVANT)
+        assert rep.p_relevant == range(1)
+        with pytest.raises(ValidationError, match=r"vanishing trace at t=0\.0$"):
+            preferred_state(cm, rep, [0.0, 0.5])
+
+    def test_the_trace_test_is_relative(self):
+        # scaling a catalogue by 2^-800 (trace 1.5e-241) scales every sum exactly: the same state
+        cm = two_pole_matrix_catalogue()
+        tiny = CatalogueMatrix(cm.poles, cm.equilibrium * 2.0**-800, cm.amplitudes * 2.0**-800, cm.hbar)
+        rep = partition_report(cm.gammas, cm.hbar)
+        grid = [0.0, 0.5, 3.0]
+        assert preferred_state(tiny, rep, grid).entries.tobytes() == preferred_state(cm, rep, grid).entries.tobytes()
+
+    def test_a_huge_equilibrium_is_a_state(self):
+        # ||EQ||^2 overflows here; the trace test's scale must not (an overflow warning is an error)
+        cm = two_pole_matrix_catalogue()
+        huge = CatalogueMatrix(cm.poles, cm.equilibrium * 1e200, cm.amplitudes, cm.hbar)
+        state = preferred_state(huge, partition_report(cm.gammas, cm.hbar), [0.0, 0.5])
+        assert np.array_equal(state.entries.diagonal(axis1=1, axis2=2).real, [[0.75, 0.25]] * 2)
+
     @pytest.mark.parametrize("grid", [[], 1.0, [[0.0, 1.0]]], ids=["empty", "scalar", "2-D"])
     def test_grid_must_be_nonempty_and_1d(self, grid):
         # a number once gave a bare IndexError, and a (1, 2) grid a complaint about a (1, 2, 2, 2) stack

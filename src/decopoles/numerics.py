@@ -15,16 +15,19 @@ Three self-contained tools used throughout the package:
   reuses the SVD.
 
 Beside them live the package's input rules: ``_time``, ``_time_grid`` and
-``_times`` for times, ``_number`` and ``_integer`` for scalars, and
-``_refuse_bools`` for a bool where a number, or a sequence of them, is read
-another way (a grid, widths, a custom rule's rate, a part selector).  Every
-catalogue evaluator runs forward from t = 0, each time a finite number
->= 0: a resonance pole's Gamow vector grows without bound before t = 0,
-and every precision bound of the package is stated for finite t >= 0.
-Every scalar argument of a public constructor or function, and every
-config number and integer, is checked by one of the two, and a refusal
-names the argument or the config path in one form: ``gamma: must be > 0,
-got 0.0``, ``params.N: expected an integer, got 2.5``.
+``_times`` for times, ``_number`` and ``_integer`` for scalars, with
+``_complex`` the number rule's complex form (a mode's amplitude, the Omnes
+coefficients ``a`` and ``b``), and ``_refuse_bools`` for a bool where a
+number, or a sequence of them, is read another way (a grid, widths, a
+custom rule's rate, a part selector).  Every catalogue evaluator runs
+forward from t = 0, each time a finite number >= 0: a resonance pole's
+Gamow vector grows without bound before t = 0, and every precision bound
+of the package is stated for finite t >= 0.  Every scalar argument of a
+public constructor or function, complex ones included, and every config
+number and integer, is checked by one of the three, and a refusal names
+the argument or the config path in one form: ``gamma: must be > 0, got
+0.0``, ``params.N: expected an integer, got 2.5``, ``amplitude: expected
+a number, got True``.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -32,6 +35,7 @@ concurrently.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -51,7 +55,11 @@ _REFINE_HALVINGS = 4  # a step that does not lower the residual is halved at mos
 
 
 def _matrix_reduce(reduce, x: np.ndarray) -> np.ndarray:
-    """Exact ``reduce(x, axis=(-2, -1))`` (max, any); T > d^2 matrices reduce one (d^2, T) copy along T."""
+    """``reduce(x, axis=(-2, -1))``; T > d^2 matrices reduce one (d^2, T) copy along T.
+
+    Exact for ``max`` (``hermitian_average``'s scales).  For ``sum`` (``CatalogueMatrix._build``'s
+    squared norms) the two layouts add in different orders once d >= 3, as numpy sums 8 or more
+    values pairwise, in blocks of 8; ``dropped_envelope``'s norm bound allows any order."""
     if x.ndim == 3 and x.shape[0] > x.shape[1] * x.shape[2]:
         return reduce(np.ascontiguousarray(x.reshape(x.shape[0], -1).T), axis=0)
     return reduce(x, axis=(-2, -1))
@@ -382,6 +390,19 @@ def _number(value, name: str, bound: str = "") -> float:
     return x
 
 
+def _complex(value, name: str) -> complex:
+    """``value`` as a complex with finite parts: the number rule's complex form, for a ``numbers.Complex``
+    that is not a bool.  A real value, or no number at all, goes through ``_number`` itself, so bools,
+    ``np.bool_``, strings and None are refused as it refuses them; a complex one with a part that is not
+    finite reads ``<name>: must be finite, got (nan+1j)``."""
+    # an exact complex skips the two ABC checks, as an exact float skips _number's
+    if value.__class__ is not complex and (isinstance(value, numbers.Real) or not isinstance(value, numbers.Complex)):
+        return complex(_number(value, name))
+    if not cmath.isfinite(z := complex(value)):
+        raise ValidationError(f"{name}: must be finite, got {z!r}")
+    return z
+
+
 def _integer(value, name: str, minimum: int) -> int:
     """``value`` as an int >= ``minimum``: a ``numbers.Integral`` that is not a bool, the one integer rule.
 
@@ -572,12 +593,7 @@ class PencilFactorisation:
     """
 
     def __init__(self, times, values, order: int = 1):
-        t = np.asarray(times, dtype=float)
-        y = np.asarray(values, dtype=complex)
-        if t.shape != y.shape or t.ndim != 1:
-            raise ValidationError("times and values must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-            raise ValidationError("times and values must be finite")
+        t, y = _samples(times, values)
         _check_order(order, t.size)
         self.t, self.dt = t, check_uniform_grid(t)
         self.y, self.scale = _power_of_two_scaled(y)
@@ -621,6 +637,17 @@ class PencilFactorisation:
         return [(complex(z[k]), complex(amps[k])) for k in idx]
 
 
+def _samples(times, values):
+    """(times, values) as float and complex arrays, checked as the pencil and ``fit_residual`` read them:
+    1-D, of one length, every entry finite."""
+    t, y = np.asarray(times, dtype=float), np.asarray(values, dtype=complex)
+    if t.shape != y.shape or t.ndim != 1:
+        raise ValidationError("times and values must be 1-D arrays of equal length")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValidationError("times and values must be finite")
+    return t, y
+
+
 def _check_order(order: int, samples: int):
     _integer(order, "order", 1)
     if samples < pencil_min_samples(order):
@@ -655,13 +682,14 @@ def matrix_pencil_fit(times, values, order: int):
 def fit_residual(times, values, modes) -> float:
     """RMS misfit of a recovered mode set against the samples.
 
-    Samples and amplitudes are divided by the pencil's power of two first
-    and the RMS multiplied back, so no square overflows or underflows; the
-    scaling is exact in the normal range, where the bits are those of the
-    unscaled sum.
+    The samples are checked as ``matrix_pencil_fit`` checks them: 1-D
+    times and values of one length, every entry finite.  Samples and
+    amplitudes are divided by the pencil's power of two first and the RMS
+    multiplied back, so no square overflows or underflows; the scaling is
+    exact in the normal range, where the bits are those of the unscaled sum.
     """
-    t = np.asarray(times, dtype=float)
-    y, scale = _power_of_two_scaled(values)
+    t, y = _samples(times, values)
+    y, scale = _power_of_two_scaled(y)
     amps = np.ldexp(np.array([a for _, a in modes], dtype=complex).view(float), -scale).view(complex)
     model = np.zeros_like(y)
     for (z, _), a in zip(modes, amps):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DensityMatrix, _formed_density, _integer, _number, _time, _times
+from .numerics import DensityMatrix, _complex, _formed_density, _integer, _number, _time, _times
 from .pole_models import CatalogueMatrix, _collective_scale, _delta, _ldexp
 
 _NORM_TOL = 1e-12
@@ -148,8 +148,8 @@ class OmnesConfig:
 
     The displacement maps to alpha2 = L0 sqrt(m omega / 2) / hbar with
     alpha1 = 0 by choice of origin, so Delta = alpha2, whose square must
-    be finite.  m, omega, hbar, gamma0 and L0 are finite numbers > 0, and N
-    an integer >= 1.
+    be finite.  m, omega, hbar, gamma0 and L0 are finite numbers > 0, a and b
+    numbers with finite parts (real or complex), and N an integer >= 1.
     """
 
     m: float
@@ -164,8 +164,7 @@ class OmnesConfig:
     def __post_init__(self):
         for name in ("m", "omega", "hbar", "gamma0", "L0"):
             object.__setattr__(self, name, _number(getattr(self, name), name, "> 0"))
-        a = complex(self.a)
-        b = complex(self.b)
+        a, b = _complex(self.a, "a"), _complex(self.b, "b")
         ssq = _weight_sum(a, b)
         if not abs(ssq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValidationError(f"|a|^2 + |b|^2 = {ssq} must be 1 within {_NORM_TOL}")

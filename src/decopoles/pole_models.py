@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import (
-    HermitianMatrix, _complex_array, _integer, _matrix_reduce, _number, _refuse_bools, _time_grid, _times,
+    HermitianMatrix, _complex, _complex_array, _integer, _matrix_reduce, _number, _refuse_bools, _time_grid, _times,
     check_uniform_grid, hermitian_average,
 )
 
@@ -91,16 +91,13 @@ class KhalfinTail:
 
 @dataclass(frozen=True)
 class Mode:
-    """A catalogue entry: pole plus complex amplitude."""
+    """A catalogue entry: pole plus complex amplitude, a number with finite parts (``numerics._complex``)."""
 
     pole: Pole
     amplitude: complex
 
     def __post_init__(self):
-        amp = complex(self.amplitude)
-        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-            raise ValidationError("mode amplitude must be finite")
-        object.__setattr__(self, "amplitude", amp)
+        object.__setattr__(self, "amplitude", _complex(self.amplitude, "amplitude"))
 
 
 def _mode_order(*columns) -> np.ndarray:

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ValidationError
 from .numerics import DensityFamily, _number, _phase_fix, _refuse_bools, _time_grid, eigh
 from .pole_models import (
+    _EXP_NORMAL_EDGE,
     CatalogueMatrix,
     PoleCatalogue,
     Signal,
@@ -180,9 +181,10 @@ def preferred_state(
     t = _time_grid(grid)
     mats = source.evaluate(t, keep=report.p_relevant)
     traces = np.trace(mats, axis1=-2, axis2=-1).real
-    # ||EQ|| by hypot, which does not overflow; |x| < -log 2^-1022 for a kept decay factor exp(x)
+    # ||EQ|| by hypot, which does not overflow; |x| < -_EXP_NORMAL_EDGE = -log 2^-1022 for a kept decay factor
+    # exp(x), the edge below which CatalogueMatrix._decay stores 0
     size = math.hypot(*np.abs(source.equilibrium).flat) + source.dropped_envelope(t, report.p_relevant)
-    rounding = (report.cut + source.dim + 2 - 2 * math.log(2.0**-1022)) * 2.0**-53 * math.sqrt(source.dim) * size
+    rounding = (report.cut + source.dim + 2 - 2 * _EXP_NORMAL_EDGE) * 2.0**-53 * math.sqrt(source.dim) * size
     vanishing = ~np.isfinite(traces) | (np.abs(traces) <= rounding)
     if np.any(vanishing):
         raise ValidationError(f"truncated state has vanishing trace at t={t[np.argmax(vanishing)]}")

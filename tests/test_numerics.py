@@ -846,6 +846,21 @@ class TestMatrixPencil:
         modes = matrix_pencil_fit(t, values, 1)
         assert fit_residual(t, values, modes) < 1e-13
 
+    @pytest.mark.parametrize(
+        "t, values, message",
+        [
+            ([0.0, 1.0], [1.0, math.nan], "times and values must be finite"),
+            ([0.0, 1.0, math.inf], [1.0, 0.5, 0.25], "times and values must be finite"),
+            ([0.0, 1.0, 2.0], [1.0, 0.5], "times and values must be 1-D arrays of equal length"),
+        ],
+        ids=["nan-value", "inf-time", "unequal-lengths"],
+    )
+    def test_residual_checks_its_samples_as_the_pencil_does(self, t, values, message):
+        # a NaN sample read as a NaN residual, and unequal lengths as numpy's broadcast error
+        for call in (lambda: fit_residual(t, values, [(-1 + 0j, 1 + 0j)]), lambda: PencilFactorisation(t, values)):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                call()
+
 
 class TestNoisyPencil:
     """Widths 0.1, 0.7, 2.0 (amplitudes 1, 0.5, 0.3), 451 samples on [0, 30].

@@ -2352,11 +2352,12 @@ def _pencil_refit(order):
     return PencilFactorisation(_PENCIL_T, _PENCIL_Y, 2).fit(order)
 
 
-# every scalar argument of a public constructor or function that numerics._number or numerics._integer
-# checks: (callable, valid keyword arguments, {argument: rule}), a number's rule "", "> 0" or ">= 0",
-# an integer's its minimum
+# every scalar argument of a public constructor or function that numerics._number, numerics._integer or
+# numerics._complex checks: (callable, valid keyword arguments, {argument: rule}), a number's rule "", "> 0"
+# or ">= 0", an integer's its minimum, a complex number's "complex"
 SCALAR_ARGUMENTS = [
     (Pole, dict(omega=0.5, gamma=1.0), {"omega": "", "gamma": "> 0"}),
+    (Mode, dict(pole=Pole(0.0, 1.0), amplitude=1.0 - 0.5j), {"amplitude": "complex"}),
     (KhalfinTail, dict(amplitude=0.2, tau=1.0, p=3.0), {"amplitude": "", "tau": "> 0", "p": "> 0"}),
     (PoleCatalogue, dict(equilibrium=0.1, modes=((Pole(0.0, 1.0), 1.0),), hbar=1.0),
      {"equilibrium": "", "hbar": "> 0"}),
@@ -2370,7 +2371,8 @@ SCALAR_ARGUMENTS = [
                            hbar=1.0), {"hbar": "> 0"}),
     (QuasiCoherentState, dict(alpha=2.0, N=5), {"alpha": ">= 0", "N": 1}),
     (OmnesConfig, dict(m=1.0, omega=2.0, hbar=1.0, gamma0=0.1, L0=6.0, a=ROOT_HALF, b=ROOT_HALF, N=50),
-     {"m": "> 0", "omega": "> 0", "hbar": "> 0", "gamma0": "> 0", "L0": "> 0", "N": 1}),
+     {"m": "> 0", "omega": "> 0", "hbar": "> 0", "gamma0": "> 0", "L0": "> 0", "a": "complex", "b": "complex",
+      "N": 1}),
     (overlap_error_bound, dict(delta=2.0, N=5), {"delta": ">= 0", "N": 0}),
     (SpectralDensity, dict(omega0=0.5, fn=lambda w: 1.0, lo=0.0, hi=1.0), {"omega0": "", "lo": "", "hi": ""}),
     (SpectralDensity.lorentzian, dict(omega0=1.0, center=1.0, width=0.5, weight=1.0),
@@ -2398,7 +2400,11 @@ _NON_NUMBERS = st.one_of(st.booleans(), st.sampled_from([np.True_, np.False_, No
 def refused_values(rule):
     """Values the rule refuses: for a number, non-numbers, non-finite values (ints past the float range
     among them) and values below its bound; for an integer, anything but an integer and integers below
-    its minimum."""
+    its minimum; for a complex number, non-numbers and complex values with a part that is not finite."""
+    if rule == "complex":
+        bad = st.sampled_from([math.nan, math.inf, -math.inf])
+        return (st.one_of(st.booleans(), st.sampled_from([np.True_, np.False_, None]), st.text(max_size=4))
+                | st.builds(complex, bad, st.floats()) | st.builds(complex, st.floats(), bad))
     if isinstance(rule, int):
         below = st.integers(max_value=rule - 1)
         return _NON_NUMBERS | st.floats() | below | st.integers(-(2**63), rule - 1).map(np.int64)
@@ -2425,7 +2431,8 @@ class TestScalarRules:
     """Each routed scalar argument refuses what its rule refuses, with a ``ValidationError`` whose message
     starts ``<argument>:`` in one of the rule's forms, and takes a numpy scalar of a valid value.
 
-    Planted defects it catches: the bool refusal dropped from ``numerics._number`` (True reads as 1.0),
+    Planted defects it catches: the bool refusal dropped from ``numerics._number`` (True reads as 1.0), a
+    real read by ``numerics._complex`` without ``_number`` (a mode's amplitude True reads as 1+0j),
     ``SpectralDensity.lorentzian``'s ``width`` left out of the rule (a NaN width is named as ``lo``), and
     ``numerics._check_order`` without ``numerics._integer`` (2.0 leaks a TypeError).
     """
@@ -2436,7 +2443,8 @@ class TestScalarRules:
             listed = [2.0, True, "1", rule - 1]
         else:
             listed = [math.nan, math.inf, -math.inf, True, "1", 10**400]
-            listed += {"": [], "> 0": [0.0, -1.0], ">= 0": [-1.0]}[rule]
+            listed += {"": [], "> 0": [0.0, -1.0], ">= 0": [-1.0],
+                       "complex": [np.True_, None, complex(math.nan, 1.0), complex(1.0, -math.inf)]}[rule]
         for value in listed:
             assert_refused(call, kwargs, name, rule, value)
 
@@ -2448,7 +2456,28 @@ class TestScalarRules:
 
     @pytest.mark.parametrize("call, kwargs, name, rule", ROUTED)
     def test_numpy_scalars_of_valid_values_are_accepted(self, call, kwargs, name, rule):
-        call(**dict(kwargs, **{name: (np.int64 if isinstance(rule, int) else np.float32)(kwargs[name])}))
+        scalar = np.int64 if isinstance(rule, int) else np.complex128 if rule == "complex" else np.float32
+        call(**dict(kwargs, **{name: scalar(kwargs[name])}))
+
+
+class TestComplexRule:
+    """``numerics._complex`` takes every number the number rule takes and complex values with finite parts,
+    each stored as a Python complex with the bits ``complex()`` gives it, signed zeros included; its
+    refusals are ``TestScalarRules``' ``complex`` cases."""
+
+    @pytest.mark.parametrize("value", [2, np.int64(-3), np.float32(0.5), -0.0, Fraction(1, 4), 1.5 - 0.0j,
+                                       complex(-0.0, 2.0), np.complex64(1 + 2j), np.complex128(-1e300j)])
+    def test_numbers_with_finite_parts_are_accepted(self, value):
+        amplitude = Mode(Pole(0.0, 1.0), value).amplitude
+        want = complex(value)
+        assert type(amplitude) is complex and amplitude == want
+        assert np.signbit([amplitude.real, amplitude.imag]).tolist() == np.signbit([want.real, want.imag]).tolist()
+
+    def test_omnes_coefficients_read_ints_reals_and_complex_values(self):
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, 1, 0, 50)
+        assert (cfg.a, cfg.b) == (1 + 0j, 0j) and type(cfg.a) is type(cfg.b) is complex
+        cfg = OmnesConfig(1.0, 2.0, 1.0, 0.1, 6.0, np.float64(ROOT_HALF), np.complex128(1j * ROOT_HALF), 50)
+        assert (cfg.a, cfg.b) == (complex(ROOT_HALF), 1j * ROOT_HALF) and type(cfg.b) is complex
 
 
 # --- bools among numbers ---------------------------------------------------------
